@@ -3,7 +3,7 @@
 use nds_faults::{FaultConfig, FaultPlan, MediaReadFault};
 use nds_sim::{
     ComponentId, EventKind, ObsConfig, Observability, ResourceSet, SimDuration, SimTime, Stats,
-    TimelineSnapshot, TraceContext,
+    TimelineSnapshot, TraceContext, TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 use serde::{Deserialize, Serialize};
 
@@ -119,9 +119,9 @@ impl FlashDevice {
         self.obs.configure(config);
         if config.timelines {
             self.channels
-                .enable_timelines(config.timeline_window, config.timeline_buckets);
+                .enable_timelines(TIMELINE_WINDOW, TIMELINE_BUCKETS);
             self.banks
-                .enable_timelines(config.timeline_window, config.timeline_buckets);
+                .enable_timelines(TIMELINE_WINDOW, TIMELINE_BUCKETS);
         }
     }
 

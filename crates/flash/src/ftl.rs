@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use nds_faults::FaultConfig;
-use nds_sim::{SimTime, Stats, Trace};
+use nds_sim::{SimTime, Stats};
 use serde::{Deserialize, Serialize};
 
 use crate::device::{FlashDevice, PageState};
@@ -65,7 +65,6 @@ pub struct Ftl {
     map: Vec<Option<PageAddr>>,
     reverse: BTreeMap<usize, u64>,
     stats: Stats,
-    trace: Trace,
 }
 
 impl Ftl {
@@ -76,7 +75,6 @@ impl Ftl {
             map: vec![None; exported as usize],
             reverse: BTreeMap::new(),
             stats: Stats::new(),
-            trace: Trace::disabled(256),
             device,
             config,
         }
@@ -120,16 +118,6 @@ impl Ftl {
     /// [`read_run`](Self::read_run) calls inject and recover from faults.
     pub fn install_faults(&mut self, config: FaultConfig) {
         self.device.install_faults(config);
-    }
-
-    /// The FTL's garbage-collection event trace (disabled by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace (enable/clear).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The physical location currently backing `lba`, if written.
@@ -465,9 +453,6 @@ impl Ftl {
             self.device.erase_block(block_addr);
             now = self.device.schedule_erase(block_addr, now);
             self.stats.add("ftl.gc_runs", 1);
-            self.trace.record(now, "ftl.gc", || {
-                format!("erased ch{channel}/bk{bank}/blk{block} ({valid} pages relocated)")
-            });
         }
         Ok(now)
     }
@@ -612,18 +597,23 @@ mod tests {
     }
 
     #[test]
-    fn gc_trace_records_victims_when_enabled() {
+    fn gc_journals_victims_when_enabled() {
         let mut f = ftl();
-        f.trace_mut().set_enabled(true);
+        f.device_mut()
+            .observability_mut()
+            .journal_mut()
+            .set_enabled(true);
         let per_bank = f.device().geometry().pages_per_bank() as u64;
         for round in 0..per_bank * 2 {
             f.write(0, pagev(&f, (round % 251) as u8), SimTime::ZERO)
                 .unwrap();
         }
-        assert!(!f.trace().is_empty(), "enabled trace must capture GC");
-        let event = f.trace().events().next().unwrap();
-        assert_eq!(event.category, "ftl.gc");
-        assert!(event.detail.contains("erased"));
+        let journal = f.device().observability().journal();
+        let victim = journal
+            .events()
+            .find(|e| matches!(e.kind, nds_sim::EventKind::GcVictimPicked { .. }))
+            .expect("enabled journal must capture GC");
+        assert_eq!(victim.component.group, "ftl");
     }
 
     #[test]

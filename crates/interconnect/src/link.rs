@@ -5,7 +5,7 @@ use core::fmt;
 use nds_faults::{FaultConfig, FaultPlan, LinkFault};
 use nds_sim::{
     ComponentId, EventKind, ObsConfig, Observability, Resource, SimDuration, SimTime, Stats,
-    Throughput, TimelineSnapshot, TraceContext,
+    Throughput, TimelineSnapshot, TraceContext, TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 use serde::{Deserialize, Serialize};
 
@@ -123,8 +123,7 @@ impl Link {
     pub fn configure_observability(&mut self, config: &ObsConfig) {
         self.obs.configure(config);
         if config.timelines {
-            self.wire
-                .enable_timeline(config.timeline_window, config.timeline_buckets);
+            self.wire.enable_timeline(TIMELINE_WINDOW, TIMELINE_BUCKETS);
         }
     }
 

@@ -14,9 +14,6 @@
 //!   with earliest-available and indexed scheduling.
 //! * [`Stats`] — a lightweight named-counter registry used by devices and
 //!   systems to report request/byte/traffic counts to the benches.
-//! * [`Trace`] — a bounded, toggleable event recorder for background
-//!   behaviour (garbage collection, relocation) that counters alone cannot
-//!   explain.
 //! * [`Throughput`] — helpers to convert between byte volumes, durations, and
 //!   effective bandwidths without sprinkling unit arithmetic through the code.
 //! * [`obs`] — the deterministic observability layer: a typed event
@@ -43,15 +40,13 @@ pub mod obs;
 mod resource;
 mod stats;
 mod time;
-mod trace;
 
 pub use obs::{
     record_command_partition, BusyTimeline, CommandTracer, ComponentId, Event, EventKind,
     Histograms, Journal, JournalSummary, LatencyHistogram, Mark, MetricSet, ObsConfig,
     Observability, RunReport, SeriesKind, SeriesSnapshot, TimelineSnapshot, TraceContext,
-    TraceExport, TraceStage,
+    TraceExport, TraceStage, TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 pub use resource::{Resource, ResourceSet};
 pub use stats::Stats;
 pub use time::{SimDuration, SimTime, Throughput};
-pub use trace::{Trace, TraceEvent};

@@ -5,22 +5,20 @@
 //! which channels and banks a layout occupies, how request-size
 //! amortization shapes link time \[P2\]. This module gives every timing
 //! component a way to expose that: a structured [`Journal`] of typed
-//! events (superseding the free-form [`Trace`](crate::Trace) ring for
-//! machine consumption), fixed-log2-bucket [`LatencyHistogram`]s
-//! registered next to [`Stats`], windowed busy-time [`BusyTimeline`]s fed
-//! by [`Resource`](crate::Resource), and a [`RunReport`] that serializes
-//! all of it as deterministic JSON.
+//! events, fixed-log2-bucket [`LatencyHistogram`]s registered next to
+//! [`Stats`], windowed busy-time [`BusyTimeline`]s fed by
+//! [`Resource`](crate::Resource), and a [`RunReport`] that serializes all
+//! of it as deterministic JSON.
 //!
 //! # Contract: zero-cost when disabled, schedule-neutral always
 //!
-//! Every hook follows the [`Trace::record`](crate::Trace::record)
-//! discipline: the disabled fast path is **one branch**, and event
-//! payloads are built by an `FnOnce` closure that never runs while
-//! disabled. Hooks only *observe* completion instants that the schedule
-//! already computed — they never acquire resources or alter state the
-//! scheduler reads — so enabling observability cannot change modeled
-//! time. `crates/system/tests/obs_invariance.rs` proves this per
-//! architecture.
+//! Every hook follows the [`Journal::record`] discipline: the disabled
+//! fast path is **one branch**, and event payloads are built by an
+//! `FnOnce` closure that never runs while disabled. Hooks only *observe*
+//! completion instants that the schedule already computed — they never
+//! acquire resources or alter state the scheduler reads — so enabling
+//! observability cannot change modeled time.
+//! `crates/system/tests/obs_invariance.rs` proves this per architecture.
 //!
 //! Determinism extends to the artifact: [`RunReport::to_json`] is a
 //! hand-rolled emitter (the workspace's serde is a vendored marker-trait
@@ -68,8 +66,7 @@ impl fmt::Display for ComponentId {
 /// The typed event taxonomy (DESIGN.md "Observability").
 ///
 /// Variants carry only small `Copy` payloads so deferred construction is
-/// cheap even when enabled; free-form text stays in the legacy
-/// [`Trace`](crate::Trace).
+/// cheap even when enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A command crossed a host↔device interface (link or NVMe queue).
@@ -292,8 +289,18 @@ pub struct Journal {
     origin: SimDuration,
 }
 
-/// Default ring capacity for [`Journal::default`].
+/// Ring capacity per component journal (and for [`Journal::default`]).
 const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+
+/// Ring capacity per component journal when causal tracing is on: sized to
+/// retain full traces of a figure-scale run.
+const TRACED_JOURNAL_CAPACITY: usize = 1 << 16;
+
+/// Bucket width of every busy-time timeline and windowed metric series.
+pub const TIMELINE_WINDOW: SimDuration = SimDuration::from_micros(100);
+
+/// Bucket cap per timeline or series (overflow is summed past it).
+pub const TIMELINE_BUCKETS: usize = 4096;
 
 impl Default for Journal {
     fn default() -> Self {
@@ -335,8 +342,7 @@ impl Journal {
     }
 
     /// Records one event. When disabled this is a single branch and the
-    /// `kind` closure never runs — the same zero-cost discipline as
-    /// [`Trace::record`](crate::Trace::record).
+    /// `kind` closure never runs.
     pub fn record(
         &mut self,
         at: SimTime,
@@ -952,18 +958,14 @@ impl TimelineSnapshot {
 pub struct ObsConfig {
     /// Record typed events into component journals.
     pub journal: bool,
-    /// Ring capacity per component journal.
-    pub journal_capacity: usize,
     /// Record latency histograms.
     pub histograms: bool,
-    /// Sample per-resource busy-time timelines.
+    /// Sample per-resource busy-time timelines
+    /// ([`TIMELINE_WINDOW`] × [`TIMELINE_BUCKETS`]).
     pub timelines: bool,
-    /// Timeline bucket width.
-    pub timeline_window: SimDuration,
-    /// Timeline bucket cap per resource (overflow is summed past it).
-    pub timeline_buckets: usize,
     /// Thread causal per-command trace ids through the journals
-    /// (front-ends allocate a [`CommandTracer`] when set).
+    /// (front-ends allocate a [`CommandTracer`] when set; journal rings
+    /// grow to hold a figure-scale run's full traces).
     pub tracing: bool,
     /// Collect windowed per-window metric series and event marks
     /// ([`MetricSet`]), sharing the timeline window width and bucket cap.
@@ -975,11 +977,8 @@ impl ObsConfig {
     pub const fn disabled() -> Self {
         ObsConfig {
             journal: false,
-            journal_capacity: DEFAULT_JOURNAL_CAPACITY,
             histograms: false,
             timelines: false,
-            timeline_window: SimDuration::from_micros(100),
-            timeline_buckets: 4096,
             tracing: false,
             metrics: false,
         }
@@ -1001,13 +1000,11 @@ impl ObsConfig {
     pub const fn traced() -> Self {
         ObsConfig {
             tracing: true,
-            journal_capacity: 1 << 16,
             ..ObsConfig::full()
         }
     }
 
-    /// Turns on the windowed metric sampler on top of this configuration
-    /// (window width and bucket cap follow the timeline settings).
+    /// Turns on the windowed metric sampler on top of this configuration.
     pub const fn with_metrics(mut self) -> Self {
         self.metrics = true;
         self
@@ -1040,21 +1037,26 @@ impl Observability {
         Observability::default()
     }
 
-    /// Applies `config`: replaces the journal (sized to the configured
-    /// capacity), flips histogram recording, and replaces the metric
-    /// sampler (windowed to the timeline settings).
+    /// Applies `config`: replaces the journal (sized for full traces when
+    /// tracing is on), flips histogram recording, and replaces the metric
+    /// sampler.
     pub fn configure(&mut self, config: &ObsConfig) {
-        self.journal = if config.journal {
-            Journal::enabled(config.journal_capacity)
+        let capacity = if config.tracing {
+            TRACED_JOURNAL_CAPACITY
         } else {
-            Journal::disabled(config.journal_capacity)
+            DEFAULT_JOURNAL_CAPACITY
+        };
+        self.journal = if config.journal {
+            Journal::enabled(capacity)
+        } else {
+            Journal::disabled(capacity)
         };
         self.histograms.set_enabled(config.histograms);
         if !config.histograms {
             self.histograms.clear();
         }
         self.metrics = if config.metrics {
-            MetricSet::enabled(config.timeline_window, config.timeline_buckets)
+            MetricSet::enabled(TIMELINE_WINDOW, TIMELINE_BUCKETS)
         } else {
             MetricSet::disabled()
         };

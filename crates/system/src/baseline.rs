@@ -15,15 +15,12 @@ use std::collections::BTreeMap;
 use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_flash::{Ftl, FtlConfig};
 use nds_host::CpuModel;
-use nds_interconnect::Link;
-use nds_sim::{
-    record_command_partition, CommandTracer, ComponentId, Event, Observability, RunReport,
-    SimDuration, SimTime, Stats, TraceContext, TraceExport, TraceStage,
-};
+use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
 
 use crate::config::SystemConfig;
 use crate::error::SystemError;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
+use crate::lifecycle::Lifecycle;
 
 #[derive(Debug, Clone)]
 struct Dataset {
@@ -47,79 +44,26 @@ struct Extent {
 #[derive(Debug)]
 pub struct BaselineSystem {
     ftl: Ftl,
-    link: Link,
+    life: Lifecycle,
     cpu: CpuModel,
     datasets: BTreeMap<DatasetId, Dataset>,
     next_id: u64,
     next_lba: u64,
-    stats: Stats,
-    obs: Observability,
-    tracer: Option<CommandTracer>,
 }
-
-/// Journal identity of a front-end's request-level span events.
-const SYSTEM_COMPONENT: ComponentId = ComponentId::singleton("system");
 
 impl BaselineSystem {
     /// Builds a baseline system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
         let device = nds_flash::FlashDevice::new(config.flash.clone());
         let mut ftl = Ftl::new(device, FtlConfig::default());
-        let mut link = Link::new(config.link);
-        if let Some(faults) = config.faults {
-            ftl.install_faults(faults);
-            link.install_faults(faults);
-        }
-        ftl.device_mut().configure_observability(&config.obs);
-        link.configure_observability(&config.obs);
-        let mut obs = Observability::disabled();
-        obs.configure(&config.obs);
+        let life = Lifecycle::new(&config, &mut ftl);
         BaselineSystem {
             ftl,
-            link,
+            life,
             cpu: config.cpu,
             datasets: BTreeMap::new(),
             next_id: 1,
             next_lba: 0,
-            stats: Stats::new(),
-            obs,
-            tracer: config.obs.tracing.then(CommandTracer::new),
-        }
-    }
-
-    /// Starts a traced command: allocates its trace context and tags the
-    /// system, link, and device journals with it. Returns `None` (and does
-    /// nothing) unless tracing is configured.
-    fn begin_command(&mut self) -> Option<TraceContext> {
-        let ctx = self.tracer.as_mut().map(|t| t.begin())?;
-        self.obs.set_trace(ctx);
-        self.ftl.device_mut().begin_trace(ctx);
-        self.link.begin_trace(ctx);
-        Some(ctx)
-    }
-
-    /// Finishes a traced command: records its exact stage partition,
-    /// clears the trace tags, and advances the trace clock by `latency`.
-    fn finish_command(
-        &mut self,
-        ctx: TraceContext,
-        op: &'static str,
-        latency: SimDuration,
-        stages: &[(TraceStage, SimDuration)],
-    ) {
-        record_command_partition(
-            self.obs.journal_mut(),
-            SYSTEM_COMPONENT,
-            ctx,
-            op,
-            latency,
-            stages,
-        );
-        self.obs.clear_trace();
-        self.ftl.device_mut().end_trace();
-        self.link.end_trace();
-        if let Some(t) = self.tracer.as_mut() {
-            t.finish(latency);
         }
     }
 
@@ -295,9 +239,8 @@ impl StorageFrontEnd for BaselineSystem {
             }
             .into());
         }
-        self.ftl.device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        self.life.start_epoch(&mut self.ftl);
+        let ctx = self.life.open_scope(&mut self.ftl);
 
         // [P1] serialization: scattering the object into the linear layout.
         let marshal = if extents.len() > 1 {
@@ -349,7 +292,7 @@ impl StorageFrontEnd for BaselineSystem {
             let _ = first;
             // Writes carry whole pages (the controller cannot
             // read-modify-write sectors it never received).
-            link_end = self.link.try_transfer(count * ps, SimTime::ZERO)?;
+            link_end = self.life.link.try_transfer(count * ps, SimTime::ZERO)?;
         }
         let submit = self.cpu.submit_time(commands.len() as u64);
         let link_dur = link_end.saturating_since(SimTime::ZERO);
@@ -373,45 +316,17 @@ impl StorageFrontEnd for BaselineSystem {
                     program_end.saturating_since(SimTime::ZERO),
                 ),
             ];
-            self.finish_command(ctx, "write", latency, &stages);
+            self.life
+                .close_scope(&mut self.ftl, ctx, "write", latency, &stages);
         }
-
-        self.stats
-            .add("system.write_commands", commands.len() as u64);
-        self.stats.add("system.write_bytes", total_bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", total_bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "write");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + latency, SYSTEM_COMPONENT, "write");
-        self.obs.latency("write.latency", latency);
-        // End the timing epoch by the operation's full span so per-lane
-        // timelines stay on the run-long clock (the link or a channel may
-        // have drained long before the program tail finished).
-        self.ftl.device_mut().fold_timing_epoch(latency);
-        self.link.fold_timing_epoch(latency);
-        self.obs.fold_metrics_epoch(latency);
+        self.life
+            .record_write(commands.len() as u64, total_bytes, latency);
+        self.life.end_epoch(&mut self.ftl, latency);
         Ok(WriteOutcome {
             latency,
             commands: commands.len() as u64,
             bytes: total_bytes,
         })
-    }
-
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
     }
 
     fn read_into(
@@ -425,9 +340,8 @@ impl StorageFrontEnd for BaselineSystem {
         let ds = self.dataset(id)?.clone();
         let extents = Self::extents(&ds, view, coord, sub_dims)?;
         let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
-        self.ftl.device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        self.life.start_epoch(&mut self.ftl);
+        let ctx = self.life.open_scope(&mut self.ftl);
 
         let ps = self.page_size();
         let commands = self.commands_for(&ds, &extents);
@@ -451,6 +365,7 @@ impl StorageFrontEnd for BaselineSystem {
                     .fault_read_batch(&addrs, SimTime::ZERO)?
             };
             let link_end = self
+                .life
                 .link
                 .try_transfer(wire_bytes.min(count * ps), first_page.min(dev_end))?;
             flash_end = flash_end.max(dev_end);
@@ -470,7 +385,7 @@ impl StorageFrontEnd for BaselineSystem {
             .ftl
             .device()
             .throughput_occupancy()
-            .max(self.link.busy_time())
+            .max(self.life.link.busy_time())
             .max(submit);
 
         // [P1] deserialization: rebuilding the dense object from scattered
@@ -503,30 +418,17 @@ impl StorageFrontEnd for BaselineSystem {
                 stages.push((TraceStage::Link, io_latency - flash));
             }
             stages.push((TraceStage::Restructure, restructure));
-            self.finish_command(ctx, "read", io_latency + restructure, &stages);
+            self.life.close_scope(
+                &mut self.ftl,
+                ctx,
+                "read",
+                io_latency + restructure,
+                &stages,
+            );
         }
-
-        self.stats
-            .add("system.read_commands", commands.len() as u64);
-        self.stats.add("system.read_bytes", total_bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", total_bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "read");
-        self.obs.journal_mut().end_span(
-            SimTime::ZERO + io_latency + restructure,
-            SYSTEM_COMPONENT,
-            "read",
-        );
-        self.obs.latency("read.io_latency", io_latency);
-        self.obs.latency("read.latency", io_latency + restructure);
-        self.ftl
-            .device_mut()
-            .fold_timing_epoch(io_latency + restructure);
-        self.link.fold_timing_epoch(io_latency + restructure);
-        self.obs.fold_metrics_epoch(io_latency + restructure);
+        self.life
+            .record_read(commands.len() as u64, total_bytes, io_latency, restructure);
+        self.life.end_epoch(&mut self.ftl, io_latency + restructure);
         Ok(ReadMetrics {
             io_latency,
             io_occupancy,
@@ -553,55 +455,21 @@ impl StorageFrontEnd for BaselineSystem {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
-        s.merge(self.link.stats());
+        let mut s = self.life.stats(&self.ftl);
         s.merge(self.ftl.stats());
-        s.merge(self.ftl.device().stats());
         s
     }
 
     fn run_report(&self) -> RunReport {
-        let mut report = self.stats().to_report();
-        report.set_meta("arch", self.name());
-        report.absorb(&self.obs);
-        report.absorb(self.link.observability());
-        report.absorb(self.ftl.device().observability());
-        if let Some(t) = self.link.wire_timeline() {
-            report.add_timeline("link", t);
-        }
-        for (name, t) in self.ftl.device().timeline_snapshots() {
-            report.add_timeline(name, t);
-        }
-        report
+        self.life.run_report(&self.ftl, self.name(), &self.stats())
     }
 
     fn trace_export(&self) -> Option<TraceExport> {
-        let tracer = self.tracer.as_ref()?;
-        let mut events: Vec<Event> = self.obs.journal().events().copied().collect();
-        events.extend(self.link.observability().journal().events().copied());
-        events.extend(
-            self.ftl
-                .device()
-                .observability()
-                .journal()
-                .events()
-                .copied(),
-        );
-        events.retain(|e| e.trace != 0);
-        // Stable sort: ties keep source order (system, link, flash).
-        events.sort_by_key(|e| e.at);
-        let (channels, banks) = self.ftl.device().lane_busy_totals();
-        Some(TraceExport {
-            events,
-            channels,
-            banks,
-            makespan: tracer.makespan(),
-            tenants: Vec::new(),
-        })
+        self.life.trace_export(&self.ftl)
     }
 
     fn trace_cursor(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, CommandTracer::commands)
+        self.life.trace_cursor()
     }
 }
 

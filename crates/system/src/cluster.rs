@@ -55,11 +55,11 @@ use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_faults::{ClusterFaultPlan, DeviceFault, DeviceFaultKind};
 use nds_sim::{
     ComponentId, EventKind, ObsConfig, Observability, Resource, RunReport, SimDuration, SimTime,
-    Stats, TraceExport,
+    Stats, TraceExport, TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 
 use crate::error::SystemError;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
 
 /// The cluster's own journal component.
 const CLUSTER_COMPONENT: ComponentId = ComponentId::singleton("cluster");
@@ -264,7 +264,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             .map(|i| {
                 let mut busy = Resource::new(format!("cluster.device[{i}]"));
                 if config.obs.timelines {
-                    busy.enable_timeline(config.obs.timeline_window, config.obs.timeline_buckets);
+                    busy.enable_timeline(TIMELINE_WINDOW, TIMELINE_BUCKETS);
                 }
                 DeviceSlot {
                     sys: factory(i),
@@ -1244,18 +1244,6 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
         self.clustered_write(id, view, coord, sub_dims, data)
     }
 
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.clustered_read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
-    }
-
     fn read_into(
         &mut self,
         id: DatasetId,
@@ -1292,14 +1280,6 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
 
     fn run_report(&self) -> RunReport {
         self.full_report()
-    }
-
-    fn trace_export(&self) -> Option<TraceExport> {
-        None
-    }
-
-    fn trace_cursor(&self) -> u64 {
-        0
     }
 }
 

@@ -10,14 +10,16 @@
 //! building-block unit lists.
 //!
 //! The adapter also exposes the *timing* face of unit accesses
-//! ([`schedule_unit_reads`](FlashBackend::schedule_unit_reads) and friends),
-//! which the NDS system architectures use to charge channels and banks.
+//! ([`try_schedule_unit_reads`](FlashBackend::try_schedule_unit_reads) and
+//! [`try_schedule_unit_programs`](FlashBackend::try_schedule_unit_programs)),
+//! which the NDS system architectures use to charge channels and banks and,
+//! under a fault plan installed on the [device](FlashBackend::device_mut),
+//! to inject and recover from media faults.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use nds_core::{DeviceSpec, NvmBackend, UnitLocation};
-use nds_faults::FaultConfig;
 use nds_flash::{BlockAddr, FlashConfig, FlashDevice, FlashError, PageAddr, PageState};
 use nds_sim::{SimTime, Stats};
 
@@ -82,13 +84,6 @@ impl FlashBackend {
         &self.stats
     }
 
-    /// Installs a deterministic media-fault plan on the wrapped device.
-    /// The `try_schedule_unit_*` timing calls then inject and recover from
-    /// faults; the plain `schedule_unit_*` calls stay fault-free.
-    pub fn install_faults(&mut self, config: FaultConfig) {
-        self.device.install_faults(config);
-    }
-
     fn lane(&self, channel: u32, bank: u32) -> usize {
         channel as usize * self.device.geometry().banks_per_channel + bank as usize
     }
@@ -103,35 +98,11 @@ impl FlashBackend {
     // ------------------------------------------------------------------
 
     /// Schedules reads of `units`, returning the batch completion time.
-    /// Units without backing pages (never written) cost nothing.
-    pub fn schedule_unit_reads(&mut self, units: &[UnitLocation], ready: SimTime) -> SimTime {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
-        if pages.is_empty() {
-            return ready;
-        }
-        self.device.schedule_reads(&pages, ready)
-    }
-
-    /// Schedules programs of `units`, returning the batch completion time.
-    pub fn schedule_unit_programs(&mut self, units: &[UnitLocation], ready: SimTime) -> SimTime {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
-        if pages.is_empty() {
-            return ready;
-        }
-        self.device.schedule_programs(&pages, ready)
-    }
-
-    /// Fault-aware twin of [`schedule_unit_reads`](Self::schedule_unit_reads):
-    /// every page read draws from the installed plan, pays its ECC retries,
-    /// and any block past the read-disturb limit is preventively migrated
-    /// before the call returns. Schedule-identical to the plain call when no
-    /// plan (or a zero rate) is installed.
+    /// Units without backing pages (never written) cost nothing. Every page
+    /// read draws from the installed fault plan, pays its ECC retries, and
+    /// any block past the read-disturb limit is preventively migrated
+    /// before the call returns; with no plan (or a zero rate) installed the
+    /// schedule is the device's plain batch read.
     ///
     /// # Errors
     ///
@@ -154,13 +125,13 @@ impl FlashBackend {
         self.service_disturbed(done)
     }
 
-    /// Fault-aware twin of
-    /// [`schedule_unit_programs`](Self::schedule_unit_programs): every page
-    /// program draws from the installed plan. A permanent program failure
-    /// retires the block on the spot; the just-written unit and every other
-    /// live page of the block are re-placed in the same lane (the re-program
-    /// doubles as the retry), all on the modeled timeline.
-    /// Schedule-identical to the plain call when no plan is installed.
+    /// Schedules programs of `units`, returning the batch completion time.
+    /// Every page program draws from the installed fault plan. A permanent
+    /// program failure retires the block on the spot; the just-written unit
+    /// and every other live page of the block are re-placed in the same
+    /// lane (the re-program doubles as the retry), all on the modeled
+    /// timeline. With no plan installed the schedule is the device's plain
+    /// program schedule.
     ///
     /// # Errors
     ///
@@ -574,7 +545,7 @@ mod tests {
                 loc
             })
             .collect();
-        let parallel = b.schedule_unit_reads(&units, SimTime::ZERO);
+        let parallel = b.try_schedule_unit_reads(&units, SimTime::ZERO).unwrap();
         b.device_mut().reset_timing();
         // All in one channel: serialized.
         let serial_units: Vec<UnitLocation> = (0..channels as u64)
@@ -584,7 +555,9 @@ mod tests {
                 loc
             })
             .collect();
-        let serial = b.schedule_unit_reads(&serial_units, SimTime::ZERO);
+        let serial = b
+            .try_schedule_unit_reads(&serial_units, SimTime::ZERO)
+            .unwrap();
         assert!(serial > parallel);
     }
 
@@ -592,7 +565,10 @@ mod tests {
     fn unwritten_units_cost_nothing() {
         let mut b = backend();
         let loc = b.alloc_unit(0, 0).unwrap();
-        assert_eq!(b.schedule_unit_reads(&[loc], SimTime::ZERO), SimTime::ZERO);
+        assert_eq!(
+            b.try_schedule_unit_reads(&[loc], SimTime::ZERO).unwrap(),
+            SimTime::ZERO
+        );
     }
 
     #[test]

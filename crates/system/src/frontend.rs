@@ -161,31 +161,34 @@ pub trait StorageFrontEnd {
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError>;
 
-    /// Reads the partition at `coord`/`sub_dims` of `view`.
+    /// Reads the partition at `coord`/`sub_dims` of `view` into a fresh
+    /// buffer — [`read_into`](StorageFrontEnd::read_into) plus the
+    /// allocation.
     ///
     /// # Errors
     ///
-    /// Validation errors for malformed requests.
+    /// Same as [`read_into`](StorageFrontEnd::read_into).
     fn read(
         &mut self,
         id: DatasetId,
         view: &Shape,
         coord: &[u64],
         sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError>;
+    ) -> Result<ReadOutcome, SystemError> {
+        let mut data = Vec::new();
+        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
+        Ok(metrics.into_outcome(data))
+    }
 
     /// Reads the partition at `coord`/`sub_dims` of `view` into a
     /// caller-provided buffer (cleared and resized to the partition), so
-    /// repeated same-shaped reads reuse one allocation. Timing is identical
-    /// to [`read`](StorageFrontEnd::read) — the buffer only changes who owns
-    /// the wall-clock memory traffic, never the modeled time.
-    ///
-    /// The default copies out of [`read`](StorageFrontEnd::read);
-    /// architectures with a genuine zero-copy path override it.
+    /// repeated same-shaped reads reuse one allocation. The buffer only
+    /// changes who owns the wall-clock memory traffic, never the modeled
+    /// time.
     ///
     /// # Errors
     ///
-    /// Same as [`read`](StorageFrontEnd::read).
+    /// Validation errors for malformed requests.
     fn read_into(
         &mut self,
         id: DatasetId,
@@ -193,12 +196,7 @@ pub trait StorageFrontEnd {
         coord: &[u64],
         sub_dims: &[u64],
         buf: &mut Vec<u8>,
-    ) -> Result<ReadMetrics, SystemError> {
-        let outcome = self.read(id, view, coord, sub_dims)?;
-        buf.clear();
-        buf.extend_from_slice(&outcome.data);
-        Ok(outcome.metrics())
-    }
+    ) -> Result<ReadMetrics, SystemError>;
 
     /// Permanently deletes a dataset, releasing its storage (the paper's
     /// `delete_space` command, §5.3.1: building blocks are invalidated and

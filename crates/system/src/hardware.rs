@@ -15,35 +15,30 @@ use std::collections::BTreeMap;
 
 use nds_core::{ElementType, Shape, SpaceId, Stl};
 use nds_host::CpuModel;
-use nds_interconnect::{wire, Link, NvmeCommand, QueuePair};
+use nds_interconnect::{wire, NvmeCommand, QueuePair};
 use nds_sim::{
-    record_command_partition, CommandTracer, ComponentId, Event, EventKind, Observability,
-    Resource, RunReport, SimDuration, SimTime, Stats, TraceContext, TraceExport, TraceStage,
+    ComponentId, EventKind, Resource, RunReport, SimDuration, SimTime, Stats, TraceExport,
+    TraceStage,
 };
 
 use crate::config::{ControllerConfig, SystemConfig};
 use crate::error::SystemError;
 use crate::flash_backend::FlashBackend;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
+use crate::lifecycle::Lifecycle;
 
 /// NDS with the STL embedded in the storage controller.
 #[derive(Debug)]
 pub struct HardwareNds {
     stl: Stl<FlashBackend>,
-    link: Link,
+    life: Lifecycle,
     cpu: CpuModel,
     controller: ControllerConfig,
     transfer_chunk: u64,
     datasets: BTreeMap<DatasetId, SpaceId>,
     queue: QueuePair,
     next_id: u64,
-    stats: Stats,
-    obs: Observability,
-    tracer: Option<CommandTracer>,
 }
-
-/// Journal identity of the front-end's request-level span events.
-const SYSTEM_COMPONENT: ComponentId = ComponentId::singleton("system");
 
 /// Journal identity of the NVMe submission/completion queue pair.
 const QUEUE_COMPONENT: ComponentId = ComponentId::singleton("nvme.queue");
@@ -54,65 +49,17 @@ impl HardwareNds {
 
     /// Builds a hardware-NDS system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
-        let mut backend = FlashBackend::new(config.flash.clone());
-        let mut link = Link::new(config.link);
-        if let Some(faults) = config.faults {
-            backend.install_faults(faults);
-            link.install_faults(faults);
-        }
-        backend.device_mut().configure_observability(&config.obs);
-        link.configure_observability(&config.obs);
-        let mut obs = Observability::disabled();
-        obs.configure(&config.obs);
+        let mut stl = Stl::new(FlashBackend::new(config.flash.clone()), config.stl);
+        let life = Lifecycle::new(&config, &mut stl);
         HardwareNds {
-            stl: Stl::new(backend, config.stl),
-            link,
+            stl,
+            life,
             cpu: config.cpu,
             controller: config.controller,
             transfer_chunk: config.nds_transfer_chunk,
             datasets: BTreeMap::new(),
             queue: QueuePair::new(64),
             next_id: 1,
-            stats: Stats::new(),
-            obs,
-            tracer: config.obs.tracing.then(CommandTracer::new),
-        }
-    }
-
-    /// Starts a traced command: allocates its trace context and tags the
-    /// system, link, and device journals with it — before the NVMe queue
-    /// events, so the extended command's submission is part of the trace.
-    /// `None` unless tracing is configured.
-    fn begin_command(&mut self) -> Option<TraceContext> {
-        let ctx = self.tracer.as_mut().map(|t| t.begin())?;
-        self.obs.set_trace(ctx);
-        self.stl.backend_mut().device_mut().begin_trace(ctx);
-        self.link.begin_trace(ctx);
-        Some(ctx)
-    }
-
-    /// Finishes a traced command: records its exact stage partition,
-    /// clears the trace tags, and advances the trace clock by `latency`.
-    fn finish_command(
-        &mut self,
-        ctx: TraceContext,
-        op: &'static str,
-        latency: SimDuration,
-        stages: &[(TraceStage, SimDuration)],
-    ) {
-        record_command_partition(
-            self.obs.journal_mut(),
-            SYSTEM_COMPONENT,
-            ctx,
-            op,
-            latency,
-            stages,
-        );
-        self.obs.clear_trace();
-        self.stl.backend_mut().device_mut().end_trace();
-        self.link.end_trace();
-        if let Some(t) = self.tracer.as_mut() {
-            t.finish(latency);
         }
     }
 
@@ -121,17 +68,18 @@ impl HardwareNds {
     /// and decodes. Returns the decoded command the controller executes.
     fn submit_command(&mut self, cmd: NvmeCommand) -> Result<NvmeCommand, SystemError> {
         let wired = wire::encode(&cmd)?;
-        self.stats.add("nvme.wire_bytes", wired.wire_bytes());
+        self.life.stats.add("nvme.wire_bytes", wired.wire_bytes());
         let wire_bytes = wired.wire_bytes();
         // The queue drains synchronously, so issue and completion share the
         // per-operation epoch anchor rather than carrying modeled time.
-        self.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
+        self.life.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
             EventKind::CommandIssued { bytes: wire_bytes }
         });
         self.queue.submit(cmd)?;
-        if self.obs.metrics().is_enabled() {
+        if self.life.obs.metrics().is_enabled() {
             let depth = self.queue.in_flight() as u64;
-            self.obs
+            self.life
+                .obs
                 .metric_sample(SimTime::ZERO, "nvme.queue_depth", depth);
         }
         let popped = self
@@ -142,7 +90,7 @@ impl HardwareNds {
         debug_assert_eq!(decoded, popped, "wire format must be faithful");
         self.queue.complete(popped);
         let _ = self.queue.reap();
-        self.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
+        self.life.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
             EventKind::CommandCompleted { bytes: wire_bytes }
         });
         Ok(decoded)
@@ -200,7 +148,7 @@ impl HardwareNds {
         let mut end = SimTime::ZERO;
         while remaining > 0 {
             let take = remaining.min(self.transfer_chunk);
-            end = self.link.try_transfer(take, SimTime::ZERO)?;
+            end = self.life.link.try_transfer(take, SimTime::ZERO)?;
             remaining -= take;
         }
         Ok(end.saturating_since(SimTime::ZERO))
@@ -233,7 +181,9 @@ impl StorageFrontEnd for HardwareNds {
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
         let space = self.space_of(id)?;
-        let ctx = self.begin_command();
+        // The trace scope opens before the NVMe queue events, so the
+        // extended command's submission is part of the trace.
+        let ctx = self.life.open_scope(&mut self.stl);
         // The request travels as one extended NVMe write (§5.3.1); validate
         // it against the interface limits, then marshal it through the real
         // wire codec and submission queue.
@@ -251,8 +201,7 @@ impl StorageFrontEnd for HardwareNds {
             _ => return Err(SystemError::Protocol("decoded write changed command kind")),
         };
         let report = self.stl.write(space, view, &coord, &sub_dims, data)?;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
+        self.life.start_epoch(&mut self.stl);
 
         // One extended NVMe command; the object streams in over the link,
         // the controller decomposes it, the channel handlers program pages.
@@ -269,18 +218,7 @@ impl StorageFrontEnd for HardwareNds {
         let program_tail = program_end.saturating_since(SimTime::ZERO);
         let latency = stl + submit + link + decompose + program_tail;
 
-        self.stats.add("system.write_commands", 1);
-        self.stats.add("system.write_bytes", report.access.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.access.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "write");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + latency, SYSTEM_COMPONENT, "write");
-        self.obs.latency("write.latency", latency);
+        self.life.record_write(1, report.access.bytes, latency);
         if let Some(ctx) = ctx {
             // The write is a strict chronological chain: controller STL
             // lookup, NVMe submission, the object streaming over the link,
@@ -292,33 +230,15 @@ impl StorageFrontEnd for HardwareNds {
                 (TraceStage::Restructure, decompose),
                 (TraceStage::Flash, program_tail),
             ];
-            self.finish_command(ctx, "write", latency, &stages);
+            self.life
+                .close_scope(&mut self.stl, ctx, "write", latency, &stages);
         }
-        // End the timing epoch by the operation's full span so per-lane
-        // timelines stay on the run-long clock.
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(latency);
-        self.link.fold_timing_epoch(latency);
-        self.obs.fold_metrics_epoch(latency);
+        self.life.end_epoch(&mut self.stl, latency);
         Ok(WriteOutcome {
             latency,
             commands: 1,
             bytes: report.access.bytes,
         })
-    }
-
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
     }
 
     fn read_into(
@@ -330,7 +250,7 @@ impl StorageFrontEnd for HardwareNds {
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
         let space = self.space_of(id)?;
-        let ctx = self.begin_command();
+        let ctx = self.life.open_scope(&mut self.stl);
         // The request travels as one extended NVMe read (§5.3.1), marshalled
         // through the real wire codec and submission queue.
         let cmd = NvmeCommand::NdsRead {
@@ -347,8 +267,7 @@ impl StorageFrontEnd for HardwareNds {
             _ => return Err(SystemError::Protocol("decoded read changed command kind")),
         };
         let report = self.stl.read_into(space, view, &coord, &sub_dims, buf)?;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
+        self.life.start_epoch(&mut self.stl);
 
         // Device: all covered blocks stream concurrently at internal
         // bandwidth; the assembler and the link pipeline behind them.
@@ -386,21 +305,10 @@ impl StorageFrontEnd for HardwareNds {
             .device()
             .throughput_occupancy()
             .max(assembler.busy_time())
-            .max(self.link.busy_time());
+            .max(self.life.link.busy_time());
 
-        self.stats.add("system.read_commands", 1);
-        self.stats.add("system.read_bytes", report.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "read");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + io_latency, SYSTEM_COMPONENT, "read");
-        self.obs.latency("read.io_latency", io_latency);
-        self.obs.latency("read.latency", io_latency);
+        self.life
+            .record_read(1, report.bytes, io_latency, SimDuration::ZERO);
         if let Some(ctx) = ctx {
             // After the fixed STL + submission prefix, the critical path of
             // the remaining region is either the in-device assembler (flash
@@ -418,14 +326,10 @@ impl StorageFrontEnd for HardwareNds {
                 stages.push((TraceStage::Flash, flash));
                 stages.push((TraceStage::Link, region - flash));
             }
-            self.finish_command(ctx, "read", io_latency, &stages);
+            self.life
+                .close_scope(&mut self.stl, ctx, "read", io_latency, &stages);
         }
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(io_latency);
-        self.link.fold_timing_epoch(io_latency);
-        self.obs.fold_metrics_epoch(io_latency);
+        self.life.end_epoch(&mut self.stl, io_latency);
         Ok(ReadMetrics {
             io_latency,
             io_occupancy,
@@ -441,62 +345,28 @@ impl StorageFrontEnd for HardwareNds {
             .remove(&id)
             .ok_or(SystemError::UnknownDataset(id))?;
         self.stl.delete_space(space)?;
-        self.stats.add("system.delete_commands", 1);
+        self.life.stats.add("system.delete_commands", 1);
         Ok(())
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
-        s.merge(self.link.stats());
+        let mut s = self.life.stats(&self.stl);
         s.merge(self.stl.backend().stats());
-        s.merge(self.stl.backend().device().stats());
         s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
         s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
         s
     }
 
     fn run_report(&self) -> RunReport {
-        let mut report = self.stats().to_report();
-        report.set_meta("arch", self.name());
-        report.absorb(&self.obs);
-        report.absorb(self.link.observability());
-        report.absorb(self.stl.backend().device().observability());
-        if let Some(t) = self.link.wire_timeline() {
-            report.add_timeline("link", t);
-        }
-        for (name, t) in self.stl.backend().device().timeline_snapshots() {
-            report.add_timeline(name, t);
-        }
-        report
+        self.life.run_report(&self.stl, self.name(), &self.stats())
     }
 
     fn trace_export(&self) -> Option<TraceExport> {
-        let tracer = self.tracer.as_ref()?;
-        let mut events: Vec<Event> = self.obs.journal().events().copied().collect();
-        events.extend(self.link.observability().journal().events().copied());
-        events.extend(
-            self.stl
-                .backend()
-                .device()
-                .observability()
-                .journal()
-                .events()
-                .copied(),
-        );
-        events.retain(|e| e.trace != 0);
-        events.sort_by_key(|e| e.at);
-        let (channels, banks) = self.stl.backend().device().lane_busy_totals();
-        Some(TraceExport {
-            events,
-            channels,
-            banks,
-            makespan: tracer.makespan(),
-            tenants: Vec::new(),
-        })
+        self.life.trace_export(&self.stl)
     }
 
     fn trace_cursor(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, CommandTracer::commands)
+        self.life.trace_cursor()
     }
 }
 

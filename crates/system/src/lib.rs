@@ -56,6 +56,7 @@ mod error;
 mod flash_backend;
 mod frontend;
 mod hardware;
+mod lifecycle;
 mod oracle;
 mod software;
 mod tenants;

@@ -22,7 +22,7 @@ use nds_sim::{RunReport, SimDuration, Stats, TraceExport};
 use crate::baseline::BaselineSystem;
 use crate::config::SystemConfig;
 use crate::error::SystemError;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
 
 #[derive(Debug, Clone)]
 struct OracleDataset {
@@ -186,18 +186,6 @@ impl StorageFrontEnd for OracleSystem {
             commands,
             bytes: plan.total_bytes,
         })
-    }
-
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
     }
 
     fn read_into(

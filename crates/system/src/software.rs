@@ -20,94 +20,38 @@ use std::collections::BTreeMap;
 
 use nds_core::{ElementType, NvmBackend, Shape, SpaceId, Stl};
 use nds_host::CpuModel;
-use nds_interconnect::Link;
-use nds_sim::{
-    record_command_partition, CommandTracer, ComponentId, Event, Observability, RunReport,
-    SimDuration, SimTime, Stats, TraceContext, TraceExport, TraceStage,
-};
+use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
 
 use crate::config::SystemConfig;
 use crate::controller::HostStlPath;
 use crate::error::SystemError;
 use crate::flash_backend::FlashBackend;
-use crate::frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
+use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
+use crate::lifecycle::Lifecycle;
 
 /// NDS with the STL running on the host CPU over LightNVM.
 #[derive(Debug)]
 pub struct SoftwareNds {
     stl: Stl<FlashBackend>,
-    link: Link,
+    life: Lifecycle,
     cpu: CpuModel,
     stl_path: HostStlPath,
     datasets: BTreeMap<DatasetId, SpaceId>,
     next_id: u64,
-    stats: Stats,
-    obs: Observability,
-    tracer: Option<CommandTracer>,
 }
-
-/// Journal identity of the front-end's request-level span events.
-const SYSTEM_COMPONENT: ComponentId = ComponentId::singleton("system");
 
 impl SoftwareNds {
     /// Builds a software-NDS system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
-        let mut backend = FlashBackend::new(config.flash.clone());
-        let mut link = Link::new(config.link);
-        if let Some(faults) = config.faults {
-            backend.install_faults(faults);
-            link.install_faults(faults);
-        }
-        backend.device_mut().configure_observability(&config.obs);
-        link.configure_observability(&config.obs);
-        let mut obs = Observability::disabled();
-        obs.configure(&config.obs);
+        let mut stl = Stl::new(FlashBackend::new(config.flash.clone()), config.stl);
+        let life = Lifecycle::new(&config, &mut stl);
         SoftwareNds {
-            stl: Stl::new(backend, config.stl),
-            link,
+            stl,
+            life,
             cpu: config.cpu,
             stl_path: config.sw_stl_path,
             datasets: BTreeMap::new(),
             next_id: 1,
-            stats: Stats::new(),
-            obs,
-            tracer: config.obs.tracing.then(CommandTracer::new),
-        }
-    }
-
-    /// Starts a traced command: allocates its trace context and tags the
-    /// system, link, and device journals with it. `None` unless tracing is
-    /// configured.
-    fn begin_command(&mut self) -> Option<TraceContext> {
-        let ctx = self.tracer.as_mut().map(|t| t.begin())?;
-        self.obs.set_trace(ctx);
-        self.stl.backend_mut().device_mut().begin_trace(ctx);
-        self.link.begin_trace(ctx);
-        Some(ctx)
-    }
-
-    /// Finishes a traced command: records its exact stage partition,
-    /// clears the trace tags, and advances the trace clock by `latency`.
-    fn finish_command(
-        &mut self,
-        ctx: TraceContext,
-        op: &'static str,
-        latency: SimDuration,
-        stages: &[(TraceStage, SimDuration)],
-    ) {
-        record_command_partition(
-            self.obs.journal_mut(),
-            SYSTEM_COMPONENT,
-            ctx,
-            op,
-            latency,
-            stages,
-        );
-        self.obs.clear_trace();
-        self.stl.backend_mut().device_mut().end_trace();
-        self.link.end_trace();
-        if let Some(t) = self.tracer.as_mut() {
-            t.finish(latency);
         }
     }
 
@@ -163,9 +107,8 @@ impl StorageFrontEnd for SoftwareNds {
         let space = self.space_of(id)?;
         let report = self.stl.write(space, view, coord, sub_dims, data)?;
         let page = self.stl.backend().spec().unit_bytes as u64;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        self.life.start_epoch(&mut self.stl);
+        let ctx = self.life.open_scope(&mut self.stl);
 
         // Host decomposition: one scattered copy per translation segment.
         let decompose = self
@@ -183,6 +126,7 @@ impl StorageFrontEnd for SoftwareNds {
                 continue;
             }
             link_end = self
+                .life
                 .link
                 .try_transfer(block.units.len() as u64 * page, SimTime::ZERO)?;
             let backend = self.stl.backend_mut();
@@ -211,46 +155,17 @@ impl StorageFrontEnd for SoftwareNds {
                 (io_stage, io),
                 (TraceStage::Flash, program_tail),
             ];
-            self.finish_command(ctx, "write", latency, &stages);
+            self.life
+                .close_scope(&mut self.stl, ctx, "write", latency, &stages);
         }
-
-        self.stats.add("system.write_commands", unit_commands);
-        self.stats.add("system.write_bytes", report.access.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.access.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "write");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + latency, SYSTEM_COMPONENT, "write");
-        self.obs.latency("write.latency", latency);
-        // End the timing epoch by the operation's full span so per-lane
-        // timelines stay on the run-long clock.
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(latency);
-        self.link.fold_timing_epoch(latency);
-        self.obs.fold_metrics_epoch(latency);
+        self.life
+            .record_write(unit_commands, report.access.bytes, latency);
+        self.life.end_epoch(&mut self.stl, latency);
         Ok(WriteOutcome {
             latency,
             commands: unit_commands,
             bytes: report.access.bytes,
         })
-    }
-
-    fn read(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<ReadOutcome, SystemError> {
-        let mut data = Vec::new();
-        let metrics = self.read_into(id, view, coord, sub_dims, &mut data)?;
-        Ok(metrics.into_outcome(data))
     }
 
     fn read_into(
@@ -264,9 +179,8 @@ impl StorageFrontEnd for SoftwareNds {
         let space = self.space_of(id)?;
         let report = self.stl.read_into(space, view, coord, sub_dims, buf)?;
         let page = self.stl.backend().spec().unit_bytes as u64;
-        self.stl.backend_mut().device_mut().reset_timing();
-        self.link.reset_timing();
-        let ctx = self.begin_command();
+        self.life.start_epoch(&mut self.stl);
+        let ctx = self.life.open_scope(&mut self.stl);
 
         // Vectored physical-read commands (LightNVM supports scatter lists
         // of up to 64 pages per command): each command's units stream off
@@ -293,7 +207,7 @@ impl StorageFrontEnd for SoftwareNds {
             pending_bytes += block.sector_bytes.min(block.units.len() as u64 * page);
             pending_units += block.units.len();
             if pending_units >= VECTOR_PAGES {
-                let end = self.link.try_transfer(pending_bytes, pending_ready)?;
+                let end = self.life.link.try_transfer(pending_bytes, pending_ready)?;
                 if first_block.is_zero() {
                     first_block = end.saturating_since(SimTime::ZERO);
                     first_ready = pending_ready;
@@ -305,7 +219,7 @@ impl StorageFrontEnd for SoftwareNds {
             }
         }
         if pending_units > 0 {
-            let end = self.link.try_transfer(pending_bytes, pending_ready)?;
+            let end = self.life.link.try_transfer(pending_bytes, pending_ready)?;
             if first_block.is_zero() {
                 first_block = end.saturating_since(SimTime::ZERO);
                 first_ready = pending_ready;
@@ -343,7 +257,8 @@ impl StorageFrontEnd for SoftwareNds {
                 stages.push((TraceStage::Link, first_block - flash));
                 stages.push((TraceStage::Restructure, assembly));
             }
-            self.finish_command(ctx, "read", io_latency, &stages);
+            self.life
+                .close_scope(&mut self.stl, ctx, "read", io_latency, &stages);
         }
         // Steady-state pacing: aggregate device, wire, submission, and host
         // assembly work, whichever drains slowest.
@@ -352,29 +267,13 @@ impl StorageFrontEnd for SoftwareNds {
             .backend()
             .device()
             .throughput_occupancy()
-            .max(self.link.busy_time())
+            .max(self.life.link.busy_time())
             .max(submit)
             .max(assembly);
 
-        self.stats.add("system.read_commands", commands);
-        self.stats.add("system.read_bytes", report.bytes);
-        self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
-        self.obs
-            .metric_add(SimTime::ZERO, "host.bytes", report.bytes);
-        self.obs
-            .journal_mut()
-            .begin_span(SimTime::ZERO, SYSTEM_COMPONENT, "read");
-        self.obs
-            .journal_mut()
-            .end_span(SimTime::ZERO + io_latency, SYSTEM_COMPONENT, "read");
-        self.obs.latency("read.io_latency", io_latency);
-        self.obs.latency("read.latency", io_latency);
-        self.stl
-            .backend_mut()
-            .device_mut()
-            .fold_timing_epoch(io_latency);
-        self.link.fold_timing_epoch(io_latency);
-        self.obs.fold_metrics_epoch(io_latency);
+        self.life
+            .record_read(commands, report.bytes, io_latency, SimDuration::ZERO);
+        self.life.end_epoch(&mut self.stl, io_latency);
         Ok(ReadMetrics {
             io_latency,
             io_occupancy,
@@ -394,51 +293,23 @@ impl StorageFrontEnd for SoftwareNds {
     }
 
     fn stats(&self) -> Stats {
-        let mut s = self.stats.clone();
-        s.merge(self.link.stats());
+        let mut s = self.life.stats(&self.stl);
         s.merge(self.stl.backend().stats());
-        s.merge(self.stl.backend().device().stats());
         s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
         s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
         s
     }
 
     fn run_report(&self) -> RunReport {
-        let mut report = self.stats().to_report();
-        report.set_meta("arch", self.name());
-        report.absorb(&self.obs);
-        report.absorb(self.link.observability());
-        report.absorb(self.stl.backend().device().observability());
-        if let Some(t) = self.link.wire_timeline() {
-            report.add_timeline("link", t);
-        }
-        for (name, t) in self.stl.backend().device().timeline_snapshots() {
-            report.add_timeline(name, t);
-        }
-        report
+        self.life.run_report(&self.stl, self.name(), &self.stats())
     }
 
     fn trace_export(&self) -> Option<TraceExport> {
-        let tracer = self.tracer.as_ref()?;
-        let device = self.stl.backend().device();
-        let mut events: Vec<Event> = self.obs.journal().events().copied().collect();
-        events.extend(self.link.observability().journal().events().copied());
-        events.extend(device.observability().journal().events().copied());
-        events.retain(|e| e.trace != 0);
-        // Stable sort: ties keep source order (system, link, flash).
-        events.sort_by_key(|e| e.at);
-        let (channels, banks) = device.lane_busy_totals();
-        Some(TraceExport {
-            events,
-            channels,
-            banks,
-            makespan: tracer.makespan(),
-            tenants: Vec::new(),
-        })
+        self.life.trace_export(&self.stl)
     }
 
     fn trace_cursor(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, CommandTracer::commands)
+        self.life.trace_cursor()
     }
 }
 

@@ -39,6 +39,7 @@ use nds_core::{ElementType, Region, Shape};
 use nds_interconnect::WfqScheduler;
 use nds_sim::{
     LatencyHistogram, MetricSet, ObsConfig, RunReport, SimDuration, SimTime, TraceExport,
+    TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 
 use crate::error::SystemError;
@@ -379,12 +380,12 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
     }
 
     /// Enables the engine's own windowed telemetry when `config.metrics`
-    /// is set (window width and cap follow the timeline settings). The
-    /// sampler runs on the engine's absolute clock — no epoch folding —
-    /// and is observe-only: it never influences admission or scheduling.
+    /// is set. The sampler runs on the engine's absolute clock — no epoch
+    /// folding — and is observe-only: it never influences admission or
+    /// scheduling.
     pub fn configure_metrics(&mut self, config: &ObsConfig) {
         self.metrics = if config.metrics {
-            MetricSet::enabled(config.timeline_window, config.timeline_buckets)
+            MetricSet::enabled(TIMELINE_WINDOW, TIMELINE_BUCKETS)
         } else {
             MetricSet::disabled()
         };

@@ -114,6 +114,15 @@ if [[ "${1:-}" != "--no-test" ]]; then
     done
     grep -q 'failover_events' "$report_dir/m1/cluster.json" \
         || { echo "check.sh: cluster metrics JSON lost the failover series" >&2; exit 1; }
+
+    # Artifact identity: every report, trace, metrics and dashboard artifact
+    # of the figure, fault, tenant and cluster bins must hash to the digests
+    # committed in scripts/artifact_digests.txt, so a refactor proves "no
+    # artifact moved" instead of claiming it. A change that moves artifacts
+    # on purpose re-blesses the file (scripts/artifact_digest.sh --bless).
+    echo "== artifact identity (scripts/artifact_digest.sh)"
+    scripts/artifact_digest.sh > /dev/null 2>"$report_dir/digest.err" \
+        || { cat "$report_dir/digest.err" >&2; exit 1; }
 fi
 
 echo "check.sh: all green"
