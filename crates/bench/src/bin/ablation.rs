@@ -18,10 +18,7 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{
-    collect_trace, header, obs_for_run, row, take_dashboard_path, take_metrics_path,
-    take_report_path, take_trace_path, write_report, write_telemetry, write_trace, WallClock,
-};
+use nds_bench::{announce_on_stderr, collect_trace, header, row, Artifacts, WallClock};
 use nds_core::{AllocationPolicy, ElementType, Shape};
 use nds_flash::FlashTiming;
 use nds_sim::{ObsConfig, RunReport, TraceExport};
@@ -186,16 +183,8 @@ fn transfer_chunk_ablation(
 }
 
 fn main() {
-    let (report_path, rest) = take_report_path(std::env::args().skip(1).collect());
-    let (trace_path, rest) = take_trace_path(rest);
-    let (metrics_path, rest) = take_metrics_path(rest);
-    let (dashboard_path, _rest) = take_dashboard_path(rest);
-    let obs = obs_for_run(
-        report_path.as_ref(),
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        dashboard_path.as_ref(),
-    );
+    let (artifacts, _rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    let obs = artifacts.obs();
     let clock = WallClock::start();
     let mut report = RunReport::new();
     let mut traces = Vec::new();
@@ -208,13 +197,7 @@ fn main() {
     // 2 + 4 tile sweeps × (create+write+read), 2 NVM media × 2 systems ×
     // (create+write), 5 chunk points × (create+write+read).
     clock.print_rate(6 * 3 + 4 * 2 + 5 * 3);
-    if let Some(path) = report_path {
-        write_report(&path, &report).expect("write report");
-        eprintln!("run report written to {}", path.display());
-    }
-    if let Some(path) = trace_path {
-        write_trace(&path, &traces).expect("write trace");
-        eprintln!("chrome trace written to {}", path.display());
-    }
-    write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &report).expect("telemetry");
+    artifacts
+        .write(&report, &traces, announce_on_stderr)
+        .expect("write artifacts");
 }

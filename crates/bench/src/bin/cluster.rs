@@ -15,39 +15,19 @@
 //! merged under `healthy.`/`degraded.` prefixes and written as
 //! deterministic JSON; with `--trace` the degraded run's per-device causal
 //! traces are exported. Both artifacts are byte-identical across repeated
-//! runs of the same seed — `scripts/check.sh` runs this binary twice and
-//! diffs.
+//! runs of the same seed — `scripts/artifact_digest.sh` hashes them against
+//! committed digests.
 
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{
-    header, obs_for_run, row, take_dashboard_path, take_metrics_path, take_report_path,
-    take_trace_path, write_report, write_telemetry, write_trace, WallClock,
-};
+use nds_bench::{header, row, take_u64_flag, Artifacts, WallClock};
 use nds_faults::ClusterFaultPlan;
 use nds_sim::RunReport;
 use nds_system::{
     ClusterConfig, HardwareNds, NdsCluster, StorageFrontEnd, SystemConfig, SystemError,
 };
 use nds_workloads::cluster::{cluster_dataset, cluster_mix, payload_byte, ClusterOp};
-
-fn take_u64_flag(flag: &str, default: u64, args: Vec<String>) -> (u64, Vec<String>) {
-    let prefix = format!("{flag}=");
-    let mut rest = Vec::with_capacity(args.len());
-    let mut value = default;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            value = it.next().and_then(|v| v.parse().ok()).unwrap_or(default);
-        } else if let Some(v) = a.strip_prefix(&prefix) {
-            value = v.parse().unwrap_or(default);
-        } else {
-            rest.push(a);
-        }
-    }
-    (value, rest)
-}
 
 struct RunSummary {
     ops: u64,
@@ -102,22 +82,14 @@ fn mib_s(bytes: u64, io_ns: u64) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (report_path, args) = take_report_path(args);
-    let (trace_path, args) = take_trace_path(args);
+    let (artifacts, args) = Artifacts::from_args(args);
     let (devices, args) = take_u64_flag("--devices", 4, args);
     let (replicas, args) = take_u64_flag("--replicas", 2, args);
     let (ops, args) = take_u64_flag("--ops", 96, args);
     let (seed, args) = take_u64_flag("--seed", 7, args);
     let (shard_rows, args) = take_u64_flag("--shard-rows", 24, args);
-    let (metrics_path, args) = take_metrics_path(args);
-    let (dashboard_path, args) = take_dashboard_path(args);
     let (kill, _args) = take_u64_flag("--kill", 0, args);
-    let obs = obs_for_run(
-        report_path.as_ref(),
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        dashboard_path.as_ref(),
-    );
+    let obs = artifacts.obs();
     let clock = WallClock::start();
 
     let mix = cluster_mix(seed, ops as usize, 60);
@@ -185,22 +157,18 @@ fn main() {
     );
     clock.print_rate(h.commands + d.commands);
 
-    if report_path.is_some() || metrics_path.is_some() || dashboard_path.is_some() {
-        let mut report = RunReport::new();
+    let mut report = RunReport::new();
+    if artifacts.wants_report() {
         report.set_meta("bench", "cluster");
         report.merge_prefixed("healthy.", &healthy.full_report());
         report.merge_prefixed("degraded.", &degraded.full_report());
-        if let Some(path) = &report_path {
-            write_report(path, &report).expect("write report");
-            println!("report written to {}", path.display());
-        }
-        write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &report)
-            .expect("telemetry");
     }
-    if let Some(path) = &trace_path {
-        let exports = degraded.device_trace_exports();
-        assert!(!exports.is_empty(), "tracing was on");
-        write_trace(path, &exports).expect("write trace");
-        println!("trace written to {}", path.display());
-    }
+    // Only the degraded run's traces are exported.
+    let traces = degraded.device_trace_exports();
+    assert_eq!(obs.tracing, !traces.is_empty(), "devices trace iff asked");
+    artifacts
+        .write(&report, &traces, |what, path| {
+            println!("{what} written to {}", path.display());
+        })
+        .expect("write artifacts");
 }

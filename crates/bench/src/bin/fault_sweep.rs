@@ -20,10 +20,7 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{
-    collect_trace, header, obs_for_run, row, take_dashboard_path, take_metrics_path,
-    take_report_path, take_trace_path, write_report, write_telemetry, write_trace, WallClock,
-};
+use nds_bench::{announce_on_stderr, collect_trace, header, row, Artifacts, WallClock};
 use nds_core::{ElementType, Shape};
 use nds_faults::FaultConfig;
 use nds_sim::{RunReport, SimDuration, TraceExport};
@@ -79,16 +76,8 @@ fn run_script(sys: &mut dyn StorageFrontEnd) -> SimDuration {
 const SCRIPT_COMMANDS: u64 = 8;
 
 fn main() {
-    let (report_path, rest) = take_report_path(std::env::args().skip(1).collect());
-    let (trace_path, rest) = take_trace_path(rest);
-    let (metrics_path, rest) = take_metrics_path(rest);
-    let (dashboard_path, rest) = take_dashboard_path(rest);
-    let obs = obs_for_run(
-        report_path.as_ref(),
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        dashboard_path.as_ref(),
-    );
+    let (artifacts, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    let obs = artifacts.obs();
     let clock = WallClock::start();
     let seed: u64 = rest
         .first()
@@ -159,13 +148,7 @@ fn main() {
     }
     println!("\nAll rows recovered every injected fault (injected == recovered).");
     clock.print_rate((4 + RATES.len() as u64 * 4) * SCRIPT_COMMANDS);
-    if let Some(path) = report_path {
-        write_report(&path, &report).expect("write report");
-        eprintln!("run report written to {}", path.display());
-    }
-    if let Some(path) = trace_path {
-        write_trace(&path, &traces).expect("write trace");
-        eprintln!("chrome trace written to {}", path.display());
-    }
-    write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &report).expect("telemetry");
+    artifacts
+        .write(&report, &traces, announce_on_stderr)
+        .expect("write artifacts");
 }

@@ -14,10 +14,7 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{
-    collect_trace, geomean, header, obs_for_run, row, take_dashboard_path, take_metrics_path,
-    take_report_path, take_trace_path, write_report, write_telemetry, write_trace, WallClock,
-};
+use nds_bench::{announce_on_stderr, collect_trace, geomean, header, row, Artifacts, WallClock};
 use nds_sim::{ObsConfig, RunReport, TraceExport};
 use nds_system::{
     BaselineSystem, HardwareNds, OracleSystem, SoftwareNds, StorageFrontEnd, SystemConfig,
@@ -86,16 +83,8 @@ fn run_all(
 }
 
 fn main() {
-    let (report_path, rest) = take_report_path(std::env::args().skip(1).collect());
-    let (trace_path, rest) = take_trace_path(rest);
-    let (metrics_path, rest) = take_metrics_path(rest);
-    let (dashboard_path, rest) = take_dashboard_path(rest);
-    let obs = obs_for_run(
-        report_path.as_ref(),
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        dashboard_path.as_ref(),
-    );
+    let (artifacts, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    let obs = artifacts.obs();
     let clock = WallClock::start();
     let mut commands = 0u64;
     let (params, cost_scale) = parse_args(&rest);
@@ -191,13 +180,7 @@ fn main() {
         format!("{:.0}%", avg(&hw_red) * 100.0),
     ]);
     clock.print_rate(commands);
-    if let Some(path) = report_path {
-        write_report(&path, &report).expect("write report");
-        eprintln!("run report written to {}", path.display());
-    }
-    if let Some(path) = trace_path {
-        write_trace(&path, &traces).expect("write trace");
-        eprintln!("chrome trace written to {}", path.display());
-    }
-    write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &report).expect("telemetry");
+    artifacts
+        .write(&report, &traces, announce_on_stderr)
+        .expect("write artifacts");
 }

@@ -18,9 +18,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use nds_accel::ComputeEngine;
 use nds_bench::{
-    collect_trace, header, obs_for_run, row, setup_matrix_f64, take_dashboard_path,
-    take_metrics_path, take_report_path, take_trace_path, write_report, write_telemetry,
-    write_trace, WallClock,
+    announce_on_stderr, collect_trace, header, row, setup_matrix_f64, Artifacts, WallClock,
 };
 use nds_core::Shape;
 use nds_host::pipeline::{self, StageTimes};
@@ -176,32 +174,18 @@ fn fig_b(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
 }
 
 fn main() {
-    let (report_path, rest) = take_report_path(std::env::args().skip(1).collect());
-    let (trace_path, rest) = take_trace_path(rest);
-    let (metrics_path, rest) = take_metrics_path(rest);
-    let (dashboard_path, _rest) = take_dashboard_path(rest);
-    let obs = obs_for_run(
-        report_path.as_ref(),
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        dashboard_path.as_ref(),
-    );
+    let (artifacts, _rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    let obs = artifacts.obs();
     let clock = WallClock::start();
     let mut report = RunReport::new();
     let mut traces = Vec::new();
     report.set_meta("bench", "fig2");
     println!("# Fig. 2 — blocked matrix multiplication, row-store vs sub-block\n");
-    fig_a(trace_path.is_some(), &mut traces);
+    fig_a(obs.tracing, &mut traces);
     fig_b(obs, &mut report, &mut traces);
     // Panel (b) issues 2 × (create + setup write) + 2 tile reads.
     clock.print_rate(6);
-    if let Some(path) = report_path {
-        write_report(&path, &report).expect("write report");
-        eprintln!("run report written to {}", path.display());
-    }
-    if let Some(path) = trace_path {
-        write_trace(&path, &traces).expect("write trace");
-        eprintln!("chrome trace written to {}", path.display());
-    }
-    write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &report).expect("telemetry");
+    artifacts
+        .write(&report, &traces, announce_on_stderr)
+        .expect("write artifacts");
 }

@@ -21,9 +21,7 @@
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use nds_bench::{
-    collect_trace, header, obs_for_run, row, setup_matrix_f64, take_dashboard_path,
-    take_metrics_path, take_report_path, take_trace_path, write_report, write_telemetry,
-    write_trace, WallClock,
+    announce_on_stderr, collect_trace, header, row, setup_matrix_f64, Artifacts, WallClock,
 };
 use nds_core::{ElementType, Shape};
 use nds_sim::{ObsConfig, RunReport, TraceExport};
@@ -218,16 +216,8 @@ fn fig_d(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
 }
 
 fn main() {
-    let (report_path, rest) = take_report_path(std::env::args().skip(1).collect());
-    let (trace_path, rest) = take_trace_path(rest);
-    let (metrics_path, rest) = take_metrics_path(rest);
-    let (dashboard_path, rest) = take_dashboard_path(rest);
-    let obs = obs_for_run(
-        report_path.as_ref(),
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        dashboard_path.as_ref(),
-    );
+    let (artifacts, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    let obs = artifacts.obs();
     let which = rest.first().map(String::as_str);
     let clock = WallClock::start();
     let mut report = RunReport::new();
@@ -247,13 +237,7 @@ fn main() {
         }
     };
     clock.print_rate(commands);
-    if let Some(path) = report_path {
-        write_report(&path, &report).expect("write report");
-        eprintln!("run report written to {}", path.display());
-    }
-    if let Some(path) = trace_path {
-        write_trace(&path, &traces).expect("write trace");
-        eprintln!("chrome trace written to {}", path.display());
-    }
-    write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &report).expect("telemetry");
+    artifacts
+        .write(&report, &traces, announce_on_stderr)
+        .expect("write artifacts");
 }

@@ -14,50 +14,24 @@
 //! with the front-end's instrumented report and written as deterministic
 //! JSON; with `--trace` the causal trace gains per-tenant Perfetto lanes.
 //! Both artifacts are byte-identical across repeated runs of the same
-//! seed — `scripts/check.sh` runs this binary twice and diffs.
+//! seed — `scripts/artifact_digest.sh` hashes them against committed
+//! digests.
 
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{
-    header, obs_for_run, row, take_dashboard_path, take_metrics_path, take_report_path,
-    take_trace_path, write_report, write_telemetry, write_trace, WallClock,
-};
+use nds_bench::{header, row, take_u64_flag, Artifacts, WallClock};
+use nds_sim::RunReport;
 use nds_system::{Arrival, HardwareNds, SystemConfig, TrafficEngine};
 use nds_workloads::tenants::mixed_open_closed;
 
-fn take_u64_flag(flag: &str, default: u64, args: Vec<String>) -> (u64, Vec<String>) {
-    let prefix = format!("{flag}=");
-    let mut rest = Vec::with_capacity(args.len());
-    let mut value = default;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            value = it.next().and_then(|v| v.parse().ok()).unwrap_or(default);
-        } else if let Some(v) = a.strip_prefix(&prefix) {
-            value = v.parse().unwrap_or(default);
-        } else {
-            rest.push(a);
-        }
-    }
-    (value, rest)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (report_path, args) = take_report_path(args);
-    let (trace_path, args) = take_trace_path(args);
-    let (metrics_path, args) = take_metrics_path(args);
-    let (dashboard_path, args) = take_dashboard_path(args);
+    let (artifacts, args) = Artifacts::from_args(args);
     let (tenants, args) = take_u64_flag("--tenants", 16, args);
     let (ops, args) = take_u64_flag("--ops", 32, args);
     let (seed, _args) = take_u64_flag("--seed", 42, args);
-    let obs = obs_for_run(
-        report_path.as_ref(),
-        trace_path.as_ref(),
-        metrics_path.as_ref(),
-        dashboard_path.as_ref(),
-    );
+    let obs = artifacts.obs();
     let clock = WallClock::start();
 
     let set = mixed_open_closed(seed, tenants as u32, ops);
@@ -114,17 +88,19 @@ fn main() {
     );
     clock.print_rate(total_commands);
 
-    if report_path.is_some() || metrics_path.is_some() || dashboard_path.is_some() {
-        let full = engine.full_report();
-        if let Some(path) = &report_path {
-            write_report(path, &full).expect("write report");
-            println!("report written to {}", path.display());
-        }
-        write_telemetry(metrics_path.as_ref(), dashboard_path.as_ref(), &full).expect("telemetry");
-    }
-    if let Some(path) = &trace_path {
-        let export = engine.trace_export().expect("tracing was on");
-        write_trace(path, &[("tenants.hardware-nds".to_string(), export)]).expect("write trace");
-        println!("trace written to {}", path.display());
-    }
+    let full = if artifacts.wants_report() {
+        engine.full_report()
+    } else {
+        RunReport::new()
+    };
+    let traces: Vec<_> = engine
+        .trace_export()
+        .map(|export| ("tenants.hardware-nds".to_string(), export))
+        .into_iter()
+        .collect();
+    artifacts
+        .write(&full, &traces, |what, path| {
+            println!("{what} written to {}", path.display());
+        })
+        .expect("write artifacts");
 }

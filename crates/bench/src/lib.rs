@@ -22,86 +22,152 @@ use nds_core::{ElementType, Shape};
 use nds_sim::{ObsConfig, RunReport, TraceExport};
 use nds_system::{DatasetId, StorageFrontEnd, SystemError};
 
-/// Splits `--<flag> <path>` (or `--<flag>=<path>`) out of a raw argument
-/// list, returning the path if present plus the remaining arguments with
+/// Splits `--<flag> <value>` (or `--<flag>=<value>`) out of a raw argument
+/// list, returning the value if present plus the remaining arguments with
 /// the flag removed — so each binary's positional parsing is unaffected.
-fn take_path_flag(flag: &str, args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
+fn take_flag(flag: &str, args: Vec<String>) -> (Option<String>, Vec<String>) {
     let prefix = format!("{flag}=");
     let mut rest = Vec::with_capacity(args.len());
-    let mut path = None;
+    let mut value = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         if a == flag {
-            path = it.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix(&prefix) {
-            path = Some(PathBuf::from(p));
+            value = it.next();
+        } else if let Some(v) = a.strip_prefix(&prefix) {
+            value = Some(v.to_owned());
         } else {
             rest.push(a);
         }
     }
-    (path, rest)
+    (value, rest)
 }
 
-/// Splits `--report <path>` (or `--report=<path>`) out of a raw argument
-/// list (as from `std::env::args().skip(1)`).
-pub fn take_report_path(args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
-    take_path_flag("--report", args)
+/// Splits `--<flag> <n>` (or `--<flag>=<n>`) out of a raw argument list,
+/// returning the number (`default` when absent or unparseable) plus the
+/// remaining arguments.
+pub fn take_u64_flag(flag: &str, default: u64, args: Vec<String>) -> (u64, Vec<String>) {
+    let (value, rest) = take_flag(flag, args);
+    (value.and_then(|v| v.parse().ok()).unwrap_or(default), rest)
 }
 
-/// Splits `--trace <path>` (or `--trace=<path>`) out of a raw argument
-/// list: the destination for a Chrome trace-event (Perfetto-loadable)
-/// export of the run's causal per-command traces.
-pub fn take_trace_path(args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
-    take_path_flag("--trace", args)
+/// The artifact destinations a bench run was asked for — the one harness
+/// behind every binary's `--report`, `--trace`, `--metrics` and
+/// `--dashboard` flags (each also accepted as `--flag=<path>`).
+#[derive(Debug)]
+pub struct Artifacts {
+    /// `--report`: the merged [`RunReport`] as deterministic JSON.
+    report: Option<PathBuf>,
+    /// `--trace`: a Chrome trace-event (Perfetto-loadable) export of the
+    /// run's causal per-command traces.
+    trace: Option<PathBuf>,
+    /// `--metrics`: the windowed-telemetry JSON
+    /// ([`RunReport::metrics_json`]).
+    metrics: Option<PathBuf>,
+    /// `--dashboard`: the static HTML telemetry dashboard (a sibling
+    /// `<stem>.data.js` is written next to it).
+    dashboard: Option<PathBuf>,
 }
 
-/// Splits `--metrics <path>` (or `--metrics=<path>`) out of a raw
-/// argument list: the destination for the run's windowed-telemetry JSON
-/// ([`RunReport::metrics_json`]).
-pub fn take_metrics_path(args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
-    take_path_flag("--metrics", args)
-}
+impl Artifacts {
+    /// Splits the four artifact flags out of a raw argument list (as from
+    /// `std::env::args().skip(1)`), returning the remaining arguments so
+    /// each binary's own parsing is unaffected.
+    pub fn from_args(args: Vec<String>) -> (Artifacts, Vec<String>) {
+        let (report, args) = take_flag("--report", args);
+        let (trace, args) = take_flag("--trace", args);
+        let (metrics, args) = take_flag("--metrics", args);
+        let (dashboard, args) = take_flag("--dashboard", args);
+        let artifacts = Artifacts {
+            report: report.map(PathBuf::from),
+            trace: trace.map(PathBuf::from),
+            metrics: metrics.map(PathBuf::from),
+            dashboard: dashboard.map(PathBuf::from),
+        };
+        (artifacts, args)
+    }
 
-/// Splits `--dashboard <path>` (or `--dashboard=<path>`) out of a raw
-/// argument list: the destination for the run's static HTML telemetry
-/// dashboard (a sibling `<stem>.data.js` is written next to it).
-pub fn take_dashboard_path(args: Vec<String>) -> (Option<PathBuf>, Vec<String>) {
-    take_path_flag("--dashboard", args)
-}
+    /// True when an artifact derived from the run's [`RunReport`] was
+    /// requested (`--report`, `--metrics` or `--dashboard`).
+    pub fn wants_report(&self) -> bool {
+        self.report.is_some() || self.wants_metrics()
+    }
 
-/// The observability configuration a bench run should build its systems
-/// with: causal tracing on top of full instrumentation when a trace was
-/// requested, full instrumentation for a report alone, disabled (one dead
-/// branch per hook) otherwise.
-pub fn obs_for(report: Option<&PathBuf>, trace: Option<&PathBuf>) -> ObsConfig {
-    if trace.is_some() {
-        ObsConfig::traced()
-    } else if report.is_some() {
-        ObsConfig::full()
-    } else {
-        ObsConfig::disabled()
+    fn wants_metrics(&self) -> bool {
+        self.metrics.is_some() || self.dashboard.is_some()
+    }
+
+    /// The observability configuration the run should build its systems
+    /// with: causal tracing on top of full instrumentation when a trace was
+    /// requested, full instrumentation for any report-derived artifact,
+    /// disabled (one dead branch per hook) otherwise — plus the windowed
+    /// metric sampler for `--metrics`/`--dashboard`, whose standard series
+    /// derive from journal events.
+    pub fn obs(&self) -> ObsConfig {
+        let base = if self.trace.is_some() {
+            ObsConfig::traced()
+        } else if self.wants_report() {
+            ObsConfig::full()
+        } else {
+            ObsConfig::disabled()
+        };
+        if self.wants_metrics() {
+            base.with_metrics()
+        } else {
+            base
+        }
+    }
+
+    /// Writes every requested artifact of a finished run — all
+    /// byte-identical across repeated runs — calling
+    /// `announce("report" | "trace", path)` after those two so each binary
+    /// keeps its own wording and stream.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from creating or writing any file.
+    pub fn write(
+        &self,
+        report: &RunReport,
+        traces: &[(String, TraceExport)],
+        mut announce: impl FnMut(&str, &Path),
+    ) -> std::io::Result<()> {
+        if let Some(path) = &self.report {
+            // Trailing newline, so repeated runs diff clean.
+            std::fs::write(path, report.to_json() + "\n")?;
+            announce("report", path);
+        }
+        if let Some(path) = &self.trace {
+            std::fs::write(path, nds_prof::render(traces))?;
+            announce("trace", path);
+        }
+        if let Some(path) = &self.metrics {
+            std::fs::write(path, report.metrics_json())?;
+        }
+        if let Some(path) = &self.dashboard {
+            // The page references the verbatim-embedded metrics JSON in a
+            // sibling `<stem>.data.js` by relative name.
+            let stem = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .unwrap_or("dashboard");
+            let data_name = format!("{stem}.data.js");
+            std::fs::write(path, nds_prof::html_page(&data_name))?;
+            let data = nds_prof::run_data_js(&report.metrics_json());
+            std::fs::write(path.with_file_name(&data_name), data)?;
+        }
+        Ok(())
     }
 }
 
-/// [`obs_for`] extended with the windowed metric sampler: when `--metrics`
-/// or `--dashboard` was requested the sampler rides on full (or traced)
-/// instrumentation, since the standard series derive from journal events.
-pub fn obs_for_run(
-    report: Option<&PathBuf>,
-    trace: Option<&PathBuf>,
-    metrics: Option<&PathBuf>,
-    dashboard: Option<&PathBuf>,
-) -> ObsConfig {
-    let base = if trace.is_some() || report.is_some() || metrics.is_some() || dashboard.is_some() {
-        obs_for(report.or(metrics).or(dashboard), trace)
+/// The figure binaries' [`Artifacts::write`] announcer: one stderr line per
+/// written report or trace.
+pub fn announce_on_stderr(what: &str, path: &Path) {
+    let what = if what == "report" {
+        "run report"
     } else {
-        ObsConfig::disabled()
+        "chrome trace"
     };
-    if metrics.is_some() || dashboard.is_some() {
-        base.with_metrics()
-    } else {
-        base
-    }
+    eprintln!("{what} written to {}", path.display());
 }
 
 /// Appends `sys`'s causal trace export (if tracing was on) to `traces`
@@ -115,79 +181,6 @@ pub fn collect_trace<S: StorageFrontEnd + ?Sized>(
     if let Some(export) = sys.trace_export() {
         traces.push((label.to_string(), export));
     }
-}
-
-/// Writes the collected trace exports to `path` as deterministic Chrome
-/// trace-event JSON (loadable in Perfetto / `chrome://tracing`).
-///
-/// # Errors
-///
-/// I/O errors from creating or writing the file.
-pub fn write_trace(path: &Path, systems: &[(String, TraceExport)]) -> std::io::Result<()> {
-    std::fs::write(path, nds_prof::render(systems))
-}
-
-/// Writes a run report's deterministic JSON to `path` (trailing newline
-/// included, so repeated runs diff clean against each other).
-///
-/// # Errors
-///
-/// I/O errors from creating or writing the file.
-pub fn write_report(path: &Path, report: &RunReport) -> std::io::Result<()> {
-    let mut json = report.to_json();
-    json.push('\n');
-    std::fs::write(path, json)
-}
-
-/// Writes the run's windowed-telemetry JSON
-/// ([`RunReport::metrics_json`]) to `path` — the `--metrics` artifact,
-/// byte-identical across repeated runs.
-///
-/// # Errors
-///
-/// I/O errors from creating or writing the file.
-pub fn write_metrics(path: &Path, report: &RunReport) -> std::io::Result<()> {
-    std::fs::write(path, report.metrics_json())
-}
-
-/// Writes the run's telemetry dashboard: the static page to `path` and
-/// the verbatim-embedded metrics JSON to a sibling `<stem>.data.js` the
-/// page references relatively — the `--dashboard` artifact, both files
-/// byte-identical across repeated runs.
-///
-/// # Errors
-///
-/// I/O errors from creating or writing either file.
-pub fn write_dashboard(path: &Path, report: &RunReport) -> std::io::Result<()> {
-    let stem = path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("dashboard");
-    let data_name = format!("{stem}.data.js");
-    let data_path = path.with_file_name(&data_name);
-    std::fs::write(path, nds_prof::html_page(&data_name))?;
-    std::fs::write(data_path, nds_prof::run_data_js(&report.metrics_json()))
-}
-
-/// Emits `--metrics` / `--dashboard` artifacts for a finished run, if
-/// requested. Call once per bench binary after assembling the combined
-/// [`RunReport`].
-///
-/// # Errors
-///
-/// I/O errors from writing either artifact.
-pub fn write_telemetry(
-    metrics: Option<&PathBuf>,
-    dashboard: Option<&PathBuf>,
-    report: &RunReport,
-) -> std::io::Result<()> {
-    if let Some(path) = metrics {
-        write_metrics(path, report)?;
-    }
-    if let Some(path) = dashboard {
-        write_dashboard(path, report)?;
-    }
-    Ok(())
 }
 
 /// A wall-clock stopwatch for the `commands_per_wall_second` trend line
@@ -297,53 +290,66 @@ mod tests {
         let _ = geomean(&[1.0, 0.0]);
     }
 
+    fn artifacts(args: &[&str]) -> (Artifacts, Vec<String>) {
+        Artifacts::from_args(args.iter().map(|a| (*a).to_owned()).collect())
+    }
+
     #[test]
     fn report_flag_is_stripped_wherever_it_sits() {
-        let (path, rest) = take_report_path(
-            ["a", "--report", "out.json", "b"]
-                .map(String::from)
-                .to_vec(),
-        );
-        assert_eq!(path.as_deref(), Some(std::path::Path::new("out.json")));
+        let (art, rest) = artifacts(&["a", "--report", "out.json", "b"]);
+        assert_eq!(art.report.as_deref(), Some(Path::new("out.json")));
         assert_eq!(rest, ["a", "b"]);
+        let obs = art.obs();
+        assert!(obs.journal && !obs.tracing && !obs.metrics);
 
-        let (path, rest) = take_report_path(["--report=r.json"].map(String::from).to_vec());
-        assert_eq!(path.as_deref(), Some(std::path::Path::new("r.json")));
+        let (art, rest) = artifacts(&["--report=r.json"]);
+        assert_eq!(art.report.as_deref(), Some(Path::new("r.json")));
         assert!(rest.is_empty());
 
-        let (path, rest) = take_report_path(["c"].map(String::from).to_vec());
-        assert!(path.is_none());
+        let (art, rest) = artifacts(&["c"]);
+        assert!(art.report.is_none() && !art.wants_report());
         assert_eq!(rest, ["c"]);
-        assert!(!obs_for(path.as_ref(), None).any_enabled());
+        assert!(!art.obs().any_enabled());
     }
 
     #[test]
     fn trace_flag_enables_tracing() {
-        let (trace, rest) =
-            take_trace_path(["a", "--trace", "t.json", "b"].map(String::from).to_vec());
-        assert_eq!(trace.as_deref(), Some(std::path::Path::new("t.json")));
+        let (art, rest) = artifacts(&["a", "--trace", "t.json", "b"]);
+        assert_eq!(art.trace.as_deref(), Some(Path::new("t.json")));
         assert_eq!(rest, ["a", "b"]);
-        let obs = obs_for(None, trace.as_ref());
+        let obs = art.obs();
         assert!(obs.tracing && obs.journal && obs.timelines);
-        assert!(!obs_for(None, None).tracing);
+        assert!(!art.wants_report(), "a trace alone needs no report");
     }
 
     #[test]
     fn metrics_and_dashboard_flags_enable_the_sampler() {
-        let (metrics, rest) =
-            take_metrics_path(["--metrics", "m.json", "x"].map(String::from).to_vec());
-        assert_eq!(metrics.as_deref(), Some(std::path::Path::new("m.json")));
+        let (art, rest) = artifacts(&["--metrics", "m.json", "x"]);
+        assert_eq!(art.metrics.as_deref(), Some(Path::new("m.json")));
         assert_eq!(rest, ["x"]);
-        let (dash, _) = take_dashboard_path(["--dashboard=d.html"].map(String::from).to_vec());
-        assert_eq!(dash.as_deref(), Some(std::path::Path::new("d.html")));
-
-        let obs = obs_for_run(None, None, metrics.as_ref(), None);
+        let obs = art.obs();
         assert!(obs.metrics && obs.journal, "metrics ride on full obs");
-        let obs = obs_for_run(None, None, None, dash.as_ref());
-        assert!(obs.metrics);
-        let obs = obs_for_run(None, Some(&PathBuf::from("t.json")), metrics.as_ref(), None);
+        assert!(art.wants_report());
+
+        let (art, _) = artifacts(&["--dashboard=d.html"]);
+        assert_eq!(art.dashboard.as_deref(), Some(Path::new("d.html")));
+        assert!(art.obs().metrics);
+
+        let (art, _) = artifacts(&["--trace", "t.json", "--metrics", "m.json"]);
+        let obs = art.obs();
         assert!(obs.metrics && obs.tracing);
-        assert!(!obs_for_run(None, None, None, None).any_enabled());
+    }
+
+    #[test]
+    fn u64_flags_parse_both_spellings_and_fall_back() {
+        let args = |a: &[&str]| a.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>();
+        assert_eq!(
+            take_u64_flag("--ops", 9, args(&["x", "--ops", "4"])),
+            (4, args(&["x"]))
+        );
+        assert_eq!(take_u64_flag("--ops", 9, args(&["--ops=5"])).0, 5);
+        assert_eq!(take_u64_flag("--ops", 9, args(&["--ops", "many"])).0, 9);
+        assert_eq!(take_u64_flag("--ops", 9, args(&["y"])), (9, args(&["y"])));
     }
 
     #[test]

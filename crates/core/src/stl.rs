@@ -103,11 +103,6 @@ impl AccessReport {
     pub fn unit_count(&self) -> usize {
         self.blocks.iter().map(|b| b.units.len()).sum()
     }
-
-    /// All touched units, flattened.
-    pub fn all_units(&self) -> impl Iterator<Item = UnitLocation> + '_ {
-        self.blocks.iter().flat_map(|b| b.units.iter().copied())
-    }
 }
 
 /// Report of a write.

@@ -40,7 +40,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use nds_sim::SimDuration;
+use nds_sim::{splitmix64, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// The largest number of retries a single injected fault can demand.
@@ -168,24 +168,16 @@ const SALT_PROGRAM: u64 = 0x50524f47_5f424144; // "PROG_BAD"
 const SALT_LINK: u64 = 0x4c494e4b_5f544f00; // "LINK_TO"
 const SALT_SEVERITY: u64 = 0x53455645_52495459; // "SEVERITY"
 
-/// SplitMix64 finalizer — a well-mixed 64-bit permutation.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The uniform deviate in `[0, 1)` for event `n` of kind `salt`.
 fn u01(seed: u64, salt: u64, n: u64) -> f64 {
-    let h = mix(seed ^ mix(salt ^ mix(n)));
+    let h = splitmix64(seed ^ splitmix64(salt ^ splitmix64(n)));
     // 53 high bits → exactly representable in f64.
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Severity for event `n` of kind `salt`, in `1..=MAX_SEVERITY`.
 fn severity(seed: u64, salt: u64, n: u64) -> u32 {
-    let h = mix(seed ^ mix(salt ^ SALT_SEVERITY ^ mix(n)));
+    let h = splitmix64(seed ^ splitmix64(salt ^ SALT_SEVERITY ^ splitmix64(n)));
     1 + (h % MAX_SEVERITY as u64) as u32
 }
 
@@ -238,7 +230,8 @@ impl FaultPlan {
         // The failure mode hashes its own bit so the same event keeps the
         // same mode at every rate; both modes recover identically, so the
         // split is cosmetic but must be rate-stable for nesting.
-        if mix(self.config.seed ^ mix(SALT_LINK.rotate_left(17) ^ mix(n))) & 1 == 0 {
+        let mode = splitmix64(SALT_LINK.rotate_left(17) ^ splitmix64(n));
+        if splitmix64(self.config.seed ^ mode) & 1 == 0 {
             LinkFault::Timeout { failures }
         } else {
             LinkFault::DroppedCompletion { failures }

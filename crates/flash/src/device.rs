@@ -359,30 +359,7 @@ impl FlashDevice {
     ///
     /// Panics if the channel or bank index is out of range.
     pub fn find_free_page(&mut self, channel: usize, bank: usize) -> Option<PageAddr> {
-        let g = self.config.geometry;
-        assert!(channel < g.channels && bank < g.banks_per_channel);
-        let bank_id = channel * g.banks_per_channel + bank;
-        if self.free_count[bank_id] == 0 {
-            return None;
-        }
-        let pages = g.pages_per_bank();
-        let start = self.alloc_cursor[bank_id];
-        for off in 0..pages {
-            let local = (start + off) % pages;
-            let addr = PageAddr {
-                channel,
-                bank,
-                block: local / g.pages_per_block,
-                page: local % g.pages_per_block,
-            };
-            if self.state[g.page_index(addr)] == PageState::Free
-                && !self.is_bad_block(addr.block_addr())
-            {
-                self.alloc_cursor[bank_id] = (local + 1) % pages;
-                return Some(addr);
-            }
-        }
-        None
+        self.scan_free_page(channel, bank, None)
     }
 
     /// Like [`find_free_page`](Self::find_free_page) but never returns a
@@ -400,6 +377,18 @@ impl FlashDevice {
         bank: usize,
         excluded: BlockAddr,
     ) -> Option<PageAddr> {
+        self.scan_free_page(channel, bank, Some(excluded))
+    }
+
+    /// The one cursor scan behind both free-page queries: the first free
+    /// page of a healthy block at or after the lane's cursor, skipping
+    /// `excluded`; the cursor moves past the page only when one is found.
+    fn scan_free_page(
+        &mut self,
+        channel: usize,
+        bank: usize,
+        excluded: Option<BlockAddr>,
+    ) -> Option<PageAddr> {
         let g = self.config.geometry;
         assert!(channel < g.channels && bank < g.banks_per_channel);
         let bank_id = channel * g.banks_per_channel + bank;
@@ -416,7 +405,7 @@ impl FlashDevice {
                 block: local / g.pages_per_block,
                 page: local % g.pages_per_block,
             };
-            if addr.block_addr() == excluded {
+            if Some(addr.block_addr()) == excluded {
                 continue;
             }
             if self.state[g.page_index(addr)] == PageState::Free
@@ -427,6 +416,56 @@ impl FlashDevice {
             }
         }
         None
+    }
+
+    /// Free-page search for recovery paths only: the home lane
+    /// `(channel, bank)` first (preserving stripe placement), then any
+    /// lane — a fault must not strand data while the device still has
+    /// space somewhere. Foreground writes never take this path, so
+    /// fault-free placement is unchanged. `avoid` is the block being
+    /// evacuated; destinations inside it would be lost to its upcoming
+    /// erase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel or bank index is out of range.
+    pub fn find_recovery_page(
+        &mut self,
+        channel: usize,
+        bank: usize,
+        avoid: BlockAddr,
+    ) -> Option<PageAddr> {
+        if let Some(p) = self.find_free_page_excluding(channel, bank, avoid) {
+            return Some(p);
+        }
+        let g = self.config.geometry;
+        for c in 0..g.channels {
+            for b in 0..g.banks_per_channel {
+                if let Some(p) = self.find_free_page_excluding(c, b, avoid) {
+                    return Some(p);
+                }
+            }
+        }
+        None
+    }
+
+    /// Garbage-collection victim choice for `(channel, bank)`: the block
+    /// with the most invalid pages, ties preferring the least-worn block (a
+    /// light wear-leveling touch); retired blocks are never picked. Returns
+    /// `(block, valid, invalid)`, or `None` when nothing is reclaimable.
+    pub fn gc_victim(&self, channel: usize, bank: usize) -> Option<(BlockAddr, usize, usize)> {
+        self.block_occupancy(channel, bank)
+            .into_iter()
+            .map(|(block, valid, invalid)| {
+                let addr = BlockAddr {
+                    channel,
+                    bank,
+                    block,
+                };
+                (addr, valid, invalid)
+            })
+            .filter(|&(addr, _, invalid)| invalid > 0 && !self.is_bad_block(addr))
+            .max_by_key(|&(addr, _, invalid)| (invalid, std::cmp::Reverse(self.erase_count(addr))))
     }
 
     /// Counts valid/invalid pages per block in `(channel, bank)` — the input
@@ -575,11 +614,6 @@ impl FlashDevice {
         self.channels.fold_epoch(span);
         self.banks.fold_epoch(span);
         self.obs.fold_metrics_epoch(span);
-    }
-
-    /// Channel resources (for utilization reporting).
-    pub fn channel_resources(&self) -> &ResourceSet {
-        &self.channels
     }
 
     // ------------------------------------------------------------------

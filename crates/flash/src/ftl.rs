@@ -201,7 +201,8 @@ impl Ftl {
             now = self.relocate_live_pages(target.block_addr(), now)?;
             now = self.maybe_gc(channel, bank, now)?;
             target = self
-                .recovery_free_page(channel, bank, target.block_addr())
+                .device
+                .find_recovery_page(channel, bank, target.block_addr())
                 .ok_or(FlashError::DeviceFull)?;
             self.stats.add("faults.recovered", 1);
         }
@@ -299,32 +300,6 @@ impl Ftl {
     /// Moves every valid page of `block` to a fresh page in the same
     /// `(channel, bank)` lane, updating the LBA map. Used for both retired
     /// blocks (which allocation already skips) and disturb victims.
-    /// Free-page search for recovery paths only: the home lane first
-    /// (preserving stripe placement), then any lane — a fault must not
-    /// strand data while the device still has space somewhere. Foreground
-    /// writes never take this path, so fault-free placement is unchanged.
-    /// `avoid` is the block being evacuated; destinations inside it would
-    /// be lost to its upcoming erase.
-    fn recovery_free_page(
-        &mut self,
-        channel: usize,
-        bank: usize,
-        avoid: BlockAddr,
-    ) -> Option<PageAddr> {
-        if let Some(p) = self.device.find_free_page_excluding(channel, bank, avoid) {
-            return Some(p);
-        }
-        let g = *self.device.geometry();
-        for c in 0..g.channels {
-            for b in 0..g.banks_per_channel {
-                if let Some(p) = self.device.find_free_page_excluding(c, b, avoid) {
-                    return Some(p);
-                }
-            }
-        }
-        None
-    }
-
     fn relocate_live_pages(
         &mut self,
         block: BlockAddr,
@@ -342,7 +317,8 @@ impl Ftl {
             // the source, so a DeviceFull here leaves the old copy mapped
             // and readable instead of stranding the lba on an invalid page.
             let dest = self
-                .recovery_free_page(block.channel, block.bank, block)
+                .device
+                .find_recovery_page(block.channel, block.bank, block)
                 .ok_or(FlashError::DeviceFull)?;
             self.device.program(dest, data)?;
             now = self.device.schedule_programs(&[dest], now);
@@ -377,35 +353,8 @@ impl Ftl {
             if guard > g.blocks_per_bank {
                 break; // nothing reclaimable
             }
-            // Victim: the block with the most invalid pages; ties prefer the
-            // least-worn block (a light wear-leveling touch).
-            let victim = self
-                .device
-                .block_occupancy(channel, bank)
-                .into_iter()
-                .filter(|&(block, _, invalid)| {
-                    invalid > 0
-                        && !self.device.is_bad_block(crate::BlockAddr {
-                            channel,
-                            bank,
-                            block,
-                        })
-                })
-                .max_by_key(|&(block, _, invalid)| {
-                    let wear = self.device.erase_count(crate::BlockAddr {
-                        channel,
-                        bank,
-                        block,
-                    });
-                    (invalid, std::cmp::Reverse(wear))
-                });
-            let Some((block, valid, invalid)) = victim else {
+            let Some((block_addr, valid, invalid)) = self.device.gc_victim(channel, bank) else {
                 break; // no reclaimable block
-            };
-            let block_addr = crate::BlockAddr {
-                channel,
-                bank,
-                block,
             };
             self.device.observability_mut().event(
                 now,
@@ -413,7 +362,7 @@ impl Ftl {
                 || nds_sim::EventKind::GcVictimPicked {
                     channel: channel as u32,
                     bank: bank as u32,
-                    block: block as u32,
+                    block: block_addr.block as u32,
                     valid: valid as u32,
                     invalid: invalid as u32,
                 },

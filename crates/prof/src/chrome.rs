@@ -31,8 +31,9 @@
 //! command count, and the per-channel/bank busy totals for the profiler.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write;
 
-use nds_sim::{ComponentId, Event, EventKind, TraceExport};
+use nds_sim::{ArgValue, ComponentId, Event, EventKind, TraceExport};
 
 const TID_COMMANDS: u32 = 0;
 const TID_STAGES: u32 = 1;
@@ -250,73 +251,32 @@ fn emit_system(lines: &mut Vec<String>, pid: usize, name: &str, export: &TraceEx
                     lines.push(i_line(pid, TID_SPANS, label, at_ns, &extra));
                 }
             }
-            EventKind::PageRead { channel, bank } => {
-                let extra = format!(",\"trace\":{trace},\"channel\":{channel},\"bank\":{bank}");
-                lines.push(i_line(pid, TID_FLASH, "PageRead", at_ns, &extra));
-            }
-            EventKind::PageProgrammed { channel, bank } => {
-                let extra = format!(",\"trace\":{trace},\"channel\":{channel},\"bank\":{bank}");
-                lines.push(i_line(pid, TID_FLASH, "PageProgrammed", at_ns, &extra));
-            }
-            EventKind::BlockErased {
-                channel,
-                bank,
-                block,
-            } => {
-                let extra = format!(
-                    ",\"trace\":{trace},\"channel\":{channel},\"bank\":{bank},\"block\":{block}"
-                );
-                lines.push(i_line(pid, TID_FLASH, "BlockErased", at_ns, &extra));
-            }
-            EventKind::GcVictimPicked {
-                channel,
-                bank,
-                block,
-                valid,
-                invalid,
-            } => {
-                let extra = format!(
-                    ",\"trace\":{trace},\"channel\":{channel},\"bank\":{bank},\
-                     \"block\":{block},\"valid\":{valid},\"invalid\":{invalid}"
-                );
-                lines.push(i_line(pid, TID_FLASH, "GcVictimPicked", at_ns, &extra));
-            }
-            EventKind::FaultInjected { kind } => {
-                let tid = fault_tid(ev.component);
-                let extra = format!(",\"trace\":{trace},\"kind\":\"{}\"", esc(kind));
-                lines.push(i_line(pid, tid, "FaultInjected", at_ns, &extra));
-            }
-            EventKind::RetryScheduled { attempt } => {
-                let tid = fault_tid(ev.component);
-                let extra = format!(",\"trace\":{trace},\"attempt\":{attempt}");
-                lines.push(i_line(pid, tid, "RetryScheduled", at_ns, &extra));
-            }
-            EventKind::ReplicaRead { device, shard } => {
-                let extra = format!(",\"trace\":{trace},\"device\":{device},\"shard\":{shard}");
-                lines.push(i_line(pid, TID_SPANS, "ReplicaRead", at_ns, &extra));
-            }
-            EventKind::ReplicaCopied { from, to, bytes } => {
-                let extra =
-                    format!(",\"trace\":{trace},\"from\":{from},\"to\":{to},\"bytes\":{bytes}");
-                lines.push(i_line(pid, TID_SPANS, "ReplicaCopied", at_ns, &extra));
-            }
-            EventKind::DeviceDown { device } => {
-                let extra = format!(",\"trace\":{trace},\"device\":{device}");
-                lines.push(i_line(pid, TID_SPANS, "DeviceDown", at_ns, &extra));
-            }
-            EventKind::DeviceUp { device } => {
-                let extra = format!(",\"trace\":{trace},\"device\":{device}");
-                lines.push(i_line(pid, TID_SPANS, "DeviceUp", at_ns, &extra));
+            // Every instant kind renders generically: its name, its payload
+            // fields in declaration order, on its emitter's thread.
+            ref instant => {
+                let mut extra = format!(",\"trace\":{trace}");
+                // Writing into a `String` cannot fail.
+                instant.args(|key, value| {
+                    let _ = match value {
+                        ArgValue::U64(n) => write!(extra, ",\"{key}\":{n}"),
+                        ArgValue::Str(s) => write!(extra, ",\"{key}\":\"{}\"", esc(s)),
+                    };
+                });
+                let tid = instant_tid(ev.component);
+                lines.push(i_line(pid, tid, instant.name(), at_ns, &extra));
             }
         }
     }
 }
 
-/// Fault/retry markers land on the thread of the component that raised
-/// them: the link thread for link faults, the flash thread otherwise.
-fn fault_tid(component: ComponentId) -> u32 {
+/// Instant markers land on the thread of the component that raised them:
+/// the link thread for link events, the spans thread for the cluster
+/// front-end's, the flash thread otherwise (flash, FTL, GC).
+fn instant_tid(component: ComponentId) -> u32 {
     if component.group.starts_with("link") {
         TID_LINK
+    } else if component.group == "cluster" {
+        TID_SPANS
     } else {
         TID_FLASH
     }

@@ -254,6 +254,81 @@ impl EventKind {
             EventKind::DeviceUp { .. } => "DeviceUp",
         }
     }
+
+    /// Visits the variant's payload as `(field name, value)` pairs in
+    /// declaration order — the one generic rendering of an event, so an
+    /// exporter never has to know a variant's fields.
+    pub fn args(&self, mut f: impl FnMut(&'static str, ArgValue)) {
+        use ArgValue::{Str, U64};
+        match *self {
+            EventKind::CommandIssued { bytes } | EventKind::CommandCompleted { bytes } => {
+                f("bytes", U64(bytes));
+            }
+            EventKind::PageRead { channel, bank } | EventKind::PageProgrammed { channel, bank } => {
+                f("channel", U64(channel.into()));
+                f("bank", U64(bank.into()));
+            }
+            EventKind::BlockErased {
+                channel,
+                bank,
+                block,
+            } => {
+                f("channel", U64(channel.into()));
+                f("bank", U64(bank.into()));
+                f("block", U64(block.into()));
+            }
+            EventKind::GcVictimPicked {
+                channel,
+                bank,
+                block,
+                valid,
+                invalid,
+            } => {
+                f("channel", U64(channel.into()));
+                f("bank", U64(bank.into()));
+                f("block", U64(block.into()));
+                f("valid", U64(valid.into()));
+                f("invalid", U64(invalid.into()));
+            }
+            EventKind::FaultInjected { kind } => f("kind", Str(kind)),
+            EventKind::RetryScheduled { attempt } => f("attempt", U64(attempt.into())),
+            EventKind::SpanBegin { label } | EventKind::SpanEnd { label } => {
+                f("label", Str(label));
+            }
+            EventKind::TraceBegin { trace, op } => {
+                f("trace", U64(trace));
+                f("op", Str(op));
+            }
+            EventKind::TraceEnd { trace } => f("trace", U64(trace)),
+            EventKind::StageSpan { trace, stage, dur } => {
+                f("trace", U64(trace));
+                f("stage", Str(stage.name()));
+                f("dur", U64(dur.as_nanos()));
+            }
+            EventKind::ReplicaRead { device, shard } => {
+                f("device", U64(device.into()));
+                f("shard", U64(shard.into()));
+            }
+            EventKind::ReplicaCopied { from, to, bytes } => {
+                f("from", U64(from.into()));
+                f("to", U64(to.into()));
+                f("bytes", U64(bytes));
+            }
+            EventKind::DeviceDown { device } | EventKind::DeviceUp { device } => {
+                f("device", U64(device.into()));
+            }
+        }
+    }
+}
+
+/// One payload field of an [`EventKind`], as visited by
+/// [`EventKind::args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgValue {
+    /// An integer field (ids, counts, byte volumes, nanoseconds).
+    U64(u64),
+    /// A static label field.
+    Str(&'static str),
 }
 
 /// One journal entry: a typed event at a modeled instant.
@@ -1093,12 +1168,6 @@ impl Observability {
         self.metrics.sample(at, name, value);
     }
 
-    /// Records a labelled event mark; the label closure never runs while
-    /// the metric sampler is disabled.
-    pub fn metric_mark(&mut self, at: SimTime, label: impl FnOnce() -> String) {
-        self.metrics.mark(at, label);
-    }
-
     /// Folds a finished epoch's span into the metric sampler's run-long
     /// clock (call next to the component's `fold_timing_epoch`).
     pub fn fold_metrics_epoch(&mut self, span: SimDuration) {
@@ -1108,11 +1177,6 @@ impl Observability {
     /// The windowed metric sampler.
     pub fn metrics(&self) -> &MetricSet {
         &self.metrics
-    }
-
-    /// Mutable access to the windowed metric sampler.
-    pub fn metrics_mut(&mut self) -> &mut MetricSet {
-        &mut self.metrics
     }
 
     /// Tags subsequent journal events with a command's trace context
@@ -1139,11 +1203,6 @@ impl Observability {
     /// The histogram registry.
     pub fn histograms(&self) -> &Histograms {
         &self.histograms
-    }
-
-    /// Mutable access to the histogram registry.
-    pub fn histograms_mut(&mut self) -> &mut Histograms {
-        &mut self.histograms
     }
 
     /// True if any collector is recording.
@@ -1581,6 +1640,33 @@ mod tests {
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
+    }
+
+    #[test]
+    fn event_args_visit_fields_in_declaration_order() {
+        let collect = |kind: EventKind| {
+            let mut out = Vec::new();
+            kind.args(|key, value| out.push((key, value)));
+            out
+        };
+        assert_eq!(
+            collect(EventKind::BlockErased {
+                channel: 3,
+                bank: 1,
+                block: 7
+            }),
+            [
+                ("channel", ArgValue::U64(3)),
+                ("bank", ArgValue::U64(1)),
+                ("block", ArgValue::U64(7))
+            ]
+        );
+        assert_eq!(
+            collect(EventKind::FaultInjected {
+                kind: "link.timeout"
+            }),
+            [("kind", ArgValue::Str("link.timeout"))]
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! layout.
 //!
 //! Replica holders are chosen by seeded **rendezvous hashing**: every
-//! device scores `mix(seed, dataset, shard, device)` and the top-k scores
-//! win (ties broken by device index). The choice is a pure function of the
+//! device scores a `splitmix64` hash of `(seed, dataset, shard, device)` and
+//! the top-k scores win (ties broken by device index). The choice is a pure function of the
 //! seed and the identifiers — no placement tables to keep consistent, and
 //! any participant can recompute it, which is what makes re-replication
 //! after a device kill deterministic.
@@ -45,17 +45,18 @@
 //! Device fault plans come from [`nds_faults::ClusterFaultPlan`]: an
 //! explicit, ordered schedule of [`DeviceFault`] events applied before the
 //! front-end operation whose 0-based index reaches `at_op`. The empty plan
-//! is the golden run, and a `k = 1, N = 1` cluster degenerates to a pure
-//! pass-through whose device sees a call sequence identical to running
-//! without the cluster at all.
+//! is the golden run. A single-shard dataset plans every request as one
+//! sub-op carrying the caller's `(view, coord, sub_dims)` verbatim, so a
+//! `k = 1, N = 1` cluster's device sees a call sequence identical to
+//! running without the cluster at all.
 
 use std::collections::BTreeMap;
 
 use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_faults::{ClusterFaultPlan, DeviceFault, DeviceFaultKind};
 use nds_sim::{
-    ComponentId, EventKind, ObsConfig, Observability, Resource, RunReport, SimDuration, SimTime,
-    Stats, TraceExport, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    splitmix64, ComponentId, EventKind, ObsConfig, Observability, Resource, RunReport, SimDuration,
+    SimTime, Stats, TraceExport, TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 
 use crate::error::SystemError;
@@ -70,19 +71,13 @@ const SALT_DATASET: u64 = 0x434c_5553_4441_5441;
 const SALT_SHARD: u64 = 0x434c_5553_5348_4152;
 const SALT_DEVICE: u64 = 0x434c_5553_4445_5649;
 
-/// SplitMix64 finalizer — the same well-mixed permutation the fault plans
-/// and the traffic engine use.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The rendezvous score of `device` for `(dataset, shard)` under `seed`.
 /// A pure function, so any holder set can be recomputed at any time.
 fn rendezvous_score(seed: u64, dataset: u64, shard: u64, device: u64) -> u64 {
-    mix(seed ^ mix(dataset ^ SALT_DATASET) ^ mix(shard ^ SALT_SHARD) ^ mix(device ^ SALT_DEVICE))
+    let dataset = splitmix64(dataset ^ SALT_DATASET);
+    let shard = splitmix64(shard ^ SALT_SHARD);
+    let device = splitmix64(device ^ SALT_DEVICE);
+    splitmix64(seed ^ dataset ^ shard ^ device)
 }
 
 /// Decomposes the element range `[start, start + len)` of a flat space into
@@ -186,23 +181,19 @@ struct Replica {
 
 /// One shard: a contiguous run of last-dimension rows, its device-local
 /// shape, and its replica set in rendezvous order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Shard {
     start_row: u64,
     /// The shard's device-local dataset shape `[d₁ … dₙ₋₁, rows]`.
     local: Shape,
+    /// The same elements as one flat dimension — the view every
+    /// [`aligned_chunks`] sub-op is phrased in.
+    flat: Shape,
     replicas: Vec<Replica>,
 }
 
-impl Shard {
-    /// Elements in the shard.
-    fn volume(&self) -> u64 {
-        self.local.volume()
-    }
-}
-
 /// Cluster-side metadata of one dataset.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ClusterDataset {
     shape: Shape,
     element: ElementType,
@@ -222,15 +213,135 @@ struct DeviceSlot<S> {
     busy: Resource,
 }
 
+impl<S> DeviceSlot<S> {
+    /// The one reachability predicate: placement, steering, the write ack
+    /// rule, repair sources and deletes all ask this.
+    fn reachable(&self) -> bool {
+        self.alive && self.link_up
+    }
+}
+
 /// One planned device-level sub-operation of a clustered request: `len`
-/// elements at flat-view partition coordinate `coord` of shard `shard`,
-/// landing at element offset `buf_elem` of the caller's dense buffer.
+/// elements of shard `shard`, landing at element offset `buf_elem` of the
+/// caller's dense buffer. Every front-end request — sharded or not —
+/// becomes one `Vec<SubOp>` executed by one read loop or one write loop.
 #[derive(Debug, Clone, Copy)]
-struct SubOp {
+struct SubOp<'a> {
     shard: usize,
+    /// Partition coordinate of the piece in the shard's flat view.
     coord: u64,
     len: u64,
     buf_elem: u64,
+    /// The caller's own `(view, coord, sub_dims)`, set on the single
+    /// sub-op of a single-shard dataset: the shard *is* the dataset, so the
+    /// request forwards verbatim and the device sees the call sequence it
+    /// would see without the cluster.
+    verbatim: Option<(&'a Shape, &'a [u64], &'a [u64])>,
+}
+
+impl SubOp<'_> {
+    /// The device request `(view, coord, sub_dims)` serving this sub-op
+    /// from a replica of `shard`.
+    fn request<'b>(&'b self, shard: &'b Shard) -> (&'b Shape, &'b [u64], &'b [u64]) {
+        self.verbatim.unwrap_or((
+            &shard.flat,
+            std::slice::from_ref(&self.coord),
+            std::slice::from_ref(&self.len),
+        ))
+    }
+}
+
+impl ClusterDataset {
+    /// Plans the request `(view, coord, sub_dims)` as device sub-operations.
+    /// Returns the sub-ops, in ascending buffer order, plus the request's
+    /// element volume.
+    ///
+    /// A single-shard dataset plans to exactly one [`SubOp::verbatim`]
+    /// sub-op. Otherwise the region's linear runs (contiguous in the
+    /// canonical linearization shared by every view of the dataset) are
+    /// first coalesced — adjacent runs contiguous in both the buffer and
+    /// the linearization merge, so a canonical-view rectangle over whole
+    /// shards becomes one run per shard — then each run is intersected with
+    /// the shard ranges and decomposed into [`aligned_chunks`] so every
+    /// piece is expressible as a `(coord, sub_dims)` request in the shard's
+    /// flat view.
+    fn plan<'a>(
+        &self,
+        view: &'a Shape,
+        coord: &'a [u64],
+        sub_dims: &'a [u64],
+    ) -> Result<(Vec<SubOp<'a>>, u64), SystemError> {
+        if view.volume() != self.shape.volume() {
+            return Err(SystemError::Nds(NdsError::ViewVolumeMismatch {
+                space: self.shape.volume(),
+                view: view.volume(),
+            }));
+        }
+        let region = Region::from_request(view, coord, sub_dims).map_err(SystemError::Nds)?;
+        let volume = region.volume();
+        if self.shards.len() == 1 {
+            let whole = SubOp {
+                shard: 0,
+                coord: 0,
+                len: volume,
+                buf_elem: 0,
+                verbatim: Some((view, coord, sub_dims)),
+            };
+            return Ok((vec![whole], volume));
+        }
+        let mut runs: Vec<(u64, u64, u64)> = Vec::new();
+        region.for_each_run(view, |buf, linear, len| {
+            if let Some(last) = runs.last_mut() {
+                if last.0 + last.2 == buf && last.1 + last.2 == linear {
+                    last.2 += len;
+                    return;
+                }
+            }
+            runs.push((buf, linear, len));
+        });
+        let mut subops = Vec::new();
+        for (buf, linear, len) in runs {
+            let mut g = linear;
+            let end = linear + len;
+            while g < end {
+                let row = g / self.inner_vol;
+                let idx =
+                    ((row / self.rows_per_shard) as usize).min(self.shards.len().saturating_sub(1));
+                let shard = self
+                    .shards
+                    .get(idx)
+                    .ok_or(SystemError::ClusterInconsistency("shard index"))?;
+                let base = shard.start_row * self.inner_vol;
+                let shard_end = base + shard.flat.volume();
+                if g < base || g >= shard_end {
+                    return Err(SystemError::ClusterInconsistency("shard range"));
+                }
+                let take = end.min(shard_end) - g;
+                aligned_chunks(g - base, take, |p, l| {
+                    subops.push(SubOp {
+                        shard: idx,
+                        coord: p / l,
+                        len: l,
+                        buf_elem: buf + (base + p - linear),
+                        verbatim: None,
+                    });
+                });
+                g += take;
+            }
+        }
+        Ok((subops, volume))
+    }
+
+    /// The write ack rule: the lowest shard `subops` touch that has no
+    /// fresh reachable replica, if any. Such a write is rejected
+    /// unacknowledged before any device is touched.
+    fn unacked_shard<S>(&self, devices: &[DeviceSlot<S>], subops: &[SubOp]) -> Option<usize> {
+        let acks = |h: &usize| {
+            let shard = self.shards.get(*h);
+            shard.is_some_and(|s| fresh_replicas(devices, s).next().is_some())
+        };
+        subops.iter().map(|s| s.shard).filter(|h| !acks(h)).min()
+    }
 }
 
 /// The cluster front-end: N devices, k-way replicated shards, deterministic
@@ -252,6 +363,56 @@ pub struct NdsCluster<S> {
     /// Modeled time spent copying shards for re-replication / resync.
     repair_time: SimDuration,
     scratch: Vec<u8>,
+}
+
+/// Device `device`'s slot, or the typed bookkeeping error. Free functions
+/// take the `devices` field alone, so the data path can hold a slot next to
+/// its borrows of `datasets` and `scratch`.
+fn slot_mut<S>(
+    devices: &mut [DeviceSlot<S>],
+    device: u32,
+) -> Result<&mut DeviceSlot<S>, SystemError> {
+    devices
+        .get_mut(device as usize)
+        .ok_or(SystemError::ClusterInconsistency("replica device index"))
+}
+
+/// The fresh (not stale) replicas of `shard` on reachable devices, in
+/// rendezvous order, each with its device slot — the one eligibility rule
+/// behind read steering, the write ack check and repair sources.
+fn fresh_replicas<'a, S>(
+    devices: &'a [DeviceSlot<S>],
+    shard: &'a Shard,
+) -> impl Iterator<Item = (Replica, &'a DeviceSlot<S>)> {
+    shard.replicas.iter().filter_map(move |r| {
+        let slot = devices.get(r.device as usize)?;
+        (slot.reachable() && !r.stale).then_some((*r, slot))
+    })
+}
+
+/// The repair source for `shard`: its first fresh reachable replica not on
+/// `except` (the device being replaced or resynced).
+fn fresh_source<S>(devices: &[DeviceSlot<S>], shard: &Shard, except: u32) -> Option<Replica> {
+    fresh_replicas(devices, shard)
+        .map(|(r, _)| r)
+        .find(|r| r.device != except)
+}
+
+/// Chooses the serving replica for a read: among fresh reachable replicas,
+/// the one whose steering resource is least committed; ties prefer
+/// rendezvous order. Returns the replica plus how many replicas were
+/// eligible (for degraded-read accounting).
+fn pick_replica<S>(devices: &[DeviceSlot<S>], shard: &Shard) -> (Option<Replica>, usize) {
+    let mut eligible = 0usize;
+    let best = fresh_replicas(devices, shard)
+        .inspect(|_| eligible += 1)
+        .min_by_key(|(_, slot)| slot.busy.next_free())
+        .map(|(r, _)| r);
+    (best, eligible)
+}
+
+fn shard_index(h: usize) -> u32 {
+    u32::try_from(h).unwrap_or(u32::MAX)
 }
 
 impl<S: StorageFrontEnd> NdsCluster<S> {
@@ -308,7 +469,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
 
     /// True if device `i` exists, is alive, and its link is up.
     pub fn is_reachable(&self, i: usize) -> bool {
-        self.devices.get(i).is_some_and(|d| d.alive && d.link_up)
+        self.devices.get(i).is_some_and(DeviceSlot::reachable)
     }
 
     /// Number of shards of dataset `id` (None if unknown).
@@ -319,9 +480,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
     /// The devices currently holding replicas of `(id, shard)`, in
     /// rendezvous order.
     pub fn replica_devices(&self, id: DatasetId, shard: usize) -> Vec<u32> {
-        self.datasets
-            .get(&id)
-            .and_then(|d| d.shards.get(shard))
+        self.shard(id, shard)
             .map(|s| s.replicas.iter().map(|r| r.device).collect())
             .unwrap_or_default()
     }
@@ -374,26 +533,37 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             .collect()
     }
 
-    /// True when `id` lives in a single shard, making every request a
-    /// verbatim pass-through to one device request per replica.
-    fn is_passthrough(ds: &ClusterDataset) -> bool {
-        ds.shards.len() == 1
+    fn shard(&self, id: DatasetId, h: usize) -> Option<&Shard> {
+        self.datasets.get(&id)?.shards.get(h)
     }
 
-    fn device_slot(&mut self, device: u32) -> Result<&mut DeviceSlot<S>, SystemError> {
-        self.devices
-            .get_mut(device as usize)
-            .ok_or(SystemError::ClusterInconsistency("replica device index"))
+    fn shard_mut(&mut self, id: DatasetId, h: usize) -> Option<&mut Shard> {
+        self.datasets.get_mut(&id)?.shards.get_mut(h)
     }
 
-    /// Top-`k` alive, reachable devices by rendezvous score for
+    /// Every `(dataset, shard index)` with a replica on `device`, in
+    /// `(dataset id, shard index)` order — the deterministic work list of
+    /// re-replication and resync.
+    fn shards_on(&self, device: u32) -> Vec<(DatasetId, usize)> {
+        let mut held = Vec::new();
+        for (&id, ds) in &self.datasets {
+            for (h, shard) in ds.shards.iter().enumerate() {
+                if shard.replicas.iter().any(|r| r.device == device) {
+                    held.push((id, h));
+                }
+            }
+        }
+        held
+    }
+
+    /// Top-`k` reachable devices by rendezvous score for
     /// `(dataset, shard)`, best first; ties prefer the lower device index.
     fn place(&self, dataset: u64, shard: u64, k: usize) -> Vec<u32> {
         let mut scored: Vec<(u64, u32)> = self
             .devices
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.alive && d.link_up)
+            .filter(|(_, d)| d.reachable())
             .map(|(i, _)| {
                 let dev = u32::try_from(i).unwrap_or(u32::MAX);
                 (
@@ -406,106 +576,12 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         scored.into_iter().take(k).map(|(_, d)| d).collect()
     }
 
-    /// The best re-replication target for `(dataset, shard)`: the
-    /// highest-scoring alive, reachable device not already in `holders`.
-    fn place_spare(&self, dataset: u64, shard: u64, holders: &[u32]) -> Option<u32> {
-        self.place(dataset, shard, self.devices.len())
+    /// The best re-replication target for shard `h` of `id`: the
+    /// highest-scoring reachable device not already holding a replica.
+    fn place_spare(&self, id: DatasetId, h: usize, shard: &Shard) -> Option<u32> {
+        self.place(id.0, h as u64, self.devices.len())
             .into_iter()
-            .find(|d| !holders.contains(d))
-    }
-
-    /// Chooses the serving replica for a read: among alive, reachable,
-    /// fresh replicas, the one whose steering resource is least committed;
-    /// ties prefer rendezvous order. Returns the replica plus how many
-    /// replicas were eligible (for degraded-read accounting).
-    fn pick_replica(&self, shard: &Shard) -> (Option<Replica>, usize) {
-        let mut eligible = 0usize;
-        let mut best: Option<(SimTime, Replica)> = None;
-        for r in &shard.replicas {
-            let Some(slot) = self.devices.get(r.device as usize) else {
-                continue;
-            };
-            if !slot.alive || !slot.link_up || r.stale {
-                continue;
-            }
-            eligible += 1;
-            let nf = slot.busy.next_free();
-            let better = match &best {
-                None => true,
-                Some((bnf, _)) => nf < *bnf,
-            };
-            if better {
-                best = Some((nf, *r));
-            }
-        }
-        (best.map(|(_, r)| r), eligible)
-    }
-
-    /// Splits the request `(view, coord, sub_dims)` into shard-local,
-    /// partition-aligned device sub-operations. Returns the sub-ops plus
-    /// the request's element volume.
-    ///
-    /// The region's linear runs (contiguous in the canonical linearization
-    /// shared by every view of the dataset) are first coalesced — adjacent
-    /// runs contiguous in both the buffer and the linearization merge, so a
-    /// canonical-view rectangle over whole shards becomes one run per shard
-    /// — then each run is intersected with the shard ranges and decomposed
-    /// into [`aligned_chunks`] so every piece is expressible as a
-    /// `(coord, sub_dims)` request in the shard's flat view.
-    fn plan_subops(
-        ds: &ClusterDataset,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<(Vec<SubOp>, u64), SystemError> {
-        if view.volume() != ds.shape.volume() {
-            return Err(SystemError::Nds(NdsError::ViewVolumeMismatch {
-                space: ds.shape.volume(),
-                view: view.volume(),
-            }));
-        }
-        let region = Region::from_request(view, coord, sub_dims).map_err(SystemError::Nds)?;
-        let volume = region.volume();
-        let mut runs: Vec<(u64, u64, u64)> = Vec::new();
-        region.for_each_run(view, |buf, linear, len| {
-            if let Some(last) = runs.last_mut() {
-                if last.0 + last.2 == buf && last.1 + last.2 == linear {
-                    last.2 += len;
-                    return;
-                }
-            }
-            runs.push((buf, linear, len));
-        });
-        let mut subops = Vec::new();
-        for (buf, linear, len) in runs {
-            let mut g = linear;
-            let end = linear + len;
-            while g < end {
-                let row = g / ds.inner_vol;
-                let idx =
-                    ((row / ds.rows_per_shard) as usize).min(ds.shards.len().saturating_sub(1));
-                let shard = ds
-                    .shards
-                    .get(idx)
-                    .ok_or(SystemError::ClusterInconsistency("shard index"))?;
-                let base = shard.start_row * ds.inner_vol;
-                let shard_end = base + shard.volume();
-                if g < base || g >= shard_end {
-                    return Err(SystemError::ClusterInconsistency("shard range"));
-                }
-                let take = end.min(shard_end) - g;
-                aligned_chunks(g - base, take, |p, l| {
-                    subops.push(SubOp {
-                        shard: idx,
-                        coord: p / l,
-                        len: l,
-                        buf_elem: buf + (base + p - linear),
-                    });
-                });
-                g += take;
-            }
-        }
-        Ok((subops, volume))
+            .find(|d| shard.replicas.iter().all(|r| r.device != *d))
     }
 
     /// Applies every scheduled fault event whose `at_op` has been reached.
@@ -521,61 +597,41 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
     }
 
     fn apply_event(&mut self, ev: DeviceFault) -> Result<(), SystemError> {
-        let dev = ev.device;
+        let device = ev.device;
         let line = format!(
             "event={} device={} at_op={}\n",
             ev.kind.name(),
-            dev,
+            device,
             ev.at_op
         );
         self.log.push_str(&line);
-        match ev.kind {
-            DeviceFaultKind::Kill => {
-                let Some(slot) = self.devices.get_mut(dev as usize) else {
-                    return Ok(());
-                };
-                if !slot.alive {
-                    return Ok(());
-                }
+        let Some(slot) = self.devices.get_mut(device as usize) else {
+            return Ok(());
+        };
+        // An event that changes nothing (unknown or dead device, link
+        // already in that state) is journaled above and otherwise ignored.
+        let (counter, kind) = match ev.kind {
+            DeviceFaultKind::Kill if slot.alive => {
                 slot.alive = false;
-                self.stats.add("cluster.device_kills", 1);
-                self.obs
-                    .event(SimTime::ZERO, CLUSTER_COMPONENT, || EventKind::DeviceDown {
-                        device: dev,
-                    });
-                self.rereplicate_after_kill(dev)?;
+                ("cluster.device_kills", EventKind::DeviceDown { device })
             }
-            DeviceFaultKind::LinkDown => {
-                let Some(slot) = self.devices.get_mut(dev as usize) else {
-                    return Ok(());
-                };
-                if !slot.alive || !slot.link_up {
-                    return Ok(());
-                }
+            DeviceFaultKind::LinkDown if slot.reachable() => {
                 slot.link_up = false;
-                self.stats.add("cluster.link_downs", 1);
-                self.obs
-                    .event(SimTime::ZERO, CLUSTER_COMPONENT, || EventKind::DeviceDown {
-                        device: dev,
-                    });
+                ("cluster.link_downs", EventKind::DeviceDown { device })
             }
-            DeviceFaultKind::LinkRestore => {
-                let Some(slot) = self.devices.get_mut(dev as usize) else {
-                    return Ok(());
-                };
-                if !slot.alive || slot.link_up {
-                    return Ok(());
-                }
+            DeviceFaultKind::LinkRestore if slot.alive && !slot.link_up => {
                 slot.link_up = true;
-                self.stats.add("cluster.link_restores", 1);
-                self.obs
-                    .event(SimTime::ZERO, CLUSTER_COMPONENT, || EventKind::DeviceUp {
-                        device: dev,
-                    });
-                self.resync_device(dev)?;
+                ("cluster.link_restores", EventKind::DeviceUp { device })
             }
+            _ => return Ok(()),
+        };
+        self.stats.add(counter, 1);
+        self.obs.event(SimTime::ZERO, CLUSTER_COMPONENT, || kind);
+        match ev.kind {
+            DeviceFaultKind::Kill => self.rereplicate_after_kill(device),
+            DeviceFaultKind::LinkRestore => self.resync_device(device),
+            DeviceFaultKind::LinkDown => Ok(()),
         }
-        Ok(())
     }
 
     /// Copies the full shard `(id, h)` from `src` onto device `dst`,
@@ -589,42 +645,31 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         dst: u32,
         dst_local: Option<DatasetId>,
     ) -> Result<(DatasetId, u64), SystemError> {
-        let (local_shape, element) = {
-            let ds = self
-                .datasets
-                .get(&id)
-                .ok_or(SystemError::ClusterInconsistency("copy dataset"))?;
-            let shard = ds
-                .shards
-                .get(h)
-                .ok_or(SystemError::ClusterInconsistency("copy shard"))?;
-            (shard.local.clone(), ds.element)
+        let ds = self
+            .datasets
+            .get(&id)
+            .ok_or(SystemError::ClusterInconsistency("copy dataset"))?;
+        let local = &ds
+            .shards
+            .get(h)
+            .ok_or(SystemError::ClusterInconsistency("copy shard"))?
+            .local;
+        let zeros = vec![0u64; local.ndims()];
+        let slot = slot_mut(&mut self.devices, src.device)?;
+        let read = slot
+            .sys
+            .read_into(src.local, local, &zeros, local.dims(), &mut self.scratch)?;
+        slot.busy.acquire(SimTime::ZERO, read.io_latency);
+        let slot = slot_mut(&mut self.devices, dst)?;
+        let target_local = match dst_local {
+            Some(existing) => existing,
+            None => slot.sys.create_dataset(local.clone(), ds.element)?,
         };
-        let zeros = vec![0u64; local_shape.ndims()];
-        let full = local_shape.dims().to_vec();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let read = {
-            let slot = self.device_slot(src.device)?;
-            let metrics =
-                slot.sys
-                    .read_into(src.local, &local_shape, &zeros, &full, &mut scratch)?;
-            slot.busy.acquire(SimTime::ZERO, metrics.io_latency);
-            metrics
-        };
-        let (target_local, write_latency) = {
-            let slot = self.device_slot(dst)?;
-            let target_local = match dst_local {
-                Some(existing) => existing,
-                None => slot.sys.create_dataset(local_shape.clone(), element)?,
-            };
-            let out = slot
-                .sys
-                .write(target_local, &local_shape, &zeros, &full, &scratch)?;
-            slot.busy.acquire(SimTime::ZERO, out.latency);
-            (target_local, out.latency)
-        };
-        self.scratch = scratch;
-        self.repair_time += read.io_latency + write_latency;
+        let out = slot
+            .sys
+            .write(target_local, local, &zeros, local.dims(), &self.scratch)?;
+        slot.busy.acquire(SimTime::ZERO, out.latency);
+        self.repair_time += read.io_latency + out.latency;
         let bytes = read.bytes;
         self.obs.event(SimTime::ZERO, CLUSTER_COMPONENT, || {
             EventKind::ReplicaCopied {
@@ -637,148 +682,107 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
     }
 
     /// Deterministic re-replication after `dead` is killed: every shard
-    /// that held a replica there is copied from its first fresh reachable
-    /// replica onto the highest-scoring reachable non-holder, replacing
-    /// the dead entry in place. Iteration order (dataset id, shard index)
-    /// and the placement function are deterministic, so the same seed and
-    /// plan reproduce the same repair byte for byte.
+    /// that held a replica there is copied from its [`fresh_source`] onto
+    /// the highest-scoring reachable non-holder, replacing the dead entry
+    /// in place. The work list ([`shards_on`](Self::shards_on)) and the
+    /// placement function are deterministic, so the same seed and plan
+    /// reproduce the same repair byte for byte.
     fn rereplicate_after_kill(&mut self, dead: u32) -> Result<(), SystemError> {
-        let ids: Vec<DatasetId> = self.datasets.keys().copied().collect();
-        for id in ids {
-            let shard_count = self
-                .datasets
-                .get(&id)
-                .map(|d| d.shards.len())
-                .unwrap_or_default();
-            for h in 0..shard_count {
-                let Some((dead_pos, src, holders)) = self.datasets.get(&id).and_then(|d| {
-                    let shard = d.shards.get(h)?;
-                    let dead_pos = shard.replicas.iter().position(|r| r.device == dead)?;
-                    let src = shard.replicas.iter().copied().find(|r| {
-                        r.device != dead
-                            && !r.stale
-                            && self
-                                .devices
-                                .get(r.device as usize)
-                                .is_some_and(|s| s.alive && s.link_up)
-                    });
-                    let holders: Vec<u32> = shard
-                        .replicas
-                        .iter()
-                        .filter(|r| r.device != dead)
-                        .map(|r| r.device)
-                        .collect();
-                    Some((dead_pos, src, holders))
-                }) else {
-                    continue;
-                };
-                let shard_idx = u32::try_from(h).unwrap_or(u32::MAX);
-                let target = self.place_spare(id.0, h as u64, &holders);
-                let (Some(src), Some(target)) = (src, target) else {
-                    // No fresh source or no spare capacity: the shard runs
-                    // at reduced redundancy (or is lost if this was the
-                    // last replica). Account it loudly instead of hiding.
-                    self.stats.add("cluster.rereplication_stranded", 1);
-                    self.log.push_str(&format!(
-                        "rereplicate ds={} shard={} stranded\n",
-                        id.0, shard_idx
-                    ));
-                    if let Some(ds) = self.datasets.get_mut(&id) {
-                        if let Some(shard) = ds.shards.get_mut(h) {
-                            shard.replicas.retain(|r| r.device != dead);
-                        }
-                    }
-                    continue;
-                };
-                let (new_local, bytes) = self.copy_shard(id, h, src, target, None)?;
-                if let Some(replica) = self
-                    .datasets
-                    .get_mut(&id)
-                    .and_then(|d| d.shards.get_mut(h))
-                    .and_then(|s| s.replicas.get_mut(dead_pos))
-                {
-                    *replica = Replica {
-                        device: target,
-                        local: new_local,
-                        stale: false,
-                    };
-                }
-                self.stats.add("cluster.rereplications", 1);
-                self.stats.add("cluster.rereplicated_bytes", bytes);
+        for (id, h) in self.shards_on(dead) {
+            let Some(shard) = self.shard(id, h) else {
+                continue;
+            };
+            let src = fresh_source(&self.devices, shard, dead);
+            let target = self.place_spare(id, h, shard);
+            let (Some(src), Some(target)) = (src, target) else {
+                // No fresh source or no spare capacity: the shard runs
+                // at reduced redundancy (or is lost if this was the
+                // last replica). Account it loudly instead of hiding.
+                self.stats.add("cluster.rereplication_stranded", 1);
                 self.log.push_str(&format!(
-                    "rereplicate ds={} shard={} from={} to={} bytes={}\n",
-                    id.0, shard_idx, src.device, target, bytes
+                    "rereplicate ds={} shard={} stranded\n",
+                    id.0,
+                    shard_index(h)
                 ));
+                if let Some(shard) = self.shard_mut(id, h) {
+                    shard.replicas.retain(|r| r.device != dead);
+                }
+                continue;
+            };
+            let (new_local, bytes) = self.copy_shard(id, h, src, target, None)?;
+            let replaced = self
+                .shard_mut(id, h)
+                .and_then(|s| s.replicas.iter_mut().find(|r| r.device == dead));
+            if let Some(replica) = replaced {
+                *replica = Replica {
+                    device: target,
+                    local: new_local,
+                    stale: false,
+                };
             }
+            self.stats.add("cluster.rereplications", 1);
+            self.stats.add("cluster.rereplicated_bytes", bytes);
+            self.log.push_str(&format!(
+                "rereplicate ds={} shard={} from={} to={} bytes={}\n",
+                id.0,
+                shard_index(h),
+                src.device,
+                target,
+                bytes
+            ));
         }
         Ok(())
     }
 
     /// Resyncs every stale replica on `dev` (its link just came back) from
-    /// a fresh reachable peer, then marks it fresh. Writes during the
+    /// its shard's [`fresh_source`], then marks it fresh. Writes during the
     /// outage were acknowledged by the surviving replicas, so the copy
     /// restores byte identity before `dev` serves reads again.
     fn resync_device(&mut self, dev: u32) -> Result<(), SystemError> {
-        let ids: Vec<DatasetId> = self.datasets.keys().copied().collect();
-        for id in ids {
-            let shard_count = self
-                .datasets
-                .get(&id)
-                .map(|d| d.shards.len())
-                .unwrap_or_default();
-            for h in 0..shard_count {
-                let Some((pos, local, src)) = self.datasets.get(&id).and_then(|d| {
-                    let shard = d.shards.get(h)?;
-                    let pos = shard
-                        .replicas
-                        .iter()
-                        .position(|r| r.device == dev && r.stale)?;
-                    let local = shard.replicas.get(pos)?.local;
-                    let src = shard.replicas.iter().copied().find(|r| {
-                        r.device != dev
-                            && !r.stale
-                            && self
-                                .devices
-                                .get(r.device as usize)
-                                .is_some_and(|s| s.alive && s.link_up)
-                    });
-                    Some((pos, local, src))
-                }) else {
-                    continue;
-                };
-                let shard_idx = u32::try_from(h).unwrap_or(u32::MAX);
-                let Some(src) = src else {
-                    self.stats.add("cluster.resync_stranded", 1);
-                    self.log.push_str(&format!(
-                        "resync ds={} shard={} device={} stranded\n",
-                        id.0, shard_idx, dev
-                    ));
-                    continue;
-                };
-                let (_, bytes) = self.copy_shard(id, h, src, dev, Some(local))?;
-                if let Some(replica) = self
-                    .datasets
-                    .get_mut(&id)
-                    .and_then(|d| d.shards.get_mut(h))
-                    .and_then(|s| s.replicas.get_mut(pos))
-                {
-                    replica.stale = false;
-                }
-                self.stats.add("cluster.resyncs", 1);
-                self.stats.add("cluster.resynced_bytes", bytes);
+        let is_stale_here = |r: &Replica| r.device == dev && r.stale;
+        for (id, h) in self.shards_on(dev) {
+            let Some(shard) = self.shard(id, h) else {
+                continue;
+            };
+            let Some(stale) = shard.replicas.iter().copied().find(is_stale_here) else {
+                continue;
+            };
+            let Some(src) = fresh_source(&self.devices, shard, dev) else {
+                self.stats.add("cluster.resync_stranded", 1);
                 self.log.push_str(&format!(
-                    "resync ds={} shard={} from={} to={} bytes={}\n",
-                    id.0, shard_idx, src.device, dev, bytes
+                    "resync ds={} shard={} device={} stranded\n",
+                    id.0,
+                    shard_index(h),
+                    dev
                 ));
+                continue;
+            };
+            let (_, bytes) = self.copy_shard(id, h, src, dev, Some(stale.local))?;
+            let resynced = self
+                .shard_mut(id, h)
+                .and_then(|s| s.replicas.iter_mut().find(|r| is_stale_here(r)));
+            if let Some(replica) = resynced {
+                replica.stale = false;
             }
+            self.stats.add("cluster.resyncs", 1);
+            self.stats.add("cluster.resynced_bytes", bytes);
+            self.log.push_str(&format!(
+                "resync ds={} shard={} from={} to={} bytes={}\n",
+                id.0,
+                shard_index(h),
+                src.device,
+                dev,
+                bytes
+            ));
         }
         Ok(())
     }
 
-    /// The shared read path: plans sub-ops (or forwards verbatim for a
-    /// single-shard dataset), steers each to the least-busy fresh replica,
-    /// and reassembles. Parallel across devices (`io_latency` is the max
-    /// of the per-device serial sums), serial within a device.
+    /// The read path: plans the request's sub-ops, steers each to the
+    /// least-busy fresh replica, and reassembles. Parallel across devices
+    /// (`io_latency` is the max of the per-device serial sums), serial
+    /// within a device. `datasets`, `devices` and `scratch` are borrowed as
+    /// disjoint fields, so any `?` leaves the cluster consistent.
     fn clustered_read_into(
         &mut self,
         id: DatasetId,
@@ -791,114 +795,56 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let ds = self
             .datasets
             .get(&id)
-            .ok_or(SystemError::UnknownDataset(id))?
-            .clone();
+            .ok_or(SystemError::UnknownDataset(id))?;
         let esize = ds.element.size() as u64;
         let op = self.ops;
         self.ops += 1;
 
-        if Self::is_passthrough(&ds) {
+        let (subops, volume) = ds.plan(view, coord, sub_dims)?;
+        let mut metrics = ReadMetrics {
+            io_latency: SimDuration::ZERO,
+            io_occupancy: SimDuration::ZERO,
+            restructure: SimDuration::ZERO,
+            commands: 0,
+            bytes: volume * esize,
+        };
+        buf.clear();
+        buf.resize(metrics.bytes as usize, 0);
+        let mut dev_io: BTreeMap<u32, (SimDuration, SimDuration)> = BTreeMap::new();
+        let mut degraded = false;
+        for sub in &subops {
             let shard = ds
                 .shards
-                .first()
-                .ok_or(SystemError::ClusterInconsistency("empty shard list"))?;
-            let (replica, eligible) = self.pick_replica(shard);
+                .get(sub.shard)
+                .ok_or(SystemError::ClusterInconsistency("subop shard"))?;
+            let shard_idx = shard_index(sub.shard);
+            let (replica, eligible) = pick_replica(&self.devices, shard);
             let replica = replica.ok_or(SystemError::ShardUnavailable {
                 dataset: id,
-                shard: 0,
+                shard: shard_idx,
             })?;
-            let degraded = eligible < shard.replicas.len();
-            let slot = self.device_slot(replica.device)?;
-            let metrics = slot
-                .sys
-                .read_into(replica.local, view, coord, sub_dims, buf)?;
-            slot.busy.acquire(SimTime::ZERO, metrics.io_latency);
-            self.obs.event(SimTime::ZERO, CLUSTER_COMPONENT, || {
-                EventKind::ReplicaRead {
-                    device: replica.device,
-                    shard: 0,
-                }
-            });
-            self.finish_read(op, id, 1, degraded, &metrics);
-            return Ok(metrics);
-        }
-
-        let (subops, volume) = Self::plan_subops(&ds, view, coord, sub_dims)?;
-        let bytes = volume * esize;
-        buf.clear();
-        buf.resize(bytes as usize, 0);
-        let mut dev_io: BTreeMap<u32, (SimDuration, SimDuration)> = BTreeMap::new();
-        let mut restructure = SimDuration::ZERO;
-        let mut commands = 0u64;
-        let mut degraded = false;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut result = Ok(());
-        for sub in &subops {
-            let Some(shard) = ds.shards.get(sub.shard) else {
-                result = Err(SystemError::ClusterInconsistency("subop shard"));
-                break;
-            };
-            let (replica, eligible) = self.pick_replica(shard);
-            let Some(replica) = replica else {
-                result = Err(SystemError::ShardUnavailable {
-                    dataset: id,
-                    shard: u32::try_from(sub.shard).unwrap_or(u32::MAX),
-                });
-                break;
-            };
             degraded |= eligible < shard.replicas.len();
-            let flat = match Shape::try_new(vec![shard.volume()]) {
-                Ok(s) => s,
-                Err(e) => {
-                    result = Err(SystemError::Nds(e));
-                    break;
-                }
-            };
-            let metrics = {
-                let slot = match self.device_slot(replica.device) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                };
-                match slot.sys.read_into(
-                    replica.local,
-                    &flat,
-                    &[sub.coord],
-                    &[sub.len],
-                    &mut scratch,
-                ) {
-                    Ok(m) => {
-                        slot.busy.acquire(SimTime::ZERO, m.io_latency);
-                        m
-                    }
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
-                }
-            };
+            let (dev_view, dev_coord, dev_sub) = sub.request(shard);
+            let slot = slot_mut(&mut self.devices, replica.device)?;
+            let scratch = &mut self.scratch;
+            let m = slot
+                .sys
+                .read_into(replica.local, dev_view, dev_coord, dev_sub, scratch)?;
+            slot.busy.acquire(SimTime::ZERO, m.io_latency);
             let b0 = (sub.buf_elem * esize) as usize;
-            let b1 = b0 + (sub.len * esize) as usize;
-            let copied = buf
-                .get_mut(b0..b1)
-                .zip(scratch.get(..(sub.len * esize) as usize));
-            match copied {
-                Some((dst, src)) => dst.copy_from_slice(src),
-                None => {
-                    result = Err(SystemError::ClusterInconsistency("read buffer range"));
-                    break;
-                }
-            }
+            let n = (sub.len * esize) as usize;
+            let (dst, src) = buf
+                .get_mut(b0..b0 + n)
+                .zip(scratch.get(..n))
+                .ok_or(SystemError::ClusterInconsistency("read buffer range"))?;
+            dst.copy_from_slice(src);
             let entry = dev_io
                 .entry(replica.device)
                 .or_insert((SimDuration::ZERO, SimDuration::ZERO));
-            entry.0 += metrics.io_latency;
-            entry.1 += metrics.io_occupancy;
-            restructure += metrics.restructure;
-            commands += metrics.commands;
-            let shard_idx = u32::try_from(sub.shard).unwrap_or(u32::MAX);
+            entry.0 += m.io_latency;
+            entry.1 += m.io_occupancy;
+            metrics.restructure += m.restructure;
+            metrics.commands += m.commands;
             self.obs.event(SimTime::ZERO, CLUSTER_COMPONENT, || {
                 EventKind::ReplicaRead {
                     device: replica.device,
@@ -906,53 +852,31 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 }
             });
         }
-        self.scratch = scratch;
-        result?;
-        let io_latency = dev_io
-            .values()
-            .map(|(io, _)| *io)
-            .fold(SimDuration::ZERO, SimDuration::max);
-        let io_occupancy = dev_io
-            .values()
-            .map(|(_, occ)| *occ)
-            .fold(SimDuration::ZERO, SimDuration::max);
-        let metrics = ReadMetrics {
-            io_latency,
-            io_occupancy,
-            restructure,
-            commands,
-            bytes,
-        };
-        self.finish_read(op, id, subops.len() as u64, degraded, &metrics);
-        Ok(metrics)
-    }
+        for (io, occupancy) in dev_io.into_values() {
+            metrics.io_latency = metrics.io_latency.max(io);
+            metrics.io_occupancy = metrics.io_occupancy.max(occupancy);
+        }
 
-    fn finish_read(
-        &mut self,
-        op: u64,
-        id: DatasetId,
-        subops: u64,
-        degraded: bool,
-        m: &ReadMetrics,
-    ) {
+        let subops = subops.len() as u64;
         self.stats.add("cluster.ops", 1);
         self.stats.add("cluster.reads", 1);
         self.stats.add("cluster.read_subops", subops);
-        self.stats.add("cluster.bytes_read", m.bytes);
+        self.stats.add("cluster.bytes_read", metrics.bytes);
         if degraded {
             self.stats.add("cluster.degraded_reads", 1);
         }
-        self.obs.latency("cluster.read", m.latency());
+        self.obs.latency("cluster.read", metrics.latency());
         self.log.push_str(&format!(
             "op={} kind=read ds={} subops={} degraded={} io_ns={} bytes={}\n",
             op,
             id.0,
             subops,
             u64::from(degraded),
-            m.io_latency.as_nanos(),
-            m.bytes
+            metrics.io_latency.as_nanos(),
+            metrics.bytes
         ));
-        self.observe_cluster_op(m.bytes, m.latency());
+        self.observe_cluster_op(metrics.bytes, metrics.latency());
+        Ok(metrics)
     }
 
     /// Samples the cluster health gauges (reachable devices, stale
@@ -961,7 +885,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
     /// lands in later windows. One branch when metrics are disabled.
     fn observe_cluster_op(&mut self, bytes: u64, span: SimDuration) {
         if self.obs.metrics().is_enabled() {
-            let up = self.devices.iter().filter(|d| d.alive && d.link_up).count() as u64;
+            let up = self.devices.iter().filter(|d| d.reachable()).count() as u64;
             let stale = self
                 .datasets
                 .values()
@@ -979,11 +903,11 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         self.obs.fold_metrics_epoch(span);
     }
 
-    /// The shared write path: every fresh reachable replica of every
-    /// touched shard accepts the write; unreachable replicas are marked
-    /// stale. The operation is acknowledged only if *every* touched shard
-    /// reached at least one replica — checked up front so a failed write
-    /// performs no partial mutation.
+    /// The write path: every fresh reachable replica of every touched
+    /// shard accepts the write; replicas behind a downed link miss it and
+    /// are marked stale. The operation is acknowledged only if *every*
+    /// touched shard reaches at least one fresh replica — checked up front
+    /// so a rejected write performs no partial mutation.
     fn clustered_write(
         &mut self,
         id: DatasetId,
@@ -996,53 +920,24 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let ds = self
             .datasets
             .get(&id)
-            .ok_or(SystemError::UnknownDataset(id))?
-            .clone();
+            .ok_or(SystemError::UnknownDataset(id))?;
         let esize = ds.element.size() as u64;
         let op = self.ops;
         self.ops += 1;
 
-        let (subops, volume) = if Self::is_passthrough(&ds) {
-            (Vec::new(), 0)
-        } else {
-            let (s, v) = Self::plan_subops(&ds, view, coord, sub_dims)?;
-            let expected = (v * esize) as usize;
-            if data.len() != expected {
-                return Err(SystemError::Nds(NdsError::BadPayloadSize {
-                    got: data.len(),
-                    expected,
-                }));
-            }
-            (s, v)
-        };
-
-        // The ack pre-check: every touched shard must reach ≥ 1 fresh
-        // replica, or the whole operation is rejected unacknowledged.
-        let mut touched: Vec<usize> = if Self::is_passthrough(&ds) {
-            vec![0]
-        } else {
-            subops.iter().map(|s| s.shard).collect()
-        };
-        touched.sort_unstable();
-        touched.dedup();
-        for &h in &touched {
-            let shard = ds
-                .shards
-                .get(h)
-                .ok_or(SystemError::ClusterInconsistency("write shard"))?;
-            let reachable = shard.replicas.iter().any(|r| {
-                !r.stale
-                    && self
-                        .devices
-                        .get(r.device as usize)
-                        .is_some_and(|s| s.alive && s.link_up)
+        let (subops, volume) = ds.plan(view, coord, sub_dims)?;
+        let expected = (volume * esize) as usize;
+        if data.len() != expected {
+            return Err(SystemError::Nds(NdsError::BadPayloadSize {
+                got: data.len(),
+                expected,
+            }));
+        }
+        if let Some(h) = ds.unacked_shard(&self.devices, &subops) {
+            return Err(SystemError::ShardUnavailable {
+                dataset: id,
+                shard: shard_index(h),
             });
-            if !reachable {
-                return Err(SystemError::ShardUnavailable {
-                    dataset: id,
-                    shard: u32::try_from(h).unwrap_or(u32::MAX),
-                });
-            }
         }
 
         let mut dev_lat: BTreeMap<u32, SimDuration> = BTreeMap::new();
@@ -1050,12 +945,16 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let mut skips = 0u64;
         // (shard, replica position) pairs that missed this write.
         let mut stale_marks: Vec<(usize, usize)> = Vec::new();
-
-        if Self::is_passthrough(&ds) {
+        for sub in &subops {
             let shard = ds
                 .shards
-                .first()
-                .ok_or(SystemError::ClusterInconsistency("empty shard list"))?;
+                .get(sub.shard)
+                .ok_or(SystemError::ClusterInconsistency("subop shard"))?;
+            let (dev_view, dev_coord, dev_sub) = sub.request(shard);
+            let b0 = (sub.buf_elem * esize) as usize;
+            let slice = data
+                .get(b0..b0 + (sub.len * esize) as usize)
+                .ok_or(SystemError::ClusterInconsistency("write buffer range"))?;
             for (pos, r) in shard.replicas.iter().enumerate() {
                 let Some(slot) = self.devices.get_mut(r.device as usize) else {
                     continue;
@@ -1064,7 +963,9 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                     continue;
                 }
                 if !slot.link_up {
-                    stale_marks.push((0, pos));
+                    if !stale_marks.contains(&(sub.shard, pos)) {
+                        stale_marks.push((sub.shard, pos));
+                    }
                     skips += 1;
                     continue;
                 }
@@ -1073,90 +974,44 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                     // an event application; skip defensively.
                     continue;
                 }
-                let out = slot.sys.write(r.local, view, coord, sub_dims, data)?;
+                let out = slot
+                    .sys
+                    .write(r.local, dev_view, dev_coord, dev_sub, slice)?;
                 slot.busy.acquire(SimTime::ZERO, out.latency);
                 commands += out.commands;
-                let lat = dev_lat.entry(r.device).or_insert(SimDuration::ZERO);
-                *lat += out.latency;
-            }
-        } else {
-            for sub in &subops {
-                let shard = ds
-                    .shards
-                    .get(sub.shard)
-                    .ok_or(SystemError::ClusterInconsistency("subop shard"))?;
-                let flat = Shape::try_new(vec![shard.volume()]).map_err(SystemError::Nds)?;
-                let b0 = (sub.buf_elem * esize) as usize;
-                let b1 = b0 + (sub.len * esize) as usize;
-                let slice = data
-                    .get(b0..b1)
-                    .ok_or(SystemError::ClusterInconsistency("write buffer range"))?;
-                for (pos, r) in shard.replicas.iter().enumerate() {
-                    let Some(slot) = self.devices.get_mut(r.device as usize) else {
-                        continue;
-                    };
-                    if !slot.alive {
-                        continue;
-                    }
-                    if !slot.link_up {
-                        if !stale_marks.contains(&(sub.shard, pos)) {
-                            stale_marks.push((sub.shard, pos));
-                        }
-                        skips += 1;
-                        continue;
-                    }
-                    if r.stale {
-                        continue;
-                    }
-                    let out = slot
-                        .sys
-                        .write(r.local, &flat, &[sub.coord], &[sub.len], slice)?;
-                    slot.busy.acquire(SimTime::ZERO, out.latency);
-                    commands += out.commands;
-                    let lat = dev_lat.entry(r.device).or_insert(SimDuration::ZERO);
-                    *lat += out.latency;
-                }
+                *dev_lat.entry(r.device).or_insert(SimDuration::ZERO) += out.latency;
             }
         }
-
+        let subops = subops.len() as u64;
         for (h, pos) in stale_marks {
-            if let Some(replica) = self
-                .datasets
-                .get_mut(&id)
-                .and_then(|d| d.shards.get_mut(h))
-                .and_then(|s| s.replicas.get_mut(pos))
-            {
+            if let Some(replica) = self.shard_mut(id, h).and_then(|s| s.replicas.get_mut(pos)) {
                 replica.stale = true;
             }
         }
 
-        let latency = dev_lat
-            .values()
-            .copied()
-            .fold(SimDuration::ZERO, SimDuration::max);
-        let bytes = data.len() as u64;
         let outcome = WriteOutcome {
-            latency,
+            latency: dev_lat
+                .into_values()
+                .fold(SimDuration::ZERO, SimDuration::max),
             commands,
-            bytes,
+            bytes: data.len() as u64,
         };
-        let subop_count = if volume == 0 { 1 } else { subops.len() as u64 };
         self.stats.add("cluster.ops", 1);
         self.stats.add("cluster.writes", 1);
-        self.stats.add("cluster.write_subops", subop_count);
-        self.stats.add("cluster.bytes_written", bytes);
+        self.stats.add("cluster.write_subops", subops);
+        self.stats.add("cluster.bytes_written", outcome.bytes);
         self.stats.add("cluster.write_skips", skips);
-        self.obs.latency("cluster.write", latency);
+        self.obs.latency("cluster.write", outcome.latency);
         self.log.push_str(&format!(
             "op={} kind=write ds={} subops={} skips={} lat_ns={} bytes={}\n",
             op,
             id.0,
-            subop_count,
+            subops,
             skips,
-            latency.as_nanos(),
-            bytes
+            outcome.latency.as_nanos(),
+            outcome.bytes
         ));
-        self.observe_cluster_op(bytes, latency);
+        self.observe_cluster_op(outcome.bytes, outcome.latency);
         Ok(outcome)
     }
 }
@@ -1192,6 +1047,7 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
             let mut local_dims = inner.to_vec();
             local_dims.push(rows);
             let local = Shape::try_new(local_dims).map_err(SystemError::Nds)?;
+            let flat = Shape::try_new(vec![local.volume()]).map_err(SystemError::Nds)?;
             let holders = self.place(id.0, h, k);
             if holders.is_empty() {
                 return Err(SystemError::ShardUnavailable {
@@ -1201,7 +1057,7 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
             }
             let mut replicas = Vec::with_capacity(holders.len());
             for dev in holders {
-                let slot = self.device_slot(dev)?;
+                let slot = slot_mut(&mut self.devices, dev)?;
                 let local_id = slot.sys.create_dataset(local.clone(), element)?;
                 replicas.push(Replica {
                     device: dev,
@@ -1214,6 +1070,7 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
             shards.push(Shard {
                 start_row,
                 local,
+                flat,
                 replicas,
             });
             start_row += rows;
@@ -1260,15 +1117,12 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
             .datasets
             .remove(&id)
             .ok_or(SystemError::UnknownDataset(id))?;
-        for shard in &ds.shards {
-            for r in &shard.replicas {
-                let Some(slot) = self.devices.get_mut(r.device as usize) else {
-                    continue;
-                };
-                if !slot.alive || !slot.link_up {
-                    continue;
+        for r in ds.shards.iter().flat_map(|s| &s.replicas) {
+            // Unreachable holders keep their (now orphaned) local dataset.
+            if let Some(slot) = self.devices.get_mut(r.device as usize) {
+                if slot.reachable() {
+                    slot.sys.delete_dataset(r.local)?;
                 }
-                slot.sys.delete_dataset(r.local)?;
             }
         }
         Ok(())

@@ -173,31 +173,6 @@ impl FlashBackend {
         Ok(now)
     }
 
-    /// Free-page search for recovery paths only: the home lane first, then
-    /// any lane — a fault must not strand data while the device still has
-    /// space somewhere. Foreground allocation never takes this path.
-    /// `avoid` is the block being evacuated; destinations inside it would
-    /// be lost to its upcoming erase.
-    fn recovery_free_page(
-        &mut self,
-        channel: usize,
-        bank: usize,
-        avoid: BlockAddr,
-    ) -> Option<PageAddr> {
-        if let Some(p) = self.device.find_free_page_excluding(channel, bank, avoid) {
-            return Some(p);
-        }
-        let g = *self.device.geometry();
-        for c in 0..g.channels {
-            for b in 0..g.banks_per_channel {
-                if let Some(p) = self.device.find_free_page_excluding(c, b, avoid) {
-                    return Some(p);
-                }
-            }
-        }
-        None
-    }
-
     /// Moves every valid page of `block` to a fresh page in the same lane,
     /// updating the handle maps and charging the moves to the timeline.
     /// A valid page without data or a reverse-map entry means the
@@ -234,7 +209,8 @@ impl FlashBackend {
                     if self.device.page_state(page) != PageState::Valid {
                         continue;
                     }
-                    self.recovery_free_page(page.channel, page.bank, block)
+                    self.device
+                        .find_recovery_page(page.channel, page.bank, block)
                         .ok_or(FlashError::DeviceFull)?
                 }
             };
@@ -268,33 +244,10 @@ impl FlashBackend {
             if guard > g.blocks_per_bank {
                 break;
             }
-            let victim = self
-                .device
-                .block_occupancy(channel as usize, bank as usize)
-                .into_iter()
-                .filter(|&(block, _, invalid)| {
-                    invalid > 0
-                        && !self.device.is_bad_block(BlockAddr {
-                            channel: channel as usize,
-                            bank: bank as usize,
-                            block,
-                        })
-                })
-                .max_by_key(|&(block, _, invalid)| {
-                    let wear = self.device.erase_count(BlockAddr {
-                        channel: channel as usize,
-                        bank: bank as usize,
-                        block,
-                    });
-                    (invalid, std::cmp::Reverse(wear))
-                });
-            let Some((block, valid, invalid)) = victim else {
+            let Some((victim, valid, invalid)) =
+                self.device.gc_victim(channel as usize, bank as usize)
+            else {
                 break;
-            };
-            let victim_addr = BlockAddr {
-                channel: channel as usize,
-                bank: bank as usize,
-                block,
             };
             self.device.observability_mut().event(
                 nds_sim::SimTime::ZERO,
@@ -302,14 +255,14 @@ impl FlashBackend {
                 || nds_sim::EventKind::GcVictimPicked {
                     channel,
                     bank,
-                    block: block as u32,
+                    block: victim.block as u32,
                     valid: valid as u32,
                     invalid: invalid as u32,
                 },
             );
             if valid > 0 {
                 for p in 0..g.pages_per_block {
-                    let page = victim_addr.page(p);
+                    let page = victim.page(p);
                     if self.device.page_state(page) != PageState::Valid {
                         continue;
                     }
@@ -318,42 +271,30 @@ impl FlashBackend {
                         .peek(page)
                         .ok_or(FlashError::PageNotValid(page))?
                         .to_vec();
+                    // Relocate within the same lane, avoiding the victim.
+                    // Copy-then-invalidate: secure the destination before
+                    // touching the source, so DeviceFull leaves the old
+                    // copy mapped and readable instead of stranding the
+                    // handle.
+                    let dest = self
+                        .device
+                        .find_free_page_excluding(page.channel, page.bank, victim)
+                        .ok_or(FlashError::DeviceFull)?;
+                    self.device.program(dest, data)?;
                     let handle = self
                         .reverse
                         .remove(&page)
                         .ok_or(FlashError::PageNotValid(page))?;
                     self.device.invalidate(page)?;
-                    // Relocate within the same lane, avoiding the victim.
-                    let dest = self
-                        .find_free_page_avoiding(channel, bank, block)
-                        .ok_or(FlashError::DeviceFull)?;
-                    self.device.program(dest, data)?;
                     self.forward.insert(handle, dest);
                     self.reverse.insert(dest, handle);
                     self.stats.add("backend.gc_relocated", 1);
                 }
             }
-            self.device.erase_block(victim_addr);
+            self.device.erase_block(victim);
             self.stats.add("backend.gc_runs", 1);
         }
         Ok(())
-    }
-
-    fn find_free_page_avoiding(
-        &mut self,
-        channel: u32,
-        bank: u32,
-        avoid_block: usize,
-    ) -> Option<PageAddr> {
-        for _ in 0..self.device.geometry().pages_per_bank() {
-            let page = self
-                .device
-                .find_free_page(channel as usize, bank as usize)?;
-            if page.block != avoid_block {
-                return Some(page);
-            }
-        }
-        None
     }
 }
 
@@ -529,6 +470,33 @@ mod tests {
                 b.read_unit(*s).unwrap()[0],
                 (100 + i) as u8,
                 "stable handle {i} lost its data across GC"
+            );
+        }
+    }
+
+    #[test]
+    fn gc_that_cannot_place_survivors_strands_no_handle() {
+        let mut b = backend();
+        let n = unit_bytes(&b);
+        // Fill lane (0, 0) completely, one distinct byte per unit.
+        let mut units = Vec::new();
+        while let Some(loc) = b.alloc_unit(0, 0) {
+            b.write_unit(loc, &vec![units.len() as u8; n]);
+            units.push(loc);
+        }
+        assert_eq!(units.len(), b.device().geometry().pages_per_bank());
+        // One dead page makes its block the only GC victim, but the full
+        // lane has nowhere to put the block's survivors: GC must give up
+        // with every survivor still mapped and readable.
+        b.release_unit(units[0]);
+        assert!(b.alloc_unit(0, 0).is_none(), "lane is still full");
+        assert_eq!(b.stats().get("backend.gc_relocated"), 0);
+        for (i, loc) in units.iter().enumerate().skip(1) {
+            let data = b.read_unit(*loc);
+            assert_eq!(
+                data.as_deref(),
+                Some(vec![i as u8; n].as_slice()),
+                "handle {i} was stranded by the failed collection"
             );
         }
     }

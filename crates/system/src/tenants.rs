@@ -38,8 +38,8 @@ use std::collections::{BTreeMap, VecDeque};
 use nds_core::{ElementType, Region, Shape};
 use nds_interconnect::WfqScheduler;
 use nds_sim::{
-    LatencyHistogram, MetricSet, ObsConfig, RunReport, SimDuration, SimTime, TraceExport,
-    TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    splitmix64, LatencyHistogram, MetricSet, ObsConfig, RunReport, SimDuration, SimTime,
+    TraceExport, TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 
 use crate::error::SystemError;
@@ -173,15 +173,6 @@ pub struct Completion {
     pub trace_range: (u64, u64),
 }
 
-/// splitmix64-style finalizer: the engine's only source of "randomness",
-/// a pure function of its input.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// The byte of tenant `tenant`'s pattern at linear byte `offset` of its
 /// dataset `dataset` — the public handle on the engine's positional data
 /// pattern, so isolation tests can verify final dataset contents
@@ -196,13 +187,13 @@ pub fn tenant_pattern_byte(seed: u64, tenant: u32, dataset: usize, offset: u64) 
 fn pattern_byte(seed: u64, tenant: u32, dataset: usize, offset: u64) -> u8 {
     let lane = seed ^ (u64::from(tenant) << 40) ^ ((dataset as u64) << 32) ^ (offset >> 3);
     let shift = (offset & 7) * 8;
-    (mix(lane) >> shift) as u8
+    (splitmix64(lane) >> shift) as u8
 }
 
 /// Seeded inter-arrival gap `index` for an open tenant: uniform in
 /// `[0, 2 × mean)` with 1/65536 resolution.
 fn arrival_gap(seed: u64, tenant: u32, index: u64, mean: SimDuration) -> SimDuration {
-    let f = mix(seed ^ 0xa11c_e000 ^ (u64::from(tenant) << 32) ^ index) & 0x1_ffff;
+    let f = splitmix64(seed ^ 0xa11c_e000 ^ (u64::from(tenant) << 32) ^ index) & 0x1_ffff;
     mean * f / 65536
 }
 
@@ -659,11 +650,6 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
     /// The underlying front-end.
     pub fn system(&self) -> &S {
         &self.sys
-    }
-
-    /// Consumes the engine, returning the front-end.
-    pub fn into_system(self) -> S {
-        self.sys
     }
 
     /// The engine's deterministic completion journal as text: one line

@@ -18,21 +18,14 @@
 
 use nds_core::{ElementType, Region, Shape};
 use nds_faults::{ClusterFaultPlan, DeviceFault, DeviceFaultKind};
-use nds_sim::ObsConfig;
+use nds_sim::{splitmix64, ObsConfig};
 use nds_system::{
     ClusterConfig, DatasetId, HardwareNds, NdsCluster, StorageFrontEnd, SystemConfig,
 };
 
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic payload byte for element `i` of write `salt`.
 fn pat(salt: u64, i: u64) -> u8 {
-    (mix(salt ^ mix(i)) & 0xff) as u8
+    (splitmix64(salt ^ splitmix64(i)) & 0xff) as u8
 }
 
 /// Applies a write to the host-side model of the dataset's canonical
@@ -92,11 +85,12 @@ fn run_workload(
     let mut issued = 0u64;
     let mut buf = Vec::new();
     for op in 0..ops {
-        let (sub, coord) = &requests[(mix(seed ^ op as u64) % requests.len() as u64) as usize];
+        let (sub, coord) =
+            &requests[(splitmix64(seed ^ op as u64) % requests.len() as u64) as usize];
         let elems: u64 = sub.iter().product();
         if op % 3 != 2 {
             // Write: fresh deterministic payload.
-            let salt = mix(seed ^ 0x57 ^ op as u64);
+            let salt = splitmix64(seed ^ 0x57 ^ op as u64);
             let data: Vec<u8> = (0..elems * esize as u64).map(|i| pat(salt, i)).collect();
             let out = sys
                 .write(id, shape, coord, sub, &data)
@@ -469,4 +463,146 @@ fn unreachable_shard_rejects_unacknowledged() {
     ));
     let stats = cluster.stats();
     assert!(stats.get("cluster.rereplication_stranded") >= 1);
+}
+
+/// One more configuration of the same harness: an *unsharded*, replicated
+/// volume (`shard_rows = 0`, N = 3, k = 2) — every request plans to one
+/// verbatim sub-op, so write fan-out, stale marking, steering, kill and
+/// resync all run on the single-shard side of the plan.
+#[test]
+fn unsharded_replicated_volume_survives_kill_and_link_outage() {
+    let shape = Shape::new([8, 16]);
+    let ops = 48usize;
+    let seed = 29u64;
+    let base = ClusterConfig::new(3, 2)
+        .with_seed(17)
+        .with_observability(ObsConfig::full());
+    let run = |plan: ClusterFaultPlan| {
+        let mut cluster = hardware_cluster(base.clone().with_plan(plan));
+        let id = cluster
+            .create_dataset(shape.clone(), ElementType::F32)
+            .expect("create");
+        assert_eq!(cluster.shard_count(id), Some(1), "unsharded");
+        let holders = cluster.replica_devices(id, 0);
+        let (model, _) = run_workload(&mut cluster, id, &shape, ops, seed);
+        let contents = read_full(&mut cluster, id, &shape);
+        (cluster, id, holders, model, contents)
+    };
+
+    let (_, _, holders, gmodel, gfinal) = run(ClusterFaultPlan::default());
+    assert_eq!(gfinal, gmodel, "golden final contents match the model");
+    assert_eq!(holders.len(), 2);
+    let victim = holders[0];
+    let kill = ClusterFaultPlan::kill_at(ops as u64 / 2, victim);
+    let outage = ClusterFaultPlan::new(vec![
+        DeviceFault {
+            at_op: 10,
+            device: victim,
+            kind: DeviceFaultKind::LinkDown,
+        },
+        DeviceFault {
+            at_op: 30,
+            device: victim,
+            kind: DeviceFaultKind::LinkRestore,
+        },
+    ]);
+
+    for plan in [kill.clone(), outage.clone()] {
+        let (faulted, id, _, fmodel, ffinal) = run(plan.clone());
+        assert_eq!(fmodel, gmodel, "same acknowledged-write set");
+        assert_eq!(ffinal, gfinal, "an acknowledged write was lost");
+        assert_eq!(faulted.replica_devices(id, 0).len(), 2, "lost redundancy");
+        // Deterministic failover: journal + report repeat byte for byte.
+        let (again, ..) = run(plan);
+        assert_eq!(faulted.journal_lines(), again.journal_lines());
+        assert_eq!(
+            faulted.full_report().to_json(),
+            again.full_report().to_json()
+        );
+    }
+
+    let (killed, id, ..) = run(kill);
+    let stats = killed.stats();
+    assert_eq!(
+        stats.get("cluster.rereplications"),
+        1,
+        "one shard, one copy"
+    );
+    assert_eq!(stats.get("cluster.rereplication_stranded"), 0);
+    assert!(!killed.replica_devices(id, 0).contains(&victim));
+
+    // The downed holder missed writes (marked stale — only stale replicas
+    // are ever resynced) and was brought back by exactly one resync.
+    let (restored, id, ..) = run(outage);
+    let stats = restored.stats();
+    assert!(
+        stats.get("cluster.write_skips") >= 1,
+        "no write was skipped"
+    );
+    assert_eq!(
+        stats.get("cluster.resyncs"),
+        1,
+        "stale replica not resynced"
+    );
+    assert_eq!(stats.get("cluster.resync_stranded"), 0);
+    assert!(restored.is_reachable(victim as usize), "link is back up");
+    assert_eq!(restored.replica_devices(id, 0), holders, "same holders");
+}
+
+/// The error edge of the single plan: a request that cannot be planned
+/// against a single-shard dataset fails typed, counts nothing, still
+/// advances the fault clock, and leaves the data path usable.
+#[test]
+fn unplannable_request_on_unsharded_dataset_fails_cleanly() {
+    use nds_system::SystemError;
+
+    let shape = Shape::new([8, 16]);
+    let esize = ElementType::F32.size();
+    // Ops: 0 = seed write, 1 = bad read, 2 = bad write, 3 = valid read —
+    // the kill fires only if both rejected requests consumed an op index.
+    let cfg = ClusterConfig::new(3, 2)
+        .with_seed(17)
+        .with_plan(ClusterFaultPlan::kill_at(3, 0));
+    let mut cluster = hardware_cluster(cfg);
+    let id = cluster
+        .create_dataset(shape.clone(), ElementType::F32)
+        .expect("create");
+    assert_eq!(cluster.shard_count(id), Some(1));
+    let full: Vec<u8> = (0..shape.volume() * esize as u64)
+        .map(|i| pat(0xbeef, i))
+        .collect();
+    cluster
+        .write(id, &shape, &[0, 0], shape.dims(), &full)
+        .expect("seed write");
+    let before = cluster.stats();
+
+    let wrong_volume = Shape::new([8, 15]);
+    let mut buf = Vec::new();
+    let read = cluster.read_into(id, &wrong_volume, &[0, 0], &[8, 15], &mut buf);
+    assert!(matches!(read, Err(SystemError::Nds(_))), "got {read:?}");
+    let write = cluster.write(
+        id,
+        &wrong_volume,
+        &[0, 0],
+        &[8, 15],
+        &full[..8 * 15 * esize],
+    );
+    assert!(matches!(write, Err(SystemError::Nds(_))), "got {write:?}");
+    assert_eq!(cluster.stats(), before, "a rejected request was counted");
+    assert!(cluster.is_alive(0), "the kill is not due yet");
+
+    let m = cluster
+        .read_into(id, &shape, &[1, 2], &[4, 4], &mut buf)
+        .expect("valid read after the rejected ones");
+    assert!(
+        !cluster.is_alive(0),
+        "rejected requests must tick the fault clock"
+    );
+    assert_eq!(m.bytes as usize, buf.len());
+    let region = Region::from_request(&shape, &[1, 2], &[4, 4]).expect("request");
+    region.for_each_run(&shape, |b, linear, len| {
+        let got = &buf[b as usize * esize..(b + len) as usize * esize];
+        let want = &full[linear as usize * esize..(linear + len) as usize * esize];
+        assert_eq!(got, want, "read after a rejected request is wrong");
+    });
 }

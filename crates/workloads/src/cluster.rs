@@ -8,6 +8,7 @@
 //! pair the determinism checks diff.
 
 use nds_core::{ElementType, Shape};
+use nds_sim::splitmix64;
 
 /// One operation of a cluster mix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,18 +32,9 @@ pub fn cluster_dataset() -> (Shape, ElementType) {
     (Shape::new([64, 64]), ElementType::F32)
 }
 
-/// splitmix64-style finalizer (same construction as the traffic
-/// engine's): the only source of variation in a mix.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Deterministic payload byte `i` of a write with `salt`.
 pub fn payload_byte(salt: u64, i: u64) -> u8 {
-    (mix(salt ^ mix(i)) & 0xff) as u8
+    (splitmix64(salt ^ splitmix64(i)) & 0xff) as u8
 }
 
 /// A seeded command mix over [`cluster_dataset`]: row panels (8×64 in the
@@ -53,18 +45,23 @@ pub fn payload_byte(salt: u64, i: u64) -> u8 {
 pub fn cluster_mix(seed: u64, ops: usize, read_pct: u32) -> Vec<ClusterOp> {
     (0..ops as u64)
         .map(|i| {
-            let h = mix(seed ^ 0xc1a5_7e50 ^ i);
+            let h = splitmix64(seed ^ 0xc1a5_7e50 ^ i);
             let write = h % 100 >= u64::from(read_pct.min(100));
             let (coord, sub_dims) = match (h >> 8) % 3 {
                 0 => (vec![0, (h >> 16) % 8], vec![64, 8]),
                 1 => (vec![(h >> 16) % 4, (h >> 24) % 4], vec![16, 16]),
                 _ => (vec![(h >> 16) % 8, 0], vec![8, 64]),
             };
+            let salt = if write {
+                splitmix64(seed ^ 0x5a17 ^ i)
+            } else {
+                0
+            };
             ClusterOp {
                 write,
                 coord,
                 sub_dims,
-                salt: if write { mix(seed ^ 0x5a17 ^ i) } else { 0 },
+                salt,
             }
         })
         .collect()

@@ -341,13 +341,6 @@ pub fn ttv_slice(slice: &[f32], weight: f32, out: &mut [f32]) {
     }
 }
 
-/// Tensor contraction over the slowest mode: `out += a_slice × b_slice` as a
-/// matrix product of two `t × t` slices (the paper's TC runs GEMM-shaped
-/// kernels over tensor slices).
-pub fn tc_slice(t: usize, a_slice: &[f32], b_slice: &[f32], out: &mut [f32]) {
-    gemm_tile(t, a_slice, b_slice, out);
-}
-
 /// An order-insensitive checksum over f32 data (stable across architectures
 /// that produce identical values in different visit orders).
 pub fn checksum_f32(values: &[f32]) -> u64 {

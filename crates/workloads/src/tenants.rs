@@ -7,7 +7,7 @@
 //! deterministic description of a multi-tenant run.
 
 use nds_core::{ElementType, Shape};
-use nds_sim::SimDuration;
+use nds_sim::{splitmix64, SimDuration};
 use nds_system::{Arrival, OpKind, TenantOp, TenantSet, TenantSpec};
 
 /// Canonical per-tenant dataset: a 64×64 `f32` matrix (16 KiB), the
@@ -15,15 +15,6 @@ use nds_system::{Arrival, OpKind, TenantOp, TenantSet, TenantSpec};
 /// column panels) are all distinct.
 pub fn tenant_dataset() -> (Shape, ElementType) {
     (Shape::new([64, 64]), ElementType::F32)
-}
-
-/// splitmix64-style finalizer (same construction as the traffic
-/// engine's): the only source of variation in a mix.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A seeded Fig. 9-style command mix over [`tenant_dataset`]: each
@@ -34,7 +25,7 @@ fn mix(mut z: u64) -> u64 {
 pub fn fig9_mix(seed: u64, tenant: u32, ops: usize, read_pct: u32) -> Vec<TenantOp> {
     (0..ops as u64)
         .map(|i| {
-            let h = mix(seed ^ 0xf19_9000 ^ (u64::from(tenant) << 32) ^ i);
+            let h = splitmix64(seed ^ 0xf19_9000 ^ (u64::from(tenant) << 32) ^ i);
             let kind = if h % 100 < u64::from(read_pct.min(100)) {
                 OpKind::Read
             } else {
