@@ -18,10 +18,9 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{announce_on_stderr, collect_trace, header, row, Artifacts, WallClock};
+use nds_bench::{announce_on_stderr, header, row, Artifacts};
 use nds_core::{AllocationPolicy, ElementType, Shape};
 use nds_flash::FlashTiming;
-use nds_sim::{ObsConfig, RunReport, TraceExport};
 use nds_system::{HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig};
 
 const N: u64 = 4096;
@@ -43,11 +42,7 @@ fn tile_bandwidth(sys: &mut dyn StorageFrontEnd, side: u64) -> f64 {
         .as_mib_per_sec()
 }
 
-fn allocation_policy_ablation(
-    obs: ObsConfig,
-    report: &mut RunReport,
-    traces: &mut Vec<(String, TraceExport)>,
-) {
+fn allocation_policy_ablation(art: &mut Artifacts) {
     println!("## 1. Allocation policy (§4.2) — 1024² f64 tile fetch\n");
     header(&["policy", "hardware NDS MiB/s", "notes"]);
     for (policy, note) in [
@@ -57,31 +52,25 @@ fn allocation_policy_ablation(
             "blocks confined to few lanes",
         ),
     ] {
-        let mut config = SystemConfig::paper_scale().with_observability(obs);
+        let mut config = SystemConfig::paper_scale().with_observability(art.obs());
         config.stl.allocation_policy = policy;
         let mut sys = HardwareNds::new(config);
         let bw = tile_bandwidth(&mut sys, 1024);
-        report.merge_prefixed(&format!("alloc.{policy:?}."), &sys.run_report());
-        collect_trace(traces, &format!("alloc.{policy:?}"), &sys);
+        art.absorb(&format!("alloc.{policy:?}"), &sys);
         row(&[format!("{policy:?}"), format!("{bw:8.0}"), note.to_owned()]);
     }
     println!();
 }
 
-fn multiplier_ablation(
-    obs: ObsConfig,
-    report: &mut RunReport,
-    traces: &mut Vec<(String, TraceExport)>,
-) {
+fn multiplier_ablation(art: &mut Artifacts) {
     println!("## 2. Building-block multiplier (§4.1) — 1024² f64 tile fetch\n");
     header(&["multiplier", "block", "hardware NDS MiB/s"]);
     for multiplier in [1u64, 2, 4, 8] {
-        let mut config = SystemConfig::paper_scale().with_observability(obs);
+        let mut config = SystemConfig::paper_scale().with_observability(art.obs());
         config.stl.block_multiplier = multiplier;
         let mut sys = HardwareNds::new(config);
         let bw = tile_bandwidth(&mut sys, 1024);
-        report.merge_prefixed(&format!("multiplier.{multiplier}x."), &sys.run_report());
-        collect_trace(traces, &format!("multiplier.{multiplier}x"), &sys);
+        art.absorb(&format!("multiplier.{multiplier}x"), &sys);
         // Block side for f64 at this multiplier: √(128 KiB·m / 8), pow2-ceil.
         let elems = 32u64 * 4096 * multiplier / 8;
         let side = 1u64 << (64 - (elems - 1).leading_zeros()).div_ceil(2);
@@ -107,11 +96,7 @@ fn write_bandwidth(sys: &mut dyn StorageFrontEnd) -> f64 {
         .as_mib_per_sec()
 }
 
-fn fast_nvm_ablation(
-    obs: ObsConfig,
-    report: &mut RunReport,
-    traces: &mut Vec<(String, TraceExport)>,
-) {
+fn fast_nvm_ablation(art: &mut Artifacts) {
     println!("## 3. Faster NVM (§7.2) — hardware-over-software advantage on writes\n");
     println!("(the paper: \"with faster NVM technologies that raise the internal-to-external");
     println!(" bandwidth ratio, the advantage of hardware NDS will become more significant\")\n");
@@ -125,16 +110,14 @@ fn fast_nvm_ablation(
         ("TLC NAND", "tlc", FlashTiming::tlc_nand()),
         ("fast NVM (PCM-class)", "fast", FlashTiming::fast_nvm()),
     ] {
-        let mut config = SystemConfig::paper_scale().with_observability(obs);
+        let mut config = SystemConfig::paper_scale().with_observability(art.obs());
         config.flash.timing = timing;
         let mut sw = SoftwareNds::new(config.clone());
         let sw_bw = write_bandwidth(&mut sw);
         let mut hw = HardwareNds::new(config);
         let hw_bw = write_bandwidth(&mut hw);
-        report.merge_prefixed(&format!("nvm.{key}.software-nds."), &sw.run_report());
-        report.merge_prefixed(&format!("nvm.{key}.hardware-nds."), &hw.run_report());
-        collect_trace(traces, &format!("nvm.{key}.software-nds"), &sw);
-        collect_trace(traces, &format!("nvm.{key}.hardware-nds"), &hw);
+        art.absorb(&format!("nvm.{key}.software-nds"), &sw);
+        art.absorb(&format!("nvm.{key}.hardware-nds"), &hw);
         row(&[
             name.to_owned(),
             format!("{sw_bw:8.0}"),
@@ -144,11 +127,7 @@ fn fast_nvm_ablation(
     }
 }
 
-fn transfer_chunk_ablation(
-    obs: ObsConfig,
-    report: &mut RunReport,
-    traces: &mut Vec<(String, TraceExport)>,
-) {
+fn transfer_chunk_ablation(art: &mut Artifacts) {
     println!("\n## 4. NDS transfer chunk (§4.4) — when assembled data ships to the host\n");
     println!("(NDS starts moving assembled data once a segment reaches the optimal");
     println!(" data-exchange volume; §2.1 puts NVMe saturation at ~2 MB)\n");
@@ -160,7 +139,7 @@ fn transfer_chunk_ablation(
         2 * 1024 * 1024,
         8 * 1024 * 1024,
     ] {
-        let mut config = SystemConfig::paper_scale().with_observability(obs);
+        let mut config = SystemConfig::paper_scale().with_observability(art.obs());
         config.nds_transfer_chunk = chunk;
         let mut sys = HardwareNds::new(config);
         let shape = Shape::new([N, N]);
@@ -173,8 +152,7 @@ fn transfer_chunk_ablation(
         let out = sys
             .read(id, &shape, &[0, 1], &[N, 2048])
             .expect("panel fetch");
-        report.merge_prefixed(&format!("chunk.{}kib.", chunk / 1024), &sys.run_report());
-        collect_trace(traces, &format!("chunk.{}kib", chunk / 1024), &sys);
+        art.absorb(&format!("chunk.{}kib", chunk / 1024), &sys);
         row(&[
             format!("{} KiB", chunk / 1024),
             format!("{:8.0}", out.effective_bandwidth().as_mib_per_sec()),
@@ -183,21 +161,12 @@ fn transfer_chunk_ablation(
 }
 
 fn main() {
-    let (artifacts, _rest) = Artifacts::from_args(std::env::args().skip(1).collect());
-    let obs = artifacts.obs();
-    let clock = WallClock::start();
-    let mut report = RunReport::new();
-    let mut traces = Vec::new();
-    report.set_meta("bench", "ablation");
+    let (mut art, _rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    art.report.set_meta("bench", "ablation");
     println!("# Ablations of NDS design choices\n");
-    allocation_policy_ablation(obs, &mut report, &mut traces);
-    multiplier_ablation(obs, &mut report, &mut traces);
-    fast_nvm_ablation(obs, &mut report, &mut traces);
-    transfer_chunk_ablation(obs, &mut report, &mut traces);
-    // 2 + 4 tile sweeps × (create+write+read), 2 NVM media × 2 systems ×
-    // (create+write), 5 chunk points × (create+write+read).
-    clock.print_rate(6 * 3 + 4 * 2 + 5 * 3);
-    artifacts
-        .write(&report, &traces, announce_on_stderr)
-        .expect("write artifacts");
+    allocation_policy_ablation(&mut art);
+    multiplier_ablation(&mut art);
+    fast_nvm_ablation(&mut art);
+    transfer_chunk_ablation(&mut art);
+    art.write(announce_on_stderr).expect("write artifacts");
 }

@@ -4,8 +4,7 @@
 //!
 //! Prints one row per run — ops, app bytes, modeled I/O time, commands,
 //! degraded reads, re-replication traffic — plus `healthy:`/`degraded:`
-//! summary lines with modeled MiB/s that `scripts/bench_snapshot.sh`
-//! parses into the throughput trajectory.
+//! summary lines with modeled MiB/s.
 //!
 //! Usage: `cargo run --release -p nds-bench --bin cluster
 //!         [-- [--devices N] [--replicas K] [--ops N] [--seed S]
@@ -21,9 +20,8 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{header, row, take_u64_flag, Artifacts, WallClock};
+use nds_bench::{header, row, take_u64_flag, Artifacts};
 use nds_faults::ClusterFaultPlan;
-use nds_sim::RunReport;
 use nds_system::{
     ClusterConfig, HardwareNds, NdsCluster, StorageFrontEnd, SystemConfig, SystemError,
 };
@@ -82,7 +80,7 @@ fn mib_s(bytes: u64, io_ns: u64) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (artifacts, args) = Artifacts::from_args(args);
+    let (mut artifacts, args) = Artifacts::from_args(args);
     let (devices, args) = take_u64_flag("--devices", 4, args);
     let (replicas, args) = take_u64_flag("--replicas", 2, args);
     let (ops, args) = take_u64_flag("--ops", 96, args);
@@ -90,7 +88,6 @@ fn main() {
     let (shard_rows, args) = take_u64_flag("--shard-rows", 24, args);
     let (kill, _args) = take_u64_flag("--kill", 0, args);
     let obs = artifacts.obs();
-    let clock = WallClock::start();
 
     let mix = cluster_mix(seed, ops as usize, 60);
     let base = ClusterConfig::new(devices as usize, replicas as usize)
@@ -155,19 +152,22 @@ fn main() {
         mib_s(d.bytes, d.io_ns),
         ds.get("cluster.rereplicated_bytes")
     );
-    clock.print_rate(h.commands + d.commands);
 
-    let mut report = RunReport::new();
     if artifacts.wants_report() {
+        let report = &mut artifacts.report;
         report.set_meta("bench", "cluster");
         report.merge_prefixed("healthy.", &healthy.full_report());
         report.merge_prefixed("degraded.", &degraded.full_report());
     }
     // Only the degraded run's traces are exported.
-    let traces = degraded.device_trace_exports();
-    assert_eq!(obs.tracing, !traces.is_empty(), "devices trace iff asked");
+    artifacts.traces = degraded.device_trace_exports();
+    assert_eq!(
+        obs.tracing(),
+        !artifacts.traces.is_empty(),
+        "devices trace iff asked"
+    );
     artifacts
-        .write(&report, &traces, |what, path| {
+        .write(|what, path| {
             println!("{what} written to {}", path.display());
         })
         .expect("write artifacts");

@@ -20,10 +20,10 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{announce_on_stderr, collect_trace, header, row, Artifacts, WallClock};
+use nds_bench::{announce_on_stderr, header, row, Artifacts};
 use nds_core::{ElementType, Shape};
 use nds_faults::FaultConfig;
-use nds_sim::{RunReport, SimDuration, TraceExport};
+use nds_sim::SimDuration;
 use nds_system::{
     BaselineSystem, HardwareNds, OracleSystem, SoftwareNds, StorageFrontEnd, SystemConfig,
 };
@@ -71,22 +71,15 @@ fn run_script(sys: &mut dyn StorageFrontEnd) -> SimDuration {
     modeled
 }
 
-/// Front-end commands issued per `run_script` call: create, two writes,
-/// four tile reads, one full read.
-const SCRIPT_COMMANDS: u64 = 8;
-
 fn main() {
-    let (artifacts, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
-    let obs = artifacts.obs();
-    let clock = WallClock::start();
+    let (mut art, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    let obs = art.obs();
     let seed: u64 = rest
         .first()
         .map(|s| s.parse().expect("seed must be a u64"))
         .unwrap_or(1221);
-    let mut report = RunReport::new();
-    let mut traces: Vec<(String, TraceExport)> = Vec::new();
-    report.set_meta("bench", "fault_sweep");
-    report.set_meta("seed", seed.to_string());
+    art.report.set_meta("bench", "fault_sweep");
+    art.report.set_meta("seed", seed.to_string());
     println!("# Fault sweep (seed {seed}, {N}x{N} f32, tile {TILE})\n");
     header(&[
         "rate",
@@ -120,12 +113,7 @@ fn main() {
             let (injected, recovered) =
                 (stats.get("faults.injected"), stats.get("faults.recovered"));
             assert_eq!(injected, recovered, "{}: unrecovered fault", sys.name());
-            report.merge_prefixed(
-                &format!("rate{:03}.{}.", (rate * 100.0) as u64, sys.name()),
-                &sys.run_report(),
-            );
-            collect_trace(
-                &mut traces,
+            art.absorb(
                 &format!("rate{:03}.{}", (rate * 100.0) as u64, sys.name()),
                 sys.as_ref(),
             );
@@ -147,8 +135,5 @@ fn main() {
         }
     }
     println!("\nAll rows recovered every injected fault (injected == recovered).");
-    clock.print_rate((4 + RATES.len() as u64 * 4) * SCRIPT_COMMANDS);
-    artifacts
-        .write(&report, &traces, announce_on_stderr)
-        .expect("write artifacts");
+    art.write(announce_on_stderr).expect("write artifacts");
 }

@@ -14,8 +14,8 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{announce_on_stderr, collect_trace, geomean, header, row, Artifacts, WallClock};
-use nds_sim::{ObsConfig, RunReport, TraceExport};
+use nds_bench::{announce_on_stderr, geomean, header, row, Artifacts};
+use nds_sim::{ObsConfig, RunReport};
 use nds_system::{
     BaselineSystem, HardwareNds, OracleSystem, SoftwareNds, StorageFrontEnd, SystemConfig,
 };
@@ -55,8 +55,7 @@ fn config(cost_scale: u64, obs: ObsConfig) -> SystemConfig {
 fn run_all(
     workload: &dyn Workload,
     config: &SystemConfig,
-    report: &mut RunReport,
-    traces: &mut Vec<(String, TraceExport)>,
+    art: &mut Artifacts,
 ) -> [WorkloadRun; 4] {
     let mut baseline = BaselineSystem::new(config.clone());
     let mut oracle = OracleSystem::with_tile(config.clone(), workload.kernel_tile());
@@ -74,21 +73,20 @@ fn run_all(
         (&software as &dyn StorageFrontEnd, &runs[2]),
         (&hardware as &dyn StorageFrontEnd, &runs[3]),
     ] {
-        let mut sub = sys.run_report();
-        run.attach_to_report(&mut sub);
-        report.merge_prefixed(&format!("{}.{}.", workload.name(), sys.name()), &sub);
-        collect_trace(traces, &format!("{}.{}", workload.name(), sys.name()), sys);
+        let label = format!("{}.{}", workload.name(), sys.name());
+        art.absorb(&label, sys);
+        // The pipeline-level stage view lands next to the component view.
+        let mut stages = RunReport::new();
+        run.attach_to_report(&mut stages);
+        art.report.merge_prefixed(&format!("{label}."), &stages);
     }
     runs
 }
 
 fn main() {
-    let (artifacts, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
-    let obs = artifacts.obs();
-    let clock = WallClock::start();
-    let mut commands = 0u64;
+    let (mut art, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
     let (params, cost_scale) = parse_args(&rest);
-    let config = config(cost_scale, obs);
+    let config = config(cost_scale, art.obs());
     println!(
         "# Fig. 10 — end-to-end workloads (n = {}, tile = {}, iterations = {}, cost scale = {})",
         params.n, params.tile, params.iterations, cost_scale
@@ -118,13 +116,9 @@ fn main() {
     let mut oracle_speedups = Vec::new();
     let mut hw_speedups = Vec::new();
     let mut idle_rows = Vec::new();
-    let mut report = RunReport::new();
-    let mut traces = Vec::new();
-    report.set_meta("bench", "fig10");
+    art.report.set_meta("bench", "fig10");
     for workload in all_workloads(params) {
-        let [baseline, oracle, software, hardware] =
-            run_all(workload.as_ref(), &config, &mut report, &mut traces);
-        commands += baseline.commands + oracle.commands + software.commands + hardware.commands;
+        let [baseline, oracle, software, hardware] = run_all(workload.as_ref(), &config, &mut art);
         assert_eq!(baseline.checksum, workload.reference_checksum());
         assert_eq!(software.checksum, baseline.checksum);
         assert_eq!(hardware.checksum, baseline.checksum);
@@ -179,8 +173,5 @@ fn main() {
         format!("{:.0}%", avg(&sw_red) * 100.0),
         format!("{:.0}%", avg(&hw_red) * 100.0),
     ]);
-    clock.print_rate(commands);
-    artifacts
-        .write(&report, &traces, announce_on_stderr)
-        .expect("write artifacts");
+    art.write(announce_on_stderr).expect("write artifacts");
 }

@@ -17,14 +17,12 @@
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use nds_accel::ComputeEngine;
-use nds_bench::{
-    announce_on_stderr, collect_trace, header, row, setup_matrix_f64, Artifacts, WallClock,
-};
+use nds_bench::{announce_on_stderr, header, row, setup_matrix_f64, Artifacts};
 use nds_core::Shape;
 use nds_host::pipeline::{self, StageTimes};
 use nds_host::{CpuModel, MemoryBus};
 use nds_interconnect::LinkConfig;
-use nds_sim::{Journal, ObsConfig, RunReport, SimDuration, TraceExport};
+use nds_sim::{Journal, SimDuration, TraceExport};
 use nds_system::{BaselineSystem, OracleSystem, StorageFrontEnd, SystemConfig};
 
 /// Matrix side (scaled from the paper's 32,768) and kernel tile (scaled
@@ -64,7 +62,7 @@ fn run_pipeline(
     (result, export)
 }
 
-fn fig_a(tracing: bool, traces: &mut Vec<(String, TraceExport)>) {
+fn fig_a(art: &mut Artifacts) {
     println!(
         "## (a) data already in main memory — paper: row-store takes 2.11× the sub-block time\n"
     );
@@ -85,13 +83,14 @@ fn fig_a(tracing: bool, traces: &mut Vec<(String, TraceExport)>) {
     let sub: Vec<StageTimes> = (0..steps)
         .map(|_| StageTimes::new([SimDuration::ZERO, h2d_time, kernel]))
         .collect();
+    let tracing = art.obs().tracing();
     let (seq_run, seq_trace) = run_pipeline(&seq, tracing);
     let (sub_run, sub_trace) = run_pipeline(&sub, tracing);
     if let Some(export) = seq_trace {
-        traces.push(("a.row-store".to_string(), export));
+        art.traces.push(("a.row-store".to_string(), export));
     }
     if let Some(export) = sub_trace {
-        traces.push(("a.sub-block".to_string(), export));
+        art.traces.push(("a.sub-block".to_string(), export));
     }
     header(&["configuration", "CPU stage", "H2D", "kernel", "end-to-end"]);
     stage_report(
@@ -130,11 +129,11 @@ fn fig_a(tracing: bool, traces: &mut Vec<(String, TraceExport)>) {
     );
 }
 
-fn fig_b(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, TraceExport)>) {
+fn fig_b(art: &mut Artifacts) {
     println!(
         "## (b) data fetched from the SSD — paper: +1.92× fetch time for the row-store layout\n"
     );
-    let config = SystemConfig::paper_scale().with_observability(obs);
+    let config = SystemConfig::paper_scale().with_observability(art.obs());
     let shape = Shape::new([N, N]);
 
     // Row-store layout on the baseline SSD.
@@ -167,25 +166,15 @@ fn fig_b(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
         format!("{}", o.restructure),
         "1.00x".into(),
     ]);
-    report.merge_prefixed("b.baseline.", &base.run_report());
-    report.merge_prefixed("b.oracle.", &oracle.run_report());
-    collect_trace(traces, "b.baseline", &base);
-    collect_trace(traces, "b.oracle", &oracle);
+    art.absorb("b.baseline", &base);
+    art.absorb("b.oracle", &oracle);
 }
 
 fn main() {
-    let (artifacts, _rest) = Artifacts::from_args(std::env::args().skip(1).collect());
-    let obs = artifacts.obs();
-    let clock = WallClock::start();
-    let mut report = RunReport::new();
-    let mut traces = Vec::new();
-    report.set_meta("bench", "fig2");
+    let (mut art, _rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    art.report.set_meta("bench", "fig2");
     println!("# Fig. 2 — blocked matrix multiplication, row-store vs sub-block\n");
-    fig_a(obs.tracing, &mut traces);
-    fig_b(obs, &mut report, &mut traces);
-    // Panel (b) issues 2 × (create + setup write) + 2 tile reads.
-    clock.print_rate(6);
-    artifacts
-        .write(&report, &traces, announce_on_stderr)
-        .expect("write artifacts");
+    fig_a(&mut art);
+    fig_b(&mut art);
+    art.write(announce_on_stderr).expect("write artifacts");
 }

@@ -20,11 +20,9 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{
-    announce_on_stderr, collect_trace, header, row, setup_matrix_f64, Artifacts, WallClock,
-};
+use nds_bench::{announce_on_stderr, header, row, setup_matrix_f64, Artifacts};
 use nds_core::{ElementType, Shape};
-use nds_sim::{ObsConfig, RunReport, TraceExport};
+use nds_sim::ObsConfig;
 use nds_system::{BaselineSystem, HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig};
 
 const N: u64 = 8192;
@@ -42,37 +40,28 @@ fn fresh_systems(obs: ObsConfig) -> (BaselineSystem, SoftwareNds, HardwareNds) {
     )
 }
 
-/// Folds the three systems' run artifacts into `report` under
-/// `<panel>.<arch>.`-prefixed names, and their causal traces (when tracing
-/// is on) into `traces` under matching labels.
+/// Folds the three systems' run artifacts into `art` under
+/// `<panel>.<arch>` labels.
 fn absorb_systems(
-    report: &mut RunReport,
-    traces: &mut Vec<(String, TraceExport)>,
+    art: &mut Artifacts,
     panel: &str,
-    systems: (&BaselineSystem, &SoftwareNds, &HardwareNds),
+    (base, sw, hw): (&BaselineSystem, &SoftwareNds, &HardwareNds),
 ) {
-    let (base, sw, hw) = systems;
-    report.merge_prefixed(&format!("{panel}.baseline."), &base.run_report());
-    report.merge_prefixed(&format!("{panel}.software-nds."), &sw.run_report());
-    report.merge_prefixed(&format!("{panel}.hardware-nds."), &hw.run_report());
-    collect_trace(traces, &format!("{panel}.baseline"), base);
-    collect_trace(traces, &format!("{panel}.software-nds"), sw);
-    collect_trace(traces, &format!("{panel}.hardware-nds"), hw);
+    art.absorb(&format!("{panel}.baseline"), base);
+    art.absorb(&format!("{panel}.software-nds"), sw);
+    art.absorb(&format!("{panel}.hardware-nds"), hw);
 }
 
 /// Runs one read sweep over all three systems and prints MiB/s per point.
-/// Returns the number of front-end commands issued.
 fn read_sweep(
     label: &str,
     panel: &str,
-    obs: ObsConfig,
-    report: &mut RunReport,
-    traces: &mut Vec<(String, TraceExport)>,
+    art: &mut Artifacts,
     requests: &[(String, Vec<u64>, Vec<u64>)],
-) -> u64 {
+) {
     println!("\n## ({label})\n");
     let shape = Shape::new([N, N]);
-    let (mut base, mut sw, mut hw) = fresh_systems(obs);
+    let (mut base, mut sw, mut hw) = fresh_systems(art.obs());
     let base_id = setup_matrix_f64(&mut base, N).expect("baseline setup");
     let sw_id = setup_matrix_f64(&mut sw, N).expect("software setup");
     let hw_id = setup_matrix_f64(&mut hw, N).expect("hardware setup");
@@ -95,12 +84,10 @@ fn read_sweep(
             mib(h.effective_bandwidth().as_mib_per_sec()),
         ]);
     }
-    absorb_systems(report, traces, panel, (&base, &sw, &hw));
-    // 3 × (create + setup write) + one read per system per request.
-    6 + 3 * requests.len() as u64
+    absorb_systems(art, panel, (&base, &sw, &hw));
 }
 
-fn fig_a(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, TraceExport)>) -> u64 {
+fn fig_a(art: &mut Artifacts) {
     // Row panels of 512..4096 rows (full width), as in Fig. 9(a).
     let requests = [512u64, 1024, 2048, 4096]
         .iter()
@@ -109,17 +96,16 @@ fn fig_a(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
     read_sweep(
         "a — row fetches; paper: baseline ≈ hardware, software ~12% lower",
         "a",
-        obs,
-        report,
-        traces,
+        art,
         &requests,
-    )
+    );
 }
 
-fn fig_b(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, TraceExport)>) -> u64 {
+fn fig_b(art: &mut Artifacts) {
     // Column panels of 512..4096 columns (full height).
     println!("\n## (b — column fetches; paper: row-store baseline ≤600 MB/s-class, NDS ≈ col-store baseline)\n");
     let shape = Shape::new([N, N]);
+    let obs = art.obs();
     let (mut base, mut sw, mut hw) = fresh_systems(obs);
     let base_id = setup_matrix_f64(&mut base, N).expect("baseline setup");
     let sw_id = setup_matrix_f64(&mut sw, N).expect("software setup");
@@ -156,14 +142,11 @@ fn fig_b(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
             mib(h.effective_bandwidth().as_mib_per_sec()),
         ]);
     }
-    absorb_systems(report, traces, "b", (&base, &sw, &hw));
-    report.merge_prefixed("b.baseline-col-store.", &col_store.run_report());
-    collect_trace(traces, "b.baseline-col-store", &col_store);
-    // 4 × (create + setup write) + 4 reads per system per point.
-    8 + 4 * 4
+    absorb_systems(art, "b", (&base, &sw, &hw));
+    art.absorb("b.baseline-col-store", &col_store);
 }
 
-fn fig_c(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, TraceExport)>) -> u64 {
+fn fig_c(art: &mut Artifacts) {
     // Square submatrices 512²..4096² at an unaligned-ish tile position.
     let requests = [512u64, 1024, 2048, 4096]
         .iter()
@@ -172,14 +155,12 @@ fn fig_c(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
     read_sweep(
         "c — submatrix fetches; paper: NDS far above baseline",
         "c",
-        obs,
-        report,
-        traces,
+        art,
         &requests,
-    )
+    );
 }
 
-fn fig_d(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, TraceExport)>) -> u64 {
+fn fig_d(art: &mut Artifacts) {
     println!(
         "\n## (d — whole-matrix write; paper: baseline ~281 MB/s, software −30%, hardware −17%)\n"
     );
@@ -188,7 +169,7 @@ fn fig_d(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
     let bytes: Vec<u8> = (0..WN * WN * 8).map(|i| (i % 251) as u8).collect();
     header(&["system", "write MiB/s", "vs baseline"]);
     let mut results = Vec::new();
-    let (mut base, mut sw, mut hw) = fresh_systems(obs);
+    let (mut base, mut sw, mut hw) = fresh_systems(art.obs());
     for sys in [
         &mut base as &mut dyn StorageFrontEnd,
         &mut sw as &mut dyn StorageFrontEnd,
@@ -210,34 +191,24 @@ fn fig_d(obs: ObsConfig, report: &mut RunReport, traces: &mut Vec<(String, Trace
             format!("{:+.0}%", (bw / baseline_bw - 1.0) * 100.0),
         ]);
     }
-    absorb_systems(report, traces, "d", (&base, &sw, &hw));
-    // 3 creates + 3 whole-matrix writes.
-    6
+    absorb_systems(art, "d", (&base, &sw, &hw));
 }
 
 fn main() {
-    let (artifacts, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
-    let obs = artifacts.obs();
-    let which = rest.first().map(String::as_str);
-    let clock = WallClock::start();
-    let mut report = RunReport::new();
-    let mut traces = Vec::new();
-    report.set_meta("bench", "fig9");
+    let (mut art, rest) = Artifacts::from_args(std::env::args().skip(1).collect());
+    art.report.set_meta("bench", "fig9");
     println!("# Fig. 9 — §7.1 microbenchmarks ({N}×{N} f64, 256×256 f64 building blocks)");
-    let commands = match which {
-        Some("a") => fig_a(obs, &mut report, &mut traces),
-        Some("b") => fig_b(obs, &mut report, &mut traces),
-        Some("c") => fig_c(obs, &mut report, &mut traces),
-        Some("d") => fig_d(obs, &mut report, &mut traces),
+    match rest.first().map(String::as_str) {
+        Some("a") => fig_a(&mut art),
+        Some("b") => fig_b(&mut art),
+        Some("c") => fig_c(&mut art),
+        Some("d") => fig_d(&mut art),
         _ => {
-            fig_a(obs, &mut report, &mut traces)
-                + fig_b(obs, &mut report, &mut traces)
-                + fig_c(obs, &mut report, &mut traces)
-                + fig_d(obs, &mut report, &mut traces)
+            fig_a(&mut art);
+            fig_b(&mut art);
+            fig_c(&mut art);
+            fig_d(&mut art);
         }
-    };
-    clock.print_rate(commands);
-    artifacts
-        .write(&report, &traces, announce_on_stderr)
-        .expect("write artifacts");
+    }
+    art.write(announce_on_stderr).expect("write artifacts");
 }

@@ -20,19 +20,17 @@
 // Figure-regeneration binaries are operator tools, not simulation
 // data path: panicking on a malformed run is the right behavior.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use nds_bench::{header, row, take_u64_flag, Artifacts, WallClock};
-use nds_sim::RunReport;
+use nds_bench::{header, row, take_u64_flag, Artifacts};
 use nds_system::{Arrival, HardwareNds, SystemConfig, TrafficEngine};
 use nds_workloads::tenants::mixed_open_closed;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (artifacts, args) = Artifacts::from_args(args);
+    let (mut artifacts, args) = Artifacts::from_args(args);
     let (tenants, args) = take_u64_flag("--tenants", 16, args);
     let (ops, args) = take_u64_flag("--ops", 32, args);
     let (seed, _args) = take_u64_flag("--seed", 42, args);
     let obs = artifacts.obs();
-    let clock = WallClock::start();
 
     let set = mixed_open_closed(seed, tenants as u32, ops);
     let sys = HardwareNds::new(SystemConfig::small_test().with_observability(obs));
@@ -54,7 +52,6 @@ fn main() {
         "depth max",
     ]);
     let mut per_tenant_bytes = Vec::new();
-    let mut total_commands = 0u64;
     for (t, spec) in set.tenants.iter().enumerate() {
         let scope = format!("tenant[{t}]");
         let arrival = match spec.arrival {
@@ -62,7 +59,6 @@ fn main() {
             Arrival::Open { mean_gap } => format!("open({} ns)", mean_gap.as_nanos()),
         };
         per_tenant_bytes.push(counter(&format!("{scope}.bytes")));
-        total_commands += counter(&format!("{scope}.commands"));
         row(&[
             t.to_string(),
             arrival,
@@ -86,20 +82,17 @@ fn main() {
          tenant jain {:.3}",
         nds_prof::jain_milli(&per_tenant_bytes) as f64 / 1000.0
     );
-    clock.print_rate(total_commands);
 
-    let full = if artifacts.wants_report() {
-        engine.full_report()
-    } else {
-        RunReport::new()
-    };
-    let traces: Vec<_> = engine
-        .trace_export()
-        .map(|export| ("tenants.hardware-nds".to_string(), export))
-        .into_iter()
-        .collect();
+    if artifacts.wants_report() {
+        artifacts.report = engine.full_report();
+    }
+    if let Some(export) = engine.trace_export() {
+        artifacts
+            .traces
+            .push(("tenants.hardware-nds".to_string(), export));
+    }
     artifacts
-        .write(&full, &traces, |what, path| {
+        .write(|what, path| {
             println!("{what} written to {}", path.display());
         })
         .expect("write artifacts");

@@ -1,5 +1,4 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared helpers for the figure-regeneration binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see `DESIGN.md` for the index):
@@ -50,22 +49,30 @@ pub fn take_u64_flag(flag: &str, default: u64, args: Vec<String>) -> (u64, Vec<S
     (value.and_then(|v| v.parse().ok()).unwrap_or(default), rest)
 }
 
-/// The artifact destinations a bench run was asked for — the one harness
-/// behind every binary's `--report`, `--trace`, `--metrics` and
-/// `--dashboard` flags (each also accepted as `--flag=<path>`).
+/// The artifact destinations a bench run was asked for, and what the run
+/// has collected for them so far — the one harness behind every binary's
+/// `--report`, `--trace`, `--metrics` and `--dashboard` flags (each also
+/// accepted as `--flag=<path>`).
 #[derive(Debug)]
 pub struct Artifacts {
     /// `--report`: the merged [`RunReport`] as deterministic JSON.
-    report: Option<PathBuf>,
+    report_path: Option<PathBuf>,
     /// `--trace`: a Chrome trace-event (Perfetto-loadable) export of the
     /// run's causal per-command traces.
-    trace: Option<PathBuf>,
+    trace_path: Option<PathBuf>,
     /// `--metrics`: the windowed-telemetry JSON
     /// ([`RunReport::metrics_json`]).
-    metrics: Option<PathBuf>,
+    metrics_path: Option<PathBuf>,
     /// `--dashboard`: the static HTML telemetry dashboard (a sibling
     /// `<stem>.data.js` is written next to it).
-    dashboard: Option<PathBuf>,
+    dashboard_path: Option<PathBuf>,
+    /// The run's merged report: what `--report`, `--metrics` and
+    /// `--dashboard` render.
+    pub report: RunReport,
+    /// The run's causal traces by label: what `--trace` renders. The label
+    /// becomes the Chrome process name, so use `"<panel>.<architecture>"`
+    /// style names.
+    pub traces: Vec<(String, TraceExport)>,
 }
 
 impl Artifacts {
@@ -78,10 +85,12 @@ impl Artifacts {
         let (metrics, args) = take_flag("--metrics", args);
         let (dashboard, args) = take_flag("--dashboard", args);
         let artifacts = Artifacts {
-            report: report.map(PathBuf::from),
-            trace: trace.map(PathBuf::from),
-            metrics: metrics.map(PathBuf::from),
-            dashboard: dashboard.map(PathBuf::from),
+            report_path: report.map(PathBuf::from),
+            trace_path: trace.map(PathBuf::from),
+            metrics_path: metrics.map(PathBuf::from),
+            dashboard_path: dashboard.map(PathBuf::from),
+            report: RunReport::new(),
+            traces: Vec::new(),
         };
         (artifacts, args)
     }
@@ -89,11 +98,11 @@ impl Artifacts {
     /// True when an artifact derived from the run's [`RunReport`] was
     /// requested (`--report`, `--metrics` or `--dashboard`).
     pub fn wants_report(&self) -> bool {
-        self.report.is_some() || self.wants_metrics()
+        self.report_path.is_some() || self.wants_metrics()
     }
 
     fn wants_metrics(&self) -> bool {
-        self.metrics.is_some() || self.dashboard.is_some()
+        self.metrics_path.is_some() || self.dashboard_path.is_some()
     }
 
     /// The observability configuration the run should build its systems
@@ -103,7 +112,7 @@ impl Artifacts {
     /// metric sampler for `--metrics`/`--dashboard`, whose standard series
     /// derive from journal events.
     pub fn obs(&self) -> ObsConfig {
-        let base = if self.trace.is_some() {
+        let base = if self.trace_path.is_some() {
             ObsConfig::traced()
         } else if self.wants_report() {
             ObsConfig::full()
@@ -117,6 +126,18 @@ impl Artifacts {
         }
     }
 
+    /// Folds a finished system into the run: its report merges into
+    /// [`report`](Self::report) under `<label>.`-prefixed names, and its
+    /// causal trace (if tracing was on) joins [`traces`](Self::traces)
+    /// under `label`.
+    pub fn absorb<S: StorageFrontEnd + ?Sized>(&mut self, label: &str, sys: &S) {
+        self.report
+            .merge_prefixed(&format!("{label}."), &sys.run_report());
+        if let Some(export) = sys.trace_export() {
+            self.traces.push((label.to_string(), export));
+        }
+    }
+
     /// Writes every requested artifact of a finished run — all
     /// byte-identical across repeated runs — calling
     /// `announce("report" | "trace", path)` after those two so each binary
@@ -125,25 +146,20 @@ impl Artifacts {
     /// # Errors
     ///
     /// I/O errors from creating or writing any file.
-    pub fn write(
-        &self,
-        report: &RunReport,
-        traces: &[(String, TraceExport)],
-        mut announce: impl FnMut(&str, &Path),
-    ) -> std::io::Result<()> {
-        if let Some(path) = &self.report {
+    pub fn write(&self, mut announce: impl FnMut(&str, &Path)) -> std::io::Result<()> {
+        if let Some(path) = &self.report_path {
             // Trailing newline, so repeated runs diff clean.
-            std::fs::write(path, report.to_json() + "\n")?;
+            std::fs::write(path, self.report.to_json() + "\n")?;
             announce("report", path);
         }
-        if let Some(path) = &self.trace {
-            std::fs::write(path, nds_prof::render(traces))?;
+        if let Some(path) = &self.trace_path {
+            std::fs::write(path, nds_prof::render(&self.traces))?;
             announce("trace", path);
         }
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, report.metrics_json())?;
+        if let Some(path) = &self.metrics_path {
+            std::fs::write(path, self.report.metrics_json())?;
         }
-        if let Some(path) = &self.dashboard {
+        if let Some(path) = &self.dashboard_path {
             // The page references the verbatim-embedded metrics JSON in a
             // sibling `<stem>.data.js` by relative name.
             let stem = path
@@ -152,7 +168,7 @@ impl Artifacts {
                 .unwrap_or("dashboard");
             let data_name = format!("{stem}.data.js");
             std::fs::write(path, nds_prof::html_page(&data_name))?;
-            let data = nds_prof::run_data_js(&report.metrics_json());
+            let data = nds_prof::run_data_js(&self.report.metrics_json());
             std::fs::write(path.with_file_name(&data_name), data)?;
         }
         Ok(())
@@ -168,58 +184,6 @@ pub fn announce_on_stderr(what: &str, path: &Path) {
         "chrome trace"
     };
     eprintln!("{what} written to {}", path.display());
-}
-
-/// Appends `sys`'s causal trace export (if tracing was on) to `traces`
-/// under `label` — the label becomes the Chrome process name, so use
-/// `"<panel>.<architecture>"` style names.
-pub fn collect_trace<S: StorageFrontEnd + ?Sized>(
-    traces: &mut Vec<(String, TraceExport)>,
-    label: &str,
-    sys: &S,
-) {
-    if let Some(export) = sys.trace_export() {
-        traces.push((label.to_string(), export));
-    }
-}
-
-/// A wall-clock stopwatch for the `commands_per_wall_second` trend line
-/// every bench binary prints. Wall time never enters modeled artifacts —
-/// it only feeds the parseable stdout summary `bench_snapshot.sh` scrapes
-/// into the BENCH trajectory.
-#[derive(Debug, Clone, Copy)]
-pub struct WallClock {
-    // nds-lint: allow(D1, wall-clock trend measurement never enters modeled time or artifacts)
-    start: std::time::Instant,
-}
-
-impl WallClock {
-    /// Starts the stopwatch.
-    #[allow(clippy::new_without_default)]
-    pub fn start() -> Self {
-        WallClock {
-            // nds-lint: allow(D1, wall-clock trend measurement never enters modeled time or artifacts)
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Whole commands simulated per elapsed wall second (0 when no time
-    /// has passed is impossible: the divisor is clamped to 1 ns).
-    pub fn commands_per_second(&self, commands: u64) -> u64 {
-        // nds-lint: allow(D1, wall-clock trend measurement never enters modeled time or artifacts)
-        let nanos = self.start.elapsed().as_nanos().max(1);
-        (u128::from(commands) * 1_000_000_000u128 / nanos) as u64
-    }
-
-    /// Prints the parseable wall-clock trend line:
-    /// `commands_per_wall_second=<rate> commands=<n>`.
-    pub fn print_rate(&self, commands: u64) {
-        println!(
-            "commands_per_wall_second={} commands={}",
-            self.commands_per_second(commands),
-            commands
-        );
-    }
 }
 
 /// Prints a markdown-ish table row.
@@ -297,17 +261,17 @@ mod tests {
     #[test]
     fn report_flag_is_stripped_wherever_it_sits() {
         let (art, rest) = artifacts(&["a", "--report", "out.json", "b"]);
-        assert_eq!(art.report.as_deref(), Some(Path::new("out.json")));
+        assert_eq!(art.report_path.as_deref(), Some(Path::new("out.json")));
         assert_eq!(rest, ["a", "b"]);
         let obs = art.obs();
-        assert!(obs.journal && !obs.tracing && !obs.metrics);
+        assert!(obs.collecting() && !obs.tracing() && !obs.metrics());
 
         let (art, rest) = artifacts(&["--report=r.json"]);
-        assert_eq!(art.report.as_deref(), Some(Path::new("r.json")));
+        assert_eq!(art.report_path.as_deref(), Some(Path::new("r.json")));
         assert!(rest.is_empty());
 
         let (art, rest) = artifacts(&["c"]);
-        assert!(art.report.is_none() && !art.wants_report());
+        assert!(art.report_path.is_none() && !art.wants_report());
         assert_eq!(rest, ["c"]);
         assert!(!art.obs().any_enabled());
     }
@@ -315,29 +279,32 @@ mod tests {
     #[test]
     fn trace_flag_enables_tracing() {
         let (art, rest) = artifacts(&["a", "--trace", "t.json", "b"]);
-        assert_eq!(art.trace.as_deref(), Some(Path::new("t.json")));
+        assert_eq!(art.trace_path.as_deref(), Some(Path::new("t.json")));
         assert_eq!(rest, ["a", "b"]);
         let obs = art.obs();
-        assert!(obs.tracing && obs.journal && obs.timelines);
+        assert!(obs.tracing() && obs.collecting());
         assert!(!art.wants_report(), "a trace alone needs no report");
     }
 
     #[test]
     fn metrics_and_dashboard_flags_enable_the_sampler() {
         let (art, rest) = artifacts(&["--metrics", "m.json", "x"]);
-        assert_eq!(art.metrics.as_deref(), Some(Path::new("m.json")));
+        assert_eq!(art.metrics_path.as_deref(), Some(Path::new("m.json")));
         assert_eq!(rest, ["x"]);
         let obs = art.obs();
-        assert!(obs.metrics && obs.journal, "metrics ride on full obs");
+        assert!(
+            obs.metrics() && obs.collecting(),
+            "metrics ride on full obs"
+        );
         assert!(art.wants_report());
 
         let (art, _) = artifacts(&["--dashboard=d.html"]);
-        assert_eq!(art.dashboard.as_deref(), Some(Path::new("d.html")));
-        assert!(art.obs().metrics);
+        assert_eq!(art.dashboard_path.as_deref(), Some(Path::new("d.html")));
+        assert!(art.obs().metrics());
 
         let (art, _) = artifacts(&["--trace", "t.json", "--metrics", "m.json"]);
         let obs = art.obs();
-        assert!(obs.metrics && obs.tracing);
+        assert!(obs.metrics() && obs.tracing());
     }
 
     #[test]
@@ -350,13 +317,6 @@ mod tests {
         assert_eq!(take_u64_flag("--ops", 9, args(&["--ops=5"])).0, 5);
         assert_eq!(take_u64_flag("--ops", 9, args(&["--ops", "many"])).0, 9);
         assert_eq!(take_u64_flag("--ops", 9, args(&["y"])), (9, args(&["y"])));
-    }
-
-    #[test]
-    fn wall_clock_rate_is_finite_and_parseable() {
-        let clock = WallClock::start();
-        let rate = clock.commands_per_second(1000);
-        assert!(rate > 0, "clamped divisor keeps the rate positive");
     }
 
     #[test]

@@ -112,12 +112,12 @@ impl FlashDevice {
     }
 
     /// Applies an observability configuration: journal + histograms on the
-    /// device, and (when `timelines` is set) busy-time sampling on every
+    /// device, and (when it is collecting) busy-time sampling on every
     /// channel and bank resource. Hooks stay one-branch no-ops while
     /// everything is disabled.
     pub fn configure_observability(&mut self, config: &ObsConfig) {
         self.obs.configure(config);
-        if config.timelines {
+        if config.collecting() {
             self.channels
                 .enable_timelines(TIMELINE_WINDOW, TIMELINE_BUCKETS);
             self.banks
@@ -507,15 +507,6 @@ impl FlashDevice {
     /// reads while transfers serialize on the channel bus — the pipelining
     /// the paper exploits for building-block accesses.
     pub fn schedule_reads(&mut self, pages: &[PageAddr], ready: SimTime) -> SimTime {
-        self.schedule_reads_detailed(pages, ready)
-            .into_iter()
-            .fold(ready, SimTime::max)
-    }
-
-    /// Like [`schedule_reads`](Self::schedule_reads) but returns the
-    /// completion instant of every page, in input order — used by assembly
-    /// models that start work as soon as individual pages land.
-    pub fn schedule_reads_detailed(&mut self, pages: &[PageAddr], ready: SimTime) -> Vec<SimTime> {
         let transfer = self
             .config
             .timing
@@ -535,7 +526,7 @@ impl FlashDevice {
                     .latency("flash.read_page", end.saturating_since(ready));
                 end
             })
-            .collect()
+            .fold(ready, SimTime::max)
     }
 
     /// Schedules a batch of page programs and returns the batch completion

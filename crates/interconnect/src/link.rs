@@ -118,11 +118,11 @@ impl Link {
     }
 
     /// Applies an observability configuration: journal + histograms on the
-    /// link, and (when `timelines` is set) busy-time sampling on the wire.
+    /// link, and (when it is collecting) busy-time sampling on the wire.
     /// Hooks stay one-branch no-ops while everything is disabled.
     pub fn configure_observability(&mut self, config: &ObsConfig) {
         self.obs.configure(config);
-        if config.timelines {
+        if config.collecting() {
             self.wire.enable_timeline(TIMELINE_WINDOW, TIMELINE_BUCKETS);
         }
     }
@@ -194,9 +194,23 @@ impl Link {
     pub fn transfer(&mut self, bytes: u64, ready: SimTime) -> SimTime {
         self.stats.add("link.commands", 1);
         self.stats.add("link.bytes", bytes);
-        let done = self.wire.acquire(ready, self.occupancy(bytes));
         self.obs
             .event(ready, LINK_COMPONENT, || EventKind::CommandIssued { bytes });
+        self.complete(bytes, ready, ready, self.occupancy(bytes))
+    }
+
+    /// The shared tail of every command: holds the wire for `occupancy`
+    /// from `start`, journals the completion, and records the latency from
+    /// `ready` (the issue instant — earlier than `start` after retries).
+    #[inline]
+    fn complete(
+        &mut self,
+        bytes: u64,
+        ready: SimTime,
+        start: SimTime,
+        occupancy: SimDuration,
+    ) -> SimTime {
+        let done = self.wire.acquire(start, occupancy);
         self.obs
             .event(done, LINK_COMPONENT, || EventKind::CommandCompleted {
                 bytes,
@@ -237,16 +251,7 @@ impl Link {
             None => (LinkFault::None, 0, nds_sim::SimDuration::from_nanos(0)),
         };
         let (failures, mode, fault_kind) = match decision {
-            LinkFault::None => {
-                let done = self.wire.acquire(ready, occupancy);
-                self.obs
-                    .event(done, LINK_COMPONENT, || EventKind::CommandCompleted {
-                        bytes,
-                    });
-                self.obs
-                    .latency("link.command", done.saturating_since(ready));
-                return Ok(done);
-            }
+            LinkFault::None => return Ok(self.complete(bytes, ready, ready, occupancy)),
             LinkFault::Timeout { failures } => (failures, "faults.link_timeouts", "link.timeout"),
             LinkFault::DroppedCompletion { failures } => {
                 (failures, "faults.link_drops", "link.drop")
@@ -279,32 +284,18 @@ impl Link {
             });
         }
         self.stats.add("faults.recovered", 1);
-        let done = self.wire.acquire(at, occupancy);
-        self.obs
-            .event(done, LINK_COMPONENT, || EventKind::CommandCompleted {
-                bytes,
-            });
-        self.obs
-            .latency("link.command", done.saturating_since(ready));
-        Ok(done)
+        Ok(self.complete(bytes, ready, at, occupancy))
     }
 
     /// Schedules a zero-payload command (e.g. `open_space`), charging only
     /// the per-command overhead.
     pub fn control_command(&mut self, ready: SimTime) -> SimTime {
         self.stats.add("link.commands", 1);
-        let done = self.wire.acquire(ready, self.config.per_command);
         self.obs
             .event(ready, LINK_COMPONENT, || EventKind::CommandIssued {
                 bytes: 0,
             });
-        self.obs
-            .event(done, LINK_COMPONENT, || EventKind::CommandCompleted {
-                bytes: 0,
-            });
-        self.obs
-            .latency("link.command", done.saturating_since(ready));
-        done
+        self.complete(0, ready, ready, self.config.per_command)
     }
 
     /// The instant the wire drains all committed transfers.

@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nds_lint::baseline::{compare, Baseline, Drift};
+use nds_lint::baseline::{compare, json_escape, Baseline, Drift};
 use nds_lint::{counts_of, existing_files, lint_workspace, FileCounts, Rule, Violation};
 
 struct Options {
@@ -113,21 +113,6 @@ fn print_summary(violations: &[Violation]) {
             );
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The machine-readable report `--json` writes: every violation plus

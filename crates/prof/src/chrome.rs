@@ -54,9 +54,11 @@ const THREADS: [(u32, &str); 6] = [
     (TID_SPANS, "spans"),
 ];
 
-/// Escapes the two JSON-significant characters that can appear in labels.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `s` as a quoted JSON string literal.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    nds_sim::push_json_string(&mut out, s);
+    out
 }
 
 /// Nanoseconds as a microsecond JSON number with three exact decimals.
@@ -132,9 +134,9 @@ fn pair_events(events: &[Event]) -> Pairing {
 /// One complete (`ph: "X"`) slice. `extra` is appended inside `args`.
 fn x_line(pid: usize, tid: u32, name: &str, start_ns: u64, dur_ns: u64, extra: &str) -> String {
     format!(
-        "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
+        "{{\"name\":{},\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
          \"args\":{{\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}{extra}}}}}",
-        esc(name),
+        quoted(name),
         micros(start_ns),
         micros(dur_ns),
     )
@@ -143,9 +145,9 @@ fn x_line(pid: usize, tid: u32, name: &str, start_ns: u64, dur_ns: u64, extra: &
 /// One instant (`ph: "i"`, thread scope) marker.
 fn i_line(pid: usize, tid: u32, name: &str, at_ns: u64, extra: &str) -> String {
     format!(
-        "{{\"name\":\"{}\",\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
+        "{{\"name\":{},\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
          \"args\":{{\"at_ns\":{at_ns}{extra}}}}}",
-        esc(name),
+        quoted(name),
         micros(at_ns),
     )
 }
@@ -153,8 +155,8 @@ fn i_line(pid: usize, tid: u32, name: &str, at_ns: u64, extra: &str) -> String {
 fn emit_system(lines: &mut Vec<String>, pid: usize, name: &str, export: &TraceExport) {
     lines.push(format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        esc(name)
+         \"args\":{{\"name\":{}}}}}",
+        quoted(name)
     ));
     for (tid, tname) in THREADS {
         lines.push(format!(
@@ -259,7 +261,7 @@ fn emit_system(lines: &mut Vec<String>, pid: usize, name: &str, export: &TraceEx
                 instant.args(|key, value| {
                     let _ = match value {
                         ArgValue::U64(n) => write!(extra, ",\"{key}\":{n}"),
-                        ArgValue::Str(s) => write!(extra, ",\"{key}\":\"{}\"", esc(s)),
+                        ArgValue::Str(s) => write!(extra, ",\"{key}\":{}", quoted(s)),
                     };
                 });
                 let tid = instant_tid(ev.component);
@@ -291,8 +293,8 @@ fn summary_line(name: &str, pid: usize, export: &TraceExport) -> String {
         .filter(|e| matches!(e.kind, EventKind::TraceBegin { .. }))
         .count();
     let mut s = format!(
-        "{{\"name\":\"{}\",\"pid\":{pid},\"makespan_ns\":{makespan_ns},\"commands\":{commands}",
-        esc(name)
+        "{{\"name\":{},\"pid\":{pid},\"makespan_ns\":{makespan_ns},\"commands\":{commands}",
+        quoted(name)
     );
     for (key, lanes) in [("channels", &export.channels), ("banks", &export.banks)] {
         s.push_str(&format!(",\"{key}\":["));
@@ -302,8 +304,8 @@ fn summary_line(name: &str, pid: usize, export: &TraceExport) -> String {
             }
             let busy_ns = busy.as_nanos();
             s.push_str(&format!(
-                "{{\"name\":\"{}\",\"busy_ns\":{busy_ns}}}",
-                esc(lane)
+                "{{\"name\":{},\"busy_ns\":{busy_ns}}}",
+                quoted(lane)
             ));
         }
         s.push(']');

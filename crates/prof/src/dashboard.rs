@@ -3,17 +3,11 @@
 //! Two artifacts make a dashboard: a byte-fixed HTML page (this module's
 //! [`html_page`]) and a sibling `data.js` the page loads with a relative
 //! `<script src>`. The `data.js` wraps an existing deterministic JSON
-//! artifact **verbatim** in a `const` declaration:
-//!
-//! * [`run_data_js`] wraps a run's `--metrics` JSON
-//!   ([`RunReport::metrics_json`](nds_sim::RunReport::metrics_json)) as
-//!   `const RUN = …;` — the page plots every windowed series over modeled
-//!   time with fault/failover marks as vertical markers.
-//! * [`trajectory_data_js`] wraps `BENCH_stl.json` (the per-commit bench
-//!   trajectory from `scripts/bench_snapshot.sh`, including the
-//!   `commands_per_wall_second` wall-clock records) as
-//!   `const TRAJECTORY = …;` — the page plots each named record across
-//!   commits, the per-commit regression view.
+//! artifact **verbatim** in a `const` declaration: [`run_data_js`] wraps a
+//! run's `--metrics` JSON
+//! ([`RunReport::metrics_json`](nds_sim::RunReport::metrics_json)) as
+//! `const RUN = …;` — the page plots every windowed series over modeled
+//! time with fault/failover marks as vertical markers.
 //!
 //! The page itself is a single fixed string: no network fetches, no
 //! external assets, no dependencies, and no timestamps — rendering the
@@ -32,20 +26,9 @@ pub fn run_data_js(metrics_json: &str) -> String {
     out
 }
 
-/// Wraps a bench-trajectory JSON (`BENCH_stl.json`) verbatim as the
-/// dashboard's `data.js` for the per-commit regression view.
-pub fn trajectory_data_js(bench_json: &str) -> String {
-    let mut out = String::with_capacity(bench_json.len() + 32);
-    out.push_str("const TRAJECTORY = ");
-    out.push_str(bench_json.trim_end());
-    out.push_str(";\n");
-    out
-}
-
 /// The self-contained dashboard page, loading its data from `data_src`
-/// (a relative path to the sibling `data.js`). The page renders whichever
-/// global the data file declares: `RUN` (windowed series + marks) or
-/// `TRAJECTORY` (per-commit bench records).
+/// (a relative path to the sibling `data.js`). The page renders the `RUN`
+/// global the data file declares (windowed series + marks).
 pub fn html_page(data_src: &str) -> String {
     TEMPLATE.replace("__DATA_SRC__", &escape_attr(data_src))
 }
@@ -211,40 +194,11 @@ svg { background: #fff; border: 1px solid #ddd; }
     }
   }
 
-  function renderTrajectory(tr) {
-    var snaps = tr.trajectory || [];
-    root.appendChild(el("div", { "class": "meta" },
-      "bench = " + (tr.bench || "?") + "\ncommits = " + snaps.length));
-    var byName = {};
-    var order = [];
-    var i, j;
-    for (i = 0; i < snaps.length; i++) {
-      var records = snaps[i].records || [];
-      for (j = 0; j < records.length; j++) {
-        var r = records[j];
-        if (!byName[r.name]) { byName[r.name] = { unit: r.unit, direction: r.direction, points: [] }; }
-        byName[r.name].points.push({ x: i, y: r.value });
-        if (order.indexOf(r.name) < 0) { order.push(r.name); }
-      }
-    }
-    order.sort();
-    for (i = 0; i < order.length; i++) {
-      var e = byName[order[i]];
-      var last = e.points.length ? e.points[e.points.length - 1].y : 0;
-      var div = section(order[i],
-        (e.direction === "larger-is-better" ? "↑" : "↓") + " " +
-        fmt(last) + " " + (e.unit || ""));
-      div.appendChild(chart(e.points, [], "#27a"));
-    }
-  }
-
   if (typeof RUN !== "undefined") {
     renderRun(RUN);
-  } else if (typeof TRAJECTORY !== "undefined") {
-    renderTrajectory(TRAJECTORY);
   } else {
     root.appendChild(el("div", { "class": "health bad" },
-      "no data: data.js defined neither RUN nor TRAJECTORY"));
+      "no data: data.js did not define RUN"));
   }
 })();
 </script>
@@ -264,8 +218,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.starts_with("const RUN = {"));
         assert!(a.ends_with("};\n"));
-        let t = trajectory_data_js("{\"bench\": \"stl\"}");
-        assert_eq!(t, "const TRAJECTORY = {\"bench\": \"stl\"};\n");
     }
 
     #[test]
@@ -277,7 +229,10 @@ mod tests {
         assert!(!page.contains("fetch("), "no network fetches");
         assert!(!page.contains("XMLHttpRequest"), "no network fetches");
         assert!(page.contains("renderRun"));
-        assert!(page.contains("renderTrajectory"));
+        assert!(
+            !page.to_lowercase().contains("trajectory"),
+            "the page renders runs only; benchmark/ is the per-commit scoreboard"
+        );
     }
 
     #[test]

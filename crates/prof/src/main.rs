@@ -1,29 +1,19 @@
 //! `nds-prof` — the critical-path profiler CLI.
 //!
-//! Usage:
-//!
-//! * `nds-prof <trace.json>` — analyze a causal trace written by a bench
-//!   binary's `--trace <path>` flag (see EXPERIMENTS.md). Prints
-//!   per-system attribution, quantiles, and channel-parallelism metrics,
-//!   then a cross-system comparison. Exits with status 1 if any command
-//!   violates the attribution invariant (stage spans must sum exactly to
-//!   end-to-end latency), status 2 on usage or parse errors.
-//! * `nds-prof dashboard <BENCH_stl.json> <out.html>` — render the bench
-//!   trajectory (including `commands_per_wall_second`) as the per-commit
-//!   regression dashboard: a static `out.html` plus a sibling
-//!   `<out>.data.js`, both byte-deterministic.
+//! Usage: `nds-prof <trace.json>` — analyze a causal trace written by a
+//! bench binary's `--trace <path>` flag (see EXPERIMENTS.md). Prints
+//! per-system attribution, quantiles, and channel-parallelism metrics,
+//! then a cross-system comparison. Exits with status 1 if any command
+//! violates the attribution invariant (stage spans must sum exactly to
+//! end-to-end latency), status 2 on usage or parse errors.
 
-use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     // nds-lint: allow(D1, operator CLI entry point reads its own argv)
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("dashboard") {
-        return render_dashboard(args.get(1..).unwrap_or_default());
-    }
     let Some(path) = args.first() else {
-        eprintln!("usage: nds-prof <trace.json> | nds-prof dashboard <BENCH_stl.json> <out.html>");
+        eprintln!("usage: nds-prof <trace.json>");
         return ExitCode::from(2);
     };
     let text = match std::fs::read_to_string(path) {
@@ -45,40 +35,6 @@ fn main() -> ExitCode {
     if analyses.iter().any(|a| !a.violations.is_empty()) {
         eprintln!("nds-prof: attribution invariant VIOLATED");
         return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// `dashboard <BENCH_stl.json> <out.html>`: writes the trajectory page
-/// and its sibling `<out stem>.data.js`.
-fn render_dashboard(args: &[String]) -> ExitCode {
-    let (Some(input), Some(output)) = (args.first(), args.get(1)) else {
-        eprintln!("usage: nds-prof dashboard <BENCH_stl.json> <out.html>");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(input) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("nds-prof: cannot read {input}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let out_path = Path::new(output);
-    let stem = out_path
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("dashboard");
-    let data_name = format!("{stem}.data.js");
-    let data_path = out_path.with_file_name(&data_name);
-    let page = nds_prof::html_page(&data_name);
-    let data = nds_prof::trajectory_data_js(&text);
-    if let Err(e) = std::fs::write(out_path, page) {
-        eprintln!("nds-prof: cannot write {output}: {e}");
-        return ExitCode::from(2);
-    }
-    if let Err(e) = std::fs::write(&data_path, data) {
-        eprintln!("nds-prof: cannot write {}: {e}", data_path.display());
-        return ExitCode::from(2);
     }
     ExitCode::SUCCESS
 }

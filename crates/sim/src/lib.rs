@@ -42,10 +42,10 @@ mod stats;
 mod time;
 
 pub use obs::{
-    record_command_partition, ArgValue, BusyTimeline, CommandTracer, ComponentId, Event, EventKind,
-    Histograms, Journal, JournalSummary, LatencyHistogram, Mark, MetricSet, ObsConfig,
-    Observability, RunReport, SeriesKind, SeriesSnapshot, TimelineSnapshot, TraceContext,
-    TraceExport, TraceStage, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    push_json_string, record_command_partition, ArgValue, BusyTimeline, CommandTracer, ComponentId,
+    Event, EventKind, Histograms, Journal, JournalSummary, LatencyHistogram, Mark, MetricSet,
+    ObsConfig, Observability, RunReport, SeriesKind, SeriesSnapshot, TimelineSnapshot,
+    TraceContext, TraceExport, TraceStage, TIMELINE_BUCKETS, TIMELINE_WINDOW,
 };
 pub use resource::{Resource, ResourceSet};
 pub use stats::Stats;

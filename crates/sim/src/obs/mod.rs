@@ -1029,32 +1029,26 @@ impl TimelineSnapshot {
 /// Configuration for the observability layer, threaded through
 /// `SystemConfig` into every timing component. Everything defaults to
 /// off; the disabled layer costs one branch per hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Record typed events into component journals.
-    pub journal: bool,
-    /// Record latency histograms.
-    pub histograms: bool,
-    /// Sample per-resource busy-time timelines
-    /// ([`TIMELINE_WINDOW`] × [`TIMELINE_BUCKETS`]).
-    pub timelines: bool,
-    /// Thread causal per-command trace ids through the journals
-    /// (front-ends allocate a [`CommandTracer`] when set; journal rings
-    /// grow to hold a figure-scale run's full traces).
-    pub tracing: bool,
-    /// Collect windowed per-window metric series and event marks
-    /// ([`MetricSet`]), sharing the timeline window width and bucket cap.
-    pub metrics: bool,
+    level: ObsLevel,
+    metrics: bool,
+}
+
+/// What the journals, histograms and busy-time timelines record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum ObsLevel {
+    #[default]
+    Off,
+    Full,
+    Traced,
 }
 
 impl ObsConfig {
     /// Everything off (the default): hooks cost one branch each.
     pub const fn disabled() -> Self {
         ObsConfig {
-            journal: false,
-            histograms: false,
-            timelines: false,
-            tracing: false,
+            level: ObsLevel::Off,
             metrics: false,
         }
     }
@@ -1063,10 +1057,8 @@ impl ObsConfig {
     /// Tracing stays off (it adds trace/stage events to the journal).
     pub const fn full() -> Self {
         ObsConfig {
-            journal: true,
-            histograms: true,
-            timelines: true,
-            ..ObsConfig::disabled()
+            level: ObsLevel::Full,
+            metrics: false,
         }
     }
 
@@ -1074,8 +1066,8 @@ impl ObsConfig {
     /// rings sized to retain full traces of a figure-scale run.
     pub const fn traced() -> Self {
         ObsConfig {
-            tracing: true,
-            ..ObsConfig::full()
+            level: ObsLevel::Traced,
+            metrics: false,
         }
     }
 
@@ -1085,15 +1077,27 @@ impl ObsConfig {
         self
     }
 
+    /// True if journals, histograms and per-resource busy-time timelines
+    /// ([`TIMELINE_WINDOW`] × [`TIMELINE_BUCKETS`]) record.
+    pub const fn collecting(&self) -> bool {
+        !matches!(self.level, ObsLevel::Off)
+    }
+
+    /// True if commands carry causal trace ids: `collecting`, plus a
+    /// [`CommandTracer`] per front-end and figure-scale journal rings.
+    pub const fn tracing(&self) -> bool {
+        matches!(self.level, ObsLevel::Traced)
+    }
+
+    /// True if the windowed [`MetricSet`] sampler (series and event marks)
+    /// runs, sharing the timeline window width and bucket cap.
+    pub const fn metrics(&self) -> bool {
+        self.metrics
+    }
+
     /// True if any collector is enabled.
     pub const fn any_enabled(&self) -> bool {
-        self.journal || self.histograms || self.timelines || self.metrics
-    }
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig::disabled()
+        self.collecting() || self.metrics
     }
 }
 
@@ -1116,21 +1120,18 @@ impl Observability {
     /// tracing is on), flips histogram recording, and replaces the metric
     /// sampler.
     pub fn configure(&mut self, config: &ObsConfig) {
-        let capacity = if config.tracing {
+        let capacity = if config.tracing() {
             TRACED_JOURNAL_CAPACITY
         } else {
             DEFAULT_JOURNAL_CAPACITY
         };
-        self.journal = if config.journal {
-            Journal::enabled(capacity)
-        } else {
-            Journal::disabled(capacity)
-        };
-        self.histograms.set_enabled(config.histograms);
-        if !config.histograms {
+        self.journal = Journal::disabled(capacity);
+        self.journal.set_enabled(config.collecting());
+        self.histograms.set_enabled(config.collecting());
+        if !config.collecting() {
             self.histograms.clear();
         }
-        self.metrics = if config.metrics {
+        self.metrics = if config.metrics() {
             MetricSet::enabled(TIMELINE_WINDOW, TIMELINE_BUCKETS)
         } else {
             MetricSet::disabled()
@@ -1588,7 +1589,8 @@ fn push_u64(out: &mut String, value: u64) {
     let _ = write!(out, "{value}");
 }
 
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted, escaped JSON string literal.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -1816,6 +1818,34 @@ mod tests {
         obs.configure(&ObsConfig::disabled());
         assert!(!obs.is_enabled());
         assert!(obs.journal().is_empty(), "configure resets the journal");
+    }
+
+    #[test]
+    fn obs_config_states_and_what_configure_makes_of_them() {
+        // Every reachable state: (config, collecting, tracing, metrics).
+        let table = [
+            (ObsConfig::disabled(), false, false, false),
+            (ObsConfig::full(), true, false, false),
+            (ObsConfig::traced(), true, true, false),
+            (ObsConfig::disabled().with_metrics(), false, false, true),
+            (ObsConfig::full().with_metrics(), true, false, true),
+            (ObsConfig::traced().with_metrics(), true, true, true),
+        ];
+        for (config, collecting, tracing, metrics) in table {
+            assert_eq!(config.collecting(), collecting, "{config:?}");
+            assert_eq!(config.tracing(), tracing, "{config:?}");
+            assert_eq!(config.metrics(), metrics, "{config:?}");
+            assert_eq!(config.any_enabled(), collecting || metrics, "{config:?}");
+
+            let mut obs = Observability::disabled();
+            obs.configure(&config);
+            assert_eq!(obs.journal().is_enabled(), collecting, "{config:?}");
+            assert_eq!(obs.histograms().is_enabled(), collecting, "{config:?}");
+            assert_eq!(obs.metrics().is_enabled(), metrics, "{config:?}");
+            let ring = if tracing { 1 << 16 } else { 4096 };
+            assert_eq!(obs.journal.capacity, ring, "{config:?}");
+        }
+        assert_eq!(ObsConfig::default(), ObsConfig::disabled());
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl BaselineSystem {
     /// order, where `wire_bytes` is the requested volume rounded up to
     /// 512-byte NVMe sectors — the device senses whole pages internally but
     /// transfers only the requested sectors across the link.
-    fn commands_for(&self, ds: &Dataset, extents: &[Extent]) -> Vec<(u64, u64, u64)> {
+    fn commands_for(&self, extents: &[Extent]) -> Vec<(u64, u64, u64)> {
         const SECTOR: u64 = 512;
         let ps = self.page_size();
         let mut commands: Vec<(u64, u64, u64)> = Vec::new();
@@ -157,7 +157,6 @@ impl BaselineSystem {
             }
             commands.push((first, last - first + 1, sector_bytes.max(SECTOR)));
         }
-        let _ = ds;
         commands
     }
 
@@ -253,7 +252,7 @@ impl StorageFrontEnd for BaselineSystem {
         // Build per-page images (read-modify-write at the edges) and write
         // through the FTL.
         let ps = self.page_size();
-        let commands = self.commands_for(&ds, &extents);
+        let commands = self.commands_for(&extents);
         let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for e in &extents {
             let mut off = e.dataset_off;
@@ -288,8 +287,7 @@ impl StorageFrontEnd for BaselineSystem {
 
         // Link and submission costs per command.
         let mut link_end = SimTime::ZERO;
-        for &(first, count, _wire) in &commands {
-            let _ = first;
+        for &(_first, count, _wire) in &commands {
             // Writes carry whole pages (the controller cannot
             // read-modify-write sectors it never received).
             link_end = self.life.link.try_transfer(count * ps, SimTime::ZERO)?;
@@ -344,7 +342,7 @@ impl StorageFrontEnd for BaselineSystem {
         let ctx = self.life.open_scope(&mut self.ftl);
 
         let ps = self.page_size();
-        let commands = self.commands_for(&ds, &extents);
+        let commands = self.commands_for(&extents);
         // DMA streams pages to the host as they come off the channels, so
         // the link transfer overlaps the device batch: it can start once the
         // first page has been sensed and transferred internally.

@@ -424,7 +424,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let devices = (0..n)
             .map(|i| {
                 let mut busy = Resource::new(format!("cluster.device[{i}]"));
-                if config.obs.timelines {
+                if config.obs.collecting() {
                     busy.enable_timeline(TIMELINE_WINDOW, TIMELINE_BUCKETS);
                 }
                 DeviceSlot {

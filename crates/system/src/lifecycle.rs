@@ -87,7 +87,7 @@ impl Lifecycle {
             link,
             obs,
             stats: Stats::new(),
-            tracer: config.obs.tracing.then(CommandTracer::new),
+            tracer: config.obs.tracing().then(CommandTracer::new),
         }
     }
 

@@ -370,12 +370,12 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         })
     }
 
-    /// Enables the engine's own windowed telemetry when `config.metrics`
-    /// is set. The sampler runs on the engine's absolute clock — no epoch
+    /// Enables the engine's own windowed telemetry when `config.metrics()`
+    /// holds. The sampler runs on the engine's absolute clock — no epoch
     /// folding — and is observe-only: it never influences admission or
     /// scheduling.
     pub fn configure_metrics(&mut self, config: &ObsConfig) {
-        self.metrics = if config.metrics {
+        self.metrics = if config.metrics() {
             MetricSet::enabled(TIMELINE_WINDOW, TIMELINE_BUCKETS)
         } else {
             MetricSet::disabled()

@@ -57,7 +57,7 @@ fn read_full(sys: &mut impl StorageFrontEnd, id: DatasetId, shape: &Shape) -> Ve
 /// The mixed write/read workload both runs of a differential pair execute:
 /// a fixed cycle of aligned partition requests over one dataset, payloads
 /// seeded per op. Returns the host-side model of the final contents and
-/// the number of front-end ops issued.
+/// the application bytes the front-end reported moving (writes + reads).
 fn run_workload(
     sys: &mut impl StorageFrontEnd,
     id: DatasetId,
@@ -82,7 +82,7 @@ fn run_workload(
         (vec![2, 8], vec![0, 0]),
     ];
 
-    let mut issued = 0u64;
+    let mut moved = 0u64;
     let mut buf = Vec::new();
     for op in 0..ops {
         let (sub, coord) =
@@ -96,6 +96,7 @@ fn run_workload(
                 .write(id, shape, coord, sub, &data)
                 .expect("acked write");
             assert_eq!(out.bytes, data.len() as u64);
+            moved += out.bytes;
             apply_model(&mut model, shape, coord, sub, &data, esize);
         } else {
             // Read: must match the model exactly.
@@ -103,6 +104,7 @@ fn run_workload(
                 .read_into(id, shape, coord, sub, &mut buf)
                 .expect("read");
             assert_eq!(m.bytes as usize, buf.len());
+            moved += m.bytes;
             let region = Region::from_request(shape, coord, sub).expect("request");
             region.for_each_run(shape, |b, linear, len| {
                 let got = &buf[b as usize * esize..(b + len) as usize * esize];
@@ -110,9 +112,8 @@ fn run_workload(
                 assert_eq!(got, want, "read diverged from model at op {op}");
             });
         }
-        issued += 1;
     }
-    (model, issued)
+    (model, moved)
 }
 
 fn hardware_cluster(cfg: ClusterConfig) -> NdsCluster<HardwareNds> {
@@ -189,7 +190,7 @@ fn device_kill_loses_no_acknowledged_writes() {
     let gid = golden
         .create_dataset(shape.clone(), ElementType::F32)
         .expect("golden create");
-    let (gmodel, _) = run_workload(&mut golden, gid, &shape, ops, seed);
+    let (gmodel, gmoved) = run_workload(&mut golden, gid, &shape, ops, seed);
     let gfinal = read_full(&mut golden, gid, &shape);
     assert_eq!(gfinal, gmodel, "golden final contents match the model");
 
@@ -200,10 +201,14 @@ fn device_kill_loses_no_acknowledged_writes() {
         .create_dataset(shape.clone(), ElementType::F32)
         .expect("faulted create");
     assert_eq!(gid, fid);
-    let (fmodel, _) = run_workload(&mut faulted, fid, &shape, ops, seed);
+    let (fmodel, fmoved) = run_workload(&mut faulted, fid, &shape, ops, seed);
     let ffinal = read_full(&mut faulted, fid, &shape);
 
     assert_eq!(fmodel, gmodel, "same acknowledged-write set");
+    assert_eq!(
+        fmoved, gmoved,
+        "the degraded run moved different app bytes than the healthy one"
+    );
     assert_eq!(
         ffinal, gfinal,
         "recovered contents must be byte-identical to the golden run"

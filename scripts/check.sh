@@ -54,6 +54,13 @@ if [[ "${1:-}" != "--no-test" ]]; then
     trap 'rm -f "$digest_err"' EXIT
     scripts/artifact_digest.sh > /dev/null 2>"$digest_err" \
         || { cat "$digest_err" >&2; exit 1; }
+
+    # The repo benchmark builds against its own committed lock file (the
+    # first thing benchmark/run.sh does): adding or removing a dependency of
+    # a crate that lock lists, or breaking an item benchmark/src names,
+    # fails here instead of in the pipeline.
+    echo "== locked benchmark build (benchmark/Cargo.lock)"
+    cargo build --quiet --release --offline --locked --manifest-path benchmark/Cargo.toml
 fi
 
 echo "check.sh: all green"
