@@ -109,6 +109,8 @@ pub trait NvmBackend {
     ///
     /// Plain backends return a borrowed slice; transforming backends
     /// (encryption, compression — §5.3.3/§5.3.4) return an owned buffer.
+    /// This is the STL assembly hot path: each distinct unit of a block
+    /// cover is fetched exactly once per request through this call.
     fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>>;
 
     /// Writes a unit's contents (exactly `unit_bytes` bytes). Takes a
@@ -120,31 +122,6 @@ pub trait NvmBackend {
     /// Implementations may panic if `data` is not exactly one unit or the
     /// handle was not allocated.
     fn write_unit(&mut self, loc: UnitLocation, data: &[u8]);
-
-    /// Reads a batch of units, one result slot per requested location
-    /// (`None` for never-written/released handles, like
-    /// [`read_unit`](Self::read_unit)).
-    ///
-    /// The default forwards to `read_unit` per location; backends with
-    /// cheaper bulk paths (one map traversal, vectorized device commands)
-    /// override it. This is the STL assembly hot path: each distinct unit of
-    /// a block cover is fetched exactly once per request through this call.
-    fn read_units(&self, locs: &[UnitLocation]) -> Vec<Option<Cow<'_, [u8]>>> {
-        locs.iter().map(|&loc| self.read_unit(loc)).collect()
-    }
-
-    /// Writes a batch of units (each slice exactly `unit_bytes` bytes).
-    ///
-    /// The default forwards to [`write_unit`](Self::write_unit) per entry.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as `write_unit`, per entry.
-    fn write_units(&mut self, writes: &[(UnitLocation, &[u8])]) {
-        for &(loc, data) in writes {
-            self.write_unit(loc, data);
-        }
-    }
 }
 
 /// A heap-backed [`NvmBackend`] for tests and for host-resident STL
@@ -257,14 +234,6 @@ impl NvmBackend for MemBackend {
             }
         }
     }
-
-    fn read_units(&self, locs: &[UnitLocation]) -> Vec<Option<Cow<'_, [u8]>>> {
-        // One pass over the request; each lookup borrows straight from the
-        // stored image (no per-unit allocation).
-        locs.iter()
-            .map(|loc| self.data.get(loc).map(|v| Cow::Borrowed(v.as_slice())))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -325,29 +294,6 @@ mod tests {
         let mut b = backend();
         let loc = b.alloc_unit(0, 0).unwrap();
         b.write_unit(loc, &[0; 15]);
-    }
-
-    #[test]
-    fn batch_reads_mirror_single_reads() {
-        let mut b = backend();
-        let written = b.alloc_unit(0, 0).unwrap();
-        let empty = b.alloc_unit(0, 1).unwrap();
-        b.write_unit(written, &[7; 16]);
-        let batch = b.read_units(&[written, empty, written]);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0].as_deref(), Some(&[7u8; 16][..]));
-        assert!(batch[1].is_none());
-        assert_eq!(batch[2].as_deref(), Some(&[7u8; 16][..]));
-    }
-
-    #[test]
-    fn batch_writes_mirror_single_writes() {
-        let mut b = backend();
-        let x = b.alloc_unit(1, 0).unwrap();
-        let y = b.alloc_unit(1, 1).unwrap();
-        b.write_units(&[(x, &[1; 16]), (y, &[2; 16])]);
-        assert_eq!(b.read_unit(x).unwrap()[0], 1);
-        assert_eq!(b.read_unit(y).unwrap()[0], 2);
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl LocatorTree {
     pub fn get_or_insert(&mut self, coord: &[u64]) -> &mut BlockEntry {
         self.check_coord(coord);
         let units = self.units_per_block;
-        let grid_dims: Vec<u64> = self.grid.dims().to_vec();
+        let grid = &self.grid;
         let mut node = &mut self.root;
         for level in (1..coord.len()).rev() {
             match node {
@@ -168,9 +168,9 @@ impl LocatorTree {
                     let slot = &mut children[coord[level] as usize];
                     if slot.is_none() {
                         let child = if level == 1 {
-                            Node::Leaf(none_vec(grid_dims[0] as usize))
+                            Node::Leaf(none_vec(grid.dim(0) as usize))
                         } else {
-                            Node::Internal(none_vec(grid_dims[level - 1] as usize))
+                            Node::Internal(none_vec(grid.dim(level - 1) as usize))
                         };
                         *slot = Some(Box::new(child));
                     }

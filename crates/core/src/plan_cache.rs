@@ -1,4 +1,4 @@
-//! A bounded LRU cache of translation plans.
+//! A bounded, exact-LRU cache of translation plans.
 //!
 //! Translation (equation (5), [`crate::translator`]) is a pure function of
 //! the space shape, the building-block geometry, the requested view, and the
@@ -14,34 +14,134 @@
 //! and miss counters are exposed for the `nds-sim` stats sinks; modeled time
 //! never charges for (or discounts) translation based on cache state.
 //!
-//! Eviction is least-recently-used via a monotonic access stamp. The
-//! eviction scan is `O(capacity)`, which is fine for the intended
-//! double-digit-to-hundreds capacities; a linked-map would only pay off far
-//! beyond that.
+//! # Structure
+//!
+//! Entries live in a dense slab (`Vec`). Each is threaded on two intrusive
+//! lists of slab indices:
+//!
+//! * the **recency list** (`prev`/`next`, `head` = most recently used,
+//!   `tail` = least recently used): a hit unlinks the entry and relinks it
+//!   at the head, a miss at capacity recycles the tail's slot in place;
+//! * its **bucket chain** (`chain`) in a power-of-two bucket array indexed
+//!   by a fixed (seedless) hash of the key. A lookup hashes the *borrowed*
+//!   request — the caller's `&Shape` and `&[u64]` slices — and compares it
+//!   against the chain's stored keys, so a hit allocates nothing, and a
+//!   miss at capacity overwrites the victim's key buffer instead of
+//!   allocating a new one. The index is only ever probed by key; nothing
+//!   iterates it, so no output can depend on hash order.
+//!
+//! Every step is `O(1)` expected, whatever the capacity. That matters more
+//! than the hit path suggests: the multi-tenant and cluster scenarios hit
+//! only about a quarter of the time, and a miss at capacity must pick a
+//! victim — the dominant cost of the whole cache when that meant scanning
+//! every entry for the oldest stamp.
+//!
+//! # Exactly LRU
+//!
+//! The recency list reproduces, victim for victim, the policy "stamp every
+//! entry with a global counter on insert and on hit; evict the smallest
+//! stamp". Stamps are unique and only ever assigned as the current maximum,
+//! so ordering entries by stamp *is* ordering them by most recent touch —
+//! the list order. Moving a touched entry to the head is assigning it the
+//! new maximum; the tail is the minimum; removing entries (space deletion)
+//! keeps the relative order of the rest in both formulations. Hits, misses
+//! and the resident set therefore evolve identically for any request
+//! stream; `tests/plan_cache_props.rs` keeps the stamp-scan formulation as
+//! a reference model and checks exactly that.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::shape::Shape;
 use crate::space::SpaceId;
 use crate::translator::Translation;
 
+/// "No entry": the null link of the recency list and the bucket chains.
+const NIL: u32 = u32::MAX;
+
+/// Smallest bucket array; it doubles whenever entries outnumber half of it.
+const MIN_BUCKETS: usize = 16;
+
 /// Everything a translation depends on besides the space's own geometry
-/// (which is fixed at [`crate::Stl::create_space`] time and keyed by the id).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct PlanKey {
+/// (which is fixed at [`crate::Stl::create_space`] time and keyed by the
+/// id), borrowed from the request.
+#[derive(Clone, Copy)]
+struct KeyRef<'a> {
     space: SpaceId,
-    view: Shape,
-    coord: Vec<u64>,
-    sub_dims: Vec<u64>,
+    view: &'a [u64],
+    coord: &'a [u64],
+    sub_dims: &'a [u64],
 }
 
-/// A bounded LRU memo of [`Translation`]s (see module docs).
+impl KeyRef<'_> {
+    /// A fixed multiply-rotate hash over every word of the key (and the
+    /// part lengths, so differently split requests do not collide by
+    /// construction), finished with an avalanche so the low bits index well.
+    fn hash(&self) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+        let mut h = mix(self.space.0, self.view.len() as u64);
+        h = mix(h, self.coord.len() as u64);
+        for part in [self.view, self.coord, self.sub_dims] {
+            h = part.iter().fold(h, |h, &w| mix(h, w));
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(K);
+        h ^ (h >> 29)
+    }
+}
+
+/// One cached plan with its owned key and list links.
+#[derive(Debug)]
+struct Entry {
+    space: SpaceId,
+    /// `view dims ++ coord ++ sub_dims`; the two lengths split it.
+    words: Vec<u64>,
+    view_len: usize,
+    coord_len: usize,
+    hash: u64,
+    plan: Arc<Translation>,
+    /// Recency neighbours: `prev` is more recently used, `next` less.
+    prev: u32,
+    next: u32,
+    /// Next entry in the same bucket.
+    chain: u32,
+}
+
+impl Entry {
+    fn matches(&self, hash: u64, key: KeyRef<'_>) -> bool {
+        let (view, rest) = self.words.split_at(self.view_len);
+        let (coord, sub_dims) = rest.split_at(self.coord_len);
+        self.hash == hash
+            && self.space == key.space
+            && view == key.view
+            && coord == key.coord
+            && sub_dims == key.sub_dims
+    }
+
+    /// Overwrites the key in place, reusing the word buffer.
+    fn set_key(&mut self, hash: u64, key: KeyRef<'_>) {
+        self.space = key.space;
+        self.words.clear();
+        self.words.extend_from_slice(key.view);
+        self.words.extend_from_slice(key.coord);
+        self.words.extend_from_slice(key.sub_dims);
+        self.view_len = key.view.len();
+        self.coord_len = key.coord.len();
+        self.hash = hash;
+    }
+}
+
+/// A bounded exact-LRU memo of [`Translation`]s (see module docs).
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
-    entries: BTreeMap<PlanKey, (Arc<Translation>, u64)>,
-    stamp: u64,
+    /// Every cached entry, densely: `slab.len()` is the cache's length.
+    slab: Vec<Entry>,
+    /// Bucket heads of the keyed index; length is zero or a power of two.
+    buckets: Vec<u32>,
+    /// Most and least recently used entries.
+    head: u32,
+    tail: u32,
     hits: u64,
     misses: u64,
 }
@@ -51,9 +151,12 @@ impl PlanCache {
     /// caching entirely: every lookup misses and nothing is stored.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            capacity,
-            entries: BTreeMap::new(),
-            stamp: 0,
+            // Slab indices are `u32` with `NIL` reserved.
+            capacity: capacity.min(NIL as usize),
+            slab: Vec::new(),
+            buckets: Vec::new(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
         }
@@ -71,12 +174,12 @@ impl PlanCache {
 
     /// Plans currently cached.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slab.len()
     }
 
     /// Whether the cache currently holds no plans.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slab.is_empty()
     }
 
     /// Lookups that returned a cached plan.
@@ -90,9 +193,22 @@ impl PlanCache {
         self.misses
     }
 
+    /// Whether a plan for `(space, view, coord, sub_dims)` is resident. A
+    /// pure peek: recency and the counters are untouched.
+    pub fn is_cached(&self, space: SpaceId, view: &Shape, coord: &[u64], sub_dims: &[u64]) -> bool {
+        let key = KeyRef {
+            space,
+            view: view.dims(),
+            coord,
+            sub_dims,
+        };
+        self.lookup(key.hash(), key).is_some()
+    }
+
     /// Memoized translation: returns the cached plan for
     /// `(space, view, coord, sub_dims)` or computes one via `translate` and
-    /// caches it. `translate` runs at most once, and only on a miss.
+    /// caches it. `translate` runs at most once, and only on a miss. A hit
+    /// performs no heap allocation.
     pub fn get_or_translate<E>(
         &mut self,
         space: SpaceId,
@@ -105,48 +221,206 @@ impl PlanCache {
             self.misses += 1;
             return Ok(Arc::new(translate()?));
         }
-        let key = PlanKey {
+        let key = KeyRef {
             space,
-            view: view.clone(),
-            coord: coord.to_vec(),
-            sub_dims: sub_dims.to_vec(),
+            view: view.dims(),
+            coord,
+            sub_dims,
         };
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some((plan, last_used)) = self.entries.get_mut(&key) {
-            *last_used = stamp;
+        let hash = key.hash();
+        if let Some(slot) = self.lookup(hash, key) {
             self.hits += 1;
-            return Ok(Arc::clone(plan));
+            self.unlink_recency(slot);
+            self.push_front(slot);
+            return Ok(Arc::clone(&self.at(slot).plan));
         }
         self.misses += 1;
         let plan = Arc::new(translate()?);
-        if self.entries.len() >= self.capacity {
-            self.evict_lru();
-        }
-        self.entries.insert(key, (Arc::clone(&plan), stamp));
+        self.store(hash, key, Arc::clone(&plan));
         Ok(plan)
     }
 
     /// Drops every plan for `space`. Correctness never requires this —
     /// [`SpaceId`]s are not reused and a space's geometry is immutable — but
     /// deleting a space would otherwise pin its plans until eviction.
+    /// `O(len)`: the survivors are re-threaded in their existing order.
     pub fn invalidate_space(&mut self, space: SpaceId) {
-        self.entries.retain(|key, _| key.space != space);
+        if self.slab.iter().all(|e| e.space != space) {
+            return;
+        }
+        // Least recently used first, so re-inserting each survivor as the
+        // most recent reproduces the order they had.
+        let mut order = Vec::with_capacity(self.slab.len());
+        let mut slot = self.tail;
+        while slot != NIL {
+            order.push(slot);
+            slot = self.at(slot).prev;
+        }
+        let mut old: Vec<Option<Entry>> = self.slab.drain(..).map(Some).collect();
+        self.clear();
+        for slot in order {
+            let kept = old.get_mut(slot as usize).and_then(Option::take);
+            if let Some(entry) = kept.filter(|e| e.space != space) {
+                self.push_entry(entry);
+            }
+        }
     }
 
     /// Drops all cached plans (counters are preserved).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.slab.clear();
+        self.buckets.fill(NIL);
+        self.head = NIL;
+        self.tail = NIL;
     }
 
-    fn evict_lru(&mut self) {
-        let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(_, (_, last_used))| *last_used)
-            .map(|(key, _)| key.clone());
-        if let Some(key) = victim {
-            self.entries.remove(&key);
+    // `head`, `tail`, the links and the bucket heads only ever hold live slab
+    // indices: the slab shrinks only in `clear`, which resets all of them.
+    fn at(&self, slot: u32) -> &Entry {
+        // nds-lint: allow(D4, list links and bucket heads hold live slab indices by construction)
+        &self.slab[slot as usize]
+    }
+
+    fn at_mut(&mut self, slot: u32) -> &mut Entry {
+        // nds-lint: allow(D4, list links and bucket heads hold live slab indices by construction)
+        &mut self.slab[slot as usize]
+    }
+
+    /// The bucket `hash` falls in. The array's length is zero or a power of
+    /// two; an empty array maps everything out of range, which the two
+    /// accessors below read as an empty chain.
+    fn bucket_of(&self, hash: u64) -> usize {
+        hash as usize & self.buckets.len().wrapping_sub(1)
+    }
+
+    fn bucket_head(&self, hash: u64) -> u32 {
+        self.buckets
+            .get(self.bucket_of(hash))
+            .copied()
+            .unwrap_or(NIL)
+    }
+
+    fn set_bucket_head(&mut self, hash: u64, slot: u32) {
+        let bucket = self.bucket_of(hash);
+        if let Some(head) = self.buckets.get_mut(bucket) {
+            *head = slot;
+        }
+    }
+
+    fn lookup(&self, hash: u64, key: KeyRef<'_>) -> Option<u32> {
+        let mut slot = self.bucket_head(hash);
+        while slot != NIL {
+            let entry = self.at(slot);
+            if entry.matches(hash, key) {
+                return Some(slot);
+            }
+            slot = entry.chain;
+        }
+        None
+    }
+
+    /// Caches `plan` under `key` as the most recently used entry, recycling
+    /// the least recently used entry's slot (and key buffer) at capacity.
+    fn store(&mut self, hash: u64, key: KeyRef<'_>, plan: Arc<Translation>) {
+        if self.slab.len() < self.capacity {
+            let mut entry = Entry {
+                space: key.space,
+                words: Vec::new(),
+                view_len: 0,
+                coord_len: 0,
+                hash,
+                plan,
+                prev: NIL,
+                next: NIL,
+                chain: NIL,
+            };
+            entry.set_key(hash, key);
+            self.push_entry(entry);
+            return;
+        }
+        let slot = self.tail;
+        self.unlink_recency(slot);
+        self.unlink_chain(slot);
+        let entry = self.at_mut(slot);
+        entry.set_key(hash, key);
+        entry.plan = plan;
+        self.link_chain(slot);
+        self.push_front(slot);
+    }
+
+    /// Appends a complete entry to the slab and links it as most recent.
+    fn push_entry(&mut self, entry: Entry) {
+        let slot = self.slab.len() as u32;
+        self.slab.push(entry);
+        if self.slab.len() * 2 > self.buckets.len() {
+            self.grow_buckets();
+        } else {
+            self.link_chain(slot);
+        }
+        self.push_front(slot);
+    }
+
+    /// Doubles the bucket array and re-chains every entry from its stored
+    /// hash.
+    fn grow_buckets(&mut self) {
+        let size = (self.buckets.len() * 2).max(MIN_BUCKETS);
+        self.buckets.clear();
+        self.buckets.resize(size, NIL);
+        for slot in 0..self.slab.len() as u32 {
+            self.link_chain(slot);
+        }
+    }
+
+    fn link_chain(&mut self, slot: u32) {
+        let hash = self.at(slot).hash;
+        self.at_mut(slot).chain = self.bucket_head(hash);
+        self.set_bucket_head(hash, slot);
+    }
+
+    fn unlink_chain(&mut self, slot: u32) {
+        let (hash, after) = {
+            let entry = self.at(slot);
+            (entry.hash, entry.chain)
+        };
+        let mut at = self.bucket_head(hash);
+        if at == slot {
+            self.set_bucket_head(hash, after);
+            return;
+        }
+        while at != NIL {
+            let next = self.at(at).chain;
+            if next == slot {
+                self.at_mut(at).chain = after;
+                return;
+            }
+            at = next;
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let old_head = self.head;
+        let entry = self.at_mut(slot);
+        entry.prev = NIL;
+        entry.next = old_head;
+        match old_head {
+            NIL => self.tail = slot,
+            h => self.at_mut(h).prev = slot,
+        }
+        self.head = slot;
+    }
+
+    fn unlink_recency(&mut self, slot: u32) {
+        let (prev, next) = {
+            let entry = self.at(slot);
+            (entry.prev, entry.next)
+        };
+        match prev {
+            NIL => self.head = next,
+            p => self.at_mut(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.at_mut(n).prev = prev,
         }
     }
 }
@@ -270,5 +544,39 @@ mod tests {
                 panic!("space 2 must survive")
             })
             .unwrap();
+    }
+
+    #[test]
+    fn differently_split_requests_do_not_alias() {
+        // The same words split differently between coord and sub_dims are
+        // different (here: one valid, one malformed) requests.
+        let mut cache = PlanCache::new(4);
+        let view = shape(&[4, 4]);
+        cache
+            .get_or_translate::<()>(SpaceId(1), &view, &[1, 2], &[1, 1], || Ok(plan(1)))
+            .unwrap();
+        assert!(cache.is_cached(SpaceId(1), &view, &[1, 2], &[1, 1]));
+        assert!(!cache.is_cached(SpaceId(1), &view, &[1], &[2, 1, 1]));
+        let err = cache
+            .get_or_translate::<&str>(SpaceId(1), &view, &[1], &[2, 1, 1], || Err("arity"))
+            .unwrap_err();
+        assert_eq!(err, "arity");
+    }
+
+    #[test]
+    fn eviction_recycles_slots_at_any_capacity() {
+        // Thrash far past capacity: length stays pinned, the most recent
+        // `capacity` keys are resident, everything older is gone.
+        let mut cache = PlanCache::new(7);
+        let view = shape(&[1024]);
+        for i in 0..100u64 {
+            cache
+                .get_or_translate::<()>(SpaceId(1), &view, &[i], &[1], || Ok(plan(i)))
+                .unwrap();
+        }
+        assert_eq!(cache.len(), 7);
+        for i in 0..100u64 {
+            assert_eq!(cache.is_cached(SpaceId(1), &view, &[i], &[1]), i >= 93);
+        }
     }
 }

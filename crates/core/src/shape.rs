@@ -169,42 +169,47 @@ impl Region {
     /// * [`NdsError::EmptyShape`] if any `sub_dims` entry is zero.
     /// * [`NdsError::OutOfBounds`] if the partition exceeds the view.
     pub fn from_request(view: &Shape, coord: &[u64], sub_dims: &[u64]) -> Result<Self, NdsError> {
-        if coord.len() != view.ndims() || sub_dims.len() != view.ndims() {
-            return Err(NdsError::ArityMismatch {
-                view: view.ndims(),
-                request: if coord.len() != view.ndims() {
-                    coord.len()
-                } else {
-                    sub_dims.len()
-                },
-            });
-        }
-        if sub_dims.contains(&0) {
-            return Err(NdsError::EmptyShape);
-        }
-        let mut origin = Vec::with_capacity(coord.len());
-        for i in 0..coord.len() {
-            let start = coord[i]
-                .checked_mul(sub_dims[i])
-                .ok_or(NdsError::OutOfBounds {
-                    dim: i,
-                    end: u64::MAX,
-                    size: view.dim(i),
-                })?;
-            let end = start + sub_dims[i];
-            if end > view.dim(i) {
-                return Err(NdsError::OutOfBounds {
-                    dim: i,
-                    end,
-                    size: view.dim(i),
-                });
-            }
-            origin.push(start);
-        }
+        check_request(view, coord, sub_dims)?;
         Ok(Region {
-            origin,
+            origin: coord.iter().zip(sub_dims).map(|(c, f)| c * f).collect(),
             extent: sub_dims.to_vec(),
         })
+    }
+
+    /// The element volume of the region a request denotes, after the same
+    /// validation as [`from_request`](Self::from_request) but without
+    /// building the region.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`from_request`](Self::from_request).
+    pub fn request_volume(view: &Shape, coord: &[u64], sub_dims: &[u64]) -> Result<u64, NdsError> {
+        check_request(view, coord, sub_dims)?;
+        Ok(sub_dims.iter().product())
+    }
+
+    /// [`from_request`](Self::from_request) then
+    /// [`for_each_run`](Self::for_each_run) in `view`, without materializing
+    /// the region (no allocation). Returns the region's element volume.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`from_request`](Self::from_request).
+    pub fn for_each_request_run(
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        f: impl FnMut(u64, u64, u64),
+    ) -> Result<u64, NdsError> {
+        let volume = Self::request_volume(view, coord, sub_dims)?;
+        let mut origin = 0;
+        let mut stride = 1;
+        for ((c, f), d) in coord.iter().zip(sub_dims).zip(view.dims()) {
+            origin += c * f * stride;
+            stride *= d;
+        }
+        runs(view, origin, sub_dims, f);
+        Ok(volume)
     }
 
     /// Number of dimensions.
@@ -228,30 +233,61 @@ impl Region {
     /// # Panics
     ///
     /// Panics (via debug assertions) if the region does not fit in `shape`.
-    pub fn for_each_run(&self, shape: &Shape, mut f: impl FnMut(u64, u64, u64)) {
+    pub fn for_each_run(&self, shape: &Shape, f: impl FnMut(u64, u64, u64)) {
         debug_assert_eq!(self.ndims(), shape.ndims());
-        let n = self.ndims();
-        let run_len = self.extent[0];
-        let rows: u64 = self.extent[1..].iter().product::<u64>().max(1);
-        // Iterate outer coordinates (dims 1..n) odometer-style.
-        let mut outer = vec![0u64; n.saturating_sub(1)];
-        let mut coord = self.origin.clone();
-        for row in 0..rows {
-            // coord = origin + (0, outer...)
-            for (i, &o) in outer.iter().enumerate() {
-                coord[i + 1] = self.origin[i + 1] + o;
-            }
-            let linear_start = shape.linear_index(&coord);
-            f(row * run_len, linear_start, run_len);
-            // Advance the odometer.
-            for (i, digit) in outer.iter_mut().enumerate() {
-                *digit += 1;
-                if *digit < self.extent[i + 1] {
-                    break;
-                }
-                *digit = 0;
-            }
+        runs(shape, shape.linear_index(&self.origin), &self.extent, f);
+    }
+}
+
+/// Validates a `(coordinate, sub-dimensionality)` request against `view`:
+/// arity, non-zero extents, and bounds (see [`Region::from_request`]).
+fn check_request(view: &Shape, coord: &[u64], sub_dims: &[u64]) -> Result<(), NdsError> {
+    if coord.len() != view.ndims() || sub_dims.len() != view.ndims() {
+        return Err(NdsError::ArityMismatch {
+            view: view.ndims(),
+            request: if coord.len() != view.ndims() {
+                coord.len()
+            } else {
+                sub_dims.len()
+            },
+        });
+    }
+    if sub_dims.contains(&0) {
+        return Err(NdsError::EmptyShape);
+    }
+    for (dim, ((&c, &f), &size)) in coord.iter().zip(sub_dims).zip(view.dims()).enumerate() {
+        let start = c.checked_mul(f).ok_or(NdsError::OutOfBounds {
+            dim,
+            end: u64::MAX,
+            size,
+        })?;
+        let end = start + f;
+        if end > size {
+            return Err(NdsError::OutOfBounds { dim, end, size });
         }
+    }
+    Ok(())
+}
+
+/// The run iteration behind [`Region::for_each_run`]: the box of `extent`
+/// whose first element has linear index `origin` in `shape`. Row `r` of the
+/// box is `r` written in the mixed radix `extent[1..]`; each digit moves the
+/// run start by its dimension's stride in `shape`.
+fn runs(shape: &Shape, origin: u64, extent: &[u64], mut f: impl FnMut(u64, u64, u64)) {
+    let Some((&run_len, outer)) = extent.split_first() else {
+        return;
+    };
+    let rows: u64 = outer.iter().product::<u64>().max(1);
+    for row in 0..rows {
+        let mut rest = row;
+        let mut stride = 1;
+        let mut linear_start = origin;
+        for (&e, &d) in outer.iter().zip(shape.dims()) {
+            stride *= d;
+            linear_start += (rest % e) * stride;
+            rest /= e;
+        }
+        f(row * run_len, linear_start, run_len);
     }
 }
 
@@ -355,6 +391,27 @@ mod tests {
             }
         });
         assert_eq!(total, region.volume());
+    }
+
+    #[test]
+    fn request_runs_match_the_materialized_region() {
+        let view = Shape::new([12, 6, 4]);
+        let (coord, sub) = ([1u64, 2, 1], [4u64, 2, 2]);
+        let mut direct = Vec::new();
+        let volume =
+            Region::for_each_request_run(&view, &coord, &sub, |o, s, l| direct.push((o, s, l)))
+                .unwrap();
+        let region = Region::from_request(&view, &coord, &sub).unwrap();
+        let mut via_region = Vec::new();
+        region.for_each_run(&view, |o, s, l| via_region.push((o, s, l)));
+        assert_eq!(direct, via_region);
+        assert_eq!(volume, region.volume());
+        assert_eq!(direct.len(), 4, "2 × 2 outer rows");
+        assert_eq!(direct[0], (0, view.linear_index(&[4, 4, 2]), 4));
+        assert!(matches!(
+            Region::for_each_request_run(&view, &[3, 0, 0], &sub, |_, _, _| ()),
+            Err(NdsError::OutOfBounds { dim: 0, .. })
+        ));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::error::NdsError;
 use crate::plan_cache::PlanCache;
 use crate::shape::Shape;
 use crate::space::{Space, SpaceId};
-use crate::translator::{self, Segment, Translation};
+use crate::translator::{self, BlockCover, Segment, Translation};
 use crate::views::{ViewId, ViewRegistry};
 
 /// Configuration of an STL instance.
@@ -73,7 +73,7 @@ impl Default for StlConfig {
 }
 
 /// The units of one building block touched by a request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockAccess {
     /// Building-block coordinate.
     pub coord: Vec<u64>,
@@ -86,7 +86,7 @@ pub struct BlockAccess {
 }
 
 /// What one read or write physically did — the timing layer's input.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccessReport {
     /// Per-block unit accesses.
     pub blocks: Vec<BlockAccess>,
@@ -103,10 +103,34 @@ impl AccessReport {
     pub fn unit_count(&self) -> usize {
         self.blocks.iter().map(|b| b.units.len()).sum()
     }
+
+    /// Entry `index` of `blocks` reset for `cover`, reusing the entry's (and
+    /// its vectors') allocations when a previous request left one there.
+    /// [`finish`](Self::finish) drops whatever lies past the last one begun.
+    fn begin_block(&mut self, index: usize, cover: &BlockCover) -> &mut BlockAccess {
+        if index == self.blocks.len() {
+            self.blocks.push(BlockAccess::default());
+        }
+        // nds-lint: allow(D4, index is at most the length checked just above)
+        let block = &mut self.blocks[index];
+        block.coord.clear();
+        block.coord.extend_from_slice(&cover.coord);
+        block.units.clear();
+        block.sector_bytes = sector_rounded(&cover.segments);
+        block
+    }
+
+    /// Completes a report of `blocks` block entries for `translation`.
+    fn finish(&mut self, blocks: usize, translation: &Translation) {
+        self.blocks.truncate(blocks);
+        self.segments = translation.segment_count();
+        self.bytes = translation.total_bytes;
+        self.min_segment_bytes = translation.min_segment_bytes();
+    }
 }
 
 /// Report of a write.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WriteReport {
     /// The access performed.
     pub access: AccessReport,
@@ -134,15 +158,38 @@ pub struct Stl<B> {
 /// per-request heap allocation beyond what the backend itself needs.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Read path: `(unit index, location)` pairs of one cover, deduplicated.
-    touched: Vec<(usize, UnitLocation)>,
-    /// Read path: the locations alone, in `touched` order, for batch fetch.
-    locs: Vec<UnitLocation>,
-    /// Write path: `(unit index, unit offset, buffer offset, length)` spans
-    /// of one cover, grouped by a stable sort on the unit index.
+    /// `(unit index, unit offset, buffer offset, length)` byte spans of one
+    /// cover, sorted so each unit's spans are adjacent.
     spans: Vec<(usize, usize, usize, usize)>,
     /// Write path: the staging image of the unit being composed.
     image: Vec<u8>,
+}
+
+impl Scratch {
+    /// Splits `cover`'s segments at unit boundaries into `spans`, grouped
+    /// by ascending unit index (within a unit, ascending buffer offset —
+    /// the order the segments list them in).
+    fn split_into_unit_spans(&mut self, cover: &BlockCover, unit_bytes: usize) {
+        self.spans.clear();
+        for seg in &cover.segments {
+            let mut block_off = seg.block_offset as usize;
+            let mut buf_off = seg.buffer_offset as usize;
+            let mut remaining = seg.len as usize;
+            while remaining > 0 {
+                let unit_off = block_off % unit_bytes;
+                let take = remaining.min(unit_bytes - unit_off);
+                self.spans
+                    .push((block_off / unit_bytes, unit_off, buf_off, take));
+                block_off += take;
+                buf_off += take;
+                remaining -= take;
+            }
+        }
+        // Spans never share a buffer offset, so the unstable (in-place,
+        // allocation-free) sort has exactly one result.
+        self.spans
+            .sort_unstable_by_key(|&(unit_idx, _, buf_off, _)| (unit_idx, buf_off));
+    }
 }
 
 impl<B: NvmBackend> Stl<B> {
@@ -364,7 +411,8 @@ impl<B: NvmBackend> Stl<B> {
     /// Like [`read`](Self::read), but assembles into a caller-provided
     /// buffer, which is cleared and resized to the partition — repeated
     /// same-shaped reads through one buffer perform no per-request
-    /// allocation. The report is identical to [`read`](Self::read)'s.
+    /// allocation beyond the returned report. The report is identical to
+    /// [`read`](Self::read)'s.
     ///
     /// # Errors
     ///
@@ -377,77 +425,63 @@ impl<B: NvmBackend> Stl<B> {
         sub_dims: &[u64],
         buf: &mut Vec<u8>,
     ) -> Result<AccessReport, NdsError> {
+        let mut report = AccessReport::default();
+        self.read_reusing(id, view, coord, sub_dims, buf, &mut report)?;
+        Ok(report)
+    }
+
+    /// [`read_into`](Self::read_into) that also overwrites a caller-kept
+    /// `report` in place: a front-end that passes the same buffer and report
+    /// to every request performs no heap allocation at all on a plan-cache
+    /// hit. On an error `report` is unspecified.
+    ///
+    /// # Errors
+    ///
+    /// [`NdsError::UnknownSpace`] plus translation errors.
+    pub fn read_reusing(
+        &mut self,
+        id: SpaceId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        buf: &mut Vec<u8>,
+        report: &mut AccessReport,
+    ) -> Result<(), NdsError> {
         let translation = self.plan_cached(id, view, coord, sub_dims)?;
         #[allow(clippy::expect_used)] // plan_cached errored above if the space is absent
         let space = self.spaces.get(&id).expect("checked by plan_cached");
-        let unit_bytes = space.block_shape().unit_bytes() as u64;
+        let unit_bytes = space.block_shape().unit_bytes() as usize;
 
         buf.clear();
         buf.resize(translation.total_bytes as usize, 0);
-        let mut blocks = Vec::with_capacity(translation.blocks.len());
+        let mut blocks = 0;
         for cover in &translation.blocks {
             let Some(entry) = space.tree().get(&cover.coord) else {
                 continue; // never-written block: zeros
             };
-            // Units overlapped by this cover's segments, deduplicated in
-            // sequential order (ascending unit index, exactly the order the
-            // per-unit map used to yield — reports stay bit-identical).
-            self.scratch.touched.clear();
-            for seg in &cover.segments {
-                let first = (seg.block_offset / unit_bytes) as usize;
-                let last = ((seg.block_offset + seg.len - 1) / unit_bytes) as usize;
-                for u in first..=last {
-                    if let Some(loc) = entry.units[u] {
-                        self.scratch.touched.push((u, loc));
-                    }
+            let block = report.begin_block(blocks, cover);
+            blocks += 1;
+            // Assemble unit by unit, in sequential (ascending unit index)
+            // order: each distinct allocated unit the cover overlaps is
+            // fetched once and every span of it copied out.
+            self.scratch.split_into_unit_spans(cover, unit_bytes);
+            for spans in self.scratch.spans.chunk_by(|a, b| a.0 == b.0) {
+                // Unallocated units read as zero; `buf` is pre-zeroed.
+                let Some(loc) = entry.units[spans[0].0] else {
+                    continue;
+                };
+                block.units.push(loc);
+                let data = self
+                    .backend
+                    .read_unit(loc)
+                    .ok_or(NdsError::MissingUnit(loc))?;
+                for &(_, unit_off, buf_off, len) in spans {
+                    buf[buf_off..buf_off + len].copy_from_slice(&data[unit_off..unit_off + len]);
                 }
             }
-            self.scratch.touched.sort_unstable();
-            self.scratch.touched.dedup();
-            // One batched fetch per cover: each distinct unit is read once,
-            // not once per overlapping segment.
-            self.scratch.locs.clear();
-            self.scratch
-                .locs
-                .extend(self.scratch.touched.iter().map(|&(_, loc)| loc));
-            let fetched = self.backend.read_units(&self.scratch.locs);
-            // Assemble: copy each segment from the fetched units into `buf`.
-            for seg in &cover.segments {
-                let mut block_off = seg.block_offset;
-                let mut buf_off = seg.buffer_offset as usize;
-                let mut remaining = seg.len;
-                while remaining > 0 {
-                    let unit_idx = (block_off / unit_bytes) as usize;
-                    let unit_off = (block_off % unit_bytes) as usize;
-                    let take = remaining.min(unit_bytes - unit_off as u64) as usize;
-                    // Unallocated units read as zero; `buf` is pre-zeroed.
-                    if let Ok(pos) = self
-                        .scratch
-                        .touched
-                        .binary_search_by_key(&unit_idx, |&(u, _)| u)
-                    {
-                        let loc = self.scratch.touched[pos].1;
-                        let data = fetched[pos].as_deref().ok_or(NdsError::MissingUnit(loc))?;
-                        buf[buf_off..buf_off + take]
-                            .copy_from_slice(&data[unit_off..unit_off + take]);
-                    }
-                    block_off += take as u64;
-                    buf_off += take;
-                    remaining -= take as u64;
-                }
-            }
-            blocks.push(BlockAccess {
-                coord: cover.coord.clone(),
-                units: self.scratch.locs.clone(),
-                sector_bytes: sector_rounded(&cover.segments),
-            });
         }
-        Ok(AccessReport {
-            blocks,
-            segments: translation.segment_count(),
-            bytes: translation.total_bytes,
-            min_segment_bytes: translation.min_segment_bytes(),
-        })
+        report.finish(blocks, &translation);
+        Ok(())
     }
 
     /// Writes `data` (dense, in view order) to the partition at `coord` of
@@ -467,6 +501,28 @@ impl<B: NvmBackend> Stl<B> {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteReport, NdsError> {
+        let mut report = WriteReport::default();
+        self.write_reusing(id, view, coord, sub_dims, data, &mut report)?;
+        Ok(report)
+    }
+
+    /// [`write`](Self::write) that overwrites a caller-kept `report` in
+    /// place instead of building a fresh one (see
+    /// [`read_reusing`](Self::read_reusing)). On an error `report` is
+    /// unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`write`](Self::write).
+    pub fn write_reusing(
+        &mut self,
+        id: SpaceId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        data: &[u8],
+        report: &mut WriteReport,
+    ) -> Result<(), NdsError> {
         let translation = self.plan_cached(id, view, coord, sub_dims)?;
         if data.len() as u64 != translation.total_bytes {
             return Err(NdsError::BadPayloadSize {
@@ -478,46 +534,16 @@ impl<B: NvmBackend> Stl<B> {
         let space = self.spaces.get_mut(&id).expect("checked by plan_cached");
         let unit_bytes = space.block_shape().unit_bytes() as usize;
 
-        let mut blocks = Vec::with_capacity(translation.blocks.len());
-        let mut rmw_units = 0u64;
-        for cover in &translation.blocks {
-            // Group this block's dirty byte spans per unit: collect flat,
-            // then stable-sort by unit index. Ascending units with spans in
-            // discovery order — the same grouping the per-unit map produced,
-            // so reports stay bit-identical.
-            self.scratch.spans.clear();
-            for seg in &cover.segments {
-                let mut block_off = seg.block_offset as usize;
-                let mut buf_off = seg.buffer_offset as usize;
-                let mut remaining = seg.len as usize;
-                while remaining > 0 {
-                    let unit_idx = block_off / unit_bytes;
-                    let unit_off = block_off % unit_bytes;
-                    let take = remaining.min(unit_bytes - unit_off);
-                    self.scratch.spans.push((unit_idx, unit_off, buf_off, take));
-                    block_off += take;
-                    buf_off += take;
-                    remaining -= take;
-                }
-            }
-            self.scratch.spans.sort_by_key(|&(unit_idx, ..)| unit_idx);
-
+        report.rmw_units = 0;
+        for (index, cover) in translation.blocks.iter().enumerate() {
+            // This block's dirty byte spans, grouped per unit in ascending
+            // unit order.
+            self.scratch.split_into_unit_spans(cover, unit_bytes);
             let entry = space.tree_mut().get_or_insert(&cover.coord);
-            let mut written = Vec::new();
-            let mut start = 0;
-            while start < self.scratch.spans.len() {
-                let unit_idx = self.scratch.spans[start].0;
-                let mut end = start + 1;
-                while end < self.scratch.spans.len() && self.scratch.spans[end].0 == unit_idx {
-                    end += 1;
-                }
-                let spans = start..end;
-                start = end;
-
-                let covered: usize = self.scratch.spans[spans.clone()]
-                    .iter()
-                    .map(|&(_, _, _, len)| len)
-                    .sum();
+            let block = report.access.begin_block(index, cover);
+            for spans in self.scratch.spans.chunk_by(|a, b| a.0 == b.0) {
+                let unit_idx = spans[0].0;
+                let covered: usize = spans.iter().map(|&(_, _, _, len)| len).sum();
                 let full = covered == unit_bytes;
                 let old = entry.units[unit_idx];
                 // Base image: zeros for fresh/full writes, the old unit's
@@ -530,11 +556,10 @@ impl<B: NvmBackend> Stl<B> {
                         if let Some(existing) = self.backend.read_unit(old_loc) {
                             self.scratch.image.copy_from_slice(&existing);
                         }
-                        rmw_units += 1;
+                        report.rmw_units += 1;
                     }
                 }
-                for span in spans {
-                    let (_, unit_off, buf_off, len) = self.scratch.spans[span];
+                for &(_, unit_off, buf_off, len) in spans {
                     self.scratch.image[unit_off..unit_off + len]
                         .copy_from_slice(&data[buf_off..buf_off + len]);
                 }
@@ -555,23 +580,11 @@ impl<B: NvmBackend> Stl<B> {
                     self.backend.release_unit(old_loc);
                 }
                 entry.units[unit_idx] = Some(target);
-                written.push(target);
+                block.units.push(target);
             }
-            blocks.push(BlockAccess {
-                coord: cover.coord.clone(),
-                units: written,
-                sector_bytes: sector_rounded(&cover.segments),
-            });
         }
-        Ok(WriteReport {
-            access: AccessReport {
-                blocks,
-                segments: translation.segment_count(),
-                bytes: translation.total_bytes,
-                min_segment_bytes: translation.min_segment_bytes(),
-            },
-            rmw_units,
-        })
+        report.access.finish(translation.blocks.len(), &translation);
+        Ok(())
     }
 
     /// Total bytes of translation metadata across all spaces — the quantity

@@ -150,14 +150,22 @@ pub fn translate_region(
         });
     }
     let elem = bb.element_bytes() as u64;
-    let bb_dims = bb.dims();
     let d1 = space.dim(0);
+    // Per dimension: the block extent and how many blocks tile the space.
+    let grid: Vec<(u64, u64)> = space
+        .dims()
+        .iter()
+        .zip(bb.dims())
+        .map(|(&d, &b)| (b.max(1), d.div_ceil(b.max(1))))
+        .collect();
     // Shapes are non-empty by construction; fall back to 1 rather than index.
-    let bb1 = bb_dims.first().copied().unwrap_or(1).max(1);
-    // Elements of one block row-stripe: product of block dims except dim 0.
-    let bb_volume = bb.volume();
-
-    let mut per_block: BTreeMap<Vec<u64>, Vec<Segment>> = BTreeMap::new();
+    let bb1 = grid.first().map_or(1, |&(b, _)| b);
+    // Blocks are keyed by their rank in ascending coordinate order (dimension
+    // 0 most significant, as `Vec<u64>` coordinates compare), so collecting a
+    // segment costs one integer key, not a coordinate vector; the coordinate
+    // is rebuilt once per covered block at the end.
+    let upper_blocks: u64 = grid.iter().skip(1).map(|&(_, g)| g).product();
+    let mut per_block: BTreeMap<u64, Vec<Segment>> = BTreeMap::new();
     let mut total_bytes = 0u64;
 
     region.for_each_run(view, |buf_elem_off, linear_start, len| {
@@ -168,36 +176,40 @@ pub fn translate_region(
         let mut linear = linear_start;
         let mut buf_off = buf_elem_off;
         while remaining > 0 {
-            let storage_coord = space.coord_at(linear);
-            let x1 = storage_coord.first().copied().unwrap_or(0);
+            // Decode the storage coordinate of `linear`. Every segment of
+            // this row shares its dimensions ≥ 1: their block rank and
+            // their offset inside the block are computed once per row.
+            let x1 = linear % d1;
+            let mut rest = linear / d1;
+            let mut upper_rank = 0u64;
+            let mut upper_intra = 0u64;
+            let mut stride = bb1;
+            for (&d, &(b, g)) in space.dims().iter().zip(&grid).skip(1) {
+                let x = rest % d;
+                rest /= d;
+                upper_rank = upper_rank * g + x / b;
+                upper_intra += (x % b) * stride;
+                stride *= b;
+            }
             let row_take = remaining.min(d1 - x1);
             // Split [x1, x1 + row_take) at block boundaries along dim 0.
             let mut seg_x = x1;
             let row_end = x1 + row_take;
             while seg_x < row_end {
                 let block_x = seg_x / bb1;
-                let block_boundary = (block_x + 1) * bb1;
-                let seg_end = row_end.min(block_boundary);
+                let seg_end = row_end.min((block_x + 1) * bb1);
                 let seg_len = seg_end - seg_x;
+                let intra_linear = seg_x % bb1 + upper_intra;
+                debug_assert!(intra_linear < bb.volume());
 
-                // Block coordinate and intra-block offset.
-                let mut block_coord = Vec::with_capacity(storage_coord.len());
-                let mut intra_linear = 0u64;
-                let mut stride = 1u64;
-                for (i, (&x, &bb_i)) in storage_coord.iter().zip(bb_dims).enumerate() {
-                    let xi = if i == 0 { seg_x } else { x };
-                    let bb_i = bb_i.max(1);
-                    block_coord.push(xi / bb_i);
-                    intra_linear += (xi % bb_i) * stride;
-                    stride *= bb_i;
-                }
-                debug_assert!(intra_linear < bb_volume);
-
-                per_block.entry(block_coord).or_default().push(Segment {
-                    block_offset: intra_linear * elem,
-                    buffer_offset: (buf_off + (seg_x - x1)) * elem,
-                    len: seg_len * elem,
-                });
+                per_block
+                    .entry(block_x * upper_blocks + upper_rank)
+                    .or_default()
+                    .push(Segment {
+                        block_offset: intra_linear * elem,
+                        buffer_offset: (buf_off + (seg_x - x1)) * elem,
+                        len: seg_len * elem,
+                    });
                 total_bytes += seg_len * elem;
                 seg_x = seg_end;
             }
@@ -209,7 +221,16 @@ pub fn translate_region(
 
     let blocks = per_block
         .into_iter()
-        .map(|(coord, mut segments)| {
+        .map(|(rank, mut segments)| {
+            let mut coord = vec![0u64; grid.len()];
+            let mut rest = rank;
+            for (c, &(_, g)) in coord.iter_mut().zip(&grid).skip(1).rev() {
+                *c = rest % g;
+                rest /= g;
+            }
+            if let Some(c0) = coord.first_mut() {
+                *c0 = rest;
+            }
             segments.sort_by_key(|s| s.buffer_offset);
             // Merge segments that are contiguous in both the block image and
             // the buffer — when a request's width equals the block width,

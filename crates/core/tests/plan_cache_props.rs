@@ -8,16 +8,27 @@
 //! cache is enabled or disabled. These properties back the "modeled time
 //! untouched" invariant the simulator relies on.
 //!
+//! The cache's own policy is pinned too: [`StampScanCache`] below is the
+//! stamp-and-scan LRU the cache used to be, kept as a reference model, and
+//! the `O(1)` list-based [`PlanCache`] must agree with it lookup for lookup
+//! — which is what keeps `stl.plan_cache.{hits,misses}` in every committed
+//! artifact where they were.
+//!
 //! [`AccessReport`]: nds_core::AccessReport
 //! [`WriteReport`]: nds_core::WriteReport
 
 // Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use nds_core::testing::FlakyBackend;
-use nds_core::{DeviceSpec, ElementType, MemBackend, NdsError, Shape, Stl, StlConfig};
+use nds_core::translator::Translation;
+use nds_core::{
+    DeviceSpec, ElementType, MemBackend, NdsError, PlanCache, Shape, SpaceId, Stl, StlConfig,
+};
 
 fn spec() -> DeviceSpec {
     DeviceSpec::new(4, 2, 64)
@@ -58,6 +69,172 @@ fn stl_with_capacity(seed: u64, capacity: usize) -> Stl<MemBackend> {
             ..StlConfig::default()
         },
     )
+}
+
+/// `(space, view, coord, sub_dims)`, owned.
+type Key = (SpaceId, Shape, Vec<u64>, Vec<u64>);
+
+/// The reference model: every entry carries the stamp of its last touch and
+/// a miss at capacity scans all of them for the smallest. `O(capacity)` per
+/// eviction and three allocations per lookup — trivially LRU, which is the
+/// point.
+struct StampScanCache {
+    capacity: usize,
+    entries: BTreeMap<Key, u64>,
+    stamp: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl StampScanCache {
+    fn new(capacity: usize) -> Self {
+        StampScanCache {
+            capacity,
+            entries: BTreeMap::new(),
+            stamp: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// One lookup; `translates` is whether translation succeeds on a miss.
+    /// Returns whether it hit.
+    fn lookup(&mut self, key: &Key, translates: bool) -> bool {
+        if self.capacity == 0 {
+            self.misses += 1;
+            return false;
+        }
+        self.stamp += 1;
+        if let Some(last_used) = self.entries.get_mut(key) {
+            *last_used = self.stamp;
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        if !translates {
+            return false;
+        }
+        if self.entries.len() >= self.capacity {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, last_used)| **last_used)
+                .map(|(key, _)| key.clone());
+            if let Some(victim) = victim {
+                self.entries.remove(&victim);
+            }
+        }
+        self.entries.insert(key.clone(), self.stamp);
+        false
+    }
+
+    fn invalidate_space(&mut self, space: SpaceId) {
+        self.entries.retain(|key, _| key.0 != space);
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// Keys the streams draw from: 300 distinct requests over three spaces and
+/// a 1-D and a 2-D view, so capacity 128 evicts and the small ones thrash.
+const KEYS: usize = 300;
+
+fn key_of(k: usize) -> Key {
+    let k = k as u64;
+    let space = SpaceId(1 + k % 3);
+    let n = k / 6;
+    if (k / 3).is_multiple_of(2) {
+        (space, Shape::new([64]), vec![n], vec![1])
+    } else {
+        (space, Shape::new([8, 8]), vec![n % 8, n / 8], vec![1, 1])
+    }
+}
+
+/// Every eleventh key's translation fails: an error is a miss that caches
+/// nothing.
+fn translates(k: usize) -> bool {
+    !k.is_multiple_of(11)
+}
+
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Lookup(usize),
+    InvalidateSpace(u64),
+    Clear,
+}
+
+/// Six in fourteen ops look up one of a hot dozen keys (so every capacity
+/// sees hits as well as evictions), six any key, one invalidates a space,
+/// one clears.
+fn cache_op() -> impl Strategy<Value = CacheOp> {
+    (0u32..14, 0usize..KEYS).prop_map(|(kind, k)| match kind {
+        0..=5 => CacheOp::Lookup(k % 12),
+        6..=11 => CacheOp::Lookup(k),
+        12 => CacheOp::InvalidateSpace(1 + k as u64 % 3),
+        _ => CacheOp::Clear,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The list-based cache and the stamp-scan reference agree on every
+    /// lookup's outcome, on the resident key set and on `len()` after every
+    /// step, for every capacity class (disabled, degenerate, tiny, odd, the
+    /// default) under interleaved invalidations and clears.
+    #[test]
+    fn list_lru_matches_the_stamp_scan_reference(
+        ops in prop::collection::vec(cache_op(), 1..600),
+    ) {
+        let keys: Vec<Key> = (0..KEYS).map(key_of).collect();
+        for capacity in [0usize, 1, 2, 7, 128] {
+            let mut cache = PlanCache::new(capacity);
+            let mut model = StampScanCache::new(capacity);
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    CacheOp::Lookup(k) => {
+                        let (space, view, coord, sub_dims) = &keys[k];
+                        let hits_before = cache.hits();
+                        let got = cache.get_or_translate(*space, view, coord, sub_dims, || {
+                            if translates(k) {
+                                Ok(Translation { blocks: Vec::new(), total_bytes: k as u64 })
+                            } else {
+                                Err(k)
+                            }
+                        });
+                        let model_hit = model.lookup(&keys[k], translates(k));
+                        prop_assert_eq!(
+                            cache.hits() > hits_before, model_hit,
+                            "capacity {} step {}: hit/miss diverges on key {}", capacity, step, k
+                        );
+                        match got {
+                            Ok(plan) => prop_assert_eq!(plan.total_bytes, k as u64),
+                            Err(e) => prop_assert!(!model_hit && e == k),
+                        }
+                    }
+                    CacheOp::InvalidateSpace(space) => {
+                        cache.invalidate_space(SpaceId(space));
+                        model.invalidate_space(SpaceId(space));
+                    }
+                    CacheOp::Clear => {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(cache.len(), model.entries.len());
+                prop_assert_eq!((cache.hits(), cache.misses()), (model.hits, model.misses));
+                for key in &keys {
+                    prop_assert_eq!(
+                        cache.is_cached(key.0, &key.1, &key.2, &key.3),
+                        model.entries.contains_key(key),
+                        "capacity {} step {}: residency of {:?} diverges", capacity, step, key
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

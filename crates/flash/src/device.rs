@@ -233,6 +233,47 @@ impl FlashDevice {
         Ok(())
     }
 
+    /// Relocates the valid page at `src` into the free page at `dest` and
+    /// marks `src` superseded: what programming `dest` with a copy of
+    /// `src`'s data and then invalidating `src` does (and counts), except
+    /// that the stored image moves instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// * [`FlashError::AddressOutOfRange`] if either address is outside the
+    ///   geometry.
+    /// * [`FlashError::PageNotValid`] if `src` holds no live data.
+    /// * [`FlashError::PageNotFree`] if `dest` already holds data.
+    pub fn relocate_page(&mut self, src: PageAddr, dest: PageAddr) -> Result<(), FlashError> {
+        let from = self.check(src)?;
+        let to = self.check(dest)?;
+        if self.state.get(from) != Some(&PageState::Valid) {
+            return Err(FlashError::PageNotValid(src));
+        }
+        if self.state.get(to) != Some(&PageState::Free) {
+            return Err(FlashError::PageNotFree(dest));
+        }
+        if self.data.get(from).is_none_or(Option::is_none) {
+            return Err(FlashError::Inconsistent {
+                addr: src,
+                what: "page marked valid holds no data",
+            });
+        }
+        // A free page holds no image, so the swap is a move.
+        self.data.swap(from, to);
+        for (index, state) in [(from, PageState::Invalid), (to, PageState::Valid)] {
+            if let Some(slot) = self.state.get_mut(index) {
+                *slot = state;
+            }
+        }
+        let bank = self.bank_id(dest);
+        if let Some(free) = self.free_count.get_mut(bank) {
+            *free -= 1;
+        }
+        self.stats.add("flash.pages_programmed", 1);
+        Ok(())
+    }
+
     /// Reads the valid page at `addr`.
     ///
     /// # Errors
@@ -454,14 +495,14 @@ impl FlashDevice {
     /// light wear-leveling touch); retired blocks are never picked. Returns
     /// `(block, valid, invalid)`, or `None` when nothing is reclaimable.
     pub fn gc_victim(&self, channel: usize, bank: usize) -> Option<(BlockAddr, usize, usize)> {
-        self.block_occupancy(channel, bank)
-            .into_iter()
-            .map(|(block, valid, invalid)| {
+        (0..self.config.geometry.blocks_per_bank)
+            .map(|block| {
                 let addr = BlockAddr {
                     channel,
                     bank,
                     block,
                 };
+                let (valid, invalid) = self.occupancy_of(addr);
                 (addr, valid, invalid)
             })
             .filter(|&(addr, _, invalid)| invalid > 0 && !self.is_bad_block(addr))
@@ -472,27 +513,31 @@ impl FlashDevice {
     /// to victim selection during garbage collection. Returns
     /// `(block, valid, invalid)` triples.
     pub fn block_occupancy(&self, channel: usize, bank: usize) -> Vec<(usize, usize, usize)> {
-        let g = self.config.geometry;
-        (0..g.blocks_per_bank)
+        (0..self.config.geometry.blocks_per_bank)
             .map(|block| {
-                let mut valid = 0;
-                let mut invalid = 0;
-                for page in 0..g.pages_per_block {
-                    let idx = g.page_index(PageAddr {
-                        channel,
-                        bank,
-                        block,
-                        page,
-                    });
-                    match self.state[idx] {
-                        PageState::Valid => valid += 1,
-                        PageState::Invalid => invalid += 1,
-                        PageState::Free => {}
-                    }
-                }
+                let (valid, invalid) = self.occupancy_of(BlockAddr {
+                    channel,
+                    bank,
+                    block,
+                });
                 (block, valid, invalid)
             })
             .collect()
+    }
+
+    /// `(valid, invalid)` page counts of one block.
+    fn occupancy_of(&self, block: BlockAddr) -> (usize, usize) {
+        let g = self.config.geometry;
+        let mut valid = 0;
+        let mut invalid = 0;
+        for page in 0..g.pages_per_block {
+            match self.state[g.page_index(block.page(page))] {
+                PageState::Valid => valid += 1,
+                PageState::Invalid => invalid += 1,
+                PageState::Free => {}
+            }
+        }
+        (valid, invalid)
     }
 
     // ------------------------------------------------------------------
@@ -875,6 +920,31 @@ mod tests {
         assert_eq!(d.page_state(a), PageState::Free);
         assert_eq!(d.erase_count(a.block_addr()), 1);
         assert!(d.read(a).is_err());
+    }
+
+    #[test]
+    fn relocate_moves_the_image_and_supersedes_the_source() {
+        let mut d = dev();
+        let ps = d.geometry().page_size;
+        let (src, dest) = (page(1, 1, 0, 0), page(1, 1, 3, 2));
+        d.program(src, vec![0x5A; ps]).unwrap();
+        let free = d.free_pages_in(1, 1);
+        d.relocate_page(src, dest).unwrap();
+        assert_eq!(d.peek(dest).unwrap(), vec![0x5A; ps].as_slice());
+        assert_eq!(d.page_state(src), PageState::Invalid);
+        assert!(d.peek(src).is_none());
+        assert_eq!(d.free_pages_in(1, 1), free - 1);
+        assert_eq!(d.stats().get("flash.pages_programmed"), 2);
+        // Neither a dead source nor an occupied destination is accepted.
+        assert_eq!(
+            d.relocate_page(src, page(1, 1, 3, 3)),
+            Err(FlashError::PageNotValid(src))
+        );
+        d.program(src.block_addr().page(1), vec![1; ps]).unwrap();
+        assert_eq!(
+            d.relocate_page(src.block_addr().page(1), dest),
+            Err(FlashError::PageNotFree(dest))
+        );
     }
 
     #[test]

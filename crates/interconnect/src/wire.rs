@@ -50,6 +50,17 @@ pub struct WireCommand {
     pub arg_page: Option<Box<[u8; ARG_PAGE_BYTES]>>,
 }
 
+impl Default for WireCommand {
+    /// An all-zero entry with no argument page — what
+    /// [`encode_into`] starts a reusable command buffer from.
+    fn default() -> Self {
+        WireCommand {
+            entry: [0u8; ENTRY_BYTES],
+            arg_page: None,
+        }
+    }
+}
+
 impl WireCommand {
     /// Total bytes this command occupies on the wire.
     pub fn wire_bytes(&self) -> u64 {
@@ -114,6 +125,21 @@ fn get_u64(buf: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(bytes)
 }
 
+/// A zeroed argument page, recycling `old` when there is one: only the part
+/// a command can have written — arguments never reach past
+/// [`MAX_DIMENSIONS`] pairs of words — needs zeroing again.
+fn blank_page(old: Option<Box<[u8; ARG_PAGE_BYTES]>>) -> Box<[u8; ARG_PAGE_BYTES]> {
+    match old {
+        Some(mut page) => {
+            page.iter_mut()
+                .take(MAX_DIMENSIONS * 16)
+                .for_each(|b| *b = 0);
+            page
+        }
+        None => Box::new([0u8; ARG_PAGE_BYTES]),
+    }
+}
+
 /// Encodes a validated command into its wire representation.
 ///
 /// # Errors
@@ -136,6 +162,20 @@ fn get_u64(buf: &[u8], offset: usize) -> u64 {
 /// assert_eq!(wire::decode(&wired).unwrap(), cmd);
 /// ```
 pub fn encode(cmd: &NvmeCommand) -> Result<WireCommand, WireError> {
+    let mut wired = WireCommand::default();
+    encode_into(cmd, &mut wired)?;
+    Ok(wired)
+}
+
+/// [`encode`] into a caller-kept [`WireCommand`], reusing its argument page:
+/// a driver that keeps one `WireCommand` per queue encodes without
+/// allocating. The result is byte-identical to a fresh [`encode`]. On an
+/// error `wired` is unspecified.
+///
+/// # Errors
+///
+/// Same as [`encode`].
+pub fn encode_into(cmd: &NvmeCommand, wired: &mut WireCommand) -> Result<(), WireError> {
     if let Err(e) = cmd.validate() {
         return Err(match e {
             crate::command::CommandError::TooManyDimensions(n) => {
@@ -148,8 +188,8 @@ pub fn encode(cmd: &NvmeCommand) -> Result<WireCommand, WireError> {
             }
         });
     }
-    let mut entry = [0u8; ENTRY_BYTES];
-    let mut arg_page: Option<Box<[u8; ARG_PAGE_BYTES]>> = None;
+    wired.entry = [0u8; ENTRY_BYTES];
+    let entry = &mut wired.entry;
 
     match cmd {
         NvmeCommand::Read { lba, pages } | NvmeCommand::Write { lba, pages } => {
@@ -158,20 +198,21 @@ pub fn encode(cmd: &NvmeCommand) -> Result<WireCommand, WireError> {
             } else {
                 OP_WRITE
             };
-            put_u64(&mut entry, 0, u64::from(op));
-            put_u64(&mut entry, 16, *lba);
-            put_u64(&mut entry, 24, *pages);
+            put_u64(entry, 0, u64::from(op));
+            put_u64(entry, 16, *lba);
+            put_u64(entry, 24, *pages);
+            wired.arg_page = None;
         }
         NvmeCommand::OpenSpace { dims, element_size } => {
-            put_u64(&mut entry, 0, u64::from(OP_OPEN_SPACE) | EXT_BIT);
-            put_u64(&mut entry, 8, 1);
-            put_u64(&mut entry, 24, dims.len() as u64);
-            put_u64(&mut entry, 32, u64::from(*element_size));
-            let mut page = Box::new([0u8; ARG_PAGE_BYTES]);
+            put_u64(entry, 0, u64::from(OP_OPEN_SPACE) | EXT_BIT);
+            put_u64(entry, 8, 1);
+            put_u64(entry, 24, dims.len() as u64);
+            put_u64(entry, 32, u64::from(*element_size));
+            let mut page = blank_page(wired.arg_page.take());
             for (i, &d) in dims.iter().enumerate() {
                 put_u64(page.as_mut_slice(), i * 8, d);
             }
-            arg_page = Some(page);
+            wired.arg_page = Some(page);
         }
         NvmeCommand::CloseSpace { space } | NvmeCommand::DeleteSpace { space } => {
             let op = if matches!(cmd, NvmeCommand::CloseSpace { .. }) {
@@ -179,8 +220,9 @@ pub fn encode(cmd: &NvmeCommand) -> Result<WireCommand, WireError> {
             } else {
                 OP_DELETE_SPACE
             };
-            put_u64(&mut entry, 0, u64::from(op) | EXT_BIT);
-            put_u64(&mut entry, 16, space.0);
+            put_u64(entry, 0, u64::from(op) | EXT_BIT);
+            put_u64(entry, 16, space.0);
+            wired.arg_page = None;
         }
         NvmeCommand::NdsRead {
             space,
@@ -197,20 +239,20 @@ pub fn encode(cmd: &NvmeCommand) -> Result<WireCommand, WireError> {
             } else {
                 OP_NDS_WRITE
             };
-            put_u64(&mut entry, 0, u64::from(op) | EXT_BIT);
-            put_u64(&mut entry, 8, 1);
-            put_u64(&mut entry, 16, space.0);
-            put_u64(&mut entry, 24, coord.len() as u64);
-            let mut page = Box::new([0u8; ARG_PAGE_BYTES]);
+            put_u64(entry, 0, u64::from(op) | EXT_BIT);
+            put_u64(entry, 8, 1);
+            put_u64(entry, 16, space.0);
+            put_u64(entry, 24, coord.len() as u64);
+            let mut page = blank_page(wired.arg_page.take());
             // validate() guarantees equal arity; zip makes it panic-free.
             for (i, (&c, &d)) in coord.iter().zip(sub_dims.iter()).enumerate() {
                 put_u64(page.as_mut_slice(), i * 16, c);
                 put_u64(page.as_mut_slice(), i * 16 + 8, d);
             }
-            arg_page = Some(page);
+            wired.arg_page = Some(page);
         }
     }
-    Ok(WireCommand { entry, arg_page })
+    Ok(())
 }
 
 /// Decodes a wire command back into its structured form.
@@ -220,6 +262,20 @@ pub fn encode(cmd: &NvmeCommand) -> Result<WireCommand, WireError> {
 /// Any [`WireError`] for malformed entries (unknown opcode, wrong EXT bit,
 /// missing argument page, out-of-range dimensions/extents).
 pub fn decode(wired: &WireCommand) -> Result<NvmeCommand, WireError> {
+    let mut cmd = NvmeCommand::Read { lba: 0, pages: 0 };
+    decode_into(wired, &mut cmd)?;
+    Ok(cmd)
+}
+
+/// [`decode`] into a caller-kept command: when `cmd` already is an
+/// `NdsRead`/`NdsWrite` (the previous command a controller decoded), its
+/// coordinate vectors are reused, so decoding a stream of extended
+/// read/write commands does not allocate. On an error `cmd` is unspecified.
+///
+/// # Errors
+///
+/// Same as [`decode`].
+pub fn decode_into(wired: &WireCommand, cmd: &mut NvmeCommand) -> Result<(), WireError> {
     let word0 = get_u64(&wired.entry, 0);
     let opcode = (word0 & 0xFF) as u8;
     let ext = word0 & EXT_BIT != 0;
@@ -253,11 +309,11 @@ pub fn decode(wired: &WireCommand) -> Result<NvmeCommand, WireError> {
             if pages == 0 {
                 return Err(WireError::BadExtent(0));
             }
-            Ok(if opcode == OP_READ {
+            *cmd = if opcode == OP_READ {
                 NvmeCommand::Read { lba, pages }
             } else {
                 NvmeCommand::Write { lba, pages }
-            })
+            };
         }
         OP_OPEN_SPACE => {
             if !ext {
@@ -273,18 +329,18 @@ pub fn decode(wired: &WireCommand) -> Result<NvmeCommand, WireError> {
             for i in 0..ndims {
                 dims.push(check_extent(get_u64(page.as_slice(), i * 8))?);
             }
-            Ok(NvmeCommand::OpenSpace { dims, element_size })
+            *cmd = NvmeCommand::OpenSpace { dims, element_size };
         }
         OP_CLOSE_SPACE | OP_DELETE_SPACE => {
             if !ext {
                 return Err(WireError::ExtensionBitMismatch);
             }
             let space = SpaceId(get_u64(&wired.entry, 16));
-            Ok(if opcode == OP_CLOSE_SPACE {
+            *cmd = if opcode == OP_CLOSE_SPACE {
                 NvmeCommand::CloseSpace { space }
             } else {
                 NvmeCommand::DeleteSpace { space }
-            })
+            };
         }
         OP_NDS_READ | OP_NDS_WRITE => {
             if !ext {
@@ -293,13 +349,22 @@ pub fn decode(wired: &WireCommand) -> Result<NvmeCommand, WireError> {
             let page = wired.arg_page.as_ref().ok_or(WireError::MissingArgPage)?;
             let space = SpaceId(get_u64(&wired.entry, 16));
             let ndims = check_dims(get_u64(&wired.entry, 24))?;
-            let mut coord = Vec::with_capacity(ndims);
-            let mut sub_dims = Vec::with_capacity(ndims);
+            let (mut coord, mut sub_dims) = match cmd {
+                NvmeCommand::NdsRead {
+                    coord, sub_dims, ..
+                }
+                | NvmeCommand::NdsWrite {
+                    coord, sub_dims, ..
+                } => (std::mem::take(coord), std::mem::take(sub_dims)),
+                _ => (Vec::new(), Vec::new()),
+            };
+            coord.clear();
+            sub_dims.clear();
             for i in 0..ndims {
                 coord.push(get_u64(page.as_slice(), i * 16));
                 sub_dims.push(check_extent(get_u64(page.as_slice(), i * 16 + 8))?);
             }
-            Ok(if opcode == OP_NDS_READ {
+            *cmd = if opcode == OP_NDS_READ {
                 NvmeCommand::NdsRead {
                     space,
                     coord,
@@ -311,10 +376,11 @@ pub fn decode(wired: &WireCommand) -> Result<NvmeCommand, WireError> {
                     coord,
                     sub_dims,
                 }
-            })
+            };
         }
-        other => Err(WireError::UnknownOpcode(other)),
+        other => return Err(WireError::UnknownOpcode(other)),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -346,6 +412,43 @@ mod tests {
             coord: vec![0; MAX_DIMENSIONS],
             sub_dims: vec![MAX_ELEMENTS_PER_DIM; MAX_DIMENSIONS],
         });
+    }
+
+    #[test]
+    fn reused_wire_and_command_match_fresh_ones() {
+        // A long command, then shorter ones of every kind through the same
+        // buffers: stale argument words and vectors must not leak.
+        let stream = [
+            NvmeCommand::NdsWrite {
+                space: SpaceId(3),
+                coord: vec![7; MAX_DIMENSIONS],
+                sub_dims: vec![MAX_ELEMENTS_PER_DIM; MAX_DIMENSIONS],
+            },
+            NvmeCommand::NdsRead {
+                space: SpaceId(4),
+                coord: vec![1, 2],
+                sub_dims: vec![8, 8],
+            },
+            NvmeCommand::OpenSpace {
+                dims: vec![16],
+                element_size: 4,
+            },
+            NvmeCommand::Read { lba: 5, pages: 2 },
+            NvmeCommand::NdsRead {
+                space: SpaceId(4),
+                coord: vec![0],
+                sub_dims: vec![4],
+            },
+            NvmeCommand::DeleteSpace { space: SpaceId(4) },
+        ];
+        let mut wired = encode(&stream[0]).unwrap();
+        let mut decoded = NvmeCommand::Read { lba: 0, pages: 1 };
+        for cmd in &stream {
+            encode_into(cmd, &mut wired).expect("encode_into");
+            assert_eq!(wired, encode(cmd).unwrap(), "reused wire bytes for {cmd:?}");
+            decode_into(&wired, &mut decoded).expect("decode_into");
+            assert_eq!(&decoded, cmd);
+        }
     }
 
     #[test]

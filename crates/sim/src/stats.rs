@@ -41,9 +41,15 @@ impl Stats {
         Stats::default()
     }
 
-    /// Adds `delta` to counter `name`, creating it at zero if absent.
+    /// Adds `delta` to counter `name`, creating it at zero if absent. Only
+    /// the first touch of a name allocates its key.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Current value of counter `name` (zero if never touched).
@@ -81,7 +87,7 @@ impl Stats {
     /// Merges another registry into this one, summing shared counters.
     pub fn merge(&mut self, other: &Stats) {
         for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
+            self.add(name, *value);
         }
     }
 

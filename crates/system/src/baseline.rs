@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use nds_core::{ElementType, NdsError, Region, Shape};
-use nds_flash::{Ftl, FtlConfig};
+use nds_flash::{Ftl, FtlConfig, PageAddr};
 use nds_host::CpuModel;
 use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
 
@@ -49,6 +49,18 @@ pub struct BaselineSystem {
     datasets: BTreeMap<DatasetId, Dataset>,
     next_id: u64,
     next_lba: u64,
+    scratch: Scratch,
+}
+
+/// Request-scoped lists, kept between requests so marshalling one does not
+/// allocate in steady state.
+#[derive(Debug, Default)]
+struct Scratch {
+    extents: Vec<Extent>,
+    /// `(first_page, page_count, wire_bytes)` per I/O command.
+    commands: Vec<(u64, u64, u64)>,
+    /// Physical pages of the command being scheduled.
+    addrs: Vec<PageAddr>,
 }
 
 impl BaselineSystem {
@@ -64,6 +76,7 @@ impl BaselineSystem {
             datasets: BTreeMap::new(),
             next_id: 1,
             next_lba: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -71,20 +84,17 @@ impl BaselineSystem {
         self.ftl.page_size() as u64
     }
 
-    fn dataset(&self, id: DatasetId) -> Result<&Dataset, SystemError> {
-        self.datasets
-            .get(&id)
-            .ok_or(SystemError::UnknownDataset(id))
-    }
-
-    /// Enumerates the serialized extents of a request. Extents come out in
+    /// Enumerates the serialized extents of a request into `extents`,
+    /// merging those contiguous in the serialization (a well-written
+    /// application issues one request for them). Extents come out in
     /// ascending dataset order (the region iterator is row-major).
-    fn extents(
+    fn extents_into(
+        extents: &mut Vec<Extent>,
         ds: &Dataset,
         view: &Shape,
         coord: &[u64],
         sub_dims: &[u64],
-    ) -> Result<Vec<Extent>, SystemError> {
+    ) -> Result<(), SystemError> {
         if view.volume() != ds.shape.volume() {
             return Err(NdsError::ViewVolumeMismatch {
                 space: ds.shape.volume(),
@@ -92,42 +102,36 @@ impl BaselineSystem {
             }
             .into());
         }
-        let region = Region::from_request(view, coord, sub_dims).map_err(SystemError::from)?;
         let elem = ds.element.size() as u64;
-        let mut extents = Vec::new();
-        region.for_each_run(view, |buf_off, linear, len| {
-            extents.push(Extent {
+        extents.clear();
+        Region::for_each_request_run(view, coord, sub_dims, |buf_off, linear, len| {
+            let e = Extent {
                 buffer_off: buf_off * elem,
                 dataset_off: linear * elem,
                 len: len * elem,
-            });
-        });
-        // Merge extents that are contiguous in the serialization (a
-        // well-written application issues one request for them).
-        let mut merged: Vec<Extent> = Vec::with_capacity(extents.len());
-        for e in extents {
-            if let Some(last) = merged.last_mut() {
+            };
+            if let Some(last) = extents.last_mut() {
                 if last.dataset_off + last.len == e.dataset_off
                     && last.buffer_off + last.len == e.buffer_off
                 {
                     last.len += e.len;
-                    continue;
+                    return;
                 }
             }
-            merged.push(e);
-        }
-        Ok(merged)
+            extents.push(e);
+        })?;
+        Ok(())
     }
 
-    /// Groups extents into I/O commands: maximal runs of adjacent pages.
-    /// Returns `(first_page, page_count, wire_bytes)` triples in ascending
-    /// order, where `wire_bytes` is the requested volume rounded up to
-    /// 512-byte NVMe sectors — the device senses whole pages internally but
-    /// transfers only the requested sectors across the link.
-    fn commands_for(&self, extents: &[Extent]) -> Vec<(u64, u64, u64)> {
+    /// Groups extents into I/O commands: maximal runs of adjacent pages of
+    /// `ps` bytes. Leaves `(first_page, page_count, wire_bytes)` triples in
+    /// ascending order in `commands`, where `wire_bytes` is the requested
+    /// volume rounded up to 512-byte NVMe sectors — the device senses whole
+    /// pages internally but transfers only the requested sectors across the
+    /// link.
+    fn commands_into(commands: &mut Vec<(u64, u64, u64)>, ps: u64, extents: &[Extent]) {
         const SECTOR: u64 = 512;
-        let ps = self.page_size();
-        let mut commands: Vec<(u64, u64, u64)> = Vec::new();
+        commands.clear();
         let mut last_sector = u64::MAX;
         for e in extents {
             let first = e.dataset_off / ps;
@@ -157,21 +161,20 @@ impl BaselineSystem {
             }
             commands.push((first, last - first + 1, sector_bytes.max(SECTOR)));
         }
-        commands
     }
 
-    /// Reads the bytes of one extent out of the page store (zeros where
-    /// pages were never written).
-    fn read_extent(&self, ds: &Dataset, e: Extent, buffer: &mut [u8]) {
-        let ps = self.page_size();
+    /// Reads the bytes of one extent of the dataset at `base_lba` out of the
+    /// page store (zeros where pages were never written).
+    fn read_extent(ftl: &Ftl, base_lba: u64, e: Extent, buffer: &mut [u8]) {
+        let ps = ftl.page_size() as u64;
         let mut off = e.dataset_off;
         let mut buf = e.buffer_off;
         let mut remaining = e.len;
         while remaining > 0 {
-            let lba = ds.base_lba + off / ps;
+            let lba = base_lba + off / ps;
             let in_page = off % ps;
             let take = remaining.min(ps - in_page);
-            if let Some(page) = self.ftl.peek(lba) {
+            if let Some(page) = ftl.peek(lba) {
                 // Ranges are equal-length by construction; checked slicing
                 // keeps the data path panic-free (nds-lint D4).
                 let dst = buffer.get_mut(buf as usize..(buf + take) as usize);
@@ -228,8 +231,15 @@ impl StorageFrontEnd for BaselineSystem {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
-        let ds = self.dataset(id)?.clone();
-        let extents = Self::extents(&ds, view, coord, sub_dims)?;
+        let ds = self
+            .datasets
+            .get(&id)
+            .ok_or(SystemError::UnknownDataset(id))?;
+        let base_lba = ds.base_lba;
+        let Scratch {
+            extents, commands, ..
+        } = &mut self.scratch;
+        Self::extents_into(extents, ds, view, coord, sub_dims)?;
         let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
         if data.len() as u64 != total_bytes {
             return Err(NdsError::BadPayloadSize {
@@ -251,15 +261,15 @@ impl StorageFrontEnd for BaselineSystem {
 
         // Build per-page images (read-modify-write at the edges) and write
         // through the FTL.
-        let ps = self.page_size();
-        let commands = self.commands_for(&extents);
+        let ps = self.ftl.page_size() as u64;
+        Self::commands_into(commands, ps, extents);
         let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for e in &extents {
+        for e in extents.iter() {
             let mut off = e.dataset_off;
             let mut src = e.buffer_off;
             let mut remaining = e.len;
             while remaining > 0 {
-                let lba = ds.base_lba + off / ps;
+                let lba = base_lba + off / ps;
                 let in_page = off % ps;
                 let take = remaining.min(ps - in_page);
                 let image = pages.entry(lba).or_insert_with(|| {
@@ -287,7 +297,7 @@ impl StorageFrontEnd for BaselineSystem {
 
         // Link and submission costs per command.
         let mut link_end = SimTime::ZERO;
-        for &(_first, count, _wire) in &commands {
+        for &(_first, count, _wire) in commands.iter() {
             // Writes carry whole pages (the controller cannot
             // read-modify-write sectors it never received).
             link_end = self.life.link.try_transfer(count * ps, SimTime::ZERO)?;
@@ -335,14 +345,23 @@ impl StorageFrontEnd for BaselineSystem {
         sub_dims: &[u64],
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
-        let ds = self.dataset(id)?.clone();
-        let extents = Self::extents(&ds, view, coord, sub_dims)?;
+        let ds = self
+            .datasets
+            .get(&id)
+            .ok_or(SystemError::UnknownDataset(id))?;
+        let base_lba = ds.base_lba;
+        let Scratch {
+            extents,
+            commands,
+            addrs,
+        } = &mut self.scratch;
+        Self::extents_into(extents, ds, view, coord, sub_dims)?;
         let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
         self.life.start_epoch(&mut self.ftl);
         let ctx = self.life.open_scope(&mut self.ftl);
 
-        let ps = self.page_size();
-        let commands = self.commands_for(&extents);
+        let ps = self.ftl.page_size() as u64;
+        Self::commands_into(commands, ps, extents);
         // DMA streams pages to the host as they come off the channels, so
         // the link transfer overlaps the device batch: it can start once the
         // first page has been sensed and transferred internally.
@@ -350,17 +369,18 @@ impl StorageFrontEnd for BaselineSystem {
         let first_page = SimTime::ZERO + timing.read_latency + timing.transfer_time(ps as usize);
         let mut io_end = SimTime::ZERO;
         let mut flash_end = SimTime::ZERO;
-        for &(first, count, wire_bytes) in &commands {
+        for &(first, count, wire_bytes) in commands.iter() {
             // Device: all the command's mapped pages, as one batch.
-            let addrs: Vec<_> = (first..first + count)
-                .filter_map(|lba| self.ftl.physical_of(ds.base_lba + lba))
-                .collect();
+            addrs.clear();
+            addrs.extend(
+                (first..first + count).filter_map(|lba| self.ftl.physical_of(base_lba + lba)),
+            );
             let dev_end = if addrs.is_empty() {
                 SimTime::ZERO
             } else {
                 self.ftl
                     .device_mut()
-                    .fault_read_batch(&addrs, SimTime::ZERO)?
+                    .fault_read_batch(addrs, SimTime::ZERO)?
             };
             let link_end = self
                 .life
@@ -398,8 +418,8 @@ impl StorageFrontEnd for BaselineSystem {
 
         buf.clear();
         buf.resize(total_bytes as usize, 0);
-        for e in &extents {
-            self.read_extent(&ds, *e, buf);
+        for e in extents.iter() {
+            Self::read_extent(&self.ftl, base_lba, *e, buf);
         }
 
         if let Some(ctx) = ctx {

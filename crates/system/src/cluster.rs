@@ -51,6 +51,7 @@
 //! running without the cluster at all.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_faults::{ClusterFaultPlan, DeviceFault, DeviceFaultKind};
@@ -224,37 +225,57 @@ impl<S> DeviceSlot<S> {
 /// One planned device-level sub-operation of a clustered request: `len`
 /// elements of shard `shard`, landing at element offset `buf_elem` of the
 /// caller's dense buffer. Every front-end request — sharded or not —
-/// becomes one `Vec<SubOp>` executed by one read loop or one write loop.
+/// becomes one `SubOp` list executed by one read loop or one write loop.
 #[derive(Debug, Clone, Copy)]
-struct SubOp<'a> {
+struct SubOp {
     shard: usize,
     /// Partition coordinate of the piece in the shard's flat view.
     coord: u64,
     len: u64,
     buf_elem: u64,
-    /// The caller's own `(view, coord, sub_dims)`, set on the single
-    /// sub-op of a single-shard dataset: the shard *is* the dataset, so the
-    /// request forwards verbatim and the device sees the call sequence it
-    /// would see without the cluster.
-    verbatim: Option<(&'a Shape, &'a [u64], &'a [u64])>,
+    /// Set on the single sub-op of a single-shard dataset: the shard *is*
+    /// the dataset, so the caller's own `(view, coord, sub_dims)` forwards
+    /// verbatim and the device sees the call sequence it would see without
+    /// the cluster.
+    verbatim: bool,
 }
 
-impl SubOp<'_> {
-    /// The device request `(view, coord, sub_dims)` serving this sub-op
-    /// from a replica of `shard`.
-    fn request<'b>(&'b self, shard: &'b Shard) -> (&'b Shape, &'b [u64], &'b [u64]) {
-        self.verbatim.unwrap_or((
+/// A front-end request as the caller phrased it: `(view, coord, sub_dims)`.
+type Request<'a> = (&'a Shape, &'a [u64], &'a [u64]);
+
+impl SubOp {
+    /// The device request serving this sub-op of `caller`'s request from a
+    /// replica of `shard`.
+    fn request<'b>(&'b self, shard: &'b Shard, caller: Request<'b>) -> Request<'b> {
+        if self.verbatim {
+            return caller;
+        }
+        (
             &shard.flat,
             std::slice::from_ref(&self.coord),
             std::slice::from_ref(&self.len),
-        ))
+        )
     }
 }
 
+/// Request-scoped lists of one clustered operation, kept between
+/// operations so planning and executing one does not allocate in steady
+/// state.
+#[derive(Debug, Default)]
+struct OpScratch {
+    /// Coalesced `(buffer offset, linear start, length)` runs of the region.
+    runs: Vec<(u64, u64, u64)>,
+    subops: Vec<SubOp>,
+    /// Per device: the serial `(latency, occupancy)` sums of its sub-ops.
+    dev_io: Vec<(SimDuration, SimDuration)>,
+    /// The replica payload of the sub-op being read.
+    payload: Vec<u8>,
+}
+
 impl ClusterDataset {
-    /// Plans the request `(view, coord, sub_dims)` as device sub-operations.
-    /// Returns the sub-ops, in ascending buffer order, plus the request's
-    /// element volume.
+    /// Plans the request `(view, coord, sub_dims)` as device sub-operations:
+    /// leaves them in `scratch.subops`, in ascending buffer order, and
+    /// returns the request's element volume.
     ///
     /// A single-shard dataset plans to exactly one [`SubOp::verbatim`]
     /// sub-op. Otherwise the region's linear runs (contiguous in the
@@ -265,32 +286,32 @@ impl ClusterDataset {
     /// the shard ranges and decomposed into [`aligned_chunks`] so every
     /// piece is expressible as a `(coord, sub_dims)` request in the shard's
     /// flat view.
-    fn plan<'a>(
+    fn plan(
         &self,
-        view: &'a Shape,
-        coord: &'a [u64],
-        sub_dims: &'a [u64],
-    ) -> Result<(Vec<SubOp<'a>>, u64), SystemError> {
+        (view, coord, sub_dims): Request<'_>,
+        scratch: &mut OpScratch,
+    ) -> Result<u64, SystemError> {
         if view.volume() != self.shape.volume() {
             return Err(SystemError::Nds(NdsError::ViewVolumeMismatch {
                 space: self.shape.volume(),
                 view: view.volume(),
             }));
         }
-        let region = Region::from_request(view, coord, sub_dims).map_err(SystemError::Nds)?;
-        let volume = region.volume();
+        let OpScratch { runs, subops, .. } = scratch;
+        runs.clear();
+        subops.clear();
         if self.shards.len() == 1 {
-            let whole = SubOp {
+            let volume = Region::request_volume(view, coord, sub_dims).map_err(SystemError::Nds)?;
+            subops.push(SubOp {
                 shard: 0,
                 coord: 0,
                 len: volume,
                 buf_elem: 0,
-                verbatim: Some((view, coord, sub_dims)),
-            };
-            return Ok((vec![whole], volume));
+                verbatim: true,
+            });
+            return Ok(volume);
         }
-        let mut runs: Vec<(u64, u64, u64)> = Vec::new();
-        region.for_each_run(view, |buf, linear, len| {
+        let volume = Region::for_each_request_run(view, coord, sub_dims, |buf, linear, len| {
             if let Some(last) = runs.last_mut() {
                 if last.0 + last.2 == buf && last.1 + last.2 == linear {
                     last.2 += len;
@@ -298,9 +319,9 @@ impl ClusterDataset {
                 }
             }
             runs.push((buf, linear, len));
-        });
-        let mut subops = Vec::new();
-        for (buf, linear, len) in runs {
+        })
+        .map_err(SystemError::Nds)?;
+        for &(buf, linear, len) in runs.iter() {
             let mut g = linear;
             let end = linear + len;
             while g < end {
@@ -323,13 +344,13 @@ impl ClusterDataset {
                         coord: p / l,
                         len: l,
                         buf_elem: buf + (base + p - linear),
-                        verbatim: None,
+                        verbatim: false,
                     });
                 });
                 g += take;
             }
         }
-        Ok((subops, volume))
+        Ok(volume)
     }
 
     /// The write ack rule: the lowest shard `subops` touch that has no
@@ -362,7 +383,7 @@ pub struct NdsCluster<S> {
     log: String,
     /// Modeled time spent copying shards for re-replication / resync.
     repair_time: SimDuration,
-    scratch: Vec<u8>,
+    scratch: OpScratch,
 }
 
 /// Device `device`'s slot, or the typed bookkeeping error. Free functions
@@ -448,7 +469,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             obs,
             log: String::new(),
             repair_time: SimDuration::ZERO,
-            scratch: Vec::new(),
+            scratch: OpScratch::default(),
         }
     }
 
@@ -656,18 +677,26 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             .local;
         let zeros = vec![0u64; local.ndims()];
         let slot = slot_mut(&mut self.devices, src.device)?;
-        let read = slot
-            .sys
-            .read_into(src.local, local, &zeros, local.dims(), &mut self.scratch)?;
+        let read = slot.sys.read_into(
+            src.local,
+            local,
+            &zeros,
+            local.dims(),
+            &mut self.scratch.payload,
+        )?;
         slot.busy.acquire(SimTime::ZERO, read.io_latency);
         let slot = slot_mut(&mut self.devices, dst)?;
         let target_local = match dst_local {
             Some(existing) => existing,
             None => slot.sys.create_dataset(local.clone(), ds.element)?,
         };
-        let out = slot
-            .sys
-            .write(target_local, local, &zeros, local.dims(), &self.scratch)?;
+        let out = slot.sys.write(
+            target_local,
+            local,
+            &zeros,
+            local.dims(),
+            &self.scratch.payload,
+        )?;
         slot.busy.acquire(SimTime::ZERO, out.latency);
         self.repair_time += read.io_latency + out.latency;
         let bytes = read.bytes;
@@ -800,7 +829,14 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let op = self.ops;
         self.ops += 1;
 
-        let (subops, volume) = ds.plan(view, coord, sub_dims)?;
+        let caller = (view, coord, sub_dims);
+        let volume = ds.plan(caller, &mut self.scratch)?;
+        let OpScratch {
+            subops,
+            dev_io,
+            payload,
+            ..
+        } = &mut self.scratch;
         let mut metrics = ReadMetrics {
             io_latency: SimDuration::ZERO,
             io_occupancy: SimDuration::ZERO,
@@ -810,9 +846,10 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         };
         buf.clear();
         buf.resize(metrics.bytes as usize, 0);
-        let mut dev_io: BTreeMap<u32, (SimDuration, SimDuration)> = BTreeMap::new();
+        dev_io.clear();
+        dev_io.resize(self.devices.len(), (SimDuration::ZERO, SimDuration::ZERO));
         let mut degraded = false;
-        for sub in &subops {
+        for sub in subops.iter() {
             let shard = ds
                 .shards
                 .get(sub.shard)
@@ -824,23 +861,22 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 shard: shard_idx,
             })?;
             degraded |= eligible < shard.replicas.len();
-            let (dev_view, dev_coord, dev_sub) = sub.request(shard);
+            let (dev_view, dev_coord, dev_sub) = sub.request(shard, caller);
             let slot = slot_mut(&mut self.devices, replica.device)?;
-            let scratch = &mut self.scratch;
             let m = slot
                 .sys
-                .read_into(replica.local, dev_view, dev_coord, dev_sub, scratch)?;
+                .read_into(replica.local, dev_view, dev_coord, dev_sub, payload)?;
             slot.busy.acquire(SimTime::ZERO, m.io_latency);
             let b0 = (sub.buf_elem * esize) as usize;
             let n = (sub.len * esize) as usize;
             let (dst, src) = buf
                 .get_mut(b0..b0 + n)
-                .zip(scratch.get(..n))
+                .zip(payload.get(..n))
                 .ok_or(SystemError::ClusterInconsistency("read buffer range"))?;
             dst.copy_from_slice(src);
             let entry = dev_io
-                .entry(replica.device)
-                .or_insert((SimDuration::ZERO, SimDuration::ZERO));
+                .get_mut(replica.device as usize)
+                .ok_or(SystemError::ClusterInconsistency("replica device index"))?;
             entry.0 += m.io_latency;
             entry.1 += m.io_occupancy;
             metrics.restructure += m.restructure;
@@ -852,7 +888,9 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 }
             });
         }
-        for (io, occupancy) in dev_io.into_values() {
+        // Devices work in parallel; an untouched device's zero sums lose
+        // every `max`.
+        for &(io, occupancy) in dev_io.iter() {
             metrics.io_latency = metrics.io_latency.max(io);
             metrics.io_occupancy = metrics.io_occupancy.max(occupancy);
         }
@@ -866,15 +904,17 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             self.stats.add("cluster.degraded_reads", 1);
         }
         self.obs.latency("cluster.read", metrics.latency());
-        self.log.push_str(&format!(
-            "op={} kind=read ds={} subops={} degraded={} io_ns={} bytes={}\n",
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(
+            self.log,
+            "op={} kind=read ds={} subops={} degraded={} io_ns={} bytes={}",
             op,
             id.0,
             subops,
             u64::from(degraded),
             metrics.io_latency.as_nanos(),
             metrics.bytes
-        ));
+        );
         self.observe_cluster_op(metrics.bytes, metrics.latency());
         Ok(metrics)
     }
@@ -925,7 +965,9 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let op = self.ops;
         self.ops += 1;
 
-        let (subops, volume) = ds.plan(view, coord, sub_dims)?;
+        let caller = (view, coord, sub_dims);
+        let volume = ds.plan(caller, &mut self.scratch)?;
+        let OpScratch { subops, dev_io, .. } = &mut self.scratch;
         let expected = (volume * esize) as usize;
         if data.len() != expected {
             return Err(SystemError::Nds(NdsError::BadPayloadSize {
@@ -933,24 +975,25 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 expected,
             }));
         }
-        if let Some(h) = ds.unacked_shard(&self.devices, &subops) {
+        if let Some(h) = ds.unacked_shard(&self.devices, subops) {
             return Err(SystemError::ShardUnavailable {
                 dataset: id,
                 shard: shard_index(h),
             });
         }
 
-        let mut dev_lat: BTreeMap<u32, SimDuration> = BTreeMap::new();
+        dev_io.clear();
+        dev_io.resize(self.devices.len(), (SimDuration::ZERO, SimDuration::ZERO));
         let mut commands = 0u64;
         let mut skips = 0u64;
         // (shard, replica position) pairs that missed this write.
         let mut stale_marks: Vec<(usize, usize)> = Vec::new();
-        for sub in &subops {
+        for sub in subops.iter() {
             let shard = ds
                 .shards
                 .get(sub.shard)
                 .ok_or(SystemError::ClusterInconsistency("subop shard"))?;
-            let (dev_view, dev_coord, dev_sub) = sub.request(shard);
+            let (dev_view, dev_coord, dev_sub) = sub.request(shard, caller);
             let b0 = (sub.buf_elem * esize) as usize;
             let slice = data
                 .get(b0..b0 + (sub.len * esize) as usize)
@@ -979,10 +1022,17 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                     .write(r.local, dev_view, dev_coord, dev_sub, slice)?;
                 slot.busy.acquire(SimTime::ZERO, out.latency);
                 commands += out.commands;
-                *dev_lat.entry(r.device).or_insert(SimDuration::ZERO) += out.latency;
+                if let Some(sums) = dev_io.get_mut(r.device as usize) {
+                    sums.0 += out.latency;
+                }
             }
         }
         let subops = subops.len() as u64;
+        // Devices work in parallel; an untouched device's zero loses the max.
+        let latency = dev_io
+            .iter()
+            .map(|sums| sums.0)
+            .fold(SimDuration::ZERO, SimDuration::max);
         for (h, pos) in stale_marks {
             if let Some(replica) = self.shard_mut(id, h).and_then(|s| s.replicas.get_mut(pos)) {
                 replica.stale = true;
@@ -990,9 +1040,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         }
 
         let outcome = WriteOutcome {
-            latency: dev_lat
-                .into_values()
-                .fold(SimDuration::ZERO, SimDuration::max),
+            latency,
             commands,
             bytes: data.len() as u64,
         };
@@ -1002,15 +1050,16 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         self.stats.add("cluster.bytes_written", outcome.bytes);
         self.stats.add("cluster.write_skips", skips);
         self.obs.latency("cluster.write", outcome.latency);
-        self.log.push_str(&format!(
-            "op={} kind=write ds={} subops={} skips={} lat_ns={} bytes={}\n",
+        let _ = writeln!(
+            self.log,
+            "op={} kind=write ds={} subops={} skips={} lat_ns={} bytes={}",
             op,
             id.0,
             subops,
             skips,
             outcome.latency.as_nanos(),
             outcome.bytes
-        ));
+        );
         self.observe_cluster_op(outcome.bytes, outcome.latency);
         Ok(outcome)
     }

@@ -17,15 +17,47 @@
 //! to inject and recover from media faults.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+// nds-lint: allow(D2, keyed access only, never iterated)
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use nds_core::{DeviceSpec, NvmBackend, UnitLocation};
 use nds_flash::{BlockAddr, FlashConfig, FlashDevice, FlashError, PageAddr, PageState};
-use nds_sim::{SimTime, Stats};
+use nds_sim::{splitmix64, SimTime, Stats};
 
-/// Fraction of a lane's pages below which garbage collection triggers
-/// (the paper's "typically 10%", §4.2).
-const GC_THRESHOLD: f64 = 0.10;
+/// Garbage collection triggers when a lane's free pages drop below one in
+/// this many (the paper's "typically 10%", §4.2).
+const GC_THRESHOLD_DIVISOR: usize = 10;
+
+/// The fixed (seedless) hasher of the handle tables: chained `splitmix64`
+/// over the key's words, so a table's layout is the same in every process.
+#[derive(Debug, Default, Clone, Copy)]
+struct HandleHasher(u64);
+
+impl Hasher for HandleHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = splitmix64(self.0 ^ word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A table probed by key only — never iterated, so no schedule or output
+/// can depend on its layout — with the fixed [`HandleHasher`].
+// nds-lint: allow(D2, keyed access only, never iterated)
+type KeyedTable<K, V> = HashMap<K, V, BuildHasherDefault<HandleHasher>>;
 
 /// An [`NvmBackend`] over the flash simulator with handle indirection and
 /// lane-local garbage collection.
@@ -45,11 +77,17 @@ const GC_THRESHOLD: f64 = 0.10;
 #[derive(Debug)]
 pub struct FlashBackend {
     device: FlashDevice,
-    /// Handle → current physical page.
-    forward: BTreeMap<UnitLocation, PageAddr>,
-    /// Physical page → handle (for GC relocation).
-    reverse: BTreeMap<PageAddr, UnitLocation>,
+    /// Handle → index ([`FlashGeometry::page_index`](nds_flash::FlashGeometry::page_index))
+    /// of its current physical page.
+    forward: KeyedTable<UnitLocation, u32>,
+    /// Physical page index → the handle stored there (for GC relocation).
+    /// Sparse: its size follows the live handles, not the device.
+    reverse: KeyedTable<u32, UnitLocation>,
     next_id: Vec<u64>,
+    /// Free pages below which a lane garbage-collects.
+    gc_threshold: usize,
+    /// Reused page list of one scheduled batch.
+    batch: Vec<PageAddr>,
     stats: Stats,
 }
 
@@ -57,12 +95,18 @@ impl FlashBackend {
     /// Creates a backend over a fresh flash device.
     pub fn new(config: FlashConfig) -> Self {
         let device = FlashDevice::new(config);
-        let lanes = device.geometry().total_banks();
+        let g = *device.geometry();
+        assert!(
+            g.total_pages() <= u32::MAX as usize,
+            "geometry exceeds the handle tables' page-index width"
+        );
         FlashBackend {
             device,
-            forward: BTreeMap::new(),
-            reverse: BTreeMap::new(),
-            next_id: vec![0; lanes],
+            forward: KeyedTable::default(),
+            reverse: KeyedTable::default(),
+            next_id: vec![0; g.total_banks()],
+            gc_threshold: gc_threshold(g.pages_per_bank()),
+            batch: Vec::new(),
             stats: Stats::new(),
         }
     }
@@ -90,7 +134,47 @@ impl FlashBackend {
 
     /// The physical page currently backing `loc`, if any.
     pub fn physical_of(&self, loc: UnitLocation) -> Option<PageAddr> {
-        self.forward.get(&loc).copied()
+        let index = *self.forward.get(&loc)?;
+        Some(self.device.geometry().page_at(index as usize))
+    }
+
+    /// Maps `loc` to `page` in both tables.
+    fn map(&mut self, loc: UnitLocation, page: PageAddr) {
+        let index = self.device.geometry().page_index(page) as u32;
+        self.forward.insert(loc, index);
+        self.reverse.insert(index, loc);
+    }
+
+    /// Drops `loc`'s mapping from both tables, returning the page it had.
+    fn unmap(&mut self, loc: UnitLocation) -> Option<PageAddr> {
+        let index = self.forward.remove(&loc)?;
+        self.reverse.remove(&index);
+        Some(self.device.geometry().page_at(index as usize))
+    }
+
+    /// The handle stored in `page`, if any.
+    fn handle_at(&self, page: PageAddr) -> Option<UnitLocation> {
+        let index = self.device.geometry().page_index(page) as u32;
+        self.reverse.get(&index).copied()
+    }
+
+    /// The mapped pages of `units`, in order, in the reused batch buffer
+    /// (hand it back through `self.batch` when done).
+    fn mapped_pages(&mut self, units: &[UnitLocation]) -> Vec<PageAddr> {
+        let mut pages = std::mem::take(&mut self.batch);
+        pages.clear();
+        pages.extend(units.iter().filter_map(|u| self.physical_of(*u)));
+        pages
+    }
+
+    /// Moves the valid page `page` (its image and its handle) to the free
+    /// page `dest`.
+    fn move_page(&mut self, page: PageAddr, dest: PageAddr) -> Result<(), FlashError> {
+        let handle = self.handle_at(page).ok_or(FlashError::PageNotValid(page))?;
+        self.device.relocate_page(page, dest)?;
+        self.unmap(handle);
+        self.map(handle, dest);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -114,15 +198,14 @@ impl FlashBackend {
         units: &[UnitLocation],
         ready: SimTime,
     ) -> Result<SimTime, FlashError> {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
-        if pages.is_empty() {
-            return Ok(ready);
-        }
-        let done = self.device.fault_read_batch(&pages, ready)?;
-        self.service_disturbed(done)
+        let pages = self.mapped_pages(units);
+        let done = if pages.is_empty() {
+            Ok(ready)
+        } else {
+            self.device.fault_read_batch(&pages, ready)
+        };
+        self.batch = pages;
+        self.service_disturbed(done?)
     }
 
     /// Schedules programs of `units`, returning the batch completion time.
@@ -142,12 +225,21 @@ impl FlashBackend {
         units: &[UnitLocation],
         ready: SimTime,
     ) -> Result<SimTime, FlashError> {
-        let pages: Vec<PageAddr> = units
-            .iter()
-            .filter_map(|u| self.forward.get(u).copied())
-            .collect();
+        // The batch's pages are fixed up front: recovery below remaps
+        // handles, and must not redirect programs already issued.
+        let pages = self.mapped_pages(units);
+        let done = self.schedule_page_programs(&pages, ready);
+        self.batch = pages;
+        done
+    }
+
+    fn schedule_page_programs(
+        &mut self,
+        pages: &[PageAddr],
+        ready: SimTime,
+    ) -> Result<SimTime, FlashError> {
         let mut done = ready;
-        for page in pages {
+        for &page in pages {
             let mut end = self.device.schedule_programs(&[page], ready);
             if self.device.next_program_fault(page) {
                 // The failed program already spent its bus + program time;
@@ -174,9 +266,9 @@ impl FlashBackend {
     }
 
     /// Moves every valid page of `block` to a fresh page in the same lane,
-    /// updating the handle maps and charging the moves to the timeline.
-    /// A valid page without data or a reverse-map entry means the
-    /// device/backend bookkeeping diverged and surfaces as `PageNotValid`.
+    /// updating the handle tables and charging the moves to the timeline.
+    /// A valid page without data or a reverse-table entry means the
+    /// device/backend bookkeeping diverged and surfaces as a typed error.
     fn relocate_block(
         &mut self,
         block: BlockAddr,
@@ -188,15 +280,10 @@ impl FlashBackend {
             if self.device.page_state(page) != PageState::Valid {
                 continue;
             }
-            let data = self
-                .device
-                .peek(page)
-                .ok_or(FlashError::PageNotValid(page))?
-                .to_vec();
             now = self.device.schedule_reads(&[page], now);
-            // Copy-then-invalidate: secure the destination before touching
-            // the source, so an allocation failure leaves the old copy
-            // mapped and readable instead of stranding the handle.
+            // Secure the destination before touching the source, so an
+            // allocation failure leaves the old copy mapped and readable
+            // instead of stranding the handle.
             let dest = match self
                 .device
                 .find_free_page_excluding(page.channel, page.bank, block)
@@ -214,15 +301,8 @@ impl FlashBackend {
                         .ok_or(FlashError::DeviceFull)?
                 }
             };
-            self.device.program(dest, data)?;
+            self.move_page(page, dest)?;
             now = self.device.schedule_programs(&[dest], now);
-            let handle = self
-                .reverse
-                .remove(&page)
-                .ok_or(FlashError::PageNotValid(page))?;
-            self.device.invalidate(page)?;
-            self.forward.insert(handle, dest);
-            self.reverse.insert(dest, handle);
             self.stats.add("faults.migrated", 1);
         }
         Ok(now)
@@ -237,9 +317,8 @@ impl FlashBackend {
     // A violated invariant surfaces as a typed error instead of a panic.
     fn maybe_gc(&mut self, channel: u32, bank: u32) -> Result<(), FlashError> {
         let g = *self.device.geometry();
-        let threshold = ((g.pages_per_bank() as f64) * GC_THRESHOLD).ceil() as usize;
         let mut guard = 0;
-        while self.device.free_pages_in(channel as usize, bank as usize) < threshold {
+        while self.device.free_pages_in(channel as usize, bank as usize) < self.gc_threshold {
             guard += 1;
             if guard > g.blocks_per_bank {
                 break;
@@ -266,28 +345,15 @@ impl FlashBackend {
                     if self.device.page_state(page) != PageState::Valid {
                         continue;
                     }
-                    let data = self
-                        .device
-                        .peek(page)
-                        .ok_or(FlashError::PageNotValid(page))?
-                        .to_vec();
                     // Relocate within the same lane, avoiding the victim.
-                    // Copy-then-invalidate: secure the destination before
-                    // touching the source, so DeviceFull leaves the old
-                    // copy mapped and readable instead of stranding the
-                    // handle.
+                    // Secure the destination before touching the source,
+                    // so DeviceFull leaves the old copy mapped and readable
+                    // instead of stranding the handle.
                     let dest = self
                         .device
                         .find_free_page_excluding(page.channel, page.bank, victim)
                         .ok_or(FlashError::DeviceFull)?;
-                    self.device.program(dest, data)?;
-                    let handle = self
-                        .reverse
-                        .remove(&page)
-                        .ok_or(FlashError::PageNotValid(page))?;
-                    self.device.invalidate(page)?;
-                    self.forward.insert(handle, dest);
-                    self.reverse.insert(dest, handle);
+                    self.move_page(page, dest)?;
                     self.stats.add("backend.gc_relocated", 1);
                 }
             }
@@ -328,8 +394,7 @@ impl NvmBackend for FlashBackend {
     }
 
     fn release_unit(&mut self, loc: UnitLocation) {
-        if let Some(page) = self.forward.remove(&loc) {
-            self.reverse.remove(&page);
+        if let Some(page) = self.unmap(loc) {
             let _ = self.device.invalidate(page);
         }
     }
@@ -339,8 +404,7 @@ impl NvmBackend for FlashBackend {
     }
 
     fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
-        let page = self.forward.get(&loc)?;
-        self.device.peek(*page).map(Cow::Borrowed)
+        self.device.peek(self.physical_of(loc)?).map(Cow::Borrowed)
     }
 
     // The Backend trait makes writes infallible; alloc_unit reserved lane
@@ -348,8 +412,7 @@ impl NvmBackend for FlashBackend {
     #[allow(clippy::expect_used)]
     fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
         // Out-of-place: supersede any existing page for this handle.
-        if let Some(old) = self.forward.remove(&loc) {
-            self.reverse.remove(&old);
+        if let Some(old) = self.unmap(loc) {
             self.device
                 .invalidate(old)
                 .expect("mapped page must be valid");
@@ -363,25 +426,14 @@ impl NvmBackend for FlashBackend {
         self.device
             .program(page, data.to_vec())
             .expect("page is free");
-        self.forward.insert(loc, page);
-        self.reverse.insert(page, loc);
+        self.map(loc, page);
     }
+}
 
-    fn read_units(&self, locs: &[UnitLocation]) -> Vec<Option<Cow<'_, [u8]>>> {
-        // One pass: handle → page → borrowed page image, no per-unit copies.
-        locs.iter()
-            .map(|loc| {
-                let page = self.forward.get(loc)?;
-                self.device.peek(*page).map(Cow::Borrowed)
-            })
-            .collect()
-    }
-
-    fn write_units(&mut self, writes: &[(UnitLocation, &[u8])]) {
-        for &(loc, data) in writes {
-            self.write_unit(loc, data);
-        }
-    }
+/// Free pages below which a lane of `pages_per_bank` pages collects: a
+/// tenth of the lane, rounded up.
+fn gc_threshold(pages_per_bank: usize) -> usize {
+    pages_per_bank.div_ceil(GC_THRESHOLD_DIVISOR)
 }
 
 #[cfg(test)]
@@ -394,6 +446,58 @@ mod tests {
 
     fn unit_bytes(b: &FlashBackend) -> usize {
         b.spec().unit_bytes as usize
+    }
+
+    #[test]
+    fn integer_gc_threshold_equals_the_float_expression_it_replaced() {
+        let float = |pages_per_bank: usize| ((pages_per_bank as f64) * 0.10).ceil() as usize;
+        for pages_per_bank in 1..200_000 {
+            assert_eq!(
+                gc_threshold(pages_per_bank),
+                float(pages_per_bank),
+                "pages_per_bank = {pages_per_bank}"
+            );
+        }
+        // Every geometry the repo constructs, plus the `blocks_per_bank = 4`
+        // variant of `paper_scale()` the `write_churn` workload runs.
+        let mut churn = crate::SystemConfig::paper_scale().flash;
+        churn.geometry.blocks_per_bank = 4;
+        for config in [
+            FlashConfig::datacenter_32ch(),
+            FlashConfig::consumer_8ch(),
+            FlashConfig::small_test(),
+            crate::SystemConfig::paper_scale().flash,
+            crate::SystemConfig::small_test().flash,
+            churn,
+        ] {
+            let pages_per_bank = config.geometry.pages_per_bank();
+            assert_eq!(
+                FlashBackend::new(config).gc_threshold,
+                float(pages_per_bank)
+            );
+        }
+    }
+
+    #[test]
+    fn relocation_keeps_handle_ids_and_both_tables_in_step() {
+        let mut b = backend();
+        let n = unit_bytes(&b);
+        let loc = b.alloc_unit(2, 1).unwrap();
+        b.write_unit(loc, &vec![3; n]);
+        let first = b.physical_of(loc).unwrap();
+        assert_eq!(b.handle_at(first), Some(loc));
+        let dest = b
+            .device_mut()
+            .find_free_page_excluding(2, 1, first.block_addr())
+            .unwrap();
+        b.move_page(first, dest).unwrap();
+        assert_eq!(b.physical_of(loc), Some(dest));
+        assert_eq!(b.handle_at(dest), Some(loc));
+        assert_eq!(b.handle_at(first), None);
+        assert_eq!(b.read_unit(loc).unwrap()[0], 3);
+        b.release_unit(loc);
+        assert_eq!(b.handle_at(dest), None);
+        assert_eq!(b.physical_of(loc), None);
     }
 
     #[test]

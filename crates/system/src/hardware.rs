@@ -13,9 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use nds_core::{ElementType, Shape, SpaceId, Stl};
+use nds_core::{AccessReport, ElementType, Shape, SpaceId, Stl, WriteReport};
 use nds_host::CpuModel;
-use nds_interconnect::{wire, NvmeCommand, QueuePair};
+use nds_interconnect::wire::{self, WireCommand};
+use nds_interconnect::{NvmeCommand, QueuePair};
 use nds_sim::{
     ComponentId, EventKind, Resource, RunReport, SimDuration, SimTime, Stats, TraceExport,
     TraceStage,
@@ -38,6 +39,23 @@ pub struct HardwareNds {
     datasets: BTreeMap<DatasetId, SpaceId>,
     queue: QueuePair,
     next_id: u64,
+    /// The in-device assembler of the read in flight (reset per read).
+    assembler: Resource,
+    scratch: Scratch,
+}
+
+/// Request-scoped state kept between commands so that marshalling and
+/// executing one allocates nothing in steady state.
+#[derive(Debug)]
+struct Scratch {
+    /// Coordinate vectors of the last reaped command, for the next one.
+    spare_args: (Vec<u64>, Vec<u64>),
+    /// The command as it crosses the interface.
+    wired: WireCommand,
+    /// The command the controller decoded off the wire and executes.
+    decoded: NvmeCommand,
+    read: AccessReport,
+    write: WriteReport,
 }
 
 /// Journal identity of the NVMe submission/completion queue pair.
@@ -60,16 +78,53 @@ impl HardwareNds {
             datasets: BTreeMap::new(),
             queue: QueuePair::new(64),
             next_id: 1,
+            assembler: Resource::new("nds.assembler"),
+            scratch: Scratch {
+                spare_args: (Vec::new(), Vec::new()),
+                wired: WireCommand::default(),
+                decoded: NvmeCommand::Read { lba: 0, pages: 0 },
+                read: AccessReport::default(),
+                write: WriteReport::default(),
+            },
         }
     }
 
-    /// Marshals `cmd` through the real §5.3.1 wire codec and the submission
-    /// queue, exactly as the host driver would: encode, submit, device pops
-    /// and decodes. Returns the decoded command the controller executes.
-    fn submit_command(&mut self, cmd: NvmeCommand) -> Result<NvmeCommand, SystemError> {
-        let wired = wire::encode(&cmd)?;
-        self.life.stats.add("nvme.wire_bytes", wired.wire_bytes());
-        let wire_bytes = wired.wire_bytes();
+    /// Marshals the extended read (or, with `write`, write) of
+    /// `(space, coord, sub_dims)` — one NVMe command, §5.3.1 — through the
+    /// interface limits, the real wire codec and the submission queue,
+    /// exactly as the host driver would: validate, encode, submit, device
+    /// pops and decodes. Leaves the decoded command the controller executes
+    /// in `scratch.decoded`.
+    fn submit_command(
+        &mut self,
+        write: bool,
+        space: SpaceId,
+        coord: &[u64],
+        sub_dims: &[u64],
+    ) -> Result<(), SystemError> {
+        let space = nds_interconnect::SpaceId(space.0);
+        let (mut cmd_coord, mut cmd_sub_dims) = std::mem::take(&mut self.scratch.spare_args);
+        cmd_coord.clear();
+        cmd_coord.extend_from_slice(coord);
+        cmd_sub_dims.clear();
+        cmd_sub_dims.extend_from_slice(sub_dims);
+        let cmd = if write {
+            NvmeCommand::NdsWrite {
+                space,
+                coord: cmd_coord,
+                sub_dims: cmd_sub_dims,
+            }
+        } else {
+            NvmeCommand::NdsRead {
+                space,
+                coord: cmd_coord,
+                sub_dims: cmd_sub_dims,
+            }
+        };
+        cmd.validate()?;
+        wire::encode_into(&cmd, &mut self.scratch.wired)?;
+        let wire_bytes = self.scratch.wired.wire_bytes();
+        self.life.stats.add("nvme.wire_bytes", wire_bytes);
         // The queue drains synchronously, so issue and completion share the
         // per-operation epoch anchor rather than carrying modeled time.
         self.life.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
@@ -86,14 +141,24 @@ impl HardwareNds {
             .queue
             .device_pop()
             .ok_or(SystemError::Protocol("submitted command missing on pop"))?;
-        let decoded = wire::decode(&wired)?;
-        debug_assert_eq!(decoded, popped, "wire format must be faithful");
+        wire::decode_into(&self.scratch.wired, &mut self.scratch.decoded)?;
+        debug_assert_eq!(self.scratch.decoded, popped, "wire format must be faithful");
         self.queue.complete(popped);
-        let _ = self.queue.reap();
+        if let Some(
+            NvmeCommand::NdsRead {
+                coord, sub_dims, ..
+            }
+            | NvmeCommand::NdsWrite {
+                coord, sub_dims, ..
+            },
+        ) = self.queue.reap()
+        {
+            self.scratch.spare_args = (coord, sub_dims);
+        }
         self.life.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
             EventKind::CommandCompleted { bytes: wire_bytes }
         });
-        Ok(decoded)
+        Ok(())
     }
 
     /// The controller-resident STL (exposed for overhead experiments).
@@ -121,12 +186,11 @@ impl HardwareNds {
 
     /// Device-side assembler time: DMA descriptors per segment plus the
     /// assembler's internal bandwidth over the payload.
-    fn assemble_time(&self, segments: u64, bytes: u64) -> SimDuration {
+    fn assemble_time(controller: &ControllerConfig, segments: u64, bytes: u64) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
-        Self::DMA_DESCRIPTOR_COST * segments
-            + self.controller.assemble_bandwidth.time_for_bytes(bytes)
+        Self::DMA_DESCRIPTOR_COST * segments + controller.assemble_bandwidth.time_for_bytes(bytes)
     }
 
     /// Controller decomposition time on writes: the ARM cores scatter the
@@ -184,32 +248,27 @@ impl StorageFrontEnd for HardwareNds {
         // The trace scope opens before the NVMe queue events, so the
         // extended command's submission is part of the trace.
         let ctx = self.life.open_scope(&mut self.stl);
-        // The request travels as one extended NVMe write (§5.3.1); validate
-        // it against the interface limits, then marshal it through the real
-        // wire codec and submission queue.
-        let cmd = NvmeCommand::NdsWrite {
-            space: nds_interconnect::SpaceId(space.0),
-            coord: coord.to_vec(),
-            sub_dims: sub_dims.to_vec(),
+        // The request travels as one extended NVMe write (§5.3.1).
+        self.submit_command(true, space, coord, sub_dims)?;
+        let NvmeCommand::NdsWrite {
+            coord, sub_dims, ..
+        } = &self.scratch.decoded
+        else {
+            return Err(SystemError::Protocol("decoded write changed command kind"));
         };
-        cmd.validate()?;
-        let decoded = self.submit_command(cmd)?;
-        let (coord, sub_dims) = match &decoded {
-            NvmeCommand::NdsWrite {
-                coord, sub_dims, ..
-            } => (coord.clone(), sub_dims.clone()),
-            _ => return Err(SystemError::Protocol("decoded write changed command kind")),
-        };
-        let report = self.stl.write(space, view, &coord, &sub_dims, data)?;
+        let report = &mut self.scratch.write;
+        self.stl
+            .write_reusing(space, view, coord, sub_dims, data, report)?;
+        let (bytes, segments) = (report.access.bytes, report.access.segments);
         self.life.start_epoch(&mut self.stl);
 
         // One extended NVMe command; the object streams in over the link,
         // the controller decomposes it, the channel handlers program pages.
         let submit = self.cpu.submit_time(1);
-        let link = self.chunked_link_time(report.access.bytes)?;
-        let decompose = self.decompose_time(report.access.segments, report.access.bytes);
+        let link = self.chunked_link_time(bytes)?;
+        let decompose = self.decompose_time(segments, bytes);
         let mut program_end = SimTime::ZERO;
-        for block in &report.access.blocks {
+        for block in &self.scratch.write.access.blocks {
             let backend = self.stl.backend_mut();
             program_end =
                 program_end.max(backend.try_schedule_unit_programs(&block.units, SimTime::ZERO)?);
@@ -218,7 +277,7 @@ impl StorageFrontEnd for HardwareNds {
         let program_tail = program_end.saturating_since(SimTime::ZERO);
         let latency = stl + submit + link + decompose + program_tail;
 
-        self.life.record_write(1, report.access.bytes, latency);
+        self.life.record_write(1, bytes, latency);
         if let Some(ctx) = ctx {
             // The write is a strict chronological chain: controller STL
             // lookup, NVMe submission, the object streaming over the link,
@@ -237,7 +296,7 @@ impl StorageFrontEnd for HardwareNds {
         Ok(WriteOutcome {
             latency,
             commands: 1,
-            bytes: report.access.bytes,
+            bytes,
         })
     }
 
@@ -251,32 +310,32 @@ impl StorageFrontEnd for HardwareNds {
     ) -> Result<ReadMetrics, SystemError> {
         let space = self.space_of(id)?;
         let ctx = self.life.open_scope(&mut self.stl);
-        // The request travels as one extended NVMe read (§5.3.1), marshalled
-        // through the real wire codec and submission queue.
-        let cmd = NvmeCommand::NdsRead {
-            space: nds_interconnect::SpaceId(space.0),
-            coord: coord.to_vec(),
-            sub_dims: sub_dims.to_vec(),
+        // The request travels as one extended NVMe read (§5.3.1).
+        self.submit_command(false, space, coord, sub_dims)?;
+        let NvmeCommand::NdsRead {
+            coord, sub_dims, ..
+        } = &self.scratch.decoded
+        else {
+            return Err(SystemError::Protocol("decoded read changed command kind"));
         };
-        cmd.validate()?;
-        let decoded = self.submit_command(cmd)?;
-        let (coord, sub_dims) = match &decoded {
-            NvmeCommand::NdsRead {
-                coord, sub_dims, ..
-            } => (coord.clone(), sub_dims.clone()),
-            _ => return Err(SystemError::Protocol("decoded read changed command kind")),
-        };
-        let report = self.stl.read_into(space, view, &coord, &sub_dims, buf)?;
+        let report = &mut self.scratch.read;
+        self.stl
+            .read_reusing(space, view, coord, sub_dims, buf, report)?;
+        let report = &self.scratch.read;
         self.life.start_epoch(&mut self.stl);
 
         // Device: all covered blocks stream concurrently at internal
         // bandwidth; the assembler and the link pipeline behind them.
-        let mut assembler = Resource::new("nds.assembler");
+        self.assembler.reset();
         let mut first_block = SimDuration::ZERO;
         let mut dev_end = SimTime::ZERO;
+        let bytes = report.bytes;
         let blocks = report.blocks.len().max(1) as u64;
-        let seg_per_block = report.segments.div_ceil(blocks);
-        let bytes_per_block = report.bytes.div_ceil(blocks);
+        let assemble = Self::assemble_time(
+            &self.controller,
+            report.segments.div_ceil(blocks),
+            bytes.div_ceil(blocks),
+        );
         let mut asm_end = SimTime::ZERO;
         for (i, block) in report.blocks.iter().enumerate() {
             if block.units.is_empty() {
@@ -288,10 +347,9 @@ impl StorageFrontEnd for HardwareNds {
                 first_block = end.saturating_since(SimTime::ZERO);
             }
             dev_end = dev_end.max(end);
-            asm_end = asm_end
-                .max(assembler.acquire(end, self.assemble_time(seg_per_block, bytes_per_block)));
+            asm_end = asm_end.max(self.assembler.acquire(end, assemble));
         }
-        let link = self.chunked_link_time(report.bytes)?;
+        let link = self.chunked_link_time(bytes)?;
         let submit = self.cpu.submit_time(1);
         let stl = self.stl_latency(space);
         let asm_dur = asm_end.saturating_since(SimTime::ZERO);
@@ -304,28 +362,28 @@ impl StorageFrontEnd for HardwareNds {
             .backend()
             .device()
             .throughput_occupancy()
-            .max(assembler.busy_time())
+            .max(self.assembler.busy_time())
             .max(self.life.link.busy_time());
 
         self.life
-            .record_read(1, report.bytes, io_latency, SimDuration::ZERO);
+            .record_read(1, bytes, io_latency, SimDuration::ZERO);
         if let Some(ctx) = ctx {
             // After the fixed STL + submission prefix, the critical path of
             // the remaining region is either the in-device assembler (flash
             // streaming, then assembly) or the wire (the first block, then
             // the chunked transfer draining behind it).
-            let mut stages = Vec::with_capacity(4);
-            stages.push((TraceStage::Other, stl));
-            stages.push((TraceStage::Queue, submit));
-            if asm_dur >= link + first_block {
+            let (flash, rest) = if asm_dur >= link + first_block {
                 let flash = dev_end.saturating_since(SimTime::ZERO).min(region);
-                stages.push((TraceStage::Flash, flash));
-                stages.push((TraceStage::Restructure, region - flash));
+                (flash, TraceStage::Restructure)
             } else {
-                let flash = first_block.min(region);
-                stages.push((TraceStage::Flash, flash));
-                stages.push((TraceStage::Link, region - flash));
-            }
+                (first_block.min(region), TraceStage::Link)
+            };
+            let stages = [
+                (TraceStage::Other, stl),
+                (TraceStage::Queue, submit),
+                (TraceStage::Flash, flash),
+                (rest, region - flash),
+            ];
             self.life
                 .close_scope(&mut self.stl, ctx, "read", io_latency, &stages);
         }
@@ -335,7 +393,7 @@ impl StorageFrontEnd for HardwareNds {
             io_occupancy,
             restructure: SimDuration::ZERO,
             commands: 1,
-            bytes: report.bytes,
+            bytes,
         })
     }
 

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use nds_core::{ElementType, NvmBackend, Shape, SpaceId, Stl};
+use nds_core::{AccessReport, ElementType, NvmBackend, Shape, SpaceId, Stl, WriteReport};
 use nds_host::CpuModel;
 use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
 
@@ -38,6 +38,10 @@ pub struct SoftwareNds {
     stl_path: HostStlPath,
     datasets: BTreeMap<DatasetId, SpaceId>,
     next_id: u64,
+    /// The STL's reports of the request in flight, kept between requests so
+    /// the steady-state data path does not allocate them.
+    read_report: AccessReport,
+    write_report: WriteReport,
 }
 
 impl SoftwareNds {
@@ -52,6 +56,8 @@ impl SoftwareNds {
             stl_path: config.sw_stl_path,
             datasets: BTreeMap::new(),
             next_id: 1,
+            read_report: AccessReport::default(),
+            write_report: WriteReport::default(),
         }
     }
 
@@ -105,7 +111,10 @@ impl StorageFrontEnd for SoftwareNds {
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
         let space = self.space_of(id)?;
-        let report = self.stl.write(space, view, coord, sub_dims, data)?;
+        let report = &mut self.write_report;
+        self.stl
+            .write_reusing(space, view, coord, sub_dims, data, report)?;
+        let report = &self.write_report;
         let page = self.stl.backend().spec().unit_bytes as u64;
         self.life.start_epoch(&mut self.stl);
         let ctx = self.life.open_scope(&mut self.stl);
@@ -177,7 +186,10 @@ impl StorageFrontEnd for SoftwareNds {
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
         let space = self.space_of(id)?;
-        let report = self.stl.read_into(space, view, coord, sub_dims, buf)?;
+        let report = &mut self.read_report;
+        self.stl
+            .read_reusing(space, view, coord, sub_dims, buf, report)?;
+        let report = &self.read_report;
         let page = self.stl.backend().spec().unit_bytes as u64;
         self.life.start_epoch(&mut self.stl);
         let ctx = self.life.open_scope(&mut self.stl);

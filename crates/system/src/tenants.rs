@@ -177,17 +177,51 @@ pub struct Completion {
 /// dataset `dataset` — the public handle on the engine's positional data
 /// pattern, so isolation tests can verify final dataset contents
 /// byte-exactly from outside the engine.
+///
+/// The pattern is positional, so reads verify without tracking history and
+/// cross-tenant writes are detectable byte-exactly. Each aligned 8-byte lane
+/// is one [`splitmix64`] word, little-endian; the engine itself produces
+/// and checks it a lane at a time ([`pattern_lanes`]).
 pub fn tenant_pattern_byte(seed: u64, tenant: u32, dataset: usize, offset: u64) -> u8 {
-    pattern_byte(seed, tenant, dataset, offset)
-}
-
-/// The byte of tenant `tenant`'s pattern at linear byte `offset` of its
-/// dataset `dataset` — positional, so reads verify without tracking
-/// history and cross-tenant writes are detectable byte-exactly.
-fn pattern_byte(seed: u64, tenant: u32, dataset: usize, offset: u64) -> u8 {
-    let lane = seed ^ (u64::from(tenant) << 40) ^ ((dataset as u64) << 32) ^ (offset >> 3);
+    let lane = pattern_key(seed, tenant, dataset) ^ (offset >> 3);
     let shift = (offset & 7) * 8;
     (splitmix64(lane) >> shift) as u8
+}
+
+/// What every lane index of `(seed, tenant, dataset)`'s pattern is mixed
+/// with before hashing.
+fn pattern_key(seed: u64, tenant: u32, dataset: usize) -> u64 {
+    seed ^ (u64::from(tenant) << 40) ^ ((dataset as u64) << 32)
+}
+
+/// Walks the pattern bytes of dataset bytes `[offset, offset + len)` one
+/// aligned 8-byte lane — one hash — at a time: calls `f(done, bytes)` with
+/// each lane's part of the range, where `done` counts the bytes already
+/// delivered. Only the first and last lane can be partial.
+fn pattern_lanes(key: u64, offset: u64, len: usize, mut f: impl FnMut(usize, &[u8])) {
+    let mut done = 0;
+    while done < len {
+        let at = offset + done as u64;
+        let word = splitmix64(key ^ (at >> 3)).to_le_bytes();
+        let skip = (at & 7) as usize;
+        let take = (8 - skip).min(len - done);
+        if take == 8 {
+            f(done, &word);
+        } else {
+            f(done, word.get(skip..skip + take).unwrap_or(&[]));
+        }
+        done += take;
+    }
+}
+
+/// Fills `out` with the pattern bytes of dataset bytes
+/// `[offset, offset + out.len())`.
+fn fill_pattern(key: u64, offset: u64, out: &mut [u8]) {
+    pattern_lanes(key, offset, out.len(), |done, lane| {
+        if let Some(dst) = out.get_mut(done..done + lane.len()) {
+            dst.copy_from_slice(lane);
+        }
+    });
 }
 
 /// Seeded inter-arrival gap `index` for an open tenant: uniform in
@@ -269,6 +303,8 @@ pub struct TrafficEngine<S> {
     completions: Vec<Completion>,
     /// Trace-cursor ranges of the setup writes, per tenant.
     setup_traces: Vec<(u64, u64, u32)>,
+    /// The payload of the operation being served (read back or written),
+    /// reused across operations.
     scratch: Vec<u8>,
     /// Engine-owned windowed telemetry on the engine's absolute clock
     /// (per-tenant achieved bytes and backlog). Disabled by default;
@@ -299,10 +335,9 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             for (d, (shape, element)) in spec.datasets.iter().enumerate() {
                 let id = sys.create_dataset(shape.clone(), *element)?;
                 owners.insert(id, tenant);
-                let bytes = shape.volume() * element.size() as u64;
-                let payload: Vec<u8> = (0..bytes)
-                    .map(|off| pattern_byte(set.seed, tenant, d, off))
-                    .collect();
+                let bytes = (shape.volume() * element.size() as u64) as usize;
+                let mut payload = vec![0u8; bytes];
+                fill_pattern(pattern_key(set.seed, tenant, d), 0, &mut payload);
                 let coord = vec![0u64; shape.ndims()];
                 // nds-lint: allow(D6, setup writes seed freshly created datasets before ownership is registered with a guard)
                 sys.write(id, shape, &coord, shape.dims(), &payload)?;
@@ -428,8 +463,8 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
         self.guard(tenant, id)?;
-        let shape = self.shape_of(id)?;
-        self.sys.read_into(id, &shape, coord, sub_dims, buf)
+        let shape = shape_of(&self.tenants, id)?;
+        self.sys.read_into(id, shape, coord, sub_dims, buf)
     }
 
     /// Writes `data` into a region of `id` in its canonical view on
@@ -448,17 +483,8 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
         self.guard(tenant, id)?;
-        let shape = self.shape_of(id)?;
-        self.sys.write(id, &shape, coord, sub_dims, data)
-    }
-
-    fn shape_of(&self, id: DatasetId) -> Result<Shape, SystemError> {
-        self.tenants
-            .iter()
-            .flat_map(|rt| rt.datasets.iter())
-            .find(|(d, _, _)| *d == id)
-            .map(|(_, shape, _)| shape.clone())
-            .ok_or(SystemError::UnknownDataset(id))
+        let shape = shape_of(&self.tenants, id)?;
+        self.sys.write(id, shape, coord, sub_dims, data)
     }
 
     /// Runs the whole tenant set to completion.
@@ -522,61 +548,39 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
     /// Serves one admitted operation on the device and records its
     /// completion.
     fn serve(&mut self, tenant: u32, (index, arrived, admitted): OpRef) -> Result<(), SystemError> {
-        let Some(op) = self
-            .tenants
-            .get(tenant as usize)
-            .and_then(|rt| rt.resolved.get(index as usize))
-            .cloned()
-        else {
+        let Some(rt) = self.tenants.get(tenant as usize) else {
             return Ok(());
         };
-        let Some((id, shape, element)) = self
-            .tenants
-            .get(tenant as usize)
-            .and_then(|rt| rt.datasets.get(op.dataset))
-            .cloned()
-        else {
+        let Some(op) = rt.resolved.get(index as usize) else {
+            return Ok(());
+        };
+        let Some((id, shape, element)) = rt.datasets.get(op.dataset) else {
             return Err(SystemError::TenantIsolation {
                 tenant,
                 dataset: DatasetId(0),
             });
         };
+        let (id, kind) = (*id, op.kind);
         self.guard(tenant, id)?;
         let started = self.now;
         let before = self.sys.trace_cursor();
         let elem = element.size() as u64;
-        let (latency, commands, bytes, data_ok) = match op.kind {
+        let key = pattern_key(self.seed, tenant, op.dataset);
+        // `scratch` is borrowed in place, never moved out, so an error
+        // leaves the engine its buffer.
+        let (latency, commands, bytes, data_ok) = match kind {
             OpKind::Read => {
-                let mut buf = std::mem::take(&mut self.scratch);
-                let metrics = self
-                    .sys
-                    .read_into(id, &shape, &op.coord, &op.sub_dims, &mut buf)?;
-                let ok = verify_pattern(
-                    self.seed,
-                    tenant,
-                    op.dataset,
-                    &shape,
-                    &op.coord,
-                    &op.sub_dims,
-                    elem,
-                    &buf,
-                )?;
-                self.scratch = buf;
+                let metrics =
+                    self.sys
+                        .read_into(id, shape, &op.coord, &op.sub_dims, &mut self.scratch)?;
+                let ok = verify_pattern(key, shape, &op.coord, &op.sub_dims, elem, &self.scratch)?;
                 (metrics.latency(), metrics.commands, metrics.bytes, ok)
             }
             OpKind::Write => {
-                let payload = build_pattern(
-                    self.seed,
-                    tenant,
-                    op.dataset,
-                    &shape,
-                    &op.coord,
-                    &op.sub_dims,
-                    elem,
-                )?;
+                build_pattern(key, shape, &op.coord, &op.sub_dims, elem, &mut self.scratch)?;
                 let outcome = self
                     .sys
-                    .write(id, &shape, &op.coord, &op.sub_dims, &payload)?;
+                    .write(id, shape, &op.coord, &op.sub_dims, &self.scratch)?;
                 (outcome.latency, outcome.commands, outcome.bytes, true)
             }
         };
@@ -616,7 +620,7 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         self.completions.push(Completion {
             tenant,
             op_index: index,
-            kind: op.kind,
+            kind,
             arrived,
             admitted,
             started,
@@ -779,57 +783,57 @@ fn element_bytes(rt: &TenantRuntime, op: &TenantOp) -> u64 {
         .map_or(1, |(_, _, e)| e.size() as u64)
 }
 
-/// Builds the pattern payload for a region write: byte `k` of the
-/// payload is the tenant's pattern byte at the region's dataset-linear
-/// offset for `k`.
-#[allow(clippy::too_many_arguments)]
+/// The shape of dataspace `id` in whichever tenant's namespace holds it.
+fn shape_of(tenants: &[TenantRuntime], id: DatasetId) -> Result<&Shape, SystemError> {
+    tenants
+        .iter()
+        .flat_map(|rt| rt.datasets.iter())
+        .find(|(d, _, _)| *d == id)
+        .map(|(_, shape, _)| shape)
+        .ok_or(SystemError::UnknownDataset(id))
+}
+
+/// Builds the pattern payload for a region write in `payload`: byte `k` is
+/// the pattern byte (of the pattern keyed `key`) at the region's
+/// dataset-linear offset for `k`.
 fn build_pattern(
-    seed: u64,
-    tenant: u32,
-    dataset: usize,
+    key: u64,
     shape: &Shape,
     coord: &[u64],
     sub_dims: &[u64],
     elem: u64,
-) -> Result<Vec<u8>, SystemError> {
-    let region = Region::from_request(shape, coord, sub_dims).map_err(SystemError::from)?;
-    let mut payload = vec![0u8; (region.volume() * elem) as usize];
-    region.for_each_run(shape, |buf_off, linear, len| {
+    payload: &mut Vec<u8>,
+) -> Result<(), SystemError> {
+    let volume = Region::request_volume(shape, coord, sub_dims)?;
+    payload.clear();
+    payload.resize((volume * elem) as usize, 0);
+    Region::for_each_request_run(shape, coord, sub_dims, |buf_off, linear, len| {
         let start = (buf_off * elem) as usize;
-        let nbytes = (len * elem) as usize;
-        let base = linear * elem;
-        for (k, slot) in payload.iter_mut().skip(start).take(nbytes).enumerate() {
-            *slot = pattern_byte(seed, tenant, dataset, base + k as u64);
+        if let Some(run) = payload.get_mut(start..start + (len * elem) as usize) {
+            fill_pattern(key, linear * elem, run);
         }
-    });
-    Ok(payload)
+    })?;
+    Ok(())
 }
 
-/// Verifies a read buffer against the tenant's pattern, byte-exactly.
-#[allow(clippy::too_many_arguments)]
+/// Verifies a read buffer against the pattern keyed `key`: every byte of
+/// every run, compared a lane at a time; a buffer of the wrong length fails.
 fn verify_pattern(
-    seed: u64,
-    tenant: u32,
-    dataset: usize,
+    key: u64,
     shape: &Shape,
     coord: &[u64],
     sub_dims: &[u64],
     elem: u64,
     buf: &[u8],
 ) -> Result<bool, SystemError> {
-    let region = Region::from_request(shape, coord, sub_dims).map_err(SystemError::from)?;
-    let mut ok = buf.len() as u64 == region.volume() * elem;
-    region.for_each_run(shape, |buf_off, linear, len| {
+    let mut ok = true;
+    let volume = Region::for_each_request_run(shape, coord, sub_dims, |buf_off, linear, len| {
         let start = (buf_off * elem) as usize;
-        let nbytes = (len * elem) as usize;
-        let base = linear * elem;
-        for (k, got) in buf.iter().skip(start).take(nbytes).enumerate() {
-            if *got != pattern_byte(seed, tenant, dataset, base + k as u64) {
-                ok = false;
-            }
-        }
-    });
-    Ok(ok)
+        pattern_lanes(key, linear * elem, (len * elem) as usize, |done, bytes| {
+            ok &= buf.get(start + done..start + done + bytes.len()) == Some(bytes);
+        });
+    })?;
+    Ok(ok && buf.len() as u64 == volume * elem)
 }
 
 #[cfg(test)]
@@ -955,10 +959,156 @@ mod tests {
     #[test]
     fn pattern_is_per_tenant_and_positional() {
         assert_ne!(
-            pattern_byte(1, 0, 0, 0),
-            pattern_byte(1, 1, 0, 0),
+            tenant_pattern_byte(1, 0, 0, 0),
+            tenant_pattern_byte(1, 1, 0, 0),
             "tenants have distinct patterns"
         );
-        assert_eq!(pattern_byte(5, 3, 2, 77), pattern_byte(5, 3, 2, 77));
+        assert_eq!(
+            tenant_pattern_byte(5, 3, 2, 77),
+            tenant_pattern_byte(5, 3, 2, 77)
+        );
+    }
+
+    #[test]
+    fn lane_walk_equals_the_byte_pattern_at_every_alignment() {
+        let (seed, tenant, dataset) = (0x5eed, 3, 1);
+        let key = pattern_key(seed, tenant, dataset);
+        for misalign in 0..8u64 {
+            for len in 0..=40usize {
+                let offset = 8 * 1000 + misalign;
+                let mut filled = vec![0xEEu8; len];
+                let mut delivered = 0;
+                pattern_lanes(key, offset, len, |done, bytes| {
+                    assert_eq!(done, delivered, "lanes arrive in order, gap-free");
+                    filled[done..done + bytes.len()].copy_from_slice(bytes);
+                    delivered += bytes.len();
+                });
+                assert_eq!(delivered, len);
+                for (k, &b) in filled.iter().enumerate() {
+                    assert_eq!(
+                        b,
+                        tenant_pattern_byte(seed, tenant, dataset, offset + k as u64),
+                        "misalign {misalign} len {len} byte {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verify_compares_every_byte_and_the_length() {
+        // A 5 × 3 box at (5, 3) of a 13 × 7 byte matrix: three 5-byte runs
+        // at dataset offsets 44, 57 and 70 — the first and last straddle a
+        // lane boundary, the middle one sits inside a lane.
+        let key = pattern_key(9, 2, 0);
+        let shape = Shape::new([13, 7]);
+        let (coord, sub) = ([1u64, 1], [5u64, 3]);
+        let mut payload = Vec::new();
+        build_pattern(key, &shape, &coord, &sub, 1, &mut payload).unwrap();
+        assert_eq!(payload.len(), 15);
+        for (k, &b) in payload.iter().enumerate() {
+            let offset = (3 + k as u64 / 5) * 13 + 5 + k as u64 % 5;
+            assert_eq!(b, tenant_pattern_byte(9, 2, 0, offset), "payload byte {k}");
+        }
+        assert!(verify_pattern(key, &shape, &coord, &sub, 1, &payload).unwrap());
+        for k in 0..payload.len() {
+            let mut bad = payload.clone();
+            bad[k] ^= 0x10;
+            assert!(
+                !verify_pattern(key, &shape, &coord, &sub, 1, &bad).unwrap(),
+                "flipped byte {k} went unnoticed"
+            );
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(!verify_pattern(key, &shape, &coord, &sub, 1, &long).unwrap());
+        assert!(!verify_pattern(key, &shape, &coord, &sub, 1, &payload[..14]).unwrap());
+        assert!(!verify_pattern(key, &shape, &coord, &sub, 1, &[]).unwrap());
+        // Multi-byte elements: a 4-byte-element run is one 16-byte range.
+        let wide = Shape::new([4, 4]);
+        build_pattern(key, &wide, &[0, 1], &[4, 1], 4, &mut payload).unwrap();
+        assert_eq!(payload.len(), 16);
+        assert_eq!(payload[15], tenant_pattern_byte(9, 2, 0, 16 + 15));
+        payload[15] ^= 1;
+        assert!(!verify_pattern(key, &wide, &[0, 1], &[4, 1], 4, &payload).unwrap());
+    }
+
+    /// A front-end whose reads fail with a typed error while `failing`.
+    struct FailingReads {
+        inner: BaselineSystem,
+        failing: bool,
+    }
+
+    impl StorageFrontEnd for FailingReads {
+        fn name(&self) -> &'static str {
+            "failing-reads"
+        }
+
+        fn create_dataset(
+            &mut self,
+            shape: Shape,
+            element: ElementType,
+        ) -> Result<DatasetId, SystemError> {
+            self.inner.create_dataset(shape, element)
+        }
+
+        fn write(
+            &mut self,
+            id: DatasetId,
+            view: &Shape,
+            coord: &[u64],
+            sub_dims: &[u64],
+            data: &[u8],
+        ) -> Result<WriteOutcome, SystemError> {
+            self.inner.write(id, view, coord, sub_dims, data)
+        }
+
+        fn read_into(
+            &mut self,
+            id: DatasetId,
+            view: &Shape,
+            coord: &[u64],
+            sub_dims: &[u64],
+            buf: &mut Vec<u8>,
+        ) -> Result<ReadMetrics, SystemError> {
+            if self.failing {
+                return Err(SystemError::UnknownDataset(id));
+            }
+            self.inner.read_into(id, view, coord, sub_dims, buf)
+        }
+
+        fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
+            self.inner.delete_dataset(id)
+        }
+
+        fn stats(&self) -> nds_sim::Stats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn failed_read_keeps_the_reused_buffer() {
+        let set = TenantSet::new(11).with_tenant(spec(OpKind::Read, 4));
+        let sys = FailingReads {
+            inner: BaselineSystem::new(SystemConfig::small_test()),
+            failing: false,
+        };
+        let mut e = TrafficEngine::new(sys, &set).unwrap();
+        e.admit().unwrap();
+        let (tenant, opref) = e.wfq.pop().unwrap();
+        e.serve(tenant, opref).unwrap();
+        let capacity = e.scratch.capacity();
+        assert!(capacity >= 16 * 16 * 4, "the first read sized the buffer");
+
+        e.sys.failing = true;
+        e.admit().unwrap();
+        let (tenant, opref) = e.wfq.pop().unwrap();
+        let err = e.serve(tenant, opref).unwrap_err();
+        assert!(matches!(err, SystemError::UnknownDataset(_)), "got {err}");
+        assert_eq!(
+            e.scratch.capacity(),
+            capacity,
+            "a failed read must not cost the engine its buffer"
+        );
     }
 }

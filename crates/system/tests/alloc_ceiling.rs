@@ -1,0 +1,162 @@
+//! Heap-allocation ceilings of the steady-state command path.
+//!
+//! A counting `#[global_allocator]` (per-thread counters, so the harness's
+//! parallel test threads do not see each other) measures how many heap
+//! allocations one front-end command performs once every reused buffer has
+//! reached its size. Counts are deterministic — the simulator is — so the
+//! ceilings are exact pins, with a little headroom only where a `Vec`'s
+//! amortized growth (the cluster's text journal) can land inside the
+//! measured window.
+//!
+//! Before the request-scoped scratch (PR 15) these same four measurements
+//! read **21** allocations for the 2 KiB `HardwareNds::read_into` on a
+//! plan-cache hit, **64** on a miss, **28** for the steady-state 2 KiB
+//! overwrite, and **352 for the 16 device sub-ops** of the sharded
+//! `NdsCluster` read (22 each); they now read 0, 13, 4 and 0 (plus the odd
+//! growth step of the cluster journal).
+
+// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use nds_core::{ElementType, Shape};
+use nds_system::{ClusterConfig, HardwareNds, NdsCluster, StorageFrontEnd, SystemConfig};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: defers every operation to `System` unchanged; the only addition
+// is bumping a thread-local counter, which neither allocates (const
+// initializer, no destructor) nor touches the memory being managed.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations (and reallocations) `f` performs on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// A 128 × 128 f32 dataset, fully written with non-zero data; 2 KiB
+/// requests are its 32 × 16 tiles (four 512-byte pages each).
+const SIDE: u64 = 128;
+const TILE: [u64; 2] = [32, 16];
+
+fn payload(len: usize, salt: u8) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8 ^ salt | 1).collect()
+}
+
+fn filled<S: StorageFrontEnd>(mut sys: S) -> (S, nds_system::DatasetId, Shape) {
+    let shape = Shape::new([SIDE, SIDE]);
+    let id = sys.create_dataset(shape.clone(), ElementType::F32).unwrap();
+    let data = payload((SIDE * SIDE * 4) as usize, 0);
+    sys.write(id, &shape, &[0, 0], &[SIDE, SIDE], &data)
+        .unwrap();
+    (sys, id, shape)
+}
+
+#[test]
+fn hardware_read_on_a_plan_cache_hit_allocates_nothing() {
+    let (mut sys, id, shape) = filled(HardwareNds::new(SystemConfig::small_test()));
+    let mut buf = Vec::new();
+    // Warm-up: the plan is cached, every scratch buffer reaches its size.
+    for _ in 0..2 {
+        sys.read_into(id, &shape, &[1, 2], &TILE, &mut buf).unwrap();
+    }
+    let hits = sys.stl().plan_cache().hits();
+    let n = allocations(|| {
+        sys.read_into(id, &shape, &[1, 2], &TILE, &mut buf).unwrap();
+    });
+    assert_eq!(buf.len(), 2048);
+    assert_eq!(sys.stl().plan_cache().hits(), hits + 1, "measured a hit");
+    assert_eq!(n, 0, "a warmed 2 KiB read on a plan-cache hit allocated");
+}
+
+#[test]
+fn hardware_read_on_a_plan_cache_miss_stays_under_its_ceiling() {
+    let (mut sys, id, shape) = filled(HardwareNds::new(SystemConfig::small_test()));
+    let mut buf = Vec::new();
+    sys.read_into(id, &shape, &[0, 0], &TILE, &mut buf).unwrap();
+    let misses = sys.stl().plan_cache().misses();
+    let n = allocations(|| {
+        sys.read_into(id, &shape, &[2, 5], &TILE, &mut buf).unwrap();
+    });
+    assert_eq!(
+        sys.stl().plan_cache().misses(),
+        misses + 1,
+        "measured a miss"
+    );
+    // The new plan itself (its `Arc`, block list, one coordinate and one
+    // grown-then-merged segment list per covered block), its cache entry
+    // and key, and the translator's per-call region and grid tables: 13.
+    assert!(
+        n <= 16,
+        "a 2 KiB read on a plan-cache miss allocated {n} times"
+    );
+}
+
+#[test]
+fn hardware_steady_state_write_stays_under_its_ceiling() {
+    let (mut sys, id, shape) = filled(HardwareNds::new(SystemConfig::small_test()));
+    let data = payload(2048, 0x40);
+    for _ in 0..2 {
+        sys.write(id, &shape, &[3, 1], &TILE, &data).unwrap();
+    }
+    let n = allocations(|| {
+        sys.write(id, &shape, &[3, 1], &TILE, &data).unwrap();
+    });
+    // One page image per programmed page (4) — the flash store owns them —
+    // and otherwise only the odd growth step of the handle table.
+    assert!(n <= 6, "a steady-state 2 KiB overwrite allocated {n} times");
+}
+
+#[test]
+fn cluster_sub_op_stays_under_its_ceiling() {
+    // Four devices, two replicas, 8-row shards: a 32 × 16 tile spans two
+    // shards and, unaligned to them in the flat view, many sub-ops.
+    let config = ClusterConfig::new(4, 2).with_shard_rows(8).with_seed(7);
+    let cluster = NdsCluster::new(config, |_| HardwareNds::new(SystemConfig::small_test()));
+    let (mut sys, id, shape) = filled(cluster);
+    let mut buf = Vec::new();
+    for _ in 0..2 {
+        sys.read_into(id, &shape, &[1, 2], &TILE, &mut buf).unwrap();
+    }
+    let before = sys.stats().get("cluster.read_subops");
+    let n = allocations(|| {
+        sys.read_into(id, &shape, &[1, 2], &TILE, &mut buf).unwrap();
+    });
+    let sub_ops = sys.stats().get("cluster.read_subops") - before;
+    assert!(sub_ops >= 16, "the request fans out ({sub_ops} sub-ops)");
+    // Every sub-op is a plan-cache hit on its device by now: what is left
+    // is the `stats()` snapshots above (outside the window) and at most a
+    // growth step of the cluster's text journal.
+    assert!(
+        n <= 2,
+        "{sub_ops} warmed cluster sub-ops allocated {n} times in total"
+    );
+}

@@ -29,11 +29,13 @@ if [[ "${1:-}" != "--no-test" ]]; then
 
     # Overflow-checked CI profile (release codegen + `overflow-checks =
     # true`): the WFQ finish-tag arithmetic and the multi-tenant QoS /
-    # property suites must be wrap-free, not just lint-clean (rule D5).
-    echo "== cargo test --profile ci (WFQ + tenant suites, overflow checks on)"
+    # property suites must be wrap-free, not just lint-clean (rule D5); so
+    # must the scratch-reusing command path the allocation ceilings pin.
+    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling suites, overflow checks on)"
     cargo test --quiet --profile ci -p nds-interconnect
     cargo test --quiet --profile ci -p nds-system \
-        --test wfq_qos --test tenant_isolation --test tenant_differential
+        --test wfq_qos --test tenant_isolation --test tenant_differential \
+        --test alloc_ceiling
 
     # Cross-architecture fault differential under pinned seeds: byte-identical
     # data vs the fault-free golden run, monotone modeled time, all faults
