@@ -234,9 +234,10 @@ impl FlashDevice {
     }
 
     /// Relocates the valid page at `src` into the free page at `dest` and
-    /// marks `src` superseded: what programming `dest` with a copy of
-    /// `src`'s data and then invalidating `src` does (and counts), except
-    /// that the stored image moves instead of being copied.
+    /// marks `src` superseded: what reading `src`, programming `dest` with
+    /// the copy and then invalidating `src` does (and counts — one
+    /// `flash.pages_read`, one `flash.pages_programmed`), except that the
+    /// stored image moves instead of being copied.
     ///
     /// # Errors
     ///
@@ -270,6 +271,7 @@ impl FlashDevice {
         if let Some(free) = self.free_count.get_mut(bank) {
             *free -= 1;
         }
+        self.stats.add("flash.pages_read", 1);
         self.stats.add("flash.pages_programmed", 1);
         Ok(())
     }
@@ -338,12 +340,9 @@ impl FlashDevice {
         let bank = block.channel * g.banks_per_channel + block.bank;
         for p in 0..g.pages_per_block {
             let idx = g.page_index(block.page(p));
+            // Erasing live data is legal at the device level; the mapper
+            // above is responsible for copying live pages out first.
             if self.state[idx] != PageState::Free {
-                if self.state[idx] == PageState::Valid {
-                    // Erasing live data is legal at the device level; the
-                    // translation layers above are responsible for copying
-                    // live pages out first.
-                }
                 self.free_count[bank] += 1;
             }
             self.state[idx] = PageState::Free;
@@ -935,6 +934,11 @@ mod tests {
         assert!(d.peek(src).is_none());
         assert_eq!(d.free_pages_in(1, 1), free - 1);
         assert_eq!(d.stats().get("flash.pages_programmed"), 2);
+        assert_eq!(
+            d.stats().get("flash.pages_read"),
+            1,
+            "a move reads its source"
+        );
         // Neither a dead source nor an occupied destination is accepted.
         assert_eq!(
             d.relocate_page(src, page(1, 1, 3, 3)),

@@ -8,15 +8,14 @@
 //! updates, and garbage-collects invalidated pages. Its logical→physical
 //! shuffling is exactly the opacity challenge \[C1\] that NDS's STL replaces.
 
-use std::collections::BTreeMap;
-
 use nds_faults::FaultConfig;
 use nds_sim::{SimTime, Stats};
 use serde::{Deserialize, Serialize};
 
-use crate::device::{FlashDevice, PageState};
+use crate::device::FlashDevice;
 use crate::error::FlashError;
-use crate::geometry::{BlockAddr, PageAddr};
+use crate::geometry::PageAddr;
+use crate::mapper::{DenseIndex, MapperLabels, PageMapper};
 
 /// Tunables for the baseline FTL.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,22 +24,22 @@ pub struct FtlConfig {
     /// prototype reserves 10%, §6.1). Exported LBA capacity is
     /// `total_pages × (1 − over_provisioning)`.
     pub over_provisioning: f64,
-    /// Garbage collection triggers in a `(channel, bank)` when its free-page
-    /// fraction drops below this threshold (the paper uses "typically 10%",
-    /// §4.2).
-    pub gc_threshold: f64,
 }
 
 impl Default for FtlConfig {
     fn default() -> Self {
         FtlConfig {
             over_provisioning: 0.10,
-            gc_threshold: 0.10,
         }
     }
 }
 
 /// The baseline FTL: linear LBAs striped across channels, with GC.
+///
+/// It is the shared [`PageMapper`] keyed by LBA, plus what only the
+/// baseline has: LBA striping, range checks and the timed LBA
+/// read/write/trim API. Garbage collection, block evacuation and
+/// read-disturb service are the mapper's, charged to the modeled timeline.
 ///
 /// # Example
 ///
@@ -60,76 +59,70 @@ impl Default for FtlConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ftl {
-    device: FlashDevice,
-    config: FtlConfig,
-    map: Vec<Option<PageAddr>>,
-    reverse: BTreeMap<usize, u64>,
-    stats: Stats,
+    mapper: PageMapper<u64, DenseIndex>,
+    capacity: u64,
 }
 
 impl Ftl {
     /// Wraps `device` with a baseline FTL.
     pub fn new(device: FlashDevice, config: FtlConfig) -> Self {
-        let exported = Ftl::exported_pages(&device, &config);
-        Ftl {
-            map: vec![None; exported as usize],
-            reverse: BTreeMap::new(),
-            stats: Stats::new(),
-            device,
-            config,
-        }
-    }
-
-    fn exported_pages(device: &FlashDevice, config: &FtlConfig) -> u64 {
         let total = device.geometry().total_pages() as f64;
-        (total * (1.0 - config.over_provisioning)).floor() as u64
+        let capacity = (total * (1.0 - config.over_provisioning)).floor() as u64;
+        Ftl {
+            mapper: PageMapper::new(
+                device,
+                DenseIndex::new(capacity as usize),
+                MapperLabels::FTL,
+            ),
+            capacity,
+        }
     }
 
     /// Number of logical pages this FTL exports.
     pub fn capacity_pages(&self) -> u64 {
-        self.map.len() as u64
+        self.capacity
     }
 
     /// The underlying page size in bytes.
     pub fn page_size(&self) -> usize {
-        self.device.geometry().page_size
+        self.device().geometry().page_size
     }
 
     /// Shared view of the wrapped device.
     pub fn device(&self) -> &FlashDevice {
-        &self.device
+        self.mapper.device()
     }
 
     /// Mutable view of the wrapped device (e.g. to reset timing between
     /// benchmark measurements).
     pub fn device_mut(&mut self) -> &mut FlashDevice {
-        &mut self.device
+        self.mapper.device_mut()
     }
 
     /// FTL-level counters (`ftl.gc_runs`, `ftl.gc_relocated`, and under a
     /// fault plan `retries.flash`, `faults.recovered`, `faults.migrated`,
     /// `faults.disturb_migrations`).
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        self.mapper.stats()
     }
 
     /// Installs a deterministic media-fault plan on the wrapped device.
     /// Subsequent [`write`](Self::write) / [`read`](Self::read) /
     /// [`read_run`](Self::read_run) calls inject and recover from faults.
     pub fn install_faults(&mut self, config: FaultConfig) {
-        self.device.install_faults(config);
+        self.device_mut().install_faults(config);
     }
 
     /// The physical location currently backing `lba`, if written.
     pub fn physical_of(&self, lba: u64) -> Option<PageAddr> {
-        self.map.get(lba as usize).copied().flatten()
+        self.mapper.page_of(lba)
     }
 
     /// Reads the bytes of `lba` without touching timing or counters (the
     /// functional peek used when a system accounts device time separately).
     pub fn peek(&self, lba: u64) -> Option<&[u8]> {
         self.physical_of(lba)
-            .and_then(|addr| self.device.peek(addr))
+            .and_then(|addr| self.device().peek(addr))
     }
 
     /// The `(channel, bank)` lane that LBA striping assigns to `lba`.
@@ -139,20 +132,26 @@ impl Ftl {
     /// makes *sequential* LBA reads parallel — and submatrix reads not
     /// (Fig. 1).
     pub fn stripe_lane(&self, lba: u64) -> (usize, usize) {
-        let g = self.device.geometry();
+        let g = self.device().geometry();
         let channel = (lba as usize) % g.channels;
         let bank = (lba as usize / g.channels) % g.banks_per_channel;
         (channel, bank)
     }
 
     fn check_lba(&self, lba: u64) -> Result<(), FlashError> {
-        if lba >= self.capacity_pages() {
+        if lba >= self.capacity {
             return Err(FlashError::LbaOutOfRange {
                 lba,
-                capacity: self.capacity_pages(),
+                capacity: self.capacity,
             });
         }
         Ok(())
+    }
+
+    /// The page backing `lba`, for a read.
+    fn written(&self, lba: u64) -> Result<PageAddr, FlashError> {
+        self.check_lba(lba)?;
+        self.physical_of(lba).ok_or(FlashError::LbaNotWritten(lba))
     }
 
     /// Writes one logical page, relocating out-of-place if `lba` was already
@@ -178,40 +177,29 @@ impl Ftl {
             });
         }
         let (channel, bank) = self.stripe_lane(lba);
-        let mut now = ready;
-
         // Supersede the old copy first so GC can reclaim it.
-        if let Some(old) = self.map[lba as usize].take() {
-            self.device.invalidate(old)?;
-            let old_idx = self.device.geometry().page_index(old);
-            self.reverse.remove(&old_idx);
-        }
-
-        now = self.maybe_gc(channel, bank, now)?;
+        self.mapper.supersede(lba)?;
+        let mut now = self.mapper.collect_lane(channel, bank, Some(ready))?;
         let mut target = self
-            .device
+            .device_mut()
             .find_free_page(channel, bank)
             .ok_or(FlashError::DeviceFull)?;
-        if self.device.next_program_fault(target) {
+        if self.device_mut().next_program_fault(target) {
             // The program status came back failed: the attempt already spent
-            // bus + program time, the device retired the block, and we must
-            // relocate its surviving live pages before retrying elsewhere.
-            now = self.device.schedule_programs(&[target], now);
-            self.stats.add("retries.flash", 1);
-            now = self.relocate_live_pages(target.block_addr(), now)?;
-            now = self.maybe_gc(channel, bank, now)?;
+            // bus + program time, the device retired the block, and its
+            // surviving live pages move out before the retry elsewhere.
+            now = self.device_mut().schedule_programs(&[target], now);
+            self.mapper.stats_mut().add("retries.flash", 1);
+            now = self.mapper.evacuate(target.block_addr(), now)?;
+            now = self.mapper.collect_lane(channel, bank, Some(now))?;
             target = self
-                .device
-                .find_recovery_page(channel, bank, target.block_addr())
+                .mapper
+                .recovery_page(target)
                 .ok_or(FlashError::DeviceFull)?;
-            self.stats.add("faults.recovered", 1);
+            self.mapper.stats_mut().add("faults.recovered", 1);
         }
-        self.device.program(target, payload)?;
-        let done = self.device.schedule_programs(&[target], now);
-        let idx = self.device.geometry().page_index(target);
-        self.map[lba as usize] = Some(target);
-        self.reverse.insert(idx, lba);
-        Ok(done)
+        self.mapper.program(lba, target, payload)?;
+        Ok(self.device_mut().schedule_programs(&[target], now))
     }
 
     /// Reads one logical page, returning its data and the completion instant.
@@ -221,13 +209,7 @@ impl Ftl {
     /// * [`FlashError::LbaOutOfRange`] if `lba` exceeds exported capacity.
     /// * [`FlashError::LbaNotWritten`] if `lba` was never written.
     pub fn read(&mut self, lba: u64, ready: SimTime) -> Result<(Vec<u8>, SimTime), FlashError> {
-        self.check_lba(lba)?;
-        let addr = self.map[lba as usize].ok_or(FlashError::LbaNotWritten(lba))?;
-        let done = self.device.fault_read_batch(&[addr], ready)?;
-        // Capture the bytes before preventive migration can move the page.
-        let data = self.device.read(addr)?.to_vec();
-        let done = self.service_disturbed(done)?;
-        Ok((data, done))
+        self.read_run(lba, 1, ready)
     }
 
     /// Reads a run of logical pages as one device batch, returning the
@@ -245,15 +227,14 @@ impl Ftl {
         count: u64,
         ready: SimTime,
     ) -> Result<(Vec<u8>, SimTime), FlashError> {
-        let mut addrs = Vec::with_capacity(count as usize);
-        for l in lba..lba + count {
-            self.check_lba(l)?;
-            addrs.push(self.map[l as usize].ok_or(FlashError::LbaNotWritten(l))?);
-        }
-        let done = self.device.fault_read_batch(&addrs, ready)?;
+        let addrs = (lba..lba + count)
+            .map(|l| self.written(l))
+            .collect::<Result<Vec<_>, _>>()?;
+        let done = self.device_mut().fault_read_batch(&addrs, ready)?;
+        // Capture the bytes before preventive migration can move the pages.
         let mut data = Vec::with_capacity(count as usize * self.page_size());
         for addr in addrs {
-            data.extend_from_slice(self.device.read(addr)?);
+            data.extend_from_slice(self.device_mut().read(addr)?);
         }
         let done = self.service_disturbed(done)?;
         Ok((data, done))
@@ -268,11 +249,8 @@ impl Ftl {
     /// [`FlashError::LbaOutOfRange`] if `lba` exceeds exported capacity.
     pub fn trim(&mut self, lba: u64) -> Result<(), FlashError> {
         self.check_lba(lba)?;
-        if let Some(addr) = self.map[lba as usize].take() {
-            self.device.invalidate(addr)?;
-            let idx = self.device.geometry().page_index(addr);
-            self.reverse.remove(&idx);
-            self.stats.add("ftl.trimmed", 1);
+        if self.mapper.supersede(lba)? {
+            self.mapper.stats_mut().add("ftl.trimmed", 1);
         }
         Ok(())
     }
@@ -286,124 +264,9 @@ impl Ftl {
     /// # Errors
     ///
     /// [`FlashError::DeviceFull`] if a victim's live pages cannot be
-    /// re-placed in their lane.
-    pub fn service_disturbed(&mut self, mut now: SimTime) -> Result<SimTime, FlashError> {
-        for block in self.device.take_disturbed_blocks() {
-            now = self.relocate_live_pages(block, now)?;
-            self.device.erase_block(block);
-            now = self.device.schedule_erase(block, now);
-            self.stats.add("faults.disturb_migrations", 1);
-        }
-        Ok(now)
-    }
-
-    /// Moves every valid page of `block` to a fresh page in the same
-    /// `(channel, bank)` lane, updating the LBA map. Used for both retired
-    /// blocks (which allocation already skips) and disturb victims.
-    fn relocate_live_pages(
-        &mut self,
-        block: BlockAddr,
-        mut now: SimTime,
-    ) -> Result<SimTime, FlashError> {
-        let g = *self.device.geometry();
-        for p in 0..g.pages_per_block {
-            let addr = block.page(p);
-            if self.device.page_state(addr) != PageState::Valid {
-                continue;
-            }
-            let data = self.device.read(addr)?.to_vec();
-            now = self.device.schedule_reads(&[addr], now);
-            // Copy-then-invalidate: secure the destination before touching
-            // the source, so a DeviceFull here leaves the old copy mapped
-            // and readable instead of stranding the lba on an invalid page.
-            let dest = self
-                .device
-                .find_recovery_page(block.channel, block.bank, block)
-                .ok_or(FlashError::DeviceFull)?;
-            self.device.program(dest, data)?;
-            now = self.device.schedule_programs(&[dest], now);
-            let idx = g.page_index(addr);
-            let lba = self.reverse.remove(&idx).ok_or(FlashError::Inconsistent {
-                addr,
-                what: "valid page missing from the reverse map",
-            })?;
-            self.device.invalidate(addr)?;
-            self.map[lba as usize] = Some(dest);
-            self.reverse.insert(g.page_index(dest), lba);
-            self.stats.add("faults.migrated", 1);
-        }
-        Ok(now)
-    }
-
-    /// Runs garbage collection on `(channel, bank)` if its free fraction is
-    /// below the configured threshold. Returns the instant foreground work
-    /// may proceed.
-    fn maybe_gc(
-        &mut self,
-        channel: usize,
-        bank: usize,
-        ready: SimTime,
-    ) -> Result<SimTime, FlashError> {
-        let g = *self.device.geometry();
-        let threshold = (g.pages_per_bank() as f64 * self.config.gc_threshold).ceil() as usize;
-        let mut now = ready;
-        let mut guard = 0;
-        while self.device.free_pages_in(channel, bank) < threshold {
-            guard += 1;
-            if guard > g.blocks_per_bank {
-                break; // nothing reclaimable
-            }
-            let Some((block_addr, valid, invalid)) = self.device.gc_victim(channel, bank) else {
-                break; // no reclaimable block
-            };
-            self.device.observability_mut().event(
-                now,
-                nds_sim::ComponentId::singleton("ftl"),
-                || nds_sim::EventKind::GcVictimPicked {
-                    channel: channel as u32,
-                    bank: bank as u32,
-                    block: block_addr.block as u32,
-                    valid: valid as u32,
-                    invalid: invalid as u32,
-                },
-            );
-            // Relocate live pages out of the victim.
-            if valid > 0 {
-                for p in 0..g.pages_per_block {
-                    let addr = block_addr.page(p);
-                    if self.device.page_state(addr) != PageState::Valid {
-                        continue;
-                    }
-                    let data = self.device.read(addr)?.to_vec();
-                    now = self.device.schedule_reads(&[addr], now);
-                    // Never place the survivor inside the victim itself —
-                    // the erase below would take the fresh copy with it.
-                    // Copy-then-invalidate: secure the destination before
-                    // touching the source, so DeviceFull leaves the old
-                    // copy mapped and readable.
-                    let dest = self
-                        .device
-                        .find_free_page_excluding(channel, bank, block_addr)
-                        .ok_or(FlashError::DeviceFull)?;
-                    self.device.program(dest, data)?;
-                    now = self.device.schedule_programs(&[dest], now);
-                    let idx = g.page_index(addr);
-                    let lba = self.reverse.remove(&idx).ok_or(FlashError::Inconsistent {
-                        addr,
-                        what: "valid page missing from the reverse map",
-                    })?;
-                    self.device.invalidate(addr)?;
-                    let dest_idx = g.page_index(dest);
-                    self.map[lba as usize] = Some(dest);
-                    self.reverse.insert(dest_idx, lba);
-                    self.stats.add("ftl.gc_relocated", 1);
-                }
-            }
-            self.device.erase_block(block_addr);
-            now = self.device.schedule_erase(block_addr, now);
-            self.stats.add("ftl.gc_runs", 1);
-        }
-        Ok(now)
+    /// re-placed anywhere.
+    pub fn service_disturbed(&mut self, now: SimTime) -> Result<SimTime, FlashError> {
+        self.mapper.service_disturbed(now)
     }
 }
 
@@ -563,6 +426,56 @@ mod tests {
             .find(|e| matches!(e.kind, nds_sim::EventKind::GcVictimPicked { .. }))
             .expect("enabled journal must capture GC");
         assert_eq!(victim.component.group, "ftl");
+    }
+
+    #[test]
+    fn evacuation_collects_the_home_lane_before_going_cross_lane() {
+        let mut f = ftl();
+        f.install_faults(FaultConfig {
+            read_disturb_limit: 4,
+            ..FaultConfig::disabled()
+        });
+        let g = *f.device().geometry();
+        let stride = (g.channels * g.banks_per_channel) as u64;
+        // Fill stripe lane (0, 0) with every LBA it exports: its last block
+        // ends up holding the lane's only free pages, next to two live ones.
+        let lane: Vec<u64> = (0..f.capacity_pages()).step_by(stride as usize).collect();
+        for &lba in &lane {
+            f.write(lba, pagev(&f, lba as u8), SimTime::ZERO).unwrap();
+        }
+        let tail = *lane.last().unwrap();
+        let disturbed = f.physical_of(tail).unwrap().block_addr();
+        assert_eq!(
+            f.device().free_pages_in(0, 0),
+            g.pages_per_block - 2,
+            "the free pages all sit in the block about to be disturbed"
+        );
+        // TRIM (which never collects) leaves the first block reclaimable.
+        let (first_block, _) = lane.split_at(g.pages_per_block);
+        for &lba in first_block {
+            f.trim(lba).unwrap();
+        }
+        // Hammer one page of the last block past the read-disturb limit.
+        for _ in 0..4 {
+            f.read(tail, SimTime::ZERO).unwrap();
+        }
+        assert_eq!(f.stats().get("faults.disturb_migrations"), 1);
+        assert_eq!(f.stats().get("faults.migrated"), 2);
+        assert_eq!(
+            f.stats().get("ftl.gc_runs"),
+            1,
+            "the home lane is collected"
+        );
+        for &lba in &lane[lane.len() - 2..] {
+            let page = f.physical_of(lba).unwrap();
+            assert_ne!(page.block_addr(), disturbed);
+            assert_eq!(
+                (page.channel, page.bank),
+                f.stripe_lane(lba),
+                "survivor {lba} left its stripe lane"
+            );
+            assert_eq!(f.read(lba, SimTime::ZERO).unwrap().0, pagev(&f, lba as u8));
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! linear-LBA indirection layer that stripes consecutive logical pages across
 //! channels and garbage-collects out-of-place updates. The NDS space
 //! translation layer (crate `nds-core`) *replaces* this FTL in both NDS
-//! architectures.
+//! architectures. Both keep their keys bound to live pages through the one
+//! [`PageMapper`], which owns garbage collection, block evacuation and
+//! read-disturb service.
 //!
 //! # Example
 //!
@@ -52,12 +54,14 @@ mod device;
 mod error;
 mod ftl;
 mod geometry;
+mod mapper;
 mod timing;
 
 pub use device::{FlashDevice, PageState};
 pub use error::FlashError;
 pub use ftl::{Ftl, FtlConfig};
 pub use geometry::{BlockAddr, FlashGeometry, PageAddr};
+pub use mapper::{DenseIndex, ForwardIndex, MapperLabels, PageMapper, SparseIndex};
 pub use timing::FlashTiming;
 
 use serde::{Deserialize, Serialize};

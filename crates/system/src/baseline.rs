@@ -231,6 +231,69 @@ impl StorageFrontEnd for BaselineSystem {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
+        let outcome = self.write_scoped(id, view, coord, sub_dims, data);
+        self.life.settle(&mut self.ftl, "write", outcome)
+    }
+
+    fn read_into(
+        &mut self,
+        id: DatasetId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        buf: &mut Vec<u8>,
+    ) -> Result<ReadMetrics, SystemError> {
+        let outcome = self.read_scoped(id, view, coord, sub_dims, buf);
+        self.life.settle(&mut self.ftl, "read", outcome)
+    }
+
+    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
+        let ds = self
+            .datasets
+            .remove(&id)
+            .ok_or(SystemError::UnknownDataset(id))?;
+        // TRIM every written page of the dataset; the LBA range itself is
+        // not reused (a simple bump allocator, like a freshly formatted
+        // namespace region).
+        let bytes = ds.shape.volume() * ds.element.size() as u64;
+        let pages = bytes.div_ceil(self.page_size());
+        for lba in ds.base_lba..ds.base_lba + pages {
+            self.ftl.trim(lba)?;
+        }
+        Ok(())
+    }
+
+    fn stats(&self) -> Stats {
+        let mut s = self.life.stats(&self.ftl);
+        s.merge(self.ftl.stats());
+        s
+    }
+
+    fn run_report(&self) -> RunReport {
+        self.life.run_report(&self.ftl, self.name(), &self.stats())
+    }
+
+    fn trace_export(&self) -> Option<TraceExport> {
+        self.life.trace_export(&self.ftl)
+    }
+
+    fn trace_cursor(&self) -> u64 {
+        self.life.trace_cursor()
+    }
+}
+
+/// The data paths behind [`StorageFrontEnd::write`] and
+/// [`StorageFrontEnd::read_into`]; the trait methods settle their outcome
+/// with the lifecycle, which closes the trace scope a failure leaves open.
+impl BaselineSystem {
+    fn write_scoped(
+        &mut self,
+        id: DatasetId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        data: &[u8],
+    ) -> Result<WriteOutcome, SystemError> {
         let ds = self
             .datasets
             .get(&id)
@@ -337,7 +400,7 @@ impl StorageFrontEnd for BaselineSystem {
         })
     }
 
-    fn read_into(
+    fn read_scoped(
         &mut self,
         id: DatasetId,
         view: &Shape,
@@ -454,40 +517,6 @@ impl StorageFrontEnd for BaselineSystem {
             commands: commands.len() as u64,
             bytes: total_bytes,
         })
-    }
-
-    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
-        let ds = self
-            .datasets
-            .remove(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        // TRIM every written page of the dataset; the LBA range itself is
-        // not reused (a simple bump allocator, like a freshly formatted
-        // namespace region).
-        let bytes = ds.shape.volume() * ds.element.size() as u64;
-        let pages = bytes.div_ceil(self.page_size());
-        for lba in ds.base_lba..ds.base_lba + pages {
-            self.ftl.trim(lba)?;
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> Stats {
-        let mut s = self.life.stats(&self.ftl);
-        s.merge(self.ftl.stats());
-        s
-    }
-
-    fn run_report(&self) -> RunReport {
-        self.life.run_report(&self.ftl, self.name(), &self.stats())
-    }
-
-    fn trace_export(&self) -> Option<TraceExport> {
-        self.life.trace_export(&self.ftl)
-    }
-
-    fn trace_cursor(&self) -> u64 {
-        self.life.trace_cursor()
     }
 }
 

@@ -244,6 +244,65 @@ impl StorageFrontEnd for HardwareNds {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
+        let outcome = self.write_scoped(id, view, coord, sub_dims, data);
+        self.life.settle(&mut self.stl, "write", outcome)
+    }
+
+    fn read_into(
+        &mut self,
+        id: DatasetId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        buf: &mut Vec<u8>,
+    ) -> Result<ReadMetrics, SystemError> {
+        let outcome = self.read_scoped(id, view, coord, sub_dims, buf);
+        self.life.settle(&mut self.stl, "read", outcome)
+    }
+
+    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
+        let space = self
+            .datasets
+            .remove(&id)
+            .ok_or(SystemError::UnknownDataset(id))?;
+        self.stl.delete_space(space)?;
+        self.life.stats.add("system.delete_commands", 1);
+        Ok(())
+    }
+
+    fn stats(&self) -> Stats {
+        let mut s = self.life.stats(&self.stl);
+        s.merge(self.stl.backend().stats());
+        s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
+        s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
+        s
+    }
+
+    fn run_report(&self) -> RunReport {
+        self.life.run_report(&self.stl, self.name(), &self.stats())
+    }
+
+    fn trace_export(&self) -> Option<TraceExport> {
+        self.life.trace_export(&self.stl)
+    }
+
+    fn trace_cursor(&self) -> u64 {
+        self.life.trace_cursor()
+    }
+}
+
+/// The data paths behind [`StorageFrontEnd::write`] and
+/// [`StorageFrontEnd::read_into`]; the trait methods settle their outcome
+/// with the lifecycle, which closes the trace scope a failure leaves open.
+impl HardwareNds {
+    fn write_scoped(
+        &mut self,
+        id: DatasetId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        data: &[u8],
+    ) -> Result<WriteOutcome, SystemError> {
         let space = self.space_of(id)?;
         // The trace scope opens before the NVMe queue events, so the
         // extended command's submission is part of the trace.
@@ -300,7 +359,7 @@ impl StorageFrontEnd for HardwareNds {
         })
     }
 
-    fn read_into(
+    fn read_scoped(
         &mut self,
         id: DatasetId,
         view: &Shape,
@@ -395,36 +454,6 @@ impl StorageFrontEnd for HardwareNds {
             commands: 1,
             bytes,
         })
-    }
-
-    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
-        let space = self
-            .datasets
-            .remove(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        self.stl.delete_space(space)?;
-        self.life.stats.add("system.delete_commands", 1);
-        Ok(())
-    }
-
-    fn stats(&self) -> Stats {
-        let mut s = self.life.stats(&self.stl);
-        s.merge(self.stl.backend().stats());
-        s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
-        s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
-        s
-    }
-
-    fn run_report(&self) -> RunReport {
-        self.life.run_report(&self.stl, self.name(), &self.stats())
-    }
-
-    fn trace_export(&self) -> Option<TraceExport> {
-        self.life.trace_export(&self.stl)
-    }
-
-    fn trace_cursor(&self) -> u64 {
-        self.life.trace_cursor()
     }
 }
 

@@ -12,7 +12,9 @@
 //! [`close_scope`](Lifecycle::close_scope),
 //! [`record_read`](Lifecycle::record_read) or
 //! [`record_write`](Lifecycle::record_write), and
-//! [`end_epoch`](Lifecycle::end_epoch). Hardware NDS opens the scope first
+//! [`end_epoch`](Lifecycle::end_epoch); its trait method hands the outcome
+//! to [`settle`](Lifecycle::settle), which closes whatever a typed failure
+//! left open. Hardware NDS opens the scope first
 //! (NVMe submission and the STL op belong to the trace) and records before
 //! it closes (so its request span is trace-tagged); DESIGN.md "Command
 //! lifecycle" has the step list and what those two orders mean.
@@ -26,6 +28,7 @@ use nds_sim::{
 };
 
 use crate::config::SystemConfig;
+use crate::error::SystemError;
 use crate::flash_backend::FlashBackend;
 
 /// Journal identity of a front-end's request-level span events.
@@ -66,6 +69,8 @@ pub(crate) struct Lifecycle {
     pub(crate) obs: Observability,
     pub(crate) stats: Stats,
     tracer: Option<CommandTracer>,
+    /// The scope opened by the operation in flight, until it closes.
+    scope: Option<TraceContext>,
 }
 
 impl Lifecycle {
@@ -88,6 +93,7 @@ impl Lifecycle {
             obs,
             stats: Stats::new(),
             tracer: config.obs.tracing().then(CommandTracer::new),
+            scope: None,
         }
     }
 
@@ -105,6 +111,7 @@ impl Lifecycle {
         self.obs.set_trace(ctx);
         store.device_mut().begin_trace(ctx);
         self.link.begin_trace(ctx);
+        self.scope = Some(ctx);
         Some(ctx)
     }
 
@@ -129,9 +136,37 @@ impl Lifecycle {
         self.obs.clear_trace();
         store.device_mut().end_trace();
         self.link.end_trace();
+        self.scope = None;
         if let Some(t) = self.tracer.as_mut() {
             t.finish(latency);
         }
+    }
+
+    /// Settles an operation's `outcome`. Success passes through. A typed
+    /// failure (a budget exhausted, a command rejected) ends what the
+    /// operation left open, by the modeled time it had consumed on the
+    /// device and the link: a scope still open closes over that span — the
+    /// failed command gets its partition, the journals lose its tags and
+    /// the trace clock advances, so the next command starts later — and
+    /// the timing epoch ends by the same span.
+    pub(crate) fn settle<T>(
+        &mut self,
+        store: &mut impl DeviceAccess,
+        op: &'static str,
+        outcome: Result<T, SystemError>,
+    ) -> Result<T, SystemError> {
+        if outcome.is_err() {
+            let spent = store
+                .device()
+                .drained_at()
+                .max(self.link.drained_at())
+                .saturating_since(SimTime::ZERO);
+            if let Some(ctx) = self.scope {
+                self.close_scope(store, ctx, op, spent, &[]);
+            }
+            self.end_epoch(store, spent);
+        }
+        outcome
     }
 
     /// Records a completed read: system counters, `host.*` series, the

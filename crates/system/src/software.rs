@@ -110,6 +110,64 @@ impl StorageFrontEnd for SoftwareNds {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
+        let outcome = self.write_scoped(id, view, coord, sub_dims, data);
+        self.life.settle(&mut self.stl, "write", outcome)
+    }
+
+    fn read_into(
+        &mut self,
+        id: DatasetId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        buf: &mut Vec<u8>,
+    ) -> Result<ReadMetrics, SystemError> {
+        let outcome = self.read_scoped(id, view, coord, sub_dims, buf);
+        self.life.settle(&mut self.stl, "read", outcome)
+    }
+
+    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
+        let space = self
+            .datasets
+            .remove(&id)
+            .ok_or(SystemError::UnknownDataset(id))?;
+        self.stl.delete_space(space)?;
+        Ok(())
+    }
+
+    fn stats(&self) -> Stats {
+        let mut s = self.life.stats(&self.stl);
+        s.merge(self.stl.backend().stats());
+        s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
+        s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
+        s
+    }
+
+    fn run_report(&self) -> RunReport {
+        self.life.run_report(&self.stl, self.name(), &self.stats())
+    }
+
+    fn trace_export(&self) -> Option<TraceExport> {
+        self.life.trace_export(&self.stl)
+    }
+
+    fn trace_cursor(&self) -> u64 {
+        self.life.trace_cursor()
+    }
+}
+
+/// The data paths behind [`StorageFrontEnd::write`] and
+/// [`StorageFrontEnd::read_into`]; the trait methods settle their outcome
+/// with the lifecycle, which closes the trace scope a failure leaves open.
+impl SoftwareNds {
+    fn write_scoped(
+        &mut self,
+        id: DatasetId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+        data: &[u8],
+    ) -> Result<WriteOutcome, SystemError> {
         let space = self.space_of(id)?;
         let report = &mut self.write_report;
         self.stl
@@ -177,7 +235,7 @@ impl StorageFrontEnd for SoftwareNds {
         })
     }
 
-    fn read_into(
+    fn read_scoped(
         &mut self,
         id: DatasetId,
         view: &Shape,
@@ -293,35 +351,6 @@ impl StorageFrontEnd for SoftwareNds {
             commands,
             bytes: report.bytes,
         })
-    }
-
-    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
-        let space = self
-            .datasets
-            .remove(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        self.stl.delete_space(space)?;
-        Ok(())
-    }
-
-    fn stats(&self) -> Stats {
-        let mut s = self.life.stats(&self.stl);
-        s.merge(self.stl.backend().stats());
-        s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
-        s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
-        s
-    }
-
-    fn run_report(&self) -> RunReport {
-        self.life.run_report(&self.stl, self.name(), &self.stats())
-    }
-
-    fn trace_export(&self) -> Option<TraceExport> {
-        self.life.trace_export(&self.stl)
-    }
-
-    fn trace_cursor(&self) -> u64 {
-        self.life.trace_cursor()
     }
 }
 

@@ -2,7 +2,7 @@
 //! budgets surface as *typed* errors (never panics), permanent program
 //! failures remap onto fresh blocks without losing acknowledged data, and
 //! read-disturb pressure triggers preventive migration that the application
-//! never observes.
+//! never observes, and a failed command leaves no trace scope open.
 
 // Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -11,6 +11,7 @@ use nds_core::testing::FlakyBackend;
 use nds_core::{DeviceSpec, ElementType, NdsError, Shape, Stl, StlConfig};
 use nds_faults::FaultConfig;
 use nds_flash::FlashError;
+use nds_sim::{EventKind, ObsConfig, SimTime};
 use nds_system::{
     BaselineSystem, HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig, SystemError,
 };
@@ -85,6 +86,80 @@ fn exhausted_read_budget_is_a_typed_flash_error() {
             "{}: expected an unrecoverable-read error, got {err}",
             sys.name()
         );
+    }
+}
+
+#[test]
+fn a_failed_command_closes_its_trace_scope_and_advances_the_trace_clock() {
+    // Reads fail unrecoverably (after spending device time); writes succeed.
+    let faults = FaultConfig {
+        seed: 21,
+        media_read_rate: 1.0,
+        read_retry_budget: 0,
+        ..FaultConfig::disabled()
+    };
+    let config = SystemConfig::small_test()
+        .with_faults(faults)
+        .with_observability(ObsConfig::traced());
+    let n = 32;
+    let shape = Shape::new([n, n]);
+    let data = checkered(n);
+    let mut systems: Vec<Box<dyn StorageFrontEnd>> = vec![
+        Box::new(BaselineSystem::new(config.clone())),
+        Box::new(SoftwareNds::new(config.clone())),
+        Box::new(HardwareNds::new(config)),
+    ];
+    for sys in &mut systems {
+        let arch = sys.name();
+        // Trace 1 succeeds, trace 2 fails typed, trace 3 succeeds.
+        let id = write_full(sys.as_mut(), n, &data);
+        sys.read(id, &shape, &[0, 0], &[n, n])
+            .expect_err("unrecoverable ECC failure must surface");
+        sys.write(id, &shape, &[0, 0], &[n, n], &data).unwrap();
+        assert_eq!(sys.trace_cursor(), 3, "{arch}");
+
+        let export = sys.trace_export().expect("tracing is configured");
+        let bound = |trace: u64, end: bool| {
+            export
+                .events
+                .iter()
+                .find(|e| match e.kind {
+                    EventKind::TraceBegin { trace: t, .. } => !end && t == trace,
+                    EventKind::TraceEnd { trace: t } => end && t == trace,
+                    _ => false,
+                })
+                .unwrap_or_else(|| panic!("{arch}: trace {trace} has no closed partition"))
+                .at
+        };
+        let (failed_begin, failed_end) = (bound(2, false), bound(2, true));
+        assert!(
+            failed_end > failed_begin,
+            "{arch}: the failed read spent device time before giving up"
+        );
+        // No journal kept the failed command's tag or origin: everything
+        // recorded under its id lies inside its partition, and the next
+        // command's partition starts after it on the run-long clock.
+        for e in export.events.iter().filter(|e| e.trace == 2) {
+            assert!(
+                (failed_begin..=failed_end).contains(&e.at),
+                "{arch}: {:?} recorded under the failed command's id outside its partition",
+                e.kind
+            );
+        }
+        let (next_begin, next_end) = (bound(3, false), bound(3, true));
+        assert!(
+            next_begin > failed_begin,
+            "{arch}: same origin as the failed command"
+        );
+        assert_eq!(next_begin, failed_end, "{arch}");
+        for e in export.events.iter().filter(|e| e.trace == 3) {
+            assert!(
+                (next_begin..=next_end).contains(&e.at),
+                "{arch}: {:?}",
+                e.kind
+            );
+        }
+        assert_eq!(SimTime::ZERO + export.makespan, next_end, "{arch}");
     }
 }
 

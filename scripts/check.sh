@@ -30,9 +30,12 @@ if [[ "${1:-}" != "--no-test" ]]; then
     # Overflow-checked CI profile (release codegen + `overflow-checks =
     # true`): the WFQ finish-tag arithmetic and the multi-tenant QoS /
     # property suites must be wrap-free, not just lint-clean (rule D5); so
-    # must the scratch-reusing command path the allocation ceilings pin.
-    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling suites, overflow checks on)"
+    # must the scratch-reusing command path the allocation ceilings pin,
+    # and the page mapper's narrowing of page indices to u32, which the
+    # flash property suite drives through both of its instantiations.
+    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper suites, overflow checks on)"
     cargo test --quiet --profile ci -p nds-interconnect
+    cargo test --quiet --profile ci -p nds-flash --test proptests
     cargo test --quiet --profile ci -p nds-system \
         --test wfq_qos --test tenant_isolation --test tenant_differential \
         --test alloc_ceiling
