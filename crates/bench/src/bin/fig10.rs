@@ -22,20 +22,24 @@ use nds_system::{
 use nds_workloads::{all_workloads, Workload, WorkloadParams, WorkloadRun};
 
 fn parse_args(args: &[String]) -> (WorkloadParams, u64) {
+    /// The integer after `flag`; a flag with nothing (or a non-integer)
+    /// after it is an error, trailing or not.
+    fn value<T: std::str::FromStr>(flag: &str, rest: &mut std::slice::Iter<'_, String>) -> T {
+        rest.next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{flag} takes an integer"))
+    }
     let mut params = WorkloadParams::bench(0x4E44_5321);
     let mut cost_scale = 2;
-    let mut i = 0;
-    while i + 1 < args.len() {
-        match args[i].as_str() {
-            "--n" => params.n = args[i + 1].parse().expect("--n takes an integer"),
-            "--tile" => params.tile = args[i + 1].parse().expect("--tile takes an integer"),
-            "--iters" => params.iterations = args[i + 1].parse().expect("--iters takes an integer"),
-            "--cost-scale" => {
-                cost_scale = args[i + 1].parse().expect("--cost-scale takes an integer")
-            }
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--n" => params.n = value(flag, &mut rest),
+            "--tile" => params.tile = value(flag, &mut rest),
+            "--iters" => params.iterations = value(flag, &mut rest),
+            "--cost-scale" => cost_scale = value(flag, &mut rest),
             other => panic!("unknown flag {other}"),
         }
-        i += 2;
     }
     params.validate();
     (params, cost_scale)
@@ -174,4 +178,31 @@ fn main() {
         format!("{:.0}%", avg(&hw_red) * 100.0),
     ]);
     art.write(announce_on_stderr).expect("write artifacts");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| (*w).to_owned()).collect()
+    }
+
+    #[test]
+    fn flags_override_the_bench_defaults() {
+        let (params, cost_scale) = parse_args(&args(&["--n", "512", "--cost-scale", "4"]));
+        assert_eq!((params.n, params.tile, cost_scale), (512, 256, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "--tile takes an integer")]
+    fn a_trailing_flag_without_a_value_is_an_error() {
+        parse_args(&args(&["--n", "512", "--tile"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --bogus")]
+    fn a_trailing_unknown_flag_is_an_error() {
+        parse_args(&args(&["--n", "512", "--bogus"]));
+    }
 }

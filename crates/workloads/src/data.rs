@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A dense random `width × height` f32 matrix (row-major, x fastest) —
-//  input for Block-GEMM, Conv2D, and Hotspot.
+/// input for Block-GEMM, Conv2D, and Hotspot.
 pub fn matrix_f32(width: u64, height: u64, seed: u64) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..width * height)
@@ -16,8 +16,15 @@ pub fn matrix_f32(width: u64, height: u64, seed: u64) -> Vec<f32> {
 
 /// A dense random `side³` f32 tensor (x fastest) — input for TTV and TC.
 pub fn tensor_f32(side: u64, seed: u64) -> Vec<f32> {
+    tensor_slab_f32(side, side, seed)
+}
+
+/// The first `depth` slices of [`tensor_f32`]`(side, seed)` — the same
+/// generator stream, stopped after `side² · depth` draws, so a workload
+/// that reads a shallow slab never materializes the cube behind it.
+pub fn tensor_slab_f32(side: u64, depth: u64, seed: u64) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..side * side * side)
+    (0..side * side * depth)
         .map(|_| rng.gen_range(-1.0..1.0))
         .collect()
 }
@@ -93,12 +100,22 @@ pub fn f32_bytes(values: &[f32]) -> Vec<u8> {
 }
 
 /// Parses little-endian bytes back to f32.
-#[allow(clippy::expect_used)] // chunks_exact(4) yields 4-byte slices, try_into cannot fail
 pub fn f32_from_bytes(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunks")))
-        .collect()
+    let mut out = Vec::new();
+    f32_from_bytes_into(bytes, &mut out);
+    out
+}
+
+/// [`f32_from_bytes`] into a reused buffer (cleared first): what a
+/// streaming closure decodes each block's payload with.
+#[allow(clippy::expect_used)] // chunks_exact(4) yields 4-byte slices, try_into cannot fail
+pub fn f32_from_bytes_into(bytes: &[u8], out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunks"))),
+    );
 }
 
 /// Reinterprets an i32 slice as little-endian bytes.
@@ -107,12 +124,21 @@ pub fn i32_bytes(values: &[i32]) -> Vec<u8> {
 }
 
 /// Parses little-endian bytes back to i32.
-#[allow(clippy::expect_used)] // chunks_exact(4) yields 4-byte slices, try_into cannot fail
 pub fn i32_from_bytes(bytes: &[u8]) -> Vec<i32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| i32::from_le_bytes(c.try_into().expect("4-byte chunks")))
-        .collect()
+    let mut out = Vec::new();
+    i32_from_bytes_into(bytes, &mut out);
+    out
+}
+
+/// [`i32_from_bytes`] into a reused buffer (cleared first).
+#[allow(clippy::expect_used)] // chunks_exact(4) yields 4-byte slices, try_into cannot fail
+pub fn i32_from_bytes_into(bytes: &[u8], out: &mut Vec<i32>) {
+    out.clear();
+    out.extend(
+        bytes
+            .chunks_exact(4)
+            .map(|c| i32::from_le_bytes(c.try_into().expect("4-byte chunks"))),
+    );
 }
 
 #[cfg(test)]
@@ -123,6 +149,7 @@ mod tests {
     fn generators_are_deterministic() {
         assert_eq!(matrix_f32(16, 16, 9), matrix_f32(16, 16, 9));
         assert_eq!(tensor_f32(8, 9), tensor_f32(8, 9));
+        assert_eq!(tensor_slab_f32(8, 3, 9), tensor_f32(8, 9)[..8 * 8 * 3]);
         assert_eq!(adjacency_u8(32, 96, 9), adjacency_u8(32, 96, 9));
         assert_ne!(matrix_f32(16, 16, 9), matrix_f32(16, 16, 10));
     }
@@ -174,5 +201,10 @@ mod tests {
         assert_eq!(f32_from_bytes(&f32_bytes(&f)), f);
         let i = vec![7i32, -9, i32::MAX];
         assert_eq!(i32_from_bytes(&i32_bytes(&i)), i);
+        // The `_into` forms replace, not append to, what the buffer held.
+        let (mut fs, mut is) = (vec![9.0f32; 7], vec![9i32; 7]);
+        f32_from_bytes_into(&f32_bytes(&f), &mut fs);
+        i32_from_bytes_into(&i32_bytes(&i), &mut is);
+        assert_eq!((fs, is), (f, i));
     }
 }

@@ -4,8 +4,20 @@
 //! architecture: plain, deterministic Rust implementations of the operations
 //! the paper offloads to GPUs. Their timing comes from the accelerator model
 //! (`nds-accel`); their outputs are what the tests validate.
+//!
+//! The contract (DESIGN.md, "Functional-kernel contract"): a kernel may be
+//! blocked, unrolled, split into interior and border or handed scratch, but
+//! every output element must see the same sequence of IEEE operations on the
+//! same operands as the plain loop it replaced. `tests/kernel_equivalence.rs`
+//! keeps those plain loops as reference models and compares `to_bits()`.
 
 /// `c += a × b` for `t × t` row-major f32 tiles (x fastest: `a[x + t*y]`).
+///
+/// Element `c[i][j]` accumulates `a[i][k] * b[k][j]` for ascending `k`,
+/// skipping every `k` whose `a[i][k]` compares equal to zero (`0.0` and
+/// `-0.0`), one rounded multiply and one rounded add per step. The loops
+/// are register-blocked — two rows of `c`, four `k` per pass over them —
+/// which changes how often `b` and `c` travel, not what is computed.
 ///
 /// # Panics
 ///
@@ -14,19 +26,90 @@ pub fn gemm_tile(t: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), t * t);
     assert_eq!(b.len(), t * t);
     assert_eq!(c.len(), t * t);
-    // ikj loop order keeps the inner loop streaming over b and c rows.
-    for i in 0..t {
-        for k in 0..t {
-            let aik = a[k + t * i];
-            if aik == 0.0 {
-                continue;
-            }
-            let brow = &b[t * k..t * k + t];
-            let crow = &mut c[t * i..t * i + t];
-            for j in 0..t {
-                crow[j] += aik * brow[j];
-            }
+    if t == 0 {
+        return;
+    }
+    let mut a_pairs = a.chunks_exact(2 * t);
+    let mut c_pairs = c.chunks_exact_mut(2 * t);
+    for (a_pair, c_pair) in a_pairs.by_ref().zip(c_pairs.by_ref()) {
+        let (a0, a1) = a_pair.split_at(t);
+        let (c0, c1) = c_pair.split_at_mut(t);
+        gemm_row_pair(a0, a1, b, c0, c1);
+    }
+    // Odd `t`: the last row has no partner (both remainders are empty
+    // otherwise).
+    let c_last = c_pairs.into_remainder();
+    for (&aik, brow) in a_pairs.remainder().iter().zip(b.chunks_exact(t)) {
+        axpy_nonzero(aik, brow, c_last);
+    }
+}
+
+/// Two rows of `c += a × b`. A group of four `k` whose eight `a` entries
+/// are all non-zero runs fused; a group holding a zero, and the `t % 4`
+/// tail, take one skip-checked `k` at a time. Either way every `c` element
+/// is updated for ascending `k`.
+fn gemm_row_pair(a0: &[f32], a1: &[f32], b: &[f32], c0: &mut [f32], c1: &mut [f32]) {
+    let t = c0.len();
+    let (x_groups, x_tail) = a0.as_chunks::<4>();
+    let (y_groups, y_tail) = a1.as_chunks::<4>();
+    let mut b_groups = b.chunks_exact(4 * t);
+    for ((x, y), rows) in x_groups.iter().zip(y_groups).zip(b_groups.by_ref()) {
+        if x.iter().chain(y).all(|&v| v != 0.0) {
+            fused_2x4(c0, c1, rows, *x, *y);
+        } else {
+            one_k_at_a_time(x, y, rows, c0, c1);
         }
+    }
+    one_k_at_a_time(x_tail, y_tail, b_groups.remainder(), c0, c1);
+}
+
+/// `c0 += Σ x[k]·b[k]`, `c1 += Σ y[k]·b[k]` over the four rows of `b` in
+/// `rows`, with both `c` elements held in registers across the four steps:
+/// one pass over `c0`/`c1` instead of four, each `b` row read once for both.
+///
+/// Kept out of line so the `&mut` parameters carry their no-overlap
+/// guarantee into the loop and it vectorises without run-time checks.
+#[inline(never)]
+fn fused_2x4(c0: &mut [f32], c1: &mut [f32], rows: &[f32], x: [f32; 4], y: [f32; 4]) {
+    let t = c0.len();
+    let c1 = &mut c1[..t];
+    let (b0, rest) = rows.split_at(t);
+    let (b1, rest) = rest.split_at(t);
+    let (b2, b3) = rest.split_at(t);
+    let b3 = &b3[..t];
+    for j in 0..t {
+        let mut u = c0[j];
+        let mut v = c1[j];
+        u += x[0] * b0[j];
+        v += y[0] * b0[j];
+        u += x[1] * b1[j];
+        v += y[1] * b1[j];
+        u += x[2] * b2[j];
+        v += y[2] * b2[j];
+        u += x[3] * b3[j];
+        v += y[3] * b3[j];
+        c0[j] = u;
+        c1[j] = v;
+    }
+}
+
+/// The unfused path: for each `k` of the group, `c0 += x[k]·b[k]` and
+/// `c1 += y[k]·b[k]`, each skipped when its coefficient is zero.
+fn one_k_at_a_time(x: &[f32], y: &[f32], rows: &[f32], c0: &mut [f32], c1: &mut [f32]) {
+    for ((&xk, &yk), brow) in x.iter().zip(y).zip(rows.chunks_exact(c0.len())) {
+        axpy_nonzero(xk, brow, c0);
+        axpy_nonzero(yk, brow, c1);
+    }
+}
+
+/// `y += alpha · x`, skipped when `alpha` compares equal to zero.
+#[inline]
+fn axpy_nonzero(alpha: f32, x: &[f32], y: &mut [f32]) {
+    if alpha == 0.0 {
+        return;
+    }
+    for (y, x) in y.iter_mut().zip(x) {
+        *y += alpha * x;
     }
 }
 
@@ -73,6 +156,12 @@ pub fn bellman_ford_panel(panel: &[i32], n: usize, base: usize, dist: &mut [i64]
 /// explicit one-cell halo (halo cells replicate the edge when absent).
 /// `temp`/`power` are `t²`; halos are the four edge strips of the
 /// neighboring tiles (length `t`, or empty at grid borders).
+///
+/// Each cell computes `west + east + north + south − 4·center` left to
+/// right, then `center + 0.2·laplacian + 0.05·power`. Rows above and below
+/// are whole slices (a neighbor row, a halo, or the edge row replicated),
+/// so only the first and last column of a row need the west / east halo;
+/// the columns between them run branch-free.
 #[allow(clippy::too_many_arguments)]
 pub fn hotspot_tile(
     t: usize,
@@ -85,47 +174,58 @@ pub fn hotspot_tile(
     out: &mut [f32],
 ) {
     assert_eq!(temp.len(), t * t);
+    assert_eq!(power.len(), t * t);
     assert_eq!(out.len(), t * t);
-    let at = |x: isize, y: isize| -> f32 {
-        if y < 0 {
-            if north.is_empty() {
-                temp[x as usize]
-            } else {
-                north[x as usize]
-            }
-        } else if y >= t as isize {
-            if south.is_empty() {
-                temp[x as usize + t * (t - 1)]
-            } else {
-                south[x as usize]
-            }
-        } else if x < 0 {
-            if west.is_empty() {
-                temp[t * y as usize]
-            } else {
-                west[y as usize]
-            }
-        } else if x >= t as isize {
-            if east.is_empty() {
-                temp[(t - 1) + t * y as usize]
-            } else {
-                east[y as usize]
-            }
-        } else {
-            temp[x as usize + t * y as usize]
-        }
-    };
+    if t == 0 {
+        return;
+    }
     const K: f32 = 0.2;
-    for y in 0..t {
-        for x in 0..t {
-            let center = temp[x + t * y];
-            let laplacian = at(x as isize - 1, y as isize)
-                + at(x as isize + 1, y as isize)
-                + at(x as isize, y as isize - 1)
-                + at(x as isize, y as isize + 1)
-                - 4.0 * center;
-            out[x + t * y] = center + K * laplacian + 0.05 * power[x + t * y];
+    let cell = |center: f32, w: f32, e: f32, n: f32, s: f32, p: f32| -> f32 {
+        let laplacian = w + e + n + s - 4.0 * center;
+        center + K * laplacian + 0.05 * p
+    };
+    let row = |y: usize| &temp[t * y..t * y + t];
+    let last = t - 1;
+    let rows = out.chunks_exact_mut(t).zip(power.chunks_exact(t));
+    for (y, (orow, prow)) in rows.enumerate() {
+        let mid = row(y);
+        let up = if y > 0 {
+            row(y - 1)
+        } else if north.is_empty() {
+            mid
+        } else {
+            &north[..t]
+        };
+        let down = if y < last {
+            row(y + 1)
+        } else if south.is_empty() {
+            mid
+        } else {
+            &south[..t]
+        };
+        let w_halo = if west.is_empty() { mid[0] } else { west[y] };
+        let e_halo = if east.is_empty() { mid[last] } else { east[y] };
+        let e_of_first = if last == 0 { e_halo } else { mid[1] };
+        orow[0] = cell(mid[0], w_halo, e_of_first, up[0], down[0], prow[0]);
+        if last == 0 {
+            continue;
         }
+        // Columns 1..last: every neighbor is inside `mid`, `up` or `down`.
+        let inner = &mut orow[1..last];
+        let len = inner.len();
+        let (w, c, e) = (&mid[..len], &mid[1..last], &mid[2..]);
+        let (n, s, p) = (&up[1..last], &down[1..last], &prow[1..last]);
+        for x in 0..len {
+            inner[x] = cell(c[x], w[x], e[x], n[x], s[x], p[x]);
+        }
+        orow[last] = cell(
+            mid[last],
+            mid[last - 1],
+            e_halo,
+            up[last],
+            down[last],
+            prow[last],
+        );
     }
 }
 
@@ -219,7 +319,6 @@ pub fn kmeans_assign(
     sums: &mut [f64],
     counts: &mut [u64],
 ) {
-    let k = centroids.len() / d;
     for point in panel.chunks_exact(d) {
         let mut best = 0usize;
         let mut best_dist = f32::INFINITY;
@@ -239,7 +338,6 @@ pub fn kmeans_assign(
             *s += *p as f64;
         }
     }
-    let _ = k;
 }
 
 /// Finalizes centroids from accumulated sums/counts.
@@ -304,30 +402,59 @@ pub fn pagerank_panel(panel: &[f32], n: usize, base: usize, rank: &[f32], next: 
 }
 
 /// Separable 2-D convolution (radius-`r` box filter hori+vert) on a `t × t`
-/// tile with edge replication inside the tile.
-pub fn conv2d_tile(t: usize, r: usize, tile: &[f32], out: &mut [f32]) {
+/// tile with edge replication inside the tile. `tmp` is the plane between
+/// the two passes — caller-kept scratch, resized here, contents ignored.
+///
+/// Each pass sums its `2r + 1` taps in ascending offset order starting from
+/// `0.0`, then scales by `1 / (2r + 1)`. Columns at least `r` from both
+/// tile edges never clamp, so the horizontal pass adds whole shifted row
+/// segments there; the vertical pass clamps a *row* index only, so it adds
+/// whole rows everywhere.
+pub fn conv2d_tile(t: usize, r: usize, tile: &[f32], tmp: &mut Vec<f32>, out: &mut [f32]) {
     assert_eq!(tile.len(), t * t);
     assert_eq!(out.len(), t * t);
+    if t == 0 {
+        return;
+    }
     let norm = 1.0 / (2 * r + 1) as f32;
-    let mut tmp = vec![0.0f32; t * t];
-    for y in 0..t {
-        for x in 0..t {
+    let taps = 2 * r + 1;
+    let clamped = |centre: usize, tap: usize| (centre + tap).saturating_sub(r).min(t - 1);
+    // Columns `lo..hi` are clamp-free (empty when `t ≤ 2r`).
+    let lo = r.min(t);
+    let hi = (t - lo).max(lo);
+    tmp.resize(t * t, 0.0);
+    for (src, dst) in tile.chunks_exact(t).zip(tmp.chunks_exact_mut(t)) {
+        for x in (0..lo).chain(hi..t) {
             let mut acc = 0.0;
-            for dx in -(r as isize)..=(r as isize) {
-                let sx = (x as isize + dx).clamp(0, t as isize - 1) as usize;
-                acc += tile[sx + t * y];
+            for tap in 0..taps {
+                acc += src[clamped(x, tap)];
             }
-            tmp[x + t * y] = acc * norm;
+            dst[x] = acc * norm;
+        }
+        let interior = &mut dst[lo..hi];
+        if interior.is_empty() {
+            continue;
+        }
+        interior.fill(0.0);
+        for tap in 0..taps {
+            for (acc, v) in interior.iter_mut().zip(&src[tap..]) {
+                *acc += *v;
+            }
+        }
+        for acc in interior {
+            *acc *= norm;
         }
     }
-    for y in 0..t {
-        for x in 0..t {
-            let mut acc = 0.0;
-            for dy in -(r as isize)..=(r as isize) {
-                let sy = (y as isize + dy).clamp(0, t as isize - 1) as usize;
-                acc += tmp[x + t * sy];
+    for (y, orow) in out.chunks_exact_mut(t).enumerate() {
+        orow.fill(0.0);
+        for tap in 0..taps {
+            let sy = clamped(y, tap);
+            for (acc, v) in orow.iter_mut().zip(&tmp[t * sy..t * sy + t]) {
+                *acc += *v;
             }
-            out[x + t * y] = acc * norm;
+        }
+        for acc in orow {
+            *acc *= norm;
         }
     }
 }
@@ -469,7 +596,7 @@ mod tests {
         let t = 8;
         let tile = vec![3.0f32; t * t];
         let mut out = vec![0.0f32; t * t];
-        conv2d_tile(t, 2, &tile, &mut out);
+        conv2d_tile(t, 2, &tile, &mut Vec::new(), &mut out);
         assert!(out.iter().all(|&v| (v - 3.0).abs() < 1e-5));
     }
 

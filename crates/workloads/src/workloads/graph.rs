@@ -11,7 +11,7 @@ use nds_core::{ElementType, Shape};
 use nds_interconnect::LinkConfig;
 use nds_system::{StorageFrontEnd, SystemError};
 
-use super::util::create_full;
+use super::util::{create_full, tile_blocks, tile_into};
 use super::Workload;
 use crate::data;
 use crate::driver::{stream_phase, BlockReads, WorkloadRun};
@@ -147,15 +147,12 @@ impl Sssp {
         let tiles = n / t;
         let mut dist = vec![i64::MAX; n];
         dist[0] = 0;
+        let mut tile = Vec::new();
         for _ in 0..MAX_SSSP_ROUNDS {
             let mut changed = false;
             for rp in 0..tiles {
                 for cb in 0..tiles {
-                    let mut tile = Vec::with_capacity(t * t);
-                    for r in 0..t {
-                        let row = (rp * t + r) * n + cb * t;
-                        tile.extend_from_slice(&w[row..row + t]);
-                    }
+                    tile_into(w, n, t, cb, rp, &mut tile);
                     changed |= kernels::bellman_ford_tile(&tile, t, rp * t, cb * t, &mut dist);
                 }
             }
@@ -190,24 +187,17 @@ impl Workload for Sssp {
         let id = create_full(sys, &shape, ElementType::I32, &data::i32_bytes(&w))?;
 
         let engine = self.params.host_engine();
-        let ns = n as usize;
-        let _ = ns;
         let mut dist = vec![i64::MAX; n as usize];
         dist[0] = 0;
         let mut phases = Vec::new();
+        let blocks = tile_blocks(id, n, t);
+        let mut tile = Vec::new();
         for _ in 0..MAX_SSSP_ROUNDS {
-            let blocks: Vec<BlockReads> = (0..tiles)
-                .flat_map(|rp| {
-                    (0..tiles).map(move |cb| -> BlockReads {
-                        vec![(id, Shape::new([n, n]), vec![cb, rp], vec![t, t])]
-                    })
-                })
-                .collect();
             let mut changed = false;
             let phase = stream_phase(sys, &blocks, &engine, t, None, |idx, bufs| {
                 let rp = idx as u64 / tiles;
                 let cb = idx as u64 % tiles;
-                let tile = data::i32_from_bytes(&bufs[0]);
+                data::i32_from_bytes_into(&bufs[0], &mut tile);
                 changed |= kernels::bellman_ford_tile(
                     &tile,
                     ts,
@@ -267,15 +257,12 @@ impl PageRank {
         let t = self.params.tile as usize;
         let tiles = n / t;
         let mut rank = vec![1.0f32 / n as f32; n];
+        let mut tile = Vec::new();
         for _ in 0..self.params.iterations {
             let mut next = vec![0.0f64; n];
             for rp in 0..tiles {
                 for cb in 0..tiles {
-                    let mut tile = Vec::with_capacity(t * t);
-                    for r in 0..t {
-                        let row = (rp * t + r) * n + cb * t;
-                        tile.extend_from_slice(&links[row..row + t]);
-                    }
+                    tile_into(links, n, t, cb, rp, &mut tile);
                     kernels::pagerank_tile(&tile, t, rp * t, cb * t, &rank, &mut next);
                 }
             }
@@ -311,14 +298,9 @@ impl Workload for PageRank {
         let ns = n as usize;
         let mut rank = vec![1.0f32 / n as f32; ns];
         let mut phases = Vec::new();
+        let blocks = tile_blocks(id, n, t);
+        let mut tile = Vec::new();
         for _ in 0..self.params.iterations {
-            let blocks: Vec<BlockReads> = (0..tiles)
-                .flat_map(|rp| {
-                    (0..tiles).map(move |cb| -> BlockReads {
-                        vec![(id, Shape::new([n, n]), vec![cb, rp], vec![t, t])]
-                    })
-                })
-                .collect();
             let mut next = vec![0.0f64; ns];
             let phase = stream_phase(
                 sys,
@@ -329,7 +311,7 @@ impl Workload for PageRank {
                 |idx, bufs| {
                     let rp = idx as u64 / tiles;
                     let cb = idx as u64 % tiles;
-                    let tile = data::f32_from_bytes(&bufs[0]);
+                    data::f32_from_bytes_into(&bufs[0], &mut tile);
                     kernels::pagerank_tile(
                         &tile,
                         ts,

@@ -12,10 +12,10 @@ use nds_core::{ElementType, Shape};
 use nds_interconnect::LinkConfig;
 use nds_system::{StorageFrontEnd, SystemError};
 
-use super::util::create_full;
+use super::util::{create_full, tile_blocks, tile_into};
 use super::Workload;
 use crate::data;
-use crate::driver::{stream_phase, BlockReads, WorkloadRun};
+use crate::driver::{stream_phase, WorkloadRun};
 use crate::kernels;
 use crate::params::WorkloadParams;
 
@@ -33,15 +33,13 @@ fn gen_points(params: &WorkloadParams) -> Vec<f32> {
     data::clustering_f32(params.n, params.n, params.seed)
 }
 
-/// Extracts the `(attr_block, point)` slice of a point's attributes from the
-/// dense matrix.
-fn centroid_block(centroids: &[f32], d: usize, block: usize, width: usize) -> Vec<f32> {
-    let k = centroids.len() / d;
-    let mut out = Vec::with_capacity(k * width);
-    for c in 0..k {
-        out.extend_from_slice(&centroids[c * d + block * width..c * d + (block + 1) * width]);
+/// Gathers attribute block `block` (`width` attributes) of every centroid
+/// into `out` (`k × width`, cleared first).
+fn centroid_block(centroids: &[f32], d: usize, block: usize, width: usize, out: &mut Vec<f32>) {
+    out.clear();
+    for centroid in centroids.chunks_exact(d) {
+        out.extend_from_slice(&centroid[block * width..(block + 1) * width]);
     }
-    out
 }
 
 /// K-Means clustering over 2-D sub-blocks of the point matrix.
@@ -69,16 +67,14 @@ impl KMeans {
         let panels = d / t;
         let mut sums = vec![0.0f64; K_CLUSTERS * d];
         let mut counts = vec![0u64; K_CLUSTERS];
+        let mut dist = vec![0.0f32; t * K_CLUSTERS];
+        let (mut tile, mut cblock) = (Vec::new(), Vec::new());
         for p in 0..panels {
-            let mut dist = vec![0.0f32; t * K_CLUSTERS];
+            dist.fill(0.0);
             for a in 0..panels {
                 // Tile (a, p): points p·t.., attributes a·t.., attr fastest.
-                let mut tile = Vec::with_capacity(t * t);
-                for r in 0..t {
-                    let row = (p * t + r) * d + a * t;
-                    tile.extend_from_slice(&points[row..row + t]);
-                }
-                let cblock = centroid_block(centroids, d, a, t);
+                tile_into(points, d, t, a, p, &mut tile);
+                centroid_block(centroids, d, a, t, &mut cblock);
                 kernels::sqdist_tile(&tile, t, &cblock, &mut dist);
             }
             for r in 0..t {
@@ -135,22 +131,17 @@ impl Workload for KMeans {
         let mut centroids: Vec<f32> = points[..K_CLUSTERS * d].to_vec();
         let engine = self.params.cuda_engine();
         let mut phases = Vec::new();
+        // Blocks in (point panel, attribute block) order; the point
+        // panel's tiles are stashed (one reused buffer per attribute block)
+        // so the assignment step can accumulate full attribute sums without
+        // a second I/O pass.
+        let blocks = tile_blocks(id, self.params.n, t);
+        let mut dist = vec![0.0f32; ts * K_CLUSTERS];
+        let mut stash: Vec<Vec<f32>> = vec![Vec::new(); panels as usize];
+        let mut cblock = Vec::new();
         for _ in 0..self.params.iterations {
-            // Blocks in (point panel, attribute block) order; the point
-            // panel's tiles are stashed so the assignment step can
-            // accumulate full attribute sums without a second I/O pass.
-            let blocks: Vec<BlockReads> = (0..panels)
-                .flat_map(|p| {
-                    (0..panels).map(move |a| -> BlockReads {
-                        vec![(id, points_shape_of(d as u64), vec![a, p], vec![t, t])]
-                    })
-                })
-                .collect();
             let mut sums = vec![0.0f64; K_CLUSTERS * d];
             let mut counts = vec![0u64; K_CLUSTERS];
-            let mut dist = vec![0.0f32; ts * K_CLUSTERS];
-            let mut stash: Vec<Vec<f32>> = Vec::with_capacity(panels as usize);
-            let centroids_now = centroids.clone();
             let phase = stream_phase(
                 sys,
                 &blocks,
@@ -158,18 +149,14 @@ impl Workload for KMeans {
                 t,
                 Some(LinkConfig::pcie3_x16()),
                 |idx, bufs| {
-                    let a = idx as u64 % panels;
-                    let p = idx as u64 / panels;
-                    let _ = p;
+                    let a = idx % panels as usize;
                     if a == 0 {
-                        dist.iter_mut().for_each(|v| *v = 0.0);
-                        stash.clear();
+                        dist.fill(0.0);
                     }
-                    let tile = data::f32_from_bytes(&bufs[0]);
-                    let cblock = centroid_block(&centroids_now, d, a as usize, ts);
-                    kernels::sqdist_tile(&tile, ts, &cblock, &mut dist);
-                    stash.push(tile);
-                    if a == panels - 1 {
+                    data::f32_from_bytes_into(&bufs[0], &mut stash[a]);
+                    centroid_block(&centroids, d, a, ts, &mut cblock);
+                    kernels::sqdist_tile(&stash[a], ts, &cblock, &mut dist);
+                    if a + 1 == panels as usize {
                         for r in 0..ts {
                             let mut best = 0usize;
                             let mut best_d = f32::INFINITY;
@@ -205,10 +192,6 @@ impl Workload for KMeans {
     }
 }
 
-fn points_shape_of(n: u64) -> Shape {
-    Shape::new([n, n])
-}
-
 /// K-nearest-neighbor search over 2-D sub-blocks of the point matrix.
 #[derive(Debug, Clone)]
 pub struct Knn {
@@ -232,14 +215,12 @@ impl Knn {
         let panels = d / t;
         let query: Vec<f32> = points[..d].to_vec();
         let mut best: Vec<(f32, u64)> = Vec::new();
+        let mut dist = vec![0.0f32; t];
+        let mut tile = Vec::new();
         for p in 0..panels {
-            let mut dist = vec![0.0f32; t];
+            dist.fill(0.0);
             for a in 0..panels {
-                let mut tile = Vec::with_capacity(t * t);
-                for r in 0..t {
-                    let row = (p * t + r) * d + a * t;
-                    tile.extend_from_slice(&points[row..row + t]);
-                }
+                tile_into(points, d, t, a, p, &mut tile);
                 kernels::sqdist_tile(&tile, t, &query[a * t..(a + 1) * t], &mut dist);
             }
             merge_knn(&dist, (p * t) as u64, &mut best);
@@ -291,15 +272,10 @@ impl Workload for Knn {
         let query: Vec<f32> = points[..d].to_vec();
         let engine = self.params.cuda_engine();
 
-        let blocks: Vec<BlockReads> = (0..panels)
-            .flat_map(|p| {
-                (0..panels).map(move |a| -> BlockReads {
-                    vec![(id, points_shape_of(d as u64), vec![a, p], vec![t, t])]
-                })
-            })
-            .collect();
+        let blocks = tile_blocks(id, self.params.n, t);
         let mut best: Vec<(f32, u64)> = Vec::new();
         let mut dist = vec![0.0f32; ts];
+        let mut tile = Vec::new();
         let phase = stream_phase(
             sys,
             &blocks,
@@ -310,9 +286,9 @@ impl Workload for Knn {
                 let a = idx as u64 % panels;
                 let p = idx as u64 / panels;
                 if a == 0 {
-                    dist.iter_mut().for_each(|v| *v = 0.0);
+                    dist.fill(0.0);
                 }
-                let tile = data::f32_from_bytes(&bufs[0]);
+                data::f32_from_bytes_into(&bufs[0], &mut tile);
                 kernels::sqdist_tile(
                     &tile,
                     ts,

@@ -9,7 +9,7 @@ use nds_core::{ElementType, Shape};
 use nds_interconnect::LinkConfig;
 use nds_system::{DatasetId, StorageFrontEnd, SystemError};
 
-use super::util::{create_empty, create_full, place_tile, tile_of};
+use super::util::{create_empty, create_full, place_tile, tile_blocks, tile_into};
 use super::Workload;
 use crate::data;
 use crate::driver::{stream_phase, BlockReads, WorkloadRun};
@@ -56,15 +56,17 @@ impl Hotspot {
         let t = self.params.tile as usize;
         let tiles = n / t;
         let mut next = vec![0.0f32; n * n];
+        let (mut tile, mut ptile) = (Vec::new(), Vec::new());
+        let [mut north, mut south, mut west, mut east] = [const { Vec::new() }; 4];
+        let mut out = vec![0.0f32; t * t];
         for ty in 0..tiles {
             for tx in 0..tiles {
-                let tile = tile_of(temp, n, t, tx, ty);
-                let ptile = tile_of(power, n, t, tx, ty);
-                let north = halo_row(temp, n, t, tx, ty as isize - 1, t - 1);
-                let south = halo_row(temp, n, t, tx, ty as isize + 1, 0);
-                let west = halo_col(temp, n, t, tx as isize - 1, ty, t - 1);
-                let east = halo_col(temp, n, t, tx as isize + 1, ty, 0);
-                let mut out = vec![0.0f32; t * t];
+                tile_into(temp, n, t, tx, ty, &mut tile);
+                tile_into(power, n, t, tx, ty, &mut ptile);
+                halo_row(temp, n, t, tx, ty as isize - 1, t - 1, &mut north);
+                halo_row(temp, n, t, tx, ty as isize + 1, 0, &mut south);
+                halo_col(temp, n, t, tx as isize - 1, ty, t - 1, &mut west);
+                halo_col(temp, n, t, tx as isize + 1, ty, 0, &mut east);
                 kernels::hotspot_tile(t, &tile, &ptile, &north, &south, &west, &east, &mut out);
                 place_tile(&mut next, n, t, tx, ty, &out);
             }
@@ -82,20 +84,41 @@ impl Hotspot {
     }
 }
 
-fn halo_row(m: &[f32], n: usize, t: usize, tx: usize, ty: isize, row_in_tile: usize) -> Vec<f32> {
+/// Row `row_in_tile` of tile `(tx, ty)` into `halo` — left empty when the
+/// tile lies outside the grid (the kernel then replicates its own edge).
+fn halo_row(
+    m: &[f32],
+    n: usize,
+    t: usize,
+    tx: usize,
+    ty: isize,
+    row_in_tile: usize,
+    halo: &mut Vec<f32>,
+) {
+    halo.clear();
     if ty < 0 || ty as usize >= n / t {
-        return Vec::new();
+        return;
     }
     let y = ty as usize * t + row_in_tile;
-    m[y * n + tx * t..y * n + tx * t + t].to_vec()
+    halo.extend_from_slice(&m[y * n + tx * t..y * n + tx * t + t]);
 }
 
-fn halo_col(m: &[f32], n: usize, t: usize, tx: isize, ty: usize, col_in_tile: usize) -> Vec<f32> {
+/// Column `col_in_tile` of tile `(tx, ty)` into `halo`, as [`halo_row`].
+fn halo_col(
+    m: &[f32],
+    n: usize,
+    t: usize,
+    tx: isize,
+    ty: usize,
+    col_in_tile: usize,
+    halo: &mut Vec<f32>,
+) {
+    halo.clear();
     if tx < 0 || tx as usize >= n / t {
-        return Vec::new();
+        return;
     }
     let x = tx as usize * t + col_in_tile;
-    (0..t).map(|dy| m[(ty * t + dy) * n + x]).collect()
+    halo.extend((0..t).map(|dy| m[(ty * t + dy) * n + x]));
 }
 
 impl Workload for Hotspot {
@@ -125,6 +148,11 @@ impl Workload for Hotspot {
         let ts = t as usize;
         let engine = self.params.cuda_engine();
         let mut phases = Vec::new();
+        // Decode scratch and one sweep's output tiles (back to back in
+        // block order), all reused from block to block and sweep to sweep.
+        let (mut tile, mut ptile) = (Vec::new(), Vec::new());
+        let mut halos = [const { Vec::new() }; 4];
+        let mut out_tiles = vec![0.0f32; (n * n) as usize];
         for _ in 0..self.params.iterations {
             // Build the per-tile read lists: tile + power + up to 4 halos.
             let mut blocks: Vec<BlockReads> = Vec::with_capacity((tiles * tiles) as usize);
@@ -157,7 +185,6 @@ impl Workload for Hotspot {
                 }
             }
 
-            let mut out_tiles: Vec<Vec<f32>> = Vec::with_capacity(blocks.len());
             let phase = stream_phase(
                 sys,
                 &blocks,
@@ -165,37 +192,27 @@ impl Workload for Hotspot {
                 t,
                 Some(LinkConfig::pcie3_x16()),
                 |idx, bufs| {
-                    let tile = data::f32_from_bytes(&bufs[0]);
-                    let ptile = data::f32_from_bytes(&bufs[1]);
-                    let kinds = halo_kinds[idx];
-                    let mut cursor = 2;
-                    let mut halo = |present: bool| -> Vec<f32> {
-                        if present {
-                            let h = data::f32_from_bytes(&bufs[cursor]);
-                            cursor += 1;
-                            h
-                        } else {
-                            Vec::new()
+                    data::f32_from_bytes_into(&bufs[0], &mut tile);
+                    data::f32_from_bytes_into(&bufs[1], &mut ptile);
+                    // Present halos follow in north, south, west, east order.
+                    let mut present = bufs[2..].iter().peekable();
+                    for (halo, &kind) in halos.iter_mut().zip(&halo_kinds[idx]) {
+                        match present.next_if(|_| kind) {
+                            Some(buf) => data::f32_from_bytes_into(buf, halo),
+                            None => halo.clear(),
                         }
-                    };
-                    let north = halo(kinds[0]);
-                    let south = halo(kinds[1]);
-                    let west = halo(kinds[2]);
-                    let east = halo(kinds[3]);
-                    let mut out = vec![0.0f32; ts * ts];
-                    kernels::hotspot_tile(
-                        ts, &tile, &ptile, &north, &south, &west, &east, &mut out,
-                    );
-                    out_tiles.push(out);
+                    }
+                    let [north, south, west, east] = &halos;
+                    let out = &mut out_tiles[idx * ts * ts..(idx + 1) * ts * ts];
+                    kernels::hotspot_tile(ts, &tile, &ptile, north, south, west, east, out);
                 },
             )?;
             phases.push(phase);
 
             // Write the sweep's results to the other buffer (functional).
-            for (idx, out) in out_tiles.iter().enumerate() {
-                let ty = idx as u64 / tiles;
-                let tx = idx as u64 % tiles;
-                sys.write(pong, &shape, &[tx, ty], &[t, t], &data::f32_bytes(out))?;
+            for (idx, out) in (0u64..).zip(out_tiles.chunks_exact(ts * ts)) {
+                let coord = [idx % tiles, idx / tiles];
+                sys.write(pong, &shape, &coord, &[t, t], &data::f32_bytes(out))?;
             }
             core::mem::swap(&mut ping, &mut pong);
         }
@@ -243,11 +260,12 @@ impl Conv2d {
         let tiles = n / t;
         let image = self.image();
         let mut out = vec![0.0f32; n * n];
+        let (mut tile, mut tmp) = (Vec::new(), Vec::new());
+        let mut o = vec![0.0f32; t * t];
         for ty in 0..tiles {
             for tx in 0..tiles {
-                let tile = tile_of(&image, n, t, tx, ty);
-                let mut o = vec![0.0f32; t * t];
-                kernels::conv2d_tile(t, CONV_RADIUS, &tile, &mut o);
+                tile_into(&image, n, t, tx, ty, &mut tile);
+                kernels::conv2d_tile(t, CONV_RADIUS, &tile, &mut tmp, &mut o);
                 place_tile(&mut out, n, t, tx, ty, &o);
             }
         }
@@ -277,42 +295,33 @@ impl Workload for Conv2d {
         let img_id = create_full(sys, &shape, ElementType::F32, &data::f32_bytes(&image))?;
         let out_id = create_empty(sys, &shape, ElementType::F32)?;
 
-        let blocks: Vec<BlockReads> = (0..tiles * tiles)
-            .map(|idx| {
-                let ty = idx / tiles;
-                let tx = idx % tiles;
-                vec![(img_id, shape.clone(), vec![tx, ty], vec![t, t])]
-            })
-            .collect();
+        let blocks = tile_blocks(img_id, n, t);
 
         let ts = t as usize;
         let engine = self.params.cuda_engine();
-        let mut out_tiles: Vec<Vec<f32>> = Vec::with_capacity(blocks.len());
+        // Output tiles back to back in block order.
+        let mut out_tiles = vec![0.0f32; (n * n) as usize];
+        let (mut tile, mut tmp) = (Vec::new(), Vec::new());
         let phase = stream_phase(
             sys,
             &blocks,
             &engine,
             t,
             Some(LinkConfig::pcie3_x16()),
-            |_, bufs| {
-                let tile = data::f32_from_bytes(&bufs[0]);
-                let mut o = vec![0.0f32; ts * ts];
-                kernels::conv2d_tile(ts, CONV_RADIUS, &tile, &mut o);
-                out_tiles.push(o);
+            |idx, bufs| {
+                data::f32_from_bytes_into(&bufs[0], &mut tile);
+                let o = &mut out_tiles[idx * ts * ts..(idx + 1) * ts * ts];
+                kernels::conv2d_tile(ts, CONV_RADIUS, &tile, &mut tmp, o);
             },
         )?;
 
-        let mut checksum_input = Vec::with_capacity((n * n) as usize);
-        let ns = n as usize;
-        let mut out_full = vec![0.0f32; ns * ns];
-        for (idx, o) in out_tiles.iter().enumerate() {
-            let ty = idx as u64 / tiles;
-            let tx = idx as u64 % tiles;
-            sys.write(out_id, &shape, &[tx, ty], &[t, t], &data::f32_bytes(o))?;
-            place_tile(&mut out_full, ns, ts, tx as usize, ty as usize, o);
+        for (idx, o) in (0u64..).zip(out_tiles.chunks_exact(ts * ts)) {
+            let coord = [idx % tiles, idx / tiles];
+            sys.write(out_id, &shape, &coord, &[t, t], &data::f32_bytes(o))?;
         }
-        checksum_input.extend_from_slice(&out_full);
-        let checksum = kernels::checksum_f32(&checksum_input);
+        // `checksum_f32` is order-insensitive: the tile list hashes like
+        // the row-major image `compute` returns.
+        let checksum = kernels::checksum_f32(&out_tiles);
         Ok(
             WorkloadRun::from_phases(self.name(), sys.name(), &[phase], checksum)
                 .with_fault_counters(&sys.stats()),

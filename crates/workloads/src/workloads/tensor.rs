@@ -11,7 +11,7 @@ use nds_core::{ElementType, Shape};
 use nds_interconnect::LinkConfig;
 use nds_system::{StorageFrontEnd, SystemError};
 
-use super::util::create_full;
+use super::util::{create_full, tile_into};
 use super::Workload;
 use crate::data;
 use crate::driver::{stream_phase, BlockReads, WorkloadRun};
@@ -46,23 +46,9 @@ fn weights(params: &WorkloadParams) -> Vec<f32> {
     data::matrix_f32(depth(params, false), 1, params.seed ^ 0x7777)
 }
 
-/// Generates a `(w, w, d)` tensor (x fastest).
-fn gen_tensor(w: u64, d: u64, seed: u64) -> Vec<f32> {
-    let mut all = data::tensor_f32(w, seed);
-    // tensor_f32 yields w³ values; take the first w·w·d (deterministic).
-    all.truncate((w * w * d) as usize);
-    all
-}
-
-/// Extracts kernel tile `(tx, ty)` of slice `s` from an in-memory tensor.
-fn slice_tile(tensor: &[f32], m: usize, q: usize, tx: usize, ty: usize, s: usize) -> Vec<f32> {
-    let mut tile = Vec::with_capacity(q * q);
-    let base = s * m * m;
-    for y in 0..q {
-        let row = base + (ty * q + y) * m + tx * q;
-        tile.extend_from_slice(&tensor[row..row + q]);
-    }
-    tile
+/// Slice `s` (an `m × m` matrix) of an in-memory `(m, m, d)` tensor.
+fn slice_of(tensor: &[f32], m: usize, s: usize) -> &[f32] {
+    &tensor[s * m * m..(s + 1) * m * m]
 }
 
 /// Tensor-times-vector over the slowest mode: `out = Σₛ v[s] · T[·,·,s]`,
@@ -84,7 +70,7 @@ impl Ttv {
     }
 
     fn tensor(&self) -> Vec<f32> {
-        gen_tensor(
+        data::tensor_slab_f32(
             side(&self.params),
             depth(&self.params, false),
             self.params.seed,
@@ -99,10 +85,11 @@ impl Ttv {
         let tensor = self.tensor();
         let v = weights(&self.params);
         let mut out = vec![0.0f32; m * m];
+        let mut tile = Vec::new();
         for (s, &weight) in v.iter().enumerate().take(slices) {
             for ty in 0..grid {
                 for tx in 0..grid {
-                    let tile = slice_tile(&tensor, m, q, tx, ty, s);
+                    tile_into(slice_of(&tensor, m, s), m, q, tx, ty, &mut tile);
                     for y in 0..q {
                         let row = (ty * q + y) * m + tx * q;
                         kernels::ttv_slice(
@@ -160,6 +147,7 @@ impl Workload for Ttv {
         let qs = q as usize;
         let grids = grid as usize;
         let mut out = vec![0.0f32; ms * ms];
+        let mut tile = Vec::new();
         let engine = self.params.tensor_engine();
         let phase = stream_phase(
             sys,
@@ -172,7 +160,7 @@ impl Workload for Ttv {
                 let g = idx % (grids * grids);
                 let ty = g / grids;
                 let tx = g % grids;
-                let tile = data::f32_from_bytes(&bufs[0]);
+                data::f32_from_bytes_into(&bufs[0], &mut tile);
                 for y in 0..qs {
                     let row = (ty * qs + y) * ms + tx * qs;
                     kernels::ttv_slice(&tile[y * qs..(y + 1) * qs], v[s], &mut out[row..row + qs]);
@@ -213,8 +201,8 @@ impl Tc {
         // A shares TTV's tensor prefix (the paper pairs their inputs, §6.2).
         let d = depth(&self.params, true);
         (
-            gen_tensor(side(&self.params), d, self.params.seed),
-            gen_tensor(side(&self.params), d, self.params.seed ^ 0x1234),
+            data::tensor_slab_f32(side(&self.params), d, self.params.seed),
+            data::tensor_slab_f32(side(&self.params), d, self.params.seed ^ 0x1234),
         )
     }
 
@@ -224,21 +212,21 @@ impl Tc {
         let grid = m / q;
         let slices = depth(&self.params, true) as usize;
         let (a, b) = self.tensors();
-        // C tiles in (i, j) order, accumulated over (s, k) exactly as the
-        // streamed run does.
-        let mut c_tiles = vec![vec![0.0f32; q * q]; grid * grid];
+        // C tiles back to back in (i, j) order, accumulated over (s, k)
+        // exactly as the streamed run does.
+        let mut c_tiles = vec![0.0f32; m * m];
+        let (mut at, mut bt) = (Vec::new(), Vec::new());
         for s in 0..slices {
-            for i in 0..grid {
-                for j in 0..grid {
-                    for k in 0..grid {
-                        let at = slice_tile(&a, m, q, k, i, s);
-                        let bt = slice_tile(&b, m, q, j, k, s);
-                        kernels::gemm_tile(q, &at, &bt, &mut c_tiles[i * grid + j]);
-                    }
+            for (ij, c_tile) in c_tiles.chunks_exact_mut(q * q).enumerate() {
+                let (i, j) = (ij / grid, ij % grid);
+                for k in 0..grid {
+                    tile_into(slice_of(&a, m, s), m, q, k, i, &mut at);
+                    tile_into(slice_of(&b, m, s), m, q, j, k, &mut bt);
+                    kernels::gemm_tile(q, &at, &bt, c_tile);
                 }
             }
         }
-        c_tiles.concat()
+        c_tiles
     }
 }
 
@@ -291,7 +279,8 @@ impl Workload for Tc {
         }
         let qs = q as usize;
         let grids = grid as usize;
-        let mut c_tiles = vec![vec![0.0f32; qs * qs]; grids * grids];
+        let mut c_tiles = vec![0.0f32; grids * grids * qs * qs];
+        let (mut at, mut bt) = (Vec::new(), Vec::new());
         let engine = self.params.tensor_engine();
         let phase = stream_phase(
             sys,
@@ -300,15 +289,15 @@ impl Workload for Tc {
             q,
             Some(LinkConfig::pcie3_x16()),
             |idx, bufs| {
-                let within = idx % (grids * grids * grids);
-                let i = within / (grids * grids);
-                let j = (within / grids) % grids;
-                let at = data::f32_from_bytes(&bufs[0]);
-                let bt = data::f32_from_bytes(&bufs[1]);
-                kernels::gemm_tile(qs, &at, &bt, &mut c_tiles[i * grids + j]);
+                // Blocks run (s, i, j, k): the C tile is (i, j).
+                let ij = (idx / grids) % (grids * grids);
+                data::f32_from_bytes_into(&bufs[0], &mut at);
+                data::f32_from_bytes_into(&bufs[1], &mut bt);
+                let c_tile = &mut c_tiles[ij * qs * qs..(ij + 1) * qs * qs];
+                kernels::gemm_tile(qs, &at, &bt, c_tile);
             },
         )?;
-        let checksum = kernels::checksum_f32(&c_tiles.concat());
+        let checksum = kernels::checksum_f32(&c_tiles);
         Ok(
             WorkloadRun::from_phases(self.name(), sys.name(), &[phase], checksum)
                 .with_fault_counters(&sys.stats()),

@@ -3,6 +3,8 @@
 use nds_core::{ElementType, Shape};
 use nds_system::{DatasetId, StorageFrontEnd, SystemError};
 
+use crate::driver::BlockReads;
+
 /// Creates a dataset and writes `bytes` as its full contents.
 pub(crate) fn create_full(
     sys: &mut dyn StorageFrontEnd,
@@ -26,15 +28,39 @@ pub(crate) fn create_empty(
     sys.create_dataset(shape.clone(), element)
 }
 
-/// Extracts the `t × t` tile at tile coordinate `(tx, ty)` from an `n × n`
-/// row-major matrix (x fastest).
-pub(crate) fn tile_of(m: &[f32], n: usize, t: usize, tx: usize, ty: usize) -> Vec<f32> {
-    let mut tile = Vec::with_capacity(t * t);
+/// One single-read block per `t × t` tile of an `n × n` dataset, row of
+/// tiles by row of tiles (block `idx` is tile `(idx % (n/t), idx / (n/t))`)
+/// — the sweep every whole-matrix tiled workload streams.
+pub(crate) fn tile_blocks(id: DatasetId, n: u64, t: u64) -> Vec<BlockReads> {
+    let tiles = n / t;
+    (0..tiles * tiles)
+        .map(|idx| {
+            vec![(
+                id,
+                Shape::new([n, n]),
+                vec![idx % tiles, idx / tiles],
+                vec![t, t],
+            )]
+        })
+        .collect()
+}
+
+/// Cuts the `t × t` tile at tile coordinate `(tx, ty)` out of an `n`-wide
+/// row-major matrix (x fastest) into `tile`, a buffer the caller reuses
+/// from block to block (cleared first).
+pub(crate) fn tile_into<T: Copy>(
+    m: &[T],
+    n: usize,
+    t: usize,
+    tx: usize,
+    ty: usize,
+    tile: &mut Vec<T>,
+) {
+    tile.clear();
     for y in 0..t {
         let row = (ty * t + y) * n + tx * t;
         tile.extend_from_slice(&m[row..row + t]);
     }
-    tile
 }
 
 /// Writes tile `(tx, ty)` back into an `n × n` row-major matrix.
@@ -54,11 +80,15 @@ mod tests {
         let n = 8;
         let t = 4;
         let m: Vec<f32> = (0..n * n).map(|i| i as f32).collect();
-        let tile = tile_of(&m, n, t, 1, 1);
+        let mut tile = vec![-1.0; 3]; // stale contents are replaced
+        tile_into(&m, n, t, 1, 1, &mut tile);
+        assert_eq!(tile.len(), t * t);
         assert_eq!(tile[0], (4 * n + 4) as f32);
         let mut m2 = vec![0.0; n * n];
         place_tile(&mut m2, n, t, 1, 1, &tile);
         assert_eq!(m2[4 * n + 4], tile[0]);
-        assert_eq!(tile_of(&m2, n, t, 1, 1), tile);
+        let mut back = Vec::new();
+        tile_into(&m2, n, t, 1, 1, &mut back);
+        assert_eq!(back, tile);
     }
 }

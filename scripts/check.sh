@@ -33,12 +33,17 @@ if [[ "${1:-}" != "--no-test" ]]; then
     # must the scratch-reusing command path the allocation ceilings pin,
     # and the page mapper's narrowing of page indices to u32, which the
     # flash property suite drives through both of its instantiations.
-    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper suites, overflow checks on)"
+    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper + workload-kernel suites, overflow checks on)"
     cargo test --quiet --profile ci -p nds-interconnect
     cargo test --quiet --profile ci -p nds-flash --test proptests
     cargo test --quiet --profile ci -p nds-system \
         --test wfq_qos --test tenant_isolation --test tenant_differential \
         --test alloc_ceiling
+    # The functional kernels are bit-identical to their plain-loop reference
+    # models (tests/kernel_equivalence.rs, golden_checksums.rs) — which has
+    # to be shown under the codegen that vectorises them, and debug-mode
+    # `cargo test --workspace` does not.
+    cargo test --quiet --profile ci -p nds-workloads
 
     # Cross-architecture fault differential under pinned seeds: byte-identical
     # data vs the fault-free golden run, monotone modeled time, all faults
