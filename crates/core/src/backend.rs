@@ -104,14 +104,28 @@ pub trait NvmBackend {
     /// Free units remaining in `(channel, bank)`.
     fn free_units(&self, channel: u32, bank: u32) -> usize;
 
-    /// Reads a unit's contents. Returns `None` if the handle was never
-    /// written or has been released.
-    ///
-    /// Plain backends return a borrowed slice; transforming backends
+    /// What one lookup of a stored unit yields: a `Copy` reference that
+    /// [`unit_image`](Self::unit_image) turns into bytes without searching
+    /// again. It stays good until the backend is next mutated.
+    type UnitRef: Copy + fmt::Debug;
+
+    /// Looks a unit up. Returns `None` if the handle was never written or
+    /// has been released. The STL's read assembly resolves each distinct
+    /// unit of a request exactly once through this call, however many byte
+    /// spans of the unit the request then copies.
+    fn resolve_unit(&self, loc: UnitLocation) -> Option<Self::UnitRef>;
+
+    /// The contents of a resolved unit; `None` if the reference has gone
+    /// stale. Called once per copied span, so it must be cheap for plain
+    /// backends, which return a borrowed slice; transforming backends
     /// (encryption, compression — §5.3.3/§5.3.4) return an owned buffer.
-    /// This is the STL assembly hot path: each distinct unit of a block
-    /// cover is fetched exactly once per request through this call.
-    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>>;
+    fn unit_image(&self, unit: Self::UnitRef) -> Option<Cow<'_, [u8]>>;
+
+    /// Reads a unit's contents: [`resolve_unit`](Self::resolve_unit) then
+    /// [`unit_image`](Self::unit_image).
+    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
+        self.unit_image(self.resolve_unit(loc)?)
+    }
 
     /// Writes a unit's contents (exactly `unit_bytes` bytes). Takes a
     /// borrowed slice so callers can reuse one staging buffer across units;
@@ -145,7 +159,12 @@ pub struct MemBackend {
     units_per_lane: usize,
     free: Vec<usize>,
     next_id: Vec<u64>,
-    data: BTreeMap<UnitLocation, Vec<u8>>,
+    /// The slot of `images` holding each written unit.
+    slots: BTreeMap<UnitLocation, usize>,
+    /// Unit images by slot. A released unit's slot (and buffer) is reused by
+    /// the next first write.
+    images: Vec<Vec<u8>>,
+    vacant: Vec<usize>,
 }
 
 impl MemBackend {
@@ -163,7 +182,9 @@ impl MemBackend {
             units_per_lane,
             free: vec![units_per_lane; lanes],
             next_id: vec![0; lanes],
-            data: BTreeMap::new(),
+            slots: BTreeMap::new(),
+            images: Vec::new(),
+            vacant: Vec::new(),
         }
     }
 
@@ -179,7 +200,7 @@ impl MemBackend {
 
     /// Bytes currently stored across all units.
     pub fn stored_bytes(&self) -> usize {
-        self.data.values().map(Vec::len).sum()
+        self.slots.len() * self.spec.unit_bytes as usize
     }
 }
 
@@ -205,7 +226,9 @@ impl NvmBackend for MemBackend {
 
     fn release_unit(&mut self, loc: UnitLocation) {
         let lane = self.lane(loc.channel, loc.bank);
-        if self.data.remove(&loc).is_some() || loc.unit < self.next_id[lane] {
+        let slot = self.slots.remove(&loc);
+        self.vacant.extend(slot);
+        if slot.is_some() || loc.unit < self.next_id[lane] {
             self.free[lane] = (self.free[lane] + 1).min(self.units_per_lane);
         }
     }
@@ -214,8 +237,14 @@ impl NvmBackend for MemBackend {
         self.free[self.lane(channel, bank)]
     }
 
-    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
-        self.data.get(&loc).map(|v| Cow::Borrowed(v.as_slice()))
+    type UnitRef = usize;
+
+    fn resolve_unit(&self, loc: UnitLocation) -> Option<usize> {
+        self.slots.get(&loc).copied()
+    }
+
+    fn unit_image(&self, slot: usize) -> Option<Cow<'_, [u8]>> {
+        self.images.get(slot).map(|v| Cow::Borrowed(v.as_slice()))
     }
 
     fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
@@ -224,15 +253,18 @@ impl NvmBackend for MemBackend {
             self.spec.unit_bytes as usize,
             "unit writes must be exactly one unit"
         );
-        // Reuse the existing allocation on rewrite instead of reallocating.
-        match self.data.entry(loc) {
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                slot.get_mut().copy_from_slice(data);
-            }
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(data.to_vec());
-            }
+        // A rewrite lands in the unit's slot, a first write in a vacated
+        // one when there is one: either way the buffer is reused.
+        let known = self.slots.get(&loc).copied();
+        let slot = known.or_else(|| self.vacant.pop()).unwrap_or_else(|| {
+            self.images.push(Vec::new());
+            self.images.len() - 1
+        });
+        if let Some(image) = self.images.get_mut(slot) {
+            image.clear();
+            image.extend_from_slice(data);
         }
+        self.slots.insert(loc, slot);
     }
 }
 

@@ -60,6 +60,9 @@ pub enum NdsError {
     },
     /// The backend failed to read a unit the tree claims exists.
     MissingUnit(UnitLocation),
+    /// The request's plan needs a block or unit index beyond the 32 bits
+    /// its assembly spans have for one.
+    PlanTooLarge,
 }
 
 impl fmt::Display for NdsError {
@@ -95,6 +98,9 @@ impl fmt::Display for NdsError {
                     f,
                     "backend lost unit {loc} that the locator tree references"
                 )
+            }
+            NdsError::PlanTooLarge => {
+                write!(f, "request plan exceeds its 32-bit block and unit indices")
             }
         }
     }
@@ -133,6 +139,7 @@ mod tests {
                 bank: 2,
             }
             .to_string(),
+            NdsError::PlanTooLarge.to_string(),
         ];
         for msg in cases {
             assert!(!msg.is_empty());

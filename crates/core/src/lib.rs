@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 
 mod alloc;
+mod assembly;
 mod backend;
 mod block;
 mod btree;
@@ -74,6 +75,7 @@ pub mod translator;
 pub mod views;
 
 pub use alloc::{AllocationPolicy, BlockAllocator};
+pub use assembly::Assembler;
 pub use backend::{DeviceSpec, MemBackend, NvmBackend, UnitLocation};
 pub use block::{BlockDimensionality, BlockShape};
 pub use btree::LocatorTree;

@@ -434,6 +434,8 @@ mod tests {
         Translation {
             blocks: Vec::new(),
             total_bytes: tag,
+            spans: Vec::new(),
+            unit_bytes: 1,
         }
     }
 

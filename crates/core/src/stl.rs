@@ -1,10 +1,11 @@
 //! The STL front-end: space management plus multi-dimensional read/write
 //! with object assembly and decomposition (§4.4).
 //!
-//! Reads translate the request into a building-block cover, fetch the
+//! Reads translate the request into a building-block cover, look up the
 //! allocated units of each covered block, and *assemble* the application
-//! object by copying each translation segment into a dense buffer laid out
-//! in the consumer's view. Writes run the same translation in reverse,
+//! object by appending the plan's spans, in ascending buffer order, to a
+//! dense buffer laid out in the consumer's view — every byte written once,
+//! zeros where nothing is stored. Writes run the same translation in reverse,
 //! *decomposing* the object into per-unit images; a write that covers only
 //! part of a unit performs a read-modify-write (the paper instead stages
 //! partial partitions in STL memory until a full unit accumulates — the
@@ -16,12 +17,14 @@
 //! architectures (`nds-system`) can charge channels, banks, the
 //! interconnect, and the assembling CPU without re-deriving the translation.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::{AllocationPolicy, BlockAllocator};
+use crate::assembly::Assembler;
 use crate::backend::{NvmBackend, UnitLocation};
 use crate::block::{BlockDimensionality, BlockShape};
 use crate::element::ElementType;
@@ -143,7 +146,7 @@ pub struct WriteReport {
 ///
 /// See the crate-level docs for an end-to-end example.
 #[derive(Debug)]
-pub struct Stl<B> {
+pub struct Stl<B: NvmBackend> {
     backend: B,
     allocator: BlockAllocator,
     config: StlConfig,
@@ -151,44 +154,39 @@ pub struct Stl<B> {
     views: ViewRegistry,
     next_id: u64,
     plan_cache: PlanCache,
-    scratch: Scratch,
+    scratch: Scratch<B::UnitRef>,
 }
 
 /// Reusable request-scoped buffers, so the steady-state hot loop performs no
 /// per-request heap allocation beyond what the backend itself needs.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// `(unit index, unit offset, buffer offset, length)` byte spans of one
-    /// cover, sorted so each unit's spans are adjacent.
+#[derive(Debug)]
+struct Scratch<R> {
+    /// Read path: the stored units of the request, resolved once each — row
+    /// `i` holds the units of cover `i`, by unit index; `None` reads as zeros.
+    resolved: Vec<Option<(UnitLocation, R)>>,
+    /// Write path: `(unit index, unit offset, buffer offset, length)` byte
+    /// spans of one cover, each unit's spans adjacent.
     spans: Vec<(usize, usize, usize, usize)>,
     /// Write path: the staging image of the unit being composed.
     image: Vec<u8>,
 }
 
-impl Scratch {
-    /// Splits `cover`'s segments at unit boundaries into `spans`, grouped
-    /// by ascending unit index (within a unit, ascending buffer offset —
-    /// the order the segments list them in).
-    fn split_into_unit_spans(&mut self, cover: &BlockCover, unit_bytes: usize) {
+impl<R> Scratch<R> {
+    /// Splits `cover`'s segments at unit boundaries into `spans`. They come
+    /// out grouped by ascending unit index (within a unit, ascending buffer
+    /// offset) because the segments ascend in the block image as they do in
+    /// the buffer.
+    fn split_into_unit_spans(&mut self, cover: &BlockCover, unit_bytes: u32) {
         self.spans.clear();
         for seg in &cover.segments {
-            let mut block_off = seg.block_offset as usize;
             let mut buf_off = seg.buffer_offset as usize;
-            let mut remaining = seg.len as usize;
-            while remaining > 0 {
-                let unit_off = block_off % unit_bytes;
-                let take = remaining.min(unit_bytes - unit_off);
+            for span in translator::unit_spans(0, seg.block_offset, seg.len, unit_bytes) {
+                let len = span.len as usize;
                 self.spans
-                    .push((block_off / unit_bytes, unit_off, buf_off, take));
-                block_off += take;
-                buf_off += take;
-                remaining -= take;
+                    .push((span.unit as usize, span.unit_offset as usize, buf_off, len));
+                buf_off += len;
             }
         }
-        // Spans never share a buffer offset, so the unstable (in-place,
-        // allocation-free) sort has exactly one result.
-        self.spans
-            .sort_unstable_by_key(|&(unit_idx, _, buf_off, _)| (unit_idx, buf_off));
     }
 }
 
@@ -203,7 +201,11 @@ impl<B: NvmBackend> Stl<B> {
             views: ViewRegistry::new(),
             next_id: 1,
             plan_cache: PlanCache::new(config.plan_cache_capacity),
-            scratch: Scratch::default(),
+            scratch: Scratch {
+                resolved: Vec::new(),
+                spans: Vec::new(),
+                image: Vec::new(),
+            },
         }
     }
 
@@ -409,10 +411,12 @@ impl<B: NvmBackend> Stl<B> {
     }
 
     /// Like [`read`](Self::read), but assembles into a caller-provided
-    /// buffer, which is cleared and resized to the partition — repeated
-    /// same-shaped reads through one buffer perform no per-request
-    /// allocation beyond the returned report. The report is identical to
-    /// [`read`](Self::read)'s.
+    /// buffer. On `Ok`, `buf` holds exactly the partition
+    /// (`buf.len() == report.bytes`) whatever it held or however long it was
+    /// before: it is cleared and every byte appended once, so repeated reads
+    /// through one buffer allocate nothing once it has grown to the largest
+    /// request. On `Err` its contents are unspecified, its capacity kept.
+    /// The report is identical to [`read`](Self::read)'s.
     ///
     /// # Errors
     ///
@@ -450,37 +454,72 @@ impl<B: NvmBackend> Stl<B> {
         let translation = self.plan_cached(id, view, coord, sub_dims)?;
         #[allow(clippy::expect_used)] // plan_cached errored above if the space is absent
         let space = self.spaces.get(&id).expect("checked by plan_cached");
-        let unit_bytes = space.block_shape().unit_bytes() as usize;
+        let unit_bytes = u64::from(space.block_shape().unit_bytes());
+        let units_per_block = space.tree().units_per_block();
+        let backend = &self.backend;
 
-        buf.clear();
-        buf.resize(translation.total_bytes as usize, 0);
+        // Pass 1 — what the timing layer sees: each covered block that was
+        // ever written, and in sequential (ascending unit index) order each
+        // allocated unit the cover overlaps, looked up in the backend once.
+        let resolved = &mut self.scratch.resolved;
+        resolved.clear();
+        resolved.resize(translation.blocks.len() * units_per_block, None);
         let mut blocks = 0;
-        for cover in &translation.blocks {
+        for (cover, row) in translation
+            .blocks
+            .iter()
+            .zip(resolved.chunks_exact_mut(units_per_block.max(1)))
+        {
             let Some(entry) = space.tree().get(&cover.coord) else {
                 continue; // never-written block: zeros
             };
             let block = report.begin_block(blocks, cover);
             blocks += 1;
-            // Assemble unit by unit, in sequential (ascending unit index)
-            // order: each distinct allocated unit the cover overlaps is
-            // fetched once and every span of it copied out.
-            self.scratch.split_into_unit_spans(cover, unit_bytes);
-            for spans in self.scratch.spans.chunk_by(|a, b| a.0 == b.0) {
-                // Unallocated units read as zero; `buf` is pre-zeroed.
-                let Some(loc) = entry.units[spans[0].0] else {
-                    continue;
-                };
-                block.units.push(loc);
-                let data = self
-                    .backend
-                    .read_unit(loc)
-                    .ok_or(NdsError::MissingUnit(loc))?;
-                for &(_, unit_off, buf_off, len) in spans {
-                    buf[buf_off..buf_off + len].copy_from_slice(&data[unit_off..unit_off + len]);
+            cover.try_for_each_unit(unit_bytes, |unit| {
+                // Unallocated units read as zero.
+                let unit = unit as usize;
+                if let (Some(&Some(loc)), Some(slot)) = (entry.units.get(unit), row.get_mut(unit)) {
+                    block.units.push(loc);
+                    let stored = backend.resolve_unit(loc);
+                    *slot = Some((loc, stored.ok_or(NdsError::MissingUnit(loc))?));
                 }
-            }
+                Ok(())
+            })?;
         }
         report.finish(blocks, &translation);
+
+        // Pass 2 — assembly: the plan's spans, in buffer order. Spans of
+        // one unit often follow one another (rows narrower than the block),
+        // so the image of the unit at `slot` is kept for the next span.
+        let mut assembler = Assembler::new(buf, translation.total_bytes as usize);
+        let mut slot = usize::MAX;
+        let mut image = None;
+        translation.try_for_each_span(|span| {
+            let wanted = span.block as usize * units_per_block + span.unit as usize;
+            if wanted != slot {
+                image = match resolved.get(wanted).copied().flatten() {
+                    Some((loc, stored)) => {
+                        let lost = NdsError::MissingUnit(loc);
+                        Some((loc, backend.unit_image(stored).ok_or(lost)?))
+                    }
+                    None => None,
+                };
+                slot = wanted;
+            }
+            let range = span.unit_offset as usize..(span.unit_offset + span.len) as usize;
+            match &image {
+                None => assembler.zeros(range.len()),
+                Some((loc, Cow::Borrowed(bytes))) => {
+                    let bytes: &[u8] = bytes;
+                    assembler.stored(bytes.get(range).ok_or(NdsError::MissingUnit(*loc))?);
+                }
+                Some((loc, Cow::Owned(bytes))) => {
+                    assembler.copied(bytes.get(range).ok_or(NdsError::MissingUnit(*loc))?);
+                }
+            }
+            Ok(())
+        })?;
+        assembler.finish();
         Ok(())
     }
 
@@ -538,34 +577,46 @@ impl<B: NvmBackend> Stl<B> {
         for (index, cover) in translation.blocks.iter().enumerate() {
             // This block's dirty byte spans, grouped per unit in ascending
             // unit order.
-            self.scratch.split_into_unit_spans(cover, unit_bytes);
+            self.scratch
+                .split_into_unit_spans(cover, translation.unit_bytes);
             let entry = space.tree_mut().get_or_insert(&cover.coord);
             let block = report.access.begin_block(index, cover);
             for spans in self.scratch.spans.chunk_by(|a, b| a.0 == b.0) {
                 let unit_idx = spans[0].0;
-                let covered: usize = spans.iter().map(|&(_, _, _, len)| len).sum();
-                let full = covered == unit_bytes;
                 let old = entry.units[unit_idx];
-                // Base image: zeros for fresh/full writes, the old unit's
-                // bytes for a partial overwrite (read-modify-write). The
-                // staging buffer is reused across units and requests.
-                self.scratch.image.clear();
-                self.scratch.image.resize(unit_bytes, 0);
-                if !full {
-                    if let Some(old_loc) = old {
-                        if let Some(existing) = self.backend.read_unit(old_loc) {
-                            self.scratch.image.copy_from_slice(&existing);
+                // One span that covers the whole unit — a tile-aligned write
+                // — is the unit's image as it lies in the payload.
+                let whole = match *spans {
+                    [(_, 0, buf_off, len)] if len == unit_bytes => data.get(buf_off..buf_off + len),
+                    _ => None,
+                };
+                let image = if let Some(image) = whole {
+                    image
+                } else {
+                    let covered: usize = spans.iter().map(|&(_, _, _, len)| len).sum();
+                    // Base image: zeros for fresh/full writes, the old
+                    // unit's bytes for a partial overwrite
+                    // (read-modify-write). The staging buffer is reused
+                    // across units and requests.
+                    self.scratch.image.clear();
+                    self.scratch.image.resize(unit_bytes, 0);
+                    if covered != unit_bytes {
+                        if let Some(old_loc) = old {
+                            if let Some(existing) = self.backend.read_unit(old_loc) {
+                                self.scratch.image.copy_from_slice(&existing);
+                            }
+                            report.rmw_units += 1;
                         }
-                        report.rmw_units += 1;
                     }
-                }
-                for &(_, unit_off, buf_off, len) in spans {
-                    self.scratch.image[unit_off..unit_off + len]
-                        .copy_from_slice(&data[buf_off..buf_off + len]);
-                }
+                    for &(_, unit_off, buf_off, len) in spans {
+                        self.scratch.image[unit_off..unit_off + len]
+                            .copy_from_slice(&data[buf_off..buf_off + len]);
+                    }
+                    &self.scratch.image
+                };
                 // §8: all-zero units need no physical storage — unallocated
                 // units already read back as zeros.
-                if self.config.zero_unit_elision && self.scratch.image.iter().all(|&b| b == 0) {
+                if self.config.zero_unit_elision && image.iter().all(|&b| b == 0) {
                     if let Some(old_loc) = old {
                         self.backend.release_unit(old_loc);
                         entry.units[unit_idx] = None;
@@ -575,7 +626,7 @@ impl<B: NvmBackend> Stl<B> {
                 let target = self
                     .allocator
                     .allocate(&mut self.backend, &entry.units, old)?;
-                self.backend.write_unit(target, &self.scratch.image);
+                self.backend.write_unit(target, image);
                 if let Some(old_loc) = old {
                     self.backend.release_unit(old_loc);
                 }

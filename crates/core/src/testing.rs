@@ -39,7 +39,7 @@ use crate::backend::{DeviceSpec, MemBackend, NvmBackend, UnitLocation};
 pub struct FlakyBackend {
     inner: MemBackend,
     allocations_left: u32,
-    // `read_unit` takes `&self`; interior mutability lets the failure
+    // `resolve_unit` takes `&self`; interior mutability lets the failure
     // budget count down through the immutable read path.
     failing_reads: Cell<u32>,
 }
@@ -60,8 +60,9 @@ impl FlakyBackend {
         }
     }
 
-    /// Makes the next `n` calls to [`read_unit`](NvmBackend::read_unit)
-    /// return `None` regardless of the stored data.
+    /// Makes the next `n` calls to [`resolve_unit`](NvmBackend::resolve_unit)
+    /// — and so the next `n` [`read_unit`](NvmBackend::read_unit)s — return
+    /// `None` regardless of the stored data.
     pub fn fail_next_reads(&mut self, n: u32) {
         self.failing_reads.set(n);
     }
@@ -97,13 +98,19 @@ impl NvmBackend for FlakyBackend {
         }
     }
 
-    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
+    type UnitRef = <MemBackend as NvmBackend>::UnitRef;
+
+    fn resolve_unit(&self, loc: UnitLocation) -> Option<Self::UnitRef> {
         let failing = self.failing_reads.get();
         if failing > 0 {
             self.failing_reads.set(failing - 1);
             return None;
         }
-        self.inner.read_unit(loc)
+        self.inner.resolve_unit(loc)
+    }
+
+    fn unit_image(&self, unit: Self::UnitRef) -> Option<Cow<'_, [u8]>> {
+        self.inner.unit_image(unit)
     }
 
     fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {

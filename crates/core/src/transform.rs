@@ -169,8 +169,14 @@ impl<B: NvmBackend> NvmBackend for SecureBackend<B> {
         self.inner.free_units(channel, bank)
     }
 
-    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
-        let mut data = self.inner.read_unit(loc)?.into_owned();
+    type UnitRef = (UnitLocation, B::UnitRef);
+
+    fn resolve_unit(&self, loc: UnitLocation) -> Option<Self::UnitRef> {
+        Some((loc, self.inner.resolve_unit(loc)?))
+    }
+
+    fn unit_image(&self, (loc, unit): Self::UnitRef) -> Option<Cow<'_, [u8]>> {
+        let mut data = self.inner.unit_image(unit)?.into_owned();
         self.cipher.decrypt(Self::tweak(loc), &mut data);
         Some(Cow::Owned(data))
     }
@@ -286,8 +292,14 @@ impl<B: NvmBackend> NvmBackend for CompressedBackend<B> {
         self.inner.free_units(channel, bank)
     }
 
-    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
-        let stored = self.inner.read_unit(loc)?;
+    type UnitRef = (UnitLocation, B::UnitRef);
+
+    fn resolve_unit(&self, loc: UnitLocation) -> Option<Self::UnitRef> {
+        Some((loc, self.inner.resolve_unit(loc)?))
+    }
+
+    fn unit_image(&self, (loc, unit): Self::UnitRef) -> Option<Cow<'_, [u8]>> {
+        let stored = self.inner.unit_image(unit)?;
         let unit = self.spec().unit_bytes as usize;
         // Stored format: 4-byte compressed length, payload, zero padding.
         // A length of `u32::MAX` marks an incompressible unit stored raw.

@@ -43,7 +43,10 @@ pub struct Segment {
 pub struct BlockCover {
     /// The building-block coordinate (fastest dimension first).
     pub coord: Vec<u64>,
-    /// Copy segments, in ascending buffer order.
+    /// Copy segments, in ascending buffer order — which, within one block,
+    /// is ascending block-image order too: the buffer follows the canonical
+    /// linearization, and a block's image keeps the relative order of the
+    /// elements it holds.
     pub segments: Vec<Segment>,
 }
 
@@ -52,6 +55,80 @@ impl BlockCover {
     pub fn bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.len).sum()
     }
+
+    /// Calls `f` with the index of every access unit (of `unit_bytes` bytes)
+    /// the cover touches, once each, in ascending order.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_for_each_unit<E>(
+        &self,
+        unit_bytes: u64,
+        mut f: impl FnMut(u64) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // Units below `next`, the bytes below `listed`, are done with.
+        let (mut next, mut listed) = (0, 0);
+        for seg in &self.segments {
+            let seg_end = seg.block_offset + seg.len;
+            if seg_end > listed {
+                let first = (seg.block_offset / unit_bytes).max(next);
+                next = seg_end.div_ceil(unit_bytes);
+                listed = next * unit_bytes;
+                (first..next).try_for_each(&mut f)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One append of the read assembly: `len` bytes at `unit_offset` of access
+/// unit `unit` of cover `block`. Spans never cross a unit boundary, and
+/// their position in the request's dense buffer is implicit — the spans of a
+/// request, in order, tile it exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Span {
+    /// Index of the cover in [`Translation::blocks`].
+    pub block: u32,
+    /// Access unit within the block, in sequential block order.
+    pub unit: u32,
+    /// Byte offset within the unit.
+    pub unit_offset: u32,
+    /// Contiguous length in bytes.
+    pub len: u32,
+}
+
+/// Most spans reserved ahead of need when a plan starts its span list; a
+/// longer list grows as it goes, which its own length amortizes.
+const MAX_RESERVED: u64 = 4096;
+
+/// The bytes `[block_offset, block_offset + len)` of cover `block`'s image,
+/// cut at unit boundaries. [`translate_region`] has checked that every unit
+/// index of the block fits a `u32`; offsets and lengths inside a unit are at
+/// most `unit_bytes`, itself a `u32`.
+pub(crate) fn unit_spans(
+    block: u32,
+    block_offset: u64,
+    len: u64,
+    unit_bytes: u32,
+) -> impl Iterator<Item = Span> {
+    let unit_bytes = u64::from(unit_bytes);
+    let end = block_offset + len;
+    let mut at = block_offset;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let unit_offset = at % unit_bytes;
+            let take = (end - at).min(unit_bytes - unit_offset);
+            let span = Span {
+                block,
+                unit: (at / unit_bytes) as u32,
+                unit_offset: unit_offset as u32,
+                len: take as u32,
+            };
+            at += take;
+            span
+        })
+    })
 }
 
 /// The result of translating one request.
@@ -61,9 +138,34 @@ pub struct Translation {
     pub blocks: Vec<BlockCover>,
     /// Total bytes moved by the request.
     pub total_bytes: u64,
+    /// The read-assembly order of a request that covers more than one block:
+    /// every byte of every cover, cut at unit boundaries, in ascending buffer
+    /// order. Empty for a one-cover plan, whose order is its segment order —
+    /// walk either kind with [`try_for_each_span`](Self::try_for_each_span).
+    pub spans: Vec<Span>,
+    /// The access-unit size the spans are cut at.
+    pub unit_bytes: u32,
 }
 
 impl Translation {
+    /// Calls `f` with the [`Span`]s of the request in ascending buffer
+    /// order: appending each span's bytes (zeros where its unit is not
+    /// stored) to an empty buffer assembles the request, every byte written
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returns.
+    pub fn try_for_each_span<E>(&self, mut f: impl FnMut(Span) -> Result<(), E>) -> Result<(), E> {
+        if let [only] = self.blocks.as_slice() {
+            only.segments.iter().try_for_each(|seg| {
+                unit_spans(0, seg.block_offset, seg.len, self.unit_bytes).try_for_each(&mut f)
+            })
+        } else {
+            self.spans.iter().copied().try_for_each(f)
+        }
+    }
+
     /// Number of distinct building blocks covered.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
@@ -150,6 +252,12 @@ pub fn translate_region(
         });
     }
     let elem = bb.element_bytes() as u64;
+    let unit_bytes = bb.unit_bytes();
+    // A span names its unit in 32 bits: refuse a block too large for that
+    // here, once, so cutting spans never has to.
+    if u32::try_from(bb.unit_count()).is_err() {
+        return Err(NdsError::PlanTooLarge);
+    }
     let d1 = space.dim(0);
     // Per dimension: the block extent and how many blocks tile the space.
     let grid: Vec<(u64, u64)> = space
@@ -165,8 +273,31 @@ pub fn translate_region(
     // segment costs one integer key, not a coordinate vector; the coordinate
     // is rebuilt once per covered block at the end.
     let upper_blocks: u64 = grid.iter().skip(1).map(|&(_, g)| g).product();
-    let mut per_block: BTreeMap<u64, Vec<Segment>> = BTreeMap::new();
+    // Each block also remembers its ordinal: how many blocks the request
+    // reached before it, in buffer order.
+    let mut per_block: BTreeMap<u64, (u32, Vec<Segment>)> = BTreeMap::new();
     let mut total_bytes = 0u64;
+    // Segments are produced in ascending buffer order, so cutting each at
+    // unit boundaries as it appears yields the assembly order with no sort.
+    // Nothing is recorded until a second block shows up (a one-cover plan's
+    // order is its segment list); until the blocks have their final indices
+    // a span names its block by ordinal.
+    let mut spans: Vec<Span> = Vec::new();
+    let request_bytes = region.volume() * elem;
+    let append = |spans: &mut Vec<Span>, ordinal: u32, seg: &Segment| {
+        for span in unit_spans(ordinal, seg.block_offset, seg.len, unit_bytes) {
+            match spans.last_mut() {
+                Some(last)
+                    if last.block == span.block
+                        && last.unit == span.unit
+                        && last.unit_offset + last.len == span.unit_offset =>
+                {
+                    last.len += span.len;
+                }
+                _ => spans.push(span),
+            }
+        }
+    };
 
     region.for_each_run(view, |buf_elem_off, linear_start, len| {
         // The run is contiguous in the canonical linearization shared by the
@@ -202,14 +333,43 @@ pub fn translate_region(
                 let intra_linear = seg_x % bb1 + upper_intra;
                 debug_assert!(intra_linear < bb.volume());
 
-                per_block
-                    .entry(block_x * upper_blocks + upper_rank)
-                    .or_default()
-                    .push(Segment {
-                        block_offset: intra_linear * elem,
-                        buffer_offset: (buf_off + (seg_x - x1)) * elem,
-                        len: seg_len * elem,
-                    });
+                let seg = Segment {
+                    block_offset: intra_linear * elem,
+                    buffer_offset: (buf_off + (seg_x - x1)) * elem,
+                    len: seg_len * elem,
+                };
+                let rank = block_x * upper_blocks + upper_rank;
+                let ordinal = match per_block.get_mut(&rank) {
+                    Some((ordinal, segments)) => {
+                        segments.push(seg);
+                        *ordinal
+                    }
+                    None => {
+                        let reached = per_block.len();
+                        if let (1, Some((_, firsts))) = (reached, per_block.values().next()) {
+                            // The second block: from here on the order has
+                            // to be spelled out, starting with what the
+                            // first block has contributed so far. Requests
+                            // are regular, so the list will be about as
+                            // much longer as the request is.
+                            let share = request_bytes.div_ceil(total_bytes.max(1));
+                            let guess = (firsts.len() as u64 * share).min(MAX_RESERVED);
+                            spans.reserve(guess as usize);
+                            firsts.iter().for_each(|s| append(&mut spans, 0, s));
+                        }
+                        // Checked once the count is final, below.
+                        let ordinal = reached as u32;
+                        per_block
+                            .entry(rank)
+                            .or_insert((ordinal, Vec::new()))
+                            .1
+                            .push(seg);
+                        ordinal
+                    }
+                };
+                if per_block.len() > 1 {
+                    append(&mut spans, ordinal, &seg);
+                }
                 total_bytes += seg_len * elem;
                 seg_x = seg_end;
             }
@@ -219,9 +379,27 @@ pub fn translate_region(
         }
     });
 
+    if u32::try_from(per_block.len()).is_err() {
+        return Err(NdsError::PlanTooLarge);
+    }
+    if spans.capacity() > 2 * spans.len() {
+        spans.shrink_to_fit(); // the guess was far off; the plan is kept
+    }
+    // Blocks take their final index — their position in ascending
+    // coordinate order — only now; `index_of` renames the spans' ordinals
+    // where the request did not reach its blocks in that order.
+    let in_order = per_block
+        .values()
+        .map(|b| b.0)
+        .eq(0..per_block.len() as u32);
+    let mut index_of = vec![0u32; if in_order { 0 } else { per_block.len() }];
     let blocks = per_block
         .into_iter()
-        .map(|(rank, mut segments)| {
+        .zip(0u32..)
+        .map(|((rank, (ordinal, mut segments)), index)| {
+            if let Some(slot) = index_of.get_mut(ordinal as usize) {
+                *slot = index;
+            }
             let mut coord = vec![0u64; grid.len()];
             let mut rest = rank;
             for (c, &(_, g)) in coord.iter_mut().zip(&grid).skip(1).rev() {
@@ -254,9 +432,18 @@ pub fn translate_region(
             }
         })
         .collect();
+    for span in &mut spans {
+        // (`get_mut`, because nds-lint's name-based call graph would take a
+        // `get` here for `LocatorTree::get`.)
+        if let Some(&mut index) = index_of.get_mut(span.block as usize) {
+            span.block = index;
+        }
+    }
     Ok(Translation {
         blocks,
         total_bytes,
+        spans,
+        unit_bytes,
     })
 }
 

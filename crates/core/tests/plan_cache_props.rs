@@ -199,7 +199,7 @@ proptest! {
                         let hits_before = cache.hits();
                         let got = cache.get_or_translate(*space, view, coord, sub_dims, || {
                             if translates(k) {
-                                Ok(Translation { blocks: Vec::new(), total_bytes: k as u64 })
+                                Ok(Translation { blocks: Vec::new(), total_bytes: k as u64, spans: Vec::new(), unit_bytes: 1 })
                             } else {
                                 Err(k)
                             }

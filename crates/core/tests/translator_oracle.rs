@@ -115,6 +115,78 @@ proptest! {
         }
     }
 
+    /// The plan's read-assembly order: its spans tile `[0, total_bytes)`
+    /// exactly and in order, none crosses a unit boundary, and each names
+    /// the block byte the segments put at that buffer byte. Per cover, the
+    /// segments ascend in the block image (the STL walks units in that
+    /// order) and `try_for_each_unit` lists exactly the units they touch.
+    #[test]
+    fn spans_tile_the_buffer_in_order_and_agree_with_segments(
+        (shape, view, region) in (shape_strategy(), any::<bool>()).prop_flat_map(|(s, flat)| {
+            // The space's own shape, or the same elements as one long row.
+            let view = if flat { Shape::new([s.volume()]) } else { s.clone() };
+            let r = region_in(&view);
+            (Just(s), Just(view), r)
+        }),
+        bb_exp in 0u32..=3,
+        wide in any::<bool>(),
+    ) {
+        let spec = nds_core::DeviceSpec::new(1 << bb_exp, 2, 16);
+        let element = if wide { ElementType::F64 } else { ElementType::F32 };
+        let bb = BlockShape::for_space(
+            &shape,
+            element,
+            spec,
+            nds_core::BlockDimensionality::Auto,
+            1,
+        );
+        let t = translator::translate_region(&shape, &bb, &view, &region).unwrap();
+        let unit = u64::from(t.unit_bytes);
+        prop_assert_eq!(unit, 16);
+        prop_assert_eq!(t.spans.is_empty(), t.blocks.len() <= 1, "one cover needs no list");
+
+        // Buffer byte → (cover index, block byte), from the segments.
+        let mut placed = vec![None; t.total_bytes as usize];
+        for (index, cover) in t.blocks.iter().enumerate() {
+            let mut units = Vec::new();
+            let mut image_end = 0;
+            for seg in &cover.segments {
+                prop_assert!(seg.block_offset >= image_end, "segments ascend in the block");
+                image_end = seg.block_offset + seg.len;
+                for k in 0..seg.len {
+                    placed[(seg.buffer_offset + k) as usize] = Some((index, seg.block_offset + k));
+                    units.push((seg.block_offset + k) / unit);
+                }
+            }
+            units.dedup();
+            let mut listed = Vec::new();
+            cover
+                .try_for_each_unit(unit, |u| {
+                    listed.push(u);
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            prop_assert_eq!(listed, units);
+        }
+
+        let mut cursor = 0u64;
+        t.try_for_each_span(|span| {
+            prop_assert!(span.len > 0);
+            prop_assert!(u64::from(span.unit_offset + span.len) <= unit, "span crosses a unit");
+            let at = u64::from(span.unit) * unit + u64::from(span.unit_offset);
+            for k in 0..u64::from(span.len) {
+                prop_assert_eq!(
+                    placed[(cursor + k) as usize],
+                    Some((span.block as usize, at + k)),
+                    "buffer byte {}", cursor + k
+                );
+            }
+            cursor += u64::from(span.len);
+            Ok(())
+        })?;
+        prop_assert_eq!(cursor, t.total_bytes);
+    }
+
     /// Reshaped views: translating through a factorized view of the same
     /// volume still matches the oracle computed through that view.
     #[test]

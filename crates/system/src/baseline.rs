@@ -12,8 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use nds_core::{ElementType, NdsError, Region, Shape};
-use nds_flash::{Ftl, FtlConfig, PageAddr};
+use nds_core::{Assembler, ElementType, NdsError, Region, Shape};
+use nds_flash::{FlashError, Ftl, FtlConfig, PageAddr};
 use nds_host::CpuModel;
 use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
 
@@ -163,30 +163,42 @@ impl BaselineSystem {
         }
     }
 
-    /// Reads the bytes of one extent of the dataset at `base_lba` out of the
-    /// page store (zeros where pages were never written).
-    fn read_extent(ftl: &Ftl, base_lba: u64, e: Extent, buffer: &mut [u8]) {
+    /// Hands the bytes of one extent of the dataset at `base_lba` to the
+    /// assembler, page by page out of the page store (zeros where pages were
+    /// never written). Extents tile the request in ascending buffer order.
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::Inconsistent`] if a mapped page has no image or one
+    /// shorter than the page size.
+    fn read_extent<'s>(
+        ftl: &'s Ftl,
+        base_lba: u64,
+        e: Extent,
+        assembler: &mut Assembler<'_, 's>,
+    ) -> Result<(), SystemError> {
         let ps = ftl.page_size() as u64;
         let mut off = e.dataset_off;
-        let mut buf = e.buffer_off;
         let mut remaining = e.len;
         while remaining > 0 {
             let lba = base_lba + off / ps;
-            let in_page = off % ps;
-            let take = remaining.min(ps - in_page);
-            if let Some(page) = ftl.peek(lba) {
-                // Ranges are equal-length by construction; checked slicing
-                // keeps the data path panic-free (nds-lint D4).
-                let dst = buffer.get_mut(buf as usize..(buf + take) as usize);
-                let src = page.get(in_page as usize..(in_page + take) as usize);
-                if let (Some(dst), Some(src)) = (dst, src) {
-                    dst.copy_from_slice(src);
+            let in_page = (off % ps) as usize;
+            let take = remaining.min(ps - off % ps) as usize;
+            match ftl.physical_of(lba) {
+                Some(addr) => {
+                    let image = ftl.device().peek(addr);
+                    let bytes = image.and_then(|page| page.get(in_page..in_page + take));
+                    assembler.stored(bytes.ok_or(FlashError::Inconsistent {
+                        addr,
+                        what: "mapped page has no full page image",
+                    })?);
                 }
+                None => assembler.zeros(take),
             }
-            off += take;
-            buf += take;
-            remaining -= take;
+            off += take as u64;
+            remaining -= take as u64;
         }
+        Ok(())
     }
 }
 
@@ -479,11 +491,11 @@ impl BaselineSystem {
             SimDuration::ZERO
         };
 
-        buf.clear();
-        buf.resize(total_bytes as usize, 0);
+        let mut assembler = Assembler::new(buf, total_bytes as usize);
         for e in extents.iter() {
-            Self::read_extent(&self.ftl, base_lba, *e, buf);
+            Self::read_extent(&self.ftl, base_lba, *e, &mut assembler)?;
         }
+        assembler.finish();
 
         if let Some(ctx) = ctx {
             // Waterfall back from the end of the io region: when command
@@ -623,6 +635,32 @@ mod tests {
         let id = sys.create_dataset(shape.clone(), ElementType::F32).unwrap();
         let r = sys.read(id, &shape, &[0, 0], &[16, 16]).unwrap();
         assert!(r.data.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_mapped_page_without_its_image_is_a_typed_error_not_zeros() {
+        let mut sys = system();
+        let shape = Shape::new([64, 64]);
+        let id = sys.create_dataset(shape.clone(), ElementType::F32).unwrap();
+        let data = vec![5u8; 64 * 64 * 4];
+        sys.write(id, &shape, &[0, 0], &[64, 64], &data).unwrap();
+        // Behind the FTL's back: the page its map points at stops being valid.
+        let addr = sys.ftl.physical_of(3).unwrap();
+        sys.ftl.device_mut().invalidate(addr).unwrap();
+        let mut buf = vec![0xFF; 16];
+        let err = sys
+            .read_into(id, &shape, &[0, 0], &[64, 64], &mut buf)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SystemError::Flash(FlashError::Inconsistent { addr: at, .. }) if at == addr
+            ),
+            "got {err}"
+        );
+        // The rest of the dataset still reads.
+        let r = sys.read(id, &shape, &[0, 1], &[64, 32]).unwrap();
+        assert!(r.data.iter().all(|&b| b == 5));
     }
 
     #[test]

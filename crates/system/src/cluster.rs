@@ -256,6 +256,24 @@ impl SubOp {
             std::slice::from_ref(&self.len),
         )
     }
+
+    /// Appends this sub-op's `payload` to the read buffer. The plan is in
+    /// ascending buffer order, so it lands exactly where the previous
+    /// sub-op's ended — anything else is a planning bug, reported rather
+    /// than assembled.
+    fn append_payload(
+        &self,
+        payload: &[u8],
+        esize: u64,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), SystemError> {
+        let bytes = payload
+            .get(..(self.len * esize) as usize)
+            .filter(|_| self.buf_elem * esize == buf.len() as u64)
+            .ok_or(SystemError::ClusterInconsistency("read buffer range"))?;
+        buf.extend_from_slice(bytes);
+        Ok(())
+    }
 }
 
 /// Request-scoped lists of one clustered operation, kept between
@@ -845,7 +863,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             bytes: volume * esize,
         };
         buf.clear();
-        buf.resize(metrics.bytes as usize, 0);
+        buf.reserve(metrics.bytes as usize);
         dev_io.clear();
         dev_io.resize(self.devices.len(), (SimDuration::ZERO, SimDuration::ZERO));
         let mut degraded = false;
@@ -867,13 +885,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 .sys
                 .read_into(replica.local, dev_view, dev_coord, dev_sub, payload)?;
             slot.busy.acquire(SimTime::ZERO, m.io_latency);
-            let b0 = (sub.buf_elem * esize) as usize;
-            let n = (sub.len * esize) as usize;
-            let (dst, src) = buf
-                .get_mut(b0..b0 + n)
-                .zip(payload.get(..n))
-                .ok_or(SystemError::ClusterInconsistency("read buffer range"))?;
-            dst.copy_from_slice(src);
+            sub.append_payload(payload, esize, buf)?;
             let entry = dev_io
                 .get_mut(replica.device as usize)
                 .ok_or(SystemError::ClusterInconsistency("replica device index"))?;
@@ -1210,6 +1222,33 @@ mod tests {
                 covered += l;
             });
             assert_eq!(covered, start + len, "chunks cover the range exactly");
+        }
+    }
+
+    #[test]
+    fn a_sub_op_that_does_not_continue_the_buffer_is_a_typed_error() {
+        let sub = |buf_elem, len| SubOp {
+            shard: 0,
+            coord: 0,
+            len,
+            buf_elem,
+            verbatim: false,
+        };
+        let payload = [7u8; 16];
+        let mut buf = vec![1u8; 8];
+        sub(2, 3).append_payload(&payload, 4, &mut buf).unwrap();
+        assert_eq!(buf.len(), 20, "elements 2..5 of 4 bytes land at byte 8");
+        for (planted, why) in [
+            (sub(4, 1), "overlaps"),
+            (sub(6, 1), "leaves a gap"),
+            (sub(5, 5), "payload too short"),
+        ] {
+            let err = planted.append_payload(&payload, 4, &mut buf).unwrap_err();
+            assert!(
+                matches!(err, SystemError::ClusterInconsistency("read buffer range")),
+                "{why}: got {err}"
+            );
+            assert_eq!(buf.len(), 20, "{why}: nothing appended");
         }
     }
 

@@ -212,10 +212,15 @@ impl NvmBackend for FlashBackend {
         self.device().free_pages_in(channel as usize, bank as usize)
     }
 
-    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
-        self.device()
-            .peek(self.physical_of(loc)?)
-            .map(Cow::Borrowed)
+    /// The page a handle maps to: the forward-table lookup, done once.
+    type UnitRef = PageAddr;
+
+    fn resolve_unit(&self, loc: UnitLocation) -> Option<PageAddr> {
+        self.physical_of(loc)
+    }
+
+    fn unit_image(&self, page: PageAddr) -> Option<Cow<'_, [u8]>> {
+        self.device().peek(page).map(Cow::Borrowed)
     }
 
     // The Backend trait makes writes infallible; alloc_unit reserved lane

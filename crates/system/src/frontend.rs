@@ -181,10 +181,12 @@ pub trait StorageFrontEnd {
     }
 
     /// Reads the partition at `coord`/`sub_dims` of `view` into a
-    /// caller-provided buffer (cleared and resized to the partition), so
-    /// repeated same-shaped reads reuse one allocation. The buffer only
-    /// changes who owns the wall-clock memory traffic, never the modeled
-    /// time.
+    /// caller-provided buffer, so repeated reads reuse one allocation. On
+    /// `Ok`, `buf` holds exactly the partition (`buf.len()` equals the
+    /// returned `bytes`) whatever it held or however long it was before: it
+    /// is cleared and every byte appended once. On `Err` its contents are
+    /// unspecified and its capacity is kept. The buffer only changes who
+    /// owns the wall-clock memory traffic, never the modeled time.
     ///
     /// # Errors
     ///

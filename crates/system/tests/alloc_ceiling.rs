@@ -22,7 +22,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nds_core::{ElementType, Shape};
-use nds_system::{ClusterConfig, HardwareNds, NdsCluster, StorageFrontEnd, SystemConfig};
+use nds_system::{
+    BaselineSystem, ClusterConfig, HardwareNds, NdsCluster, SoftwareNds, StorageFrontEnd,
+    SystemConfig,
+};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -95,6 +98,32 @@ fn hardware_read_on_a_plan_cache_hit_allocates_nothing() {
     assert_eq!(buf.len(), 2048);
     assert_eq!(sys.stl().plan_cache().hits(), hits + 1, "measured a hit");
     assert_eq!(n, 0, "a warmed 2 KiB read on a plan-cache hit allocated");
+}
+
+/// Allocations of a warmed read of the whole dataset: 16 building blocks of
+/// 8 units each, so the plan carries a span list and the STL's resolved-unit
+/// scratch holds 128 units.
+fn warmed_whole_dataset_read<S: StorageFrontEnd>(sys: S) -> u64 {
+    let (mut sys, id, shape) = filled(sys);
+    let mut buf = Vec::new();
+    for _ in 0..2 {
+        sys.read_into(id, &shape, &[0, 0], &[SIDE, SIDE], &mut buf)
+            .unwrap();
+    }
+    let n = allocations(|| {
+        sys.read_into(id, &shape, &[0, 0], &[SIDE, SIDE], &mut buf)
+            .unwrap();
+    });
+    assert_eq!(buf, payload((SIDE * SIDE * 4) as usize, 0));
+    n
+}
+
+#[test]
+fn warmed_multi_block_reads_allocate_nothing() {
+    let config = SystemConfig::small_test;
+    assert_eq!(warmed_whole_dataset_read(HardwareNds::new(config())), 0);
+    assert_eq!(warmed_whole_dataset_read(SoftwareNds::new(config())), 0);
+    assert_eq!(warmed_whole_dataset_read(BaselineSystem::new(config())), 0);
 }
 
 #[test]

@@ -1,0 +1,90 @@
+//! Reads into a reused, dirty buffer (the property of `nds-core`'s
+//! `tests/support/dirty_reads.rs`) on this crate's read paths: the STL over
+//! the flash backend, the baseline's extent-by-extent assembly, and a
+//! sharded cluster whose requests straddle shards.
+
+// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use proptest::prelude::*;
+
+use nds_core::{Shape, Stl, StlConfig};
+use nds_system::{
+    BaselineSystem, ClusterConfig, DatasetId, FlashBackend, HardwareNds, NdsCluster, ReadMetrics,
+    StorageFrontEnd, SystemConfig,
+};
+
+#[path = "../../core/tests/support/dirty_reads.rs"]
+mod dirty_reads;
+
+use dirty_reads::{Case, Subject};
+
+/// One dataset of a front-end.
+struct Dataset<S>(S, DatasetId);
+
+impl<S: StorageFrontEnd> Dataset<S> {
+    fn of(mut sys: S, case: &Case) -> Self {
+        let shape = Shape::new(case.dims.clone());
+        let id = sys.create_dataset(shape, case.element).unwrap();
+        Dataset(sys, id)
+    }
+}
+
+/// What two reads of one partition have in common on every front-end (the
+/// cluster steers the second to whichever replica is then less busy, so its
+/// modeled times differ).
+fn volume(m: ReadMetrics) -> (u64, u64) {
+    (m.commands, m.bytes)
+}
+
+impl<S: StorageFrontEnd> Subject for Dataset<S> {
+    type Report = (u64, u64);
+
+    fn write(&mut self, view: &Shape, coord: &[u64], sub: &[u64], data: &[u8]) {
+        self.0.write(self.1, view, coord, sub, data).unwrap();
+    }
+
+    fn read(&mut self, view: &Shape, coord: &[u64], sub: &[u64]) -> (Vec<u8>, (u64, u64)) {
+        let out = self.0.read(self.1, view, coord, sub).unwrap();
+        let report = volume(out.metrics());
+        (out.data, report)
+    }
+
+    fn read_into(
+        &mut self,
+        view: &Shape,
+        coord: &[u64],
+        sub: &[u64],
+        buf: &mut Vec<u8>,
+    ) -> (u64, u64) {
+        volume(self.0.read_into(self.1, view, coord, sub, buf).unwrap())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn stl_over_flash_reads_into_a_dirty_buffer(case in dirty_reads::case_strategy(24)) {
+        let backend = FlashBackend::new(SystemConfig::small_test().flash);
+        let mut stl = Stl::new(backend, StlConfig::default());
+        let id = stl.create_space(Shape::new(case.dims.clone()), case.element).unwrap();
+        dirty_reads::check(&mut dirty_reads::StlSpace(&mut stl, id), &case)?;
+    }
+
+    /// Never-written pages are unmapped LBAs: the baseline's holes.
+    #[test]
+    fn baseline_reads_into_a_dirty_buffer(case in dirty_reads::case_strategy(24)) {
+        let sys = BaselineSystem::new(SystemConfig::small_test());
+        dirty_reads::check(&mut Dataset::of(sys, &case), &case)?;
+    }
+
+    /// Two-row shards: any request taller than two rows straddles shards,
+    /// and a folded consumer view cuts them into many sub-ops.
+    #[test]
+    fn sharded_cluster_reads_into_a_dirty_buffer(case in dirty_reads::case_strategy(16)) {
+        let config = ClusterConfig::new(3, 2).with_shard_rows(2).with_seed(11);
+        let cluster = NdsCluster::new(config, |_| HardwareNds::new(SystemConfig::small_test()));
+        dirty_reads::check(&mut Dataset::of(cluster, &case), &case)?;
+    }
+}

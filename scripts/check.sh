@@ -32,13 +32,18 @@ if [[ "${1:-}" != "--no-test" ]]; then
     # property suites must be wrap-free, not just lint-clean (rule D5); so
     # must the scratch-reusing command path the allocation ceilings pin,
     # and the page mapper's narrowing of page indices to u32, which the
-    # flash property suite drives through both of its instantiations.
-    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper + workload-kernel suites, overflow checks on)"
+    # flash property suite drives through both of its instantiations; and
+    # the read-assembly plan, whose span fields are narrowed to u32 at plan
+    # build, which the translator oracle and the dirty-buffer read
+    # properties drive on every read path.
+    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper + read-assembly + workload-kernel suites, overflow checks on)"
     cargo test --quiet --profile ci -p nds-interconnect
     cargo test --quiet --profile ci -p nds-flash --test proptests
+    cargo test --quiet --profile ci -p nds-core \
+        --test translator_oracle --test read_assembly_props
     cargo test --quiet --profile ci -p nds-system \
         --test wfq_qos --test tenant_isolation --test tenant_differential \
-        --test alloc_ceiling
+        --test alloc_ceiling --test dirty_buffer_props
     # The functional kernels are bit-identical to their plain-loop reference
     # models (tests/kernel_equivalence.rs, golden_checksums.rs) — which has
     # to be shown under the codegen that vectorises them, and debug-mode
