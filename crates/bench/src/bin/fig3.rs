@@ -10,6 +10,10 @@
 //!
 //! Usage: `cargo run --release -p nds-bench --bin fig3`
 
+// Figure-regeneration binaries are operator tools, not simulation
+// data path: panicking on a malformed run is the right behavior.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use nds_accel::ComputeEngine;
 use nds_bench::{header, row};
 use nds_flash::{FlashConfig, FlashDevice, PageAddr};
@@ -30,7 +34,9 @@ fn internal_bandwidth(config: &FlashConfig, bytes: u64) -> f64 {
             page: i / (g.channels * g.banks_per_channel * g.blocks_per_bank),
         })
         .collect();
-    let done = device.schedule_reads(&addrs, SimTime::ZERO);
+    let done = device
+        .schedule_reads(&addrs, SimTime::ZERO)
+        .expect("addresses inside the geometry");
     // Rate over the bytes actually scheduled (requests beyond device
     // capacity wrap in reality; the steady-state rate is the same).
     let scheduled = pages as u64 * g.page_size as u64;

@@ -27,11 +27,16 @@ fn wear_profile(device: &FlashDevice) -> (u64, u64, f64) {
     for channel in 0..g.channels {
         for bank in 0..g.banks_per_channel {
             for block in 0..g.blocks_per_bank {
-                counts.push(device.erase_count(BlockAddr {
+                let block = BlockAddr {
                     channel,
                     bank,
                     block,
-                }));
+                };
+                counts.push(
+                    device
+                        .erase_count(block)
+                        .expect("block inside the geometry"),
+                );
             }
         }
     }

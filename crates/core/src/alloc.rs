@@ -102,6 +102,14 @@ impl BlockAllocator {
         let spec = backend.spec();
         let channels = spec.channels;
         let banks = spec.banks_per_channel;
+        if channels == 0 || banks == 0 {
+            // `DeviceSpec`'s fields are public: a backend can report a
+            // device with no lane to allocate from.
+            return Err(NdsError::DeviceFull {
+                channel: 0,
+                bank: 0,
+            });
+        }
 
         if self.policy == AllocationPolicy::PackedLinear {
             // Naive ablation baseline: first lane with free space wins.
@@ -131,11 +139,23 @@ impl BlockAllocator {
         let mut lane_use = vec![0u32; (channels * banks) as usize];
         let mut last: Option<UnitLocation> = None;
         for loc in existing.iter().flatten() {
-            channel_use[loc.channel as usize] += 1;
-            bank_use[loc.bank as usize] += 1;
-            lane_use[(loc.channel * banks + loc.bank) as usize] += 1;
+            let (Some(channel), Some(bank), Some(lane)) = (
+                channel_use.get_mut(loc.channel as usize),
+                bank_use.get_mut(loc.bank as usize),
+                lane_use.get_mut(loc.channel as usize * banks as usize + loc.bank as usize),
+            ) else {
+                return Err(NdsError::Inconsistent(
+                    "block holds a unit outside the device spec",
+                ));
+            };
+            *channel += 1;
+            *bank += 1;
+            *lane += 1;
             last = Some(*loc);
         }
+        // Usage counts by channel, bank or lane id; the ids below all come
+        // from `0..channels` / `0..banks`, which the tables cover.
+        let used = |table: &[u32], id: u32| table.get(id as usize).copied().unwrap_or(0);
 
         // Candidate (channel, bank) per the four rules.
         let (mut channel, mut bank) = match last {
@@ -145,11 +165,7 @@ impl BlockAllocator {
             ),
             Some(last) => {
                 let cur_bank = last.bank;
-                let bank_full =
-                    (0..channels).all(|c| lane_use[(c * banks + cur_bank) as usize] > 0);
-                // The geometry guarantees at least one bank and one channel,
-                // so both min_by_key calls below yield a value.
-                #[allow(clippy::expect_used)]
+                let bank_full = (0..channels).all(|c| used(&lane_use, c * banks + cur_bank) > 0);
                 let target_bank = if bank_full {
                     // Rule 3/4: an unused bank, else the least-used bank.
                     // Ties break cyclically after the current bank so that
@@ -159,24 +175,23 @@ impl BlockAllocator {
                     (0..banks)
                         .min_by_key(|&b| {
                             let cyclic = (b + banks - (cur_bank + 1) % banks) % banks;
-                            (bank_use[b as usize], cyclic)
+                            (used(&bank_use, b), cyclic)
                         })
-                        .expect("at least one bank")
+                        .unwrap_or(cur_bank)
                 } else {
                     cur_bank
                 };
                 // Rule 2: the channel this block uses least (ties: lowest
                 // channel without a unit in the target bank, then lowest id).
-                #[allow(clippy::expect_used)]
                 let target_channel = (0..channels)
                     .min_by_key(|&c| {
                         (
-                            channel_use[c as usize],
-                            lane_use[(c * banks + target_bank) as usize],
+                            used(&channel_use, c),
+                            used(&lane_use, c * banks + target_bank),
                             c,
                         )
                     })
-                    .expect("at least one channel");
+                    .unwrap_or(last.channel);
                 (target_channel, target_bank)
             }
         };
@@ -192,7 +207,7 @@ impl BlockAllocator {
             let next = (0..channels)
                 .flat_map(|c| (0..banks).map(move |b| (c, b)))
                 .filter(|&(c, b)| backend.free_units(c, b) > 0)
-                .min_by_key(|&(c, b)| (lane_use[(c * banks + b) as usize], c, b));
+                .min_by_key(|&(c, b)| (used(&lane_use, c * banks + b), c, b));
             match next {
                 Some((c, b)) => {
                     channel = c;

@@ -20,6 +20,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::NdsError;
+
 /// The device parallelism and granularity the STL sizes building blocks
 /// against (§4.1): channel count enters equation (1), bank count enters
 /// equation (3), and the unit size is the basic access granularity.
@@ -131,11 +133,12 @@ pub trait NvmBackend {
     /// borrowed slice so callers can reuse one staging buffer across units;
     /// implementations copy (or transform) into their own storage.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Implementations may panic if `data` is not exactly one unit or the
-    /// handle was not allocated.
-    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]);
+    /// [`NdsError::BadPayloadSize`] if `data` is not exactly one unit;
+    /// [`NdsError::DeviceFull`] or [`NdsError::Backend`] if the medium
+    /// cannot take the unit.
+    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError>;
 }
 
 /// A heap-backed [`NvmBackend`] for tests and for host-resident STL
@@ -148,7 +151,7 @@ pub trait NvmBackend {
 ///
 /// let mut b = MemBackend::new(DeviceSpec::new(4, 2, 64), 128);
 /// let loc = b.alloc_unit(1, 0).unwrap();
-/// b.write_unit(loc, &[9; 64]);
+/// b.write_unit(loc, &[9; 64]).unwrap();
 /// assert_eq!(b.read_unit(loc).unwrap()[0], 9);
 /// b.release_unit(loc);
 /// assert!(b.read_unit(loc).is_none());
@@ -157,14 +160,20 @@ pub trait NvmBackend {
 pub struct MemBackend {
     spec: DeviceSpec,
     units_per_lane: usize,
-    free: Vec<usize>,
-    next_id: Vec<u64>,
+    lanes: Vec<Lane>,
     /// The slot of `images` holding each written unit.
     slots: BTreeMap<UnitLocation, usize>,
     /// Unit images by slot. A released unit's slot (and buffer) is reused by
     /// the next first write.
     images: Vec<Vec<u8>>,
     vacant: Vec<usize>,
+}
+
+/// Allocation state of one `(channel, bank)` lane.
+#[derive(Debug, Clone)]
+struct Lane {
+    free: usize,
+    next_id: u64,
 }
 
 impl MemBackend {
@@ -180,17 +189,23 @@ impl MemBackend {
         MemBackend {
             spec,
             units_per_lane,
-            free: vec![units_per_lane; lanes],
-            next_id: vec![0; lanes],
+            lanes: vec![
+                Lane {
+                    free: units_per_lane,
+                    next_id: 0
+                };
+                lanes
+            ],
             slots: BTreeMap::new(),
             images: Vec::new(),
             vacant: Vec::new(),
         }
     }
 
-    fn lane(&self, channel: u32, bank: u32) -> usize {
-        assert!(channel < self.spec.channels && bank < self.spec.banks_per_channel);
-        (channel * self.spec.banks_per_channel + bank) as usize
+    /// Slot of the lane `(channel, bank)` in `lanes`, if the spec has it.
+    fn lane(&self, channel: u32, bank: u32) -> Option<usize> {
+        (channel < self.spec.channels && bank < self.spec.banks_per_channel)
+            .then(|| (channel * self.spec.banks_per_channel + bank) as usize)
     }
 
     /// Total units per lane (capacity).
@@ -210,13 +225,14 @@ impl NvmBackend for MemBackend {
     }
 
     fn alloc_unit(&mut self, channel: u32, bank: u32) -> Option<UnitLocation> {
-        let lane = self.lane(channel, bank);
-        if self.free[lane] == 0 {
+        let lane = self.lane(channel, bank)?;
+        let lane = self.lanes.get_mut(lane)?;
+        if lane.free == 0 {
             return None;
         }
-        self.free[lane] -= 1;
-        let unit = self.next_id[lane];
-        self.next_id[lane] += 1;
+        lane.free -= 1;
+        let unit = lane.next_id;
+        lane.next_id += 1;
         Some(UnitLocation {
             channel,
             bank,
@@ -225,16 +241,20 @@ impl NvmBackend for MemBackend {
     }
 
     fn release_unit(&mut self, loc: UnitLocation) {
-        let lane = self.lane(loc.channel, loc.bank);
         let slot = self.slots.remove(&loc);
         self.vacant.extend(slot);
-        if slot.is_some() || loc.unit < self.next_id[lane] {
-            self.free[lane] = (self.free[lane] + 1).min(self.units_per_lane);
+        let lane = self.lane(loc.channel, loc.bank);
+        if let Some(lane) = lane.and_then(|lane| self.lanes.get_mut(lane)) {
+            if slot.is_some() || loc.unit < lane.next_id {
+                lane.free = (lane.free + 1).min(self.units_per_lane);
+            }
         }
     }
 
     fn free_units(&self, channel: u32, bank: u32) -> usize {
-        self.free[self.lane(channel, bank)]
+        let lane = self.lane(channel, bank);
+        lane.and_then(|lane| self.lanes.get(lane))
+            .map_or(0, |lane| lane.free)
     }
 
     type UnitRef = usize;
@@ -247,12 +267,14 @@ impl NvmBackend for MemBackend {
         self.images.get(slot).map(|v| Cow::Borrowed(v.as_slice()))
     }
 
-    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
-        assert_eq!(
-            data.len(),
-            self.spec.unit_bytes as usize,
-            "unit writes must be exactly one unit"
-        );
+    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError> {
+        let expected = self.spec.unit_bytes as usize;
+        if data.len() != expected {
+            return Err(NdsError::BadPayloadSize {
+                got: data.len(),
+                expected,
+            });
+        }
         // A rewrite lands in the unit's slot, a first write in a vacated
         // one when there is one: either way the buffer is reused.
         let known = self.slots.get(&loc).copied();
@@ -265,6 +287,7 @@ impl NvmBackend for MemBackend {
             image.extend_from_slice(data);
         }
         self.slots.insert(loc, slot);
+        Ok(())
     }
 }
 
@@ -306,7 +329,7 @@ mod tests {
     fn release_refunds_lane() {
         let mut b = backend();
         let loc = b.alloc_unit(3, 0).unwrap();
-        b.write_unit(loc, &[1; 16]);
+        b.write_unit(loc, &[1; 16]).unwrap();
         assert_eq!(b.free_units(3, 0), 7);
         b.release_unit(loc);
         assert_eq!(b.free_units(3, 0), 8);
@@ -321,28 +344,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exactly one unit")]
-    fn wrong_size_write_panics() {
+    fn wrong_size_write_is_a_typed_error() {
         let mut b = backend();
         let loc = b.alloc_unit(0, 0).unwrap();
-        b.write_unit(loc, &[0; 15]);
+        assert_eq!(
+            b.write_unit(loc, &[0; 15]),
+            Err(NdsError::BadPayloadSize {
+                got: 15,
+                expected: 16
+            })
+        );
+        assert!(b.read_unit(loc).is_none());
     }
 
     #[test]
     fn rewrite_reuses_storage() {
         let mut b = backend();
         let loc = b.alloc_unit(2, 0).unwrap();
-        b.write_unit(loc, &[1; 16]);
+        b.write_unit(loc, &[1; 16]).unwrap();
         let before = b.stored_bytes();
-        b.write_unit(loc, &[2; 16]);
+        b.write_unit(loc, &[2; 16]).unwrap();
         assert_eq!(b.stored_bytes(), before);
         assert_eq!(b.read_unit(loc).unwrap()[0], 2);
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_range_lane_panics() {
-        let b = backend();
-        let _ = b.free_units(9, 0);
+    fn a_lane_outside_the_spec_holds_nothing() {
+        let mut b = backend();
+        assert_eq!(b.free_units(9, 0), 0);
+        assert!(b.alloc_unit(0, 2).is_none());
+        b.release_unit(UnitLocation {
+            channel: 9,
+            bank: 0,
+            unit: 0,
+        });
+        assert_eq!(b.free_units(0, 0), 8);
     }
 }

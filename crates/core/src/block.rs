@@ -26,6 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::DeviceSpec;
 use crate::element::ElementType;
+use crate::error::NdsError;
 use crate::shape::Shape;
 
 /// Which block dimensionality the STL should use for a space.
@@ -94,12 +95,14 @@ impl BlockShape {
     ///
     /// `multiplier` scales the minimum block volume (1 = the equations'
     /// minimum; the paper's Fig. 9 prototype uses 4). It must be a power of
-    /// two so block sides stay powers of two.
+    /// two so block sides stay powers of two. A `dimensionality` above the
+    /// space's rank tiles the dimensions the space has: the block keeps its
+    /// volume (a [`BlockDimensionality::ThreeD`] block still spans the
+    /// banks) and `bbᵢ = 1` beyond its rank.
     ///
     /// # Panics
     ///
-    /// Panics if `multiplier` is zero or not a power of two, or if
-    /// [`BlockDimensionality::ThreeD`] is requested for a space of rank < 3.
+    /// Panics if `multiplier` is zero or not a power of two.
     pub fn for_space(
         space: &Shape,
         element: ElementType,
@@ -111,43 +114,19 @@ impl BlockShape {
             multiplier.is_power_of_two(),
             "block multiplier must be a power of two, got {multiplier}"
         );
-        let n = space.ndims();
-        let resolved = match dimensionality {
-            BlockDimensionality::Auto => {
-                if n == 1 {
-                    BlockDimensionality::OneD
-                } else {
-                    BlockDimensionality::TwoD
-                }
-            }
-            other => other,
+        let (min_bytes, rank) = match dimensionality {
+            BlockDimensionality::Auto => (spec.min_block_bytes(), 2),
+            BlockDimensionality::OneD => (spec.min_block_bytes(), 1),
+            BlockDimensionality::TwoD => (spec.min_block_bytes(), 2),
+            BlockDimensionality::ThreeD => (spec.min_block_bytes_3d(), 3),
         };
-        let elem = element.size() as u64;
-        let mut dims = vec![1u64; n];
-        match resolved {
-            BlockDimensionality::Auto => unreachable!("resolved above"),
-            BlockDimensionality::OneD => {
-                let elems = (spec.min_block_bytes() * multiplier).div_ceil(elem);
-                dims[0] = pow2_at_least(elems);
-            }
-            BlockDimensionality::TwoD => {
-                assert!(n >= 2, "2-D blocks need a space of rank >= 2");
-                let min_elems = (spec.min_block_bytes() * multiplier).div_ceil(elem);
-                let side = side_for(min_elems, 2);
-                dims[0] = side;
-                dims[1] = side;
-            }
-            BlockDimensionality::ThreeD => {
-                assert!(n >= 3, "3-D blocks need a space of rank >= 3");
-                let min_elems = (spec.min_block_bytes_3d() * multiplier).div_ceil(elem);
-                let side = side_for(min_elems, 3);
-                dims[0] = side;
-                dims[1] = side;
-                dims[2] = side;
-            }
-        }
+        let rank = rank.min(space.ndims());
+        let min_elems = (min_bytes * multiplier).div_ceil(element.size() as u64);
+        let side = side_for(min_elems, rank as u32);
         BlockShape {
-            dims,
+            dims: (0..space.ndims())
+                .map(|dim| if dim < rank { side } else { 1 })
+                .collect(),
             element_bytes: element.size() as u32,
             unit_bytes: spec.unit_bytes,
         }
@@ -224,16 +203,21 @@ impl BlockShape {
 
     /// The block coordinate containing element coordinate `coord`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if arities differ.
-    pub fn block_of(&self, coord: &[u64]) -> Vec<u64> {
-        assert_eq!(coord.len(), self.dims.len());
-        coord
+    /// [`NdsError::ArityMismatch`] if arities differ.
+    pub fn block_of(&self, coord: &[u64]) -> Result<Vec<u64>, NdsError> {
+        if coord.len() != self.dims.len() {
+            return Err(NdsError::ArityMismatch {
+                view: self.dims.len(),
+                request: coord.len(),
+            });
+        }
+        Ok(coord
             .iter()
             .zip(&self.dims)
             .map(|(&x, &bb)| x / bb)
-            .collect()
+            .collect())
     }
 }
 
@@ -400,9 +384,16 @@ mod tests {
             BlockDimensionality::TwoD,
             1,
         );
-        assert_eq!(bb.block_of(&[0, 0]), vec![0, 0]);
-        assert_eq!(bb.block_of(&[127, 128]), vec![0, 1]);
-        assert_eq!(bb.block_of(&[500, 500]), vec![3, 3]);
+        assert_eq!(bb.block_of(&[0, 0]), Ok(vec![0, 0]));
+        assert_eq!(bb.block_of(&[127, 128]), Ok(vec![0, 1]));
+        assert_eq!(bb.block_of(&[500, 500]), Ok(vec![3, 3]));
+        assert_eq!(
+            bb.block_of(&[1, 2, 3]),
+            Err(NdsError::ArityMismatch {
+                view: 2,
+                request: 3
+            })
+        );
     }
 
     #[test]
@@ -419,15 +410,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank >= 3")]
-    fn three_d_needs_rank_3() {
+    fn a_block_of_higher_rank_than_the_space_tiles_the_dimensions_it_has() {
         let spec = DeviceSpec::new(8, 8, 4096);
-        let _ = BlockShape::for_space(
-            &Shape::new([64, 64]),
-            ElementType::F32,
-            spec,
-            BlockDimensionality::ThreeD,
-            1,
+        let for_rank = |dims: Vec<u64>, dimensionality| {
+            BlockShape::for_space(&Shape::new(dims), ElementType::F32, spec, dimensionality, 1)
+        };
+        // Eq. (3)'s volume (8 banks × 32 KiB = 64 Ki elements), in the two
+        // dimensions a matrix has.
+        let flat = for_rank(vec![4096, 4096], BlockDimensionality::ThreeD);
+        assert_eq!(flat.dims(), &[256, 256]);
+        assert_eq!(
+            for_rank(vec![1 << 20], BlockDimensionality::TwoD),
+            for_rank(vec![1 << 20], BlockDimensionality::OneD)
         );
     }
 }

@@ -14,6 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::backend::UnitLocation;
+use crate::error::NdsError;
 use crate::shape::Shape;
 
 /// A leaf entry: the access-unit list of one building block.
@@ -60,7 +61,7 @@ enum Node {
 ///
 /// // A 64×64 grid of building blocks, 8 units each.
 /// let mut tree = LocatorTree::new(Shape::new([64, 64]), 8);
-/// let entry = tree.get_or_insert(&[6, 1]);
+/// let entry = tree.get_or_insert(&[6, 1]).unwrap();
 /// entry.units[0] = Some(UnitLocation { channel: 0, bank: 0, unit: 42 });
 /// assert_eq!(tree.get(&[6, 1]).unwrap().allocated_count(), 1);
 /// assert!(tree.get(&[0, 0]).is_none(), "untouched blocks stay unallocated");
@@ -82,16 +83,10 @@ impl LocatorTree {
     /// Panics if `units_per_block` is zero.
     pub fn new(grid: Shape, units_per_block: usize) -> Self {
         assert!(units_per_block > 0, "blocks must hold at least one unit");
-        let n = grid.ndims();
-        let root = if n == 1 {
-            Node::Leaf(none_vec(grid.dim(0) as usize))
-        } else {
-            Node::Internal(none_vec(grid.dim(n - 1) as usize))
-        };
         LocatorTree {
+            root: Node::empty(&grid, grid.ndims() - 1),
             grid,
             units_per_block,
-            root,
             allocated_blocks: 0,
         }
     }
@@ -116,84 +111,55 @@ impl LocatorTree {
         self.allocated_blocks
     }
 
-    fn check_coord(&self, coord: &[u64]) {
-        assert_eq!(coord.len(), self.grid.ndims(), "block coordinate arity");
-        for (i, (&c, &g)) in coord.iter().zip(self.grid.dims()).enumerate() {
-            assert!(
-                c < g,
-                "block coordinate {c} out of range in dim {i} (grid {g})"
-            );
-        }
-    }
-
-    /// Looks up the entry for block `coord`, if allocated.
+    /// Looks up the entry for block `coord`, if allocated; a coordinate of
+    /// the wrong arity or outside the grid names no allocated block.
     ///
     /// The traversal visits one node per level: the root is indexed by the
     /// highest-order coordinate, the leaf by the lowest (Fig. 6).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coord` has the wrong arity or is outside the grid.
     pub fn get(&self, coord: &[u64]) -> Option<&BlockEntry> {
-        self.check_coord(coord);
+        if coord.len() != self.grid.ndims() {
+            return None;
+        }
+        let (&lowest, upper) = coord.split_first()?;
         let mut node = &self.root;
-        for level in (1..coord.len()).rev() {
-            match node {
-                Node::Internal(children) => {
-                    node = children[coord[level] as usize].as_deref()?;
-                }
-                Node::Leaf(_) => unreachable!("leaf reached above level 1"),
-            }
+        for &c in upper.iter().rev() {
+            let Node::Internal(children) = node else {
+                return None;
+            };
+            node = children.get(c as usize)?.as_deref()?;
         }
-        match node {
-            Node::Leaf(entries) => entries[coord[0] as usize].as_ref(),
-            Node::Internal(_) => unreachable!("level 1 node must be a leaf"),
-        }
+        let Node::Leaf(entries) = node else {
+            return None;
+        };
+        entries.get(lowest as usize)?.as_ref()
     }
 
     /// Returns the entry for block `coord`, allocating every node on the
     /// traversal path if needed (§4.2).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `coord` has the wrong arity or is outside the grid.
-    pub fn get_or_insert(&mut self, coord: &[u64]) -> &mut BlockEntry {
-        self.check_coord(coord);
-        let units = self.units_per_block;
-        let grid = &self.grid;
+    /// [`NdsError::ArityMismatch`] if `coord` has the wrong arity,
+    /// [`NdsError::OutOfBounds`] if it is outside the grid.
+    pub fn get_or_insert(&mut self, coord: &[u64]) -> Result<&mut BlockEntry, NdsError> {
+        const MISPLACED: NdsError = NdsError::Inconsistent("locator tree node at the wrong level");
+        self.grid.check_coord(coord)?;
         let mut node = &mut self.root;
-        for level in (1..coord.len()).rev() {
-            match node {
-                Node::Internal(children) => {
-                    let slot = &mut children[coord[level] as usize];
-                    if slot.is_none() {
-                        let child = if level == 1 {
-                            Node::Leaf(none_vec(grid.dim(0) as usize))
-                        } else {
-                            Node::Internal(none_vec(grid.dim(level - 1) as usize))
-                        };
-                        *slot = Some(Box::new(child));
-                    }
-                    #[allow(clippy::expect_used)] // slot was filled two lines up
-                    {
-                        node = slot.as_deref_mut().expect("just inserted");
-                    }
-                }
-                Node::Leaf(_) => unreachable!("leaf reached above level 1"),
-            }
+        for (level, &c) in coord.iter().enumerate().skip(1).rev() {
+            let Node::Internal(children) = node else {
+                return Err(MISPLACED);
+            };
+            let slot = children.get_mut(c as usize).ok_or(MISPLACED)?;
+            node = slot.get_or_insert_with(|| Box::new(Node::empty(&self.grid, level - 1)));
         }
-        match node {
-            Node::Leaf(entries) => {
-                let slot = &mut entries[coord[0] as usize];
-                if slot.is_none() {
-                    *slot = Some(BlockEntry::new(units));
-                    self.allocated_blocks += 1;
-                }
-                #[allow(clippy::expect_used)] // slot was filled just above
-                slot.as_mut().expect("just inserted")
-            }
-            Node::Internal(_) => unreachable!("level 1 node must be a leaf"),
+        let (Node::Leaf(entries), Some(&c)) = (node, coord.first()) else {
+            return Err(MISPLACED);
+        };
+        let slot = entries.get_mut(c as usize).ok_or(MISPLACED)?;
+        if slot.is_none() {
+            self.allocated_blocks += 1;
         }
+        Ok(slot.get_or_insert_with(|| BlockEntry::new(self.units_per_block)))
     }
 
     /// Visits every allocated block as `(coordinate, entry)`.
@@ -212,16 +178,16 @@ impl LocatorTree {
         match node {
             Node::Internal(children) => {
                 for (i, child) in children.iter().enumerate() {
-                    if let Some(child) = child {
-                        coord[level] = i as u64;
-                        Self::walk(child, level - 1, coord, f);
+                    if let (Some(child), Some(c)) = (child, coord.get_mut(level)) {
+                        *c = i as u64;
+                        Self::walk(child, level.saturating_sub(1), coord, f);
                     }
                 }
             }
             Node::Leaf(entries) => {
                 for (i, entry) in entries.iter().enumerate() {
-                    if let Some(entry) = entry {
-                        coord[0] = i as u64;
+                    if let (Some(entry), Some(c)) = (entry, coord.first_mut()) {
+                        *c = i as u64;
                         f(coord, entry);
                     }
                 }
@@ -234,12 +200,7 @@ impl LocatorTree {
     pub fn drain_units(&mut self) -> Vec<UnitLocation> {
         let mut units = Vec::new();
         self.for_each_block(|_, entry| units.extend(entry.allocated_units()));
-        let n = self.grid.ndims();
-        self.root = if n == 1 {
-            Node::Leaf(none_vec(self.grid.dim(0) as usize))
-        } else {
-            Node::Internal(none_vec(self.grid.dim(n - 1) as usize))
-        };
+        self.root = Node::empty(&self.grid, self.grid.ndims() - 1);
         self.allocated_blocks = 0;
         units
     }
@@ -270,8 +231,17 @@ impl LocatorTree {
     }
 }
 
-fn none_vec<T: Clone>(len: usize) -> Vec<Option<T>> {
-    vec![None; len]
+impl Node {
+    /// An empty node for tree level `level` of `grid` (0 = the leaf level),
+    /// one slot per building block along that dimension.
+    fn empty(grid: &Shape, level: usize) -> Node {
+        let degree = grid.dim(level) as usize;
+        if level == 0 {
+            Node::Leaf(vec![None; degree])
+        } else {
+            Node::Internal(vec![None; degree])
+        }
+    }
 }
 
 #[cfg(test)]
@@ -299,7 +269,7 @@ mod tests {
     fn get_after_insert() {
         let mut tree = LocatorTree::new(Shape::new([64, 64, 4]), 8);
         assert!(tree.get(&[6, 0, 1]).is_none());
-        tree.get_or_insert(&[6, 0, 1]).units[3] = Some(unit(3, 77));
+        tree.get_or_insert(&[6, 0, 1]).unwrap().units[3] = Some(unit(3, 77));
         let entry = tree.get(&[6, 0, 1]).unwrap();
         assert_eq!(entry.units[3], Some(unit(3, 77)));
         assert_eq!(entry.allocated_count(), 1);
@@ -309,7 +279,7 @@ mod tests {
     #[test]
     fn lazy_allocation_keeps_siblings_unallocated() {
         let mut tree = LocatorTree::new(Shape::new([4, 4]), 2);
-        tree.get_or_insert(&[1, 2]);
+        tree.get_or_insert(&[1, 2]).unwrap();
         assert!(tree.get(&[1, 1]).is_none());
         assert!(tree.get(&[2, 2]).is_none());
         assert!(tree.get(&[1, 2]).is_some());
@@ -319,7 +289,7 @@ mod tests {
     fn one_dimensional_tree() {
         let mut tree = LocatorTree::new(Shape::new([16]), 4);
         assert_eq!(tree.levels(), 1);
-        tree.get_or_insert(&[7]).units[0] = Some(unit(0, 1));
+        tree.get_or_insert(&[7]).unwrap().units[0] = Some(unit(0, 1));
         assert!(tree.get(&[7]).is_some());
         assert!(tree.get(&[8]).is_none());
     }
@@ -328,7 +298,7 @@ mod tests {
     fn for_each_block_visits_all_allocated() {
         let mut tree = LocatorTree::new(Shape::new([3, 3]), 1);
         for c in [[0u64, 0], [2, 1], [1, 2]] {
-            tree.get_or_insert(&c).units[0] = Some(unit(0, c[0]));
+            tree.get_or_insert(&c).unwrap().units[0] = Some(unit(0, c[0]));
         }
         let mut seen = Vec::new();
         tree.for_each_block(|coord, _| seen.push(coord.to_vec()));
@@ -339,8 +309,8 @@ mod tests {
     #[test]
     fn drain_returns_units_and_clears() {
         let mut tree = LocatorTree::new(Shape::new([4, 4]), 2);
-        tree.get_or_insert(&[0, 0]).units[0] = Some(unit(0, 1));
-        tree.get_or_insert(&[3, 3]).units[1] = Some(unit(1, 2));
+        tree.get_or_insert(&[0, 0]).unwrap().units[0] = Some(unit(0, 1));
+        tree.get_or_insert(&[3, 3]).unwrap().units[1] = Some(unit(1, 2));
         let drained = tree.drain_units();
         assert_eq!(drained.len(), 2);
         assert_eq!(tree.allocated_blocks(), 0);
@@ -351,27 +321,36 @@ mod tests {
     fn memory_grows_only_with_allocated_paths() {
         let mut tree = LocatorTree::new(Shape::new([64, 64, 64]), 8);
         let empty = tree.memory_bytes();
-        tree.get_or_insert(&[0, 0, 0]);
+        tree.get_or_insert(&[0, 0, 0]).unwrap();
         let one = tree.memory_bytes();
         assert!(one > empty);
         // Allocating a second block in the same leaf adds only unit-list
         // bytes, not new nodes.
-        tree.get_or_insert(&[1, 0, 0]);
+        tree.get_or_insert(&[1, 0, 0]).unwrap();
         let two = tree.memory_bytes();
         assert!(two - one < one - empty);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_grid_coordinate_panics() {
-        let tree = LocatorTree::new(Shape::new([4, 4]), 1);
-        let _ = tree.get(&[4, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn wrong_arity_panics() {
-        let tree = LocatorTree::new(Shape::new([4, 4]), 1);
-        let _ = tree.get(&[1]);
+    fn coordinates_outside_the_grid_are_unallocated_or_a_typed_error() {
+        let mut tree = LocatorTree::new(Shape::new([4, 4]), 1);
+        assert!(tree.get(&[4, 0]).is_none());
+        assert!(tree.get(&[1]).is_none());
+        assert_eq!(
+            tree.get_or_insert(&[0, 4]).unwrap_err(),
+            NdsError::OutOfBounds {
+                dim: 1,
+                end: 5,
+                size: 4
+            }
+        );
+        assert_eq!(
+            tree.get_or_insert(&[1]).unwrap_err(),
+            NdsError::ArityMismatch {
+                view: 2,
+                request: 1
+            }
+        );
+        assert_eq!(tree.allocated_blocks(), 0);
     }
 }

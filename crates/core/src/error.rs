@@ -50,6 +50,8 @@ pub enum NdsError {
     },
     /// A shape had zero dimensions or a zero-sized dimension.
     EmptyShape,
+    /// A shape's element volume does not fit in 64 bits.
+    ShapeTooLarge,
     /// The backing device has no free unit where the allocation policy needs
     /// one, even after garbage collection.
     DeviceFull {
@@ -63,6 +65,18 @@ pub enum NdsError {
     /// The request's plan needs a block or unit index beyond the 32 bits
     /// its assembly spans have for one.
     PlanTooLarge,
+    /// The backend could not store a unit the STL allocated; `reason` is the
+    /// backend's own error.
+    Backend {
+        /// The unit being written.
+        unit: UnitLocation,
+        /// The backend's error, rendered.
+        reason: String,
+    },
+    /// The STL's own bookkeeping disagreed with itself (a plan named a unit
+    /// its block does not have, a tree node sat at the wrong level). A typed
+    /// error so that one request fails, not the run.
+    Inconsistent(&'static str),
 }
 
 impl fmt::Display for NdsError {
@@ -89,6 +103,7 @@ impl fmt::Display for NdsError {
                 )
             }
             NdsError::EmptyShape => write!(f, "shapes must have at least one non-zero dimension"),
+            NdsError::ShapeTooLarge => write!(f, "shape volume overflows 64 bits"),
             NdsError::DeviceFull { channel, bank } => write!(
                 f,
                 "no free unit in channel {channel}, bank {bank} after garbage collection"
@@ -102,6 +117,10 @@ impl fmt::Display for NdsError {
             NdsError::PlanTooLarge => {
                 write!(f, "request plan exceeds its 32-bit block and unit indices")
             }
+            NdsError::Backend { unit, reason } => {
+                write!(f, "backend could not store unit {unit}: {reason}")
+            }
+            NdsError::Inconsistent(what) => write!(f, "stl invariant violated: {what}"),
         }
     }
 }
@@ -140,6 +159,17 @@ mod tests {
             }
             .to_string(),
             NdsError::PlanTooLarge.to_string(),
+            NdsError::ShapeTooLarge.to_string(),
+            NdsError::Backend {
+                unit: UnitLocation {
+                    channel: 0,
+                    bank: 1,
+                    unit: 2,
+                },
+                reason: "device full".into(),
+            }
+            .to_string(),
+            NdsError::Inconsistent("span outside its unit").to_string(),
         ];
         for msg in cases {
             assert!(!msg.is_empty());

@@ -202,7 +202,7 @@ impl PlanCache {
             coord,
             sub_dims,
         };
-        self.lookup(key.hash(), key).is_some()
+        self.find(key.hash(), key).is_some()
     }
 
     /// Memoized translation: returns the cached plan for
@@ -228,15 +228,16 @@ impl PlanCache {
             sub_dims,
         };
         let hash = key.hash();
-        if let Some(slot) = self.lookup(hash, key) {
+        if let Some((slot, entry)) = self.find(hash, key) {
+            let plan = Arc::clone(&entry.plan);
             self.hits += 1;
             self.unlink_recency(slot);
             self.push_front(slot);
-            return Ok(Arc::clone(&self.at(slot).plan));
+            return Ok(plan);
         }
         self.misses += 1;
         let plan = Arc::new(translate()?);
-        self.store(hash, key, Arc::clone(&plan));
+        self.insert(hash, key, Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -252,9 +253,9 @@ impl PlanCache {
         // most recent reproduces the order they had.
         let mut order = Vec::with_capacity(self.slab.len());
         let mut slot = self.tail;
-        while slot != NIL {
+        while let Some(entry) = self.entry(slot) {
             order.push(slot);
-            slot = self.at(slot).prev;
+            slot = entry.prev;
         }
         let mut old: Vec<Option<Entry>> = self.slab.drain(..).map(Some).collect();
         self.clear();
@@ -274,21 +275,20 @@ impl PlanCache {
         self.tail = NIL;
     }
 
-    // `head`, `tail`, the links and the bucket heads only ever hold live slab
-    // indices: the slab shrinks only in `clear`, which resets all of them.
-    fn at(&self, slot: u32) -> &Entry {
-        // nds-lint: allow(D4, list links and bucket heads hold live slab indices by construction)
-        &self.slab[slot as usize]
+    // `head`, `tail`, the links and the bucket heads hold live slab indices
+    // or `NIL`, which — the capacity stays below it — no slab ever reaches:
+    // the end of a list and a slot outside the slab are the same `None`.
+    fn entry(&self, slot: u32) -> Option<&Entry> {
+        self.slab.get(slot as usize)
     }
 
-    fn at_mut(&mut self, slot: u32) -> &mut Entry {
-        // nds-lint: allow(D4, list links and bucket heads hold live slab indices by construction)
-        &mut self.slab[slot as usize]
+    fn entry_mut(&mut self, slot: u32) -> Option<&mut Entry> {
+        self.slab.get_mut(slot as usize)
     }
 
     /// The bucket `hash` falls in. The array's length is zero or a power of
-    /// two; an empty array maps everything out of range, which the two
-    /// accessors below read as an empty chain.
+    /// two; an empty array maps everything out of range, which reads as an
+    /// empty chain.
     fn bucket_of(&self, hash: u64) -> usize {
         hash as usize & self.buckets.len().wrapping_sub(1)
     }
@@ -300,19 +300,11 @@ impl PlanCache {
             .unwrap_or(NIL)
     }
 
-    fn set_bucket_head(&mut self, hash: u64, slot: u32) {
-        let bucket = self.bucket_of(hash);
-        if let Some(head) = self.buckets.get_mut(bucket) {
-            *head = slot;
-        }
-    }
-
-    fn lookup(&self, hash: u64, key: KeyRef<'_>) -> Option<u32> {
+    fn find(&self, hash: u64, key: KeyRef<'_>) -> Option<(u32, &Entry)> {
         let mut slot = self.bucket_head(hash);
-        while slot != NIL {
-            let entry = self.at(slot);
+        while let Some(entry) = self.entry(slot) {
             if entry.matches(hash, key) {
-                return Some(slot);
+                return Some((slot, entry));
             }
             slot = entry.chain;
         }
@@ -321,7 +313,7 @@ impl PlanCache {
 
     /// Caches `plan` under `key` as the most recently used entry, recycling
     /// the least recently used entry's slot (and key buffer) at capacity.
-    fn store(&mut self, hash: u64, key: KeyRef<'_>, plan: Arc<Translation>) {
+    fn insert(&mut self, hash: u64, key: KeyRef<'_>, plan: Arc<Translation>) {
         if self.slab.len() < self.capacity {
             let mut entry = Entry {
                 space: key.space,
@@ -341,9 +333,10 @@ impl PlanCache {
         let slot = self.tail;
         self.unlink_recency(slot);
         self.unlink_chain(slot);
-        let entry = self.at_mut(slot);
-        entry.set_key(hash, key);
-        entry.plan = plan;
+        if let Some(entry) = self.entry_mut(slot) {
+            entry.set_key(hash, key);
+            entry.plan = plan;
+        }
         self.link_chain(slot);
         self.push_front(slot);
     }
@@ -371,56 +364,67 @@ impl PlanCache {
         }
     }
 
+    /// Puts `slot` at the head of its hash's bucket chain.
     fn link_chain(&mut self, slot: u32) {
-        let hash = self.at(slot).hash;
-        self.at_mut(slot).chain = self.bucket_head(hash);
-        self.set_bucket_head(hash, slot);
+        let Some(hash) = self.entry(slot).map(|entry| entry.hash) else {
+            return;
+        };
+        let bucket = self.bucket_of(hash);
+        if let (Some(entry), Some(head)) = (
+            self.slab.get_mut(slot as usize),
+            self.buckets.get_mut(bucket),
+        ) {
+            entry.chain = std::mem::replace(head, slot);
+        }
     }
 
+    /// Takes `slot` out of its hash's bucket chain.
     fn unlink_chain(&mut self, slot: u32) {
-        let (hash, after) = {
-            let entry = self.at(slot);
-            (entry.hash, entry.chain)
+        let Some((hash, after)) = self.entry(slot).map(|entry| (entry.hash, entry.chain)) else {
+            return;
         };
-        let mut at = self.bucket_head(hash);
-        if at == slot {
-            self.set_bucket_head(hash, after);
+        if self.bucket_head(hash) == slot {
+            let bucket = self.bucket_of(hash);
+            if let Some(head) = self.buckets.get_mut(bucket) {
+                *head = after;
+            }
             return;
         }
-        while at != NIL {
-            let next = self.at(at).chain;
-            if next == slot {
-                self.at_mut(at).chain = after;
+        let mut at = self.bucket_head(hash);
+        while let Some(entry) = self.entry_mut(at) {
+            if entry.chain == slot {
+                entry.chain = after;
                 return;
             }
-            at = next;
+            at = entry.chain;
         }
     }
 
     fn push_front(&mut self, slot: u32) {
         let old_head = self.head;
-        let entry = self.at_mut(slot);
+        let Some(entry) = self.entry_mut(slot) else {
+            return;
+        };
         entry.prev = NIL;
         entry.next = old_head;
-        match old_head {
-            NIL => self.tail = slot,
-            h => self.at_mut(h).prev = slot,
+        match self.entry_mut(old_head) {
+            Some(head) => head.prev = slot,
+            None => self.tail = slot,
         }
         self.head = slot;
     }
 
     fn unlink_recency(&mut self, slot: u32) {
-        let (prev, next) = {
-            let entry = self.at(slot);
-            (entry.prev, entry.next)
+        let Some((prev, next)) = self.entry(slot).map(|entry| (entry.prev, entry.next)) else {
+            return;
         };
-        match prev {
-            NIL => self.head = next,
-            p => self.at_mut(p).next = next,
+        match self.entry_mut(prev) {
+            Some(before) => before.next = next,
+            None => self.head = next,
         }
-        match next {
-            NIL => self.tail = prev,
-            n => self.at_mut(n).prev = prev,
+        match self.entry_mut(next) {
+            Some(after) => after.prev = prev,
+            None => self.tail = prev,
         }
     }
 }

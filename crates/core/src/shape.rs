@@ -32,8 +32,8 @@ use crate::error::NdsError;
 /// // A 16-wide, 8-tall matrix (x fastest).
 /// let s = Shape::new([16, 8]);
 /// assert_eq!(s.volume(), 128);
-/// assert_eq!(s.linear_index(&[3, 2]), 3 + 2 * 16);
-/// assert_eq!(s.coord_at(35), vec![3, 2]);
+/// assert_eq!(s.linear_index(&[3, 2]), Ok(3 + 2 * 16));
+/// assert_eq!(s.coord_at(35), Some(vec![3, 2]));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Shape {
@@ -45,23 +45,33 @@ impl Shape {
     ///
     /// # Panics
     ///
-    /// Panics if `dims` is empty or any dimension is zero — use
-    /// [`Shape::try_new`] for fallible construction.
+    /// Panics if `dims` is empty, any dimension is zero or the volume
+    /// overflows `u64` — use [`Shape::try_new`] for fallible construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract for literal shapes; try_new is the fallible path"
+    )]
     pub fn new(dims: impl Into<Vec<u64>>) -> Self {
-        #[allow(clippy::expect_used)] // documented panic contract; try_new is the fallible path
-        Shape::try_new(dims).expect("shape dimensions must be non-empty and non-zero")
+        Shape::try_new(dims)
+            .expect("shape dimensions must be non-empty, non-zero and of u64 volume")
     }
 
-    /// Fallible constructor.
+    /// Fallible constructor. Every `Shape` it lets through has a volume —
+    /// and so every in-bounds linear index and partition volume — that fits
+    /// in a `u64`.
     ///
     /// # Errors
     ///
-    /// [`NdsError::EmptyShape`] if `dims` is empty or contains a zero.
+    /// * [`NdsError::EmptyShape`] if `dims` is empty or contains a zero.
+    /// * [`NdsError::ShapeTooLarge`] if the volume overflows `u64`.
     pub fn try_new(dims: impl Into<Vec<u64>>) -> Result<Self, NdsError> {
         let dims = dims.into();
         if dims.is_empty() || dims.contains(&0) {
             return Err(NdsError::EmptyShape);
         }
+        dims.iter()
+            .try_fold(1u64, |volume, &d| volume.checked_mul(d))
+            .ok_or(NdsError::ShapeTooLarge)?;
         Ok(Shape { dims })
     }
 
@@ -75,13 +85,10 @@ impl Shape {
         &self.dims
     }
 
-    /// Size of dimension `i` (0 = fastest).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= ndims()`.
+    /// Size of dimension `i` (0 = fastest); 1 for every dimension past the
+    /// last, which is what a shape of lower rank is along it.
     pub fn dim(&self, i: usize) -> u64 {
-        self.dims[i]
+        self.dims.get(i).copied().unwrap_or(1)
     }
 
     /// Total number of elements.
@@ -91,34 +98,53 @@ impl Shape {
 
     /// The linear index of `coord` under the canonical linearization.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `coord` has the wrong arity or is out of bounds (internal
-    /// callers validate first).
-    pub fn linear_index(&self, coord: &[u64]) -> u64 {
-        assert_eq!(coord.len(), self.dims.len(), "coordinate arity mismatch");
-        let mut index = 0;
-        for i in (0..self.dims.len()).rev() {
-            debug_assert!(coord[i] < self.dims[i], "coordinate out of bounds");
-            index = index * self.dims[i] + coord[i];
-        }
-        index
+    /// [`NdsError::ArityMismatch`] if `coord` has the wrong arity,
+    /// [`NdsError::OutOfBounds`] if it lies outside the shape.
+    pub fn linear_index(&self, coord: &[u64]) -> Result<u64, NdsError> {
+        self.check_coord(coord)?;
+        Ok(coord
+            .iter()
+            .zip(&self.dims)
+            .rev()
+            .fold(0, |index, (&c, &d)| index * d + c))
     }
 
-    /// The coordinate of linear index `index`.
+    /// Checks that `coord` names an element (or block) of this shape.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `index >= volume()`.
-    pub fn coord_at(&self, index: u64) -> Vec<u64> {
-        assert!(index < self.volume(), "linear index out of bounds");
+    /// As [`linear_index`](Self::linear_index).
+    pub(crate) fn check_coord(&self, coord: &[u64]) -> Result<(), NdsError> {
+        if coord.len() != self.dims.len() {
+            return Err(NdsError::ArityMismatch {
+                view: self.dims.len(),
+                request: coord.len(),
+            });
+        }
+        for (dim, (&c, &size)) in coord.iter().zip(&self.dims).enumerate() {
+            if c >= size {
+                let end = c.saturating_add(1);
+                return Err(NdsError::OutOfBounds { dim, end, size });
+            }
+        }
+        Ok(())
+    }
+
+    /// The coordinate of linear index `index`, or `None` if
+    /// `index >= volume()`.
+    pub fn coord_at(&self, index: u64) -> Option<Vec<u64>> {
+        if index >= self.volume() {
+            return None;
+        }
         let mut rest = index;
         let mut coord = Vec::with_capacity(self.dims.len());
         for &d in &self.dims {
             coord.push(rest % d);
             rest /= d;
         }
-        coord
+        Some(coord)
     }
 
     /// The whole shape as a region at the origin.
@@ -230,12 +256,36 @@ impl Region {
     /// index into a dense buffer holding the region), and `linear_start` is
     /// the run's first element in `shape`'s canonical linearization.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics (via debug assertions) if the region does not fit in `shape`.
-    pub fn for_each_run(&self, shape: &Shape, f: impl FnMut(u64, u64, u64)) {
-        debug_assert_eq!(self.ndims(), shape.ndims());
-        runs(shape, shape.linear_index(&self.origin), &self.extent, f);
+    /// [`NdsError::ArityMismatch`], [`NdsError::EmptyShape`] or
+    /// [`NdsError::OutOfBounds`] if the region is not a non-empty box inside
+    /// `shape`; `f` is not called then.
+    pub fn for_each_run(
+        &self,
+        shape: &Shape,
+        f: impl FnMut(u64, u64, u64),
+    ) -> Result<(), NdsError> {
+        let origin = shape.linear_index(&self.origin)?;
+        if self.extent.len() != shape.ndims() {
+            return Err(NdsError::ArityMismatch {
+                view: shape.ndims(),
+                request: self.extent.len(),
+            });
+        }
+        if self.extent.contains(&0) {
+            return Err(NdsError::EmptyShape);
+        }
+        for (dim, ((&o, &e), &size)) in
+            (self.origin.iter().zip(&self.extent).zip(shape.dims())).enumerate()
+        {
+            let end = o.saturating_add(e);
+            if end > size {
+                return Err(NdsError::OutOfBounds { dim, end, size });
+            }
+        }
+        runs(shape, origin, &self.extent, f);
+        Ok(())
     }
 }
 
@@ -261,7 +311,7 @@ fn check_request(view: &Shape, coord: &[u64], sub_dims: &[u64]) -> Result<(), Nd
             end: u64::MAX,
             size,
         })?;
-        let end = start + f;
+        let end = start.saturating_add(f);
         if end > size {
             return Err(NdsError::OutOfBounds { dim, end, size });
         }
@@ -294,11 +344,11 @@ fn runs(shape: &Shape, origin: u64, extent: &[u64], mut f: impl FnMut(u64, u64, 
 impl fmt::Display for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for i in 0..self.ndims() {
+        for (i, (origin, extent)) in self.origin.iter().zip(&self.extent).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{}..{}", self.origin[i], self.origin[i] + self.extent[i])?;
+            write!(f, "{origin}..{}", origin.saturating_add(*extent))?;
         }
         write!(f, "]")
     }
@@ -312,16 +362,16 @@ mod tests {
     fn linear_index_round_trips() {
         let s = Shape::new([5, 7, 3]);
         for idx in 0..s.volume() {
-            let c = s.coord_at(idx);
-            assert_eq!(s.linear_index(&c), idx);
+            let c = s.coord_at(idx).unwrap();
+            assert_eq!(s.linear_index(&c).unwrap(), idx);
         }
     }
 
     #[test]
     fn fastest_dimension_is_first() {
         let s = Shape::new([10, 4]);
-        assert_eq!(s.linear_index(&[1, 0]), 1);
-        assert_eq!(s.linear_index(&[0, 1]), 10);
+        assert_eq!(s.linear_index(&[1, 0]).unwrap(), 1);
+        assert_eq!(s.linear_index(&[0, 1]).unwrap(), 10);
     }
 
     #[test]
@@ -370,7 +420,9 @@ mod tests {
             extent: vec![3, 2],
         };
         let mut runs = Vec::new();
-        region.for_each_run(&shape, |off, start, len| runs.push((off, start, len)));
+        region
+            .for_each_run(&shape, |off, start, len| runs.push((off, start, len)))
+            .unwrap();
         // Two rows (y=1, y=2), each a 3-element run starting at x=2.
         assert_eq!(runs, vec![(0, 8 + 2, 3), (3, 2 * 8 + 2, 3)]);
     }
@@ -384,12 +436,14 @@ mod tests {
         };
         let mut total = 0;
         let mut seen = std::collections::HashSet::new();
-        region.for_each_run(&shape, |_, start, len| {
-            total += len;
-            for e in start..start + len {
-                assert!(seen.insert(e), "element {e} covered twice");
-            }
-        });
+        region
+            .for_each_run(&shape, |_, start, len| {
+                total += len;
+                for e in start..start + len {
+                    assert!(seen.insert(e), "element {e} covered twice");
+                }
+            })
+            .unwrap();
         assert_eq!(total, region.volume());
     }
 
@@ -403,11 +457,13 @@ mod tests {
                 .unwrap();
         let region = Region::from_request(&view, &coord, &sub).unwrap();
         let mut via_region = Vec::new();
-        region.for_each_run(&view, |o, s, l| via_region.push((o, s, l)));
+        region
+            .for_each_run(&view, |o, s, l| via_region.push((o, s, l)))
+            .unwrap();
         assert_eq!(direct, via_region);
         assert_eq!(volume, region.volume());
         assert_eq!(direct.len(), 4, "2 × 2 outer rows");
-        assert_eq!(direct[0], (0, view.linear_index(&[4, 4, 2]), 4));
+        assert_eq!(direct[0], (0, view.linear_index(&[4, 4, 2]).unwrap(), 4));
         assert!(matches!(
             Region::for_each_request_run(&view, &[3, 0, 0], &sub, |_, _, _| ()),
             Err(NdsError::OutOfBounds { dim: 0, .. })
@@ -422,7 +478,9 @@ mod tests {
             extent: vec![32],
         };
         let mut runs = Vec::new();
-        region.for_each_run(&shape, |off, start, len| runs.push((off, start, len)));
+        region
+            .for_each_run(&shape, |off, start, len| runs.push((off, start, len)))
+            .unwrap();
         assert_eq!(runs, vec![(0, 16, 32)]);
     }
 
@@ -432,7 +490,7 @@ mod tests {
         let r = s.full_region();
         assert_eq!(r.volume(), s.volume());
         let mut covered = 0;
-        r.for_each_run(&s, |_, _, len| covered += len);
+        r.for_each_run(&s, |_, _, len| covered += len).unwrap();
         assert_eq!(covered, 30);
     }
 }

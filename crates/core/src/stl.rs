@@ -110,17 +110,23 @@ impl AccessReport {
     /// Entry `index` of `blocks` reset for `cover`, reusing the entry's (and
     /// its vectors') allocations when a previous request left one there.
     /// [`finish`](Self::finish) drops whatever lies past the last one begun.
-    fn begin_block(&mut self, index: usize, cover: &BlockCover) -> &mut BlockAccess {
+    fn begin_block(
+        &mut self,
+        index: usize,
+        cover: &BlockCover,
+    ) -> Result<&mut BlockAccess, NdsError> {
         if index == self.blocks.len() {
             self.blocks.push(BlockAccess::default());
         }
-        // nds-lint: allow(D4, index is at most the length checked just above)
-        let block = &mut self.blocks[index];
+        let block = self
+            .blocks
+            .get_mut(index)
+            .ok_or(NdsError::Inconsistent("report blocks begun out of order"))?;
         block.coord.clear();
         block.coord.extend_from_slice(&cover.coord);
         block.units.clear();
         block.sector_bytes = sector_rounded(&cover.segments);
-        block
+        Ok(block)
     }
 
     /// Completes a report of `blocks` block entries for `translation`.
@@ -157,6 +163,9 @@ pub struct Stl<B: NvmBackend> {
     scratch: Scratch<B::UnitRef>,
 }
 
+/// A write plan's span that its block, unit image or payload does not cover.
+const STRAY_SPAN: NdsError = NdsError::Inconsistent("plan span outside its unit or payload");
+
 /// Reusable request-scoped buffers, so the steady-state hot loop performs no
 /// per-request heap allocation beyond what the backend itself needs.
 #[derive(Debug)]
@@ -192,7 +201,18 @@ impl<R> Scratch<R> {
 
 impl<B: NvmBackend> Stl<B> {
     /// Creates an STL over `backend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.block_multiplier` is not a power of two — the
+    /// contract of [`BlockShape::for_space`], checked here so that
+    /// [`create_space`](Self::create_space) cannot trip it.
     pub fn new(backend: B, config: StlConfig) -> Self {
+        assert!(
+            config.block_multiplier.is_power_of_two(),
+            "block multiplier must be a power of two, got {}",
+            config.block_multiplier
+        );
         Stl {
             allocator: BlockAllocator::with_policy(config.seed, config.allocation_policy),
             backend,
@@ -452,8 +472,7 @@ impl<B: NvmBackend> Stl<B> {
         report: &mut AccessReport,
     ) -> Result<(), NdsError> {
         let translation = self.plan_cached(id, view, coord, sub_dims)?;
-        #[allow(clippy::expect_used)] // plan_cached errored above if the space is absent
-        let space = self.spaces.get(&id).expect("checked by plan_cached");
+        let space = self.spaces.get(&id).ok_or(NdsError::UnknownSpace(id))?;
         let unit_bytes = u64::from(space.block_shape().unit_bytes());
         let units_per_block = space.tree().units_per_block();
         let backend = &self.backend;
@@ -473,7 +492,7 @@ impl<B: NvmBackend> Stl<B> {
             let Some(entry) = space.tree().get(&cover.coord) else {
                 continue; // never-written block: zeros
             };
-            let block = report.begin_block(blocks, cover);
+            let block = report.begin_block(blocks, cover)?;
             blocks += 1;
             cover.try_for_each_unit(unit_bytes, |unit| {
                 // Unallocated units read as zero.
@@ -569,8 +588,7 @@ impl<B: NvmBackend> Stl<B> {
                 expected: translation.total_bytes as usize,
             });
         }
-        #[allow(clippy::expect_used)] // plan_cached errored above if the space is absent
-        let space = self.spaces.get_mut(&id).expect("checked by plan_cached");
+        let space = self.spaces.get_mut(&id).ok_or(NdsError::UnknownSpace(id))?;
         let unit_bytes = space.block_shape().unit_bytes() as usize;
 
         report.rmw_units = 0;
@@ -579,11 +597,13 @@ impl<B: NvmBackend> Stl<B> {
             // unit order.
             self.scratch
                 .split_into_unit_spans(cover, translation.unit_bytes);
-            let entry = space.tree_mut().get_or_insert(&cover.coord);
-            let block = report.access.begin_block(index, cover);
+            let entry = space.tree_mut().get_or_insert(&cover.coord)?;
+            let block = report.access.begin_block(index, cover)?;
             for spans in self.scratch.spans.chunk_by(|a, b| a.0 == b.0) {
-                let unit_idx = spans[0].0;
-                let old = entry.units[unit_idx];
+                let Some(&(unit_idx, ..)) = spans.first() else {
+                    continue;
+                };
+                let old = *entry.units.get(unit_idx).ok_or(STRAY_SPAN)?;
                 // One span that covers the whole unit — a tile-aligned write
                 // — is the unit's image as it lies in the payload.
                 let whole = match *spans {
@@ -603,14 +623,19 @@ impl<B: NvmBackend> Stl<B> {
                     if covered != unit_bytes {
                         if let Some(old_loc) = old {
                             if let Some(existing) = self.backend.read_unit(old_loc) {
+                                if existing.len() != unit_bytes {
+                                    return Err(NdsError::MissingUnit(old_loc));
+                                }
                                 self.scratch.image.copy_from_slice(&existing);
                             }
                             report.rmw_units += 1;
                         }
                     }
                     for &(_, unit_off, buf_off, len) in spans {
-                        self.scratch.image[unit_off..unit_off + len]
-                            .copy_from_slice(&data[buf_off..buf_off + len]);
+                        let into = self.scratch.image.get_mut(unit_off..unit_off + len);
+                        let from = data.get(buf_off..buf_off + len);
+                        let (into, from) = into.zip(from).ok_or(STRAY_SPAN)?;
+                        into.copy_from_slice(from);
                     }
                     &self.scratch.image
                 };
@@ -619,18 +644,23 @@ impl<B: NvmBackend> Stl<B> {
                 if self.config.zero_unit_elision && image.iter().all(|&b| b == 0) {
                     if let Some(old_loc) = old {
                         self.backend.release_unit(old_loc);
-                        entry.units[unit_idx] = None;
+                        *entry.units.get_mut(unit_idx).ok_or(STRAY_SPAN)? = None;
                     }
                     continue;
                 }
                 let target = self
                     .allocator
                     .allocate(&mut self.backend, &entry.units, old)?;
-                self.backend.write_unit(target, image);
+                if let Err(e) = self.backend.write_unit(target, image) {
+                    // The block keeps the unit it had; the fresh handle
+                    // goes back to its lane.
+                    self.backend.release_unit(target);
+                    return Err(e);
+                }
                 if let Some(old_loc) = old {
                     self.backend.release_unit(old_loc);
                 }
-                entry.units[unit_idx] = Some(target);
+                *entry.units.get_mut(unit_idx).ok_or(STRAY_SPAN)? = Some(target);
                 block.units.push(target);
             }
         }

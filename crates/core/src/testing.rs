@@ -15,11 +15,13 @@ use std::borrow::Cow;
 use std::cell::Cell;
 
 use crate::backend::{DeviceSpec, MemBackend, NvmBackend, UnitLocation};
+use crate::error::NdsError;
 
 /// A [`MemBackend`] wrapper that misbehaves on demand: allocations start
 /// failing once a budget is exhausted (a device whose reclamation cannot
-/// keep up), and the next *n* reads can be made to come back empty (a
-/// transient media failure surfacing through the functional interface).
+/// keep up), the next *n* reads can be made to come back empty (a
+/// transient media failure surfacing through the functional interface), and
+/// the next *n* unit writes can be refused (a medium that cannot take them).
 ///
 /// ```
 /// use nds_core::testing::FlakyBackend;
@@ -30,7 +32,7 @@ use crate::backend::{DeviceSpec, MemBackend, NvmBackend, UnitLocation};
 /// let loc = b.alloc_unit(0, 0).expect("first allocation within budget");
 /// assert!(b.alloc_unit(0, 0).is_none(), "budget spent");
 ///
-/// b.write_unit(loc, &[7u8; 512]);
+/// b.write_unit(loc, &[7u8; 512]).unwrap();
 /// b.fail_next_reads(1);
 /// assert!(b.read_unit(loc).is_none(), "injected read failure");
 /// assert!(b.read_unit(loc).is_some(), "only the next read fails");
@@ -42,6 +44,7 @@ pub struct FlakyBackend {
     // `resolve_unit` takes `&self`; interior mutability lets the failure
     // budget count down through the immutable read path.
     failing_reads: Cell<u32>,
+    failing_writes: u32,
 }
 
 impl FlakyBackend {
@@ -57,6 +60,7 @@ impl FlakyBackend {
             inner: MemBackend::new(spec, units_per_lane),
             allocations_left: budget,
             failing_reads: Cell::new(0),
+            failing_writes: 0,
         }
     }
 
@@ -65,6 +69,12 @@ impl FlakyBackend {
     /// `None` regardless of the stored data.
     pub fn fail_next_reads(&mut self, n: u32) {
         self.failing_reads.set(n);
+    }
+
+    /// Makes the next `n` calls to [`write_unit`](NvmBackend::write_unit)
+    /// fail with [`NdsError::Backend`], storing nothing.
+    pub fn fail_next_writes(&mut self, n: u32) {
+        self.failing_writes = n;
     }
 
     /// Allocations remaining before the budget is exhausted.
@@ -113,8 +123,15 @@ impl NvmBackend for FlakyBackend {
         self.inner.unit_image(unit)
     }
 
-    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
-        self.inner.write_unit(loc, data);
+    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError> {
+        if self.failing_writes > 0 {
+            self.failing_writes -= 1;
+            return Err(NdsError::Backend {
+                unit: loc,
+                reason: "injected write failure".to_string(),
+            });
+        }
+        self.inner.write_unit(loc, data)
     }
 }
 
@@ -139,7 +156,7 @@ mod tests {
         let spec = DeviceSpec::new(1, 1, 64);
         let mut b = FlakyBackend::new(spec, 4);
         let loc = b.alloc_unit(0, 0).unwrap();
-        b.write_unit(loc, &[3u8; 64]);
+        b.write_unit(loc, &[3u8; 64]).unwrap();
         b.fail_next_reads(2);
         assert!(b.read_unit(loc).is_none());
         assert!(b.read_unit(loc).is_none());

@@ -21,6 +21,7 @@ use std::borrow::Cow;
 
 use crate::backend::{DeviceSpec, NvmBackend, UnitLocation};
 use crate::block::BlockShape;
+use crate::error::NdsError;
 
 /// The cipher's section size in bytes (256 bits, §5.3.3).
 pub const SECTION_BYTES: usize = 32;
@@ -30,7 +31,8 @@ pub const SECTION_BYTES: usize = 32;
 /// "the cases where the encryption section size is larger than the
 /// dimension size of a building block is near zero").
 pub fn cipher_compatible(block: &BlockShape) -> bool {
-    block.dims()[0] * u64::from(block.element_bytes()) >= SECTION_BYTES as u64
+    let fastest = block.dims().first().copied().unwrap_or(1);
+    fastest * u64::from(block.element_bytes()) >= SECTION_BYTES as u64
 }
 
 /// A size-preserving, keyed, per-section pseudorandom permutation — the
@@ -124,7 +126,7 @@ impl SectionCipher {
 /// let inner = MemBackend::new(DeviceSpec::new(4, 2, 64), 32);
 /// let mut b = SecureBackend::new(inner, SectionCipher::new(42));
 /// let loc = b.alloc_unit(0, 0).unwrap();
-/// b.write_unit(loc, &[5u8; 64]);
+/// b.write_unit(loc, &[5u8; 64]).unwrap();
 /// // Transparent to readers…
 /// assert_eq!(b.read_unit(loc).unwrap().as_ref(), vec![5u8; 64].as_slice());
 /// // …but the medium holds ciphertext.
@@ -181,10 +183,10 @@ impl<B: NvmBackend> NvmBackend for SecureBackend<B> {
         Some(Cow::Owned(data))
     }
 
-    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
+    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError> {
         let mut ciphertext = data.to_vec();
         self.cipher.encrypt(Self::tweak(loc), &mut ciphertext);
-        self.inner.write_unit(loc, &ciphertext);
+        self.inner.write_unit(loc, &ciphertext)
     }
 }
 
@@ -196,35 +198,28 @@ pub mod unit_codec {
     /// the common case for sparse scientific data — shrink dramatically.
     pub fn compress(data: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(data.len() / 4);
-        let mut i = 0;
-        while i < data.len() {
-            let byte = data[i];
-            let mut run = 1usize;
-            while run < 256 && i + run < data.len() && data[i + run] == byte {
-                run += 1;
+        for run in data.chunk_by(|a, b| a == b) {
+            for piece in run.chunks(256) {
+                if let Some(&byte) = piece.first() {
+                    out.push((piece.len() - 1) as u8);
+                    out.push(byte);
+                }
             }
-            out.push((run - 1) as u8);
-            out.push(byte);
-            i += run;
         }
         out
     }
 
-    /// Inverts [`compress`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on truncated input (odd length).
-    pub fn decompress(data: &[u8]) -> Vec<u8> {
-        assert!(
-            data.len().is_multiple_of(2),
-            "rle stream must be (len, byte) pairs"
-        );
+    /// Inverts [`compress`]; `None` for a stream that is not whole
+    /// `(run_length − 1, byte)` pairs (a truncated or damaged image).
+    pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
+        let (pairs, []) = data.as_chunks::<2>() else {
+            return None;
+        };
         let mut out = Vec::with_capacity(data.len() * 2);
-        for pair in data.chunks_exact(2) {
-            out.extend(std::iter::repeat_n(pair[1], pair[0] as usize + 1));
+        for &[run, byte] in pairs {
+            out.extend(std::iter::repeat_n(byte, run as usize + 1));
         }
-        out
+        Some(out)
     }
 }
 
@@ -300,53 +295,56 @@ impl<B: NvmBackend> NvmBackend for CompressedBackend<B> {
 
     fn unit_image(&self, (loc, unit): Self::UnitRef) -> Option<Cow<'_, [u8]>> {
         let stored = self.inner.unit_image(unit)?;
-        let unit = self.spec().unit_bytes as usize;
-        // Stored format: 4-byte compressed length, payload, zero padding.
-        // A length of `u32::MAX` marks an incompressible unit stored raw.
-        #[allow(clippy::expect_used)] // slice is exactly 4 bytes, try_into cannot fail
-        let len = u32::from_le_bytes(stored[..4].try_into().expect("length header"));
-        if len == u32::MAX {
-            // The u32::MAX marker is only ever written together with an
-            // incompressible-map entry, so the lookup always succeeds.
-            #[allow(clippy::expect_used)]
-            let raw = self
-                .incompressible
-                .get(&loc)
-                .expect("marker implies a raw image");
-            return Some(Cow::Owned(raw.clone()));
+        if let Some(raw) = self.incompressible.get(&loc) {
+            return Some(Cow::Borrowed(raw));
         }
-        let data = unit_codec::decompress(&stored[4..4 + len as usize]);
-        debug_assert_eq!(data.len(), unit);
-        Some(Cow::Owned(data))
+        // Stored format: 4-byte compressed length, payload, zero padding —
+        // read back from the medium, so every field is checked: an image
+        // shorter than its header, a length past the unit, or a stream that
+        // does not decompress to one unit reads as a lost unit.
+        let (header, payload) = stored.split_first_chunk::<4>()?;
+        let len = u32::from_le_bytes(*header) as usize;
+        let data = unit_codec::decompress(payload.get(..len)?)?;
+        (data.len() == self.spec().unit_bytes as usize).then_some(Cow::Owned(data))
     }
 
-    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
+    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError> {
         let unit = self.spec().unit_bytes as usize;
-        assert_eq!(data.len(), unit, "unit writes must be exactly one unit");
+        if data.len() != unit {
+            return Err(NdsError::BadPayloadSize {
+                got: data.len(),
+                expected: unit,
+            });
+        }
         let compressed = unit_codec::compress(data);
-        self.raw += unit as u64;
-        if compressed.len() + 4 <= unit {
-            self.saved += (unit - compressed.len() - 4) as u64;
-            self.incompressible.remove(&loc);
-            let mut stored = Vec::with_capacity(unit);
+        let compressible = compressed.len() + 4 <= unit;
+        let mut stored = Vec::with_capacity(unit);
+        if compressible {
             stored.extend_from_slice(&(compressed.len() as u32).to_le_bytes());
             stored.extend_from_slice(&compressed);
-            stored.resize(unit, 0);
-            self.inner.write_unit(loc, &stored);
         } else {
             // Incompressible: a real controller stores the page raw. The
-            // medium gets a marker image; the raw bytes live beside it.
-            let mut stored = vec![0u8; unit];
-            stored[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-            self.incompressible.insert(loc, data.to_vec());
-            self.inner.write_unit(loc, &stored);
+            // medium gets a marker image (a length no unit can hold); the
+            // raw bytes live beside it.
+            stored.extend_from_slice(&u32::MAX.to_le_bytes());
         }
+        stored.resize(unit, 0);
+        self.inner.write_unit(loc, &stored)?;
+        self.raw += unit as u64;
+        if compressible {
+            self.saved += (unit - compressed.len() - 4) as u64;
+            self.incompressible.remove(&loc);
+        } else {
+            self.incompressible.insert(loc, data.to_vec());
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MemBackend;
 
     #[test]
     fn cipher_round_trips_all_sizes() {
@@ -378,8 +376,66 @@ mod tests {
             vec![7u8; 1],
             (0..1000).map(|i| (i / 100) as u8).collect::<Vec<_>>(),
         ] {
-            assert_eq!(unit_codec::decompress(&unit_codec::compress(&data)), data);
+            assert_eq!(
+                unit_codec::decompress(&unit_codec::compress(&data)),
+                Some(data)
+            );
         }
+    }
+
+    /// A `CompressedBackend` over a medium that already holds `image` —
+    /// bytes it did not write — under the returned handle.
+    fn over_planted(
+        unit_bytes: u32,
+        image: &[u8],
+    ) -> (CompressedBackend<MemBackend>, UnitLocation) {
+        let mut medium = MemBackend::new(DeviceSpec::new(1, 1, unit_bytes), 4);
+        let loc = medium.alloc_unit(0, 0).unwrap();
+        medium.write_unit(loc, image).unwrap();
+        (CompressedBackend::new(medium), loc)
+    }
+
+    #[test]
+    fn damaged_stored_images_read_as_lost_units_not_panics() {
+        let image = |header: u32, stream: &[u8]| {
+            let mut image = header.to_le_bytes().to_vec();
+            image.extend_from_slice(stream);
+            image.resize(16, 0);
+            image
+        };
+        let planted = [
+            ("an image shorter than its header", 2, vec![9, 9]),
+            ("a length past the unit", 16, image(1000, &[])),
+            ("an odd rle stream", 16, image(3, &[15, 7, 0])),
+            ("a stream of the wrong size", 16, image(2, &[3, 7])),
+            ("a raw marker with no raw image", 16, image(u32::MAX, &[])),
+        ];
+        for (what, unit_bytes, image) in planted {
+            let (backend, loc) = over_planted(unit_bytes, &image);
+            assert!(
+                backend.resolve_unit(loc).is_some(),
+                "{what}: the medium has it"
+            );
+            assert!(backend.read_unit(loc).is_none(), "{what}");
+        }
+        // The same layout, intact, still reads.
+        let (backend, loc) = over_planted(16, &image(2, &[15, 7]));
+        assert_eq!(backend.read_unit(loc).unwrap().as_ref(), [7u8; 16]);
+    }
+
+    #[test]
+    fn a_unit_too_small_for_the_header_still_round_trips() {
+        let mut b = CompressedBackend::new(MemBackend::new(DeviceSpec::new(1, 1, 2), 4));
+        let loc = b.alloc_unit(0, 0).unwrap();
+        b.write_unit(loc, &[5, 6]).unwrap();
+        assert_eq!(b.read_unit(loc).unwrap().as_ref(), [5, 6]);
+        assert_eq!(
+            b.write_unit(loc, &[5]),
+            Err(NdsError::BadPayloadSize {
+                got: 1,
+                expected: 2
+            })
+        );
     }
 
     #[test]

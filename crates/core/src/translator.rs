@@ -238,7 +238,8 @@ pub fn translate(
 ///
 /// # Errors
 ///
-/// [`NdsError::ViewVolumeMismatch`] if `view` and `space` volumes differ.
+/// [`NdsError::ViewVolumeMismatch`] if `view` and `space` volumes differ;
+/// [`Region::for_each_run`]'s errors if `region` is not a box inside `view`.
 pub fn translate_region(
     space: &Shape,
     bb: &BlockShape,
@@ -377,7 +378,7 @@ pub fn translate_region(
             linear += row_take;
             buf_off += row_take;
         }
-    });
+    })?;
 
     if u32::try_from(per_block.len()).is_err() {
         return Err(NdsError::PlanTooLarge);
@@ -433,9 +434,7 @@ pub fn translate_region(
         })
         .collect();
     for span in &mut spans {
-        // (`get_mut`, because nds-lint's name-based call graph would take a
-        // `get` here for `LocatorTree::get`.)
-        if let Some(&mut index) = index_of.get_mut(span.block as usize) {
+        if let Some(&index) = index_of.get(span.block as usize) {
             span.block = index;
         }
     }

@@ -76,6 +76,36 @@ fn mid_write_allocation_failure_is_typed_and_prior_data_survives() {
     assert_eq!(out, data);
 }
 
+#[test]
+fn a_refused_unit_write_is_typed_and_the_block_keeps_what_it_had() {
+    let spec = DeviceSpec::new(4, 2, 512);
+    let mut stl = Stl::new(FlakyBackend::new(spec, 1024), StlConfig::default());
+    let shape = Shape::new([64, 64]);
+    let id = stl_space(&mut stl, &shape);
+    let old: Vec<u8> = (0..64 * 64 * 4).map(|i| (i % 251) as u8).collect();
+    stl.write(id, &shape, &[0, 0], &[64, 64], &old)
+        .expect("first write");
+    let free = |stl: &Stl<FlakyBackend>| -> usize {
+        (0..4)
+            .flat_map(|c| (0..2).map(move |b| (c, b)))
+            .map(|(c, b)| stl.backend().free_units(c, b))
+            .sum()
+    };
+    let free_before = free(&stl);
+
+    stl.backend_mut().fail_next_writes(1);
+    let err = stl
+        .write(id, &shape, &[0, 0], &[64, 64], &vec![0xEE; old.len()])
+        .expect_err("the medium refused the first unit");
+    assert!(matches!(err, NdsError::Backend { .. }), "{err}");
+
+    // Nothing was superseded and the handle allocated for the refused write
+    // went back to its lane.
+    let (out, _) = stl.read(id, &shape, &[0, 0], &[64, 64]).unwrap();
+    assert_eq!(out, old);
+    assert_eq!(free(&stl), free_before);
+}
+
 fn stl_space<B: NvmBackend>(stl: &mut Stl<B>, shape: &Shape) -> nds_core::SpaceId {
     stl.create_space(shape.clone(), ElementType::F32)
         .expect("space creation is metadata-only")

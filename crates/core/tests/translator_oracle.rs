@@ -25,8 +25,8 @@ fn element_oracle(
     let volume = region.volume();
     for _ in 0..volume {
         let coord: Vec<u64> = (0..ndims).map(|i| region.origin[i] + counter[i]).collect();
-        let linear = view.linear_index(&coord);
-        let storage = space.coord_at(linear);
+        let linear = view.linear_index(&coord).unwrap();
+        let storage = space.coord_at(linear).unwrap();
         let block: Vec<u64> = storage
             .iter()
             .zip(bb.dims())

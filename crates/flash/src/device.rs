@@ -1,5 +1,9 @@
 //! The functional + timing flash device.
 
+use std::cmp::Reverse;
+use std::ops::Range;
+use std::slice::SliceIndex;
+
 use nds_faults::{FaultConfig, FaultPlan, MediaReadFault};
 use nds_sim::{
     ComponentId, EventKind, ObsConfig, Observability, ResourceSet, SimDuration, SimTime, Stats,
@@ -83,15 +87,46 @@ struct MediaFaults {
     disturbed: Vec<BlockAddr>,
 }
 
+/// The entry (or entries) of a per-page, per-block or per-lane table at
+/// `slot`. Every table is sized from the geometry at construction and every
+/// slot comes from one of [`FlashDevice`]'s checked address accessors, so a
+/// miss is a bookkeeping fault, reported against `addr`.
+fn entry<T, I: SliceIndex<[T]>>(
+    table: &[T],
+    slot: I,
+    addr: PageAddr,
+) -> Result<&I::Output, FlashError> {
+    table.get(slot).ok_or_else(|| uncovered(addr))
+}
+
+/// [`entry`], mutably.
+fn entry_mut<T, I: SliceIndex<[T]>>(
+    table: &mut [T],
+    slot: I,
+    addr: PageAddr,
+) -> Result<&mut I::Output, FlashError> {
+    table.get_mut(slot).ok_or_else(|| uncovered(addr))
+}
+
+/// The error of a table with no entry for an address inside the geometry.
+fn uncovered(addr: PageAddr) -> FlashError {
+    FlashError::Inconsistent {
+        addr,
+        what: "device table does not cover the geometry",
+    }
+}
+
 impl FlashDevice {
     /// Creates an all-erased device with the given configuration.
     ///
     /// # Panics
     ///
     /// Panics if the geometry fails [`FlashGeometry::validate`].
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor contract: an invalid geometry is a programming error, and benchmark/ builds devices infallibly"
+    )]
     pub fn new(config: FlashConfig) -> Self {
-        #[allow(clippy::expect_used)]
-        // nds-lint: allow(D4, constructor contract — an invalid geometry is a programming error, documented under # Panics)
         config.geometry.validate().expect("invalid flash geometry");
         let g = config.geometry;
         let total_pages = g.total_pages();
@@ -191,15 +226,51 @@ impl FlashDevice {
         &self.stats
     }
 
-    fn bank_id(&self, addr: PageAddr) -> usize {
-        addr.channel * self.config.geometry.banks_per_channel + addr.bank
-    }
+    // ------------------------------------------------------------------
+    // Checked addressing: the only way from an address to a table slot
+    // ------------------------------------------------------------------
 
-    fn check(&self, addr: PageAddr) -> Result<usize, FlashError> {
+    /// Table slot of the page at `addr`.
+    pub(crate) fn page_slot(&self, addr: PageAddr) -> Result<usize, FlashError> {
         if !self.config.geometry.contains(addr) {
             return Err(FlashError::AddressOutOfRange(addr));
         }
         Ok(self.config.geometry.page_index(addr))
+    }
+
+    /// Table slot of `block` and the page slots it spans (pages are numbered
+    /// channel-major, then bank, block, page, so they are consecutive).
+    fn block_slots(&self, block: BlockAddr) -> Result<(usize, Range<usize>), FlashError> {
+        let first = self.page_slot(block.page(0))?;
+        let pages = first..first + self.config.geometry.pages_per_block;
+        Ok((self.config.geometry.block_index(block), pages))
+    }
+
+    /// Table slot of the lane `(channel, bank)` and its first page, which
+    /// errors about the lane are reported against.
+    fn lane_slot(&self, channel: usize, bank: usize) -> Result<(usize, PageAddr), FlashError> {
+        let origin = PageAddr {
+            channel,
+            bank,
+            block: 0,
+            page: 0,
+        };
+        self.page_slot(origin)?;
+        Ok((self.bank_id(origin), origin))
+    }
+
+    /// Rejects a batch that names a page outside the geometry, before any of
+    /// it is scheduled.
+    fn check_batch(&self, pages: &[PageAddr]) -> Result<(), FlashError> {
+        match pages.iter().find(|&&p| !self.config.geometry.contains(p)) {
+            Some(&p) => Err(FlashError::AddressOutOfRange(p)),
+            None => Ok(()),
+        }
+    }
+
+    /// Bank resource of a page inside the geometry.
+    fn bank_id(&self, addr: PageAddr) -> usize {
+        addr.channel * self.config.geometry.banks_per_channel + addr.bank
     }
 
     // ------------------------------------------------------------------
@@ -215,20 +286,23 @@ impl FlashDevice {
     ///   pages are program-once.
     /// * [`FlashError::BadPayloadSize`] if `payload` is not exactly one page.
     pub fn program(&mut self, addr: PageAddr, payload: Vec<u8>) -> Result<(), FlashError> {
-        let idx = self.check(addr)?;
+        let idx = self.page_slot(addr)?;
+        let lane = self.bank_id(addr);
         if payload.len() != self.config.geometry.page_size {
             return Err(FlashError::BadPayloadSize {
                 got: payload.len(),
                 expected: self.config.geometry.page_size,
             });
         }
-        if self.state[idx] != PageState::Free {
+        let state = entry_mut(&mut self.state, idx, addr)?;
+        let image = entry_mut(&mut self.data, idx, addr)?;
+        let free = entry_mut(&mut self.free_count, lane, addr)?;
+        if *state != PageState::Free {
             return Err(FlashError::PageNotFree(addr));
         }
-        self.state[idx] = PageState::Valid;
-        self.data[idx] = Some(payload.into_boxed_slice());
-        let bank = self.bank_id(addr);
-        self.free_count[bank] -= 1;
+        *state = PageState::Valid;
+        *image = Some(payload.into_boxed_slice());
+        *free -= 1;
         self.stats.add("flash.pages_programmed", 1);
         Ok(())
     }
@@ -246,31 +320,27 @@ impl FlashDevice {
     /// * [`FlashError::PageNotValid`] if `src` holds no live data.
     /// * [`FlashError::PageNotFree`] if `dest` already holds data.
     pub fn relocate_page(&mut self, src: PageAddr, dest: PageAddr) -> Result<(), FlashError> {
-        let from = self.check(src)?;
-        let to = self.check(dest)?;
-        if self.state.get(from) != Some(&PageState::Valid) {
+        let from = self.page_slot(src)?;
+        let to = self.page_slot(dest)?;
+        let lane = self.bank_id(dest);
+        if *entry(&self.state, from, src)? != PageState::Valid {
             return Err(FlashError::PageNotValid(src));
         }
-        if self.state.get(to) != Some(&PageState::Free) {
+        if *entry(&self.state, to, dest)? != PageState::Free {
             return Err(FlashError::PageNotFree(dest));
         }
-        if self.data.get(from).is_none_or(Option::is_none) {
+        if entry(&self.data, from, src)?.is_none() {
             return Err(FlashError::Inconsistent {
                 addr: src,
                 what: "page marked valid holds no data",
             });
         }
+        let free = entry_mut(&mut self.free_count, lane, dest)?;
+        *free -= 1;
         // A free page holds no image, so the swap is a move.
         self.data.swap(from, to);
-        for (index, state) in [(from, PageState::Invalid), (to, PageState::Valid)] {
-            if let Some(slot) = self.state.get_mut(index) {
-                *slot = state;
-            }
-        }
-        let bank = self.bank_id(dest);
-        if let Some(free) = self.free_count.get_mut(bank) {
-            *free -= 1;
-        }
+        *entry_mut(&mut self.state, from, src)? = PageState::Invalid;
+        *entry_mut(&mut self.state, to, dest)? = PageState::Valid;
         self.stats.add("flash.pages_read", 1);
         self.stats.add("flash.pages_programmed", 1);
         Ok(())
@@ -283,29 +353,29 @@ impl FlashDevice {
     /// * [`FlashError::AddressOutOfRange`] if `addr` is outside the geometry.
     /// * [`FlashError::PageNotValid`] if the page holds no live data.
     pub fn read(&mut self, addr: PageAddr) -> Result<&[u8], FlashError> {
-        let idx = self.check(addr)?;
-        if self.state[idx] != PageState::Valid {
+        let idx = self.page_slot(addr)?;
+        if *entry(&self.state, idx, addr)? != PageState::Valid {
             return Err(FlashError::PageNotValid(addr));
         }
+        let image = entry(&self.data, idx, addr)?
+            .as_deref()
+            .ok_or(FlashError::Inconsistent {
+                addr,
+                what: "page marked valid holds no data",
+            })?;
         self.stats.add("flash.pages_read", 1);
-        self.data[idx].as_deref().ok_or(FlashError::Inconsistent {
-            addr,
-            what: "page marked valid holds no data",
-        })
+        Ok(image)
     }
 
     /// Reads the valid page at `addr` without touching timing or counters —
     /// the functional peek used by translation layers that account device
     /// time separately from data movement.
     pub fn peek(&self, addr: PageAddr) -> Option<&[u8]> {
-        if !self.config.geometry.contains(addr) {
+        let idx = self.page_slot(addr).ok()?;
+        if self.state.get(idx) != Some(&PageState::Valid) {
             return None;
         }
-        let idx = self.config.geometry.page_index(addr);
-        if self.state[idx] != PageState::Valid {
-            return None;
-        }
-        self.data[idx].as_deref()
+        self.data.get(idx)?.as_deref()
     }
 
     /// Marks the valid page at `addr` as superseded (awaiting erase).
@@ -315,63 +385,68 @@ impl FlashDevice {
     /// * [`FlashError::AddressOutOfRange`] if `addr` is outside the geometry.
     /// * [`FlashError::PageNotValid`] if the page holds no live data.
     pub fn invalidate(&mut self, addr: PageAddr) -> Result<(), FlashError> {
-        let idx = self.check(addr)?;
-        if self.state[idx] != PageState::Valid {
+        let idx = self.page_slot(addr)?;
+        let state = entry_mut(&mut self.state, idx, addr)?;
+        if *state != PageState::Valid {
             return Err(FlashError::PageNotValid(addr));
         }
-        self.state[idx] = PageState::Invalid;
+        *state = PageState::Invalid;
         Ok(())
     }
 
     /// Erases a block: every page becomes `Free`, data is dropped, and the
-    /// block's wear counter increments.
+    /// block's wear counter increments. A retired block is left as it is.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the block address is outside the geometry.
-    pub fn erase_block(&mut self, block: BlockAddr) {
-        let g = self.config.geometry;
-        let block_idx = g.block_index(block);
+    /// [`FlashError::AddressOutOfRange`] if `block` is outside the geometry.
+    pub fn erase_block(&mut self, block: BlockAddr) -> Result<(), FlashError> {
+        let first = block.page(0);
+        let (block_idx, pages) = self.block_slots(block)?;
+        let lane = self.bank_id(first);
         if self.is_bad_block(block) {
             // Retired blocks are never erased back into service.
-            return;
+            return Ok(());
         }
-        self.erase_counts[block_idx] += 1;
-        let bank = block.channel * g.banks_per_channel + block.bank;
-        for p in 0..g.pages_per_block {
-            let idx = g.page_index(block.page(p));
-            // Erasing live data is legal at the device level; the mapper
-            // above is responsible for copying live pages out first.
-            if self.state[idx] != PageState::Free {
-                self.free_count[bank] += 1;
-            }
-            self.state[idx] = PageState::Free;
-            self.data[idx] = None;
-        }
-        if let Some(f) = self.faults.as_mut() {
+        let states = entry_mut(&mut self.state, pages.clone(), first)?;
+        let images = entry_mut(&mut self.data, pages, first)?;
+        let wear = entry_mut(&mut self.erase_counts, block_idx, first)?;
+        let free = entry_mut(&mut self.free_count, lane, first)?;
+        *wear += 1;
+        // Erasing live data is legal at the device level; the mapper above
+        // is responsible for copying live pages out first.
+        *free += states.iter().filter(|&&s| s != PageState::Free).count();
+        states.fill(PageState::Free);
+        images.fill(None);
+        if let Some(disturb) = self
+            .faults
+            .as_mut()
+            .and_then(|f| f.disturb.get_mut(block_idx))
+        {
             // An erase refreshes the block, clearing accumulated disturb.
-            f.disturb[block_idx] = 0;
+            *disturb = 0;
         }
         self.stats.add("flash.blocks_erased", 1);
+        Ok(())
     }
 
     /// State of the page at `addr`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `addr` is outside the geometry.
-    pub fn page_state(&self, addr: PageAddr) -> PageState {
-        let idx = self.config.geometry.page_index(addr);
-        self.state[idx]
+    /// [`FlashError::AddressOutOfRange`] if `addr` is outside the geometry.
+    pub fn page_state(&self, addr: PageAddr) -> Result<PageState, FlashError> {
+        entry(&self.state, self.page_slot(addr)?, addr).copied()
     }
 
     /// Erase count of the given block (wear).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the block address is outside the geometry.
-    pub fn erase_count(&self, block: BlockAddr) -> u64 {
-        self.erase_counts[self.config.geometry.block_index(block)]
+    /// [`FlashError::AddressOutOfRange`] if `block` is outside the geometry.
+    pub fn erase_count(&self, block: BlockAddr) -> Result<u64, FlashError> {
+        let (block_idx, _) = self.block_slots(block)?;
+        entry(&self.erase_counts, block_idx, block.page(0)).copied()
     }
 
     // ------------------------------------------------------------------
@@ -380,13 +455,13 @@ impl FlashDevice {
 
     /// Free pages remaining in `(channel, bank)`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the channel or bank index is out of range.
-    pub fn free_pages_in(&self, channel: usize, bank: usize) -> usize {
-        let g = self.config.geometry;
-        assert!(channel < g.channels && bank < g.banks_per_channel);
-        self.free_count[channel * g.banks_per_channel + bank]
+    /// [`FlashError::AddressOutOfRange`] if the channel or bank index is out
+    /// of range (so do the other lane queries below).
+    pub fn free_pages_in(&self, channel: usize, bank: usize) -> Result<usize, FlashError> {
+        let (lane, origin) = self.lane_slot(channel, bank)?;
+        entry(&self.free_count, lane, origin).copied()
     }
 
     /// Finds a free page in `(channel, bank)` using a rotating cursor, giving
@@ -395,10 +470,14 @@ impl FlashDevice {
     /// Returns `None` when the bank has no free page (the caller should
     /// garbage-collect).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the channel or bank index is out of range.
-    pub fn find_free_page(&mut self, channel: usize, bank: usize) -> Option<PageAddr> {
+    /// [`FlashError::AddressOutOfRange`] for a lane outside the geometry.
+    pub fn find_free_page(
+        &mut self,
+        channel: usize,
+        bank: usize,
+    ) -> Result<Option<PageAddr>, FlashError> {
         self.scan_free_page(channel, bank, None)
     }
 
@@ -408,15 +487,15 @@ impl FlashDevice {
     /// Allocating the destination inside the doomed block would erase the
     /// relocated data along with the garbage.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the channel or bank index is out of range.
+    /// [`FlashError::AddressOutOfRange`] for a lane outside the geometry.
     pub fn find_free_page_excluding(
         &mut self,
         channel: usize,
         bank: usize,
         excluded: BlockAddr,
-    ) -> Option<PageAddr> {
+    ) -> Result<Option<PageAddr>, FlashError> {
         self.scan_free_page(channel, bank, Some(excluded))
     }
 
@@ -428,15 +507,16 @@ impl FlashDevice {
         channel: usize,
         bank: usize,
         excluded: Option<BlockAddr>,
-    ) -> Option<PageAddr> {
-        let g = self.config.geometry;
-        assert!(channel < g.channels && bank < g.banks_per_channel);
-        let bank_id = channel * g.banks_per_channel + bank;
-        if self.free_count[bank_id] == 0 {
-            return None;
+    ) -> Result<Option<PageAddr>, FlashError> {
+        let (lane, origin) = self.lane_slot(channel, bank)?;
+        if *entry(&self.free_count, lane, origin)? == 0 {
+            return Ok(None);
         }
+        let g = self.config.geometry;
         let pages = g.pages_per_bank();
-        let start = self.alloc_cursor[bank_id];
+        let first = self.page_slot(origin)?;
+        let states = entry(&self.state, first..first + pages, origin)?;
+        let start = *entry(&self.alloc_cursor, lane, origin)?;
         for off in 0..pages {
             let local = (start + off) % pages;
             let addr = PageAddr {
@@ -448,14 +528,13 @@ impl FlashDevice {
             if Some(addr.block_addr()) == excluded {
                 continue;
             }
-            if self.state[g.page_index(addr)] == PageState::Free
-                && !self.is_bad_block(addr.block_addr())
+            if states.get(local) == Some(&PageState::Free) && !self.is_bad_block(addr.block_addr())
             {
-                self.alloc_cursor[bank_id] = (local + 1) % pages;
-                return Some(addr);
+                *entry_mut(&mut self.alloc_cursor, lane, origin)? = (local + 1) % pages;
+                return Ok(Some(addr));
             }
         }
-        None
+        Ok(None)
     }
 
     /// Free-page search for recovery paths only: the home lane
@@ -466,77 +545,101 @@ impl FlashDevice {
     /// evacuated; destinations inside it would be lost to its upcoming
     /// erase.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the channel or bank index is out of range.
+    /// [`FlashError::AddressOutOfRange`] for a lane outside the geometry.
     pub fn find_recovery_page(
         &mut self,
         channel: usize,
         bank: usize,
         avoid: BlockAddr,
-    ) -> Option<PageAddr> {
-        if let Some(p) = self.find_free_page_excluding(channel, bank, avoid) {
-            return Some(p);
+    ) -> Result<Option<PageAddr>, FlashError> {
+        if let Some(p) = self.find_free_page_excluding(channel, bank, avoid)? {
+            return Ok(Some(p));
         }
         let g = self.config.geometry;
         for c in 0..g.channels {
             for b in 0..g.banks_per_channel {
-                if let Some(p) = self.find_free_page_excluding(c, b, avoid) {
-                    return Some(p);
+                if let Some(p) = self.find_free_page_excluding(c, b, avoid)? {
+                    return Ok(Some(p));
                 }
             }
         }
-        None
+        Ok(None)
     }
 
     /// Garbage-collection victim choice for `(channel, bank)`: the block
     /// with the most invalid pages, ties preferring the least-worn block (a
     /// light wear-leveling touch); retired blocks are never picked. Returns
     /// `(block, valid, invalid)`, or `None` when nothing is reclaimable.
-    pub fn gc_victim(&self, channel: usize, bank: usize) -> Option<(BlockAddr, usize, usize)> {
-        (0..self.config.geometry.blocks_per_bank)
-            .map(|block| {
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::AddressOutOfRange`] for a lane outside the geometry.
+    pub fn gc_victim(
+        &self,
+        channel: usize,
+        bank: usize,
+    ) -> Result<Option<(BlockAddr, usize, usize)>, FlashError> {
+        let (_, origin) = self.lane_slot(channel, bank)?;
+        let (first, _) = self.block_slots(origin.block_addr())?;
+        let blocks = first..first + self.config.geometry.blocks_per_bank;
+        let wear = entry(&self.erase_counts, blocks, origin)?;
+        Ok(self
+            .lane_occupancy(origin)?
+            .zip(wear)
+            .enumerate()
+            .map(|(block, ((valid, invalid), &wear))| {
                 let addr = BlockAddr {
                     channel,
                     bank,
                     block,
                 };
-                let (valid, invalid) = self.occupancy_of(addr);
-                (addr, valid, invalid)
+                (addr, valid, invalid, wear)
             })
-            .filter(|&(addr, _, invalid)| invalid > 0 && !self.is_bad_block(addr))
-            .max_by_key(|&(addr, _, invalid)| (invalid, std::cmp::Reverse(self.erase_count(addr))))
+            .filter(|&(addr, _, invalid, _)| invalid > 0 && !self.is_bad_block(addr))
+            .max_by_key(|&(_, _, invalid, wear)| (invalid, Reverse(wear)))
+            .map(|(addr, valid, invalid, _)| (addr, valid, invalid)))
     }
 
     /// Counts valid/invalid pages per block in `(channel, bank)` — the input
     /// to victim selection during garbage collection. Returns
     /// `(block, valid, invalid)` triples.
-    pub fn block_occupancy(&self, channel: usize, bank: usize) -> Vec<(usize, usize, usize)> {
-        (0..self.config.geometry.blocks_per_bank)
-            .map(|block| {
-                let (valid, invalid) = self.occupancy_of(BlockAddr {
-                    channel,
-                    bank,
-                    block,
-                });
-                (block, valid, invalid)
-            })
-            .collect()
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::AddressOutOfRange`] for a lane outside the geometry.
+    pub fn block_occupancy(
+        &self,
+        channel: usize,
+        bank: usize,
+    ) -> Result<Vec<(usize, usize, usize)>, FlashError> {
+        let (_, origin) = self.lane_slot(channel, bank)?;
+        Ok(self
+            .lane_occupancy(origin)?
+            .enumerate()
+            .map(|(block, (valid, invalid))| (block, valid, invalid))
+            .collect())
     }
 
-    /// `(valid, invalid)` page counts of one block.
-    fn occupancy_of(&self, block: BlockAddr) -> (usize, usize) {
-        let g = self.config.geometry;
-        let mut valid = 0;
-        let mut invalid = 0;
-        for page in 0..g.pages_per_block {
-            match self.state[g.page_index(block.page(page))] {
-                PageState::Valid => valid += 1,
-                PageState::Invalid => invalid += 1,
-                PageState::Free => {}
-            }
-        }
-        (valid, invalid)
+    /// `(valid, invalid)` page counts of every block of the lane whose first
+    /// page is `origin`, in block order.
+    fn lane_occupancy(
+        &self,
+        origin: PageAddr,
+    ) -> Result<impl Iterator<Item = (usize, usize)> + '_, FlashError> {
+        let g = &self.config.geometry;
+        let first = self.page_slot(origin)?;
+        let states = entry(&self.state, first..first + g.pages_per_bank(), origin)?;
+        Ok(states.chunks_exact(g.pages_per_block).map(|block| {
+            block
+                .iter()
+                .fold((0, 0), |(valid, invalid), state| match state {
+                    PageState::Valid => (valid + 1, invalid),
+                    PageState::Invalid => (valid, invalid + 1),
+                    PageState::Free => (valid, invalid),
+                })
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -550,13 +653,23 @@ impl FlashDevice {
     /// for the bus transfer; banks on the same channel overlap their array
     /// reads while transfers serialize on the channel bus — the pipelining
     /// the paper exploits for building-block accesses.
-    pub fn schedule_reads(&mut self, pages: &[PageAddr], ready: SimTime) -> SimTime {
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::AddressOutOfRange`] if a page is outside the geometry;
+    /// nothing is scheduled then.
+    pub fn schedule_reads(
+        &mut self,
+        pages: &[PageAddr],
+        ready: SimTime,
+    ) -> Result<SimTime, FlashError> {
+        self.check_batch(pages)?;
         let transfer = self
             .config
             .timing
             .transfer_time(self.config.geometry.page_size);
         let read_lat = self.config.timing.read_latency;
-        pages
+        Ok(pages
             .iter()
             .map(|&p| {
                 let bank_end = self.banks.acquire(self.bank_id(p), ready, read_lat);
@@ -570,19 +683,29 @@ impl FlashDevice {
                     .latency("flash.read_page", end.saturating_since(ready));
                 end
             })
-            .fold(ready, SimTime::max)
+            .fold(ready, SimTime::max))
     }
 
     /// Schedules a batch of page programs and returns the batch completion
     /// instant. Data crosses the channel bus first, then the bank holds for
     /// the program latency.
-    pub fn schedule_programs(&mut self, pages: &[PageAddr], ready: SimTime) -> SimTime {
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::AddressOutOfRange`] if a page is outside the geometry;
+    /// nothing is scheduled then.
+    pub fn schedule_programs(
+        &mut self,
+        pages: &[PageAddr],
+        ready: SimTime,
+    ) -> Result<SimTime, FlashError> {
+        self.check_batch(pages)?;
         let transfer = self
             .config
             .timing
             .transfer_time(self.config.geometry.page_size);
         let prog_lat = self.config.timing.program_latency;
-        pages
+        Ok(pages
             .iter()
             .map(|&p| {
                 let chan_end = self.channels.acquire(p.channel, ready, transfer);
@@ -596,22 +719,32 @@ impl FlashDevice {
                     .latency("flash.program_page", end.saturating_since(ready));
                 end
             })
-            .fold(ready, SimTime::max)
+            .fold(ready, SimTime::max))
     }
 
     /// Schedules a block erase and returns its completion instant.
-    pub fn schedule_erase(&mut self, block: BlockAddr, ready: SimTime) -> SimTime {
-        let bank_id = block.channel * self.config.geometry.banks_per_channel + block.bank;
-        let end = self
-            .banks
-            .acquire(bank_id, ready, self.config.timing.erase_latency);
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::AddressOutOfRange`] if `block` is outside the geometry.
+    pub fn schedule_erase(
+        &mut self,
+        block: BlockAddr,
+        ready: SimTime,
+    ) -> Result<SimTime, FlashError> {
+        self.block_slots(block)?;
+        let end = self.banks.acquire(
+            self.bank_id(block.page(0)),
+            ready,
+            self.config.timing.erase_latency,
+        );
         self.obs
             .event(end, FLASH_COMPONENT, || EventKind::BlockErased {
                 channel: block.channel as u32,
                 bank: block.bank as u32,
                 block: block.block as u32,
             });
-        end
+        Ok(end)
     }
 
     /// The instant at which every channel and bank has drained its committed
@@ -678,9 +811,10 @@ impl FlashDevice {
     /// Retired blocks are skipped by allocation and never erased; their
     /// valid pages stay readable until the translation layer relocates them.
     pub fn is_bad_block(&self, block: BlockAddr) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|f| f.bad[self.config.geometry.block_index(block)])
+        self.faults.as_ref().is_some_and(|f| {
+            self.block_slots(block)
+                .is_ok_and(|(idx, _)| f.bad.get(idx) == Some(&true))
+        })
     }
 
     /// Number of retired blocks.
@@ -706,13 +840,16 @@ impl FlashDevice {
     ///
     /// # Errors
     ///
-    /// [`FlashError::ReadUnrecoverable`] if a page still fails after the
-    /// retry budget is spent (the spent retries remain on the timeline).
+    /// * [`FlashError::AddressOutOfRange`] if a page is outside the geometry;
+    ///   nothing is scheduled or drawn then.
+    /// * [`FlashError::ReadUnrecoverable`] if a page still fails after the
+    ///   retry budget is spent (the spent retries remain on the timeline).
     pub fn fault_read_batch(
         &mut self,
         pages: &[PageAddr],
         ready: SimTime,
     ) -> Result<SimTime, FlashError> {
+        self.check_batch(pages)?;
         let g = self.config.geometry;
         let transfer = self.config.timing.transfer_time(g.page_size);
         let read_lat = self.config.timing.read_latency;
@@ -722,7 +859,7 @@ impl FlashDevice {
             .map_or(0, |f| f.plan.config().read_retry_budget);
         let mut done = ready;
         for &p in pages {
-            let bank_id = p.channel * g.banks_per_channel + p.bank;
+            let bank_id = self.bank_id(p);
             let bank_end = self.banks.acquire(bank_id, ready, read_lat);
             let mut end = self.channels.acquire(p.channel, bank_end, transfer);
             let decision = match self.faults.as_mut() {
@@ -747,7 +884,7 @@ impl FlashDevice {
                         });
                 }
                 if retries > budget {
-                    self.note_disturb(p, senses);
+                    self.note_disturb(p, senses)?;
                     return Err(FlashError::ReadUnrecoverable(p));
                 }
                 self.stats.add("faults.recovered", 1);
@@ -759,7 +896,7 @@ impl FlashDevice {
                 });
             self.obs
                 .latency("flash.read_page", end.saturating_since(ready));
-            self.note_disturb(p, senses);
+            self.note_disturb(p, senses)?;
             done = done.max(end);
         }
         Ok(done)
@@ -767,21 +904,22 @@ impl FlashDevice {
 
     /// Feeds `senses` array reads of page `p` into its block's read-disturb
     /// counter, queueing the block for migration when it crosses the limit.
-    fn note_disturb(&mut self, p: PageAddr, senses: u64) {
-        let g = self.config.geometry;
+    fn note_disturb(&mut self, p: PageAddr, senses: u64) -> Result<(), FlashError> {
         let block = p.block_addr();
-        let idx = g.block_index(block);
+        let (idx, _) = self.block_slots(block)?;
         let Some(f) = self.faults.as_mut() else {
-            return;
+            return Ok(());
         };
         let limit = f.plan.config().read_disturb_limit;
         if limit == 0 {
-            return;
+            return Ok(());
         }
-        f.disturb[idx] += senses;
-        if f.disturb[idx] >= limit && !f.bad[idx] && !f.disturbed.contains(&block) {
+        let disturb = entry_mut(&mut f.disturb, idx, p)?;
+        *disturb += senses;
+        if *disturb >= limit && !*entry(&f.bad, idx, p)? && !f.disturbed.contains(&block) {
             f.disturbed.push(block);
         }
+        Ok(())
     }
 
     /// Draws the program-fault decision for a program targeting `addr`.
@@ -791,13 +929,19 @@ impl FlashDevice {
     /// `faults.injected` / `blocks.retired` are counted. The caller owns
     /// recovery — re-place the payload on a fresh page and relocate the
     /// block's surviving valid pages.
-    pub fn next_program_fault(&mut self, addr: PageAddr) -> bool {
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::AddressOutOfRange`] if `addr` is outside the geometry;
+    /// no decision is drawn then.
+    pub fn next_program_fault(&mut self, addr: PageAddr) -> Result<bool, FlashError> {
+        self.page_slot(addr)?;
         let fault = match self.faults.as_mut() {
             Some(f) => f.plan.next_program_fault(),
             None => false,
         };
         if !fault {
-            return false;
+            return Ok(false);
         }
         self.stats.add("faults.injected", 1);
         self.stats.add("blocks.retired", 1);
@@ -808,29 +952,28 @@ impl FlashDevice {
                 kind: "flash.program_fail",
             }
         });
-        self.retire_block(addr.block_addr());
-        true
+        self.retire_block(addr.block_addr())?;
+        Ok(true)
     }
 
     /// Marks `block` bad and removes its free pages from the allocator.
-    fn retire_block(&mut self, block: BlockAddr) {
-        let g = self.config.geometry;
-        let idx = g.block_index(block);
-        let already = self.faults.as_ref().is_some_and(|f| f.bad[idx]);
-        if already {
-            return;
-        }
-        let mut free_lost = 0;
-        for p in 0..g.pages_per_block {
-            if self.state[g.page_index(block.page(p))] == PageState::Free {
-                free_lost += 1;
+    fn retire_block(&mut self, block: BlockAddr) -> Result<(), FlashError> {
+        let first = block.page(0);
+        let (idx, pages) = self.block_slots(block)?;
+        let lane = self.bank_id(first);
+        let free_lost = entry(&self.state, pages, first)?
+            .iter()
+            .filter(|&&s| s == PageState::Free)
+            .count();
+        let free = entry_mut(&mut self.free_count, lane, first)?;
+        match self.faults.as_mut().and_then(|f| f.bad.get_mut(idx)) {
+            Some(bad) if !*bad => {
+                *bad = true;
+                *free -= free_lost;
             }
+            _ => {}
         }
-        let bank = block.channel * g.banks_per_channel + block.bank;
-        self.free_count[bank] -= free_lost;
-        if let Some(f) = self.faults.as_mut() {
-            f.bad[idx] = true;
-        }
+        Ok(())
     }
 
     /// Drains the queue of blocks whose read-disturb counters crossed the
@@ -869,7 +1012,7 @@ mod tests {
         let a = page(1, 0, 2, 3);
         d.program(a, vec![0xAB; ps]).unwrap();
         assert_eq!(d.read(a).unwrap(), vec![0xAB; ps].as_slice());
-        assert_eq!(d.page_state(a), PageState::Valid);
+        assert_eq!(d.page_state(a).unwrap(), PageState::Valid);
         assert_eq!(d.stats().get("flash.pages_programmed"), 1);
         assert_eq!(d.stats().get("flash.pages_read"), 1);
     }
@@ -914,10 +1057,10 @@ mod tests {
         let a = page(2, 1, 4, 0);
         d.program(a, vec![9; ps]).unwrap();
         d.invalidate(a).unwrap();
-        assert_eq!(d.page_state(a), PageState::Invalid);
-        d.erase_block(a.block_addr());
-        assert_eq!(d.page_state(a), PageState::Free);
-        assert_eq!(d.erase_count(a.block_addr()), 1);
+        assert_eq!(d.page_state(a).unwrap(), PageState::Invalid);
+        d.erase_block(a.block_addr()).unwrap();
+        assert_eq!(d.page_state(a).unwrap(), PageState::Free);
+        assert_eq!(d.erase_count(a.block_addr()).unwrap(), 1);
         assert!(d.read(a).is_err());
     }
 
@@ -927,12 +1070,12 @@ mod tests {
         let ps = d.geometry().page_size;
         let (src, dest) = (page(1, 1, 0, 0), page(1, 1, 3, 2));
         d.program(src, vec![0x5A; ps]).unwrap();
-        let free = d.free_pages_in(1, 1);
+        let free = d.free_pages_in(1, 1).unwrap();
         d.relocate_page(src, dest).unwrap();
         assert_eq!(d.peek(dest).unwrap(), vec![0x5A; ps].as_slice());
-        assert_eq!(d.page_state(src), PageState::Invalid);
+        assert_eq!(d.page_state(src).unwrap(), PageState::Invalid);
         assert!(d.peek(src).is_none());
-        assert_eq!(d.free_pages_in(1, 1), free - 1);
+        assert_eq!(d.free_pages_in(1, 1).unwrap(), free - 1);
         assert_eq!(d.stats().get("flash.pages_programmed"), 2);
         assert_eq!(
             d.stats().get("flash.pages_read"),
@@ -956,15 +1099,15 @@ mod tests {
         let mut d = dev();
         let per_bank = d.geometry().pages_per_bank();
         let ps = d.geometry().page_size;
-        assert_eq!(d.free_pages_in(0, 0), per_bank);
+        assert_eq!(d.free_pages_in(0, 0).unwrap(), per_bank);
         d.program(page(0, 0, 0, 0), vec![1; ps]).unwrap();
         d.program(page(0, 0, 0, 1), vec![1; ps]).unwrap();
-        assert_eq!(d.free_pages_in(0, 0), per_bank - 2);
+        assert_eq!(d.free_pages_in(0, 0).unwrap(), per_bank - 2);
         d.invalidate(page(0, 0, 0, 0)).unwrap();
         // Invalidation alone does not free.
-        assert_eq!(d.free_pages_in(0, 0), per_bank - 2);
-        d.erase_block(page(0, 0, 0, 0).block_addr());
-        assert_eq!(d.free_pages_in(0, 0), per_bank);
+        assert_eq!(d.free_pages_in(0, 0).unwrap(), per_bank - 2);
+        d.erase_block(page(0, 0, 0, 0).block_addr()).unwrap();
+        assert_eq!(d.free_pages_in(0, 0).unwrap(), per_bank);
     }
 
     #[test]
@@ -974,11 +1117,14 @@ mod tests {
         let per_bank = d.geometry().pages_per_bank();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..per_bank {
-            let a = d.find_free_page(3, 1).expect("bank has free pages");
+            let a = d
+                .find_free_page(3, 1)
+                .unwrap()
+                .expect("bank has free pages");
             assert!(seen.insert(a), "allocator returned {a} twice");
             d.program(a, vec![0; ps]).unwrap();
         }
-        assert!(d.find_free_page(3, 1).is_none());
+        assert!(d.find_free_page(3, 1).unwrap().is_none());
     }
 
     #[test]
@@ -988,7 +1134,7 @@ mod tests {
         d.program(page(0, 0, 0, 0), vec![1; ps]).unwrap();
         d.program(page(0, 0, 0, 1), vec![1; ps]).unwrap();
         d.invalidate(page(0, 0, 0, 1)).unwrap();
-        let occ = d.block_occupancy(0, 0);
+        let occ = d.block_occupancy(0, 0).unwrap();
         assert_eq!(occ[0], (0, 1, 1));
         assert_eq!(occ[1], (1, 0, 0));
     }
@@ -998,10 +1144,11 @@ mod tests {
         let mut d = dev();
         let channels = d.geometry().channels;
         let batch: Vec<_> = (0..channels).map(|c| page(c, 0, 0, 0)).collect();
-        let done = d.schedule_reads(&batch, SimTime::ZERO);
+        let done = d.schedule_reads(&batch, SimTime::ZERO).unwrap();
         let single = {
             let mut d2 = dev();
             d2.schedule_reads(&[page(0, 0, 0, 0)], SimTime::ZERO)
+                .unwrap()
         };
         // All channels in parallel: batch takes the same time as one page.
         assert_eq!(done, single);
@@ -1013,7 +1160,7 @@ mod tests {
         // Two pages in the same channel but different banks: array reads
         // overlap, transfers serialize.
         let batch = [page(0, 0, 0, 0), page(0, 1, 0, 0)];
-        let done = d.schedule_reads(&batch, SimTime::ZERO);
+        let done = d.schedule_reads(&batch, SimTime::ZERO).unwrap();
         let t = *d.timing();
         let expect = SimTime::ZERO + t.read_latency + t.transfer_time(d.geometry().page_size) * 2;
         assert_eq!(done, expect);
@@ -1023,7 +1170,7 @@ mod tests {
     fn same_bank_reads_serialize_sense() {
         let mut d = dev();
         let batch = [page(0, 0, 0, 0), page(0, 0, 0, 1)];
-        let done = d.schedule_reads(&batch, SimTime::ZERO);
+        let done = d.schedule_reads(&batch, SimTime::ZERO).unwrap();
         let t = *d.timing();
         // Second sense starts only after the first completes.
         let expect = SimTime::ZERO + t.read_latency * 2 + t.transfer_time(d.geometry().page_size);
@@ -1033,7 +1180,9 @@ mod tests {
     #[test]
     fn programs_cross_channel_then_bank() {
         let mut d = dev();
-        let done = d.schedule_programs(&[page(0, 0, 0, 0)], SimTime::ZERO);
+        let done = d
+            .schedule_programs(&[page(0, 0, 0, 0)], SimTime::ZERO)
+            .unwrap();
         let t = *d.timing();
         let expect = SimTime::ZERO + t.transfer_time(d.geometry().page_size) + t.program_latency;
         assert_eq!(done, expect);
@@ -1042,17 +1191,21 @@ mod tests {
     #[test]
     fn erase_holds_bank() {
         let mut d = dev();
-        let done = d.schedule_erase(
-            BlockAddr {
-                channel: 0,
-                bank: 0,
-                block: 0,
-            },
-            SimTime::ZERO,
-        );
+        let done = d
+            .schedule_erase(
+                BlockAddr {
+                    channel: 0,
+                    bank: 0,
+                    block: 0,
+                },
+                SimTime::ZERO,
+            )
+            .unwrap();
         assert_eq!(done, SimTime::ZERO + d.timing().erase_latency);
         // A read on the same bank queues behind the erase.
-        let after = d.schedule_reads(&[page(0, 0, 1, 0)], SimTime::ZERO);
+        let after = d
+            .schedule_reads(&[page(0, 0, 1, 0)], SimTime::ZERO)
+            .unwrap();
         assert!(after > done);
     }
 
@@ -1061,7 +1214,8 @@ mod tests {
         let mut d = dev();
         let ps = d.geometry().page_size;
         d.program(page(0, 0, 0, 0), vec![5; ps]).unwrap();
-        d.schedule_reads(&[page(0, 0, 0, 0)], SimTime::ZERO);
+        d.schedule_reads(&[page(0, 0, 0, 0)], SimTime::ZERO)
+            .unwrap();
         d.reset_timing();
         assert_eq!(d.drained_at(), SimTime::ZERO);
         assert_eq!(d.read(page(0, 0, 0, 0)).unwrap()[0], 5);
@@ -1073,11 +1227,11 @@ mod tests {
         let mut plain = dev();
         let mut observed = dev();
         observed.configure_observability(&ObsConfig::full());
-        let a = plain.schedule_reads(&pages, SimTime::ZERO);
-        let b = observed.schedule_reads(&pages, SimTime::ZERO);
+        let a = plain.schedule_reads(&pages, SimTime::ZERO).unwrap();
+        let b = observed.schedule_reads(&pages, SimTime::ZERO).unwrap();
         assert_eq!(a, b, "read schedule must not move under observability");
-        let a = plain.schedule_programs(&pages, SimTime::ZERO);
-        let b = observed.schedule_programs(&pages, SimTime::ZERO);
+        let a = plain.schedule_programs(&pages, SimTime::ZERO).unwrap();
+        let b = observed.schedule_programs(&pages, SimTime::ZERO).unwrap();
         assert_eq!(a, b, "program schedule must not move under observability");
         assert_eq!(plain.drained_at(), observed.drained_at());
     }
@@ -1086,8 +1240,10 @@ mod tests {
     fn journal_and_histograms_capture_flash_operations() {
         let mut d = dev();
         d.configure_observability(&ObsConfig::full());
-        d.schedule_reads(&[page(0, 0, 0, 0), page(1, 0, 0, 0)], SimTime::ZERO);
-        d.schedule_programs(&[page(0, 0, 0, 1)], SimTime::ZERO);
+        d.schedule_reads(&[page(0, 0, 0, 0), page(1, 0, 0, 0)], SimTime::ZERO)
+            .unwrap();
+        d.schedule_programs(&[page(0, 0, 0, 1)], SimTime::ZERO)
+            .unwrap();
         d.schedule_erase(
             BlockAddr {
                 channel: 0,
@@ -1095,7 +1251,8 @@ mod tests {
                 block: 1,
             },
             SimTime::ZERO,
-        );
+        )
+        .unwrap();
         let summary = d.observability().journal().summary();
         assert_eq!(summary.by_kind.get("PageRead"), Some(&2));
         assert_eq!(summary.by_kind.get("PageProgrammed"), Some(&1));
@@ -1139,7 +1296,9 @@ mod tests {
     #[test]
     fn drained_at_reflects_latest_work() {
         let mut d = dev();
-        let done = d.schedule_reads(&[page(1, 1, 0, 0)], SimTime::ZERO);
+        let done = d
+            .schedule_reads(&[page(1, 1, 0, 0)], SimTime::ZERO)
+            .unwrap();
         assert_eq!(d.drained_at(), done);
         assert!(d.drained_at() > SimTime::ZERO + SimDuration::ZERO);
     }

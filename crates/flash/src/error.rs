@@ -44,7 +44,7 @@ pub enum FlashError {
     /// (e.g. a page marked valid with no backing data, or a valid page
     /// missing from the reverse map). Surfaced as a typed error instead of
     /// panicking so a simulation can fail a single request, not the whole
-    /// run (determinism contract rule D4).
+    /// run.
     Inconsistent {
         /// The physical page where the inconsistency was observed.
         addr: PageAddr,

@@ -182,24 +182,24 @@ impl Ftl {
         let mut now = self.mapper.collect_lane(channel, bank, Some(ready))?;
         let mut target = self
             .device_mut()
-            .find_free_page(channel, bank)
+            .find_free_page(channel, bank)?
             .ok_or(FlashError::DeviceFull)?;
-        if self.device_mut().next_program_fault(target) {
+        if self.device_mut().next_program_fault(target)? {
             // The program status came back failed: the attempt already spent
             // bus + program time, the device retired the block, and its
             // surviving live pages move out before the retry elsewhere.
-            now = self.device_mut().schedule_programs(&[target], now);
+            now = self.device_mut().schedule_programs(&[target], now)?;
             self.mapper.stats_mut().add("retries.flash", 1);
             now = self.mapper.evacuate(target.block_addr(), now)?;
             now = self.mapper.collect_lane(channel, bank, Some(now))?;
             target = self
                 .mapper
-                .recovery_page(target)
+                .recovery_page(target)?
                 .ok_or(FlashError::DeviceFull)?;
             self.mapper.stats_mut().add("faults.recovered", 1);
         }
         self.mapper.program(lba, target, payload)?;
-        Ok(self.device_mut().schedule_programs(&[target], now))
+        self.device_mut().schedule_programs(&[target], now)
     }
 
     /// Reads one logical page, returning its data and the completion instant.
@@ -446,7 +446,7 @@ mod tests {
         let tail = *lane.last().unwrap();
         let disturbed = f.physical_of(tail).unwrap().block_addr();
         assert_eq!(
-            f.device().free_pages_in(0, 0),
+            f.device().free_pages_in(0, 0).unwrap(),
             g.pages_per_block - 2,
             "the free pages all sit in the block about to be disturbed"
         );

@@ -43,11 +43,25 @@
 //! let batch: Vec<PageAddr> = (0..dev.geometry().channels)
 //!     .map(|c| PageAddr { channel: c, bank: 0, block: 0, page: 0 })
 //!     .collect();
-//! let done = dev.schedule_reads(&batch, SimTime::ZERO);
+//! let done = dev.schedule_reads(&batch, SimTime::ZERO).unwrap();
 //! assert!(done > SimTime::ZERO);
 //! ```
 
 #![warn(missing_docs)]
+// Panic policy (DESIGN.md "Panic policy"): outside test code every failure
+// on this crate's paths is a typed error, and clippy holds that line.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        clippy::missing_panics_doc
+    )
+)]
 #![forbid(unsafe_code)]
 
 mod device;

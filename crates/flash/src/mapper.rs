@@ -164,7 +164,7 @@ impl<K: Eq + Hash> ForwardIndex<K> for SparseIndex<K> {
 /// for fill in [1u8, 2] {
 ///     // An out-of-place write: supersede, place, program.
 ///     mapper.supersede(7)?;
-///     let page = mapper.device_mut().find_free_page(0, 0).expect("fresh device");
+///     let page = mapper.device_mut().find_free_page(0, 0)?.expect("fresh device");
 ///     mapper.program(7, page, vec![fill; size])?;
 /// }
 /// let page = mapper.page_of(7).expect("bound");
@@ -238,15 +238,16 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
 
     /// The key stored in `page`, if any.
     pub fn key_at(&self, page: PageAddr) -> Option<K> {
-        let index = self.device.geometry().page_index(page) as u32;
+        let index = self.device.page_slot(page).ok()? as u32;
         self.reverse.get(&index).copied()
     }
 
     /// Binds `key` to `page` in both tables.
-    fn bind(&mut self, key: K, page: PageAddr) {
-        let index = self.device.geometry().page_index(page) as u32;
+    fn bind(&mut self, key: K, page: PageAddr) -> Result<(), FlashError> {
+        let index = self.device.page_slot(page)? as u32;
         self.forward.replace(key, Some(index));
         self.reverse.insert(index, key);
+        Ok(())
     }
 
     /// The first half of an out-of-place write, and all of a trim or
@@ -274,13 +275,16 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
     /// Those of [`FlashDevice::program`]; the tables are untouched then.
     pub fn program(&mut self, key: K, page: PageAddr, payload: Vec<u8>) -> Result<(), FlashError> {
         self.device.program(page, payload)?;
-        self.bind(key, page);
-        Ok(())
+        self.bind(key, page)
     }
 
     /// Where the payload of a program that failed in `failed` goes instead:
     /// its lane first, then any lane, never the retired block.
-    pub fn recovery_page(&mut self, failed: PageAddr) -> Option<PageAddr> {
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::AddressOutOfRange`] if `failed` is outside the geometry.
+    pub fn recovery_page(&mut self, failed: PageAddr) -> Result<Option<PageAddr>, FlashError> {
         self.device
             .find_recovery_page(failed.channel, failed.bank, failed.block_addr())
     }
@@ -294,16 +298,20 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
             what: "valid page missing from the reverse map",
         })?;
         self.device.relocate_page(src, dest)?;
-        let index = self.device.geometry().page_index(src) as u32;
+        let index = self.device.page_slot(src)? as u32;
         self.reverse.remove(&index);
-        self.bind(key, dest);
-        Ok(())
+        self.bind(key, dest)
     }
 
     /// Charges one move to the timeline from `now`: the source read, then
     /// the destination program.
-    fn charge_move(&mut self, src: PageAddr, dest: PageAddr, now: SimTime) -> SimTime {
-        let read = self.device.schedule_reads(&[src], now);
+    fn charge_move(
+        &mut self,
+        src: PageAddr,
+        dest: PageAddr,
+        now: SimTime,
+    ) -> Result<SimTime, FlashError> {
+        let read = self.device.schedule_reads(&[src], now)?;
         self.device.schedule_programs(&[dest], read)
     }
 
@@ -315,8 +323,10 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
     ///
     /// # Errors
     ///
-    /// [`FlashError::DeviceFull`] if a survivor has nowhere to go in the
-    /// lane — every key is then still bound and readable.
+    /// * [`FlashError::DeviceFull`] if a survivor has nowhere to go in the
+    ///   lane — every key is then still bound and readable.
+    /// * [`FlashError::AddressOutOfRange`] if the lane is outside the
+    ///   geometry.
     pub fn collect_lane(
         &mut self,
         channel: usize,
@@ -326,10 +336,10 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
         let g = *self.device.geometry();
         // One victim per block at most: a lane that frees nothing stops.
         for _ in 0..g.blocks_per_bank {
-            if self.device.free_pages_in(channel, bank) >= self.gc_threshold {
+            if self.device.free_pages_in(channel, bank)? >= self.gc_threshold {
                 break;
             }
-            let Some((victim, valid, invalid)) = self.device.gc_victim(channel, bank) else {
+            let Some((victim, valid, invalid)) = self.device.gc_victim(channel, bank)? else {
                 break;
             };
             self.device.observability_mut().event(
@@ -348,21 +358,25 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
             let pages = if valid > 0 { g.pages_per_block } else { 0 };
             for p in 0..pages {
                 let src = victim.page(p);
-                if self.device.page_state(src) != PageState::Valid {
+                if self.device.page_state(src)? != PageState::Valid {
                     continue;
                 }
                 // Never inside the victim: the erase below would take the
                 // fresh copy with it.
                 let dest = self
                     .device
-                    .find_free_page_excluding(channel, bank, victim)
+                    .find_free_page_excluding(channel, bank, victim)?
                     .ok_or(FlashError::DeviceFull)?;
                 self.move_page(src, dest)?;
-                clock = clock.map(|now| self.charge_move(src, dest, now));
+                clock = clock
+                    .map(|now| self.charge_move(src, dest, now))
+                    .transpose()?;
                 self.stats.add(self.labels.gc_relocated, 1);
             }
-            self.device.erase_block(victim);
-            clock = clock.map(|now| self.device.schedule_erase(victim, now));
+            self.device.erase_block(victim)?;
+            clock = clock
+                .map(|now| self.device.schedule_erase(victim, now))
+                .transpose()?;
             self.stats.add(self.labels.gc_runs, 1);
         }
         Ok(clock.unwrap_or(SimTime::ZERO))
@@ -376,31 +390,33 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
     ///
     /// # Errors
     ///
-    /// [`FlashError::DeviceFull`] if a survivor has nowhere to go — every
-    /// key is then still bound and readable.
+    /// * [`FlashError::DeviceFull`] if a survivor has nowhere to go — every
+    ///   key is then still bound and readable.
+    /// * [`FlashError::AddressOutOfRange`] if `block` is outside the
+    ///   geometry.
     pub fn evacuate(&mut self, block: BlockAddr, mut now: SimTime) -> Result<SimTime, FlashError> {
         let (channel, bank) = (block.channel, block.bank);
         for p in 0..self.device.geometry().pages_per_block {
             let src = block.page(p);
-            if self.device.page_state(src) != PageState::Valid {
+            if self.device.page_state(src)? != PageState::Valid {
                 continue;
             }
-            let dest = match self.device.find_free_page_excluding(channel, bank, block) {
+            let dest = match self.device.find_free_page_excluding(channel, bank, block)? {
                 Some(dest) => dest,
                 None => {
                     now = self.collect_lane(channel, bank, Some(now))?;
                     // The collection may have moved (or erased) the page
                     // under us; its binding is fresh then.
-                    if self.device.page_state(src) != PageState::Valid {
+                    if self.device.page_state(src)? != PageState::Valid {
                         continue;
                     }
                     self.device
-                        .find_recovery_page(channel, bank, block)
+                        .find_recovery_page(channel, bank, block)?
                         .ok_or(FlashError::DeviceFull)?
                 }
             };
             self.move_page(src, dest)?;
-            now = self.charge_move(src, dest, now);
+            now = self.charge_move(src, dest, now)?;
             self.stats.add("faults.migrated", 1);
         }
         Ok(now)
@@ -417,8 +433,8 @@ impl<K: Copy, F: ForwardIndex<K>> PageMapper<K, F> {
     pub fn service_disturbed(&mut self, mut now: SimTime) -> Result<SimTime, FlashError> {
         for block in self.device.take_disturbed_blocks() {
             now = self.evacuate(block, now)?;
-            self.device.erase_block(block);
-            now = self.device.schedule_erase(block, now);
+            self.device.erase_block(block)?;
+            now = self.device.schedule_erase(block, now)?;
             self.stats.add("faults.disturb_migrations", 1);
         }
         Ok(now)
@@ -451,7 +467,7 @@ mod tests {
     fn write(m: &mut Sparse, key: (u8, u64), fill: u8, clock: Option<SimTime>) -> SimTime {
         m.supersede(key).unwrap();
         let collected = m.collect_lane(0, 0, clock).unwrap();
-        let page = m.device_mut().find_free_page(0, 0).unwrap();
+        let page = m.device_mut().find_free_page(0, 0).unwrap().unwrap();
         let size = m.device().geometry().page_size;
         m.program(key, page, vec![fill; size]).unwrap();
         collected
@@ -495,6 +511,7 @@ mod tests {
         let dest = m
             .device_mut()
             .find_free_page_excluding(0, 0, first.block_addr())
+            .unwrap()
             .unwrap();
         m.move_page(first, dest).unwrap();
         assert_eq!(m.page_of(key), Some(dest));
@@ -511,7 +528,7 @@ mod tests {
     fn a_valid_page_without_a_reverse_entry_is_a_typed_inconsistency() {
         let mut m = sparse();
         let size = m.device().geometry().page_size;
-        let stray = m.device_mut().find_free_page(0, 0).unwrap();
+        let stray = m.device_mut().find_free_page(0, 0).unwrap().unwrap();
         // Programmed behind the mapper's back: valid, but nobody's.
         m.device_mut().program(stray, vec![1; size]).unwrap();
         let err = m.evacuate(stray.block_addr(), SimTime::ZERO).unwrap_err();

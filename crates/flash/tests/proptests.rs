@@ -74,12 +74,12 @@ impl<K: Copy + PartialEq + std::fmt::Debug, F: ForwardIndex<K>> Modeled<K, F> {
         self.now = m.collect_lane(channel, bank, Some(self.now))?;
         let mut target = m
             .device_mut()
-            .find_free_page(channel, bank)
+            .find_free_page(channel, bank)?
             .ok_or(FlashError::DeviceFull)?;
-        if m.device_mut().next_program_fault(target) {
+        if m.device_mut().next_program_fault(target)? {
             self.now = m.evacuate(target.block_addr(), self.now)?;
             self.now = m.collect_lane(channel, bank, Some(self.now))?;
-            target = m.recovery_page(target).ok_or(FlashError::DeviceFull)?;
+            target = m.recovery_page(target)?.ok_or(FlashError::DeviceFull)?;
         }
         m.program(k, target, payload)
     }
@@ -155,7 +155,7 @@ impl<K: Copy + PartialEq + std::fmt::Debug, F: ForwardIndex<K>> Modeled<K, F> {
         }
         let g = device.geometry();
         let live = (0..g.total_pages())
-            .filter(|&i| device.page_state(g.page_at(i)) == PageState::Valid)
+            .filter(|&i| device.page_state(g.page_at(i)) == Ok(PageState::Valid))
             .count();
         prop_assert_eq!(live, self.model.len(), "a live page belongs to no key");
         Ok(())
@@ -240,7 +240,7 @@ proptest! {
             let g = *ftl.device().geometry();
             for c in 0..g.channels {
                 for b in 0..g.banks_per_channel {
-                    prop_assert!(ftl.device().free_pages_in(c, b) <= g.pages_per_bank());
+                    prop_assert!(ftl.device().free_pages_in(c, b).unwrap() <= g.pages_per_bank());
                 }
             }
         }
@@ -261,9 +261,9 @@ proptest! {
             })
             .collect();
         let mut full = FlashDevice::new(config.clone());
-        let t_full = full.schedule_reads(&addrs, SimTime::ZERO);
+        let t_full = full.schedule_reads(&addrs, SimTime::ZERO).unwrap();
         let mut prefix = FlashDevice::new(config);
-        let t_prefix = prefix.schedule_reads(&addrs[..count / 2 + 1], SimTime::ZERO);
+        let t_prefix = prefix.schedule_reads(&addrs[..count / 2 + 1], SimTime::ZERO).unwrap();
         prop_assert!(t_full >= t_prefix, "more work cannot finish earlier");
         prop_assert!(t_full > SimTime::ZERO);
     }
@@ -354,10 +354,10 @@ proptest! {
         let mut ftl = small_ftl();
         let ps = ftl.page_size();
         let block0 = nds_flash::BlockAddr { channel: 0, bank: 0, block: 0 };
-        let mut last = ftl.device().erase_count(block0);
+        let mut last = ftl.device().erase_count(block0).unwrap();
         for round in 0..rounds {
             ftl.write(0, vec![(round % 251) as u8; ps], SimTime::ZERO).expect("write");
-            let now = ftl.device().erase_count(block0);
+            let now = ftl.device().erase_count(block0).unwrap();
             prop_assert!(now >= last);
             last = now;
         }

@@ -33,6 +33,20 @@
 //! ```
 
 #![warn(missing_docs)]
+// Panic policy (DESIGN.md "Panic policy"): outside test code every failure
+// on this crate's paths is a typed error, and clippy holds that line.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::panic_in_result_fn,
+        clippy::missing_panics_doc
+    )
+)]
 #![forbid(unsafe_code)]
 
 mod command;

@@ -1,18 +1,12 @@
-//! The ratcheting baseline, version 2: grandfathered violation counts per
-//! `(rule, file)` — each entry a total plus its reachable sub-count —
-//! stored as `lint-baseline.json` at the workspace root.
-//!
-//! Version 2 extends the original flat counts with the D4 reachability
-//! triage: every entry carries `"reachable"`, the number of violations
-//! whose enclosing function the call graph can reach from the public
-//! data-path API surface. For rules without a reachability notion the
-//! field is 0. Both numbers ratchet independently — a panic site *moving*
-//! into reach fails the gate even when the total is unchanged.
+//! The ratcheting baseline, version 3: grandfathered violation counts per
+//! `(rule, file)`, stored as `lint-baseline.json` at the workspace root.
+//! (Version 2 carried a per-entry `"reachable"` sub-count for the retired
+//! rule D4; such files are rejected, not silently reinterpreted.)
 //!
 //! The ratchet has three failure modes, all hard errors in the default run:
 //!
-//! * **regression** — a `(rule, file)` total or reachable count above its
-//!   baselined value (new violations are listed individually);
+//! * **regression** — a `(rule, file)` count above its baselined value
+//!   (new violations are listed individually);
 //! * **improvement** — a count *below* its baselined value; the fix is to
 //!   tighten the baseline with `--update-baseline`, so counts only go down;
 //! * **stale entry** — a baselined file that no longer exists, reported
@@ -25,29 +19,29 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
-use crate::{FileCounts, Rule};
+use crate::Rule;
 
 /// Grandfathered counts per `(rule, file)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Baseline {
-    /// Baselined violation counts; totals are always positive.
-    pub entries: BTreeMap<(Rule, String), FileCounts>,
+    /// Baselined violation counts, always positive.
+    pub entries: BTreeMap<(Rule, String), usize>,
 }
 
 /// One divergence between the current tree and the baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Drift {
-    /// More violations (total or reachable) than baselined: the new ones
-    /// must be fixed or suppressed.
+    /// More violations than baselined: the new ones must be fixed or
+    /// suppressed.
     Regression {
         /// The rule and file that regressed.
         rule: Rule,
         /// Workspace-relative file path.
         file: String,
         /// Violations now present in the file.
-        current: FileCounts,
+        current: usize,
         /// Violations the baseline allows.
-        allowed: FileCounts,
+        allowed: usize,
     },
     /// Fewer violations than baselined: run `--update-baseline` to ratchet.
     Improvement {
@@ -56,9 +50,9 @@ pub enum Drift {
         /// Workspace-relative file path.
         file: String,
         /// Violations now present in the file.
-        current: FileCounts,
+        current: usize,
         /// Violations the baseline still records.
-        allowed: FileCounts,
+        allowed: usize,
     },
     /// A baselined file no longer exists.
     StaleFile {
@@ -79,8 +73,7 @@ impl fmt::Display for Drift {
                 allowed,
             } => write!(
                 f,
-                "{file}: [{rule}] {} violation(s) ({} reachable), baseline allows {} ({} reachable)",
-                current.total, current.reachable, allowed.total, allowed.reachable
+                "{file}: [{rule}] {current} violation(s), baseline allows {allowed}"
             ),
             Drift::Improvement {
                 rule,
@@ -89,9 +82,8 @@ impl fmt::Display for Drift {
                 allowed,
             } => write!(
                 f,
-                "{file}: [{rule}] improved to {}/{} reachable (baseline says {}/{}); \
-                 run `cargo run -p nds-lint -- --update-baseline` to ratchet",
-                current.total, current.reachable, allowed.total, allowed.reachable
+                "{file}: [{rule}] improved to {current} (baseline says {allowed}); \
+                 run `cargo run -p nds-lint -- --update-baseline` to ratchet"
             ),
             Drift::StaleFile { rule, file } => write!(
                 f,
@@ -113,7 +105,7 @@ impl Drift {
 /// Compares current counts against the baseline. `existing` is the set of
 /// files that are still present, for stale-entry detection.
 pub fn compare(
-    current: &BTreeMap<(Rule, String), FileCounts>,
+    current: &BTreeMap<(Rule, String), usize>,
     baseline: &Baseline,
     existing: &BTreeSet<String>,
 ) -> Vec<Drift> {
@@ -124,7 +116,7 @@ pub fn compare(
             .get(&(*rule, file.clone()))
             .copied()
             .unwrap_or_default();
-        if counts.total > allowed.total || counts.reachable > allowed.reachable {
+        if counts > allowed {
             drifts.push(Drift::Regression {
                 rule: *rule,
                 file: file.clone(),
@@ -145,10 +137,7 @@ pub fn compare(
             .get(&(*rule, file.clone()))
             .copied()
             .unwrap_or_default();
-        // A pure regression is already reported above; only report the
-        // improvement direction when nothing regressed in the cell.
-        let regressed = counts.total > allowed.total || counts.reachable > allowed.reachable;
-        if !regressed && (counts.total < allowed.total || counts.reachable < allowed.reachable) {
+        if counts < allowed {
             drifts.push(Drift::Improvement {
                 rule: *rule,
                 file: file.clone(),
@@ -162,11 +151,11 @@ pub fn compare(
 
 impl Baseline {
     /// Builds a baseline that exactly matches `current` (dropping zeros).
-    pub fn from_counts(current: &BTreeMap<(Rule, String), FileCounts>) -> Baseline {
+    pub fn from_counts(current: &BTreeMap<(Rule, String), usize>) -> Baseline {
         Baseline {
             entries: current
                 .iter()
-                .filter(|(_, c)| c.total > 0)
+                .filter(|(_, &c)| c > 0)
                 .map(|(k, &c)| (k.clone(), c))
                 .collect(),
         }
@@ -182,9 +171,8 @@ impl Baseline {
         Baseline::parse(&text).map(Some)
     }
 
-    /// Parses the baseline JSON (version 2; version-1 files lack the
-    /// `"reachable"` field and are rejected so stale formats surface
-    /// loudly instead of silently dropping the reachability ratchet).
+    /// Parses the baseline JSON (version 3; older versions are rejected so a
+    /// stale format surfaces loudly instead of being half-read).
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let value = Json::parse(text)?;
         let top = value
@@ -195,10 +183,10 @@ impl Baseline {
             .find(|(k, _)| k == "version")
             .and_then(|(_, v)| v.as_number())
             .ok_or("baseline: missing \"version\"")?;
-        if version != 2 {
+        if version != 3 {
             return Err(format!(
                 "baseline: version {version} unsupported; regenerate with \
-                 `cargo run -p nds-lint -- --update-baseline` (format is now version 2)"
+                 `cargo run -p nds-lint -- --update-baseline` (format is now version 3)"
             ));
         }
         let entries_value = top
@@ -232,16 +220,8 @@ impl Baseline {
             let total = field("count")?
                 .as_number()
                 .ok_or("baseline: \"count\" must be a number")?;
-            let reachable = field("reachable")?
-                .as_number()
-                .ok_or("baseline: \"reachable\" must be a number")?;
-            if reachable > total {
-                return Err(format!(
-                    "baseline: {file} [{rule_name}]: reachable {reachable} exceeds count {total}"
-                ));
-            }
             if total > 0 {
-                entries.insert((rule, file), FileCounts { total, reachable });
+                entries.insert((rule, file), total);
             }
         }
         Ok(Baseline { entries })
@@ -252,25 +232,22 @@ impl Baseline {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(
-            "  \"_comment\": \"nds-lint ratchet: grandfathered violations per (rule, file); \
-             reachable = subset inside functions the call graph reaches from the public \
-             data-path API. Counts may only decrease; refresh with `cargo run -p nds-lint -- \
+            "  \"_comment\": \"nds-lint ratchet: grandfathered violations per (rule, file). \
+             Counts may only decrease; refresh with `cargo run -p nds-lint -- \
              --update-baseline`.\",\n",
         );
-        out.push_str("  \"version\": 2,\n");
+        out.push_str("  \"version\": 3,\n");
         out.push_str("  \"entries\": [\n");
         let mut first = true;
-        for ((rule, file), counts) in &self.entries {
+        for ((rule, file), count) in &self.entries {
             if !first {
                 out.push_str(",\n");
             }
             first = false;
             out.push_str(&format!(
-                "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"count\": {}, \"reachable\": {} }}",
+                "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"count\": {count} }}",
                 rule.name(),
-                json_escape(file),
-                counts.total,
-                counts.reachable
+                json_escape(file)
             ));
         }
         out.push_str("\n  ]\n}\n");
@@ -278,15 +255,9 @@ impl Baseline {
     }
 
     /// Total baselined counts for one rule (for summaries).
-    pub fn total(&self, rule: Rule) -> FileCounts {
-        let mut sum = FileCounts::default();
-        for ((r, _), c) in &self.entries {
-            if *r == rule {
-                sum.total += c.total;
-                sum.reachable += c.reachable;
-            }
-        }
-        sum
+    pub fn total(&self, rule: Rule) -> usize {
+        let of_rule = self.entries.iter().filter(|((r, _), _)| *r == rule);
+        of_rule.map(|(_, count)| count).sum()
     }
 }
 

@@ -12,9 +12,8 @@
 //! 1. a real token-stream lexer ([`lexer`]) — raw/byte strings, nested
 //!    block comments, char-vs-lifetime disambiguation, doc comments — so
 //!    rules never fire inside literals or comments;
-//! 2. an intra-crate item/call-graph builder ([`graph`]) — fn items, impl
-//!    blocks, name-based call edges — so rules can reason about functions
-//!    and about reachability from the public data-path API surface;
+//! 2. a per-file item index ([`items`]) — `fn` items and their line
+//!    spans — so rules can reason about one function at a time;
 //! 3. the rules themselves, over masked lines and the token stream.
 //!
 //! # Rules
@@ -33,14 +32,11 @@
 //!   non-literal argument, bypasses the typed `SimTime`/`SimDuration`
 //!   operators. Only `crates/sim` (the clock/stats API home) may do raw
 //!   nanosecond math.
-//! * **D4 — no panic paths in data-path crates.** `unwrap()`, `expect()`,
-//!   `panic!`, `unreachable!`, `todo!`, `unimplemented!` and direct
-//!   slice/array indexing can abort a simulation mid-schedule. Each D4
-//!   violation is additionally classified **reachable** or unreachable
-//!   from the public data-path API surface (`StorageFrontEnd`,
-//!   `TrafficEngine`, `FlashDevice`, `Link`, `Ftl` impls and `pub` free
-//!   functions) via the intra-crate call graph, so the baseline doubles as
-//!   a triaged burn-down list.
+//! * **D4 is retired.** Panic paths in the data-path crates are held at
+//!   zero by clippy (`unwrap_used`, `expect_used`, `indexing_slicing`,
+//!   `panic`, … denied crate-wide; DESIGN.md "Panic policy"), which sees
+//!   types where this linter saw substrings. The name is not reused, and a
+//!   leftover `allow(D4, …)` directive is a malformed-directive error.
 //! * **D5 — checked virtual-time/modeled-cost arithmetic.** Unchecked `+`
 //!   or `*` on u128 finish-tag/virtual-time values or on
 //!   `as_nanos()`-derived integer costs silently wraps; data-path code
@@ -69,20 +65,20 @@
 //! `allow(...)` that no longer masks any violation must be deleted, not
 //! left to rot.
 //!
-//! # Ratcheting baseline (version 2)
+//! # Ratcheting baseline (version 3)
 //!
 //! Pre-existing violations are grandfathered in `lint-baseline.json`,
-//! counted per `(rule, file)` with a separate reachable sub-count for D4.
-//! New violations fail; reductions fail too until the baseline is
-//! tightened with `--update-baseline`, so both counts only go down. A
-//! baseline entry for a file that no longer exists is reported as stale.
+//! counted per `(rule, file)`. New violations fail; reductions fail too
+//! until the baseline is tightened with `--update-baseline`, so counts only
+//! go down. A baseline entry for a file that no longer exists is reported
+//! as stale.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod baseline;
-pub mod graph;
+pub mod items;
 pub mod lexer;
 
 use lexer::{MaskedSource, Token, TokenKind};
@@ -97,9 +93,6 @@ pub enum Rule {
     D2,
     /// Raw modeled-time arithmetic outside the `nds-sim` clock API.
     D3,
-    /// Panic paths (`unwrap`/`expect`/`panic!`/slice index) in data-path
-    /// crates, triaged by reachability from the public API surface.
-    D4,
     /// Unchecked `+`/`*` on u128 virtual-time / modeled-cost arithmetic.
     D5,
     /// Dataset-id resolution not dominated by the tenant-isolation guard.
@@ -115,15 +108,7 @@ pub enum Rule {
 
 impl Rule {
     /// The baselinable rules, in report order.
-    pub const ALL: [Rule; 7] = [
-        Rule::D1,
-        Rule::D2,
-        Rule::D3,
-        Rule::D4,
-        Rule::D5,
-        Rule::D6,
-        Rule::D7,
-    ];
+    pub const ALL: [Rule; 6] = [Rule::D1, Rule::D2, Rule::D3, Rule::D5, Rule::D6, Rule::D7];
 
     /// Canonical name, as used in directives and the baseline file.
     pub fn name(self) -> &'static str {
@@ -131,7 +116,6 @@ impl Rule {
             Rule::D1 => "D1",
             Rule::D2 => "D2",
             Rule::D3 => "D3",
-            Rule::D4 => "D4",
             Rule::D5 => "D5",
             Rule::D6 => "D6",
             Rule::D7 => "D7",
@@ -146,7 +130,6 @@ impl Rule {
             "D1" | "d1" => Some(Rule::D1),
             "D2" | "d2" => Some(Rule::D2),
             "D3" | "d3" => Some(Rule::D3),
-            "D4" | "d4" => Some(Rule::D4),
             "D5" | "d5" => Some(Rule::D5),
             "D6" | "d6" => Some(Rule::D6),
             "D7" | "d7" => Some(Rule::D7),
@@ -160,7 +143,6 @@ impl Rule {
             Rule::D1 => "ambient nondeterminism in a simulation crate",
             Rule::D2 => "HashMap/HashSet in data-path code",
             Rule::D3 => "raw modeled-time arithmetic outside the clock API",
-            Rule::D4 => "panic path in a data-path crate",
             Rule::D5 => "unchecked virtual-time/cost arithmetic",
             Rule::D6 => "dataset resolution not dominated by the tenant guard",
             Rule::D7 => "floating point in a deterministic data path",
@@ -191,7 +173,6 @@ impl RuleSet {
             Rule::D1 => 1,
             Rule::D2 => 2,
             Rule::D3 => 4,
-            Rule::D4 => 8,
             Rule::D5 => 16,
             Rule::D6 => 32,
             Rule::D7 => 64,
@@ -231,9 +212,6 @@ pub struct Violation {
     pub line: usize,
     /// What was matched and what to do instead.
     pub message: String,
-    /// For D4: whether the enclosing function is reachable from the public
-    /// data-path API surface. `None` for every other rule.
-    pub reachable: Option<bool>,
 }
 
 impl fmt::Display for Violation {
@@ -242,12 +220,7 @@ impl fmt::Display for Violation {
             f,
             "{}:{}: [{}] {}",
             self.file, self.line, self.rule, self.message
-        )?;
-        match self.reachable {
-            Some(true) => write!(f, " [reachable from data-path API]"),
-            Some(false) => write!(f, " [not reachable from data-path API]"),
-            None => Ok(()),
-        }
+        )
     }
 }
 
@@ -265,12 +238,12 @@ const SIM_CRATES: &[&str] = &[
     "prof",
 ];
 
-/// Crates on the modeled data/timing path: rules D2/D4/D5 apply on top.
+/// Crates on the modeled data/timing path: rules D2/D5 apply on top.
 const DATA_PATH_CRATES: &[&str] = &["core", "flash", "interconnect", "system", "prof"];
 
 /// Crates where floating point is banned (D7). `prof` is the sanctioned
-/// home for derived statistics, so it is data-path for D2/D4/D5 but not
-/// for D7.
+/// home for derived statistics, so it is data-path for D2/D5 but not for
+/// D7.
 const D7_CRATES: &[&str] = &["core", "flash", "interconnect", "system"];
 
 /// Classifies a workspace-relative path into the rules that apply to it.
@@ -298,7 +271,6 @@ pub fn rules_for(rel_path: &str) -> RuleSet {
     }
     if DATA_PATH_CRATES.contains(&krate) {
         rules.push(Rule::D2);
-        rules.push(Rule::D4);
         rules.push(Rule::D5);
     }
     if krate == "system" {
@@ -479,9 +451,8 @@ fn parse_directives(
                 line: *line,
                 message: format!(
                     "unparseable directive {directive:?}; use \
-                     `nds-lint: allow(<D1..D7>, <reason>)` with a non-empty reason"
+                     `nds-lint: allow(<D1|D2|D3|D5|D6|D7>, <reason>)` with a non-empty reason"
                 ),
-                reachable: None,
             }),
         }
     }
@@ -501,31 +472,6 @@ const D1_NEEDLES: &[&str] = &[
     "env::vars(",
     "env::args(",
 ];
-
-/// Panic-path calls banned by D4 (slice indexing is matched structurally).
-const D4_NEEDLES: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// True if the masked line contains a direct index/slice expression:
-/// a `[` immediately following an identifier, `)`, or `]`.
-fn has_slice_index(line: &str) -> bool {
-    let b = line.as_bytes();
-    for i in 1..b.len() {
-        if b[i] == b'[' {
-            let prev = b[i - 1];
-            if is_ident(prev) || prev == b')' || prev == b']' {
-                return true;
-            }
-        }
-    }
-    false
-}
 
 /// True if the masked line does raw modeled-time arithmetic (rule D3).
 fn is_raw_time_arith(line: &str) -> bool {
@@ -552,7 +498,7 @@ fn is_raw_time_arith(line: &str) -> bool {
 }
 
 /// Everything the flow-aware rules need about one file: its token stream,
-/// the masked text, and the item/call-graph index.
+/// the masked text, and the item index.
 pub struct FileAnalysis {
     /// Workspace-relative path, `/`-separated (reporting key).
     pub rel_path: String,
@@ -562,8 +508,8 @@ pub struct FileAnalysis {
     pub tokens: Vec<Token>,
     /// `src` with comments and textual literals blanked.
     pub masked: MaskedSource,
-    /// Recognized `fn` items with spans and call edges.
-    pub items: graph::ItemIndex,
+    /// Recognized `fn` items with their line spans.
+    pub items: items::ItemIndex,
 }
 
 impl FileAnalysis {
@@ -571,7 +517,7 @@ impl FileAnalysis {
     pub fn new(src: &str, rel_path: &str) -> FileAnalysis {
         let tokens = lexer::lex(src);
         let masked = lexer::mask(src, &tokens);
-        let items = graph::build_items(src, &tokens);
+        let items = items::build_items(src, &tokens);
         FileAnalysis {
             rel_path: rel_path.to_string(),
             src: src.to_string(),
@@ -605,7 +551,7 @@ const EXPR_KEYWORDS: &[&str] = &[
 
 /// D5 state for one function: identifiers tainted as virtual-time/cost
 /// values (u128-typed, `as_nanos()`-derived, or the `COST_SCALE` family).
-fn d5_tainted_idents(analysis: &FileAnalysis, f: &graph::FnItem) -> BTreeSet<String> {
+fn d5_tainted_idents(analysis: &FileAnalysis, f: &items::FnItem) -> BTreeSet<String> {
     let mut tainted = BTreeSet::new();
     let line_tokens = analysis.line_tokens();
     for (_, toks) in line_tokens.range(f.start_line..=f.end_line) {
@@ -644,36 +590,22 @@ fn d5_tainted_idents(analysis: &FileAnalysis, f: &graph::FnItem) -> BTreeSet<Str
     tainted
 }
 
-/// Scans one analyzed file under `rules`. `fn_reachable` is the
-/// reachability flag per `analysis.items.functions` entry (computed
-/// crate-wide by [`lint_workspace`], single-file by [`scan_source`]).
-fn scan_analyzed(analysis: &FileAnalysis, rules: RuleSet, fn_reachable: &[bool]) -> Vec<Violation> {
+/// Scans one analyzed file under `rules`.
+fn scan_analyzed(analysis: &FileAnalysis, rules: RuleSet) -> Vec<Violation> {
     let rel_path = analysis.rel_path.as_str();
     let (sups, mut hard_errors) = parse_directives(&analysis.masked.comments, rel_path);
     let exempt = test_exempt_lines(&analysis.masked.text);
     let is_exempt = |line: usize| *exempt.get(line).unwrap_or(&false);
     let line_tokens = analysis.line_tokens();
 
-    // D4 reachability: the violation inherits its enclosing function's
-    // flag; code outside any function (const initializers, macro bodies)
-    // is conservatively reachable.
-    let reachable_at = |line: usize| {
-        analysis
-            .items
-            .enclosing_fn_idx(line)
-            .is_none_or(|i| fn_reachable.get(i).copied().unwrap_or(true))
-    };
-
     // Raw findings, before suppression filtering.
     let mut raw: Vec<Violation> = Vec::new();
     let push = |raw: &mut Vec<Violation>, rule: Rule, line: usize, message: String| {
-        let reachable = (rule == Rule::D4).then(|| reachable_at(line));
         raw.push(Violation {
             rule,
             file: rel_path.to_string(),
             line,
             message,
-            reachable,
         });
     };
 
@@ -714,25 +646,6 @@ fn scan_analyzed(analysis: &FileAnalysis, rules: RuleSet, fn_reachable: &[bool])
                  operators (Add/Sub/Mul/Div) instead of nanosecond math"
                     .to_string(),
             );
-        }
-        if rules.contains(Rule::D4) {
-            if let Some(needle) = D4_NEEDLES.iter().find(|n| line.contains(*n)) {
-                push(
-                    &mut raw,
-                    Rule::D4,
-                    lineno,
-                    format!("`{needle}` — data-path code must return typed errors, not panic"),
-                );
-            } else if has_slice_index(line) {
-                push(
-                    &mut raw,
-                    Rule::D4,
-                    lineno,
-                    "direct index/slice can panic; prefer get()/get_mut() or a \
-                     checked pattern"
-                        .to_string(),
-                );
-            }
         }
         if rules.contains(Rule::D7) {
             if let Some(toks) = line_tokens.get(&lineno) {
@@ -921,7 +834,6 @@ fn scan_analyzed(analysis: &FileAnalysis, rules: RuleSet, fn_reachable: &[bool])
                     "allow({}) suppresses no violation; delete the directive",
                     s.rule
                 ),
-                reachable: None,
             });
         }
     }
@@ -930,17 +842,13 @@ fn scan_analyzed(analysis: &FileAnalysis, rules: RuleSet, fn_reachable: &[bool])
     kept
 }
 
-/// Lints one file's source under the given rule set, with reachability
-/// computed from this file alone. `rel_path` is used for reporting only.
-/// (The workspace run, [`lint_workspace`], computes reachability across
-/// all files of a crate instead.)
+/// Lints one file's source under the given rule set (plus the
+/// stale-suppression audit). `rel_path` is used for reporting only.
 pub fn scan_source(src: &str, rel_path: &str, rules: RuleSet) -> Vec<Violation> {
     let with_audit = RuleSet {
         bits: rules.bits | RuleSet::bit(Rule::StaleSuppression),
     };
-    let analysis = FileAnalysis::new(src, rel_path);
-    let reach = graph::reachable_fns(&[&analysis.items]);
-    scan_analyzed(&analysis, with_audit, &reach[0])
+    scan_analyzed(&FileAnalysis::new(src, rel_path), with_audit)
 }
 
 /// Recursively lists the workspace's `.rs` files as
@@ -978,69 +886,27 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     Ok(files)
 }
 
-/// The crate a lintable path belongs to (`crates/<name>/src/**`).
-fn crate_of(rel_path: &str) -> Option<&str> {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split_once('/'))
-        .map(|(krate, _)| krate)
-}
-
 /// Lints every classified file under `root` and returns all violations.
-/// D4 reachability is computed per crate: each crate's files form one
-/// call graph rooted at the public data-path API surface.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    // Group the analyses by crate so reachability sees whole crates.
-    let mut by_crate: BTreeMap<String, Vec<(FileAnalysis, RuleSet)>> = BTreeMap::new();
+    let mut violations = Vec::new();
     for (rel, abs) in workspace_files(root)? {
         let rules = rules_for(&rel);
-        if rules.is_empty() {
-            continue;
-        }
-        let with_audit = RuleSet {
-            bits: rules.bits | RuleSet::bit(Rule::StaleSuppression),
-        };
-        let src = std::fs::read_to_string(&abs)?;
-        let krate = crate_of(&rel).unwrap_or("").to_string();
-        by_crate
-            .entry(krate)
-            .or_default()
-            .push((FileAnalysis::new(&src, &rel), with_audit));
-    }
-    let mut violations = Vec::new();
-    for files in by_crate.values() {
-        let indexes: Vec<&graph::ItemIndex> = files.iter().map(|(a, _)| &a.items).collect();
-        let reach = graph::reachable_fns(&indexes);
-        for ((analysis, rules), fn_reachable) in files.iter().zip(&reach) {
-            violations.extend(scan_analyzed(analysis, *rules, fn_reachable));
+        if !rules.is_empty() {
+            let src = std::fs::read_to_string(&abs)?;
+            violations.extend(scan_source(&src, &rel, rules));
         }
     }
     violations.sort();
     Ok(violations)
 }
 
-/// Violation counts for one `(rule, file)` cell: the baseline unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct FileCounts {
-    /// All violations of the rule in the file.
-    pub total: usize,
-    /// The subset whose enclosing function is reachable from the public
-    /// data-path API surface (only D4 populates this).
-    pub reachable: usize,
-}
-
-/// Per-`(rule, file)` violation counts. Bad directives and stale
-/// suppressions are never counted — they are unconditional errors.
-pub fn counts_of(violations: &[Violation]) -> BTreeMap<(Rule, String), FileCounts> {
-    let mut counts: BTreeMap<(Rule, String), FileCounts> = BTreeMap::new();
+/// Per-`(rule, file)` violation counts: the baseline unit. Bad directives
+/// and stale suppressions are never counted — they are unconditional errors.
+pub fn counts_of(violations: &[Violation]) -> BTreeMap<(Rule, String), usize> {
+    let mut counts = BTreeMap::new();
     for v in violations {
-        if matches!(v.rule, Rule::BadDirective | Rule::StaleSuppression) {
-            continue;
-        }
-        let cell = counts.entry((v.rule, v.file.clone())).or_default();
-        cell.total += 1;
-        if v.reachable == Some(true) {
-            cell.reachable += 1;
+        if !matches!(v.rule, Rule::BadDirective | Rule::StaleSuppression) {
+            *counts.entry((v.rule, v.file.clone())).or_default() += 1;
         }
     }
     counts

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use nds_lint::baseline::{compare, json_escape, Baseline, Drift};
-use nds_lint::{counts_of, existing_files, lint_workspace, FileCounts, Rule, Violation};
+use nds_lint::{counts_of, existing_files, lint_workspace, Rule, Violation};
 
 struct Options {
     root: PathBuf,
@@ -80,38 +80,22 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn rule_totals(violations: &[Violation], rule: Rule) -> (FileCounts, usize) {
+/// `(violations, files)` of one rule.
+fn rule_totals(violations: &[Violation], rule: Rule) -> (usize, usize) {
     let counts = counts_of(violations);
-    let mut sum = FileCounts::default();
-    let mut files = 0usize;
-    for ((r, _), c) in &counts {
-        if *r == rule {
-            sum.total += c.total;
-            sum.reachable += c.reachable;
-            files += 1;
-        }
-    }
-    (sum, files)
+    let of_rule = counts.iter().filter(|((r, _), _)| *r == rule);
+    of_rule.fold((0, 0), |(total, files), (_, count)| {
+        (total + count, files + 1)
+    })
 }
 
 fn print_summary(violations: &[Violation]) {
     for rule in Rule::ALL {
-        let (sum, files) = rule_totals(violations, rule);
-        if rule == Rule::D4 {
-            println!(
-                "{rule}: {} violation(s) ({} reachable from the data-path API) in {files} \
-                 file(s) — {}",
-                sum.total,
-                sum.reachable,
-                rule.summary()
-            );
-        } else {
-            println!(
-                "{rule}: {} violation(s) in {files} file(s) — {}",
-                sum.total,
-                rule.summary()
-            );
-        }
+        let (total, files) = rule_totals(violations, rule);
+        println!(
+            "{rule}: {total} violation(s) in {files} file(s) — {}",
+            rule.summary()
+        );
     }
 }
 
@@ -119,22 +103,19 @@ fn print_summary(violations: &[Violation]) {
 /// per-rule totals and the drift verdict, so CI can archive one artifact.
 fn json_report(violations: &[Violation], drifts: &[Drift], failed: bool) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"version\": 2,\n");
+    out.push_str("{\n  \"version\": 3,\n");
     out.push_str(&format!("  \"failed\": {failed},\n"));
     out.push_str("  \"summary\": {\n");
     let mut first = true;
     for rule in Rule::ALL {
-        let (sum, files) = rule_totals(violations, rule);
+        let (total, files) = rule_totals(violations, rule);
         if !first {
             out.push_str(",\n");
         }
         first = false;
         out.push_str(&format!(
-            "    \"{}\": {{ \"total\": {}, \"reachable\": {}, \"files\": {} }}",
-            rule.name(),
-            sum.total,
-            sum.reachable,
-            files
+            "    \"{}\": {{ \"total\": {total}, \"files\": {files} }}",
+            rule.name()
         ));
     }
     out.push_str("\n  },\n");
@@ -146,14 +127,9 @@ fn json_report(violations: &[Violation], drifts: &[Drift], failed: bool) -> Stri
             out.push_str(",\n");
         }
         first = false;
-        let reachable = match v.reachable {
-            Some(true) => ", \"reachable\": true",
-            Some(false) => ", \"reachable\": false",
-            None => "",
-        };
         out.push_str(&format!(
             "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"message\": \"{}\"{reachable} }}",
+             \"message\": \"{}\" }}",
             v.rule.name(),
             json_escape(&v.file),
             v.line,
@@ -237,12 +213,9 @@ fn run() -> Result<ExitCode, String> {
         );
         Ok(ExitCode::FAILURE)
     } else {
-        let (d4, _) = rule_totals(&violations, Rule::D4);
         println!(
-            "nds-lint: clean (baseline {}; D4 burn-down: {} panic site(s), {} reachable)",
-            opts.baseline_path.display(),
-            d4.total,
-            d4.reachable
+            "nds-lint: clean (baseline {})",
+            opts.baseline_path.display()
         );
         Ok(ExitCode::SUCCESS)
     }

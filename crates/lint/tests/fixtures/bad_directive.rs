@@ -1,4 +1,5 @@
-pub fn nope(v: Option<u8>) -> u8 {
-    // nds-lint: allow(D4)
-    v.unwrap()
+// nds-lint: allow(D2)
+pub type Index = std::collections::HashMap<u8, u8>;
+pub fn fine(v: Option<u8>) -> u8 {
+    v.unwrap_or(0)
 }

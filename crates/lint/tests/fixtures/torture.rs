@@ -1,5 +1,5 @@
 //! Every panic/hash/clock needle below sits in a masked region — except
-//! one real slice index at the very end, which must fire despite the traps.
+//! one real hash set at the very end, which must fire despite the traps.
 
 pub fn raw_strings() -> &'static str {
     r#"v.unwrap() and HashMap::new() and panic!("inside a raw string")"#
@@ -31,5 +31,5 @@ pub fn char_vs_lifetime<'a>(v: &'a [u8]) -> u8 {
     let quote = '"';
     let escaped = '\'';
     let _ = (quote, escaped);
-    v[0]
+    v.iter().collect::<std::collections::HashSet<_>>().len() as u8
 }

@@ -1,7 +1,6 @@
 //! Fixture-based self-tests for the nds-lint rules, suppression directives,
-//! the lexer's masking, D4 reachability triage, and the ratcheting
-//! version-2 baseline, plus a gate test that holds the committed tree to
-//! the committed `lint-baseline.json`.
+//! the lexer's masking, and the ratcheting version-3 baseline, plus a gate
+//! test that holds the committed tree to the committed `lint-baseline.json`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -9,8 +8,7 @@ use std::path::Path;
 use nds_lint::baseline::{compare, Baseline, Drift};
 use nds_lint::lexer::{lex, TokenKind};
 use nds_lint::{
-    counts_of, existing_files, lint_workspace, rules_for, scan_source, FileCounts, Rule, RuleSet,
-    Violation,
+    counts_of, existing_files, lint_workspace, rules_for, scan_source, Rule, RuleSet, Violation,
 };
 
 fn scan(fixture: &str, rules: &[Rule]) -> Vec<Violation> {
@@ -86,48 +84,6 @@ fn d3_suppressed_by_same_line_directive() {
     assert!(v.is_empty(), "unexpected: {v:?}");
 }
 
-// ---------------------------------------------------------------- rule D4
-
-#[test]
-fn d4_fires_on_panic_paths() {
-    let v = scan(include_str!("fixtures/d4_fire.rs"), &[Rule::D4]);
-    assert_eq!(lines_of(&v, Rule::D4), vec![2, 6, 10, 14]);
-}
-
-#[test]
-fn d4_allows_checked_access() {
-    let v = scan(include_str!("fixtures/d4_clean.rs"), &[Rule::D4]);
-    assert!(v.is_empty(), "unexpected: {v:?}");
-}
-
-#[test]
-fn d4_suppressed_by_directive() {
-    let v = scan(include_str!("fixtures/d4_suppressed.rs"), &[Rule::D4]);
-    assert!(v.is_empty(), "unexpected: {v:?}");
-}
-
-#[test]
-fn d4_classifies_reachability_from_the_entry_surface() {
-    let v = scan(include_str!("fixtures/d4_reachability.rs"), &[Rule::D4]);
-    let by_line: BTreeMap<usize, Option<bool>> = v.iter().map(|v| (v.line, v.reachable)).collect();
-    // `helper` is called by the pub free fn `entry`; `Link::step` by the
-    // pub inherent method of the entry type `Link`.
-    assert_eq!(by_line.get(&6), Some(&Some(true)), "helper via pub free fn");
-    assert_eq!(by_line.get(&23), Some(&Some(true)), "step via Link method");
-    // `orphan` and `Link::debug_dump` are private and never called.
-    assert_eq!(by_line.get(&10), Some(&Some(false)), "orphan");
-    assert_eq!(by_line.get(&27), Some(&Some(false)), "debug_dump");
-    assert_eq!(v.len(), 4, "unexpected: {v:?}");
-    // The classification is part of the human-readable report.
-    let shown = v
-        .iter()
-        .map(|v| v.to_string())
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert!(shown.contains(" [reachable from data-path API]"));
-    assert!(shown.contains(" [not reachable from data-path API]"));
-}
-
 // ---------------------------------------------------------------- rule D5
 
 #[test]
@@ -193,16 +149,31 @@ fn d7_suppressed_by_directive() {
 
 #[test]
 fn malformed_directive_is_an_error_and_does_not_suppress() {
-    let v = scan(include_str!("fixtures/bad_directive.rs"), &[Rule::D4]);
-    assert_eq!(lines_of(&v, Rule::BadDirective), vec![2]);
-    assert_eq!(lines_of(&v, Rule::D4), vec![3]);
+    let v = scan(include_str!("fixtures/bad_directive.rs"), &[Rule::D2]);
+    assert_eq!(lines_of(&v, Rule::BadDirective), vec![1]);
+    assert_eq!(lines_of(&v, Rule::D2), vec![2]);
+}
+
+#[test]
+fn a_directive_naming_the_retired_rule_d4_is_malformed() {
+    // Panic paths are clippy's to hold now (DESIGN.md "Panic policy"); a
+    // leftover D4 suppression must not linger as if it still meant something.
+    // (Assembled here so no literal D4 directive sits in the tree.)
+    let src = format!(
+        "pub fn f(v: Option<u8>) -> u8 {{\n    // nds-lint: allow(D{}, once an unwrap)\n    \
+         v.unwrap_or(0)\n}}\n",
+        4
+    );
+    let v = scan(&src, &[Rule::D1, Rule::D2]);
+    assert_eq!(lines_of(&v, Rule::BadDirective), vec![2], "{v:?}");
+    assert_eq!(v.len(), 1, "{v:?}");
 }
 
 #[test]
 fn suppression_that_masks_nothing_is_an_error() {
-    let v = scan(include_str!("fixtures/stale_suppression.rs"), &[Rule::D4]);
+    let v = scan(include_str!("fixtures/stale_suppression.rs"), &[Rule::D2]);
     assert_eq!(lines_of(&v, Rule::StaleSuppression), vec![2]);
-    assert!(lines_of(&v, Rule::D4).is_empty(), "unexpected: {v:?}");
+    assert!(lines_of(&v, Rule::D2).is_empty(), "unexpected: {v:?}");
 }
 
 // ---------------------------------------------------------- lexer torture
@@ -211,12 +182,12 @@ fn suppression_that_masks_nothing_is_an_error() {
 fn torture_fixture_masks_every_trap_and_keeps_live_code_hot() {
     // Raw strings, fenced raw strings, byte strings, nested block
     // comments, and doc comments full of needles: nothing fires — except
-    // the genuine slice index after the char-vs-lifetime traps.
+    // the genuine hash set after the char-vs-lifetime traps.
     let v = scan(
         include_str!("fixtures/torture.rs"),
-        &[Rule::D1, Rule::D2, Rule::D3, Rule::D4],
+        &[Rule::D1, Rule::D2, Rule::D3, Rule::D7],
     );
-    assert_eq!(lines_of(&v, Rule::D4), vec![34], "unexpected: {v:?}");
+    assert_eq!(lines_of(&v, Rule::D2), vec![34], "unexpected: {v:?}");
     assert_eq!(v.len(), 1, "unexpected: {v:?}");
 }
 
@@ -255,16 +226,16 @@ fn torture_fixture_tokenizes_as_expected() {
 fn rules_apply_only_to_lib_sources_of_the_right_crates() {
     // Data-path crate lib code: everything applies.
     let flash = rules_for("crates/flash/src/ftl.rs");
-    for r in [Rule::D1, Rule::D2, Rule::D3, Rule::D4, Rule::D5, Rule::D7] {
+    for r in [Rule::D1, Rule::D2, Rule::D3, Rule::D5, Rule::D7] {
         assert!(flash.contains(r), "flash lib code should get {r:?}");
     }
     assert!(!flash.contains(Rule::D6), "D6 is system-only");
     // The tenant-isolation guard lives in crates/system: D6 applies there.
     let system = rules_for("crates/system/src/tenants.rs");
-    for r in [Rule::D4, Rule::D5, Rule::D6, Rule::D7] {
+    for r in [Rule::D2, Rule::D5, Rule::D6, Rule::D7] {
         assert!(system.contains(r), "system lib code should get {r:?}");
     }
-    // `prof` computes derived statistics: data-path (D2/D4/D5) but the
+    // `prof` computes derived statistics: data-path (D2/D5) but the
     // sanctioned home for fixed-point summaries, so no D7.
     let prof = rules_for("crates/prof/src/analysis.rs");
     assert!(prof.contains(Rule::D5));
@@ -276,10 +247,10 @@ fn rules_apply_only_to_lib_sources_of_the_right_crates() {
     let sim = rules_for("crates/sim/src/time.rs");
     assert!(sim.contains(Rule::D1));
     assert!(!sim.contains(Rule::D3));
-    // Modeled-behaviour but not data-path: no D2/D4/D5/D7.
+    // Modeled-behaviour but not data-path: no D2/D5/D7.
     let host = rules_for("crates/host/src/cpu.rs");
     assert!(host.contains(Rule::D1));
-    for r in [Rule::D2, Rule::D4, Rule::D5, Rule::D6, Rule::D7] {
+    for r in [Rule::D2, Rule::D5, Rule::D6, Rule::D7] {
         assert!(!host.contains(r), "host should not get {r:?}");
     }
     // The observability module serializes reports, so it gets D2 on top of
@@ -287,7 +258,7 @@ fn rules_apply_only_to_lib_sources_of_the_right_crates() {
     let obs = rules_for("crates/sim/src/obs.rs");
     assert!(obs.contains(Rule::D1));
     assert!(obs.contains(Rule::D2), "obs.rs must reject hash containers");
-    assert!(!obs.contains(Rule::D4));
+    assert!(!obs.contains(Rule::D5));
     assert!(!rules_for("crates/sim/src/stats.rs").contains(Rule::D2));
     // Tests, benches, the linter, and the compat stubs are exempt.
     assert!(rules_for("crates/flash/tests/proptests.rs").is_empty());
@@ -298,11 +269,7 @@ fn rules_apply_only_to_lib_sources_of_the_right_crates() {
 
 // ---------------------------------------------------------------- baseline
 
-fn fc(total: usize, reachable: usize) -> FileCounts {
-    FileCounts { total, reachable }
-}
-
-fn counts(entries: &[(Rule, &str, FileCounts)]) -> BTreeMap<(Rule, String), FileCounts> {
+fn counts(entries: &[(Rule, &str, usize)]) -> BTreeMap<(Rule, String), usize> {
     entries
         .iter()
         .map(|(r, f, c)| ((*r, (*f).to_string()), *c))
@@ -312,46 +279,46 @@ fn counts(entries: &[(Rule, &str, FileCounts)]) -> BTreeMap<(Rule, String), File
 #[test]
 fn baseline_round_trips_through_json() {
     let c = counts(&[
-        (Rule::D2, "crates/a/src/lib.rs", fc(3, 0)),
-        (Rule::D4, "crates/b/src/lib.rs", fc(7, 2)),
+        (Rule::D2, "crates/a/src/lib.rs", 3),
+        (Rule::D7, "crates/b/src/lib.rs", 7),
     ]);
     let b = Baseline::from_counts(&c);
-    let parsed = Baseline::parse(&b.to_json()).expect("round trip");
+    let json = b.to_json();
+    assert!(!json.contains("reachable"), "{json}");
+    let parsed = Baseline::parse(&json).expect("round trip");
     assert_eq!(parsed.entries, b.entries);
-    assert_eq!(parsed.total(Rule::D2), fc(3, 0));
-    assert_eq!(parsed.total(Rule::D4), fc(7, 2));
+    assert_eq!(parsed.total(Rule::D2), 3);
+    assert_eq!(parsed.total(Rule::D7), 7);
 }
 
 #[test]
-fn baseline_rejects_stale_version_1_files() {
-    let v1 = r#"{ "version": 1, "entries": [
+fn baseline_rejects_older_formats_and_the_retired_rule() {
+    // Version 2 carried the D4 reachability column; like version 1 before
+    // it, it is rejected rather than half-read.
+    let v2 = r#"{ "version": 2, "entries": [
+        { "rule": "D7", "file": "crates/a/src/lib.rs", "count": 3, "reachable": 0 }
+    ] }"#;
+    let err = Baseline::parse(v2).expect_err("version 2 must be rejected");
+    assert!(err.contains("version 2 unsupported"), "{err}");
+    assert!(err.contains("--update-baseline"), "{err}");
+    let d4 = r#"{ "version": 3, "entries": [
         { "rule": "D4", "file": "crates/a/src/lib.rs", "count": 3 }
     ] }"#;
-    let err = Baseline::parse(v1).expect_err("version 1 must be rejected");
-    assert!(err.contains("version 1 unsupported"), "{err}");
-    assert!(err.contains("--update-baseline"), "{err}");
-}
-
-#[test]
-fn baseline_rejects_reachable_exceeding_count() {
-    let bad = r#"{ "version": 2, "entries": [
-        { "rule": "D4", "file": "crates/a/src/lib.rs", "count": 2, "reachable": 5 }
-    ] }"#;
-    let err = Baseline::parse(bad).expect_err("reachable > count is nonsense");
-    assert!(err.contains("exceeds count"), "{err}");
+    let err = Baseline::parse(d4).expect_err("D4 is not a rule any more");
+    assert!(err.contains("unknown rule \"D4\""), "{err}");
 }
 
 #[test]
 fn compare_flags_regressions_improvements_and_stale_entries() {
     let baseline = Baseline::from_counts(&counts(&[
-        (Rule::D4, "crates/a/src/lib.rs", fc(2, 1)),
-        (Rule::D4, "crates/gone/src/lib.rs", fc(1, 0)),
-        (Rule::D2, "crates/a/src/lib.rs", fc(5, 0)),
+        (Rule::D7, "crates/a/src/lib.rs", 2),
+        (Rule::D7, "crates/gone/src/lib.rs", 1),
+        (Rule::D2, "crates/a/src/lib.rs", 5),
     ]));
     let current = counts(&[
-        (Rule::D4, "crates/a/src/lib.rs", fc(4, 1)), // regression: 4 > 2
-        (Rule::D2, "crates/a/src/lib.rs", fc(1, 0)), // improvement: 1 < 5
-        (Rule::D1, "crates/b/src/lib.rs", fc(1, 0)), // new violation, unbaselined
+        (Rule::D7, "crates/a/src/lib.rs", 4), // regression: 4 > 2
+        (Rule::D2, "crates/a/src/lib.rs", 1), // improvement: 1 < 5
+        (Rule::D1, "crates/b/src/lib.rs", 1), // new violation, unbaselined
     ]);
     let existing: BTreeSet<String> = ["crates/a/src/lib.rs", "crates/b/src/lib.rs"]
         .iter()
@@ -359,50 +326,34 @@ fn compare_flags_regressions_improvements_and_stale_entries() {
         .collect();
     let drifts = compare(&current, &baseline, &existing);
     assert!(drifts.contains(&Drift::Regression {
-        rule: Rule::D4,
+        rule: Rule::D7,
         file: "crates/a/src/lib.rs".to_string(),
-        current: fc(4, 1),
-        allowed: fc(2, 1),
+        current: 4,
+        allowed: 2,
     }));
     assert!(drifts.contains(&Drift::Regression {
         rule: Rule::D1,
         file: "crates/b/src/lib.rs".to_string(),
-        current: fc(1, 0),
-        allowed: fc(0, 0),
+        current: 1,
+        allowed: 0,
     }));
     assert!(drifts.contains(&Drift::Improvement {
         rule: Rule::D2,
         file: "crates/a/src/lib.rs".to_string(),
-        current: fc(1, 0),
-        allowed: fc(5, 0),
+        current: 1,
+        allowed: 5,
     }));
     assert!(drifts.contains(&Drift::StaleFile {
-        rule: Rule::D4,
+        rule: Rule::D7,
         file: "crates/gone/src/lib.rs".to_string(),
     }));
     assert_eq!(drifts.len(), 4);
-}
-
-#[test]
-fn reachable_count_ratchets_independently_of_the_total() {
-    // Same total, but a previously-unreachable panic became reachable
-    // (e.g. a new pub method now calls into it): that is a regression.
-    let baseline = Baseline::from_counts(&counts(&[(Rule::D4, "crates/a/src/lib.rs", fc(3, 1))]));
-    let current = counts(&[(Rule::D4, "crates/a/src/lib.rs", fc(3, 2))]);
-    let existing: BTreeSet<String> = std::iter::once("crates/a/src/lib.rs".to_string()).collect();
-    let drifts = compare(&current, &baseline, &existing);
-    assert_eq!(drifts.len(), 1, "{drifts:?}");
-    assert!(drifts[0].is_regression(), "{drifts:?}");
-    // And shrinking the reachable set alone is an improvement to ratchet.
-    let better = counts(&[(Rule::D4, "crates/a/src/lib.rs", fc(3, 0))]);
-    let drifts = compare(&better, &baseline, &existing);
-    assert_eq!(drifts.len(), 1, "{drifts:?}");
-    assert!(!drifts[0].is_regression(), "{drifts:?}");
+    assert_eq!(drifts.iter().filter(|d| d.is_regression()).count(), 2);
 }
 
 #[test]
 fn identical_tree_and_baseline_produce_no_drift() {
-    let c = counts(&[(Rule::D4, "crates/a/src/lib.rs", fc(2, 1))]);
+    let c = counts(&[(Rule::D7, "crates/a/src/lib.rs", 2)]);
     let baseline = Baseline::from_counts(&c);
     let existing: BTreeSet<String> = std::iter::once("crates/a/src/lib.rs".to_string()).collect();
     assert!(compare(&c, &baseline, &existing).is_empty());

@@ -57,7 +57,7 @@ pub enum SystemError {
     },
     /// Cluster bookkeeping violated an internal invariant (a replica map
     /// and a buffer range disagreed). Surfaced as a typed error instead of
-    /// a panic so the data path stays panic-free (nds-lint D4).
+    /// a panic so the data path stays panic-free.
     ClusterInconsistency(&'static str),
 }
 

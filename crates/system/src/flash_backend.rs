@@ -20,7 +20,7 @@
 
 use std::borrow::Cow;
 
-use nds_core::{DeviceSpec, NvmBackend, UnitLocation};
+use nds_core::{DeviceSpec, NdsError, NvmBackend, UnitLocation};
 use nds_flash::{
     FlashConfig, FlashDevice, FlashError, MapperLabels, PageAddr, PageMapper, SparseIndex,
 };
@@ -42,7 +42,7 @@ use nds_sim::{SimTime, Stats};
 ///
 /// let mut backend = FlashBackend::new(FlashConfig::small_test());
 /// let loc = backend.alloc_unit(0, 0).unwrap();
-/// backend.write_unit(loc, &vec![7; backend.spec().unit_bytes as usize]);
+/// backend.write_unit(loc, &vec![7; backend.spec().unit_bytes as usize]).unwrap();
 /// assert_eq!(backend.read_unit(loc).unwrap()[0], 7);
 /// ```
 #[derive(Debug)]
@@ -158,8 +158,8 @@ impl FlashBackend {
     ) -> Result<SimTime, FlashError> {
         let mut done = ready;
         for &page in pages {
-            let mut end = self.device_mut().schedule_programs(&[page], ready);
-            if self.device_mut().next_program_fault(page) {
+            let mut end = self.device_mut().schedule_programs(&[page], ready)?;
+            if self.device_mut().next_program_fault(page)? {
                 // The failed program already spent its bus + program time;
                 // recovery evacuates the whole retired block, including the
                 // unit that was just written.
@@ -188,7 +188,7 @@ impl NvmBackend for FlashBackend {
         // A collection that fails means the lane cannot be trusted to hold
         // the unit; report it as exhausted.
         self.mapper.collect_lane(c, b, None).ok()?;
-        if self.device().free_pages_in(c, b) == 0 {
+        if self.device().free_pages_in(c, b).ok()? == 0 {
             return None;
         }
         // A handle is just an id; the physical page is chosen at write time
@@ -209,7 +209,9 @@ impl NvmBackend for FlashBackend {
     }
 
     fn free_units(&self, channel: u32, bank: u32) -> usize {
-        self.device().free_pages_in(channel as usize, bank as usize)
+        self.device()
+            .free_pages_in(channel as usize, bank as usize)
+            .unwrap_or(0)
     }
 
     /// The page a handle maps to: the forward-table lookup, done once.
@@ -223,27 +225,33 @@ impl NvmBackend for FlashBackend {
         self.device().peek(page).map(Cow::Borrowed)
     }
 
-    // The Backend trait makes writes infallible; alloc_unit reserved lane
-    // space, so the free-page lookup and program cannot fail here.
-    #[allow(clippy::expect_used)]
-    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) {
+    fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError> {
         let (c, b) = (loc.channel as usize, loc.bank as usize);
+        let refused = |e: FlashError| NdsError::Backend {
+            unit: loc,
+            reason: e.to_string(),
+        };
+        if data.len() != self.device().geometry().page_size {
+            return Err(NdsError::BadPayloadSize {
+                got: data.len(),
+                expected: self.device().geometry().page_size,
+            });
+        }
         // Out-of-place: supersede any existing page for this handle.
-        if self
-            .mapper
-            .supersede(loc)
-            .expect("mapped page must be valid")
-        {
+        if self.mapper.supersede(loc).map_err(refused)? {
             // The write still has its reserved page if GC bails out early.
             let _ = self.mapper.collect_lane(c, b, None);
         }
-        let page = self
-            .device_mut()
-            .find_free_page(c, b)
-            .expect("alloc_unit guaranteed lane space");
+        // `alloc_unit` reserved lane space, so a lane with no free page
+        // here was filled behind the STL's back.
+        let page = self.device_mut().find_free_page(c, b).map_err(refused)?;
+        let page = page.ok_or(NdsError::DeviceFull {
+            channel: loc.channel,
+            bank: loc.bank,
+        })?;
         self.mapper
             .program(loc, page, data.to_vec())
-            .expect("page is free");
+            .map_err(refused)
     }
 }
 
@@ -264,8 +272,35 @@ mod tests {
         let mut b = backend();
         let n = unit_bytes(&b);
         let loc = b.alloc_unit(1, 1).unwrap();
-        b.write_unit(loc, &vec![0xCD; n]);
+        b.write_unit(loc, &vec![0xCD; n]).unwrap();
         assert_eq!(b.read_unit(loc).unwrap().as_ref(), vec![0xCD; n].as_slice());
+    }
+
+    #[test]
+    fn a_write_the_medium_cannot_take_is_a_typed_error() {
+        let mut b = backend();
+        let n = unit_bytes(&b);
+        let loc = b.alloc_unit(0, 0).unwrap();
+        assert_eq!(
+            b.write_unit(loc, &[1]),
+            Err(NdsError::BadPayloadSize {
+                got: 1,
+                expected: n
+            })
+        );
+        // Fill the lane behind the adapter's back: the page `alloc_unit`
+        // counted on is gone.
+        while let Some(page) = b.device_mut().find_free_page(0, 0).unwrap() {
+            b.device_mut().program(page, vec![0; n]).unwrap();
+        }
+        assert_eq!(
+            b.write_unit(loc, &vec![1; n]),
+            Err(NdsError::DeviceFull {
+                channel: 0,
+                bank: 0
+            })
+        );
+        assert!(b.read_unit(loc).is_none());
     }
 
     #[test]
@@ -273,9 +308,9 @@ mod tests {
         let mut b = backend();
         let n = unit_bytes(&b);
         let loc = b.alloc_unit(0, 0).unwrap();
-        b.write_unit(loc, &vec![1; n]);
+        b.write_unit(loc, &vec![1; n]).unwrap();
         let first = b.physical_of(loc).unwrap();
-        b.write_unit(loc, &vec![2; n]);
+        b.write_unit(loc, &vec![2; n]).unwrap();
         let second = b.physical_of(loc).unwrap();
         assert_ne!(first, second, "NAND rewrite must relocate");
         assert_eq!(b.read_unit(loc).unwrap()[0], 2);
@@ -286,7 +321,7 @@ mod tests {
         let mut b = backend();
         let n = unit_bytes(&b);
         let loc = b.alloc_unit(2, 0).unwrap();
-        b.write_unit(loc, &vec![9; n]);
+        b.write_unit(loc, &vec![9; n]).unwrap();
         b.release_unit(loc);
         assert!(b.read_unit(loc).is_none());
     }
@@ -298,7 +333,7 @@ mod tests {
         let per_bank = b.device().geometry().pages_per_bank();
         let loc = b.alloc_unit(0, 0).unwrap();
         for round in 0..(per_bank * 3) as u64 {
-            b.write_unit(loc, &vec![(round % 251) as u8; n]);
+            b.write_unit(loc, &vec![(round % 251) as u8; n]).unwrap();
         }
         assert!(b.stats().get("backend.gc_runs") > 0);
         assert_eq!(
@@ -318,14 +353,14 @@ mod tests {
         let mut stable = Vec::new();
         for i in 0..24u64 {
             let s = b.alloc_unit(0, 0).unwrap();
-            b.write_unit(s, &vec![(100 + i) as u8; n]);
+            b.write_unit(s, &vec![(100 + i) as u8; n]).unwrap();
             stable.push(s);
-            b.write_unit(hot, &vec![0; n]);
-            b.write_unit(hot, &vec![0; n]);
+            b.write_unit(hot, &vec![0; n]).unwrap();
+            b.write_unit(hot, &vec![0; n]).unwrap();
         }
         let per_bank = b.device().geometry().pages_per_bank();
         for i in 0..(per_bank * 2) as u64 {
-            b.write_unit(hot, &vec![(i % 200) as u8; n]);
+            b.write_unit(hot, &vec![(i % 200) as u8; n]).unwrap();
         }
         assert!(b.stats().get("backend.gc_relocated") > 0);
         for (i, s) in stable.iter().enumerate() {
@@ -344,7 +379,7 @@ mod tests {
         // Fill lane (0, 0) completely, one distinct byte per unit.
         let mut units = Vec::new();
         while let Some(loc) = b.alloc_unit(0, 0) {
-            b.write_unit(loc, &vec![units.len() as u8; n]);
+            b.write_unit(loc, &vec![units.len() as u8; n]).unwrap();
             units.push(loc);
         }
         assert_eq!(units.len(), b.device().geometry().pages_per_bank());
@@ -372,7 +407,7 @@ mod tests {
         let units: Vec<UnitLocation> = (0..channels)
             .map(|c| {
                 let loc = b.alloc_unit(c, 0).unwrap();
-                b.write_unit(loc, &vec![0; n]);
+                b.write_unit(loc, &vec![0; n]).unwrap();
                 loc
             })
             .collect();
@@ -382,7 +417,7 @@ mod tests {
         let serial_units: Vec<UnitLocation> = (0..channels as u64)
             .map(|_| {
                 let loc = b.alloc_unit(0, 0).unwrap();
-                b.write_unit(loc, &vec![0; n]);
+                b.write_unit(loc, &vec![0; n]).unwrap();
                 loc
             })
             .collect();

@@ -110,7 +110,7 @@ impl StorageFrontEnd for OracleSystem {
         let grid = tile.grid_for(&shape);
         let tile_elems = tile.volume();
         let n_tiles = grid.volume();
-        let backing_view = Shape::new([tile_elems, n_tiles]);
+        let backing_view = Shape::try_new([tile_elems, n_tiles])?;
         let backing = self.inner.create_dataset(backing_view.clone(), element)?;
         let id = DatasetId(self.next_id);
         self.next_id += 1;
@@ -150,7 +150,7 @@ impl StorageFrontEnd for OracleSystem {
         let mut latency = SimDuration::ZERO;
         let mut commands = 0;
         for cover in &plan.blocks {
-            let tile = ds.grid.linear_index(&cover.coord);
+            let tile = ds.grid.linear_index(&cover.coord)?;
             let covered: u64 = cover.segments.iter().map(|s| s.len).sum();
             // Partially covered tiles read-modify-write against the store.
             let mut image = if covered == tile_bytes {
@@ -207,7 +207,7 @@ impl StorageFrontEnd for OracleSystem {
         let mut io_occupancy = SimDuration::ZERO;
         let mut commands = 0;
         for cover in &plan.blocks {
-            let tile = ds.grid.linear_index(&cover.coord);
+            let tile = ds.grid.linear_index(&cover.coord)?;
             let out = self.inner.read_into(
                 ds.backing,
                 &ds.backing_view,

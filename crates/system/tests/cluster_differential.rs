@@ -39,12 +39,14 @@ fn apply_model(
     esize: usize,
 ) {
     let region = Region::from_request(view, coord, sub).expect("model request");
-    region.for_each_run(view, |buf, linear, len| {
-        let src = buf as usize * esize;
-        let dst = linear as usize * esize;
-        let n = len as usize * esize;
-        model[dst..dst + n].copy_from_slice(&data[src..src + n]);
-    });
+    region
+        .for_each_run(view, |buf, linear, len| {
+            let src = buf as usize * esize;
+            let dst = linear as usize * esize;
+            let n = len as usize * esize;
+            model[dst..dst + n].copy_from_slice(&data[src..src + n]);
+        })
+        .unwrap();
 }
 
 fn read_full(sys: &mut impl StorageFrontEnd, id: DatasetId, shape: &Shape) -> Vec<u8> {
@@ -106,11 +108,13 @@ fn run_workload(
             assert_eq!(m.bytes as usize, buf.len());
             moved += m.bytes;
             let region = Region::from_request(shape, coord, sub).expect("request");
-            region.for_each_run(shape, |b, linear, len| {
-                let got = &buf[b as usize * esize..(b + len) as usize * esize];
-                let want = &model[linear as usize * esize..(linear + len) as usize * esize];
-                assert_eq!(got, want, "read diverged from model at op {op}");
-            });
+            region
+                .for_each_run(shape, |b, linear, len| {
+                    let got = &buf[b as usize * esize..(b + len) as usize * esize];
+                    let want = &model[linear as usize * esize..(linear + len) as usize * esize];
+                    assert_eq!(got, want, "read diverged from model at op {op}");
+                })
+                .unwrap();
         }
     }
     (model, moved)
@@ -367,11 +371,13 @@ fn shard_straddling_requests_reassemble_exactly() {
             .expect("straddling read");
         assert_eq!(m.bytes as usize, buf.len());
         let region = Region::from_request(&shape, &coord, &sub).expect("request");
-        region.for_each_run(&shape, |b, linear, len| {
-            let got = &buf[b as usize * esize..(b + len) as usize * esize];
-            let want = &full[linear as usize * esize..(linear + len) as usize * esize];
-            assert_eq!(got, want, "straddling read mangled a run");
-        });
+        region
+            .for_each_run(&shape, |b, linear, len| {
+                let got = &buf[b as usize * esize..(b + len) as usize * esize];
+                let want = &full[linear as usize * esize..(linear + len) as usize * esize];
+                assert_eq!(got, want, "straddling read mangled a run");
+            })
+            .unwrap();
     }
 
     // A non-canonical flat view whose partition crosses a shard boundary
@@ -605,9 +611,11 @@ fn unplannable_request_on_unsharded_dataset_fails_cleanly() {
     );
     assert_eq!(m.bytes as usize, buf.len());
     let region = Region::from_request(&shape, &[1, 2], &[4, 4]).expect("request");
-    region.for_each_run(&shape, |b, linear, len| {
-        let got = &buf[b as usize * esize..(b + len) as usize * esize];
-        let want = &full[linear as usize * esize..(linear + len) as usize * esize];
-        assert_eq!(got, want, "read after a rejected request is wrong");
-    });
+    region
+        .for_each_run(&shape, |b, linear, len| {
+            let got = &buf[b as usize * esize..(b + len) as usize * esize];
+            let want = &full[linear as usize * esize..(linear + len) as usize * esize];
+            assert_eq!(got, want, "read after a rejected request is wrong");
+        })
+        .unwrap();
 }

@@ -16,10 +16,14 @@ cargo fmt --all --check
 echo "== nds-lint (determinism contract)"
 lint_json="$(mktemp)"
 cargo run --quiet -p nds-lint -- --json "$lint_json" || { rm -f "$lint_json"; exit 1; }
-grep -q '"version": 2' "$lint_json" \
-    || { rm -f "$lint_json"; echo "check.sh: nds-lint --json did not emit a version-2 report" >&2; exit 1; }
+grep -q '"version": 3' "$lint_json" \
+    || { rm -f "$lint_json"; echo "check.sh: nds-lint --json did not emit a version-3 report" >&2; exit 1; }
 rm -f "$lint_json"
 
+# Clippy is also the panic gate: `core`, `flash`, `interconnect`, `system`
+# and `prof` deny indexing, `panic!`-family macros and undocumented panics
+# crate-wide outside test code, and `[workspace.lints]` adds `unwrap_used` /
+# `expect_used` (DESIGN.md "Panic policy").
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -13,12 +13,14 @@ use nds::system::{
 fn reference_slice(data: &[u8], view: &Shape, coord: &[u64], sub: &[u64], elem: usize) -> Vec<u8> {
     let region = nds::core::Region::from_request(view, coord, sub).expect("valid request");
     let mut out = vec![0u8; (region.volume() as usize) * elem];
-    region.for_each_run(view, |buf, linear, len| {
-        let src = (linear as usize) * elem;
-        let dst = (buf as usize) * elem;
-        let n = (len as usize) * elem;
-        out[dst..dst + n].copy_from_slice(&data[src..src + n]);
-    });
+    region
+        .for_each_run(view, |buf, linear, len| {
+            let src = (linear as usize) * elem;
+            let dst = (buf as usize) * elem;
+            let n = (len as usize) * elem;
+            out[dst..dst + n].copy_from_slice(&data[src..src + n]);
+        })
+        .unwrap();
     out
 }
 
