@@ -70,7 +70,7 @@ pub enum BlockDimensionality {
 /// assert_eq!(bb.bytes(), 64 * 1024);
 /// assert_eq!(bb.unit_count(), 16); // 2 pages from each of the 8 channels
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct BlockShape {
     dims: Vec<u64>,
     element_bytes: u32,

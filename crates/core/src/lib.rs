@@ -95,7 +95,7 @@ pub use block::{BlockDimensionality, BlockShape};
 pub use btree::LocatorTree;
 pub use element::ElementType;
 pub use error::NdsError;
-pub use plan_cache::PlanCache;
+pub use plan_cache::{GeometryClass, PlanCache};
 pub use shape::{Region, Shape};
 pub use space::{Space, SpaceId};
 pub use stl::{AccessReport, BlockAccess, Stl, StlConfig, WriteReport};

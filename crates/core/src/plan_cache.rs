@@ -1,18 +1,25 @@
 //! A bounded, exact-LRU cache of translation plans.
 //!
 //! Translation (equation (5), [`crate::translator`]) is a pure function of
-//! the space shape, the building-block geometry, the requested view, and the
-//! partition coordinate — it never looks at allocation state. Workloads that
-//! stream same-shaped partitions (every figure-9/10 experiment, all the
-//! `nds-workloads` drivers) therefore recompute byte-identical plans on
-//! every request. [`PlanCache`] memoizes them keyed by
-//! `(space, view shape, coord, sub_dims)`.
+//! *geometry* — the space shape, the building-block shape, the requested
+//! view and region — and never looks at allocation state or at which space
+//! is asked. It is also periodic in the building-block grid: a request a
+//! whole number of blocks away has the same plan with shifted block
+//! coordinates ([`crate::translator::canonicalize`]). [`PlanCache`]
+//! therefore memoizes the plan of the *canonical* request, keyed by
+//! `(geometry class, view shape, canonical origin, extent)`: every space of
+//! one [`GeometryClass`] — sixteen tenants' equal datasets, the shards of a
+//! cluster — and every block-aligned repeat of a tile inside one space
+//! share an entry. [`SpaceId`](crate::SpaceId) is not in the key, so
+//! deleting a space invalidates nothing and a plan can never go stale; LRU
+//! retires what is no longer asked for.
 //!
 //! The cache affects **wall-clock time only**: a cached plan is
-//! [`Arc`]-shared and compares equal to a fresh one, so every
-//! [`crate::AccessReport`] is bit-identical with the cache on or off. Hit
-//! and miss counters are exposed for the `nds-sim` stats sinks; modeled time
-//! never charges for (or discounts) translation based on cache state.
+//! [`Arc`]-shared and, moved back by the request's block base, compares
+//! equal to a fresh one, so every [`crate::AccessReport`] is bit-identical
+//! with the cache on or off. Hit and miss counters are exposed for the
+//! `nds-sim` stats sinks; modeled time never charges for (or discounts)
+//! translation based on cache state.
 //!
 //! # Structure
 //!
@@ -31,10 +38,10 @@
 //!   iterates it, so no output can depend on hash order.
 //!
 //! Every step is `O(1)` expected, whatever the capacity. That matters more
-//! than the hit path suggests: the multi-tenant and cluster scenarios hit
-//! only about a quarter of the time, and a miss at capacity must pick a
-//! victim — the dominant cost of the whole cache when that meant scanning
-//! every entry for the oldest stamp.
+//! than the hit path suggests: the cluster scenario still misses two times
+//! in three (its flat-view chunks share no position inside a block), and a
+//! miss at capacity must pick a victim — the dominant cost of the whole
+//! cache when that meant scanning every entry for the oldest stamp.
 //!
 //! # Exactly LRU
 //!
@@ -43,16 +50,16 @@
 //! stamp". Stamps are unique and only ever assigned as the current maximum,
 //! so ordering entries by stamp *is* ordering them by most recent touch —
 //! the list order. Moving a touched entry to the head is assigning it the
-//! new maximum; the tail is the minimum; removing entries (space deletion)
-//! keeps the relative order of the rest in both formulations. Hits, misses
-//! and the resident set therefore evolve identically for any request
-//! stream; `tests/plan_cache_props.rs` keeps the stamp-scan formulation as
-//! a reference model and checks exactly that.
+//! new maximum; the tail is the minimum. Hits, misses and the resident set
+//! therefore evolve identically for any request stream;
+//! `tests/plan_cache_props.rs` keeps the stamp-scan formulation as a
+//! reference model and checks exactly that.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::block::BlockShape;
 use crate::shape::Shape;
-use crate::space::SpaceId;
 use crate::translator::Translation;
 
 /// "No entry": the null link of the recency list and the bucket chains.
@@ -61,15 +68,21 @@ const NIL: u32 = u32::MAX;
 /// Smallest bucket array; it doubles whenever entries outnumber half of it.
 const MIN_BUCKETS: usize = 16;
 
-/// Everything a translation depends on besides the space's own geometry
-/// (which is fixed at [`crate::Stl::create_space`] time and keyed by the
-/// id), borrowed from the request.
+/// Everything a space contributes to a translation — its shape and its
+/// building-block shape (block extents, element and unit bytes) — interned
+/// by [`PlanCache::class_of`] when the space is created. Spaces of one class
+/// translate every request identically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GeometryClass(u64);
+
+/// Everything a translation depends on, borrowed from the (canonical)
+/// request: the space's geometry class, the view, the region.
 #[derive(Clone, Copy)]
 struct KeyRef<'a> {
-    space: SpaceId,
+    class: GeometryClass,
     view: &'a [u64],
-    coord: &'a [u64],
-    sub_dims: &'a [u64],
+    origin: &'a [u64],
+    extent: &'a [u64],
 }
 
 impl KeyRef<'_> {
@@ -79,9 +92,9 @@ impl KeyRef<'_> {
     fn hash(&self) -> u64 {
         const K: u64 = 0x517c_c1b7_2722_0a95;
         let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
-        let mut h = mix(self.space.0, self.view.len() as u64);
-        h = mix(h, self.coord.len() as u64);
-        for part in [self.view, self.coord, self.sub_dims] {
+        let mut h = mix(self.class.0, self.view.len() as u64);
+        h = mix(h, self.origin.len() as u64);
+        for part in [self.view, self.origin, self.extent] {
             h = part.iter().fold(h, |h, &w| mix(h, w));
         }
         h ^= h >> 32;
@@ -93,11 +106,11 @@ impl KeyRef<'_> {
 /// One cached plan with its owned key and list links.
 #[derive(Debug)]
 struct Entry {
-    space: SpaceId,
-    /// `view dims ++ coord ++ sub_dims`; the two lengths split it.
+    class: GeometryClass,
+    /// `view dims ++ origin ++ extent`; the two lengths split it.
     words: Vec<u64>,
     view_len: usize,
-    coord_len: usize,
+    origin_len: usize,
     hash: u64,
     plan: Arc<Translation>,
     /// Recency neighbours: `prev` is more recently used, `next` less.
@@ -110,23 +123,23 @@ struct Entry {
 impl Entry {
     fn matches(&self, hash: u64, key: KeyRef<'_>) -> bool {
         let (view, rest) = self.words.split_at(self.view_len);
-        let (coord, sub_dims) = rest.split_at(self.coord_len);
+        let (origin, extent) = rest.split_at(self.origin_len);
         self.hash == hash
-            && self.space == key.space
+            && self.class == key.class
             && view == key.view
-            && coord == key.coord
-            && sub_dims == key.sub_dims
+            && origin == key.origin
+            && extent == key.extent
     }
 
     /// Overwrites the key in place, reusing the word buffer.
     fn set_key(&mut self, hash: u64, key: KeyRef<'_>) {
-        self.space = key.space;
+        self.class = key.class;
         self.words.clear();
         self.words.extend_from_slice(key.view);
-        self.words.extend_from_slice(key.coord);
-        self.words.extend_from_slice(key.sub_dims);
+        self.words.extend_from_slice(key.origin);
+        self.words.extend_from_slice(key.extent);
         self.view_len = key.view.len();
-        self.coord_len = key.coord.len();
+        self.origin_len = key.origin.len();
         self.hash = hash;
     }
 }
@@ -135,6 +148,15 @@ impl Entry {
 #[derive(Debug)]
 pub struct PlanCache {
     capacity: usize,
+    /// Every geometry a space was created with, by its class. Neither
+    /// [`clear`](Self::clear) nor deleting a space shrinks it — a class has
+    /// to mean the same geometry for as long as any plan or space carries it
+    /// — so it grows by one entry (two dimension vectors and three words)
+    /// per *distinct* geometry ever created, however many spaces share it or
+    /// come and go. That is bounded by the datasets a run knows, not by its
+    /// length; only a process that keeps inventing new shapes grows it, and
+    /// dropping the cache's owner is what frees it.
+    classes: BTreeMap<(Shape, BlockShape), GeometryClass>,
     /// Every cached entry, densely: `slab.len()` is the cache's length.
     slab: Vec<Entry>,
     /// Bucket heads of the keyed index; length is zero or a power of two.
@@ -153,6 +175,7 @@ impl PlanCache {
         PlanCache {
             // Slab indices are `u32` with `NIL` reserved.
             capacity: capacity.min(NIL as usize),
+            classes: BTreeMap::new(),
             slab: Vec::new(),
             buckets: Vec::new(),
             head: NIL,
@@ -193,28 +216,49 @@ impl PlanCache {
         self.misses
     }
 
-    /// Whether a plan for `(space, view, coord, sub_dims)` is resident. A
-    /// pure peek: recency and the counters are untouched.
-    pub fn is_cached(&self, space: SpaceId, view: &Shape, coord: &[u64], sub_dims: &[u64]) -> bool {
+    /// The class of spaces shaped `space` and tiled by `block`: the same
+    /// class for the same geometry, a new one the first time it is seen.
+    pub fn class_of(&mut self, space: &Shape, block: &BlockShape) -> GeometryClass {
+        let next = GeometryClass(self.classes.len() as u64);
+        *self
+            .classes
+            .entry((space.clone(), block.clone()))
+            .or_insert(next)
+    }
+
+    /// Whether a plan for the region `(origin, extent)` of `view` over
+    /// spaces of `class` is resident. A pure peek: recency and the counters
+    /// are untouched.
+    pub fn is_cached(
+        &self,
+        class: GeometryClass,
+        view: &Shape,
+        origin: &[u64],
+        extent: &[u64],
+    ) -> bool {
         let key = KeyRef {
-            space,
+            class,
             view: view.dims(),
-            coord,
-            sub_dims,
+            origin,
+            extent,
         };
         self.find(key.hash(), key).is_some()
     }
 
-    /// Memoized translation: returns the cached plan for
-    /// `(space, view, coord, sub_dims)` or computes one via `translate` and
-    /// caches it. `translate` runs at most once, and only on a miss. A hit
-    /// performs no heap allocation.
+    /// Memoized translation: returns the cached plan for the region
+    /// `(origin, extent)` of `view` over spaces of `class`, or computes one
+    /// via `translate` and caches it. `translate` runs at most once, and
+    /// only on a miss. A hit performs no heap allocation.
+    ///
+    /// The caller validates the request and reduces it to its canonical
+    /// origin first ([`crate::translator::canonicalize`]): the cache stores
+    /// whatever plan `translate` returns for the key it is given.
     pub fn get_or_translate<E>(
         &mut self,
-        space: SpaceId,
+        class: GeometryClass,
         view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
+        origin: &[u64],
+        extent: &[u64],
         translate: impl FnOnce() -> Result<Translation, E>,
     ) -> Result<Arc<Translation>, E> {
         if self.capacity == 0 {
@@ -222,10 +266,10 @@ impl PlanCache {
             return Ok(Arc::new(translate()?));
         }
         let key = KeyRef {
-            space,
+            class,
             view: view.dims(),
-            coord,
-            sub_dims,
+            origin,
+            extent,
         };
         let hash = key.hash();
         if let Some((slot, entry)) = self.find(hash, key) {
@@ -239,32 +283,6 @@ impl PlanCache {
         let plan = Arc::new(translate()?);
         self.insert(hash, key, Arc::clone(&plan));
         Ok(plan)
-    }
-
-    /// Drops every plan for `space`. Correctness never requires this —
-    /// [`SpaceId`]s are not reused and a space's geometry is immutable — but
-    /// deleting a space would otherwise pin its plans until eviction.
-    /// `O(len)`: the survivors are re-threaded in their existing order.
-    pub fn invalidate_space(&mut self, space: SpaceId) {
-        if self.slab.iter().all(|e| e.space != space) {
-            return;
-        }
-        // Least recently used first, so re-inserting each survivor as the
-        // most recent reproduces the order they had.
-        let mut order = Vec::with_capacity(self.slab.len());
-        let mut slot = self.tail;
-        while let Some(entry) = self.entry(slot) {
-            order.push(slot);
-            slot = entry.prev;
-        }
-        let mut old: Vec<Option<Entry>> = self.slab.drain(..).map(Some).collect();
-        self.clear();
-        for slot in order {
-            let kept = old.get_mut(slot as usize).and_then(Option::take);
-            if let Some(entry) = kept.filter(|e| e.space != space) {
-                self.push_entry(entry);
-            }
-        }
     }
 
     /// Drops all cached plans (counters are preserved).
@@ -316,10 +334,10 @@ impl PlanCache {
     fn insert(&mut self, hash: u64, key: KeyRef<'_>, plan: Arc<Translation>) {
         if self.slab.len() < self.capacity {
             let mut entry = Entry {
-                space: key.space,
+                class: key.class,
                 words: Vec::new(),
                 view_len: 0,
-                coord_len: 0,
+                origin_len: 0,
                 hash,
                 plan,
                 prev: NIL,
@@ -447,15 +465,17 @@ mod tests {
         Shape::new(dims.to_vec())
     }
 
+    const C1: GeometryClass = GeometryClass(1);
+
     #[test]
     fn hit_returns_same_plan_without_recomputing() {
         let mut cache = PlanCache::new(4);
         let view = shape(&[8, 8]);
         let first: Arc<Translation> = cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[0, 0], &[4, 4], || Ok(plan(1)))
+            .get_or_translate::<()>(C1, &view, &[0, 0], &[4, 4], || Ok(plan(1)))
             .unwrap();
         let second = cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[0, 0], &[4, 4], || {
+            .get_or_translate::<()>(C1, &view, &[0, 0], &[4, 4], || {
                 panic!("must not retranslate on a hit")
             })
             .unwrap();
@@ -469,7 +489,7 @@ mod tests {
         let view = shape(&[8, 8]);
         for (coord, tag) in [([0u64, 0], 1u64), ([1, 0], 2), ([0, 1], 3)] {
             let got = cache
-                .get_or_translate::<()>(SpaceId(1), &view, &coord, &[4, 4], || Ok(plan(tag)))
+                .get_or_translate::<()>(C1, &view, &coord, &[4, 4], || Ok(plan(tag)))
                 .unwrap();
             assert_eq!(got.total_bytes, tag);
         }
@@ -482,27 +502,27 @@ mod tests {
         let mut cache = PlanCache::new(2);
         let view = shape(&[8]);
         cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[0], &[4], || Ok(plan(1)))
+            .get_or_translate::<()>(C1, &view, &[0], &[4], || Ok(plan(1)))
             .unwrap();
         cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[1], &[4], || Ok(plan(2)))
+            .get_or_translate::<()>(C1, &view, &[1], &[4], || Ok(plan(2)))
             .unwrap();
         // Touch [0] so [1] becomes the LRU victim.
         cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[0], &[4], || Ok(plan(1)))
+            .get_or_translate::<()>(C1, &view, &[0], &[4], || Ok(plan(1)))
             .unwrap();
         cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[2], &[4], || Ok(plan(3)))
+            .get_or_translate::<()>(C1, &view, &[2], &[4], || Ok(plan(3)))
             .unwrap();
         assert_eq!(cache.len(), 2);
         // [0] survived; [1] was evicted and retranslates.
         cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[0], &[4], || {
+            .get_or_translate::<()>(C1, &view, &[0], &[4], || {
                 panic!("[0] should still be cached")
             })
             .unwrap();
         let refreshed = cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[1], &[4], || Ok(plan(9)))
+            .get_or_translate::<()>(C1, &view, &[1], &[4], || Ok(plan(9)))
             .unwrap();
         assert_eq!(refreshed.total_bytes, 9);
     }
@@ -513,7 +533,7 @@ mod tests {
         let view = shape(&[8]);
         for _ in 0..3 {
             cache
-                .get_or_translate::<()>(SpaceId(1), &view, &[0], &[4], || Ok(plan(1)))
+                .get_or_translate::<()>(C1, &view, &[0], &[4], || Ok(plan(1)))
                 .unwrap();
         }
         assert!(!cache.is_enabled());
@@ -526,7 +546,7 @@ mod tests {
         let mut cache = PlanCache::new(4);
         let view = shape(&[8]);
         let err = cache
-            .get_or_translate::<&str>(SpaceId(1), &view, &[0], &[4], || Err("boom"))
+            .get_or_translate::<&str>(C1, &view, &[0], &[4], || Err("boom"))
             .unwrap_err();
         assert_eq!(err, "boom");
         assert_eq!(cache.len(), 0);
@@ -534,37 +554,43 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_space_drops_only_that_space() {
+    fn equal_geometries_share_a_class_and_its_plans() {
         let mut cache = PlanCache::new(8);
-        let view = shape(&[8]);
+        let block = |side| BlockShape::custom([side, side], 4, 512);
+        let first = cache.class_of(&shape(&[64, 64]), &block(16));
+        let twin = cache.class_of(&shape(&[64, 64]), &block(16));
+        assert_eq!(first, twin);
+        assert_ne!(first, cache.class_of(&shape(&[64, 32]), &block(16)));
+        assert_ne!(first, cache.class_of(&shape(&[64, 64]), &block(8)));
+        let view = shape(&[64, 64]);
         cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[0], &[4], || Ok(plan(1)))
+            .get_or_translate::<()>(first, &view, &[0, 0], &[4, 4], || Ok(plan(1)))
             .unwrap();
         cache
-            .get_or_translate::<()>(SpaceId(2), &view, &[0], &[4], || Ok(plan(2)))
-            .unwrap();
-        cache.invalidate_space(SpaceId(1));
-        assert_eq!(cache.len(), 1);
-        cache
-            .get_or_translate::<()>(SpaceId(2), &view, &[0], &[4], || {
-                panic!("space 2 must survive")
+            .get_or_translate::<()>(twin, &view, &[0, 0], &[4, 4], || {
+                panic!("the twin's plan is the first's")
             })
             .unwrap();
+        // Dropping plans forgets no class: live spaces still carry them.
+        cache.clear();
+        assert_eq!(cache.class_of(&shape(&[64, 64]), &block(16)), first);
+        // One table entry per distinct geometry, however often it is asked.
+        assert_eq!(cache.classes.len(), 3);
     }
 
     #[test]
     fn differently_split_requests_do_not_alias() {
-        // The same words split differently between coord and sub_dims are
+        // The same words split differently between origin and extent are
         // different (here: one valid, one malformed) requests.
         let mut cache = PlanCache::new(4);
         let view = shape(&[4, 4]);
         cache
-            .get_or_translate::<()>(SpaceId(1), &view, &[1, 2], &[1, 1], || Ok(plan(1)))
+            .get_or_translate::<()>(C1, &view, &[1, 2], &[1, 1], || Ok(plan(1)))
             .unwrap();
-        assert!(cache.is_cached(SpaceId(1), &view, &[1, 2], &[1, 1]));
-        assert!(!cache.is_cached(SpaceId(1), &view, &[1], &[2, 1, 1]));
+        assert!(cache.is_cached(C1, &view, &[1, 2], &[1, 1]));
+        assert!(!cache.is_cached(C1, &view, &[1], &[2, 1, 1]));
         let err = cache
-            .get_or_translate::<&str>(SpaceId(1), &view, &[1], &[2, 1, 1], || Err("arity"))
+            .get_or_translate::<&str>(C1, &view, &[1], &[2, 1, 1], || Err("arity"))
             .unwrap_err();
         assert_eq!(err, "arity");
     }
@@ -577,12 +603,12 @@ mod tests {
         let view = shape(&[1024]);
         for i in 0..100u64 {
             cache
-                .get_or_translate::<()>(SpaceId(1), &view, &[i], &[1], || Ok(plan(i)))
+                .get_or_translate::<()>(C1, &view, &[i], &[1], || Ok(plan(i)))
                 .unwrap();
         }
         assert_eq!(cache.len(), 7);
         for i in 0..100u64 {
-            assert_eq!(cache.is_cached(SpaceId(1), &view, &[i], &[1]), i >= 93);
+            assert_eq!(cache.is_cached(C1, &view, &[i], &[1]), i >= 93);
         }
     }
 }

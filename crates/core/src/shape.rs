@@ -291,7 +291,7 @@ impl Region {
 
 /// Validates a `(coordinate, sub-dimensionality)` request against `view`:
 /// arity, non-zero extents, and bounds (see [`Region::from_request`]).
-fn check_request(view: &Shape, coord: &[u64], sub_dims: &[u64]) -> Result<(), NdsError> {
+pub(crate) fn check_request(view: &Shape, coord: &[u64], sub_dims: &[u64]) -> Result<(), NdsError> {
     if coord.len() != view.ndims() || sub_dims.len() != view.ndims() {
         return Err(NdsError::ArityMismatch {
             view: view.ndims(),

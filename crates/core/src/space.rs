@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::block::BlockShape;
 use crate::btree::LocatorTree;
 use crate::element::ElementType;
+use crate::plan_cache::GeometryClass;
 use crate::shape::Shape;
 
 /// Identifier of a multi-dimensional address space, as handed back by space
@@ -29,6 +30,7 @@ pub struct Space {
     shape: Shape,
     element: ElementType,
     block_shape: BlockShape,
+    class: GeometryClass,
     tree: LocatorTree,
 }
 
@@ -38,6 +40,7 @@ impl Space {
         shape: Shape,
         element: ElementType,
         block_shape: BlockShape,
+        class: GeometryClass,
     ) -> Self {
         let grid = block_shape.grid_for(&shape);
         let tree = LocatorTree::new(grid, block_shape.unit_count());
@@ -46,6 +49,7 @@ impl Space {
             shape,
             element,
             block_shape,
+            class,
             tree,
         }
     }
@@ -68,6 +72,12 @@ impl Space {
     /// The building-block geometry the STL chose for this space.
     pub fn block_shape(&self) -> &BlockShape {
         &self.block_shape
+    }
+
+    /// The class of spaces that translate exactly as this one does (same
+    /// shape, same building blocks): what its plans are cached under.
+    pub fn geometry_class(&self) -> GeometryClass {
+        self.class
     }
 
     /// The locator tree.
@@ -101,7 +111,8 @@ mod tests {
             BlockDimensionality::Auto,
             1,
         );
-        let space = Space::new(SpaceId(1), shape.clone(), ElementType::F32, bb);
+        let class = crate::PlanCache::new(0).class_of(&shape, &bb);
+        let space = Space::new(SpaceId(1), shape.clone(), ElementType::F32, bb, class);
         assert_eq!(space.tree().grid().dims(), &[4, 4]);
         assert_eq!(space.tree().levels(), 2);
         assert_eq!(space.byte_volume(), 512 * 512 * 4);

@@ -30,7 +30,7 @@ use crate::block::{BlockDimensionality, BlockShape};
 use crate::element::ElementType;
 use crate::error::NdsError;
 use crate::plan_cache::PlanCache;
-use crate::shape::Shape;
+use crate::shape::{Region, Shape};
 use crate::space::{Space, SpaceId};
 use crate::translator::{self, BlockCover, Segment, Translation};
 use crate::views::{ViewId, ViewRegistry};
@@ -107,12 +107,14 @@ impl AccessReport {
         self.blocks.iter().map(|b| b.units.len()).sum()
     }
 
-    /// Entry `index` of `blocks` reset for `cover`, reusing the entry's (and
-    /// its vectors') allocations when a previous request left one there.
-    /// [`finish`](Self::finish) drops whatever lies past the last one begun.
+    /// Entry `index` of `blocks` reset for `cover` of the block at `coord`,
+    /// reusing the entry's (and its vectors') allocations when a previous
+    /// request left one there. [`finish`](Self::finish) drops whatever lies
+    /// past the last one begun.
     fn begin_block(
         &mut self,
         index: usize,
+        coord: &[u64],
         cover: &BlockCover,
     ) -> Result<&mut BlockAccess, NdsError> {
         if index == self.blocks.len() {
@@ -123,7 +125,7 @@ impl AccessReport {
             .get_mut(index)
             .ok_or(NdsError::Inconsistent("report blocks begun out of order"))?;
         block.coord.clear();
-        block.coord.extend_from_slice(&cover.coord);
+        block.coord.extend_from_slice(coord);
         block.units.clear();
         block.sector_bytes = sector_rounded(&cover.segments);
         Ok(block)
@@ -170,6 +172,13 @@ const STRAY_SPAN: NdsError = NdsError::Inconsistent("plan span outside its unit 
 /// per-request heap allocation beyond what the backend itself needs.
 #[derive(Debug)]
 struct Scratch<R> {
+    /// The request's canonical origin — the plan-cache key — and how many
+    /// building blocks it lies from there ([`translator::canonicalize`]).
+    origin: Vec<u64>,
+    base: Vec<u64>,
+    /// The coordinate of the cover being consumed: the cached plan's plus
+    /// `base`.
+    coord: Vec<u64>,
     /// Read path: the stored units of the request, resolved once each — row
     /// `i` holds the units of cover `i`, by unit index; `None` reads as zeros.
     resolved: Vec<Option<(UnitLocation, R)>>,
@@ -180,23 +189,30 @@ struct Scratch<R> {
     image: Vec<u8>,
 }
 
-impl<R> Scratch<R> {
-    /// Splits `cover`'s segments at unit boundaries into `spans`. They come
-    /// out grouped by ascending unit index (within a unit, ascending buffer
-    /// offset) because the segments ascend in the block image as they do in
-    /// the buffer.
-    fn split_into_unit_spans(&mut self, cover: &BlockCover, unit_bytes: u32) {
-        self.spans.clear();
-        for seg in &cover.segments {
-            let mut buf_off = seg.buffer_offset as usize;
-            for span in translator::unit_spans(0, seg.block_offset, seg.len, unit_bytes) {
-                let len = span.len as usize;
-                self.spans
-                    .push((span.unit as usize, span.unit_offset as usize, buf_off, len));
-                buf_off += len;
-            }
+/// Splits `cover`'s segments at unit boundaries into `spans`. They come out
+/// grouped by ascending unit index (within a unit, ascending buffer offset)
+/// because the segments ascend in the block image as they do in the buffer.
+fn split_into_unit_spans(
+    spans: &mut Vec<(usize, usize, usize, usize)>,
+    cover: &BlockCover,
+    unit_bytes: u32,
+) {
+    spans.clear();
+    for seg in &cover.segments {
+        let mut buf_off = seg.buffer_offset as usize;
+        for span in translator::unit_spans(0, seg.block_offset, seg.len, unit_bytes) {
+            let len = span.len as usize;
+            spans.push((span.unit as usize, span.unit_offset as usize, buf_off, len));
+            buf_off += len;
         }
     }
+}
+
+/// `at` = the cached cover coordinate `coord` moved `base` blocks: where the
+/// request's cover really lies.
+fn rebase(at: &mut Vec<u64>, coord: &[u64], base: &[u64]) {
+    at.clear();
+    at.extend(coord.iter().zip(base).map(|(c, b)| c + b));
 }
 
 impl<B: NvmBackend> Stl<B> {
@@ -222,6 +238,9 @@ impl<B: NvmBackend> Stl<B> {
             next_id: 1,
             plan_cache: PlanCache::new(config.plan_cache_capacity),
             scratch: Scratch {
+                origin: Vec::new(),
+                base: Vec::new(),
+                coord: Vec::new(),
                 resolved: Vec::new(),
                 spans: Vec::new(),
                 image: Vec::new(),
@@ -265,7 +284,9 @@ impl<B: NvmBackend> Stl<B> {
         );
         let id = SpaceId(self.next_id);
         self.next_id += 1;
-        self.spaces.insert(id, Space::new(id, shape, element, bb));
+        let class = self.plan_cache.class_of(&shape, &bb);
+        self.spaces
+            .insert(id, Space::new(id, shape, element, bb, class));
         Ok(id)
     }
 
@@ -296,10 +317,6 @@ impl<B: NvmBackend> Stl<B> {
             self.backend.release_unit(unit);
         }
         self.views.close_all_of(id);
-        // Not required for correctness (space ids are never reused), but
-        // plans of a dead space would otherwise sit in the cache until
-        // evicted.
-        self.plan_cache.invalidate_space(id);
         Ok(())
     }
 
@@ -383,15 +400,38 @@ impl<B: NvmBackend> Stl<B> {
         translator::translate(space.shape(), space.block_shape(), view, coord, sub_dims)
     }
 
-    /// Like [`plan`](Self::plan), but memoized through the [`PlanCache`] —
-    /// the entry point `read`/`write` use. A cached plan is shared, not
-    /// recomputed, and compares equal to a fresh [`plan`](Self::plan) of the
-    /// same request (translation is a pure function of shapes and geometry).
+    /// Like [`plan`](Self::plan), but through the [`PlanCache`], as
+    /// `read`/`write` translate: the cached plan of the request's
+    /// *canonical* form — shared by every request a whole number of building
+    /// blocks away in any space of the same geometry — with each cover moved
+    /// to where this request lies. Equals a fresh [`plan`](Self::plan) of
+    /// the same request; the copy is what `read`/`write` do without.
     ///
     /// # Errors
     ///
-    /// Same as [`plan`](Self::plan). Errors are never cached.
+    /// Same as [`plan`](Self::plan), for a request that would hit as for one
+    /// that misses. Errors are never cached and touch no counter.
     pub fn plan_cached(
+        &mut self,
+        id: SpaceId,
+        view: &Shape,
+        coord: &[u64],
+        sub_dims: &[u64],
+    ) -> Result<Translation, NdsError> {
+        let mut plan = Translation::clone(&*self.lookup(id, view, coord, sub_dims)?);
+        let Scratch {
+            base, coord: at, ..
+        } = &mut self.scratch;
+        for cover in &mut plan.blocks {
+            rebase(at, &cover.coord, base);
+            cover.coord.clone_from(at);
+        }
+        Ok(plan)
+    }
+
+    /// The cached plan of the request's canonical form, its block shift
+    /// left in `scratch.base` ([`translator::canonicalize`]).
+    fn lookup(
         &mut self,
         id: SpaceId,
         view: &Shape,
@@ -400,9 +440,17 @@ impl<B: NvmBackend> Stl<B> {
     ) -> Result<Arc<Translation>, NdsError> {
         let space = self.spaces.get(&id).ok_or(NdsError::UnknownSpace(id))?;
         let (shape, block) = (space.shape(), space.block_shape());
+        let Scratch { origin, base, .. } = &mut self.scratch;
+        // Validated on every lookup, not only on a miss: an out-of-bounds
+        // request can reduce to a resident key.
+        translator::canonicalize(shape, block, view, coord, sub_dims, origin, base)?;
         self.plan_cache
-            .get_or_translate(id, view, coord, sub_dims, || {
-                translator::translate(shape, block, view, coord, sub_dims)
+            .get_or_translate(space.geometry_class(), view, origin, sub_dims, || {
+                let region = Region {
+                    origin: origin.clone(),
+                    extent: sub_dims.to_vec(),
+                };
+                translator::translate_region(shape, block, view, &region)
             })
     }
 
@@ -471,7 +519,7 @@ impl<B: NvmBackend> Stl<B> {
         buf: &mut Vec<u8>,
         report: &mut AccessReport,
     ) -> Result<(), NdsError> {
-        let translation = self.plan_cached(id, view, coord, sub_dims)?;
+        let translation = self.lookup(id, view, coord, sub_dims)?;
         let space = self.spaces.get(&id).ok_or(NdsError::UnknownSpace(id))?;
         let unit_bytes = u64::from(space.block_shape().unit_bytes());
         let units_per_block = space.tree().units_per_block();
@@ -480,7 +528,12 @@ impl<B: NvmBackend> Stl<B> {
         // Pass 1 — what the timing layer sees: each covered block that was
         // ever written, and in sequential (ascending unit index) order each
         // allocated unit the cover overlaps, looked up in the backend once.
-        let resolved = &mut self.scratch.resolved;
+        let Scratch {
+            resolved,
+            base,
+            coord: at,
+            ..
+        } = &mut self.scratch;
         resolved.clear();
         resolved.resize(translation.blocks.len() * units_per_block, None);
         let mut blocks = 0;
@@ -489,10 +542,11 @@ impl<B: NvmBackend> Stl<B> {
             .iter()
             .zip(resolved.chunks_exact_mut(units_per_block.max(1)))
         {
-            let Some(entry) = space.tree().get(&cover.coord) else {
+            rebase(at, &cover.coord, base);
+            let Some(entry) = space.tree().get(at) else {
                 continue; // never-written block: zeros
             };
-            let block = report.begin_block(blocks, cover)?;
+            let block = report.begin_block(blocks, at, cover)?;
             blocks += 1;
             cover.try_for_each_unit(unit_bytes, |unit| {
                 // Unallocated units read as zero.
@@ -581,7 +635,7 @@ impl<B: NvmBackend> Stl<B> {
         data: &[u8],
         report: &mut WriteReport,
     ) -> Result<(), NdsError> {
-        let translation = self.plan_cached(id, view, coord, sub_dims)?;
+        let translation = self.lookup(id, view, coord, sub_dims)?;
         if data.len() as u64 != translation.total_bytes {
             return Err(NdsError::BadPayloadSize {
                 got: data.len(),
@@ -595,10 +649,16 @@ impl<B: NvmBackend> Stl<B> {
         for (index, cover) in translation.blocks.iter().enumerate() {
             // This block's dirty byte spans, grouped per unit in ascending
             // unit order.
-            self.scratch
-                .split_into_unit_spans(cover, translation.unit_bytes);
-            let entry = space.tree_mut().get_or_insert(&cover.coord)?;
-            let block = report.access.begin_block(index, cover)?;
+            let Scratch {
+                spans,
+                base,
+                coord: at,
+                ..
+            } = &mut self.scratch;
+            split_into_unit_spans(spans, cover, translation.unit_bytes);
+            rebase(at, &cover.coord, base);
+            let entry = space.tree_mut().get_or_insert(at)?;
+            let block = report.access.begin_block(index, at, cover)?;
             for spans in self.scratch.spans.chunk_by(|a, b| a.0 == b.0) {
                 let Some(&(unit_idx, ..)) = spans.first() else {
                     continue;
@@ -614,23 +674,21 @@ impl<B: NvmBackend> Stl<B> {
                     image
                 } else {
                     let covered: usize = spans.iter().map(|&(_, _, _, len)| len).sum();
-                    // Base image: zeros for fresh/full writes, the old
-                    // unit's bytes for a partial overwrite
-                    // (read-modify-write). The staging buffer is reused
-                    // across units and requests.
+                    // Base image: the old unit's bytes for a partial
+                    // overwrite (read-modify-write), zeros for fresh/full
+                    // writes — filled once, whichever it is. The staging
+                    // buffer is reused across units and requests.
                     self.scratch.image.clear();
-                    self.scratch.image.resize(unit_bytes, 0);
-                    if covered != unit_bytes {
-                        if let Some(old_loc) = old {
-                            if let Some(existing) = self.backend.read_unit(old_loc) {
-                                if existing.len() != unit_bytes {
-                                    return Err(NdsError::MissingUnit(old_loc));
-                                }
-                                self.scratch.image.copy_from_slice(&existing);
+                    if let (true, Some(old_loc)) = (covered != unit_bytes, old) {
+                        if let Some(existing) = self.backend.read_unit(old_loc) {
+                            if existing.len() != unit_bytes {
+                                return Err(NdsError::MissingUnit(old_loc));
                             }
-                            report.rmw_units += 1;
+                            self.scratch.image.extend_from_slice(&existing);
                         }
+                        report.rmw_units += 1;
                     }
+                    self.scratch.image.resize(unit_bytes, 0);
                     for &(_, unit_off, buf_off, len) in spans {
                         let into = self.scratch.image.get_mut(unit_off..unit_off + len);
                         let from = data.get(buf_off..buf_off + len);
@@ -979,9 +1037,12 @@ mod tests {
         let fresh = s.plan(id, &shape, &[1, 1], &[16, 16]).unwrap();
         let cached_miss = s.plan_cached(id, &shape, &[1, 1], &[16, 16]).unwrap();
         let cached_hit = s.plan_cached(id, &shape, &[1, 1], &[16, 16]).unwrap();
-        assert_eq!(*cached_miss, fresh);
-        assert_eq!(*cached_hit, fresh);
-        assert_eq!(s.plan_cache().hits(), 1);
+        // The same tile two blocks over is the same plan, moved.
+        let relocated = s.plan_cached(id, &shape, &[3, 1], &[16, 16]).unwrap();
+        assert_eq!(cached_miss, fresh);
+        assert_eq!(cached_hit, fresh);
+        assert_eq!(relocated, s.plan(id, &shape, &[3, 1], &[16, 16]).unwrap());
+        assert_eq!(s.plan_cache().hits(), 2);
     }
 
     fn total_free(s: &Stl<MemBackend>) -> usize {

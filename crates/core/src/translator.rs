@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::BlockShape;
 use crate::error::NdsError;
-use crate::shape::{Region, Shape};
+use crate::shape::{check_request, Region, Shape};
 
 /// One contiguous byte copy between a building block's sequential image and
 /// the request's dense buffer.
@@ -188,6 +188,17 @@ impl Translation {
     }
 }
 
+/// A view shows all of a space's elements, in another shape.
+fn check_volume(space: &Shape, view: &Shape) -> Result<(), NdsError> {
+    if view.volume() != space.volume() {
+        return Err(NdsError::ViewVolumeMismatch {
+            space: space.volume(),
+            view: view.volume(),
+        });
+    }
+    Ok(())
+}
+
 /// Translates a `(view, coord, sub_dims)` request over a space into its
 /// building-block cover and copy plan.
 ///
@@ -223,14 +234,59 @@ pub fn translate(
     coord: &[u64],
     sub_dims: &[u64],
 ) -> Result<Translation, NdsError> {
-    if view.volume() != space.volume() {
-        return Err(NdsError::ViewVolumeMismatch {
-            space: space.volume(),
-            view: view.volume(),
-        });
-    }
+    check_volume(space, view)?;
     let region = Region::from_request(view, coord, sub_dims)?;
     translate_region(space, bb, view, &region)
+}
+
+/// Validates a request exactly as [`translate`] does and reduces it to its
+/// *canonical* form — the request, a whole number of building blocks closer
+/// to the origin, that has the same plan: `origin` receives the canonical
+/// region's first element (its extent is `sub_dims`), `base` how many
+/// blocks the request lies from it along each dimension of the space.
+/// [`translate_region`] of the canonical region, each cover's coordinate
+/// moved by `base`, equals [`translate`] of the request field for field.
+///
+/// That holds because [`translate_region`] derives a block's coordinate and
+/// the offset inside it from `x / b` and `x % b` of each storage coordinate
+/// `x`, with full-block strides: moving every `x` of a request by a multiple
+/// of `b` changes block coordinates — all by the same amount, so not their
+/// order — and nothing else, edge blocks included.
+///
+/// * Through the space's own shape a request's storage coordinates are its
+///   view coordinates, so every dimension reduces on its own:
+///   `base = origin / b`, `origin %= b`.
+/// * Through any other view the request keeps its absolute origin
+///   (`base = 0`), always correct: such views still share plans across
+///   spaces of one geometry, only not across positions inside one.
+///
+/// # Errors
+///
+/// Same as [`translate`]; `origin` and `base` are unspecified then.
+pub fn canonicalize(
+    space: &Shape,
+    bb: &BlockShape,
+    view: &Shape,
+    coord: &[u64],
+    sub_dims: &[u64],
+    origin: &mut Vec<u64>,
+    base: &mut Vec<u64>,
+) -> Result<(), NdsError> {
+    check_volume(space, view)?;
+    // Bounds first: every product below is of in-bounds coordinates.
+    check_request(view, coord, sub_dims)?;
+    origin.clear();
+    origin.extend(coord.iter().zip(sub_dims).map(|(c, f)| c * f));
+    base.clear();
+    base.resize(space.ndims(), 0);
+    if view.dims() == space.dims() {
+        for ((o, shift), &b) in origin.iter_mut().zip(base.iter_mut()).zip(bb.dims()) {
+            let b = b.max(1);
+            *shift = *o / b;
+            *o %= b;
+        }
+    }
+    Ok(())
 }
 
 /// Translates an arbitrary element region of `view` (used internally and by
@@ -246,12 +302,7 @@ pub fn translate_region(
     view: &Shape,
     region: &Region,
 ) -> Result<Translation, NdsError> {
-    if view.volume() != space.volume() {
-        return Err(NdsError::ViewVolumeMismatch {
-            space: space.volume(),
-            view: view.volume(),
-        });
-    }
+    check_volume(space, view)?;
     let elem = bb.element_bytes() as u64;
     let unit_bytes = bb.unit_bytes();
     // A span names its unit in 32 bits: refuse a block too large for that

@@ -2,11 +2,13 @@
 //!
 //! The plan cache is a pure wall-clock optimization: translation depends only
 //! on space geometry (shape, block shape, view, coordinate, sub-dims), never
-//! on allocation state, so a memoized plan must be *identical* to a freshly
-//! computed one, and every observable output of the STL — payload bytes,
-//! [`AccessReport`]s, [`WriteReport`]s — must be bit-identical whether the
-//! cache is enabled or disabled. These properties back the "modeled time
-//! untouched" invariant the simulator relies on.
+//! on allocation state or on which space is asked, and is periodic in the
+//! building-block grid — so a memoized plan, moved back by the request's
+//! block base, must be *identical* to a freshly computed one whichever
+//! space or block first cached it, and every observable output of the STL —
+//! payload bytes, [`AccessReport`]s, [`WriteReport`]s — must be bit-identical
+//! whether the cache is enabled or disabled. These properties back the
+//! "modeled time untouched" invariant the simulator relies on.
 //!
 //! The cache's own policy is pinned too: [`StampScanCache`] below is the
 //! stamp-and-scan LRU the cache used to be, kept as a reference model, and
@@ -27,7 +29,8 @@ use proptest::prelude::*;
 use nds_core::testing::FlakyBackend;
 use nds_core::translator::Translation;
 use nds_core::{
-    DeviceSpec, ElementType, MemBackend, NdsError, PlanCache, Shape, SpaceId, Stl, StlConfig,
+    BlockShape, DeviceSpec, ElementType, GeometryClass, MemBackend, NdsError, PlanCache, Region,
+    Shape, Stl, StlConfig,
 };
 
 fn spec() -> DeviceSpec {
@@ -71,8 +74,8 @@ fn stl_with_capacity(seed: u64, capacity: usize) -> Stl<MemBackend> {
     )
 }
 
-/// `(space, view, coord, sub_dims)`, owned.
-type Key = (SpaceId, Shape, Vec<u64>, Vec<u64>);
+/// `(geometry class, view, origin, extent)`, owned.
+type Key = (GeometryClass, Shape, Vec<u64>, Vec<u64>);
 
 /// The reference model: every entry carries the stamp of its last touch and
 /// a miss at capacity scans all of them for the smallest. `O(capacity)` per
@@ -128,27 +131,23 @@ impl StampScanCache {
         false
     }
 
-    fn invalidate_space(&mut self, space: SpaceId) {
-        self.entries.retain(|key, _| key.0 != space);
-    }
-
     fn clear(&mut self) {
         self.entries.clear();
     }
 }
 
-/// Keys the streams draw from: 300 distinct requests over three spaces and
-/// a 1-D and a 2-D view, so capacity 128 evicts and the small ones thrash.
+/// Keys the streams draw from: 300 distinct requests over three geometry
+/// classes and a 1-D and a 2-D view, so capacity 128 evicts and the small
+/// ones thrash.
 const KEYS: usize = 300;
 
-fn key_of(k: usize) -> Key {
-    let k = k as u64;
-    let space = SpaceId(1 + k % 3);
-    let n = k / 6;
+fn key_of(classes: &[GeometryClass; 3], k: usize) -> Key {
+    let class = classes[k % 3];
+    let n = k as u64 / 6;
     if (k / 3).is_multiple_of(2) {
-        (space, Shape::new([64]), vec![n], vec![1])
+        (class, Shape::new([64]), vec![n], vec![1])
     } else {
-        (space, Shape::new([8, 8]), vec![n % 8, n / 8], vec![1, 1])
+        (class, Shape::new([8, 8]), vec![n % 8, n / 8], vec![1, 1])
     }
 }
 
@@ -161,18 +160,15 @@ fn translates(k: usize) -> bool {
 #[derive(Debug, Clone)]
 enum CacheOp {
     Lookup(usize),
-    InvalidateSpace(u64),
     Clear,
 }
 
-/// Six in fourteen ops look up one of a hot dozen keys (so every capacity
-/// sees hits as well as evictions), six any key, one invalidates a space,
-/// one clears.
+/// Six in thirteen ops look up one of a hot dozen keys (so every capacity
+/// sees hits as well as evictions), six any key, one clears.
 fn cache_op() -> impl Strategy<Value = CacheOp> {
-    (0u32..14, 0usize..KEYS).prop_map(|(kind, k)| match kind {
+    (0u32..13, 0usize..KEYS).prop_map(|(kind, k)| match kind {
         0..=5 => CacheOp::Lookup(k % 12),
         6..=11 => CacheOp::Lookup(k),
-        12 => CacheOp::InvalidateSpace(1 + k as u64 % 3),
         _ => CacheOp::Clear,
     })
 }
@@ -183,21 +179,24 @@ proptest! {
     /// The list-based cache and the stamp-scan reference agree on every
     /// lookup's outcome, on the resident key set and on `len()` after every
     /// step, for every capacity class (disabled, degenerate, tiny, odd, the
-    /// default) under interleaved invalidations and clears.
+    /// default) under interleaved clears and failing translations.
     #[test]
     fn list_lru_matches_the_stamp_scan_reference(
         ops in prop::collection::vec(cache_op(), 1..600),
     ) {
-        let keys: Vec<Key> = (0..KEYS).map(key_of).collect();
         for capacity in [0usize, 1, 2, 7, 128] {
             let mut cache = PlanCache::new(capacity);
+            let classes = [4u64, 8, 16].map(|side| {
+                cache.class_of(&Shape::new([64]), &BlockShape::custom([side], 4, 64))
+            });
+            let keys: Vec<Key> = (0..KEYS).map(|k| key_of(&classes, k)).collect();
             let mut model = StampScanCache::new(capacity);
             for (step, op) in ops.iter().enumerate() {
                 match *op {
                     CacheOp::Lookup(k) => {
-                        let (space, view, coord, sub_dims) = &keys[k];
+                        let (class, view, origin, extent) = &keys[k];
                         let hits_before = cache.hits();
-                        let got = cache.get_or_translate(*space, view, coord, sub_dims, || {
+                        let got = cache.get_or_translate(*class, view, origin, extent, || {
                             if translates(k) {
                                 Ok(Translation { blocks: Vec::new(), total_bytes: k as u64, spans: Vec::new(), unit_bytes: 1 })
                             } else {
@@ -213,10 +212,6 @@ proptest! {
                             Ok(plan) => prop_assert_eq!(plan.total_bytes, k as u64),
                             Err(e) => prop_assert!(!model_hit && e == k),
                         }
-                    }
-                    CacheOp::InvalidateSpace(space) => {
-                        cache.invalidate_space(SpaceId(space));
-                        model.invalidate_space(SpaceId(space));
                     }
                     CacheOp::Clear => {
                         cache.clear();
@@ -242,7 +237,8 @@ proptest! {
 
     /// A plan served from the cache equals a freshly translated one, for
     /// arbitrary aligned partition requests — including repeat requests
-    /// that hit the cache.
+    /// that hit the cache, from the space that cached the plan and from a
+    /// twin of the same geometry.
     #[test]
     fn cached_plan_equals_fresh_plan(
         (shape, (sub, coord)) in shape_strategy().prop_flat_map(|s| {
@@ -254,16 +250,21 @@ proptest! {
         let mut cached = stl_with_capacity(seed, 64);
         let mut fresh = stl_with_capacity(seed, 0);
         let id_c = cached.create_space(shape.clone(), ElementType::F32).unwrap();
+        let twin = cached.create_space(shape.clone(), ElementType::F32).unwrap();
         let id_f = fresh.create_space(shape.clone(), ElementType::F32).unwrap();
         prop_assert_eq!(id_c, id_f);
 
-        // First call populates the cache; second is served from it.
+        // First call populates the cache; the others are served from it.
+        let direct = fresh.plan(id_f, &shape, &coord, &sub).unwrap();
         let first = cached.plan_cached(id_c, &shape, &coord, &sub).unwrap();
         let hit = cached.plan_cached(id_c, &shape, &coord, &sub).unwrap();
-        let direct = fresh.plan_cached(id_f, &shape, &coord, &sub).unwrap();
-        prop_assert_eq!(&*first, &*direct, "memoized plan diverges from fresh");
-        prop_assert_eq!(&*hit, &*direct, "cache-hit plan diverges from fresh");
-        prop_assert!(cached.plan_cache().hits() >= 1, "second lookup must hit");
+        let shared = cached.plan_cached(twin, &shape, &coord, &sub).unwrap();
+        let uncached = fresh.plan_cached(id_f, &shape, &coord, &sub).unwrap();
+        prop_assert_eq!(&first, &direct, "memoized plan diverges from fresh");
+        prop_assert_eq!(&hit, &direct, "cache-hit plan diverges from fresh");
+        prop_assert_eq!(&shared, &direct, "a twin space's plan diverges from fresh");
+        prop_assert_eq!(&uncached, &direct, "cache-off plan diverges from fresh");
+        prop_assert_eq!(cached.plan_cache().hits(), 2, "second and third lookup must hit");
         prop_assert_eq!(fresh.plan_cache().hits(), 0);
     }
 
@@ -306,6 +307,19 @@ proptest! {
             let r_off = off.read_into(id_off, &shape, coord, sub, &mut buf_off).unwrap();
             prop_assert_eq!(&buf_on, &buf_off, "payload bytes diverge");
             prop_assert_eq!(&r_on, &r_off, "access reports diverge");
+
+            // Both sides act on relocated plans, so agreeing is not enough:
+            // the bytes are the partition's and — every block of the space
+            // being stored — the report names exactly the fresh plan's covers.
+            let mut expected = Vec::new();
+            Region::from_request(&shape, coord, sub).unwrap().for_each_run(&shape, |_, start, len| {
+                expected.extend_from_slice(&data[start as usize * 4..(start + len) as usize * 4]);
+            }).unwrap();
+            prop_assert_eq!(&buf_on, &expected, "not the partition that was asked for");
+            let plan = off.plan(id_off, &shape, coord, sub).unwrap();
+            let covers: Vec<&Vec<u64>> = plan.blocks.iter().map(|b| &b.coord).collect();
+            let reported: Vec<&Vec<u64>> = r_on.blocks.iter().map(|b| &b.coord).collect();
+            prop_assert_eq!(reported, covers, "report names other blocks than the plan");
         }
         prop_assert!(on.plan_cache().hits() >= parts.len() as u64);
         prop_assert_eq!(off.plan_cache().hits(), 0);
@@ -369,4 +383,81 @@ fn backend_fault_during_replay_does_not_poison_the_cache() {
         .collect();
     assert_eq!(buf, expected, "post-fault replay corrupted the payload");
     assert_eq!(report.bytes, 16 * 16 * 4);
+}
+
+/// A request is validated on every lookup, not only when it misses: an
+/// out-of-bounds coordinate that reduces to a resident canonical key is
+/// still a typed `OutOfBounds`, reads and writes nothing, and leaves the
+/// cache — counters included — as it was.
+#[test]
+fn out_of_bounds_request_onto_a_resident_key_is_rejected() {
+    // 4 channels × 512 B units: the smallest square power-of-two block that
+    // holds 2 KiB of f32 is 32 × 32, so a 64 × 64 space is a 2 × 2 grid.
+    let mut stl = Stl::new(
+        MemBackend::new(DeviceSpec::new(4, 2, 512), 1024),
+        StlConfig::default(),
+    );
+    let shape = Shape::new([64, 64]);
+    let id = stl.create_space(shape.clone(), ElementType::F32).unwrap();
+    let block = stl.space(id).unwrap().block_shape().dims().to_vec();
+    assert_eq!(block, [32, 32]);
+
+    let tile = vec![7u8; 32 * 32 * 4];
+    stl.write(id, &shape, &[1, 1], &[32, 32], &tile).unwrap();
+    stl.read(id, &shape, &[0, 1], &[32, 32]).unwrap(); // same canonical key
+    let class = stl.space(id).unwrap().geometry_class();
+    assert!(stl
+        .plan_cache()
+        .is_cached(class, &shape, &[0, 0], &[32, 32]));
+    let before = (
+        stl.plan_cache().hits(),
+        stl.plan_cache().misses(),
+        stl.plan_cache().len(),
+    );
+    assert_eq!(before, (1, 1, 1));
+
+    // One block past the edge in either dimension: canonical origin (0, 0).
+    for coord in [[2u64, 0], [0, 2], [2, 2], [u64::MAX / 32 + 1, 0]] {
+        let attempts = [
+            stl.read(id, &shape, &coord, &[32, 32]).map(|_| ()),
+            stl.write(id, &shape, &coord, &[32, 32], &tile).map(|_| ()),
+            stl.plan_cached(id, &shape, &coord, &[32, 32]).map(|_| ()),
+        ];
+        for got in attempts {
+            assert!(
+                matches!(got, Err(NdsError::OutOfBounds { .. })),
+                "at {coord:?}: {got:?}"
+            );
+        }
+    }
+    let after = (
+        stl.plan_cache().hits(),
+        stl.plan_cache().misses(),
+        stl.plan_cache().len(),
+    );
+    assert_eq!(after, before, "a rejected request must not touch the cache");
+    assert_eq!(stl.space(id).unwrap().tree().allocated_blocks(), 1);
+}
+
+/// Deleting a space invalidates nothing — its plans were never its own —
+/// and a plan outlives the space that cached it: the next space of that
+/// geometry starts on a warm cache.
+#[test]
+fn plans_outlive_the_space_that_cached_them() {
+    let mut stl = stl_with_capacity(1, 8);
+    let shape = Shape::new([32, 32]);
+    let first = stl.create_space(shape.clone(), ElementType::F32).unwrap();
+    stl.read(first, &shape, &[1, 0], &[8, 8]).unwrap();
+    stl.delete_space(first).unwrap();
+    assert_eq!(stl.plan_cache().len(), 1);
+
+    let second = stl.create_space(shape.clone(), ElementType::F32).unwrap();
+    assert_ne!(first, second);
+    stl.read(second, &shape, &[3, 2], &[8, 8]).unwrap();
+    assert_eq!((stl.plan_cache().hits(), stl.plan_cache().misses()), (1, 1));
+
+    // Another geometry — here only the element size differs — shares nothing.
+    let wide = stl.create_space(shape.clone(), ElementType::F64).unwrap();
+    stl.read(wide, &shape, &[1, 0], &[8, 8]).unwrap();
+    assert_eq!((stl.plan_cache().hits(), stl.plan_cache().misses()), (1, 2));
 }

@@ -221,3 +221,122 @@ proptest! {
         prop_assert_eq!(covered, oracle.len() as u64 * 4);
     }
 }
+
+/// A view of `space`'s elements: its own shape, one long row, or the
+/// dimensions reversed.
+fn view_of(space: &Shape, kind: u32) -> Shape {
+    match kind % 3 {
+        1 => Shape::new([space.volume()]),
+        2 => Shape::new(space.dims().iter().rev().copied().collect::<Vec<_>>()),
+        _ => space.clone(),
+    }
+}
+
+/// A partition request inside `view`: per dimension any extent and any
+/// partition coordinate whose partition still fits.
+fn request_in(view: &Shape) -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
+    let per_dim: Vec<_> = view
+        .dims()
+        .iter()
+        .map(|&d| (1..=d).prop_flat_map(move |sub| (0..d / sub, Just(sub))))
+        .collect();
+    per_dim.prop_map(|pairs| pairs.into_iter().unzip())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Relocated plan ≡ fresh plan: the canonical request's plan, moved by
+    /// the block base `canonicalize` reports, is `translate` of the request
+    /// field for field — covers, coordinates, segments, span order, totals —
+    /// for spaces that are no multiple of their blocks (so edge blocks
+    /// relocate too), blocks of any shape, both element sizes, and views
+    /// that reduce per dimension (the space's own) or not at all (flat,
+    /// reversed).
+    #[test]
+    fn canonical_plan_rebased_equals_the_fresh_plan(
+        (space, block_dims, view, (coord, sub)) in
+            (prop::collection::vec(1u64..=40, 1..=3), 0u32..3).prop_flat_map(|(dims, kind)| {
+                let space = Shape::new(dims);
+                let block = prop::collection::vec(1u64..=9, space.ndims()..=space.ndims());
+                let view = view_of(&space, kind);
+                let request = request_in(&view);
+                (Just(space), block, Just(view), request)
+            }),
+        wide in any::<bool>(),
+        unit_exp in 3u32..=6,
+    ) {
+        let bb = BlockShape::custom(block_dims, if wide { 8 } else { 4 }, 1 << unit_exp);
+        let fresh = translator::translate(&space, &bb, &view, &coord, &sub).unwrap();
+
+        let (mut origin, mut base) = (vec![99; 5], vec![99; 5]); // stale scratch
+        translator::canonicalize(&space, &bb, &view, &coord, &sub, &mut origin, &mut base)
+            .unwrap();
+        prop_assert_eq!(base.len(), space.ndims());
+        let canonical = Region { origin: origin.clone(), extent: sub.clone() };
+        let plan = translator::translate_region(&space, &bb, &view, &canonical).unwrap();
+        let mut moved = plan;
+        for cover in &mut moved.blocks {
+            cover.coord.iter_mut().zip(&base).for_each(|(c, b)| *c += b);
+        }
+        prop_assert_eq!(moved, fresh);
+
+        // Canonical means it: the canonical request reduces no further, and
+        // in the space's own view it starts inside the first block.
+        let at_origin: Vec<u64> = origin.iter().zip(&sub).map(|(o, f)| o / f).collect();
+        if origin.iter().zip(&sub).all(|(o, f)| o % f == 0) {
+            let (mut again, mut rest) = (Vec::new(), Vec::new());
+            translator::canonicalize(&space, &bb, &view, &at_origin, &sub, &mut again, &mut rest)
+                .unwrap();
+            prop_assert_eq!(&again, &origin);
+            prop_assert!(rest.iter().all(|&b| b == 0));
+        }
+        if view == space {
+            prop_assert!(origin.iter().zip(bb.dims()).all(|(o, b)| o < b));
+        } else {
+            let absolute: Vec<u64> = coord.iter().zip(&sub).map(|(c, f)| c * f).collect();
+            prop_assert_eq!(&origin, &absolute);
+            prop_assert!(base.iter().all(|&b| b == 0));
+        }
+    }
+}
+
+/// A request `canonicalize` rejects is one `translate` rejects, with the
+/// same error — before any key could be formed from it — and coordinates
+/// whose products overflow are out of bounds, not a wrap.
+#[test]
+fn canonicalize_rejects_what_translate_rejects() {
+    let space = Shape::new([64, 48]);
+    let bb = BlockShape::custom([16, 16], 4, 64);
+    let flat = Shape::new([64 * 48]);
+    let cases: [(&Shape, &[u64], &[u64]); 7] = [
+        (&space, &[4, 0], &[16, 16]),            // one block past the edge
+        (&space, &[0, 3], &[16, 16]),            // same, slow dimension
+        (&space, &[u64::MAX, 0], &[16, 16]),     // coord · extent overflows
+        (&space, &[1, u64::MAX / 2], &[16, 16]), // wraps to "in bounds" if unchecked
+        (&space, &[0], &[16]),                   // arity
+        (&space, &[0, 0], &[16, 0]),             // empty extent
+        (&flat, &[3], &[1024]),                  // past the end of a flat view
+    ];
+    for (view, coord, sub) in cases {
+        let (mut origin, mut base) = (Vec::new(), Vec::new());
+        let got = translator::canonicalize(&space, &bb, view, coord, sub, &mut origin, &mut base);
+        let want = translator::translate(&space, &bb, view, coord, sub).map(|_| ());
+        assert!(want.is_err(), "{coord:?} × {sub:?} should be rejected");
+        assert_eq!(got, want, "{coord:?} × {sub:?}");
+    }
+    let wrong_volume = Shape::new([64, 47]);
+    let (mut origin, mut base) = (Vec::new(), Vec::new());
+    assert!(matches!(
+        translator::canonicalize(
+            &space,
+            &bb,
+            &wrong_volume,
+            &[0, 0],
+            &[1, 1],
+            &mut origin,
+            &mut base
+        ),
+        Err(nds_core::NdsError::ViewVolumeMismatch { .. })
+    ));
+}

@@ -10,7 +10,7 @@
 //! the paper's \[P1\]/\[P2\]/\[P3\] cost structure for Fig. 1's blocked matrix
 //! multiplication.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use nds_core::{Assembler, ElementType, NdsError, Region, Shape};
 use nds_flash::{FlashError, Ftl, FtlConfig, PageAddr};
@@ -347,16 +347,25 @@ impl BaselineSystem {
                 let lba = base_lba + off / ps;
                 let in_page = off % ps;
                 let take = remaining.min(ps - in_page);
-                let image = pages.entry(lba).or_insert_with(|| {
-                    self.ftl
-                        .peek(lba)
-                        .map(<[u8]>::to_vec)
-                        .unwrap_or_else(|| vec![0; ps as usize])
-                });
-                let dst = image.get_mut(in_page as usize..(in_page + take) as usize);
                 let payload = data.get(src as usize..(src + take) as usize);
-                if let (Some(dst), Some(payload)) = (dst, payload) {
-                    dst.copy_from_slice(payload);
+                match (pages.entry(lba), payload.filter(|_| take == ps)) {
+                    // An extent that covers the whole page is its image: the
+                    // old page (every page of a populate) is not copied.
+                    (Entry::Vacant(slot), Some(page)) => {
+                        slot.insert(page.to_vec());
+                    }
+                    (slot, _) => {
+                        let image = slot.or_insert_with(|| {
+                            self.ftl
+                                .peek(lba)
+                                .map(<[u8]>::to_vec)
+                                .unwrap_or_else(|| vec![0; ps as usize])
+                        });
+                        let dst = image.get_mut(in_page as usize..(in_page + take) as usize);
+                        if let (Some(dst), Some(payload)) = (dst, payload) {
+                            dst.copy_from_slice(payload);
+                        }
+                    }
                 }
                 off += take;
                 src += take;

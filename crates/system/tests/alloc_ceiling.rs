@@ -100,6 +100,43 @@ fn hardware_read_on_a_plan_cache_hit_allocates_nothing() {
     assert_eq!(n, 0, "a warmed 2 KiB read on a plan-cache hit allocated");
 }
 
+/// A hit is a hit whoever cached the plan: the same tile shape at another
+/// block coordinate of the dataset, and in a different dataset of the same
+/// geometry, is served from the one cached plan — moved, not cloned.
+#[test]
+fn hardware_read_of_a_relocated_or_shared_plan_allocates_nothing() {
+    let (mut sys, id, shape) = filled(HardwareNds::new(SystemConfig::small_test()));
+    let twin = sys.create_dataset(shape.clone(), ElementType::F32).unwrap();
+    let data = payload((SIDE * SIDE * 4) as usize, 0x11);
+    sys.write(twin, &shape, &[0, 0], &[SIDE, SIDE], &data)
+        .unwrap();
+    let mut buf = Vec::new();
+    // Warm-up on one tile of one dataset: block (1, 1), starting at its origin.
+    for _ in 0..2 {
+        sys.read_into(id, &shape, &[1, 2], &TILE, &mut buf).unwrap();
+    }
+    let (hits, misses) = (
+        sys.stl().plan_cache().hits(),
+        sys.stl().plan_cache().misses(),
+    );
+    let elsewhere = allocations(|| {
+        sys.read_into(id, &shape, &[3, 6], &TILE, &mut buf).unwrap(); // block (3, 3)
+    });
+    assert_eq!(buf.len(), 2048);
+    let other_space = allocations(|| {
+        sys.read_into(twin, &shape, &[2, 4], &TILE, &mut buf)
+            .unwrap(); // block (2, 2) of the twin
+    });
+    assert_eq!(buf.len(), 2048);
+    assert_eq!(sys.stl().plan_cache().hits(), hits + 2, "measured two hits");
+    assert_eq!(sys.stl().plan_cache().misses(), misses);
+    assert_eq!(elsewhere, 0, "the same tile at another block allocated");
+    assert_eq!(
+        other_space, 0,
+        "a twin dataset's read of a cached plan allocated"
+    );
+}
+
 /// Allocations of a warmed read of the whole dataset: 16 building blocks of
 /// 8 units each, so the plan carries a span list and the STL's resolved-unit
 /// scratch holds 128 units.

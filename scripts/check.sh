@@ -39,12 +39,15 @@ if [[ "${1:-}" != "--no-test" ]]; then
     # flash property suite drives through both of its instantiations; and
     # the read-assembly plan, whose span fields are narrowed to u32 at plan
     # build, which the translator oracle and the dirty-buffer read
-    # properties drive on every read path.
-    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper + read-assembly + workload-kernel suites, overflow checks on)"
+    # properties drive on every read path; and the plan-cache key, which is
+    # `u64` div / mod / mul on caller-supplied coordinates
+    # (`translator::canonicalize`) that `check_request` must have bounded
+    # first, which the relocation properties and `plan_cache_props` drive.
+    echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper + read-assembly + plan-cache + workload-kernel suites, overflow checks on)"
     cargo test --quiet --profile ci -p nds-interconnect
     cargo test --quiet --profile ci -p nds-flash --test proptests
     cargo test --quiet --profile ci -p nds-core \
-        --test translator_oracle --test read_assembly_props
+        --test translator_oracle --test read_assembly_props --test plan_cache_props
     cargo test --quiet --profile ci -p nds-system \
         --test wfq_qos --test tenant_isolation --test tenant_differential \
         --test alloc_ceiling --test dirty_buffer_props
