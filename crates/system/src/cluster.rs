@@ -13,9 +13,8 @@
 //! **last** (slowest-varying) dimension: shard `h` owns `shard_rows`
 //! consecutive last-dimension rows, which is a *contiguous range of the
 //! canonical linearization*. Each shard is an ordinary device-local dataset
-//! of shape `[d₁ … dₙ₋₁, rows]`, so a shard-aligned request forwards as a
-//! single device request and the device's own STL handles intra-shard
-//! layout.
+//! of shape `[d₁ … dₙ₋₁, rows]`, and the device's own STL handles
+//! intra-shard layout.
 //!
 //! Replica holders are chosen by seeded **rendezvous hashing**: every
 //! device scores a `splitmix64` hash of `(seed, dataset, shard, device)` and
@@ -23,6 +22,23 @@
 //! seed and the identifiers — no placement tables to keep consistent, and
 //! any participant can recompute it, which is what makes re-replication
 //! after a device kill deterministic.
+//!
+//! # Sub-op plan
+//!
+//! Every request becomes a list of device sub-ops, each an N-D partition
+//! `(coord, sub_dims)` of one shard's **own local shape** — a tile reaches
+//! the device as a tile, not as strips. Planning is two steps. *Boxes:* a
+//! request in the dataset's own view is one box; a request through any
+//! other view contributes its canonical runs, each cut into the few boxes
+//! that are aligned in every dimension but one (a partial row, then
+//! whole-row slabs, then whole planes, … and back down). *Pieces:* each box
+//! is cut at the shard row boundaries, and each piece is split along its
+//! one free dimension only where its extent does not divide its origin —
+//! greedily, into the longest pieces whose extent does. Every piece is
+//! contiguous in the caller's buffer and the list is in ascending buffer
+//! order, so one read loop appends pieces and one write loop slices the
+//! payload. A request inside one shard row band, aligned to it, is one
+//! sub-op per replica.
 //!
 //! # Steering, failover, and the ack invariant
 //!
@@ -81,29 +97,28 @@ fn rendezvous_score(seed: u64, dataset: u64, shard: u64, device: u64) -> u64 {
     splitmix64(seed ^ dataset ^ shard ^ device)
 }
 
-/// Decomposes the element range `[start, start + len)` of a flat space into
-/// the minimal sequence of *partition-aligned* chunks: each emitted chunk
-/// `(origin, len)` has power-of-two `len` dividing `origin`, so it is
-/// expressible as the front-end request `coord = origin / len`,
-/// `sub_dims = [len]` in a one-dimensional view. At most
-/// `O(log₂ len)` chunks are emitted, in ascending order.
-fn aligned_chunks(start: u64, len: u64, mut f: impl FnMut(u64, u64)) {
-    let mut p = start;
-    let mut rem = len;
-    while rem > 0 {
-        // Largest power of two dividing p (p = 0 divides everything)…
-        let align = if p == 0 {
-            u64::MAX
-        } else {
-            1u64 << p.trailing_zeros()
-        };
-        // …capped by the largest power of two that still fits.
-        let fit = 1u64 << (63 - rem.leading_zeros());
-        let l = align.min(fit);
-        f(p, l);
-        p += l;
-        rem -= l;
+/// The length of the longest piece `[p, p + l)`, `1 ≤ l ≤ rem`, that one
+/// partition request can name along a dimension: `l` must divide `p` (the
+/// request is coordinate `p / l`, extent `l`). From 0 that is all of `rem`;
+/// from `p ≤ rem` it is `p` itself; otherwise it is the largest divisor of
+/// `p` not above `rem`, i.e. `p / k` for the smallest co-divisor
+/// `k ≥ ⌈p / rem⌉` — tried up to `√p`, past which the divisor is below `√p`
+/// and is tried directly. `rem` must be non-zero.
+fn aligned_len(p: u64, rem: u64) -> u64 {
+    if p <= rem {
+        return if p == 0 { rem } else { p };
     }
+    let mut k = p.div_ceil(rem.max(1));
+    while k.saturating_mul(k) <= p {
+        if p.is_multiple_of(k) {
+            return p / k;
+        }
+        k += 1;
+    }
+    (1..=rem.min(p / k))
+        .rev()
+        .find(|&d| p.is_multiple_of(d))
+        .unwrap_or(1)
 }
 
 /// Tunable knobs of a cluster run. `Default` is a single-device,
@@ -185,11 +200,9 @@ struct Replica {
 #[derive(Debug)]
 struct Shard {
     start_row: u64,
-    /// The shard's device-local dataset shape `[d₁ … dₙ₋₁, rows]`.
+    /// The shard's device-local dataset shape `[d₁ … dₙ₋₁, rows]` — every
+    /// sub-op of the shard is a partition of it.
     local: Shape,
-    /// The same elements as one flat dimension — the view every
-    /// [`aligned_chunks`] sub-op is phrased in.
-    flat: Shape,
     replicas: Vec<Replica>,
 }
 
@@ -198,8 +211,6 @@ struct Shard {
 struct ClusterDataset {
     shape: Shape,
     element: ElementType,
-    /// Product of all dimensions except the last (elements per row).
-    inner_vol: u64,
     /// Rows per shard for every shard but possibly the last.
     rows_per_shard: u64,
     shards: Vec<Shard>,
@@ -222,15 +233,17 @@ impl<S> DeviceSlot<S> {
     }
 }
 
-/// One planned device-level sub-operation of a clustered request: `len`
-/// elements of shard `shard`, landing at element offset `buf_elem` of the
-/// caller's dense buffer. Every front-end request — sharded or not —
-/// becomes one `SubOp` list executed by one read loop or one write loop.
+/// One planned device-level sub-operation of a clustered request: a
+/// partition of shard `shard`'s local shape holding `len` elements, which
+/// land at element offset `buf_elem` of the caller's dense buffer. Every
+/// front-end request — sharded or not — becomes one `SubOp` list executed
+/// by one read loop or one write loop.
 #[derive(Debug, Clone, Copy)]
 struct SubOp {
     shard: usize,
-    /// Partition coordinate of the piece in the shard's flat view.
-    coord: u64,
+    /// Where the partition's `coord` and then its `sub_dims` (one word per
+    /// dimension each) start in [`Plan::table`].
+    at: usize,
     len: u64,
     buf_elem: u64,
     /// Set on the single sub-op of a single-shard dataset: the shard *is*
@@ -245,16 +258,22 @@ type Request<'a> = (&'a Shape, &'a [u64], &'a [u64]);
 
 impl SubOp {
     /// The device request serving this sub-op of `caller`'s request from a
-    /// replica of `shard`.
-    fn request<'b>(&'b self, shard: &'b Shard, caller: Request<'b>) -> Request<'b> {
+    /// replica of `shard`; `table` is the plan's [`Plan::table`].
+    fn request<'b>(
+        &self,
+        shard: &'b Shard,
+        table: &'b [u64],
+        caller: Request<'b>,
+    ) -> Result<Request<'b>, SystemError> {
         if self.verbatim {
-            return caller;
+            return Ok(caller);
         }
-        (
-            &shard.flat,
-            std::slice::from_ref(&self.coord),
-            std::slice::from_ref(&self.len),
-        )
+        let n = shard.local.ndims();
+        table
+            .get(self.at..self.at + 2 * n)
+            .and_then(|words| words.split_at_checked(n))
+            .map(|(coord, sub_dims)| (&shard.local, coord, sub_dims))
+            .ok_or(SystemError::ClusterInconsistency("sub-op table"))
     }
 
     /// Appends this sub-op's `payload` to the read buffer. The plan is in
@@ -276,6 +295,149 @@ impl SubOp {
     }
 }
 
+/// A planned request: its sub-ops in ascending buffer order, the
+/// coordinate table they point into, and the box being cut while planning.
+#[derive(Debug, Default)]
+struct Plan {
+    subops: Vec<SubOp>,
+    /// The `coord` then the `sub_dims` of every non-verbatim sub-op, one
+    /// word per dimension each.
+    table: Vec<u64>,
+    /// Origin and extent, in dataset coordinates, of the box being cut.
+    origin: Vec<u64>,
+    extent: Vec<u64>,
+}
+
+impl Plan {
+    /// Cuts the canonical run `[linear, linear + len)`, which fills the
+    /// caller's buffer from element `buf`, into the boxes aligned in every
+    /// dimension but one — on the way up the partial row, then the rows up
+    /// to the next plane, …; on the way down the whole slabs of the slowest
+    /// dimension, then of the next, … — and splits each.
+    fn split_run(
+        &mut self,
+        ds: &ClusterDataset,
+        buf: u64,
+        linear: u64,
+        len: u64,
+    ) -> Result<(), SystemError> {
+        let dims = ds.shape.dims();
+        let end = linear + len;
+        let mut at = linear;
+        // Elements in one step along dimension `k`.
+        let mut stride = 1;
+        for (k, &d) in dims.iter().enumerate() {
+            let next = stride * d;
+            let units = (end.min(at.next_multiple_of(next)) - at) / stride;
+            self.run_box(ds, k, at, units, buf + (at - linear))?;
+            at += units * stride;
+            stride = next;
+        }
+        for (k, &d) in dims.iter().enumerate().rev() {
+            stride /= d;
+            let units = (end - at) / stride;
+            self.run_box(ds, k, at, units, buf + (at - linear))?;
+            at += units * stride;
+        }
+        Ok(())
+    }
+
+    /// The box of `units` steps along dimension `free` from linear element
+    /// `at` (a multiple of one step): whole along every faster dimension,
+    /// one element thick along every slower one. Split by
+    /// [`split_box`](Self::split_box); nothing for zero steps.
+    fn run_box(
+        &mut self,
+        ds: &ClusterDataset,
+        free: usize,
+        at: u64,
+        units: u64,
+        buf: u64,
+    ) -> Result<(), SystemError> {
+        if units == 0 {
+            return Ok(());
+        }
+        self.origin.clear();
+        self.extent.clear();
+        let mut rest = at;
+        for (i, &d) in ds.shape.dims().iter().enumerate() {
+            self.origin.push(rest % d);
+            rest /= d;
+            self.extent.push(match i.cmp(&free) {
+                std::cmp::Ordering::Less => d,
+                std::cmp::Ordering::Equal => units,
+                std::cmp::Ordering::Greater => 1,
+            });
+        }
+        self.split_box(ds, free, buf)
+    }
+
+    /// Cuts the box `origin`/`extent` — contiguous in the caller's buffer
+    /// from element `buf`, aligned to its extent in every dimension but
+    /// `free`, and free along the last dimension unless it is one row
+    /// thick — at the shard row boundaries, and each piece along `free`
+    /// into the longest pieces whose extent divides their origin
+    /// ([`aligned_len`]). Pushes one sub-op per piece, in ascending buffer
+    /// order.
+    fn split_box(&mut self, ds: &ClusterDataset, free: usize, buf: u64) -> Result<(), SystemError> {
+        let Plan {
+            subops,
+            table,
+            origin,
+            extent,
+        } = self;
+        let last = origin.len().saturating_sub(1);
+        let range = |i: usize| origin.get(i).copied().zip(extent.get(i).copied());
+        let ((lo, width), (r0, rows)) = range(free)
+            .zip(range(last))
+            .ok_or(SystemError::ClusterInconsistency("plan box"))?;
+        let r1 = r0 + rows;
+        // Elements in one step along `free`.
+        let step: u64 = extent.iter().take(free).product();
+        let first = usize::try_from(r0 / ds.rows_per_shard).unwrap_or(usize::MAX);
+        let shards = ds.shards.iter().enumerate().skip(first);
+        for (h, shard) in shards.take_while(|(_, s)| s.start_row < r1) {
+            let start = shard.start_row;
+            // The piece's range along `free` in the shard's coordinates, and
+            // what to add to it for the box's.
+            let (mut p, stop, shift) = if free == last {
+                let end = start + shard.local.dim(last);
+                (r0.max(start) - start, r1.min(end) - start, start)
+            } else {
+                (lo, lo + width, 0)
+            };
+            while p < stop {
+                let len = aligned_len(p, stop - p);
+                let local = |i: usize, o: u64, e: u64| {
+                    if i == free {
+                        (p, len)
+                    } else if i == last {
+                        (o - start, e)
+                    } else {
+                        (o, e)
+                    }
+                };
+                let piece = || origin.iter().zip(extent.iter()).enumerate();
+                let at = table.len();
+                table.extend(piece().map(|(i, (&o, &e))| {
+                    let (o, e) = local(i, o, e);
+                    o / e
+                }));
+                table.extend(piece().map(|(i, (&o, &e))| local(i, o, e).1));
+                subops.push(SubOp {
+                    shard: h,
+                    at,
+                    len: step * len,
+                    buf_elem: buf + (p + shift - lo) * step,
+                    verbatim: false,
+                });
+                p += len;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Request-scoped lists of one clustered operation, kept between
 /// operations so planning and executing one does not allocate in steady
 /// state.
@@ -283,7 +445,7 @@ impl SubOp {
 struct OpScratch {
     /// Coalesced `(buffer offset, linear start, length)` runs of the region.
     runs: Vec<(u64, u64, u64)>,
-    subops: Vec<SubOp>,
+    plan: Plan,
     /// Per device: the serial `(latency, occupancy)` sums of its sub-ops.
     dev_io: Vec<(SimDuration, SimDuration)>,
     /// The replica payload of the sub-op being read.
@@ -291,19 +453,45 @@ struct OpScratch {
 }
 
 impl ClusterDataset {
-    /// Plans the request `(view, coord, sub_dims)` as device sub-operations:
-    /// leaves them in `scratch.subops`, in ascending buffer order, and
-    /// returns the request's element volume.
+    /// The shard geometry of a dataset of `shape`: row bands of
+    /// `shard_rows` last-dimension rows (0 = one band), replica sets empty.
+    fn new(shape: Shape, element: ElementType, shard_rows: u64) -> Result<Self, NdsError> {
+        let (&last, inner) = shape.dims().split_last().ok_or(NdsError::EmptyShape)?;
+        let rows_per_shard = if shard_rows == 0 {
+            last
+        } else {
+            shard_rows.min(last)
+        };
+        let mut shards = Vec::new();
+        let mut start_row = 0u64;
+        while start_row < last {
+            let rows = rows_per_shard.min(last - start_row);
+            let mut local = inner.to_vec();
+            local.push(rows);
+            shards.push(Shard {
+                start_row,
+                local: Shape::try_new(local)?,
+                replicas: Vec::new(),
+            });
+            start_row += rows;
+        }
+        Ok(ClusterDataset {
+            shape,
+            element,
+            rows_per_shard,
+            shards,
+        })
+    }
+
+    /// Plans the request `(view, coord, sub_dims)` as device sub-operations
+    /// (see the module docs): leaves them in `scratch.plan`, in ascending
+    /// buffer order, and returns the request's element volume.
     ///
     /// A single-shard dataset plans to exactly one [`SubOp::verbatim`]
-    /// sub-op. Otherwise the region's linear runs (contiguous in the
-    /// canonical linearization shared by every view of the dataset) are
-    /// first coalesced — adjacent runs contiguous in both the buffer and
-    /// the linearization merge, so a canonical-view rectangle over whole
-    /// shards becomes one run per shard — then each run is intersected with
-    /// the shard ranges and decomposed into [`aligned_chunks`] so every
-    /// piece is expressible as a `(coord, sub_dims)` request in the shard's
-    /// flat view.
+    /// sub-op. A request in the dataset's own view is one box, free along
+    /// the last dimension. Any other view's linear runs are first coalesced
+    /// — adjacent runs contiguous in both the buffer and the linearization
+    /// merge — and each is cut into boxes ([`Plan::split_run`]).
     fn plan(
         &self,
         (view, coord, sub_dims): Request<'_>,
@@ -315,20 +503,31 @@ impl ClusterDataset {
                 view: view.volume(),
             }));
         }
-        let OpScratch { runs, subops, .. } = scratch;
-        runs.clear();
-        subops.clear();
+        let OpScratch { runs, plan, .. } = scratch;
+        plan.subops.clear();
+        plan.table.clear();
         if self.shards.len() == 1 {
             let volume = Region::request_volume(view, coord, sub_dims).map_err(SystemError::Nds)?;
-            subops.push(SubOp {
+            plan.subops.push(SubOp {
                 shard: 0,
-                coord: 0,
+                at: 0,
                 len: volume,
                 buf_elem: 0,
                 verbatim: true,
             });
             return Ok(volume);
         }
+        if view.dims() == self.shape.dims() {
+            let volume = Region::request_volume(view, coord, sub_dims).map_err(SystemError::Nds)?;
+            plan.origin.clear();
+            plan.origin
+                .extend(coord.iter().zip(sub_dims).map(|(c, f)| c * f));
+            plan.extent.clear();
+            plan.extent.extend_from_slice(sub_dims);
+            plan.split_box(self, self.shape.ndims().saturating_sub(1), 0)?;
+            return Ok(volume);
+        }
+        runs.clear();
         let volume = Region::for_each_request_run(view, coord, sub_dims, |buf, linear, len| {
             if let Some(last) = runs.last_mut() {
                 if last.0 + last.2 == buf && last.1 + last.2 == linear {
@@ -340,33 +539,7 @@ impl ClusterDataset {
         })
         .map_err(SystemError::Nds)?;
         for &(buf, linear, len) in runs.iter() {
-            let mut g = linear;
-            let end = linear + len;
-            while g < end {
-                let row = g / self.inner_vol;
-                let idx =
-                    ((row / self.rows_per_shard) as usize).min(self.shards.len().saturating_sub(1));
-                let shard = self
-                    .shards
-                    .get(idx)
-                    .ok_or(SystemError::ClusterInconsistency("shard index"))?;
-                let base = shard.start_row * self.inner_vol;
-                let shard_end = base + shard.flat.volume();
-                if g < base || g >= shard_end {
-                    return Err(SystemError::ClusterInconsistency("shard range"));
-                }
-                let take = end.min(shard_end) - g;
-                aligned_chunks(g - base, take, |p, l| {
-                    subops.push(SubOp {
-                        shard: idx,
-                        coord: p / l,
-                        len: l,
-                        buf_elem: buf + (base + p - linear),
-                        verbatim: false,
-                    });
-                });
-                g += take;
-            }
+            plan.split_run(self, buf, linear, len)?;
         }
         Ok(volume)
     }
@@ -826,7 +999,11 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
     }
 
     /// The read path: plans the request's sub-ops, steers each to the
-    /// least-busy fresh replica, and reassembles. Parallel across devices
+    /// least-busy fresh replica, and reassembles — a one-sub-op plan reads
+    /// straight into `buf`, a longer one appends each sub-op's payload in
+    /// turn. A read is *degraded* when a shard it touches has fewer
+    /// eligible replicas than the configured `min(replicas, devices)`.
+    /// Parallel across devices
     /// (`io_latency` is the max of the per-device serial sums), serial
     /// within a device. `datasets`, `devices` and `scratch` are borrowed as
     /// disjoint fields, so any `?` leaves the cluster consistent.
@@ -850,11 +1027,13 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let caller = (view, coord, sub_dims);
         let volume = ds.plan(caller, &mut self.scratch)?;
         let OpScratch {
-            subops,
+            plan,
             dev_io,
             payload,
             ..
         } = &mut self.scratch;
+        let direct = plan.subops.len() == 1;
+        let replicas = self.config.replicas.min(self.devices.len());
         let mut metrics = ReadMetrics {
             io_latency: SimDuration::ZERO,
             io_occupancy: SimDuration::ZERO,
@@ -867,7 +1046,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         dev_io.clear();
         dev_io.resize(self.devices.len(), (SimDuration::ZERO, SimDuration::ZERO));
         let mut degraded = false;
-        for sub in subops.iter() {
+        for sub in plan.subops.iter() {
             let shard = ds
                 .shards
                 .get(sub.shard)
@@ -878,14 +1057,20 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 dataset: id,
                 shard: shard_idx,
             })?;
-            degraded |= eligible < shard.replicas.len();
-            let (dev_view, dev_coord, dev_sub) = sub.request(shard, caller);
+            degraded |= eligible < replicas;
+            let (dev_view, dev_coord, dev_sub) = sub.request(shard, &plan.table, caller)?;
             let slot = slot_mut(&mut self.devices, replica.device)?;
+            let into = if direct { &mut *buf } else { &mut *payload };
             let m = slot
                 .sys
-                .read_into(replica.local, dev_view, dev_coord, dev_sub, payload)?;
+                .read_into(replica.local, dev_view, dev_coord, dev_sub, into)?;
             slot.busy.acquire(SimTime::ZERO, m.io_latency);
-            sub.append_payload(payload, esize, buf)?;
+            if !direct {
+                sub.append_payload(payload, esize, buf)?;
+            } else if buf.len() as u64 != sub.len * esize {
+                // The device read something other than the planned piece.
+                return Err(SystemError::ClusterInconsistency("read buffer range"));
+            }
             let entry = dev_io
                 .get_mut(replica.device as usize)
                 .ok_or(SystemError::ClusterInconsistency("replica device index"))?;
@@ -907,7 +1092,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             metrics.io_occupancy = metrics.io_occupancy.max(occupancy);
         }
 
-        let subops = subops.len() as u64;
+        let subops = plan.subops.len() as u64;
         self.stats.add("cluster.ops", 1);
         self.stats.add("cluster.reads", 1);
         self.stats.add("cluster.read_subops", subops);
@@ -979,7 +1164,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
 
         let caller = (view, coord, sub_dims);
         let volume = ds.plan(caller, &mut self.scratch)?;
-        let OpScratch { subops, dev_io, .. } = &mut self.scratch;
+        let OpScratch { plan, dev_io, .. } = &mut self.scratch;
         let expected = (volume * esize) as usize;
         if data.len() != expected {
             return Err(SystemError::Nds(NdsError::BadPayloadSize {
@@ -987,7 +1172,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 expected,
             }));
         }
-        if let Some(h) = ds.unacked_shard(&self.devices, subops) {
+        if let Some(h) = ds.unacked_shard(&self.devices, &plan.subops) {
             return Err(SystemError::ShardUnavailable {
                 dataset: id,
                 shard: shard_index(h),
@@ -1000,12 +1185,12 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         let mut skips = 0u64;
         // (shard, replica position) pairs that missed this write.
         let mut stale_marks: Vec<(usize, usize)> = Vec::new();
-        for sub in subops.iter() {
+        for sub in plan.subops.iter() {
             let shard = ds
                 .shards
                 .get(sub.shard)
                 .ok_or(SystemError::ClusterInconsistency("subop shard"))?;
-            let (dev_view, dev_coord, dev_sub) = sub.request(shard, caller);
+            let (dev_view, dev_coord, dev_sub) = sub.request(shard, &plan.table, caller)?;
             let b0 = (sub.buf_elem * esize) as usize;
             let slice = data
                 .get(b0..b0 + (sub.len * esize) as usize)
@@ -1039,7 +1224,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
                 }
             }
         }
-        let subops = subops.len() as u64;
+        let subops = plan.subops.len() as u64;
         // Devices work in parallel; an untouched device's zero loses the max.
         let latency = dev_io
             .iter()
@@ -1087,67 +1272,34 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
         shape: Shape,
         element: ElementType,
     ) -> Result<DatasetId, SystemError> {
-        let dims = shape.dims().to_vec();
-        let (&last, inner) = dims
-            .split_last()
-            .ok_or(SystemError::Nds(NdsError::EmptyShape))?;
-        let inner_vol: u64 = inner.iter().product::<u64>().max(1);
-        let rows_per_shard = if self.config.shard_rows == 0 {
-            last
-        } else {
-            self.config.shard_rows.min(last)
-        };
+        let mut ds = ClusterDataset::new(shape, element, self.config.shard_rows)
+            .map_err(SystemError::Nds)?;
         let id = DatasetId(self.next_id);
         self.next_id += 1;
         let k = self.config.replicas;
-        let mut shards = Vec::new();
-        let mut start_row = 0u64;
-        while start_row < last {
-            let rows = rows_per_shard.min(last - start_row);
-            let h = shards.len() as u64;
-            let mut local_dims = inner.to_vec();
-            local_dims.push(rows);
-            let local = Shape::try_new(local_dims).map_err(SystemError::Nds)?;
-            let flat = Shape::try_new(vec![local.volume()]).map_err(SystemError::Nds)?;
-            let holders = self.place(id.0, h, k);
+        for (h, shard) in ds.shards.iter_mut().enumerate() {
+            let holders = self.place(id.0, h as u64, k);
             if holders.is_empty() {
                 return Err(SystemError::ShardUnavailable {
                     dataset: id,
-                    shard: u32::try_from(h).unwrap_or(u32::MAX),
+                    shard: shard_index(h),
                 });
             }
-            let mut replicas = Vec::with_capacity(holders.len());
             for dev in holders {
                 let slot = slot_mut(&mut self.devices, dev)?;
-                let local_id = slot.sys.create_dataset(local.clone(), element)?;
-                replicas.push(Replica {
+                let local = slot.sys.create_dataset(shard.local.clone(), element)?;
+                shard.replicas.push(Replica {
                     device: dev,
-                    local: local_id,
+                    local,
                     stale: false,
                 });
             }
             self.stats
-                .add("cluster.replicas_placed", replicas.len() as u64);
-            shards.push(Shard {
-                start_row,
-                local,
-                flat,
-                replicas,
-            });
-            start_row += rows;
+                .add("cluster.replicas_placed", shard.replicas.len() as u64);
         }
         self.stats.add("cluster.datasets", 1);
-        self.stats.add("cluster.shards", shards.len() as u64);
-        self.datasets.insert(
-            id,
-            ClusterDataset {
-                shape,
-                element,
-                inner_vol,
-                rows_per_shard,
-                shards,
-            },
-        );
+        self.stats.add("cluster.shards", ds.shards.len() as u64);
+        self.datasets.insert(id, ds);
         Ok(id)
     }
 
@@ -1201,35 +1353,180 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HardwareNds, SystemConfig};
 
     #[test]
-    fn aligned_chunks_are_partition_aligned() {
-        for (start, len) in [
-            (0u64, 1u64),
-            (0, 96),
-            (3, 5),
-            (5, 123),
-            (96, 32),
-            (1, 1),
-            (7, 1024),
-            (1000, 24),
-        ] {
-            let mut covered = start;
-            aligned_chunks(start, len, |p, l| {
-                assert_eq!(p, covered, "chunks are contiguous and ascending");
-                assert!(l.is_power_of_two());
-                assert_eq!(p % l, 0, "chunk length divides its origin");
-                covered += l;
-            });
-            assert_eq!(covered, start + len, "chunks cover the range exactly");
+    fn aligned_len_names_partitions_and_stays_logarithmic() {
+        for start in 0..300u64 {
+            for len in 1..300u64 {
+                let (mut p, end, mut pieces) = (start, start + len, 0u32);
+                while p < end {
+                    let l = aligned_len(p, end - p);
+                    assert!(l >= 1 && p + l <= end, "[{p}, {end}) piece of {l}");
+                    assert!(p.is_multiple_of(l), "{l} does not divide {p}");
+                    p += l;
+                    pieces += 1;
+                }
+                let bits = 64 - len.leading_zeros();
+                assert!(pieces < 2 * bits, "{pieces} pieces for [{start}, {end})");
+            }
         }
+    }
+
+    /// A planned sub-op as `(shard, coord, sub_dims, len, buf_elem)`.
+    type Piece = (usize, Vec<u64>, Vec<u64>, u64, u64);
+
+    /// Every sub-op of `ds`'s plan for `(view, coord, sub)`.
+    fn planned(ds: &ClusterDataset, view: &Shape, coord: &[u64], sub: &[u64]) -> Vec<Piece> {
+        let mut scratch = OpScratch::default();
+        ds.plan((view, coord, sub), &mut scratch).unwrap();
+        let plan = &scratch.plan;
+        plan.subops
+            .iter()
+            .map(|op| {
+                let shard = &ds.shards[op.shard];
+                let (_, c, f) = op.request(shard, &plan.table, (view, coord, sub)).unwrap();
+                (op.shard, c.to_vec(), f.to_vec(), op.len, op.buf_elem)
+            })
+            .collect()
+    }
+
+    /// Every partition `(coord, sub_dims)` of `view`.
+    fn partitions(view: &Shape) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let mut all = vec![(Vec::new(), Vec::new())];
+        for &d in view.dims() {
+            all = all
+                .into_iter()
+                .flat_map(|(c, f)| {
+                    (1..=d).flat_map(move |s| {
+                        let (c, f) = (c.clone(), f.clone());
+                        (0..d / s).map(move |i| {
+                            let (mut c, mut f) = (c.clone(), f.clone());
+                            c.push(i);
+                            f.push(s);
+                            (c, f)
+                        })
+                    })
+                })
+                .collect();
+        }
+        all
+    }
+
+    /// For every partition of every view: each sub-op is a valid partition
+    /// of its shard's local shape, the sub-ops tile the caller's buffer in
+    /// ascending order with no gap or overlap, and each buffer element maps
+    /// to the dataset element the request names there.
+    #[test]
+    fn plans_are_shard_partitions_that_tile_the_buffer() {
+        // (dataset dims, shard rows, views)
+        type Case<'a> = (&'a [u64], &'a [u64], &'a [&'a [u64]]);
+        let cases: [Case; 3] = [
+            (
+                &[8, 16],
+                &[1, 2, 3, 5, 7],
+                &[&[8, 16], &[128], &[16, 8], &[4, 32]],
+            ),
+            (
+                &[5, 7, 6],
+                &[1, 2, 4],
+                &[&[5, 7, 6], &[35, 6], &[5, 42], &[210]],
+            ),
+            (&[13], &[3, 5], &[&[13]]),
+        ];
+        for (dims, shard_rows, views) in cases {
+            let shape = Shape::new(dims);
+            let inner: u64 = dims[..dims.len() - 1].iter().product();
+            for &rows in shard_rows {
+                let ds = ClusterDataset::new(shape.clone(), ElementType::F32, rows).unwrap();
+                assert!(ds.shards.len() > 1);
+                for &v in views {
+                    let view = Shape::new(v);
+                    for (coord, sub) in partitions(&view) {
+                        let mut want = Vec::new();
+                        Region::for_each_request_run(&view, &coord, &sub, |_, at, len| {
+                            want.extend(at..at + len);
+                        })
+                        .unwrap();
+                        let mut got = Vec::new();
+                        for (h, c, f, len, buf_elem) in planned(&ds, &view, &coord, &sub) {
+                            let shard = &ds.shards[h];
+                            let why = format!("{dims:?}/{rows} via {v:?} {coord:?}×{sub:?}");
+                            assert_eq!(
+                                Region::request_volume(&shard.local, &c, &f),
+                                Ok(len),
+                                "{why}: {c:?}×{f:?} of shard {h}"
+                            );
+                            assert_eq!(buf_elem, got.len() as u64, "{why}: buffer order");
+                            let base = shard.start_row * inner;
+                            Region::for_each_request_run(&shard.local, &c, &f, |_, at, len| {
+                                got.extend(base + at..base + at + len);
+                            })
+                            .unwrap();
+                        }
+                        assert_eq!(got, want, "{dims:?}/{rows} via {v:?} {coord:?}×{sub:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn own_view_requests_plan_to_one_sub_op_per_shard_piece() {
+        let shape = Shape::new([64, 64]);
+        let ds = ClusterDataset::new(shape.clone(), ElementType::F32, 24).unwrap();
+        let count = |coord: [u64; 2], sub: [u64; 2]| planned(&ds, &shape, &coord, &sub).len();
+        // Inside one band: one sub-op, the request itself moved to the band.
+        assert_eq!(count([0, 3], [64, 8]), 1, "row panel, rows 24..32");
+        assert_eq!(
+            planned(&ds, &shape, &[0, 3], &[64, 8])[0],
+            (1, vec![0, 0], vec![64, 8], 512, 0)
+        );
+        assert_eq!(count([1, 0], [16, 16]), 1, "tile, rows 0..16");
+        // Rows 32..48 are shard 1's local rows 8..24: 16 does not divide 8,
+        // so the tile goes as two 8-row halves.
+        assert_eq!(
+            planned(&ds, &shape, &[2, 2], &[16, 16]),
+            vec![
+                (1, vec![2, 1], vec![16, 8], 128, 0),
+                (1, vec![2, 2], vec![16, 8], 128, 128),
+            ]
+        );
+        assert_eq!(count([1, 1], [16, 16]), 2, "tile, rows 16..32");
+        assert_eq!(count([3, 0], [8, 64]), 3, "column panel over three bands");
+    }
+
+    /// A stranded re-replication shrinks the replica list, and reads of
+    /// the shard were still counted as served at full redundancy.
+    #[test]
+    fn reads_after_a_stranded_rereplication_count_as_degraded() {
+        let shape = Shape::new([8, 16]);
+        let config = ClusterConfig::new(2, 2)
+            .with_shard_rows(4)
+            .with_plan(ClusterFaultPlan::kill_at(1, 0));
+        let mut cluster = NdsCluster::new(config, |_| HardwareNds::new(SystemConfig::small_test()));
+        let id = cluster
+            .create_dataset(shape.clone(), ElementType::F32)
+            .unwrap();
+        let data = vec![3u8; 8 * 16 * 4];
+        cluster.write(id, &shape, &[0, 0], &[8, 16], &data).unwrap();
+        let mut buf = Vec::new();
+        for y in 0..4 {
+            cluster
+                .read_into(id, &shape, &[0, y], &[8, 4], &mut buf)
+                .unwrap();
+            assert_eq!(buf, data[..8 * 4 * 4]);
+        }
+        let stats = cluster.stats();
+        assert_eq!(stats.get("cluster.rereplication_stranded"), 4);
+        assert_eq!(stats.get("cluster.degraded_reads"), 4);
     }
 
     #[test]
     fn a_sub_op_that_does_not_continue_the_buffer_is_a_typed_error() {
         let sub = |buf_elem, len| SubOp {
             shard: 0,
-            coord: 0,
+            at: 0,
             len,
             buf_elem,
             verbatim: false,
@@ -1249,15 +1546,6 @@ mod tests {
                 "{why}: got {err}"
             );
             assert_eq!(buf.len(), 20, "{why}: nothing appended");
-        }
-    }
-
-    #[test]
-    fn aligned_chunks_count_is_logarithmic() {
-        for (start, len) in [(3u64, 1_000_000u64), (12345, 999_999), (0, (1 << 40) - 1)] {
-            let mut count = 0;
-            aligned_chunks(start, len, |_, _| count += 1);
-            assert!(count <= 90, "{count} chunks for ({start}, {len})");
         }
     }
 

@@ -13,7 +13,8 @@
 //! plan-cache hit, **64** on a miss, **28** for the steady-state 2 KiB
 //! overwrite, and **352 for the 16 device sub-ops** of the sharded
 //! `NdsCluster` read (22 each); they now read 0, 13, 4 and 0 (plus the odd
-//! growth step of the cluster journal).
+//! growth step of the cluster journal). Since PR 25 that cluster read is
+//! two N-D sub-ops, not sixteen flat strips.
 
 // Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -203,8 +204,8 @@ fn hardware_steady_state_write_stays_under_its_ceiling() {
 
 #[test]
 fn cluster_sub_op_stays_under_its_ceiling() {
-    // Four devices, two replicas, 8-row shards: a 32 × 16 tile spans two
-    // shards and, unaligned to them in the flat view, many sub-ops.
+    // Four devices, two replicas, 8-row shards: a 32 × 16 tile at rows
+    // 32..48 spans two shards, and is one 32 × 8 partition of each.
     let config = ClusterConfig::new(4, 2).with_shard_rows(8).with_seed(7);
     let cluster = NdsCluster::new(config, |_| HardwareNds::new(SystemConfig::small_test()));
     let (mut sys, id, shape) = filled(cluster);
@@ -217,7 +218,7 @@ fn cluster_sub_op_stays_under_its_ceiling() {
         sys.read_into(id, &shape, &[1, 2], &TILE, &mut buf).unwrap();
     });
     let sub_ops = sys.stats().get("cluster.read_subops") - before;
-    assert!(sub_ops >= 16, "the request fans out ({sub_ops} sub-ops)");
+    assert_eq!(sub_ops, 2, "one piece per touched shard");
     // Every sub-op is a plan-cache hit on its device by now: what is left
     // is the `stats()` snapshots above (outside the window) and at most a
     // growth step of the cluster's text journal.

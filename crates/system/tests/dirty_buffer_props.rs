@@ -79,12 +79,17 @@ proptest! {
         dirty_reads::check(&mut Dataset::of(sys, &case), &case)?;
     }
 
-    /// Two-row shards: any request taller than two rows straddles shards,
-    /// and a folded consumer view cuts them into many sub-ops.
+    /// Shards of 1, 2, 3 and 5 rows: any request taller than a band
+    /// straddles shards, bands that do not divide the request cut its
+    /// pieces off their alignment, and a folded consumer view cuts its runs
+    /// into boxes first.
     #[test]
     fn sharded_cluster_reads_into_a_dirty_buffer(case in dirty_reads::case_strategy(16)) {
-        let config = ClusterConfig::new(3, 2).with_shard_rows(2).with_seed(11);
-        let cluster = NdsCluster::new(config, |_| HardwareNds::new(SystemConfig::small_test()));
-        dirty_reads::check(&mut Dataset::of(cluster, &case), &case)?;
+        for rows in [1, 2, 3, 5] {
+            let config = ClusterConfig::new(3, 2).with_shard_rows(rows).with_seed(11);
+            let cluster =
+                NdsCluster::new(config, |_| HardwareNds::new(SystemConfig::small_test()));
+            dirty_reads::check(&mut Dataset::of(cluster, &case), &case)?;
+        }
     }
 }
