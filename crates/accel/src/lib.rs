@@ -31,6 +31,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The determinism contract's rules D1 and D3 (DESIGN.md "Determinism contract";
+// the banned paths are in `clippy.toml`) hold outside test code.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![forbid(unsafe_code)]
 
 use nds_interconnect::{Link, LinkConfig};
@@ -85,7 +88,7 @@ impl ComputeEngine {
     pub fn cuda_cores() -> Self {
         ComputeEngine::new(
             "cuda-cores",
-            Throughput::mib_per_sec(25_000.0),
+            Throughput::mib_per_sec(25_000),
             2048,
             0.10 / 3.0,
             0.10,
@@ -97,7 +100,7 @@ impl ComputeEngine {
     pub fn tensor_cores() -> Self {
         ComputeEngine::new(
             "tensor-cores",
-            Throughput::mib_per_sec(250_000.0),
+            Throughput::mib_per_sec(250_000),
             512,
             0.10 / 3.0,
             0.10,
@@ -109,7 +112,7 @@ impl ComputeEngine {
     pub fn host_cpu() -> Self {
         ComputeEngine::new(
             "host-cpu",
-            Throughput::mib_per_sec(3_000.0),
+            Throughput::mib_per_sec(3_000),
             256,
             0.04 / 3.0,
             0.04,

@@ -17,21 +17,19 @@ use crate::error::FlashError;
 use crate::geometry::PageAddr;
 use crate::mapper::{DenseIndex, MapperLabels, PageMapper};
 
-/// Tunables for the baseline FTL.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FtlConfig {
-    /// Fraction of raw capacity reserved as over-provisioning (the paper's
-    /// prototype reserves 10%, §6.1). Exported LBA capacity is
-    /// `total_pages × (1 − over_provisioning)`.
-    pub over_provisioning: f64,
-}
+/// Construction options of the baseline FTL: none. Over-provisioning is
+/// fixed at the paper's 10 % (§6.1).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FtlConfig;
 
-impl Default for FtlConfig {
-    fn default() -> Self {
-        FtlConfig {
-            over_provisioning: 0.10,
-        }
-    }
+/// One raw page in this many is reserved as over-provisioning (the paper's
+/// prototype reserves 10 %, §6.1).
+const OVER_PROVISIONING_DIVISOR: u64 = 10;
+
+/// The LBA capacity exported over `total` raw pages:
+/// `⌊total × (1 − 1/10)⌋`, in integers.
+fn exported_pages(total: u64) -> u64 {
+    total - total.div_ceil(OVER_PROVISIONING_DIVISOR)
 }
 
 /// The baseline FTL: linear LBAs striped across channels, with GC.
@@ -49,7 +47,7 @@ impl Default for FtlConfig {
 ///
 /// # fn main() -> Result<(), nds_flash::FlashError> {
 /// let dev = FlashDevice::new(FlashConfig::small_test());
-/// let mut ftl = Ftl::new(dev, FtlConfig::default());
+/// let mut ftl = Ftl::new(dev, FtlConfig);
 /// let page = vec![42u8; ftl.page_size()];
 /// ftl.write(0, page.clone(), SimTime::ZERO)?;
 /// let (data, _done) = ftl.read(0, SimTime::ZERO)?;
@@ -65,9 +63,8 @@ pub struct Ftl {
 
 impl Ftl {
     /// Wraps `device` with a baseline FTL.
-    pub fn new(device: FlashDevice, config: FtlConfig) -> Self {
-        let total = device.geometry().total_pages() as f64;
-        let capacity = (total * (1.0 - config.over_provisioning)).floor() as u64;
+    pub fn new(device: FlashDevice, _config: FtlConfig) -> Self {
+        let capacity = exported_pages(device.geometry().total_pages() as u64);
         Ftl {
             mapper: PageMapper::new(
                 device,
@@ -276,10 +273,7 @@ mod tests {
     use crate::FlashConfig;
 
     fn ftl() -> Ftl {
-        Ftl::new(
-            FlashDevice::new(FlashConfig::small_test()),
-            FtlConfig::default(),
-        )
+        Ftl::new(FlashDevice::new(FlashConfig::small_test()), FtlConfig)
     }
 
     fn pagev(ftl: &Ftl, fill: u8) -> Vec<u8> {
@@ -290,7 +284,23 @@ mod tests {
     fn capacity_excludes_over_provisioning() {
         let f = ftl();
         let raw = f.device().geometry().total_pages() as u64;
-        assert_eq!(f.capacity_pages(), (raw as f64 * 0.9) as u64);
+        assert_eq!(f.capacity_pages(), exported_pages(raw));
+    }
+
+    #[test]
+    fn integer_capacity_equals_the_float_expression_it_replaced() {
+        let float = |total: u64| (total as f64 * (1.0 - 0.10)).floor() as u64;
+        for total in 1..=200_000 {
+            assert_eq!(exported_pages(total), float(total), "total = {total}");
+        }
+        for preset in [
+            FlashConfig::datacenter_32ch(),
+            FlashConfig::consumer_8ch(),
+            FlashConfig::small_test(),
+        ] {
+            let total = preset.geometry.total_pages() as u64;
+            assert_eq!(exported_pages(total), float(total), "total = {total}");
+        }
     }
 
     #[test]

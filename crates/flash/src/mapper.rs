@@ -17,8 +17,6 @@
 //! moves the same pages and journals at the epoch anchor. What they report
 //! under is a construction-time constant ([`MapperLabels`]).
 
-// nds-lint: allow(D2, keyed access only, never iterated)
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use nds_sim::{splitmix64, ComponentId, EventKind, SimTime, Stats};
@@ -62,8 +60,11 @@ impl Hasher for TableHasher {
 
 /// A table probed by key only — never iterated, so no schedule or output
 /// can depend on its layout — with the fixed [`TableHasher`].
-// nds-lint: allow(D2, keyed access only, never iterated)
-type KeyedTable<K, V> = HashMap<K, V, BuildHasherDefault<TableHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "D2: keyed access only, never iterated, and the hasher is seedless"
+)]
+type KeyedTable<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<TableHasher>>;
 
 /// The counter names and journal component one instantiation reports
 /// under (`benchmark/` reads all of them).

@@ -43,7 +43,7 @@ impl FlashTiming {
             read_latency: SimDuration::from_micros(50),
             program_latency: SimDuration::from_micros(600),
             erase_latency: SimDuration::from_millis(3),
-            channel_bus: Throughput::mib_per_sec(800.0),
+            channel_bus: Throughput::mib_per_sec(800),
         }
     }
 
@@ -54,22 +54,13 @@ impl FlashTiming {
             read_latency: SimDuration::from_micros(5),
             program_latency: SimDuration::from_micros(20),
             erase_latency: SimDuration::from_micros(100),
-            channel_bus: Throughput::mib_per_sec(1600.0),
+            channel_bus: Throughput::mib_per_sec(1600),
         }
     }
 
     /// Time to move `bytes` over one channel bus.
     pub fn transfer_time(&self, bytes: usize) -> SimDuration {
         self.channel_bus.time_for_bytes(bytes as u64)
-    }
-
-    /// The steady-state internal read bandwidth of a device with `channels`
-    /// channels and this timing: each channel streams one page transfer after
-    /// another while bank reads overlap (bank-level pipelining), so the
-    /// aggregate is `channels × channel_bus` provided enough banks keep the
-    /// bus fed.
-    pub fn internal_read_bandwidth(&self, channels: usize) -> Throughput {
-        self.channel_bus.scaled(channels as f64)
     }
 }
 
@@ -92,14 +83,6 @@ mod tests {
         let one = t.transfer_time(4096);
         let two = t.transfer_time(8192);
         assert_eq!(two.as_nanos(), one.as_nanos() * 2);
-    }
-
-    #[test]
-    fn internal_bandwidth_scales_with_channels() {
-        let t = FlashTiming::tlc_nand();
-        let bw8 = t.internal_read_bandwidth(8);
-        let bw32 = t.internal_read_bandwidth(32);
-        assert!((bw32.bytes_per_sec_f64() / bw8.bytes_per_sec_f64() - 4.0).abs() < 1e-9);
     }
 
     #[test]

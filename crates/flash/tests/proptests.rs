@@ -18,10 +18,7 @@ use nds_flash::{
 use nds_sim::SimTime;
 
 fn small_ftl() -> Ftl {
-    Ftl::new(
-        FlashDevice::new(FlashConfig::small_test()),
-        FtlConfig::default(),
-    )
+    Ftl::new(FlashDevice::new(FlashConfig::small_test()), FtlConfig)
 }
 
 /// The sparse instantiation's key: a unit handle, `(channel, bank, unit)`.

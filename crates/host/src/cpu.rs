@@ -38,9 +38,9 @@ impl CpuModel {
     pub fn ryzen_3700x() -> Self {
         CpuModel {
             io_submit: SimDuration::from_micros(5),
-            stream_copy: Throughput::mib_per_sec(16_000.0),
-            scatter_chunk_overhead: SimDuration::from_nanos(300),
-            scatter_copy: Throughput::mib_per_sec(10_000.0),
+            stream_copy: Throughput::mib_per_sec(16_000),
+            scatter_chunk_overhead: SimDuration::nanos::<300>(),
+            scatter_copy: Throughput::mib_per_sec(10_000),
         }
     }
 
@@ -49,9 +49,9 @@ impl CpuModel {
     pub fn arm_a72() -> Self {
         CpuModel {
             io_submit: SimDuration::from_micros(2),
-            stream_copy: Throughput::mib_per_sec(6_000.0),
-            scatter_chunk_overhead: SimDuration::from_nanos(500),
-            scatter_copy: Throughput::mib_per_sec(4_000.0),
+            stream_copy: Throughput::mib_per_sec(6_000),
+            scatter_chunk_overhead: SimDuration::nanos::<500>(),
+            scatter_copy: Throughput::mib_per_sec(4_000),
         }
     }
 

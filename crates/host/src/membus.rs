@@ -42,7 +42,7 @@ impl MemoryBus {
     /// A dual-channel DDR4-3200-class bus (~48 GiB/s aggregate), matching
     /// the paper's Ryzen 3700X platform.
     pub fn ddr4_dual_channel() -> Self {
-        MemoryBus::new(Throughput::mib_per_sec(48_000.0))
+        MemoryBus::new(Throughput::mib_per_sec(48_000))
     }
 
     /// Accounts a DMA transfer of `bytes` (crosses the bus once) and
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn dma_crosses_once_copy_twice() {
-        let mut bus = MemoryBus::new(Throughput::mib_per_sec(1024.0));
+        let mut bus = MemoryBus::new(Throughput::mib_per_sec(1024));
         bus.dma(1024);
         assert_eq!(bus.traffic_bytes(), 1024);
         bus.cpu_copy(1024);
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn occupancy_reflects_bus_bytes() {
-        let mut bus = MemoryBus::new(Throughput::mib_per_sec(1.0)); // 1 MiB/s
+        let mut bus = MemoryBus::new(Throughput::mib_per_sec(1)); // 1 MiB/s
         let dma = bus.dma(1024 * 1024);
         let copy = bus.cpu_copy(1024 * 1024);
         assert_eq!(dma, SimDuration::from_secs(1));

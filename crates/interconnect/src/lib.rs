@@ -34,7 +34,9 @@
 
 #![warn(missing_docs)]
 // Panic policy (DESIGN.md "Panic policy"): outside test code every failure
-// on this crate's paths is a typed error, and clippy holds that line.
+// on this crate's paths is a typed error, and clippy holds that line. The
+// determinism contract's rules D1, D2, D3 and D7 are clippy's too (DESIGN.md
+// "Determinism contract"; the banned paths are in `clippy.toml`).
 #![cfg_attr(
     not(test),
     deny(
@@ -44,7 +46,10 @@
         clippy::todo,
         clippy::unimplemented,
         clippy::panic_in_result_fn,
-        clippy::missing_panics_doc
+        clippy::missing_panics_doc,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_arithmetic
     )
 )]
 #![forbid(unsafe_code)]

@@ -61,8 +61,8 @@ impl LinkConfig {
     /// ≈99% — the two points §2.1 \[P2\] reports.
     pub fn nvmeof_40g() -> Self {
         LinkConfig {
-            peak: Throughput::mib_per_sec(4800.0),
-            per_command: SimDuration::from_nanos(3_400),
+            peak: Throughput::mib_per_sec(4800),
+            per_command: SimDuration::nanos::<3_400>(),
         }
     }
 
@@ -70,15 +70,9 @@ impl LinkConfig {
     /// per-transfer cost.
     pub fn pcie3_x16() -> Self {
         LinkConfig {
-            peak: Throughput::mib_per_sec(12_000.0),
-            per_command: SimDuration::from_nanos(1_500),
+            peak: Throughput::mib_per_sec(12_000),
+            per_command: SimDuration::nanos::<1_500>(),
         }
-    }
-
-    /// The equivalent "overhead bytes" of the per-command cost: the transfer
-    /// size at which half of peak bandwidth is achieved.
-    pub fn overhead_bytes(&self) -> f64 {
-        self.peak.bytes_per_sec_f64() * self.per_command.as_secs_f64()
     }
 }
 
@@ -248,7 +242,7 @@ impl Link {
                 let (budget, backoff) = (cfg.link_retry_budget, cfg.link_backoff);
                 (plan.next_link_fault(), budget, backoff)
             }
-            None => (LinkFault::None, 0, nds_sim::SimDuration::from_nanos(0)),
+            None => (LinkFault::None, 0, SimDuration::ZERO),
         };
         let (failures, mode, fault_kind) = match decision {
             LinkFault::None => return Ok(self.complete(bytes, ready, ready, occupancy)),
@@ -394,9 +388,11 @@ mod tests {
 
     #[test]
     fn overhead_bytes_is_half_peak_point() {
+        // The per-command cost's "overhead bytes": the transfer size at
+        // which half of peak bandwidth is achieved.
         let cfg = LinkConfig::nvmeof_40g();
         let link = Link::new(cfg);
-        let half_point = cfg.overhead_bytes() as u64;
+        let half_point = (cfg.peak.bytes_per_sec_f64() * cfg.per_command.as_secs_f64()) as u64;
         let eff = link.effective_bandwidth(half_point).bytes_per_sec_f64();
         assert!((eff / cfg.peak.bytes_per_sec_f64() - 0.5).abs() < 0.01);
     }

@@ -32,8 +32,14 @@
 //! assert_eq!(order.iter().filter(|&&f| f == 1).take(3).count(), 3);
 //! ```
 
+// Rule D5 (DESIGN.md "Determinism contract"): a wrapped finish tag would
+// silently reorder every later pop, so no operator here may overflow,
+// wrap or divide by zero outside test code.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+
 use std::collections::BTreeMap;
 use std::fmt;
+use std::num::{NonZeroU128, NonZeroU64};
 
 /// Fixed-point scale applied to costs before dividing by the flow weight,
 /// so integer finish tags keep 2⁻²⁰ resolution per cost unit.
@@ -46,7 +52,8 @@ pub const COST_SCALE: u128 = 1 << 20;
 /// error, not a debug assertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WfqError {
-    /// `start + cost·COST_SCALE/weight` exceeded `u128::MAX`.
+    /// `start + cost·COST_SCALE/weight` exceeded `u128::MAX`, or the
+    /// arrival counter that breaks finish-tag ties would wrap.
     FinishTagOverflow {
         /// The flow whose enqueue overflowed.
         flow: u32,
@@ -70,7 +77,7 @@ impl std::error::Error for WfqError {}
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FlowState {
-    weight: u64,
+    weight: NonZeroU64,
     last_finish: u128,
     queued: usize,
 }
@@ -117,7 +124,7 @@ impl<T> WfqScheduler<T> {
     /// Re-registering an existing flow updates its weight for subsequent
     /// enqueues; already-queued requests keep their tags.
     pub fn register(&mut self, flow: u32, weight: u64) {
-        let weight = weight.max(1);
+        let weight = NonZeroU64::new(weight).unwrap_or(NonZeroU64::MIN);
         self.flows
             .entry(flow)
             .and_modify(|f| f.weight = weight)
@@ -130,7 +137,7 @@ impl<T> WfqScheduler<T> {
 
     /// The configured weight of `flow`, if registered.
     pub fn weight(&self, flow: u32) -> Option<u64> {
-        self.flows.get(&flow).map(|f| f.weight)
+        self.flows.get(&flow).map(|f| f.weight.get())
     }
 
     /// Enqueues a request of `cost` units (bytes, for the traffic engine)
@@ -145,25 +152,26 @@ impl<T> WfqScheduler<T> {
         let (weight, last_finish) = self
             .flows
             .get(&flow)
-            .map_or((1, 0), |f| (f.weight, f.last_finish));
+            .map_or((NonZeroU64::MIN, 0), |f| (f.weight, f.last_finish));
         let start = last_finish.max(self.virtual_now);
         let overflow = WfqError::FinishTagOverflow { flow, cost };
         let scaled = u128::from(cost.max(1))
             .checked_mul(COST_SCALE)
             .ok_or(overflow)?;
         let finish = start
-            .checked_add(scaled / u128::from(weight))
+            .checked_add(scaled / NonZeroU128::from(weight))
             .ok_or(overflow)?;
+        let next_seq = self.seq.checked_add(1).ok_or(overflow)?;
         let state = self.flows.entry(flow).or_insert(FlowState {
-            weight: 1,
+            weight: NonZeroU64::MIN,
             last_finish: 0,
             queued: 0,
         });
         state.last_finish = finish;
-        state.queued += 1;
-        let key = (finish, flow, self.seq);
-        self.seq += 1;
-        self.queue.insert(key, Pending { flow, payload });
+        state.queued = state.queued.saturating_add(1);
+        self.queue
+            .insert((finish, flow, self.seq), Pending { flow, payload });
+        self.seq = next_seq;
         Ok(())
     }
 

@@ -100,8 +100,11 @@ pub struct SystemAnalysis {
 
 /// Reconstructs a modeled duration from a nanosecond count parsed back out
 /// of a trace artifact — the one place the profiler re-enters modeled time.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D3: reconstructs a modeled duration parsed from a trace artifact"
+)]
 fn dur_from_ns(ns: u64) -> SimDuration {
-    // nds-lint: allow(D3, reconstructing a modeled duration parsed from a trace artifact)
     SimDuration::from_nanos(ns)
 }
 
@@ -238,30 +241,28 @@ pub fn parse(text: &str) -> Result<Vec<SystemProfile>, String> {
 }
 
 /// `num / den` in milli-units via exact u128 arithmetic (0 when `den` = 0).
+#[deny(clippy::arithmetic_side_effects)]
 fn milli_ratio(num: u64, den: u64) -> u64 {
-    if den == 0 {
-        return 0;
-    }
-    (u128::from(num).saturating_mul(1000) / u128::from(den)) as u64
+    u128::from(num)
+        .saturating_mul(1000)
+        .checked_div(u128::from(den))
+        .map_or(0, |r| r as u64)
 }
 
 /// Jain's fairness index `(Σx)² / (n·Σx²)` in milli-units; 1000 for an
 /// empty or all-zero population (trivially fair).
+#[deny(clippy::arithmetic_side_effects)]
 pub fn jain_milli(values: &[u64]) -> u64 {
     let n = values.len() as u128;
-    if n == 0 {
-        return 1000;
-    }
     let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
     let sum_sq: u128 = values
         .iter()
         .map(|&v| u128::from(v).saturating_mul(u128::from(v)))
         .sum();
-    if sum_sq == 0 {
-        return 1000;
-    }
     let num = sum.saturating_mul(sum).saturating_mul(1000);
-    (num / n.saturating_mul(sum_sq)) as u64
+    // n = 0 or Σx² = 0 leaves a zero divisor: the trivially fair case.
+    num.checked_div(n.saturating_mul(sum_sq))
+        .map_or(1000, |j| j as u64)
 }
 
 /// Analyzes one parsed system profile.

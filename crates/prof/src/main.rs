@@ -7,10 +7,17 @@
 //! violates the attribution invariant (stage spans must sum exactly to
 //! end-to-end latency), status 2 on usage or parse errors.
 
+// Rule D1 (DESIGN.md "Determinism contract") covers this binary too; its
+// one exception is the argv read below.
+#![deny(clippy::disallowed_methods)]
+
 use std::process::ExitCode;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D1: the operator CLI entry point reads its own argv"
+)]
 fn main() -> ExitCode {
-    // nds-lint: allow(D1, operator CLI entry point reads its own argv)
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(path) = args.first() else {
         eprintln!("usage: nds-prof <trace.json>");

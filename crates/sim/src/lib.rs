@@ -34,6 +34,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The determinism contract's rule D1 (DESIGN.md "Determinism contract";
+// the banned paths are in `clippy.toml`) holds outside test code.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![forbid(unsafe_code)]
 
 pub mod obs;

@@ -26,6 +26,11 @@
 //! only — no floats, no pointer-keyed maps — so two identical runs emit
 //! byte-identical JSON.
 
+// Rule D2 (DESIGN.md "Determinism contract"): no hash-ordered container may
+// reach a report, so this module and its children deny `HashMap` /
+// `HashSet` — and, with them, floats (`clippy.toml`).
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
+
 pub mod timeseries;
 
 use std::collections::{BTreeMap, VecDeque};
@@ -808,6 +813,10 @@ impl LatencyHistogram {
     /// the result clamped into `[min, max]`. Monotone in `q`; returns
     /// zero for an empty histogram. The result is an approximation of the
     /// true sample quantile with at most one bucket (2×) of error.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "p50/p95/p99 are asked for as fractions; `q` becomes an integer rank at once"
+    )]
     pub fn quantile(&self, q: f64) -> SimDuration {
         if self.count == 0 {
             return SimDuration::ZERO;
@@ -831,7 +840,7 @@ impl LatencyHistogram {
                 // divided into `count` equal parts.
                 let offset = (span as u128 * (2 * pos as u128 + 1) / (2 * count as u128)) as u64;
                 let value = (lo + offset).clamp(self.min.as_nanos(), self.max.as_nanos());
-                return SimDuration::from_nanos(value);
+                return SimDuration(value);
             }
             seen += count;
         }
@@ -958,7 +967,7 @@ impl BusyTimeline {
         while s < e {
             let idx = (s / w) as usize;
             if idx >= self.max_buckets {
-                self.overflow += SimDuration::from_nanos(e - s);
+                self.overflow += SimDuration(e - s);
                 return;
             }
             if self.buckets.len() <= idx {
@@ -966,7 +975,7 @@ impl BusyTimeline {
             }
             let bucket_end = (idx as u64 + 1).saturating_mul(w);
             let take = e.min(bucket_end) - s;
-            self.buckets[idx] += SimDuration::from_nanos(take);
+            self.buckets[idx] += SimDuration(take);
             s += take;
         }
     }
@@ -1360,8 +1369,7 @@ impl RunReport {
 
     /// Serializes the report as deterministic JSON (sorted keys, integer
     /// nanoseconds, no floats). Hand-rolled because the workspace's serde
-    /// is a vendored marker-trait stub with no wire format — same
-    /// approach as `lint-baseline.json`.
+    /// is a vendored marker-trait stub with no wire format.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n  \"version\": 1,\n  \"meta\": {");

@@ -35,7 +35,8 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Creates an instant `nanos` nanoseconds after the epoch.
+    /// Creates an instant `nanos` nanoseconds after the epoch. Banned
+    /// outside `nds-sim` by rule D3 (`clippy.toml`).
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
@@ -113,15 +114,31 @@ impl Sub for SimTime {
 #[derive(
     Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
 )]
-pub struct SimDuration(u64);
+pub struct SimDuration(pub(crate) u64);
 
 impl SimDuration {
     /// The zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// A span of `nanos` nanoseconds.
+    ///
+    /// Outside `nds-sim` this runtime constructor is banned by rule D3
+    /// (`clippy.toml`): modeled time is built from the typed operators, and
+    /// a calibration constant comes from [`nanos`](Self::nanos).
     pub const fn from_nanos(nanos: u64) -> Self {
         SimDuration(nanos)
+    }
+
+    /// A span of `NANOS` nanoseconds, fixed at compile time: how a
+    /// calibration constant enters modeled time.
+    ///
+    /// ```
+    /// use nds_sim::SimDuration;
+    ///
+    /// assert_eq!(SimDuration::nanos::<3_400>(), SimDuration::from_nanos(3_400));
+    /// ```
+    pub const fn nanos<const NANOS: u64>() -> Self {
+        SimDuration(NANOS)
     }
 
     /// A span of `micros` microseconds.
@@ -260,7 +277,7 @@ impl Sum for SimDuration {
 /// ```
 /// use nds_sim::{SimDuration, Throughput};
 ///
-/// let bw = Throughput::mib_per_sec(4096.0); // 4 GiB/s-class link
+/// let bw = Throughput::mib_per_sec(4096); // 4 GiB/s-class link
 /// let t = bw.time_for_bytes(32 * 1024);
 /// assert!(t > SimDuration::ZERO);
 /// let back = Throughput::from_bytes_over(32 * 1024, t);
@@ -280,9 +297,9 @@ impl Throughput {
     }
 
     /// A rate of `mib` MiB per second.
-    pub fn mib_per_sec(mib: f64) -> Self {
+    pub fn mib_per_sec(mib: u64) -> Self {
         Throughput {
-            bytes_per_sec: mib * 1024.0 * 1024.0,
+            bytes_per_sec: mib as f64 * 1_048_576.0,
         }
     }
 
@@ -383,7 +400,7 @@ mod tests {
 
     #[test]
     fn throughput_round_trips() {
-        let bw = Throughput::mib_per_sec(100.0);
+        let bw = Throughput::mib_per_sec(100);
         let t = bw.time_for_bytes(100 * 1024 * 1024);
         // 100 MiB at 100 MiB/s is one second.
         assert_eq!(t, SimDuration::from_secs(1));

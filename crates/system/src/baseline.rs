@@ -67,7 +67,7 @@ impl BaselineSystem {
     /// Builds a baseline system from a configuration.
     pub fn new(config: SystemConfig) -> Self {
         let device = nds_flash::FlashDevice::new(config.flash.clone());
-        let mut ftl = Ftl::new(device, FtlConfig::default());
+        let mut ftl = Ftl::new(device, FtlConfig);
         let life = Lifecycle::new(&config, &mut ftl);
         BaselineSystem {
             ftl,

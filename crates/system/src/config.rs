@@ -34,8 +34,8 @@ impl ControllerConfig {
         ControllerConfig {
             pipeline: ControllerPipeline::stingray(),
             // 8/5 of the NVMeoF external peak (≈4.8 GiB/s) ≈ 7.7 GiB/s.
-            assemble_bandwidth: Throughput::mib_per_sec(7_680.0),
-            scatter_chunk_overhead: SimDuration::from_nanos(500),
+            assemble_bandwidth: Throughput::mib_per_sec(7_680),
+            scatter_chunk_overhead: SimDuration::nanos::<500>(),
             cpu: CpuModel::arm_a72(),
         }
     }
@@ -190,12 +190,15 @@ mod tests {
 
     #[test]
     fn internal_exceeds_external_bandwidth() {
-        // §7.2: internal-to-external ratio must favor the inside.
+        // §7.2: internal-to-external ratio must favor the inside. Each
+        // channel streams page transfers back to back while bank reads
+        // overlap, so the device reads at `channels × channel_bus`.
         let c = SystemConfig::paper_scale();
         let internal = c
             .flash
             .timing
-            .internal_read_bandwidth(c.flash.geometry.channels);
+            .channel_bus
+            .scaled(c.flash.geometry.channels as f64);
         assert!(internal.bytes_per_sec_f64() > c.link.peak.bytes_per_sec_f64());
         assert!(
             c.controller.assemble_bandwidth.bytes_per_sec_f64() > c.link.peak.bytes_per_sec_f64()

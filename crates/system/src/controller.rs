@@ -102,7 +102,7 @@ impl HostStlPath {
     pub fn linux_lightnvm() -> Self {
         HostStlPath {
             syscall: SimDuration::from_micros(9),
-            per_tree_level: SimDuration::from_nanos(1_500),
+            per_tree_level: SimDuration::nanos::<1_500>(),
             translate: SimDuration::from_micros(4),
             driver_setup: SimDuration::from_micros(15),
             completion: SimDuration::from_micros(10),

@@ -63,7 +63,7 @@ const QUEUE_COMPONENT: ComponentId = ComponentId::singleton("nvme.queue");
 
 impl HardwareNds {
     /// Fixed cost of issuing one DMA descriptor in the on-device assembler.
-    const DMA_DESCRIPTOR_COST: SimDuration = SimDuration::from_nanos(100);
+    const DMA_DESCRIPTOR_COST: SimDuration = SimDuration::nanos::<100>();
 
     /// Builds a hardware-NDS system from a configuration.
     pub fn new(config: SystemConfig) -> Self {

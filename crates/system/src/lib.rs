@@ -47,7 +47,9 @@
 
 #![warn(missing_docs)]
 // Panic policy (DESIGN.md "Panic policy"): outside test code every failure
-// on this crate's paths is a typed error, and clippy holds that line.
+// on this crate's paths is a typed error, and clippy holds that line. The
+// determinism contract's rules D1, D2, D3 and D7 are clippy's too (DESIGN.md
+// "Determinism contract"; the banned paths are in `clippy.toml`).
 #![cfg_attr(
     not(test),
     deny(
@@ -57,7 +59,10 @@
         clippy::todo,
         clippy::unimplemented,
         clippy::panic_in_result_fn,
-        clippy::missing_panics_doc
+        clippy::missing_panics_doc,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_arithmetic
     )
 )]
 #![forbid(unsafe_code)]
@@ -86,6 +91,6 @@ pub use hardware::HardwareNds;
 pub use oracle::OracleSystem;
 pub use software::SoftwareNds;
 pub use tenants::{
-    tenant_pattern_byte, Arrival, Completion, OpKind, TenantOp, TenantSet, TenantSpec,
+    tenant_pattern_byte, Arrival, Completion, Guarded, OpKind, TenantOp, TenantSet, TenantSpec,
     TrafficEngine,
 };

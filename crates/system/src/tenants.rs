@@ -44,6 +44,8 @@ use nds_sim::{
 
 use crate::error::SystemError;
 use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
+use isolation::shape_of;
+pub use isolation::Guarded;
 
 /// The direction of a tenant operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,7 +341,6 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
                 let mut payload = vec![0u8; bytes];
                 fill_pattern(pattern_key(set.seed, tenant, d), 0, &mut payload);
                 let coord = vec![0u64; shape.ndims()];
-                // nds-lint: allow(D6, setup writes seed freshly created datasets before ownership is registered with a guard)
                 sys.write(id, shape, &coord, shape.dims(), &payload)?;
                 datasets.push((id, shape.clone(), *element));
             }
@@ -430,23 +431,6 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             .map(|(id, _, _)| *id)
     }
 
-    /// The namespace isolation guard every data-path entry point passes
-    /// through: `tenant` may only touch dataspaces it owns.
-    ///
-    /// # Errors
-    ///
-    /// [`SystemError::TenantIsolation`] when `id` belongs to another
-    /// tenant (or to no tenant the engine knows).
-    pub fn guard(&self, tenant: u32, id: DatasetId) -> Result<(), SystemError> {
-        match self.owner_of(id) {
-            Some(owner) if owner == tenant => Ok(()),
-            _ => Err(SystemError::TenantIsolation {
-                tenant,
-                dataset: id,
-            }),
-        }
-    }
-
     /// Reads a region of `id` in its canonical view on behalf of
     /// `tenant`, through the isolation guard.
     ///
@@ -462,8 +446,8 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         sub_dims: &[u64],
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
-        self.guard(tenant, id)?;
-        let shape = shape_of(&self.tenants, id)?;
+        let access = self.guard(tenant, id)?;
+        let shape = shape_of(&self.tenants, access)?;
         self.sys.read_into(id, shape, coord, sub_dims, buf)
     }
 
@@ -482,8 +466,8 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
-        self.guard(tenant, id)?;
-        let shape = shape_of(&self.tenants, id)?;
+        let access = self.guard(tenant, id)?;
+        let shape = shape_of(&self.tenants, access)?;
         self.sys.write(id, shape, coord, sub_dims, data)
     }
 
@@ -554,14 +538,14 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         let Some(op) = rt.resolved.get(index as usize) else {
             return Ok(());
         };
-        let Some((id, shape, element)) = rt.datasets.get(op.dataset) else {
+        let Some(&(id, _, element)) = rt.datasets.get(op.dataset) else {
             return Err(SystemError::TenantIsolation {
                 tenant,
                 dataset: DatasetId(0),
             });
         };
-        let (id, kind) = (*id, op.kind);
-        self.guard(tenant, id)?;
+        let kind = op.kind;
+        let shape = shape_of(&self.tenants, self.guard(tenant, id)?)?;
         let started = self.now;
         let before = self.sys.trace_cursor();
         let elem = element.size() as u64;
@@ -783,14 +767,58 @@ fn element_bytes(rt: &TenantRuntime, op: &TenantOp) -> u64 {
         .map_or(1, |(_, _, e)| e.size() as u64)
 }
 
-/// The shape of dataspace `id` in whichever tenant's namespace holds it.
-fn shape_of(tenants: &[TenantRuntime], id: DatasetId) -> Result<&Shape, SystemError> {
-    tenants
-        .iter()
-        .flat_map(|rt| rt.datasets.iter())
-        .find(|(d, _, _)| *d == id)
-        .map(|(_, shape, _)| shape)
-        .ok_or(SystemError::UnknownDataset(id))
+/// The namespace isolation guard and the one dataset resolution behind it
+/// (rule D6, DESIGN.md "Determinism contract"). [`Guarded`]'s fields are
+/// private to this module, so [`TrafficEngine::guard`] is the only way to
+/// mint one, and [`shape_of`] takes one: a data path that skips the guard
+/// does not compile.
+mod isolation {
+    use nds_core::Shape;
+
+    use super::{TenantRuntime, TrafficEngine};
+    use crate::error::SystemError;
+    use crate::frontend::{DatasetId, StorageFrontEnd};
+
+    /// Proof that [`TrafficEngine::guard`] passed: `tenant` owns `dataset`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Guarded {
+        tenant: u32,
+        dataset: DatasetId,
+    }
+
+    impl<S: StorageFrontEnd> TrafficEngine<S> {
+        /// The namespace isolation guard every data-path entry point passes
+        /// through: `tenant` may only touch dataspaces it owns.
+        ///
+        /// # Errors
+        ///
+        /// [`SystemError::TenantIsolation`] when `id` belongs to another
+        /// tenant (or to no tenant the engine knows).
+        pub fn guard(&self, tenant: u32, id: DatasetId) -> Result<Guarded, SystemError> {
+            match self.owner_of(id) {
+                Some(owner) if owner == tenant => Ok(Guarded {
+                    tenant,
+                    dataset: id,
+                }),
+                _ => Err(SystemError::TenantIsolation {
+                    tenant,
+                    dataset: id,
+                }),
+            }
+        }
+    }
+
+    /// The shape of the guarded dataspace, from its owner's namespace.
+    pub(super) fn shape_of(
+        tenants: &[TenantRuntime],
+        access: Guarded,
+    ) -> Result<&Shape, SystemError> {
+        tenants
+            .get(access.tenant as usize)
+            .and_then(|rt| rt.datasets.iter().find(|(d, _, _)| *d == access.dataset))
+            .map(|(_, shape, _)| shape)
+            .ok_or(SystemError::UnknownDataset(access.dataset))
+    }
 }
 
 /// Builds the pattern payload for a region write in `payload`: byte `k` is

@@ -41,6 +41,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The determinism contract's rules D1 and D3 (DESIGN.md "Determinism contract";
+// the banned paths are in `clippy.toml`) hold outside test code.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![forbid(unsafe_code)]
 
 pub mod cluster;
