@@ -1,87 +1,237 @@
-//! Append-only assembly of a read into the caller's buffer.
+//! Placement assembly of a read into the caller's buffer.
 //!
 //! Every read path produces its output as a sequence of *pieces* in
-//! ascending buffer order: stored bytes, or a run of zeros where nothing is
-//! stored (a never-written block, an unallocated or zero-elided unit, an
-//! unmapped page). [`Assembler`] appends them to the buffer, so every output
-//! byte is written exactly once — no zero-fill pass before the copies, no
-//! scatter.
+//! ascending buffer order: stored bytes, a transforming backend's
+//! short-lived image, or a run of zeros where nothing is stored (a
+//! never-written block, an unallocated or zero-elided unit, an unmapped
+//! page). [`Assembler`] sizes the buffer once and puts each piece at its own
+//! offset, so every output byte is written once — twice only where the
+//! buffer grows and is zero-extended first. Zero runs are written too: the
+//! buffer may hold a previous read's bytes.
 //!
-//! It also holds each stored piece back for a few more before copying it.
-//! Finding a piece's bytes is a chain of dependent cache misses (page table
-//! → page image → first line), and a chain issued between two copies stalls
-//! the copy behind it; issued back to back ahead of their copies, the chains
-//! of neighbouring pieces overlap.
+//! A large read is copied in `k` contiguous parts at once: the stored
+//! pieces are gathered first, then each part of the buffer — a disjoint
+//! `&mut` range — is filled from the pieces that overlap it, part 0 on the
+//! calling thread and the others on scoped workers. `k` depends only on the
+//! read's size and the host's core count, and the bytes do not depend on
+//! `k`: it moves wall time, never an output byte.
 
-/// Pieces looked up before the first of them is copied.
-const LOOKAHEAD: usize = 16;
+use std::num::NonZeroUsize;
+use std::sync::{LazyLock, Mutex, PoisonError};
+use std::thread;
+
+use crate::error::NdsError;
+
+/// The smallest part worth a thread of its own. On a 2-core host a scoped
+/// spawn + join costs 38–46 µs and a copy of cold 4 KiB pages runs at
+/// 7–8 GB/s, so a read split in two breaks even at about 512 KiB a part;
+/// this is twice that (DESIGN.md "Read assembly").
+const MIN_PART: usize = 1 << 20;
+
+/// Cores this process may run on, asked once (on Linux the answer reads the
+/// cgroup files).
+static CORES: LazyLock<usize> =
+    LazyLock::new(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
+
+/// Parts a read of `total` bytes is copied in: one per core, each at least
+/// [`MIN_PART`] long. A read too small to split never asks for the cores.
+fn parts_for(total: usize) -> usize {
+    match total / MIN_PART {
+        0 | 1 => 1,
+        parts => parts.min(*CORES),
+    }
+}
 
 /// Assembles one read into a caller-provided buffer (see the module docs).
 ///
-/// Pieces must arrive in ascending buffer order;
-/// [`finish`](Self::finish) appends the last of them.
+/// Pieces must arrive in ascending buffer order and tile the read exactly;
+/// [`finish`](Self::finish) copies what is still pending and checks that.
 #[derive(Debug)]
-#[must_use = "pieces still held back are appended by `finish`"]
+#[must_use = "stored pieces are copied by `finish`"]
 pub struct Assembler<'b, 's> {
-    buf: &'b mut Vec<u8>,
-    held: [&'s [u8]; LOOKAHEAD],
-    holding: usize,
-    /// Zero bytes that follow the held pieces: consecutive holes are one run.
-    zeros: usize,
+    out: &'b mut [u8],
+    /// Buffer offset of the next piece.
+    at: usize,
+    /// Parts `finish` copies in; with one, every piece is placed on arrival.
+    parts: usize,
+    /// Stored pieces and their offsets, gathered for a multi-part copy.
+    pending: Vec<(usize, &'s [u8])>,
 }
 
 impl<'b, 's> Assembler<'b, 's> {
-    /// Starts a read of `total` bytes into `buf`: what `buf` held is
-    /// discarded, its capacity kept (and grown once if `total` needs more).
+    /// Starts a read of `total` bytes into `buf`, which is sized once: cut
+    /// to `total` if it is longer, zero-extended past its old length if it
+    /// is shorter. Its capacity is kept, and grown once if `total` needs
+    /// more.
     pub fn new(buf: &'b mut Vec<u8>, total: usize) -> Self {
-        buf.clear();
-        buf.reserve(total);
+        Self::with_parts(buf, total, parts_for(total))
+    }
+
+    /// [`new`](Self::new) with the part count given rather than chosen.
+    pub(crate) fn with_parts(buf: &'b mut Vec<u8>, total: usize, parts: usize) -> Self {
+        buf.resize(total, 0);
         Assembler {
-            buf,
-            held: [&[]; LOOKAHEAD],
-            holding: 0,
-            zeros: 0,
+            out: buf,
+            at: 0,
+            parts: parts.max(1),
+            pending: Vec::new(),
         }
     }
 
-    /// The next piece is `bytes`, which outlive the assembly: held back.
+    /// The next piece is `bytes`, which outlive the assembly.
     pub fn stored(&mut self, bytes: &'s [u8]) {
-        if self.zeros > 0 || self.holding == LOOKAHEAD {
-            self.append_held();
+        if self.parts == 1 {
+            place(self.out, 0, self.at, bytes);
+        } else {
+            self.pending.push((self.at, bytes));
         }
-        if let Some(slot) = self.held.get_mut(self.holding) {
-            *slot = bytes;
-            self.holding += 1;
-        }
+        self.at = self.at.saturating_add(bytes.len());
     }
 
-    /// The next piece is `bytes`, copied now (a transforming backend's
-    /// short-lived image; nothing is left to look up).
+    /// The next piece is `bytes`, placed now (a transforming backend's
+    /// short-lived image).
     pub fn copied(&mut self, bytes: &[u8]) {
-        self.append_held();
-        self.buf.extend_from_slice(bytes);
+        place(self.out, 0, self.at, bytes);
+        self.at = self.at.saturating_add(bytes.len());
     }
 
     /// The next piece is `len` zero bytes.
     pub fn zeros(&mut self, len: usize) {
-        self.zeros += len;
+        let end = self.at.saturating_add(len);
+        if let Some(hole) = self.out.get_mut(self.at..end) {
+            hole.fill(0);
+        }
+        self.at = end;
     }
 
-    /// Appends whatever is still held back; the buffer is complete.
-    pub fn finish(mut self) {
-        self.append_held();
+    /// Copies the gathered pieces, one part per thread; the buffer is
+    /// complete.
+    ///
+    /// # Errors
+    ///
+    /// [`NdsError::Inconsistent`] if the pieces did not tile the read:
+    /// the buffer's contents are then unspecified.
+    pub fn finish(self) -> Result<(), NdsError> {
+        let Assembler {
+            out,
+            at,
+            parts,
+            pending,
+        } = self;
+        if at != out.len() {
+            return Err(NdsError::Inconsistent(
+                "read pieces do not tile the request",
+            ));
+        }
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let len = out.len().div_ceil(parts).max(1);
+        let pieces = pending.as_slice();
+        let slots: Vec<Mutex<Option<Part<'_, '_, 's>>>> = out
+            .chunks_mut(len)
+            .enumerate()
+            .map(|(i, out)| {
+                let lo = i.saturating_mul(len);
+                let hi = lo.saturating_add(out.len());
+                let first = pieces.partition_point(|&(at, b)| at.saturating_add(b.len()) <= lo);
+                let last = pieces.partition_point(|&(at, _)| at < hi);
+                let pieces = pieces.get(first..last).unwrap_or_default();
+                Mutex::new(Some(Part { out, lo, pieces }))
+            })
+            .collect();
+        // Part 0 is the calling thread's; the sweep then takes any part
+        // whose worker has not — one that could not be spawned included.
+        thread::scope(|scope| {
+            for slot in slots.iter().skip(1) {
+                let _ =
+                    thread::Builder::new().spawn_scoped(scope, move || Part::take_and_place(slot));
+            }
+            for slot in &slots {
+                Part::take_and_place(slot);
+            }
+        });
+        Ok(())
     }
+}
 
-    fn append_held(&mut self) {
-        for bytes in self.held.iter().take(self.holding) {
-            self.buf.extend_from_slice(bytes);
-        }
-        self.holding = 0;
-        if self.zeros > 0 {
-            self.buf.resize(self.buf.len() + self.zeros, 0);
-            self.zeros = 0;
+/// One contiguous range of the output and the stored pieces that overlap
+/// it.
+struct Part<'o, 'p, 's> {
+    out: &'o mut [u8],
+    /// Buffer offset of `out`.
+    lo: usize,
+    pieces: &'p [(usize, &'s [u8])],
+}
+
+impl Part<'_, '_, '_> {
+    /// Places the part in `slot` unless another thread has taken it.
+    fn take_and_place(slot: &Mutex<Option<Self>>) {
+        // The lock is held only for `take`, which cannot panic, so a
+        // poisoned slot is still whole.
+        let part = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(Part { out, lo, pieces }) = part {
+            for &(at, bytes) in pieces {
+                place(out, lo, at, bytes);
+            }
         }
     }
+}
+
+/// Copies what falls inside `out` — the buffer's bytes from offset `lo` —
+/// of `bytes`, a piece at buffer offset `at`.
+fn place(out: &mut [u8], lo: usize, at: usize, bytes: &[u8]) {
+    let start = at.max(lo);
+    let end = at
+        .saturating_add(bytes.len())
+        .min(lo.saturating_add(out.len()));
+    if start >= end {
+        return;
+    }
+    if let (Some(dst), Some(src)) = (
+        out.get_mut(start - lo..end - lo),
+        bytes.get(start - at..end - at),
+    ) {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// A piece of a read, for driving [`Assembler`] from a list (see
+/// [`assemble_in_parts`]).
+#[cfg(any(test, feature = "testing"))]
+#[derive(Debug, Clone)]
+pub enum Piece {
+    /// Passed to [`Assembler::stored`].
+    Stored(Vec<u8>),
+    /// Passed to [`Assembler::copied`].
+    Copied(Vec<u8>),
+    /// Passed to [`Assembler::zeros`].
+    Zeros(usize),
+}
+
+/// Assembles `pieces` into `buf` as a read of `total` bytes copied in
+/// `parts` parts, whatever the read's size and the host's cores: the split
+/// [`Assembler::new`] chooses only for reads of megabytes, at any size.
+///
+/// # Errors
+///
+/// As [`Assembler::finish`].
+#[cfg(any(test, feature = "testing"))]
+pub fn assemble_in_parts(
+    buf: &mut Vec<u8>,
+    total: usize,
+    parts: usize,
+    pieces: &[Piece],
+) -> Result<(), NdsError> {
+    let mut assembler = Assembler::with_parts(buf, total, parts);
+    for piece in pieces {
+        match piece {
+            Piece::Stored(bytes) => assembler.stored(bytes),
+            Piece::Copied(bytes) => assembler.copied(bytes),
+            Piece::Zeros(len) => assembler.zeros(*len),
+        }
+    }
+    assembler.finish()
 }
 
 #[cfg(test)]
@@ -89,32 +239,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pieces_land_in_order_across_flushes() {
-        let stored: Vec<Vec<u8>> = (0..3 * LOOKAHEAD as u8 + 5)
-            .map(|i| vec![i + 1; 3])
-            .collect();
-        let mut buf = vec![0xFF; 7];
-        let mut expected = Vec::new();
-        let mut assembler = Assembler::new(&mut buf, 0);
-        for (i, bytes) in stored.iter().enumerate() {
-            if i % 4 == 3 {
-                assembler.zeros(2);
-                expected.extend_from_slice(&[0, 0]);
-            }
-            assembler.stored(bytes);
-            expected.extend_from_slice(bytes);
-        }
-        assembler.copied(&[9; 4]);
-        expected.extend_from_slice(&[9; 4]);
-        assembler.finish();
-        assert_eq!(buf, expected);
+    fn small_reads_are_one_part_and_large_ones_one_per_core() {
+        assert_eq!(parts_for(0), 1);
+        assert_eq!(parts_for(2048), 1);
+        assert_eq!(parts_for(2 * MIN_PART - 1), 1);
+        assert_eq!(parts_for(2 * MIN_PART), 2.min(*CORES));
+        assert_eq!(parts_for(usize::MAX), *CORES);
+    }
+
+    #[test]
+    fn pieces_that_do_not_tile_the_read_are_an_error() {
+        let mut buf = Vec::new();
+        let short = assemble_in_parts(&mut buf, 8, 2, &[Piece::Stored(vec![1; 7])]);
+        let long = assemble_in_parts(
+            &mut buf,
+            8,
+            1,
+            &[Piece::Zeros(4), Piece::Copied(vec![1; 5])],
+        );
+        assert!(matches!(short, Err(NdsError::Inconsistent(_))));
+        assert!(matches!(long, Err(NdsError::Inconsistent(_))));
     }
 
     #[test]
     fn an_empty_read_clears_the_buffer_and_keeps_its_capacity() {
         let mut buf = vec![0xFF; 64];
         let capacity = buf.capacity();
-        Assembler::new(&mut buf, 0).finish();
+        Assembler::new(&mut buf, 0).finish().unwrap();
         assert!(buf.is_empty());
         assert_eq!(buf.capacity(), capacity);
     }

@@ -56,6 +56,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Read assembly copies on several threads; disjoint `chunks_mut` borrows,
+// not unsafe code, keep their bytes apart.
+#![forbid(unsafe_code)]
 // Panic policy (DESIGN.md "Panic policy"): outside test code every failure
 // on this crate's paths is a typed error, and clippy holds that line. The
 // determinism contract's rules D1, D2, D3 and D7 are clippy's too (DESIGN.md

@@ -3,7 +3,7 @@
 //!
 //! Reads translate the request into a building-block cover, look up the
 //! allocated units of each covered block, and *assemble* the application
-//! object by appending the plan's spans, in ascending buffer order, to a
+//! object by placing the plan's spans, in ascending buffer order, in a
 //! dense buffer laid out in the consumer's view — every byte written once,
 //! zeros where nothing is stored. Writes run the same translation in reverse,
 //! *decomposing* the object into per-unit images; a write that covers only
@@ -481,9 +481,10 @@ impl<B: NvmBackend> Stl<B> {
     /// Like [`read`](Self::read), but assembles into a caller-provided
     /// buffer. On `Ok`, `buf` holds exactly the partition
     /// (`buf.len() == report.bytes`) whatever it held or however long it was
-    /// before: it is cleared and every byte appended once, so repeated reads
+    /// before: it is sized once and every byte placed once, so repeated reads
     /// through one buffer allocate nothing once it has grown to the largest
-    /// request. On `Err` its contents are unspecified, its capacity kept.
+    /// request (a read of megabytes, copied in parts on several threads,
+    /// excepted). On `Err` its contents are unspecified, its capacity kept.
     /// The report is identical to [`read`](Self::read)'s.
     ///
     /// # Errors
@@ -592,8 +593,7 @@ impl<B: NvmBackend> Stl<B> {
             }
             Ok(())
         })?;
-        assembler.finish();
-        Ok(())
+        assembler.finish()
     }
 
     /// Writes `data` (dense, in view order) to the partition at `coord` of

@@ -17,6 +17,10 @@ use std::cell::Cell;
 use crate::backend::{DeviceSpec, MemBackend, NvmBackend, UnitLocation};
 use crate::error::NdsError;
 
+/// Read assembly at a chosen part count, so the multi-part copy can be
+/// driven with small reads on any host.
+pub use crate::assembly::{assemble_in_parts, Piece};
+
 /// A [`MemBackend`] wrapper that misbehaves on demand: allocations start
 /// failing once a budget is exhausted (a device whose reclamation cannot
 /// keep up), the next *n* reads can be made to come back empty (a

@@ -82,7 +82,7 @@ impl BlockCover {
     }
 }
 
-/// One append of the read assembly: `len` bytes at `unit_offset` of access
+/// One piece of the read assembly: `len` bytes at `unit_offset` of access
 /// unit `unit` of cover `block`. Spans never cross a unit boundary, and
 /// their position in the request's dense buffer is implicit — the spans of a
 /// request, in order, tile it exactly.

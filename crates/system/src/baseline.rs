@@ -504,7 +504,7 @@ impl BaselineSystem {
         for e in extents.iter() {
             Self::read_extent(&self.ftl, base_lba, *e, &mut assembler)?;
         }
-        assembler.finish();
+        assembler.finish()?;
 
         if let Some(ctx) = ctx {
             // Waterfall back from the end of the io region: when command

@@ -184,7 +184,7 @@ pub trait StorageFrontEnd {
     /// caller-provided buffer, so repeated reads reuse one allocation. On
     /// `Ok`, `buf` holds exactly the partition (`buf.len()` equals the
     /// returned `bytes`) whatever it held or however long it was before: it
-    /// is cleared and every byte appended once. On `Err` its contents are
+    /// is sized once and every byte placed once. On `Err` its contents are
     /// unspecified and its capacity is kept. The buffer only changes who
     /// owns the wall-clock memory traffic, never the modeled time.
     ///

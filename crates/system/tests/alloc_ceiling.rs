@@ -164,6 +164,37 @@ fn warmed_multi_block_reads_allocate_nothing() {
     assert_eq!(warmed_whole_dataset_read(BaselineSystem::new(config())), 0);
 }
 
+/// A warmed 2.5 MiB hardware-NDS read: two minimum parts, so on a
+/// multi-core host the assembly gathers its pieces and copies the second
+/// part on a scoped worker. What the calling thread allocates for that is
+/// the pieces' list, the parts' slots and one spawn; under a one-CPU mask
+/// (`scripts/check.sh` runs this again under one) the read is one part and
+/// allocates nothing.
+#[test]
+fn warmed_multi_part_read_stays_under_its_ceiling() {
+    let mut sys = HardwareNds::new(SystemConfig::small_test());
+    let shape = Shape::new([1024, 640]);
+    let id = sys.create_dataset(shape.clone(), ElementType::F32).unwrap();
+    let data = payload(1024 * 640 * 4, 0x22);
+    sys.write(id, &shape, &[0, 0], &[1024, 640], &data).unwrap();
+    let mut buf = Vec::new();
+    for _ in 0..2 {
+        sys.read_into(id, &shape, &[0, 0], &[1024, 640], &mut buf)
+            .unwrap();
+    }
+    let n = allocations(|| {
+        sys.read_into(id, &shape, &[0, 0], &[1024, 640], &mut buf)
+            .unwrap();
+    });
+    assert!(buf == data, "the multi-part read returned other bytes");
+    // 20 480 pieces (128-byte row segments of one block): the list grows 14
+    // times on its way there; one for the parts' slots; four for the scope
+    // and its one worker, six while the test harness captures output, which
+    // a spawned thread inherits. 21 on any host with two cores or more
+    // (2.5 MiB is two parts at most); 0 on one.
+    assert!(n <= 21, "a warmed 2.5 MiB read allocated {n} times");
+}
+
 #[test]
 fn hardware_read_on_a_plan_cache_miss_stays_under_its_ceiling() {
     let (mut sys, id, shape) = filled(HardwareNds::new(SystemConfig::small_test()));

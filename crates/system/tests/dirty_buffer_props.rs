@@ -1,17 +1,18 @@
 //! Reads into a reused, dirty buffer (the property of `nds-core`'s
 //! `tests/support/dirty_reads.rs`) on this crate's read paths: the STL over
 //! the flash backend, the baseline's extent-by-extent assembly, and a
-//! sharded cluster whose requests straddle shards.
+//! sharded cluster whose requests straddle shards; and reads large enough
+//! to be copied in several parts on the three architectures.
 
 // Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
 
-use nds_core::{Shape, Stl, StlConfig};
+use nds_core::{ElementType, Shape, Stl, StlConfig};
 use nds_system::{
     BaselineSystem, ClusterConfig, DatasetId, FlashBackend, HardwareNds, NdsCluster, ReadMetrics,
-    StorageFrontEnd, SystemConfig,
+    SoftwareNds, StorageFrontEnd, SystemConfig,
 };
 
 #[path = "../../core/tests/support/dirty_reads.rs"]
@@ -59,6 +60,38 @@ impl<S: StorageFrontEnd> Subject for Dataset<S> {
     ) -> (u64, u64) {
         volume(self.0.read_into(self.1, view, coord, sub, buf).unwrap())
     }
+}
+
+/// A 2.5 MiB space (f32, 64 × 40 × 256) written in bands of 64 planes: one
+/// pattern, one of zeros (elided), one pattern, and the last never written.
+/// Read four times through the `[2560, 256]` fold — whole three times, then
+/// 2.19 MiB of it — so every read is at least two minimum parts (1 MiB
+/// each) and is copied on several threads on a multi-core host (in one part
+/// under a one-CPU mask, as `scripts/check.sh` runs it again). The dirty
+/// buffer goes from empty, to longer, to shorter, to longer than the read.
+fn multi_part_case() -> Case {
+    let band = |plane: u64, fill: u8| ((vec![0, 0, plane], vec![64, 40, 64]), fill);
+    let whole = vec![(2559, 0), (255, 0), (0, 0)];
+    let most = vec![(2559, 0), (223, 0), (0, 0)];
+    Case {
+        dims: vec![64, 40, 256],
+        element: ElementType::F32,
+        writes: vec![band(0, 2), band(1, 0), band(2, 3)],
+        fold: 1,
+        reads: vec![whole.clone(), whole.clone(), whole, most],
+    }
+}
+
+#[test]
+fn multi_part_reads_into_a_dirty_buffer_on_every_architecture() {
+    let case = multi_part_case();
+    let config = SystemConfig::small_test;
+    let baseline = BaselineSystem::new(config());
+    dirty_reads::check(&mut Dataset::of(baseline, &case), &case).unwrap();
+    let software = SoftwareNds::new(config());
+    dirty_reads::check(&mut Dataset::of(software, &case), &case).unwrap();
+    let hardware = HardwareNds::new(config());
+    dirty_reads::check(&mut Dataset::of(hardware, &case), &case).unwrap();
 }
 
 proptest! {
