@@ -38,12 +38,6 @@ use crate::views::{ViewId, ViewRegistry};
 /// Configuration of an STL instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StlConfig {
-    /// Skip allocating access units whose entire image is zero, releasing
-    /// existing units overwritten with zeros (§8's sparse-content
-    /// optimization, "similar to page-zero optimization in VAX/VMS").
-    /// Reads of unallocated units already return zeros, so this is purely a
-    /// space optimization. Enabled by default.
-    pub zero_unit_elision: bool,
     /// Unit-placement policy (default: the paper's §4.2 rules; the naive
     /// alternative exists for the \[P3\] ablation).
     pub allocation_policy: AllocationPolicy,
@@ -65,7 +59,6 @@ pub struct StlConfig {
 impl Default for StlConfig {
     fn default() -> Self {
         StlConfig {
-            zero_unit_elision: true,
             allocation_policy: AllocationPolicy::Paper,
             block_dimensionality: BlockDimensionality::Auto,
             block_multiplier: 1,
@@ -697,9 +690,12 @@ impl<B: NvmBackend> Stl<B> {
                     }
                     &self.scratch.image
                 };
-                // §8: all-zero units need no physical storage — unallocated
-                // units already read back as zeros.
-                if self.config.zero_unit_elision && image.iter().all(|&b| b == 0) {
+                // §8's sparse-content optimization ("similar to page-zero
+                // optimization in VAX/VMS"): all-zero units need no physical
+                // storage — unallocated units already read back as zeros —
+                // so they are never allocated, and overwriting a unit with
+                // zeros releases it.
+                if image.iter().all(|&b| b == 0) {
                     if let Some(old_loc) = old {
                         self.backend.release_unit(old_loc);
                         *entry.units.get_mut(unit_idx).ok_or(STRAY_SPAN)? = None;

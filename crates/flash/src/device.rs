@@ -802,11 +802,6 @@ impl FlashDevice {
         });
     }
 
-    /// True if a fault plan has been installed.
-    pub fn faults_installed(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// True if `block` has been retired after a permanent program failure.
     /// Retired blocks are skipped by allocation and never erased; their
     /// valid pages stay readable until the translation layer relocates them.

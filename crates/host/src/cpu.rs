@@ -44,17 +44,6 @@ impl CpuModel {
         }
     }
 
-    /// An embedded ARM A72-class controller core (§5.3.2), used by the
-    /// hardware-NDS controller model: same structure, lower rates.
-    pub fn arm_a72() -> Self {
-        CpuModel {
-            io_submit: SimDuration::from_micros(2),
-            stream_copy: Throughput::mib_per_sec(6_000),
-            scatter_chunk_overhead: SimDuration::nanos::<500>(),
-            scatter_copy: Throughput::mib_per_sec(4_000),
-        }
-    }
-
     /// Cost of submitting `requests` I/O commands.
     pub fn submit_time(&self, requests: u64) -> SimDuration {
         self.io_submit * requests
@@ -126,13 +115,5 @@ mod tests {
         assert_eq!(cpu.stream_copy_time(0), SimDuration::ZERO);
         assert_eq!(cpu.scatter_copy_time(0, 0), SimDuration::ZERO);
         assert_eq!(cpu.submit_time(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn arm_is_slower_than_host() {
-        let host = CpuModel::ryzen_3700x();
-        let arm = CpuModel::arm_a72();
-        assert!(arm.stream_copy_time(1 << 20) > host.stream_copy_time(1 << 20));
-        assert!(arm.scatter_copy_time(512, 1 << 20) > host.scatter_copy_time(512, 1 << 20));
     }
 }

@@ -176,11 +176,6 @@ impl Link {
         self.faults = Some(FaultPlan::new(config));
     }
 
-    /// True if a fault plan has been installed.
-    pub fn faults_installed(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Schedules one command moving `bytes`, ready at `ready`; returns the
     /// completion instant. Commands serialize FIFO on the wire. This path
     /// never consults the fault plan — use

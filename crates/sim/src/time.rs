@@ -297,7 +297,7 @@ impl Throughput {
     }
 
     /// A rate of `mib` MiB per second.
-    pub fn mib_per_sec(mib: u64) -> Self {
+    pub const fn mib_per_sec(mib: u64) -> Self {
         Throughput {
             bytes_per_sec: mib as f64 * 1_048_576.0,
         }

@@ -6,40 +6,8 @@ use nds_faults::FaultConfig;
 use nds_flash::FlashConfig;
 use nds_host::CpuModel;
 use nds_interconnect::LinkConfig;
-use nds_sim::{ObsConfig, SimDuration, Throughput};
+use nds_sim::{ObsConfig, SimDuration};
 use serde::{Deserialize, Serialize};
-
-/// Parameters of the NDS-compliant SSD controller (§5.3.2): ARM cores
-/// running the STL pipeline of Fig. 8 plus a device-side data assembler
-/// working out of device DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ControllerConfig {
-    /// The Fig. 8 pipeline's fixed per-request latency components (composes
-    /// to the §7.3 worst-case 17 µs on 2-level spaces).
-    pub pipeline: ControllerPipeline,
-    /// Bandwidth of the device-side assembler moving data between NVM
-    /// buffers and assembled objects in device DRAM. The paper gives the
-    /// prototype an internal-to-external bandwidth ratio of 8:5 (§7.2).
-    pub assemble_bandwidth: Throughput,
-    /// Per-chunk overhead of the controller's scattered copies (the ARM
-    /// cores are weaker than the host CPU, §7.1's 17% write-penalty source).
-    pub scatter_chunk_overhead: SimDuration,
-    /// The controller's CPU model (used for command handling).
-    pub cpu: CpuModel,
-}
-
-impl ControllerConfig {
-    /// The paper's Broadcom-Stingray-class controller: eight ARM A72 cores.
-    pub fn stingray() -> Self {
-        ControllerConfig {
-            pipeline: ControllerPipeline::stingray(),
-            // 8/5 of the NVMeoF external peak (≈4.8 GiB/s) ≈ 7.7 GiB/s.
-            assemble_bandwidth: Throughput::mib_per_sec(7_680),
-            scatter_chunk_overhead: SimDuration::nanos::<500>(),
-            cpu: CpuModel::arm_a72(),
-        }
-    }
-}
 
 /// Everything a system architecture needs: device, link, host, controller,
 /// and STL parameters.
@@ -51,8 +19,9 @@ pub struct SystemConfig {
     pub link: LinkConfig,
     /// The host CPU cost model.
     pub cpu: CpuModel,
-    /// The NDS controller (hardware NDS only).
-    pub controller: ControllerConfig,
+    /// The NDS controller's Fig. 8 pipeline (hardware NDS only; composes
+    /// to the §7.3 worst-case 17 µs on 2-level spaces).
+    pub controller: ControllerPipeline,
     /// STL parameters (block dimensionality/multiplier/seed).
     pub stl: StlConfig,
     /// The software-NDS host request path (§7.3 measures 41 µs worst-case
@@ -86,7 +55,7 @@ impl SystemConfig {
             flash,
             link: LinkConfig::nvmeof_40g(),
             cpu: CpuModel::ryzen_3700x(),
-            controller: ControllerConfig::stingray(),
+            controller: ControllerPipeline::stingray(),
             stl: StlConfig {
                 block_multiplier: 4, // the prototype's 256×256 f64 blocks
                 ..StlConfig::default()
@@ -95,14 +64,6 @@ impl SystemConfig {
             nds_transfer_chunk: 2 * 1024 * 1024,
             faults: None,
             obs: ObsConfig::disabled(),
-        }
-    }
-
-    /// The consumer-class 8-channel device of Fig. 3, same host.
-    pub fn consumer_scale() -> Self {
-        SystemConfig {
-            flash: FlashConfig::consumer_8ch(),
-            ..SystemConfig::paper_scale()
         }
     }
 
@@ -126,7 +87,7 @@ impl SystemConfig {
         self.link.per_command = self.link.per_command / divisor;
         self.cpu.io_submit = self.cpu.io_submit / divisor;
         self.sw_stl_path = self.sw_stl_path.scaled(divisor);
-        self.controller.pipeline = self.controller.pipeline.scaled(divisor);
+        self.controller = self.controller.scaled(divisor);
         self
     }
 
@@ -143,14 +104,9 @@ impl SystemConfig {
                 },
                 timing: nds_flash::FlashTiming::tlc_nand(),
             },
-            link: LinkConfig::nvmeof_40g(),
-            cpu: CpuModel::ryzen_3700x(),
-            controller: ControllerConfig::stingray(),
             stl: StlConfig::default(),
-            sw_stl_path: HostStlPath::linux_lightnvm(),
             nds_transfer_chunk: 64 * 1024,
-            faults: None,
-            obs: ObsConfig::disabled(),
+            ..SystemConfig::paper_scale()
         }
     }
 
@@ -200,13 +156,7 @@ mod tests {
             .channel_bus
             .scaled(c.flash.geometry.channels as f64);
         assert!(internal.bytes_per_sec_f64() > c.link.peak.bytes_per_sec_f64());
-        assert!(
-            c.controller.assemble_bandwidth.bytes_per_sec_f64() > c.link.peak.bytes_per_sec_f64()
-        );
-    }
-
-    #[test]
-    fn consumer_has_fewer_channels() {
-        assert_eq!(SystemConfig::consumer_scale().flash.geometry.channels, 8);
+        let assembler = crate::hardware::Controller::ASSEMBLE_BANDWIDTH;
+        assert!(assembler.bytes_per_sec_f64() > c.link.peak.bytes_per_sec_f64());
     }
 }

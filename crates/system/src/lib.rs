@@ -17,6 +17,9 @@
 //! * [`HardwareNds`] — the STL runs in the device controller (Fig. 7c):
 //!   one extended NVMe command per object, assembly inside the device at
 //!   internal bandwidth, nothing but the finished object crosses the link.
+//!
+//!   Both are one [`NdsSystem`] — the same STL, dataset table and front-end
+//!   impl — at two [`Placement`]s, [`Host`] and [`Controller`].
 //! * [`OracleSystem`] — §7.2's exhaustive-search software alternative: the
 //!   dataset is pre-tiled on a baseline SSD in exactly the consumer's
 //!   request granularity, giving zero host overhead for those requests (at
@@ -76,20 +79,22 @@ mod flash_backend;
 mod frontend;
 mod hardware;
 mod lifecycle;
+mod nds;
 mod oracle;
 mod software;
 mod tenants;
 
 pub use baseline::BaselineSystem;
 pub use cluster::{ClusterConfig, NdsCluster};
-pub use config::{ControllerConfig, SystemConfig};
+pub use config::SystemConfig;
 pub use controller::{ControllerPipeline, HostStlPath};
 pub use error::SystemError;
 pub use flash_backend::FlashBackend;
 pub use frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
-pub use hardware::HardwareNds;
+pub use hardware::{Controller, HardwareNds};
+pub use nds::{NdsSystem, Placement};
 pub use oracle::OracleSystem;
-pub use software::SoftwareNds;
+pub use software::{Host, SoftwareNds};
 pub use tenants::{
     tenant_pattern_byte, Arrival, Completion, Guarded, OpKind, TenantOp, TenantSet, TenantSpec,
     TrafficEngine,

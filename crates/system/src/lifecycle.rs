@@ -1,20 +1,22 @@
-//! The command lifecycle shared by the three flash-backed front-ends.
+//! The command lifecycle shared by the baseline and the NDS system.
 //!
 //! The paper's architectures (Fig. 7a–c) differ only in *where the STL runs
-//! and what crosses the link*; everything around that — fault and
+//! and what crosses the link* (Fig. 7b and 7c are one
+//! [`NdsSystem`](crate::NdsSystem) at two placements); everything around
+//! that — fault and
 //! observability wiring, the causal trace scope on system + link + device,
 //! the exact stage partition, the per-op counters / `host.*` series /
 //! request span / latency histograms, the timing-epoch folds and the
 //! report and trace artifacts — is identical by construction and lives
-//! here, once. A front-end keeps its dataset bookkeeping, data path and
-//! cost model, and per operation calls [`start_epoch`](Lifecycle::start_epoch),
+//! here, once. A data path (the baseline's, or an NDS placement's) keeps
+//! its cost model, and per operation calls [`start_epoch`](Lifecycle::start_epoch),
 //! [`open_scope`](Lifecycle::open_scope), its data path,
 //! [`close_scope`](Lifecycle::close_scope),
 //! [`record_read`](Lifecycle::record_read) or
 //! [`record_write`](Lifecycle::record_write), and
 //! [`end_epoch`](Lifecycle::end_epoch); its trait method hands the outcome
 //! to [`settle`](Lifecycle::settle), which closes whatever a typed failure
-//! left open. Hardware NDS opens the scope first
+//! left open. The controller placement (hardware NDS) opens the scope first
 //! (NVMe submission and the STL op belong to the trace) and records before
 //! it closes (so its request span is trace-tagged); DESIGN.md "Command
 //! lifecycle" has the step list and what those two orders mean.

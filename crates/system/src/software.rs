@@ -1,4 +1,5 @@
-//! The software-only NDS system (Fig. 7b).
+//! The software-only NDS system (Fig. 7b): [`NdsSystem`] at the [`Host`]
+//! placement.
 //!
 //! The full STL — building blocks, locator tree, translator, allocator —
 //! runs on the *host*, talking to the device through a LightNVM-style
@@ -16,169 +17,53 @@
 //!   images and submits page-granular program commands; §7.1 measures the
 //!   combination as a ~30% write-bandwidth loss.
 
-use std::collections::BTreeMap;
-
-use nds_core::{AccessReport, ElementType, NvmBackend, Shape, SpaceId, Stl, WriteReport};
-use nds_host::CpuModel;
-use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
+use nds_core::{NvmBackend, Shape, SpaceId};
+use nds_sim::{SimDuration, SimTime, TraceStage};
 
 use crate::config::SystemConfig;
 use crate::controller::HostStlPath;
 use crate::error::SystemError;
-use crate::flash_backend::FlashBackend;
-use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
-use crate::lifecycle::Lifecycle;
+use crate::frontend::{ReadMetrics, WriteOutcome};
+use crate::nds::{sealed::Placed, NdsSystem};
 
 /// NDS with the STL running on the host CPU over LightNVM.
+pub type SoftwareNds = NdsSystem<Host>;
+
+/// The host placement of the STL: requests cross the kernel I/O stack
+/// ([`HostStlPath`]) and the host assembles and decomposes objects.
 #[derive(Debug)]
-pub struct SoftwareNds {
-    stl: Stl<FlashBackend>,
-    life: Lifecycle,
-    cpu: CpuModel,
-    stl_path: HostStlPath,
-    datasets: BTreeMap<DatasetId, SpaceId>,
-    next_id: u64,
-    /// The STL's reports of the request in flight, kept between requests so
-    /// the steady-state data path does not allocate them.
-    read_report: AccessReport,
-    write_report: WriteReport,
-}
+pub struct Host(HostStlPath);
 
-impl SoftwareNds {
-    /// Builds a software-NDS system from a configuration.
-    pub fn new(config: SystemConfig) -> Self {
-        let mut stl = Stl::new(FlashBackend::new(config.flash.clone()), config.stl);
-        let life = Lifecycle::new(&config, &mut stl);
-        SoftwareNds {
-            stl,
-            life,
-            cpu: config.cpu,
-            stl_path: config.sw_stl_path,
-            datasets: BTreeMap::new(),
-            next_id: 1,
-            read_report: AccessReport::default(),
-            write_report: WriteReport::default(),
-        }
+impl Placed for Host {
+    const NAME: &'static str = "software-nds";
+    const DELETE_IS_COMMAND: bool = false;
+
+    fn new(config: &SystemConfig) -> Self {
+        Host(config.sw_stl_path)
     }
 
-    /// The host-resident STL (exposed for overhead experiments).
-    pub fn stl(&self) -> &Stl<FlashBackend> {
-        &self.stl
-    }
-
-    fn space_of(&self, id: DatasetId) -> Result<SpaceId, SystemError> {
-        self.datasets
-            .get(&id)
-            .copied()
-            .ok_or(SystemError::UnknownDataset(id))
-    }
-
-    /// The host STL's fixed per-request latency for `space` (one B-tree
-    /// traversal per request, §7.3).
-    fn stl_latency(&self, space: SpaceId) -> SimDuration {
-        let levels = self
-            .stl
-            .space(space)
-            .map(|s| s.tree().levels())
-            .unwrap_or(2);
-        self.stl_path.request_latency(levels)
-    }
-}
-
-impl StorageFrontEnd for SoftwareNds {
-    fn name(&self) -> &'static str {
-        "software-nds"
-    }
-
-    fn create_dataset(
-        &mut self,
-        shape: Shape,
-        element: ElementType,
-    ) -> Result<DatasetId, SystemError> {
-        let space = self.stl.create_space(shape, element)?;
-        let id = DatasetId(self.next_id);
-        self.next_id += 1;
-        self.datasets.insert(id, space);
-        Ok(id)
+    /// The kernel I/O stack's latency (§7.3 measures 41 µs worst-case).
+    fn request_latency(&self, tree_levels: usize) -> SimDuration {
+        self.0.request_latency(tree_levels)
     }
 
     fn write(
-        &mut self,
-        id: DatasetId,
+        sys: &mut NdsSystem<Self>,
+        space: SpaceId,
         view: &Shape,
         coord: &[u64],
         sub_dims: &[u64],
         data: &[u8],
     ) -> Result<WriteOutcome, SystemError> {
-        let outcome = self.write_scoped(id, view, coord, sub_dims, data);
-        self.life.settle(&mut self.stl, "write", outcome)
-    }
-
-    fn read_into(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        buf: &mut Vec<u8>,
-    ) -> Result<ReadMetrics, SystemError> {
-        let outcome = self.read_scoped(id, view, coord, sub_dims, buf);
-        self.life.settle(&mut self.stl, "read", outcome)
-    }
-
-    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
-        let space = self
-            .datasets
-            .remove(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        self.stl.delete_space(space)?;
-        Ok(())
-    }
-
-    fn stats(&self) -> Stats {
-        let mut s = self.life.stats(&self.stl);
-        s.merge(self.stl.backend().stats());
-        s.add("stl.plan_cache.hits", self.stl.plan_cache().hits());
-        s.add("stl.plan_cache.misses", self.stl.plan_cache().misses());
-        s
-    }
-
-    fn run_report(&self) -> RunReport {
-        self.life.run_report(&self.stl, self.name(), &self.stats())
-    }
-
-    fn trace_export(&self) -> Option<TraceExport> {
-        self.life.trace_export(&self.stl)
-    }
-
-    fn trace_cursor(&self) -> u64 {
-        self.life.trace_cursor()
-    }
-}
-
-/// The data paths behind [`StorageFrontEnd::write`] and
-/// [`StorageFrontEnd::read_into`]; the trait methods settle their outcome
-/// with the lifecycle, which closes the trace scope a failure leaves open.
-impl SoftwareNds {
-    fn write_scoped(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        data: &[u8],
-    ) -> Result<WriteOutcome, SystemError> {
-        let space = self.space_of(id)?;
-        let report = &mut self.write_report;
-        self.stl
-            .write_reusing(space, view, coord, sub_dims, data, report)?;
-        let report = &self.write_report;
-        let page = self.stl.backend().spec().unit_bytes as u64;
-        self.life.start_epoch(&mut self.stl);
-        let ctx = self.life.open_scope(&mut self.stl);
+        sys.stl
+            .write_reusing(space, view, coord, sub_dims, data, &mut sys.write_report)?;
+        let report = &sys.write_report;
+        let page = sys.stl.backend().spec().unit_bytes as u64;
+        sys.life.start_epoch(&mut sys.stl);
+        let ctx = sys.life.open_scope(&mut sys.stl);
 
         // Host decomposition: one scattered copy per translation segment.
-        let decompose = self
+        let decompose = sys
             .cpu
             .scatter_copy_time(report.access.segments, report.access.bytes);
 
@@ -192,18 +77,18 @@ impl SoftwareNds {
             if block.units.is_empty() {
                 continue;
             }
-            link_end = self
+            link_end = sys
                 .life
                 .link
                 .try_transfer(block.units.len() as u64 * page, SimTime::ZERO)?;
-            let backend = self.stl.backend_mut();
+            let backend = sys.stl.backend_mut();
             program_end =
                 program_end.max(backend.try_schedule_unit_programs(&block.units, link_end)?);
         }
-        let submit = self.cpu.submit_time(unit_commands);
+        let submit = sys.cpu.submit_time(unit_commands);
         let link_dur = link_end.saturating_since(SimTime::ZERO);
         let io = link_dur.max(submit);
-        let stl = self.stl_latency(space);
+        let stl = sys.stl_latency(space);
         let program_tail = program_end.saturating_since(link_end.max(SimTime::ZERO));
         let latency = stl + decompose + io + program_tail;
 
@@ -222,12 +107,12 @@ impl SoftwareNds {
                 (io_stage, io),
                 (TraceStage::Flash, program_tail),
             ];
-            self.life
-                .close_scope(&mut self.stl, ctx, "write", latency, &stages);
+            sys.life
+                .close_scope(&mut sys.stl, ctx, "write", latency, &stages);
         }
-        self.life
+        sys.life
             .record_write(unit_commands, report.access.bytes, latency);
-        self.life.end_epoch(&mut self.stl, latency);
+        sys.life.end_epoch(&mut sys.stl, latency);
         Ok(WriteOutcome {
             latency,
             commands: unit_commands,
@@ -235,22 +120,20 @@ impl SoftwareNds {
         })
     }
 
-    fn read_scoped(
-        &mut self,
-        id: DatasetId,
+    fn read(
+        sys: &mut NdsSystem<Self>,
+        space: SpaceId,
         view: &Shape,
         coord: &[u64],
         sub_dims: &[u64],
         buf: &mut Vec<u8>,
     ) -> Result<ReadMetrics, SystemError> {
-        let space = self.space_of(id)?;
-        let report = &mut self.read_report;
-        self.stl
-            .read_reusing(space, view, coord, sub_dims, buf, report)?;
-        let report = &self.read_report;
-        let page = self.stl.backend().spec().unit_bytes as u64;
-        self.life.start_epoch(&mut self.stl);
-        let ctx = self.life.open_scope(&mut self.stl);
+        sys.stl
+            .read_reusing(space, view, coord, sub_dims, buf, &mut sys.read_report)?;
+        let report = &sys.read_report;
+        let page = sys.stl.backend().spec().unit_bytes as u64;
+        sys.life.start_epoch(&mut sys.stl);
+        let ctx = sys.life.open_scope(&mut sys.stl);
 
         // Vectored physical-read commands (LightNVM supports scatter lists
         // of up to 64 pages per command): each command's units stream off
@@ -270,14 +153,14 @@ impl SoftwareNds {
                 continue;
             }
             total_units += block.units.len() as u64;
-            let backend = self.stl.backend_mut();
+            let backend = sys.stl.backend_mut();
             let dev_end = backend.try_schedule_unit_reads(&block.units, SimTime::ZERO)?;
             flash_end = flash_end.max(dev_end);
             pending_ready = pending_ready.max(dev_end);
             pending_bytes += block.sector_bytes.min(block.units.len() as u64 * page);
             pending_units += block.units.len();
             if pending_units >= VECTOR_PAGES {
-                let end = self.life.link.try_transfer(pending_bytes, pending_ready)?;
+                let end = sys.life.link.try_transfer(pending_bytes, pending_ready)?;
                 if first_block.is_zero() {
                     first_block = end.saturating_since(SimTime::ZERO);
                     first_ready = pending_ready;
@@ -289,7 +172,7 @@ impl SoftwareNds {
             }
         }
         if pending_units > 0 {
-            let end = self.life.link.try_transfer(pending_bytes, pending_ready)?;
+            let end = sys.life.link.try_transfer(pending_bytes, pending_ready)?;
             if first_block.is_zero() {
                 first_block = end.saturating_since(SimTime::ZERO);
                 first_ready = pending_ready;
@@ -297,14 +180,14 @@ impl SoftwareNds {
             io_end = io_end.max(end);
         }
         let commands = (total_units as usize).div_ceil(VECTOR_PAGES) as u64;
-        let submit = self.cpu.submit_time(commands);
+        let submit = sys.cpu.submit_time(commands);
 
         // Host assembly overlaps with block arrivals: the read completes
         // when both the last block has landed and the (pipelined) assembly
         // has drained.
-        let assembly = self.cpu.scatter_copy_time(report.segments, report.bytes);
+        let assembly = sys.cpu.scatter_copy_time(report.segments, report.bytes);
         let io_dur = io_end.saturating_since(SimTime::ZERO);
-        let stl = self.stl_latency(space);
+        let stl = sys.stl_latency(space);
         let region = io_dur.max(submit).max(assembly + first_block);
         let io_latency = stl + region;
 
@@ -327,23 +210,23 @@ impl SoftwareNds {
                 stages.push((TraceStage::Link, first_block - flash));
                 stages.push((TraceStage::Restructure, assembly));
             }
-            self.life
-                .close_scope(&mut self.stl, ctx, "read", io_latency, &stages);
+            sys.life
+                .close_scope(&mut sys.stl, ctx, "read", io_latency, &stages);
         }
         // Steady-state pacing: aggregate device, wire, submission, and host
         // assembly work, whichever drains slowest.
-        let io_occupancy = self
+        let io_occupancy = sys
             .stl
             .backend()
             .device()
             .throughput_occupancy()
-            .max(self.life.link.busy_time())
+            .max(sys.life.link.busy_time())
             .max(submit)
             .max(assembly);
 
-        self.life
+        sys.life
             .record_read(commands, report.bytes, io_latency, SimDuration::ZERO);
-        self.life.end_epoch(&mut self.stl, io_latency);
+        sys.life.end_epoch(&mut sys.stl, io_latency);
         Ok(ReadMetrics {
             io_latency,
             io_occupancy,
@@ -357,7 +240,8 @@ impl SoftwareNds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::frontend::{DatasetId, StorageFrontEnd};
+    use nds_core::ElementType;
 
     fn system() -> SoftwareNds {
         SoftwareNds::new(SystemConfig::small_test())

@@ -90,6 +90,10 @@ if [[ "${1:-}" != "--no-test" ]]; then
     # fails here instead of in the pipeline.
     echo "== locked benchmark build (benchmark/Cargo.lock)"
     cargo build --quiet --release --offline --locked --manifest-path benchmark/Cargo.toml
+    # The harness's own tests name front-end constructors as function items
+    # in a `#[cfg(test)]` module, which the release build never compiles.
+    echo "== locked benchmark tests"
+    cargo test --quiet --offline --locked --manifest-path benchmark/Cargo.toml
 fi
 
 echo "check.sh: all green"
