@@ -50,7 +50,7 @@ pub enum NdsError {
     },
     /// A shape had zero dimensions or a zero-sized dimension.
     EmptyShape,
-    /// A shape's element volume does not fit in 64 bits.
+    /// A shape's element volume, or its size in bytes, does not fit in 64 bits.
     ShapeTooLarge,
     /// The backing device has no free unit where the allocation policy needs
     /// one, even after garbage collection.
@@ -103,7 +103,7 @@ impl fmt::Display for NdsError {
                 )
             }
             NdsError::EmptyShape => write!(f, "shapes must have at least one non-zero dimension"),
-            NdsError::ShapeTooLarge => write!(f, "shape volume overflows 64 bits"),
+            NdsError::ShapeTooLarge => write!(f, "shape volume or byte size overflows 64 bits"),
             NdsError::DeviceFull { channel, bank } => write!(
                 f,
                 "no free unit in channel {channel}, bank {bank} after garbage collection"

@@ -19,6 +19,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::element::ElementType;
 use crate::error::NdsError;
 
 /// The dimensionality of a space or view: per-dimension sizes, fastest
@@ -94,6 +95,12 @@ impl Shape {
     /// Total number of elements.
     pub fn volume(&self) -> u64 {
         self.dims.iter().product()
+    }
+
+    /// Bytes of a dense array of this shape's `element`s, or `None` when
+    /// that does not fit in 64 bits.
+    pub fn checked_bytes(&self, element: ElementType) -> Option<u64> {
+        self.volume().checked_mul(element.size() as u64)
     }
 
     /// The linear index of `coord` under the canonical linearization.

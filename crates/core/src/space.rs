@@ -89,9 +89,10 @@ impl Space {
         &mut self.tree
     }
 
-    /// Total bytes of elements the space can hold.
+    /// Total bytes of elements the space can hold, saturating at
+    /// `u64::MAX`.
     pub fn byte_volume(&self) -> u64 {
-        self.shape.volume() * self.element.size() as u64
+        self.shape.checked_bytes(self.element).unwrap_or(u64::MAX)
     }
 }
 

@@ -50,9 +50,9 @@ pub struct StlConfig {
     /// Seed for the randomized first-unit placement of §4.2.
     pub seed: u64,
     /// Maximum translation plans memoized by the [`PlanCache`]; 0 disables
-    /// caching. The cache is a wall-clock optimization only — reports and
-    /// modeled time are bit-identical with it on or off (see
-    /// [`crate::plan_cache`] module docs).
+    /// caching. The cache is a wall-clock optimization only: a cached plan
+    /// equals a fresh one, so reports and modeled time are bit-identical
+    /// with it on or off.
     pub plan_cache_capacity: usize,
 }
 

@@ -9,8 +9,8 @@
 //! crate consumes the resulting [`TraceExport`](nds_sim::TraceExport)s:
 //!
 //! * [`chrome`] renders them as a Chrome trace-event JSON file — loadable in
-//!   Perfetto or `chrome://tracing` — with the modeled [`SimTime`]
-//!   (`nds_sim::SimTime`) as the clock. The rendering is hand-rolled and
+//!   Perfetto or `chrome://tracing` — with the modeled
+//!   [`SimTime`](nds_sim::SimTime) as the clock. The rendering is hand-rolled and
 //!   deterministic: identical runs produce byte-identical files.
 //! * [`analysis`] parses that same artifact back and computes, again
 //!   deterministically, per-command critical-path attribution (verifying the

@@ -1,4 +1,5 @@
-//! The baseline conventional-SSD system (Fig. 7a).
+//! The baseline conventional-SSD system (Fig. 7a): [`FlashSystem`] at the
+//! [`Conventional`] placement.
 //!
 //! Datasets live in a linear LBA space in their producer's canonical
 //! (row-major, fastest-dimension-first) serialization; the FTL stripes
@@ -12,22 +13,16 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use nds_core::{Assembler, ElementType, NdsError, Region, Shape};
-use nds_flash::{FlashError, Ftl, FtlConfig, PageAddr};
-use nds_host::CpuModel;
-use nds_sim::{RunReport, SimDuration, SimTime, Stats, TraceExport, TraceStage};
+use nds_core::{Assembler, NdsError, Region};
+use nds_flash::{FlashError, Ftl, PageAddr};
+use nds_sim::{SimDuration, SimTime, TraceStage};
 
 use crate::config::SystemConfig;
 use crate::error::SystemError;
-use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
-use crate::lifecycle::Lifecycle;
-
-#[derive(Debug, Clone)]
-struct Dataset {
-    shape: Shape,
-    element: ElementType,
-    base_lba: u64,
-}
+use crate::flash_system::sealed::{Placed, Request};
+use crate::flash_system::FlashSystem;
+use crate::frontend::{ReadMetrics, WriteOutcome};
+use crate::lifecycle::{partition, LbaRun, Lbas, Stages};
 
 /// One contiguous byte extent of a request within a dataset's serialization.
 #[derive(Debug, Clone, Copy)]
@@ -40,22 +35,15 @@ struct Extent {
 /// A conventional SSD behind an NVMe link — the paper's baseline.
 ///
 /// See the crate docs for an end-to-end example; all four architectures
-/// share the [`StorageFrontEnd`] interface.
-#[derive(Debug)]
-pub struct BaselineSystem {
-    ftl: Ftl,
-    life: Lifecycle,
-    cpu: CpuModel,
-    datasets: BTreeMap<DatasetId, Dataset>,
-    next_id: u64,
-    next_lba: u64,
-    scratch: Scratch,
-}
+/// share the [`StorageFrontEnd`](crate::StorageFrontEnd) interface.
+pub type BaselineSystem = FlashSystem<Conventional>;
 
-/// Request-scoped lists, kept between requests so marshalling one does not
-/// allocate in steady state.
+/// The conventional placement of translation: the device's FTL behind a
+/// linear LBA space, with the host marshalling objects to and from their
+/// serialization. It holds the request-scoped lists, kept between requests
+/// so marshalling one does not allocate in steady state.
 #[derive(Debug, Default)]
-struct Scratch {
+pub struct Conventional {
     extents: Vec<Extent>,
     /// `(first_page, page_count, wire_bytes)` per I/O command.
     commands: Vec<(u64, u64, u64)>,
@@ -63,48 +51,27 @@ struct Scratch {
     addrs: Vec<PageAddr>,
 }
 
-impl BaselineSystem {
-    /// Builds a baseline system from a configuration.
-    pub fn new(config: SystemConfig) -> Self {
-        let device = nds_flash::FlashDevice::new(config.flash.clone());
-        let mut ftl = Ftl::new(device, FtlConfig);
-        let life = Lifecycle::new(&config, &mut ftl);
-        BaselineSystem {
-            ftl,
-            life,
-            cpu: config.cpu,
-            datasets: BTreeMap::new(),
-            next_id: 1,
-            next_lba: 0,
-            scratch: Scratch::default(),
-        }
-    }
-
-    fn page_size(&self) -> u64 {
-        self.ftl.page_size() as u64
-    }
-
+impl Conventional {
     /// Enumerates the serialized extents of a request into `extents`,
     /// merging those contiguous in the serialization (a well-written
     /// application issues one request for them). Extents come out in
-    /// ascending dataset order (the region iterator is row-major).
-    fn extents_into(
+    /// ascending dataset order (the region iterator is row-major). Returns
+    /// their total bytes.
+    fn extents_into<B>(
         extents: &mut Vec<Extent>,
-        ds: &Dataset,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<(), SystemError> {
-        if view.volume() != ds.shape.volume() {
+        run: LbaRun,
+        req: &Request<'_, B>,
+    ) -> Result<u64, SystemError> {
+        if req.view.volume() != run.volume {
             return Err(NdsError::ViewVolumeMismatch {
-                space: ds.shape.volume(),
-                view: view.volume(),
+                space: run.volume,
+                view: req.view.volume(),
             }
             .into());
         }
-        let elem = ds.element.size() as u64;
+        let elem = run.element.size() as u64;
         extents.clear();
-        Region::for_each_request_run(view, coord, sub_dims, |buf_off, linear, len| {
+        Region::for_each_request_run(req.view, req.coord, req.sub_dims, |buf_off, linear, len| {
             let e = Extent {
                 buffer_off: buf_off * elem,
                 dataset_off: linear * elem,
@@ -120,7 +87,7 @@ impl BaselineSystem {
             }
             extents.push(e);
         })?;
-        Ok(())
+        Ok(extents.iter().map(|e| e.len).sum())
     }
 
     /// Groups extents into I/O commands: maximal runs of adjacent pages of
@@ -202,141 +169,52 @@ impl BaselineSystem {
     }
 }
 
-impl StorageFrontEnd for BaselineSystem {
-    fn name(&self) -> &'static str {
-        "baseline"
+impl Placed for Conventional {
+    const NAME: &'static str = "baseline";
+    const EXTENDED_COMMANDS: bool = false;
+    type Store = Lbas;
+
+    fn new(_config: &SystemConfig) -> Self {
+        Conventional::default()
     }
 
-    fn create_dataset(
-        &mut self,
-        shape: Shape,
-        element: ElementType,
-    ) -> Result<DatasetId, SystemError> {
-        let bytes = shape.volume() * element.size() as u64;
-        let pages = bytes.div_ceil(self.page_size());
-        let available = self.ftl.capacity_pages() - self.next_lba;
-        if pages > available {
-            return Err(SystemError::CapacityExceeded {
-                requested: pages,
-                available,
-            });
-        }
-        let id = DatasetId(self.next_id);
-        self.next_id += 1;
-        self.datasets.insert(
-            id,
-            Dataset {
-                shape,
-                element,
-                base_lba: self.next_lba,
-            },
-        );
-        self.next_lba += pages;
-        Ok(id)
-    }
-
-    fn write(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        data: &[u8],
-    ) -> Result<WriteOutcome, SystemError> {
-        let outcome = self.write_scoped(id, view, coord, sub_dims, data);
-        self.life.settle(&mut self.ftl, "write", outcome)
-    }
-
-    fn read_into(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        buf: &mut Vec<u8>,
-    ) -> Result<ReadMetrics, SystemError> {
-        let outcome = self.read_scoped(id, view, coord, sub_dims, buf);
-        self.life.settle(&mut self.ftl, "read", outcome)
-    }
-
-    fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {
-        let ds = self
-            .datasets
-            .remove(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        // TRIM every written page of the dataset; the LBA range itself is
-        // not reused (a simple bump allocator, like a freshly formatted
-        // namespace region).
-        let bytes = ds.shape.volume() * ds.element.size() as u64;
-        let pages = bytes.div_ceil(self.page_size());
-        for lba in ds.base_lba..ds.base_lba + pages {
-            self.ftl.trim(lba)?;
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> Stats {
-        let mut s = self.life.stats(&self.ftl);
-        s.merge(self.ftl.stats());
-        s
-    }
-
-    fn run_report(&self) -> RunReport {
-        self.life.run_report(&self.ftl, self.name(), &self.stats())
-    }
-
-    fn trace_export(&self) -> Option<TraceExport> {
-        self.life.trace_export(&self.ftl)
-    }
-
-    fn trace_cursor(&self) -> u64 {
-        self.life.trace_cursor()
-    }
-}
-
-/// The data paths behind [`StorageFrontEnd::write`] and
-/// [`StorageFrontEnd::read_into`]; the trait methods settle their outcome
-/// with the lifecycle, which closes the trace scope a failure leaves open.
-impl BaselineSystem {
-    fn write_scoped(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        data: &[u8],
-    ) -> Result<WriteOutcome, SystemError> {
-        let ds = self
-            .datasets
-            .get(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        let base_lba = ds.base_lba;
-        let Scratch {
-            extents, commands, ..
-        } = &mut self.scratch;
-        Self::extents_into(extents, ds, view, coord, sub_dims)?;
-        let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
-        if data.len() as u64 != total_bytes {
+    fn translate_write(
+        sys: &mut BaselineSystem,
+        run: LbaRun,
+        req: &mut Request<'_, &[u8]>,
+    ) -> Result<(), SystemError> {
+        let total_bytes = Self::extents_into(&mut sys.place.extents, run, req)?;
+        if req.payload.len() as u64 != total_bytes {
             return Err(NdsError::BadPayloadSize {
-                got: data.len(),
+                got: req.payload.len(),
                 expected: total_bytes as usize,
             }
             .into());
         }
-        self.life.start_epoch(&mut self.ftl);
-        let ctx = self.life.open_scope(&mut self.ftl);
+        Ok(())
+    }
+
+    fn write_cost(
+        sys: &mut BaselineSystem,
+        run: LbaRun,
+        req: &mut Request<'_, &[u8]>,
+    ) -> Result<(WriteOutcome, Stages), SystemError> {
+        let Conventional {
+            extents, commands, ..
+        } = &mut sys.place;
+        let ftl = &mut sys.store.ftl;
+        let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
 
         // [P1] serialization: scattering the object into the linear layout.
         let marshal = if extents.len() > 1 {
-            self.cpu
-                .scatter_copy_time(extents.len() as u64, total_bytes)
+            sys.cpu.scatter_copy_time(extents.len() as u64, total_bytes)
         } else {
             SimDuration::ZERO
         };
 
         // Build per-page images (read-modify-write at the edges) and write
         // through the FTL.
-        let ps = self.ftl.page_size() as u64;
+        let ps = ftl.page_size() as u64;
         Self::commands_into(commands, ps, extents);
         let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for e in extents.iter() {
@@ -344,10 +222,10 @@ impl BaselineSystem {
             let mut src = e.buffer_off;
             let mut remaining = e.len;
             while remaining > 0 {
-                let lba = base_lba + off / ps;
+                let lba = run.base_lba + off / ps;
                 let in_page = off % ps;
                 let take = remaining.min(ps - in_page);
-                let payload = data.get(src as usize..(src + take) as usize);
+                let payload = req.payload.get(src as usize..(src + take) as usize);
                 match (pages.entry(lba), payload.filter(|_| take == ps)) {
                     // An extent that covers the whole page is its image: the
                     // old page (every page of a populate) is not copied.
@@ -356,8 +234,7 @@ impl BaselineSystem {
                     }
                     (slot, _) => {
                         let image = slot.or_insert_with(|| {
-                            self.ftl
-                                .peek(lba)
+                            ftl.peek(lba)
                                 .map(<[u8]>::to_vec)
                                 .unwrap_or_else(|| vec![0; ps as usize])
                         });
@@ -375,7 +252,7 @@ impl BaselineSystem {
         let mut program_end = SimTime::ZERO;
         // BTreeMap iteration is already in ascending LBA order.
         for (lba, image) in pages {
-            let end = self.ftl.write(lba, image, SimTime::ZERO)?;
+            let end = ftl.write(lba, image, SimTime::ZERO)?;
             program_end = program_end.max(end);
         }
 
@@ -384,72 +261,61 @@ impl BaselineSystem {
         for &(_first, count, _wire) in commands.iter() {
             // Writes carry whole pages (the controller cannot
             // read-modify-write sectors it never received).
-            link_end = self.life.link.try_transfer(count * ps, SimTime::ZERO)?;
+            link_end = sys.life.link.try_transfer(count * ps, SimTime::ZERO)?;
         }
-        let submit = self.cpu.submit_time(commands.len() as u64);
+        let submit = sys.cpu.submit_time(commands.len() as u64);
         let link_dur = link_end.saturating_since(SimTime::ZERO);
         let io = link_dur.max(submit);
-        let latency = marshal + io + program_end.saturating_since(SimTime::ZERO);
+        let program = program_end.saturating_since(SimTime::ZERO);
+        let latency = marshal + io + program;
 
-        if let Some(ctx) = ctx {
-            // Chronological waterfall: marshal, then the io region (won by
-            // whichever of submission and link transfer dominated), then
-            // the program tail. The three sum exactly to `latency`.
-            let io_stage = if submit >= link_dur {
-                TraceStage::Queue
-            } else {
-                TraceStage::Link
-            };
-            let stages = [
-                (TraceStage::Restructure, marshal),
-                (io_stage, io),
-                (
-                    TraceStage::Flash,
-                    program_end.saturating_since(SimTime::ZERO),
-                ),
-            ];
-            self.life
-                .close_scope(&mut self.ftl, ctx, "write", latency, &stages);
-        }
-        self.life
-            .record_write(commands.len() as u64, total_bytes, latency);
-        self.life.end_epoch(&mut self.ftl, latency);
-        Ok(WriteOutcome {
+        // Chronological waterfall: marshal, then the io region (won by
+        // whichever of submission and link transfer dominated), then the
+        // program tail. The three sum exactly to `latency`.
+        let io_stage = if submit >= link_dur {
+            TraceStage::Queue
+        } else {
+            TraceStage::Link
+        };
+        let stages = partition([
+            (TraceStage::Restructure, marshal),
+            (io_stage, io),
+            (TraceStage::Flash, program),
+        ]);
+        let outcome = WriteOutcome {
             latency,
             commands: commands.len() as u64,
             bytes: total_bytes,
-        })
+        };
+        Ok((outcome, stages))
     }
 
-    fn read_scoped(
-        &mut self,
-        id: DatasetId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        buf: &mut Vec<u8>,
-    ) -> Result<ReadMetrics, SystemError> {
-        let ds = self
-            .datasets
-            .get(&id)
-            .ok_or(SystemError::UnknownDataset(id))?;
-        let base_lba = ds.base_lba;
-        let Scratch {
+    fn translate_read(
+        sys: &mut BaselineSystem,
+        run: LbaRun,
+        req: &mut Request<'_, &mut Vec<u8>>,
+    ) -> Result<(), SystemError> {
+        Self::extents_into(&mut sys.place.extents, run, req).map(drop)
+    }
+
+    fn read_cost(
+        sys: &mut BaselineSystem,
+        run: LbaRun,
+        req: &mut Request<'_, &mut Vec<u8>>,
+    ) -> Result<(ReadMetrics, Stages), SystemError> {
+        let Conventional {
             extents,
             commands,
             addrs,
-        } = &mut self.scratch;
-        Self::extents_into(extents, ds, view, coord, sub_dims)?;
+        } = &mut sys.place;
+        let ftl = &mut sys.store.ftl;
         let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
-        self.life.start_epoch(&mut self.ftl);
-        let ctx = self.life.open_scope(&mut self.ftl);
-
-        let ps = self.ftl.page_size() as u64;
+        let ps = ftl.page_size() as u64;
         Self::commands_into(commands, ps, extents);
         // DMA streams pages to the host as they come off the channels, so
         // the link transfer overlaps the device batch: it can start once the
         // first page has been sensed and transferred internally.
-        let timing = *self.ftl.device().timing();
+        let timing = *ftl.device().timing();
         let first_page = SimTime::ZERO + timing.read_latency + timing.transfer_time(ps as usize);
         let mut io_end = SimTime::ZERO;
         let mut flash_end = SimTime::ZERO;
@@ -457,16 +323,14 @@ impl BaselineSystem {
             // Device: all the command's mapped pages, as one batch.
             addrs.clear();
             addrs.extend(
-                (first..first + count).filter_map(|lba| self.ftl.physical_of(base_lba + lba)),
+                (first..first + count).filter_map(|lba| ftl.physical_of(run.base_lba + lba)),
             );
             let dev_end = if addrs.is_empty() {
                 SimTime::ZERO
             } else {
-                self.ftl
-                    .device_mut()
-                    .fault_read_batch(addrs, SimTime::ZERO)?
+                ftl.device_mut().fault_read_batch(addrs, SimTime::ZERO)?
             };
-            let link_end = self
+            let link_end = sys
                 .life
                 .link
                 .try_transfer(wire_bytes.min(count * ps), first_page.min(dev_end))?;
@@ -475,76 +339,68 @@ impl BaselineSystem {
         }
         // Preventive migration of any blocks the batch pushed past the
         // read-disturb limit, before the host sees the data.
-        let disturbed = self.ftl.service_disturbed(io_end)?;
+        let disturbed = ftl.service_disturbed(io_end)?;
         flash_end = flash_end.max(disturbed);
         io_end = io_end.max(disturbed);
-        let submit = self.cpu.submit_time(commands.len() as u64);
+        let submit = sys.cpu.submit_time(commands.len() as u64);
         let io_dur = io_end.saturating_since(SimTime::ZERO);
         let io_latency = io_dur.max(submit);
         // Steady-state pacing under a deep queue: device lanes, wire, and
         // submitting CPU each drain their aggregate work in parallel.
-        let io_occupancy = self
-            .ftl
+        let io_occupancy = ftl
             .device()
             .throughput_occupancy()
-            .max(self.life.link.busy_time())
+            .max(sys.life.link.busy_time())
             .max(submit);
 
         // [P1] deserialization: rebuilding the dense object from scattered
         // extents (free when the request is one contiguous extent — DMA
         // lands it directly).
         let restructure = if extents.len() > 1 {
-            self.cpu
-                .scatter_copy_time(extents.len() as u64, total_bytes)
+            sys.cpu.scatter_copy_time(extents.len() as u64, total_bytes)
         } else {
             SimDuration::ZERO
         };
 
-        let mut assembler = Assembler::new(buf, total_bytes as usize);
+        let mut assembler = Assembler::new(req.payload, total_bytes as usize);
         for e in extents.iter() {
-            Self::read_extent(&self.ftl, base_lba, *e, &mut assembler)?;
+            Self::read_extent(ftl, run.base_lba, *e, &mut assembler)?;
         }
         assembler.finish()?;
 
-        if let Some(ctx) = ctx {
-            // Waterfall back from the end of the io region: when command
-            // submission dominated, the whole region is queue time;
-            // otherwise flash service owns it up to the last page's
-            // completion and the link the remainder (it finished last).
-            let mut stages = Vec::with_capacity(3);
-            if submit >= io_dur {
-                stages.push((TraceStage::Queue, io_latency));
-            } else {
-                let flash = flash_end.saturating_since(SimTime::ZERO).min(io_latency);
-                stages.push((TraceStage::Flash, flash));
-                stages.push((TraceStage::Link, io_latency - flash));
-            }
-            stages.push((TraceStage::Restructure, restructure));
-            self.life.close_scope(
-                &mut self.ftl,
-                ctx,
-                "read",
-                io_latency + restructure,
-                &stages,
-            );
-        }
-        self.life
-            .record_read(commands.len() as u64, total_bytes, io_latency, restructure);
-        self.life.end_epoch(&mut self.ftl, io_latency + restructure);
-        Ok(ReadMetrics {
+        // Waterfall back from the end of the io region: when command
+        // submission dominated, the whole region is queue time; otherwise
+        // flash service owns it up to the last page's completion and the
+        // link the remainder (it finished last).
+        let stages = if submit >= io_dur {
+            partition([
+                (TraceStage::Queue, io_latency),
+                (TraceStage::Restructure, restructure),
+            ])
+        } else {
+            let flash = flash_end.saturating_since(SimTime::ZERO).min(io_latency);
+            partition([
+                (TraceStage::Flash, flash),
+                (TraceStage::Link, io_latency - flash),
+                (TraceStage::Restructure, restructure),
+            ])
+        };
+        let metrics = ReadMetrics {
             io_latency,
             io_occupancy,
             restructure,
             commands: commands.len() as u64,
             bytes: total_bytes,
-        })
+        };
+        Ok((metrics, stages))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SystemConfig;
+    use crate::frontend::{DatasetId, StorageFrontEnd};
+    use nds_core::{ElementType, Shape};
 
     fn system() -> BaselineSystem {
         BaselineSystem::new(SystemConfig::small_test())
@@ -654,8 +510,8 @@ mod tests {
         let data = vec![5u8; 64 * 64 * 4];
         sys.write(id, &shape, &[0, 0], &[64, 64], &data).unwrap();
         // Behind the FTL's back: the page its map points at stops being valid.
-        let addr = sys.ftl.physical_of(3).unwrap();
-        sys.ftl.device_mut().invalidate(addr).unwrap();
+        let addr = sys.store.ftl.physical_of(3).unwrap();
+        sys.store.ftl.device_mut().invalidate(addr).unwrap();
         let mut buf = vec![0xFF; 16];
         let err = sys
             .read_into(id, &shape, &[0, 0], &[64, 64], &mut buf)

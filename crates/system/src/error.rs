@@ -20,7 +20,8 @@ pub enum SystemError {
     Link(nds_interconnect::LinkError),
     /// No dataset with the given identifier.
     UnknownDataset(DatasetId),
-    /// The dataset's LBA allocation would exceed device capacity.
+    /// The dataset needs more pages than the store can give it: the LBAs
+    /// not yet allocated (baseline), or the whole device (NDS).
     CapacityExceeded {
         /// Pages requested.
         requested: u64,

@@ -1,4 +1,4 @@
-//! The hardware-assisted NDS system (Fig. 7c, §5.3): [`NdsSystem`] at the
+//! The hardware-assisted NDS system (Fig. 7c, §5.3): [`FlashSystem`] at the
 //! [`Controller`] placement.
 //!
 //! The STL runs inside the SSD controller (Fig. 8): the host issues a single
@@ -12,7 +12,7 @@
 //! latency (§7.3 measures 17 µs worst-case) and the ARM-class cores'
 //! slower data handling, which shows up as the ~17% write penalty of §7.1.
 
-use nds_core::{Shape, SpaceId};
+use nds_core::{AccessReport, SpaceId, Stl, WriteReport};
 use nds_interconnect::wire::{self, WireCommand};
 use nds_interconnect::{Link, NvmeCommand, QueuePair};
 use nds_sim::{ComponentId, EventKind, Resource, SimDuration, SimTime, Throughput, TraceStage};
@@ -20,12 +20,14 @@ use nds_sim::{ComponentId, EventKind, Resource, SimDuration, SimTime, Throughput
 use crate::config::SystemConfig;
 use crate::controller::ControllerPipeline;
 use crate::error::SystemError;
+use crate::flash_backend::FlashBackend;
+use crate::flash_system::sealed::{Placed, Request};
+use crate::flash_system::FlashSystem;
 use crate::frontend::{ReadMetrics, WriteOutcome};
-use crate::lifecycle::Lifecycle;
-use crate::nds::{sealed::Placed, NdsSystem};
+use crate::lifecycle::{partition, Lifecycle, Stages};
 
 /// NDS with the STL embedded in the storage controller.
-pub type HardwareNds = NdsSystem<Controller>;
+pub type HardwareNds = FlashSystem<Controller>;
 
 /// The controller placement of the STL (§5.3.2): the Fig. 8 pipeline behind
 /// an NVMe queue pair, with a data assembler working out of device DRAM.
@@ -44,6 +46,9 @@ pub struct Controller {
     wired: WireCommand,
     /// The command the controller decoded off the wire and executes.
     decoded: NvmeCommand,
+    /// The STL's reports of the command in flight.
+    read_report: AccessReport,
+    write_report: WriteReport,
 }
 
 /// Journal identity of the NVMe submission/completion queue pair.
@@ -162,7 +167,8 @@ impl Controller {
 
 impl Placed for Controller {
     const NAME: &'static str = "hardware-nds";
-    const DELETE_IS_COMMAND: bool = true;
+    const EXTENDED_COMMANDS: bool = true;
+    type Store = Stl<FlashBackend>;
 
     fn new(config: &SystemConfig) -> Self {
         Controller {
@@ -173,39 +179,39 @@ impl Placed for Controller {
             spare_args: (Vec::new(), Vec::new()),
             wired: WireCommand::default(),
             decoded: NvmeCommand::Read { lba: 0, pages: 0 },
+            read_report: AccessReport::default(),
+            write_report: WriteReport::default(),
         }
     }
 
-    /// The Fig. 8 pipeline's latency (§7.3 measures 17 µs worst-case).
-    fn request_latency(&self, tree_levels: usize) -> SimDuration {
-        self.pipeline.request_latency(tree_levels)
-    }
-
-    fn write(
-        sys: &mut NdsSystem<Self>,
+    /// The request travels as one extended NVMe write (§5.3.1); the
+    /// controller's STL runs the command it decoded.
+    fn translate_write(
+        sys: &mut HardwareNds,
         space: SpaceId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        data: &[u8],
-    ) -> Result<WriteOutcome, SystemError> {
-        // The trace scope opens before the NVMe queue events, so the
-        // extended command's submission is part of the trace.
-        let ctx = sys.life.open_scope(&mut sys.stl);
-        // The request travels as one extended NVMe write (§5.3.1).
-        sys.place
-            .submit_command(&mut sys.life, true, space, coord, sub_dims)?;
+        req: &mut Request<'_, &[u8]>,
+    ) -> Result<(), SystemError> {
+        let place = &mut sys.place;
+        place.submit_command(&mut sys.life, true, space, req.coord, req.sub_dims)?;
         let NvmeCommand::NdsWrite {
             coord, sub_dims, ..
-        } = &sys.place.decoded
+        } = &place.decoded
         else {
             return Err(SystemError::Protocol("decoded write changed command kind"));
         };
-        sys.stl
-            .write_reusing(space, view, coord, sub_dims, data, &mut sys.write_report)?;
-        let report = &sys.write_report;
+        let report = &mut place.write_report;
+        sys.store
+            .write_reusing(space, req.view, coord, sub_dims, req.payload, report)?;
+        Ok(())
+    }
+
+    fn write_cost(
+        sys: &mut HardwareNds,
+        space: SpaceId,
+        _req: &mut Request<'_, &[u8]>,
+    ) -> Result<(WriteOutcome, Stages), SystemError> {
+        let report = &sys.place.write_report;
         let (bytes, segments) = (report.access.bytes, report.access.segments);
-        sys.life.start_epoch(&mut sys.stl);
 
         // One extended NVMe command; the object streams in over the link,
         // the controller decomposes it, the channel handlers program pages.
@@ -213,64 +219,66 @@ impl Placed for Controller {
         let link = sys.place.chunked_link_time(&mut sys.life.link, bytes)?;
         let decompose = Self::copy_time(Self::SCATTER_CHUNK_OVERHEAD, segments, bytes);
         let mut program_end = SimTime::ZERO;
-        for block in &sys.write_report.access.blocks {
-            let backend = sys.stl.backend_mut();
+        for block in &report.access.blocks {
+            let backend = sys.store.backend_mut();
             program_end =
                 program_end.max(backend.try_schedule_unit_programs(&block.units, SimTime::ZERO)?);
         }
-        let stl = sys.stl_latency(space);
+        // The Fig. 8 pipeline's latency (§7.3 measures 17 µs worst-case).
+        let stl = sys.place.pipeline.request_latency(sys.tree_levels(space));
         let program_tail = program_end.saturating_since(SimTime::ZERO);
         let latency = stl + submit + link + decompose + program_tail;
 
-        sys.life.record_write(1, bytes, latency);
-        if let Some(ctx) = ctx {
-            // The write is a strict chronological chain: controller STL
-            // lookup, NVMe submission, the object streaming over the link,
-            // controller decomposition, then the channel programs.
-            let stages = [
-                (TraceStage::Other, stl),
-                (TraceStage::Queue, submit),
-                (TraceStage::Link, link),
-                (TraceStage::Restructure, decompose),
-                (TraceStage::Flash, program_tail),
-            ];
-            sys.life
-                .close_scope(&mut sys.stl, ctx, "write", latency, &stages);
-        }
-        sys.life.end_epoch(&mut sys.stl, latency);
-        Ok(WriteOutcome {
+        // The write is a strict chronological chain: controller STL lookup,
+        // NVMe submission, the object streaming over the link, controller
+        // decomposition, then the channel programs.
+        let stages = partition([
+            (TraceStage::Other, stl),
+            (TraceStage::Queue, submit),
+            (TraceStage::Link, link),
+            (TraceStage::Restructure, decompose),
+            (TraceStage::Flash, program_tail),
+        ]);
+        let outcome = WriteOutcome {
             latency,
             commands: 1,
             bytes,
-        })
+        };
+        Ok((outcome, stages))
     }
 
-    fn read(
-        sys: &mut NdsSystem<Self>,
+    /// The request travels as one extended NVMe read (§5.3.1); the
+    /// controller's STL runs the command it decoded.
+    fn translate_read(
+        sys: &mut HardwareNds,
         space: SpaceId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        buf: &mut Vec<u8>,
-    ) -> Result<ReadMetrics, SystemError> {
-        let ctx = sys.life.open_scope(&mut sys.stl);
-        // The request travels as one extended NVMe read (§5.3.1).
-        sys.place
-            .submit_command(&mut sys.life, false, space, coord, sub_dims)?;
+        req: &mut Request<'_, &mut Vec<u8>>,
+    ) -> Result<(), SystemError> {
+        let place = &mut sys.place;
+        place.submit_command(&mut sys.life, false, space, req.coord, req.sub_dims)?;
         let NvmeCommand::NdsRead {
             coord, sub_dims, ..
-        } = &sys.place.decoded
+        } = &place.decoded
         else {
             return Err(SystemError::Protocol("decoded read changed command kind"));
         };
-        sys.stl
-            .read_reusing(space, view, coord, sub_dims, buf, &mut sys.read_report)?;
-        let report = &sys.read_report;
-        sys.life.start_epoch(&mut sys.stl);
+        let report = &mut place.read_report;
+        sys.store
+            .read_reusing(space, req.view, coord, sub_dims, req.payload, report)?;
+        Ok(())
+    }
+
+    fn read_cost(
+        sys: &mut HardwareNds,
+        space: SpaceId,
+        _req: &mut Request<'_, &mut Vec<u8>>,
+    ) -> Result<(ReadMetrics, Stages), SystemError> {
+        let place = &mut sys.place;
+        let report = &place.read_report;
 
         // Device: all covered blocks stream concurrently at internal
         // bandwidth; the assembler and the link pipeline behind them.
-        sys.place.assembler.reset();
+        place.assembler.reset();
         let mut first_block = SimDuration::ZERO;
         let mut dev_end = SimTime::ZERO;
         let bytes = report.bytes;
@@ -285,60 +293,54 @@ impl Placed for Controller {
             if block.units.is_empty() {
                 continue;
             }
-            let backend = sys.stl.backend_mut();
+            let backend = sys.store.backend_mut();
             let end = backend.try_schedule_unit_reads(&block.units, SimTime::ZERO)?;
             if i == 0 {
                 first_block = end.saturating_since(SimTime::ZERO);
             }
             dev_end = dev_end.max(end);
-            asm_end = asm_end.max(sys.place.assembler.acquire(end, assemble));
+            asm_end = asm_end.max(place.assembler.acquire(end, assemble));
         }
-        let link = sys.place.chunked_link_time(&mut sys.life.link, bytes)?;
+        let link = place.chunked_link_time(&mut sys.life.link, bytes)?;
         let submit = sys.cpu.submit_time(1);
-        let stl = sys.stl_latency(space);
+        let stl = sys.place.pipeline.request_latency(sys.tree_levels(space));
         let asm_dur = asm_end.saturating_since(SimTime::ZERO);
         let region = asm_dur.max(link + first_block);
         let io_latency = stl + submit + region;
         // Steady-state pacing: device lanes, the in-device assembler, and
         // the wire drain their aggregate work concurrently.
         let io_occupancy = sys
-            .stl
+            .store
             .backend()
             .device()
             .throughput_occupancy()
             .max(sys.place.assembler.busy_time())
             .max(sys.life.link.busy_time());
 
-        sys.life
-            .record_read(1, bytes, io_latency, SimDuration::ZERO);
-        if let Some(ctx) = ctx {
-            // After the fixed STL + submission prefix, the critical path of
-            // the remaining region is either the in-device assembler (flash
-            // streaming, then assembly) or the wire (the first block, then
-            // the chunked transfer draining behind it).
-            let (flash, rest) = if asm_dur >= link + first_block {
-                let flash = dev_end.saturating_since(SimTime::ZERO).min(region);
-                (flash, TraceStage::Restructure)
-            } else {
-                (first_block.min(region), TraceStage::Link)
-            };
-            let stages = [
-                (TraceStage::Other, stl),
-                (TraceStage::Queue, submit),
-                (TraceStage::Flash, flash),
-                (rest, region - flash),
-            ];
-            sys.life
-                .close_scope(&mut sys.stl, ctx, "read", io_latency, &stages);
-        }
-        sys.life.end_epoch(&mut sys.stl, io_latency);
-        Ok(ReadMetrics {
+        // After the fixed STL + submission prefix, the critical path of the
+        // remaining region is either the in-device assembler (flash
+        // streaming, then assembly) or the wire (the first block, then the
+        // chunked transfer draining behind it).
+        let (flash, rest) = if asm_dur >= link + first_block {
+            let flash = dev_end.saturating_since(SimTime::ZERO).min(region);
+            (flash, TraceStage::Restructure)
+        } else {
+            (first_block.min(region), TraceStage::Link)
+        };
+        let stages = partition([
+            (TraceStage::Other, stl),
+            (TraceStage::Queue, submit),
+            (TraceStage::Flash, flash),
+            (rest, region - flash),
+        ]);
+        let metrics = ReadMetrics {
             io_latency,
             io_occupancy,
             restructure: SimDuration::ZERO,
             commands: 1,
             bytes,
-        })
+        };
+        Ok((metrics, stages))
     }
 }
 
@@ -347,7 +349,7 @@ mod tests {
     use super::*;
     use crate::frontend::StorageFrontEnd;
     use crate::software::SoftwareNds;
-    use nds_core::ElementType;
+    use nds_core::{ElementType, Shape};
 
     fn system() -> HardwareNds {
         HardwareNds::new(SystemConfig::small_test())

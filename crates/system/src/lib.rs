@@ -18,8 +18,10 @@
 //!   one extended NVMe command per object, assembly inside the device at
 //!   internal bandwidth, nothing but the finished object crosses the link.
 //!
-//!   Both are one [`NdsSystem`] — the same STL, dataset table and front-end
-//!   impl — at two [`Placement`]s, [`Host`] and [`Controller`].
+//!   All three are one [`FlashSystem`] — the same flash device and link,
+//!   dataset table, command lifecycle and front-end impl — at three
+//!   [`Placement`]s of translation: [`Conventional`] (the FTL), [`Host`]
+//!   and [`Controller`] (the STL).
 //! * [`OracleSystem`] — §7.2's exhaustive-search software alternative: the
 //!   dataset is pre-tiled on a baseline SSD in exactly the consumer's
 //!   request granularity, giving zero host overhead for those requests (at
@@ -76,23 +78,23 @@ mod config;
 mod controller;
 mod error;
 mod flash_backend;
+mod flash_system;
 mod frontend;
 mod hardware;
 mod lifecycle;
-mod nds;
 mod oracle;
 mod software;
 mod tenants;
 
-pub use baseline::BaselineSystem;
+pub use baseline::{BaselineSystem, Conventional};
 pub use cluster::{ClusterConfig, NdsCluster};
 pub use config::SystemConfig;
 pub use controller::{ControllerPipeline, HostStlPath};
 pub use error::SystemError;
 pub use flash_backend::FlashBackend;
+pub use flash_system::{FlashSystem, Placement};
 pub use frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
 pub use hardware::{Controller, HardwareNds};
-pub use nds::{NdsSystem, Placement};
 pub use oracle::OracleSystem;
 pub use software::{Host, SoftwareNds};
 pub use tenants::{

@@ -1,4 +1,4 @@
-//! The software-only NDS system (Fig. 7b): [`NdsSystem`] at the [`Host`]
+//! The software-only NDS system (Fig. 7b): [`FlashSystem`] at the [`Host`]
 //! placement.
 //!
 //! The full STL — building blocks, locator tree, translator, allocator —
@@ -17,50 +17,69 @@
 //!   images and submits page-granular program commands; §7.1 measures the
 //!   combination as a ~30% write-bandwidth loss.
 
-use nds_core::{NvmBackend, Shape, SpaceId};
+use nds_core::{AccessReport, NvmBackend, SpaceId, Stl, WriteReport};
 use nds_sim::{SimDuration, SimTime, TraceStage};
 
 use crate::config::SystemConfig;
 use crate::controller::HostStlPath;
 use crate::error::SystemError;
+use crate::flash_backend::FlashBackend;
+use crate::flash_system::sealed::{Placed, Request};
+use crate::flash_system::FlashSystem;
 use crate::frontend::{ReadMetrics, WriteOutcome};
-use crate::nds::{sealed::Placed, NdsSystem};
+use crate::lifecycle::{partition, Stages};
 
 /// NDS with the STL running on the host CPU over LightNVM.
-pub type SoftwareNds = NdsSystem<Host>;
+pub type SoftwareNds = FlashSystem<Host>;
 
 /// The host placement of the STL: requests cross the kernel I/O stack
 /// ([`HostStlPath`]) and the host assembles and decomposes objects.
 #[derive(Debug)]
-pub struct Host(HostStlPath);
+pub struct Host {
+    path: HostStlPath,
+    /// The STL's reports of the request in flight, kept between requests
+    /// so the steady-state data path does not allocate them.
+    read_report: AccessReport,
+    write_report: WriteReport,
+}
 
 impl Placed for Host {
     const NAME: &'static str = "software-nds";
-    const DELETE_IS_COMMAND: bool = false;
+    const EXTENDED_COMMANDS: bool = false;
+    type Store = Stl<FlashBackend>;
 
     fn new(config: &SystemConfig) -> Self {
-        Host(config.sw_stl_path)
+        Host {
+            path: config.sw_stl_path,
+            read_report: AccessReport::default(),
+            write_report: WriteReport::default(),
+        }
     }
 
-    /// The kernel I/O stack's latency (§7.3 measures 41 µs worst-case).
-    fn request_latency(&self, tree_levels: usize) -> SimDuration {
-        self.0.request_latency(tree_levels)
-    }
-
-    fn write(
-        sys: &mut NdsSystem<Self>,
+    fn translate_write(
+        sys: &mut SoftwareNds,
         space: SpaceId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        data: &[u8],
-    ) -> Result<WriteOutcome, SystemError> {
-        sys.stl
-            .write_reusing(space, view, coord, sub_dims, data, &mut sys.write_report)?;
-        let report = &sys.write_report;
-        let page = sys.stl.backend().spec().unit_bytes as u64;
-        sys.life.start_epoch(&mut sys.stl);
-        let ctx = sys.life.open_scope(&mut sys.stl);
+        req: &mut Request<'_, &[u8]>,
+    ) -> Result<(), SystemError> {
+        let report = &mut sys.place.write_report;
+        sys.store.write_reusing(
+            space,
+            req.view,
+            req.coord,
+            req.sub_dims,
+            req.payload,
+            report,
+        )?;
+        Ok(())
+    }
+
+    fn write_cost(
+        sys: &mut SoftwareNds,
+        space: SpaceId,
+        _req: &mut Request<'_, &[u8]>,
+    ) -> Result<(WriteOutcome, Stages), SystemError> {
+        let report = &sys.place.write_report;
+        let page = sys.store.backend().spec().unit_bytes as u64;
 
         // Host decomposition: one scattered copy per translation segment.
         let decompose = sys
@@ -81,59 +100,64 @@ impl Placed for Host {
                 .life
                 .link
                 .try_transfer(block.units.len() as u64 * page, SimTime::ZERO)?;
-            let backend = sys.stl.backend_mut();
+            let backend = sys.store.backend_mut();
             program_end =
                 program_end.max(backend.try_schedule_unit_programs(&block.units, link_end)?);
         }
         let submit = sys.cpu.submit_time(unit_commands);
         let link_dur = link_end.saturating_since(SimTime::ZERO);
         let io = link_dur.max(submit);
-        let stl = sys.stl_latency(space);
+        // The kernel I/O stack's latency (§7.3 measures 41 µs worst-case).
+        let stl = sys.place.path.request_latency(sys.tree_levels(space));
         let program_tail = program_end.saturating_since(link_end.max(SimTime::ZERO));
         let latency = stl + decompose + io + program_tail;
 
-        if let Some(ctx) = ctx {
-            // Chronological waterfall: STL traversal, host decomposition,
-            // the io region (submission vs. link), and the program tail
-            // past the last link flush — an exact partition of `latency`.
-            let io_stage = if submit >= link_dur {
-                TraceStage::Queue
-            } else {
-                TraceStage::Link
-            };
-            let stages = [
-                (TraceStage::Other, stl),
-                (TraceStage::Restructure, decompose),
-                (io_stage, io),
-                (TraceStage::Flash, program_tail),
-            ];
-            sys.life
-                .close_scope(&mut sys.stl, ctx, "write", latency, &stages);
-        }
-        sys.life
-            .record_write(unit_commands, report.access.bytes, latency);
-        sys.life.end_epoch(&mut sys.stl, latency);
-        Ok(WriteOutcome {
+        // Chronological waterfall: STL traversal, host decomposition, the io
+        // region (submission vs. link), and the program tail past the last
+        // link flush — an exact partition of `latency`.
+        let io_stage = if submit >= link_dur {
+            TraceStage::Queue
+        } else {
+            TraceStage::Link
+        };
+        let stages = partition([
+            (TraceStage::Other, stl),
+            (TraceStage::Restructure, decompose),
+            (io_stage, io),
+            (TraceStage::Flash, program_tail),
+        ]);
+        let outcome = WriteOutcome {
             latency,
             commands: unit_commands,
             bytes: report.access.bytes,
-        })
+        };
+        Ok((outcome, stages))
     }
 
-    fn read(
-        sys: &mut NdsSystem<Self>,
+    fn translate_read(
+        sys: &mut SoftwareNds,
         space: SpaceId,
-        view: &Shape,
-        coord: &[u64],
-        sub_dims: &[u64],
-        buf: &mut Vec<u8>,
-    ) -> Result<ReadMetrics, SystemError> {
-        sys.stl
-            .read_reusing(space, view, coord, sub_dims, buf, &mut sys.read_report)?;
-        let report = &sys.read_report;
-        let page = sys.stl.backend().spec().unit_bytes as u64;
-        sys.life.start_epoch(&mut sys.stl);
-        let ctx = sys.life.open_scope(&mut sys.stl);
+        req: &mut Request<'_, &mut Vec<u8>>,
+    ) -> Result<(), SystemError> {
+        let report = &mut sys.place.read_report;
+        sys.store.read_reusing(
+            space,
+            req.view,
+            req.coord,
+            req.sub_dims,
+            req.payload,
+            report,
+        )?;
+        Ok(())
+    }
+
+    fn read_cost(
+        sys: &mut SoftwareNds,
+        space: SpaceId,
+        _req: &mut Request<'_, &mut Vec<u8>>,
+    ) -> Result<(ReadMetrics, Stages), SystemError> {
+        let report = &sys.place.read_report;
+        let page = sys.store.backend().spec().unit_bytes as u64;
 
         // Vectored physical-read commands (LightNVM supports scatter lists
         // of up to 64 pages per command): each command's units stream off
@@ -153,7 +177,7 @@ impl Placed for Host {
                 continue;
             }
             total_units += block.units.len() as u64;
-            let backend = sys.stl.backend_mut();
+            let backend = sys.store.backend_mut();
             let dev_end = backend.try_schedule_unit_reads(&block.units, SimTime::ZERO)?;
             flash_end = flash_end.max(dev_end);
             pending_ready = pending_ready.max(dev_end);
@@ -187,53 +211,51 @@ impl Placed for Host {
         // has drained.
         let assembly = sys.cpu.scatter_copy_time(report.segments, report.bytes);
         let io_dur = io_end.saturating_since(SimTime::ZERO);
-        let stl = sys.stl_latency(space);
+        let stl = sys.place.path.request_latency(sys.tree_levels(space));
         let region = io_dur.max(submit).max(assembly + first_block);
         let io_latency = stl + region;
 
-        if let Some(ctx) = ctx {
-            // Waterfall back from whichever term won the overlapped
-            // region: submission (queue), the last link flush (flash up
-            // to the last device completion, link for the rest), or
-            // pipelined assembly draining behind the first block.
-            let mut stages = Vec::with_capacity(4);
-            stages.push((TraceStage::Other, stl));
-            if submit >= io_dur && submit >= assembly + first_block {
-                stages.push((TraceStage::Queue, region));
-            } else if io_dur >= assembly + first_block {
-                let flash = flash_end.saturating_since(SimTime::ZERO).min(region);
-                stages.push((TraceStage::Flash, flash));
-                stages.push((TraceStage::Link, region - flash));
-            } else {
-                let flash = first_ready.saturating_since(SimTime::ZERO).min(first_block);
-                stages.push((TraceStage::Flash, flash));
-                stages.push((TraceStage::Link, first_block - flash));
-                stages.push((TraceStage::Restructure, assembly));
-            }
-            sys.life
-                .close_scope(&mut sys.stl, ctx, "read", io_latency, &stages);
-        }
+        // Waterfall back from whichever term won the overlapped region:
+        // submission (queue), the last link flush (flash up to the last
+        // device completion, link for the rest), or pipelined assembly
+        // draining behind the first block.
+        let other = (TraceStage::Other, stl);
+        let stages = if submit >= io_dur && submit >= assembly + first_block {
+            partition([other, (TraceStage::Queue, region)])
+        } else if io_dur >= assembly + first_block {
+            let flash = flash_end.saturating_since(SimTime::ZERO).min(region);
+            partition([
+                other,
+                (TraceStage::Flash, flash),
+                (TraceStage::Link, region - flash),
+            ])
+        } else {
+            let flash = first_ready.saturating_since(SimTime::ZERO).min(first_block);
+            partition([
+                other,
+                (TraceStage::Flash, flash),
+                (TraceStage::Link, first_block - flash),
+                (TraceStage::Restructure, assembly),
+            ])
+        };
         // Steady-state pacing: aggregate device, wire, submission, and host
         // assembly work, whichever drains slowest.
         let io_occupancy = sys
-            .stl
+            .store
             .backend()
             .device()
             .throughput_occupancy()
             .max(sys.life.link.busy_time())
             .max(submit)
             .max(assembly);
-
-        sys.life
-            .record_read(commands, report.bytes, io_latency, SimDuration::ZERO);
-        sys.life.end_epoch(&mut sys.stl, io_latency);
-        Ok(ReadMetrics {
+        let metrics = ReadMetrics {
             io_latency,
             io_occupancy,
             restructure: SimDuration::ZERO,
             commands,
             bytes: report.bytes,
-        })
+        };
+        Ok((metrics, stages))
     }
 }
 
@@ -241,7 +263,7 @@ impl Placed for Host {
 mod tests {
     use super::*;
     use crate::frontend::{DatasetId, StorageFrontEnd};
-    use nds_core::ElementType;
+    use nds_core::{ElementType, Shape};
 
     fn system() -> SoftwareNds {
         SoftwareNds::new(SystemConfig::small_test())
@@ -307,7 +329,7 @@ mod tests {
         let data = vec![1u8; 64 * 64 * 4];
         let w = sys.write(id, &shape, &[0, 0], &[64, 64], &data).unwrap();
         // LightNVM physical writes are page-granular.
-        let pages = (64 * 64 * 4) / sys.stl.backend().spec().unit_bytes as u64;
+        let pages = (64 * 64 * 4) / sys.store.backend().spec().unit_bytes as u64;
         assert!(w.commands >= pages);
     }
 

@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use nds_core::{ElementType, Region, Shape};
+use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_interconnect::WfqScheduler;
 use nds_sim::{
     splitmix64, LatencyHistogram, MetricSet, ObsConfig, RunReport, SimDuration, SimTime,
@@ -183,7 +183,7 @@ pub struct Completion {
 /// The pattern is positional, so reads verify without tracking history and
 /// cross-tenant writes are detectable byte-exactly. Each aligned 8-byte lane
 /// is one [`splitmix64`] word, little-endian; the engine itself produces
-/// and checks it a lane at a time ([`pattern_lanes`]).
+/// and checks it a lane at a time.
 pub fn tenant_pattern_byte(seed: u64, tenant: u32, dataset: usize, offset: u64) -> u8 {
     let lane = pattern_key(seed, tenant, dataset) ^ (offset >> 3);
     let shift = (offset & 7) * 8;
@@ -337,8 +337,10 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             for (d, (shape, element)) in spec.datasets.iter().enumerate() {
                 let id = sys.create_dataset(shape.clone(), *element)?;
                 owners.insert(id, tenant);
-                let bytes = (shape.volume() * element.size() as u64) as usize;
-                let mut payload = vec![0u8; bytes];
+                let bytes = shape
+                    .checked_bytes(*element)
+                    .ok_or(NdsError::ShapeTooLarge)?;
+                let mut payload = vec![0u8; bytes as usize];
                 fill_pattern(pattern_key(set.seed, tenant, d), 0, &mut payload);
                 let coord = vec![0u64; shape.ndims()];
                 sys.write(id, shape, &coord, shape.dims(), &payload)?;

@@ -1,6 +1,6 @@
-//! What the shared command lifecycle must keep identical across the three
-//! flash-backed front-ends — and the one place they differ, written down
-//! rather than normalised (DESIGN.md "Command lifecycle").
+//! What the shared command lifecycle and dataset table must keep identical
+//! across the three flash-backed front-ends — and the places they differ,
+//! written down rather than normalised (DESIGN.md "Command lifecycle").
 
 // Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -109,5 +109,47 @@ fn unknown_dataset_is_rejected_before_a_trace_id_is_allocated() {
         let write = sys.write(ghost, &shape, &[0], &[4], &[0; 16]).unwrap_err();
         assert!(matches!(write, SystemError::UnknownDataset(_)), "{arch}");
         assert_eq!(sys.trace_cursor(), before, "{arch}: cursor moved");
+    }
+}
+
+#[test]
+fn one_dataset_table_serves_every_architecture() {
+    let names = ["baseline", "software-nds", "hardware-nds"];
+    for (mut sys, name) in architectures().into_iter().zip(names) {
+        assert_eq!(sys.name(), name);
+        let shape = Shape::new([32, 32]);
+        let unknown = |r: Result<_, SystemError>| matches!(r, Err(SystemError::UnknownDataset(_)));
+
+        let first = sys.create_dataset(shape.clone(), ElementType::F32).unwrap();
+        sys.write(first, &shape, &[0, 0], &[32, 32], &[1; 32 * 32 * 4])
+            .unwrap();
+        assert!(
+            unknown(sys.delete_dataset(DatasetId(99))),
+            "{name}: unknown id"
+        );
+        sys.delete_dataset(first).unwrap();
+        assert!(unknown(sys.delete_dataset(first)), "{name}: deleted twice");
+        assert!(
+            unknown(sys.read(first, &shape, &[0, 0], &[4, 4]).map(drop)),
+            "{name}: read of a deleted id"
+        );
+        assert!(
+            unknown(
+                sys.write(first, &shape, &[0, 0], &[4, 4], &[0; 64])
+                    .map(drop)
+            ),
+            "{name}: write of a deleted id"
+        );
+        let second = sys.create_dataset(shape, ElementType::F32).unwrap();
+        assert!(second > first, "{name}: id {second:?} reused");
+
+        // Only the controller's deallocation crosses the link as a command.
+        let deletes = sys
+            .stats()
+            .iter()
+            .find(|&(counter, _)| counter == "system.delete_commands")
+            .map(|(_, n)| n);
+        let expected = (name == "hardware-nds").then_some(1);
+        assert_eq!(deletes, expected, "{name}");
     }
 }

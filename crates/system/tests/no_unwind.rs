@@ -3,7 +3,9 @@
 //! products that overflow `u64` — and a payload of the wrong length, through
 //! `StorageFrontEnd::{read_into, write}` on all four architectures, is served
 //! or refused with a typed `SystemError`; afterwards a valid read still
-//! returns the bytes that were written.
+//! returns the bytes that were written. So is an arbitrary
+//! `create_dataset` — any rank, element type and extents, up to byte sizes
+//! past `u64` — and a dataset it creates round-trips an element.
 //!
 //! Seeds are pinned: the vendored `proptest` derives every case from the
 //! test's name and the case index.
@@ -49,6 +51,25 @@ fn view_of(dims: Vec<u64>, own: &Shape) -> Shape {
     Shape::try_new(dims).unwrap_or_else(|_| own.clone())
 }
 
+/// A shape to create: rank 1 to 4, each extent small, a power of two (so
+/// that volumes and byte sizes reach and pass 64 bits) or any word.
+fn created_shape() -> impl Strategy<Value = (Vec<u64>, ElementType)> {
+    let extent = (0u8..4, any::<u64>()).prop_map(|(pick, raw)| match pick {
+        0 => 1 + raw % 40,
+        1 | 2 => 1 << (raw % 64),
+        _ => raw,
+    });
+    let element = (0usize..4).prop_map(|i| {
+        [
+            ElementType::U8,
+            ElementType::I32,
+            ElementType::F32,
+            ElementType::F64,
+        ][i]
+    });
+    (prop::collection::vec(extent, 1..5), element)
+}
+
 fn pattern() -> Vec<u8> {
     (0..BYTES).map(|i| (i * 7 % 251) as u8).collect()
 }
@@ -62,6 +83,7 @@ proptest! {
             (words(), words(), words(), 0u8..4, (0u8..6, 0usize..70_000)),
             1..24,
         ),
+        created in prop::collection::vec(created_shape(), 1..4),
     ) {
         let shape = Shape::new([SIDE, SIDE]);
         let config = SystemConfig::small_test();
@@ -115,6 +137,19 @@ proptest! {
                 .flat_map(|at| written[at..at + 4].to_vec())
                 .collect();
             prop_assert!(tile.data == expect, "{} mangled a tile", sys.name());
+
+            // Creation is served or refused, never unwound, and what it
+            // creates holds data: one element at the origin round-trips.
+            for (dims, element) in &created {
+                let Ok(shape) = Shape::try_new(dims.clone()) else { continue };
+                let Ok(id) = sys.create_dataset(shape.clone(), *element) else { continue };
+                let origin = vec![0; shape.ndims()];
+                let one = vec![1; shape.ndims()];
+                let value: Vec<u8> = (1..=element.size() as u8).collect();
+                sys.write(id, &shape, &origin, &one, &value).expect("write to a created dataset");
+                let back = sys.read(id, &shape, &origin, &one).expect("read of a created dataset");
+                prop_assert!(back.data == value, "{} lost an element of {:?}", sys.name(), dims);
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI hygiene gate: formatting, lints (warnings are errors), and the full
-# workspace test suite.
+# CI hygiene gate: formatting, lints and rustdoc (warnings are errors), and
+# the full workspace test suite.
 #
 # Usage: scripts/check.sh [--no-test]
 set -euo pipefail
@@ -22,6 +22,11 @@ cargo fmt --all --check
 # `clippy.toml`. D6 (tenant guard first) is a type, checked by the build.
 echo "== cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc is a gate too: a dead or private intra-doc link in public docs
+# (one left by a rename, say) fails here rather than rotting.
+echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 if [[ "${1:-}" != "--no-test" ]]; then
     echo "== cargo test --workspace"
