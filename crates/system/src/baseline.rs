@@ -178,12 +178,15 @@ impl Placed for Conventional {
         Conventional::default()
     }
 
-    fn translate_write(
+    fn write(
         sys: &mut BaselineSystem,
         run: LbaRun,
-        req: &mut Request<'_, &[u8]>,
-    ) -> Result<(), SystemError> {
-        let total_bytes = Self::extents_into(&mut sys.place.extents, run, req)?;
+        req: Request<'_, &[u8]>,
+    ) -> Result<(WriteOutcome, Stages), SystemError> {
+        let Conventional {
+            extents, commands, ..
+        } = &mut sys.place;
+        let total_bytes = Self::extents_into(extents, run, &req)?;
         if req.payload.len() as u64 != total_bytes {
             return Err(NdsError::BadPayloadSize {
                 got: req.payload.len(),
@@ -191,19 +194,7 @@ impl Placed for Conventional {
             }
             .into());
         }
-        Ok(())
-    }
-
-    fn write_cost(
-        sys: &mut BaselineSystem,
-        run: LbaRun,
-        req: &mut Request<'_, &[u8]>,
-    ) -> Result<(WriteOutcome, Stages), SystemError> {
-        let Conventional {
-            extents, commands, ..
-        } = &mut sys.place;
         let ftl = &mut sys.store.ftl;
-        let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
 
         // [P1] serialization: scattering the object into the linear layout.
         let marshal = if extents.len() > 1 {
@@ -290,26 +281,18 @@ impl Placed for Conventional {
         Ok((outcome, stages))
     }
 
-    fn translate_read(
+    fn read(
         sys: &mut BaselineSystem,
         run: LbaRun,
-        req: &mut Request<'_, &mut Vec<u8>>,
-    ) -> Result<(), SystemError> {
-        Self::extents_into(&mut sys.place.extents, run, req).map(drop)
-    }
-
-    fn read_cost(
-        sys: &mut BaselineSystem,
-        run: LbaRun,
-        req: &mut Request<'_, &mut Vec<u8>>,
+        req: Request<'_, &mut Vec<u8>>,
     ) -> Result<(ReadMetrics, Stages), SystemError> {
         let Conventional {
             extents,
             commands,
             addrs,
         } = &mut sys.place;
+        let total_bytes = Self::extents_into(extents, run, &req)?;
         let ftl = &mut sys.store.ftl;
-        let total_bytes: u64 = extents.iter().map(|e| e.len).sum();
         let ps = ftl.page_size() as u64;
         Self::commands_into(commands, ps, extents);
         // DMA streams pages to the host as they come off the channels, so

@@ -9,9 +9,11 @@
 //! inside the SSD controller behind one extended NVMe command per request
 //! (Fig. 7c). [`FlashSystem`] owns what the three share — the store, the
 //! command lifecycle, the host CPU model, the dataset table and the one
-//! [`StorageFrontEnd`] implementation, which drives every lifecycle step —
-//! and a placement keeps the rest: its name, whether it speaks extended
-//! NVMe commands, and its read and write data paths with their cost models.
+//! [`StorageFrontEnd`] implementation, which drives every lifecycle step in
+//! one order on every placement, so each request on a known dataset is one
+//! traced command — and a placement keeps the rest: its name, whether it
+//! speaks extended NVMe commands, and its read and write data paths, each
+//! one step that moves the data and charges its cost.
 //!
 //! [`Conventional`]: crate::Conventional
 //! [`Host`]: crate::Host
@@ -42,20 +44,19 @@ pub(crate) type Dataset<P> = <<P as sealed::Placed>::Store as Store>::Dataset;
 pub(crate) mod sealed {
     use super::*;
 
-    /// What a placement adds to the [`FlashSystem`] around it. A data path
-    /// comes in two steps: an untimed *translate* step that resolves the
-    /// request against its dataset (and, over the STL, moves the data),
-    /// then a timed *cost* step that charges the device, the link and the
-    /// CPU and returns the outcome with its exact stage partition. Neither
-    /// takes a lifecycle step; the front-end takes them all around the two.
+    /// What a placement adds to the [`FlashSystem`] around it: its name,
+    /// whether it speaks extended NVMe commands, and its two data paths.
+    /// A data path is one step: it resolves the request against its
+    /// dataset, moves the data, charges the device, the link and the CPU,
+    /// and returns the outcome with its exact stage partition. It takes no
+    /// lifecycle step; the front-end takes them all around it, in one
+    /// order on every placement.
     pub trait Placed: Sized + std::fmt::Debug {
         /// The front-end's [`name`](StorageFrontEnd::name).
         const NAME: &'static str;
         /// Whether requests and deletes cross the link as extended NVMe
-        /// commands (§5.3.1). Each such request is one traced device
-        /// command — its scope opens before it is submitted and it is
-        /// recorded before its scope closes — and each delete counts as
-        /// `system.delete_commands`.
+        /// commands (§5.3.1). The front-end reads it only to count each
+        /// delete as `system.delete_commands`.
         const EXTENDED_COMMANDS: bool;
 
         /// What translation runs over.
@@ -64,32 +65,18 @@ pub(crate) mod sealed {
         /// The placement's state, built from `config`.
         fn new(config: &SystemConfig) -> Self;
 
-        /// The translate step of [`StorageFrontEnd::write`].
-        fn translate_write(
+        /// The data path of [`StorageFrontEnd::write`].
+        fn write(
             sys: &mut FlashSystem<Self>,
             dataset: Dataset<Self>,
-            req: &mut Request<'_, &[u8]>,
-        ) -> Result<(), SystemError>;
-
-        /// The cost step of [`StorageFrontEnd::write`].
-        fn write_cost(
-            sys: &mut FlashSystem<Self>,
-            dataset: Dataset<Self>,
-            req: &mut Request<'_, &[u8]>,
+            req: Request<'_, &[u8]>,
         ) -> Result<(WriteOutcome, Stages), SystemError>;
 
-        /// The translate step of [`StorageFrontEnd::read_into`].
-        fn translate_read(
+        /// The data path of [`StorageFrontEnd::read_into`].
+        fn read(
             sys: &mut FlashSystem<Self>,
             dataset: Dataset<Self>,
-            req: &mut Request<'_, &mut Vec<u8>>,
-        ) -> Result<(), SystemError>;
-
-        /// The cost step of [`StorageFrontEnd::read_into`].
-        fn read_cost(
-            sys: &mut FlashSystem<Self>,
-            dataset: Dataset<Self>,
-            req: &mut Request<'_, &mut Vec<u8>>,
+            req: Request<'_, &mut Vec<u8>>,
         ) -> Result<(ReadMetrics, Stages), SystemError>;
     }
 
@@ -203,7 +190,7 @@ impl<P: Placement> StorageFrontEnd for FlashSystem<P> {
             sub_dims,
             payload: data,
         };
-        self.run(id, req, P::translate_write, P::write_cost)
+        self.run(id, |sys, dataset| P::write(sys, dataset, req))
     }
 
     fn read_into(
@@ -220,7 +207,7 @@ impl<P: Placement> StorageFrontEnd for FlashSystem<P> {
             sub_dims,
             payload: buf,
         };
-        self.run(id, req, P::translate_read, P::read_cost)
+        self.run(id, |sys, dataset| P::read(sys, dataset, req))
     }
 
     fn delete_dataset(&mut self, id: DatasetId) -> Result<(), SystemError> {

@@ -186,11 +186,11 @@ impl Placed for Controller {
 
     /// The request travels as one extended NVMe write (§5.3.1); the
     /// controller's STL runs the command it decoded.
-    fn translate_write(
+    fn write(
         sys: &mut HardwareNds,
         space: SpaceId,
-        req: &mut Request<'_, &[u8]>,
-    ) -> Result<(), SystemError> {
+        req: Request<'_, &[u8]>,
+    ) -> Result<(WriteOutcome, Stages), SystemError> {
         let place = &mut sys.place;
         place.submit_command(&mut sys.life, true, space, req.coord, req.sub_dims)?;
         let NvmeCommand::NdsWrite {
@@ -202,14 +202,6 @@ impl Placed for Controller {
         let report = &mut place.write_report;
         sys.store
             .write_reusing(space, req.view, coord, sub_dims, req.payload, report)?;
-        Ok(())
-    }
-
-    fn write_cost(
-        sys: &mut HardwareNds,
-        space: SpaceId,
-        _req: &mut Request<'_, &[u8]>,
-    ) -> Result<(WriteOutcome, Stages), SystemError> {
         let report = &sys.place.write_report;
         let (bytes, segments) = (report.access.bytes, report.access.segments);
 
@@ -249,11 +241,11 @@ impl Placed for Controller {
 
     /// The request travels as one extended NVMe read (§5.3.1); the
     /// controller's STL runs the command it decoded.
-    fn translate_read(
+    fn read(
         sys: &mut HardwareNds,
         space: SpaceId,
-        req: &mut Request<'_, &mut Vec<u8>>,
-    ) -> Result<(), SystemError> {
+        req: Request<'_, &mut Vec<u8>>,
+    ) -> Result<(ReadMetrics, Stages), SystemError> {
         let place = &mut sys.place;
         place.submit_command(&mut sys.life, false, space, req.coord, req.sub_dims)?;
         let NvmeCommand::NdsRead {
@@ -265,15 +257,6 @@ impl Placed for Controller {
         let report = &mut place.read_report;
         sys.store
             .read_reusing(space, req.view, coord, sub_dims, req.payload, report)?;
-        Ok(())
-    }
-
-    fn read_cost(
-        sys: &mut HardwareNds,
-        space: SpaceId,
-        _req: &mut Request<'_, &mut Vec<u8>>,
-    ) -> Result<(ReadMetrics, Stages), SystemError> {
-        let place = &mut sys.place;
         let report = &place.read_report;
 
         // Device: all covered blocks stream concurrently at internal

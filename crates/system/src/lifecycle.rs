@@ -9,10 +9,11 @@
 //! latency histograms, the timing-epoch folds — is identical by
 //! construction and lives here, once: the steps, and the one driver that
 //! takes them around every operation in DESIGN.md "Command lifecycle"
-//! order. A data path only translates its request and returns its outcome
-//! and [`Stages`]. [`Store`] is the seam to what translation runs over: the
-//! baseline's FTL behind a linear LBA space ([`Lbas`]), or the NDS
-//! placements' STL.
+//! order, one order for every placement. A data path is one step inside
+//! one trace scope: it resolves the request, moves the data, charges the
+//! clocks and returns its outcome and [`Stages`]. [`Store`] is the seam to
+//! what translation runs over: the baseline's FTL behind a linear LBA space
+//! ([`Lbas`]), or the NDS placements' STL.
 
 use nds_core::{ElementType, Shape, SpaceId, Stl};
 use nds_flash::{FlashDevice, Ftl, FtlConfig};
@@ -25,7 +26,6 @@ use nds_sim::{
 use crate::config::SystemConfig;
 use crate::error::SystemError;
 use crate::flash_backend::FlashBackend;
-use crate::flash_system::sealed::Request;
 use crate::flash_system::{Dataset, FlashSystem, Placement};
 use crate::frontend::{DatasetId, ReadMetrics, WriteOutcome};
 
@@ -201,42 +201,34 @@ pub(crate) trait Recorded {
     /// The operation's name on its trace partition and request span.
     const OP: &'static str;
 
-    /// The operation's end-to-end modeled span.
-    fn span(&self) -> SimDuration;
-
-    /// Records the operation: system counters, `host.*` series, the
-    /// request span and the latency histograms.
-    fn record(&self, life: &mut Lifecycle);
+    /// Records the operation — system counters, `host.*` series, the
+    /// request span and the latency histograms — and returns its
+    /// end-to-end modeled span.
+    fn record(&self, life: &mut Lifecycle) -> SimDuration;
 }
 
 impl Recorded for WriteOutcome {
     const OP: &'static str = "write";
 
-    fn span(&self) -> SimDuration {
-        self.latency
-    }
-
-    fn record(&self, life: &mut Lifecycle) {
+    fn record(&self, life: &mut Lifecycle) -> SimDuration {
         life.stats.add("system.write_commands", self.commands);
         life.stats.add("system.write_bytes", self.bytes);
         life.record_request(Self::OP, self.bytes, self.latency);
         life.obs.latency("write.latency", self.latency);
+        self.latency
     }
 }
 
 impl Recorded for ReadMetrics {
     const OP: &'static str = "read";
 
-    fn span(&self) -> SimDuration {
-        self.latency()
-    }
-
-    fn record(&self, life: &mut Lifecycle) {
+    fn record(&self, life: &mut Lifecycle) -> SimDuration {
         life.stats.add("system.read_commands", self.commands);
         life.stats.add("system.read_bytes", self.bytes);
         life.record_request(Self::OP, self.bytes, self.latency());
         life.obs.latency("read.io_latency", self.io_latency);
         life.obs.latency("read.latency", self.latency());
+        self.latency()
     }
 }
 
@@ -248,8 +240,6 @@ pub(crate) struct Lifecycle {
     pub(crate) obs: Observability,
     pub(crate) stats: Stats,
     pub(crate) tracer: Option<CommandTracer>,
-    /// The scope opened by the operation in flight, until it closes.
-    scope: Option<TraceContext>,
 }
 
 impl Lifecycle {
@@ -271,7 +261,6 @@ impl Lifecycle {
             obs,
             stats: Stats::new(),
             tracer: config.obs.tracing().then(CommandTracer::new),
-            scope: None,
         }
     }
 
@@ -286,47 +275,36 @@ impl Lifecycle {
 
 /// The lifecycle's steps, and the one place that takes them.
 impl<P: Placement> FlashSystem<P> {
-    /// One operation on dataset `id`: its data path's translate and cost
-    /// steps (see `Placed`) with every lifecycle step around them, in
-    /// DESIGN.md "Command lifecycle" order, its outcome settled. An
-    /// extended NVMe command takes two steps early: its scope opens before
-    /// submission, which belongs to its trace (order (a)), and it is
-    /// recorded before the scope closes, so its request span is
-    /// trace-tagged (order (b)).
-    pub(crate) fn run<'a, B, T, X, C>(
+    /// One operation on dataset `id`: its data path `op` (see `Placed`)
+    /// with every lifecycle step around it, in DESIGN.md "Command
+    /// lifecycle" order — one traced command, refused or not. A typed
+    /// failure (a malformed request, a budget exhausted, a command
+    /// rejected) ends its command by the modeled time it had consumed on
+    /// the device and the link: the scope closes over that span (an
+    /// all-`Other` partition, so the next command starts later) and the
+    /// timing epoch ends by it.
+    pub(crate) fn run<T: Recorded>(
         &mut self,
         id: DatasetId,
-        mut req: Request<'a, B>,
-        translate: X,
-        cost: C,
-    ) -> Result<T, SystemError>
-    where
-        T: Recorded,
-        X: FnOnce(&mut Self, Dataset<P>, &mut Request<'a, B>) -> Result<(), SystemError>,
-        C: FnOnce(&mut Self, Dataset<P>, &mut Request<'a, B>) -> Result<(T, Stages), SystemError>,
-    {
-        let extended = P::EXTENDED_COMMANDS;
-        let outcome = self.dataset(id).and_then(|dataset| {
-            // `Some(scope)` once an extended command's scope has opened.
-            let early = extended.then(|| self.open_scope());
-            translate(self, dataset, &mut req)?;
-            self.start_epoch();
-            let scope = early.unwrap_or_else(|| self.open_scope());
-            let (outcome, stages) = cost(self, dataset, &mut req)?;
-            let span = outcome.span();
-            if extended {
-                outcome.record(&mut self.life);
+        op: impl FnOnce(&mut Self, Dataset<P>) -> Result<(T, Stages), SystemError>,
+    ) -> Result<T, SystemError> {
+        let dataset = self.dataset(id)?;
+        self.start_epoch();
+        let scope = self.open_scope();
+        let outcome = op(self, dataset);
+        let (span, stages) = match &outcome {
+            Ok((outcome, stages)) => (outcome.record(&mut self.life), *stages),
+            Err(_) => {
+                let device = self.store.device().drained_at();
+                let drained = device.max(self.life.link.drained_at());
+                (drained.saturating_since(SimTime::ZERO), partition([]))
             }
-            if let Some(ctx) = scope {
-                self.close_scope(ctx, T::OP, span, &stages);
-            }
-            if !extended {
-                outcome.record(&mut self.life);
-            }
-            self.end_epoch(span);
-            Ok(outcome)
-        });
-        self.settle(T::OP, outcome)
+        };
+        if let Some(ctx) = scope {
+            self.close_scope(ctx, T::OP, span, &stages);
+        }
+        self.end_epoch(span);
+        outcome.map(|(outcome, _)| outcome)
     }
 
     /// Starts an operation's timing epoch: device and link clocks to zero.
@@ -344,7 +322,6 @@ impl<P: Placement> FlashSystem<P> {
         life.obs.set_trace(ctx);
         self.store.device_mut().begin_trace(ctx);
         life.link.begin_trace(ctx);
-        life.scope = Some(ctx);
         Some(ctx)
     }
 
@@ -363,35 +340,9 @@ impl<P: Placement> FlashSystem<P> {
         life.obs.clear_trace();
         self.store.device_mut().end_trace();
         life.link.end_trace();
-        life.scope = None;
         if let Some(t) = life.tracer.as_mut() {
             t.finish(latency);
         }
-    }
-
-    /// Settles an operation's `outcome`. Success passes through. A typed
-    /// failure (a budget exhausted, a command rejected) ends what the
-    /// operation left open, by the modeled time it had consumed on the
-    /// device and the link: a scope still open closes over that span — the
-    /// failed command gets its partition, the journals lose its tags and
-    /// the trace clock advances, so the next command starts later — and
-    /// the timing epoch ends by the same span.
-    fn settle<T>(
-        &mut self,
-        op: &'static str,
-        outcome: Result<T, SystemError>,
-    ) -> Result<T, SystemError> {
-        if outcome.is_err() {
-            let device = self.store.device().drained_at();
-            let spent = device
-                .max(self.life.link.drained_at())
-                .saturating_since(SimTime::ZERO);
-            if let Some(ctx) = self.life.scope {
-                self.close_scope(ctx, op, spent, &[]);
-            }
-            self.end_epoch(spent);
-        }
-        outcome
     }
 
     /// Ends the timing epoch by the operation's full span so per-lane

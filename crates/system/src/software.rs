@@ -56,11 +56,11 @@ impl Placed for Host {
         }
     }
 
-    fn translate_write(
+    fn write(
         sys: &mut SoftwareNds,
         space: SpaceId,
-        req: &mut Request<'_, &[u8]>,
-    ) -> Result<(), SystemError> {
+        req: Request<'_, &[u8]>,
+    ) -> Result<(WriteOutcome, Stages), SystemError> {
         let report = &mut sys.place.write_report;
         sys.store.write_reusing(
             space,
@@ -70,14 +70,6 @@ impl Placed for Host {
             req.payload,
             report,
         )?;
-        Ok(())
-    }
-
-    fn write_cost(
-        sys: &mut SoftwareNds,
-        space: SpaceId,
-        _req: &mut Request<'_, &[u8]>,
-    ) -> Result<(WriteOutcome, Stages), SystemError> {
         let report = &sys.place.write_report;
         let page = sys.store.backend().spec().unit_bytes as u64;
 
@@ -134,11 +126,11 @@ impl Placed for Host {
         Ok((outcome, stages))
     }
 
-    fn translate_read(
+    fn read(
         sys: &mut SoftwareNds,
         space: SpaceId,
-        req: &mut Request<'_, &mut Vec<u8>>,
-    ) -> Result<(), SystemError> {
+        req: Request<'_, &mut Vec<u8>>,
+    ) -> Result<(ReadMetrics, Stages), SystemError> {
         let report = &mut sys.place.read_report;
         sys.store.read_reusing(
             space,
@@ -148,14 +140,6 @@ impl Placed for Host {
             req.payload,
             report,
         )?;
-        Ok(())
-    }
-
-    fn read_cost(
-        sys: &mut SoftwareNds,
-        space: SpaceId,
-        _req: &mut Request<'_, &mut Vec<u8>>,
-    ) -> Result<(ReadMetrics, Stages), SystemError> {
         let report = &sys.place.read_report;
         let page = sys.store.backend().spec().unit_bytes as u64;
 
