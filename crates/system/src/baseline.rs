@@ -14,7 +14,9 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use nds_core::{Assembler, NdsError, Region};
-use nds_flash::{FlashError, Ftl, PageAddr};
+use nds_flash::FlashError;
+use nds_host::CpuModel;
+use nds_interconnect::Link;
 use nds_sim::{SimDuration, SimTime, TraceStage};
 
 use crate::config::SystemConfig;
@@ -26,10 +28,10 @@ use crate::lifecycle::{partition, LbaRun, Lbas, Stages};
 
 /// One contiguous byte extent of a request within a dataset's serialization.
 #[derive(Debug, Clone, Copy)]
-struct Extent {
-    buffer_off: u64,
-    dataset_off: u64,
-    len: u64,
+pub(crate) struct Extent {
+    pub(crate) buffer_off: u64,
+    pub(crate) dataset_off: u64,
+    pub(crate) len: u64,
 }
 
 /// A conventional SSD behind an NVMe link — the paper's baseline.
@@ -40,28 +42,20 @@ pub type BaselineSystem = FlashSystem<Conventional>;
 
 /// The conventional placement of translation: the device's FTL behind a
 /// linear LBA space, with the host marshalling objects to and from their
-/// serialization. It holds the request-scoped lists, kept between requests
-/// so marshalling one does not allocate in steady state.
-#[derive(Debug, Default)]
-pub struct Conventional {
-    extents: Vec<Extent>,
-    /// `(first_page, page_count, wire_bytes)` per I/O command.
-    commands: Vec<(u64, u64, u64)>,
-    /// Physical pages of the command being scheduled.
-    addrs: Vec<PageAddr>,
-}
+/// serialization.
+#[derive(Debug)]
+pub struct Conventional;
 
-impl Conventional {
-    /// Enumerates the serialized extents of a request into `extents`,
-    /// merging those contiguous in the serialization (a well-written
-    /// application issues one request for them). Extents come out in
-    /// ascending dataset order (the region iterator is row-major). Returns
-    /// their total bytes.
-    fn extents_into<B>(
-        extents: &mut Vec<Extent>,
-        run: LbaRun,
-        req: &Request<'_, B>,
-    ) -> Result<u64, SystemError> {
+/// The command machinery of the placements over the linear LBA space: the
+/// extents in `self.extents`, bytes of the LBA run at `base_lba`, become
+/// I/O commands, one per maximal page run.
+impl Lbas {
+    /// Enumerates the extents of a request in the baseline's row-major
+    /// serialization into `self.extents`, merging those contiguous in the
+    /// serialization (a well-written application issues one request for
+    /// them). Extents come out in ascending dataset order (the region
+    /// iterator is row-major). Returns their total bytes.
+    fn extents_into<B>(&mut self, run: LbaRun, req: &Request<'_, B>) -> Result<u64, SystemError> {
         if req.view.volume() != run.volume {
             return Err(NdsError::ViewVolumeMismatch {
                 space: run.volume,
@@ -69,7 +63,7 @@ impl Conventional {
             }
             .into());
         }
-        let elem = run.element.size() as u64;
+        let (elem, extents) = (run.element.size() as u64, &mut self.extents);
         extents.clear();
         Region::for_each_request_run(req.view, req.coord, req.sub_dims, |buf_off, linear, len| {
             let e = Extent {
@@ -130,7 +124,7 @@ impl Conventional {
         }
     }
 
-    /// Hands the bytes of one extent of the dataset at `base_lba` to the
+    /// Hands the bytes of one extent of the run at `base_lba` to the
     /// assembler, page by page out of the page store (zeros where pages were
     /// never written). Extents tile the request in ascending buffer order.
     ///
@@ -138,12 +132,13 @@ impl Conventional {
     ///
     /// [`FlashError::Inconsistent`] if a mapped page has no image or one
     /// shorter than the page size.
-    fn read_extent<'s>(
-        ftl: &'s Ftl,
+    pub(crate) fn read_extent<'s>(
+        &'s self,
         base_lba: u64,
         e: Extent,
         assembler: &mut Assembler<'_, 's>,
     ) -> Result<(), SystemError> {
+        let ftl = &self.ftl;
         let ps = ftl.page_size() as u64;
         let mut off = e.dataset_off;
         let mut remaining = e.len;
@@ -167,56 +162,33 @@ impl Conventional {
         }
         Ok(())
     }
-}
 
-impl Placed for Conventional {
-    const NAME: &'static str = "baseline";
-    const EXTENDED_COMMANDS: bool = false;
-    type Store = Lbas;
-
-    fn new(_config: &SystemConfig) -> Self {
-        Conventional::default()
-    }
-
-    fn write(
-        sys: &mut BaselineSystem,
-        run: LbaRun,
-        req: Request<'_, &[u8]>,
+    /// Writes the extents' bytes of `payload`: builds their page images
+    /// (read-modify-write at the edges), programs them through the FTL and
+    /// carries each command's whole pages over `link`. The write is `bytes`
+    /// long and spent `marshal` serializing the object first.
+    pub(crate) fn program(
+        &mut self,
+        link: &mut Link,
+        cpu: &CpuModel,
+        base_lba: u64,
+        payload: &[u8],
+        marshal: SimDuration,
+        bytes: u64,
     ) -> Result<(WriteOutcome, Stages), SystemError> {
-        let Conventional {
-            extents, commands, ..
-        } = &mut sys.place;
-        let total_bytes = Self::extents_into(extents, run, &req)?;
-        if req.payload.len() as u64 != total_bytes {
-            return Err(NdsError::BadPayloadSize {
-                got: req.payload.len(),
-                expected: total_bytes as usize,
-            }
-            .into());
-        }
-        let ftl = &mut sys.store.ftl;
-
-        // [P1] serialization: scattering the object into the linear layout.
-        let marshal = if extents.len() > 1 {
-            sys.cpu.scatter_copy_time(extents.len() as u64, total_bytes)
-        } else {
-            SimDuration::ZERO
-        };
-
-        // Build per-page images (read-modify-write at the edges) and write
-        // through the FTL.
+        let ftl = &mut self.ftl;
         let ps = ftl.page_size() as u64;
-        Self::commands_into(commands, ps, extents);
+        Self::commands_into(&mut self.commands, ps, &self.extents);
         let mut pages: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for e in extents.iter() {
+        for e in &self.extents {
             let mut off = e.dataset_off;
             let mut src = e.buffer_off;
             let mut remaining = e.len;
             while remaining > 0 {
-                let lba = run.base_lba + off / ps;
+                let lba = base_lba + off / ps;
                 let in_page = off % ps;
                 let take = remaining.min(ps - in_page);
-                let payload = req.payload.get(src as usize..(src + take) as usize);
+                let payload = payload.get(src as usize..(src + take) as usize);
                 match (pages.entry(lba), payload.filter(|_| take == ps)) {
                     // An extent that covers the whole page is its image: the
                     // old page (every page of a populate) is not copied.
@@ -249,12 +221,12 @@ impl Placed for Conventional {
 
         // Link and submission costs per command.
         let mut link_end = SimTime::ZERO;
-        for &(_first, count, _wire) in commands.iter() {
+        for &(_first, count, _wire) in &self.commands {
             // Writes carry whole pages (the controller cannot
             // read-modify-write sectors it never received).
-            link_end = sys.life.link.try_transfer(count * ps, SimTime::ZERO)?;
+            link_end = link.try_transfer(count * ps, SimTime::ZERO)?;
         }
-        let submit = sys.cpu.submit_time(commands.len() as u64);
+        let submit = cpu.submit_time(self.commands.len() as u64);
         let link_dur = link_end.saturating_since(SimTime::ZERO);
         let io = link_dur.max(submit);
         let program = program_end.saturating_since(SimTime::ZERO);
@@ -275,26 +247,26 @@ impl Placed for Conventional {
         ]);
         let outcome = WriteOutcome {
             latency,
-            commands: commands.len() as u64,
-            bytes: total_bytes,
+            commands: self.commands.len() as u64,
+            bytes,
         };
         Ok((outcome, stages))
     }
 
-    fn read(
-        sys: &mut BaselineSystem,
-        run: LbaRun,
-        req: Request<'_, &mut Vec<u8>>,
+    /// Reads the extents' pages on the device, one batch per command, and
+    /// carries each command's requested sectors over `link`. The read is
+    /// `bytes` long and spends `restructure` rebuilding the object after.
+    pub(crate) fn fetch(
+        &mut self,
+        link: &mut Link,
+        cpu: &CpuModel,
+        base_lba: u64,
+        restructure: SimDuration,
+        bytes: u64,
     ) -> Result<(ReadMetrics, Stages), SystemError> {
-        let Conventional {
-            extents,
-            commands,
-            addrs,
-        } = &mut sys.place;
-        let total_bytes = Self::extents_into(extents, run, &req)?;
-        let ftl = &mut sys.store.ftl;
+        let ftl = &mut self.ftl;
         let ps = ftl.page_size() as u64;
-        Self::commands_into(commands, ps, extents);
+        Self::commands_into(&mut self.commands, ps, &self.extents);
         // DMA streams pages to the host as they come off the channels, so
         // the link transfer overlaps the device batch: it can start once the
         // first page has been sensed and transferred internally.
@@ -302,21 +274,18 @@ impl Placed for Conventional {
         let first_page = SimTime::ZERO + timing.read_latency + timing.transfer_time(ps as usize);
         let mut io_end = SimTime::ZERO;
         let mut flash_end = SimTime::ZERO;
-        for &(first, count, wire_bytes) in commands.iter() {
+        for &(first, count, wire_bytes) in &self.commands {
             // Device: all the command's mapped pages, as one batch.
+            let addrs = &mut self.addrs;
             addrs.clear();
-            addrs.extend(
-                (first..first + count).filter_map(|lba| ftl.physical_of(run.base_lba + lba)),
-            );
+            addrs.extend((first..first + count).filter_map(|lba| ftl.physical_of(base_lba + lba)));
             let dev_end = if addrs.is_empty() {
                 SimTime::ZERO
             } else {
                 ftl.device_mut().fault_read_batch(addrs, SimTime::ZERO)?
             };
-            let link_end = sys
-                .life
-                .link
-                .try_transfer(wire_bytes.min(count * ps), first_page.min(dev_end))?;
+            let link_end =
+                link.try_transfer(wire_bytes.min(count * ps), first_page.min(dev_end))?;
             flash_end = flash_end.max(dev_end);
             io_end = io_end.max(dev_end).max(link_end);
         }
@@ -325,7 +294,7 @@ impl Placed for Conventional {
         let disturbed = ftl.service_disturbed(io_end)?;
         flash_end = flash_end.max(disturbed);
         io_end = io_end.max(disturbed);
-        let submit = sys.cpu.submit_time(commands.len() as u64);
+        let submit = cpu.submit_time(self.commands.len() as u64);
         let io_dur = io_end.saturating_since(SimTime::ZERO);
         let io_latency = io_dur.max(submit);
         // Steady-state pacing under a deep queue: device lanes, wire, and
@@ -333,23 +302,8 @@ impl Placed for Conventional {
         let io_occupancy = ftl
             .device()
             .throughput_occupancy()
-            .max(sys.life.link.busy_time())
+            .max(link.busy_time())
             .max(submit);
-
-        // [P1] deserialization: rebuilding the dense object from scattered
-        // extents (free when the request is one contiguous extent — DMA
-        // lands it directly).
-        let restructure = if extents.len() > 1 {
-            sys.cpu.scatter_copy_time(extents.len() as u64, total_bytes)
-        } else {
-            SimDuration::ZERO
-        };
-
-        let mut assembler = Assembler::new(req.payload, total_bytes as usize);
-        for e in extents.iter() {
-            Self::read_extent(ftl, run.base_lba, *e, &mut assembler)?;
-        }
-        assembler.finish()?;
 
         // Waterfall back from the end of the io region: when command
         // submission dominated, the whole region is queue time; otherwise
@@ -372,10 +326,67 @@ impl Placed for Conventional {
             io_latency,
             io_occupancy,
             restructure,
-            commands: commands.len() as u64,
-            bytes: total_bytes,
+            commands: self.commands.len() as u64,
+            bytes,
         };
         Ok((metrics, stages))
+    }
+}
+
+impl Placed for Conventional {
+    const NAME: &'static str = "baseline";
+    const EXTENDED_COMMANDS: bool = false;
+    type Store = Lbas;
+
+    fn new(_config: &SystemConfig) -> Self {
+        Conventional
+    }
+
+    fn write(
+        sys: &mut BaselineSystem,
+        run: LbaRun,
+        req: Request<'_, &[u8]>,
+    ) -> Result<(WriteOutcome, Stages), SystemError> {
+        let lbas = &mut sys.store;
+        let total_bytes = lbas.extents_into(run, &req)?;
+        if req.payload.len() as u64 != total_bytes {
+            return Err(NdsError::BadPayloadSize {
+                got: req.payload.len(),
+                expected: total_bytes as usize,
+            }
+            .into());
+        }
+        // [P1] serialization: scattering the object into the linear layout.
+        let marshal = match lbas.extents.len() as u64 {
+            0 | 1 => SimDuration::ZERO,
+            extents => sys.cpu.scatter_copy_time(extents, total_bytes),
+        };
+        let (link, base) = (&mut sys.life.link, run.base_lba);
+        lbas.program(link, &sys.cpu, base, req.payload, marshal, total_bytes)
+    }
+
+    fn read(
+        sys: &mut BaselineSystem,
+        run: LbaRun,
+        req: Request<'_, &mut Vec<u8>>,
+    ) -> Result<(ReadMetrics, Stages), SystemError> {
+        let lbas = &mut sys.store;
+        let total_bytes = lbas.extents_into(run, &req)?;
+        // [P1] deserialization: rebuilding the dense object from scattered
+        // extents (free when the request is one contiguous extent — DMA
+        // lands it directly).
+        let restructure = match lbas.extents.len() as u64 {
+            0 | 1 => SimDuration::ZERO,
+            extents => sys.cpu.scatter_copy_time(extents, total_bytes),
+        };
+        let link = &mut sys.life.link;
+        let read = lbas.fetch(link, &sys.cpu, run.base_lba, restructure, total_bytes)?;
+        let mut assembler = Assembler::new(req.payload, total_bytes as usize);
+        for e in &lbas.extents {
+            lbas.read_extent(run.base_lba, *e, &mut assembler)?;
+        }
+        assembler.finish()?;
+        Ok(read)
     }
 }
 

@@ -1,13 +1,15 @@
-//! The flash-backed system: one front-end, three placements of translation
-//! (Fig. 7a–c).
+//! The flash-backed system: one front-end, four placements of translation
+//! (Fig. 7a–c and §7.2's oracle).
 //!
-//! The baseline, software NDS and hardware NDS run over the same flash
-//! device behind the same link and differ in *where* translation runs and
-//! what crosses the link. [`Conventional`] keeps the device's FTL behind a
-//! linear LBA space (Fig. 7a); [`Host`] runs the STL on the host CPU over a
-//! LightNVM-style physical interface (Fig. 7b); [`Controller`] runs it
-//! inside the SSD controller behind one extended NVMe command per request
-//! (Fig. 7c). [`FlashSystem`] owns what the three share — the store, the
+//! The baseline, software NDS, hardware NDS and the oracle run over the
+//! same flash device behind the same link and differ in *where*
+//! translation runs and what crosses the link. [`Conventional`] keeps the
+//! device's FTL behind a linear LBA space (Fig. 7a); [`Host`] runs the STL
+//! on the host CPU over a LightNVM-style physical interface (Fig. 7b);
+//! [`Controller`] runs it inside the SSD controller behind one extended
+//! NVMe command per request (Fig. 7c); [`Pretiled`] keeps the FTL but
+//! stores each dataset tile-major, as §7.2's oracle chose offline.
+//! [`FlashSystem`] owns what the four share — the store, the
 //! command lifecycle, the host CPU model, the dataset table and the one
 //! [`StorageFrontEnd`] implementation, which drives every lifecycle step in
 //! one order on every placement, so each request on a known dataset is one
@@ -18,6 +20,7 @@
 //! [`Conventional`]: crate::Conventional
 //! [`Host`]: crate::Host
 //! [`Controller`]: crate::Controller
+//! [`Pretiled`]: crate::Pretiled
 
 use std::collections::BTreeMap;
 
@@ -32,8 +35,8 @@ use crate::frontend::{DatasetId, ReadMetrics, StorageFrontEnd, WriteOutcome};
 use crate::lifecycle::{Lifecycle, Stages, Store};
 
 /// Where a [`FlashSystem`]'s translation runs. Sealed: the placements are
-/// [`Conventional`](crate::Conventional), [`Host`](crate::Host) and
-/// [`Controller`](crate::Controller).
+/// [`Conventional`](crate::Conventional), [`Host`](crate::Host),
+/// [`Controller`](crate::Controller) and [`Pretiled`](crate::Pretiled).
 pub trait Placement: sealed::Placed {}
 
 impl<T: sealed::Placed> Placement for T {}
@@ -95,7 +98,8 @@ use sealed::Request;
 
 /// A flash-backed system with its translation at placement `P`:
 /// [`BaselineSystem`](crate::BaselineSystem),
-/// [`SoftwareNds`](crate::SoftwareNds) or [`HardwareNds`](crate::HardwareNds).
+/// [`SoftwareNds`](crate::SoftwareNds), [`HardwareNds`](crate::HardwareNds)
+/// or [`OracleSystem`](crate::OracleSystem).
 #[derive(Debug)]
 pub struct FlashSystem<P: Placement> {
     pub(crate) store: P::Store,
@@ -123,7 +127,7 @@ impl<P: Placement> FlashSystem<P> {
 
     /// The record of dataset `id`.
     pub(crate) fn dataset(&self, id: DatasetId) -> Result<Dataset<P>, SystemError> {
-        let dataset = self.datasets.get(&id).copied();
+        let dataset = self.datasets.get(&id).cloned();
         dataset.ok_or(SystemError::UnknownDataset(id))
     }
 }

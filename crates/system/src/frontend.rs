@@ -235,11 +235,11 @@ pub trait StorageFrontEnd {
     }
 
     /// Number of trace ids allocated so far (the command tracer's cursor);
-    /// 0 when tracing is off. One front-end operation may allocate several
-    /// ids (the oracle decomposes an operation into per-tile inner
-    /// operations), so callers attributing commands — e.g. the multi-tenant
-    /// traffic engine mapping trace ids to tenants — snapshot the cursor
-    /// around an operation and claim the ids in `(before, after]`.
+    /// 0 when tracing is off. A flash-backed front-end allocates one id per
+    /// request on a known dataset; callers attributing commands — e.g. the
+    /// multi-tenant traffic engine mapping trace ids to tenants — snapshot
+    /// the cursor around an operation and claim the ids in
+    /// `(before, after]`, which holds for any front-end.
     fn trace_cursor(&self) -> u64 {
         0
     }

@@ -18,14 +18,16 @@
 //!   one extended NVMe command per object, assembly inside the device at
 //!   internal bandwidth, nothing but the finished object crosses the link.
 //!
-//!   All three are one [`FlashSystem`] — the same flash device and link,
-//!   dataset table, command lifecycle and front-end impl — at three
-//!   [`Placement`]s of translation: [`Conventional`] (the FTL), [`Host`]
-//!   and [`Controller`] (the STL).
 //! * [`OracleSystem`] — §7.2's exhaustive-search software alternative: the
 //!   dataset is pre-tiled on a baseline SSD in exactly the consumer's
 //!   request granularity, giving zero host overhead for those requests (at
 //!   the cost of one stored copy per distinct view).
+//!
+//! All four are one [`FlashSystem`] — the same flash device and link,
+//! dataset table, command lifecycle and front-end impl — at four
+//! [`Placement`]s of translation: [`Conventional`] (the FTL), [`Host`] and
+//! [`Controller`] (the STL), and [`Pretiled`] (the FTL under a layout
+//! chosen offline).
 //!
 //! Every operation returns an outcome with a latency *breakdown* (device,
 //! interconnect, host CPU, controller), which the benches use to regenerate
@@ -95,7 +97,7 @@ pub use flash_backend::FlashBackend;
 pub use flash_system::{FlashSystem, Placement};
 pub use frontend::{DatasetId, ReadMetrics, ReadOutcome, StorageFrontEnd, WriteOutcome};
 pub use hardware::{Controller, HardwareNds};
-pub use oracle::OracleSystem;
+pub use oracle::{OracleSystem, Pretiled};
 pub use software::{Host, SoftwareNds};
 pub use tenants::{
     tenant_pattern_byte, Arrival, Completion, Guarded, OpKind, TenantOp, TenantSet, TenantSpec,

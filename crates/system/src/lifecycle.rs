@@ -1,8 +1,8 @@
 //! The command lifecycle and the store seam of the flash-backed systems.
 //!
-//! The paper's architectures (Fig. 7a–c) differ only in *where translation
-//! runs and what crosses the link*: all three are one
-//! [`FlashSystem`](crate::FlashSystem) at three placements. Everything
+//! The paper's architectures (Fig. 7a–c) and its oracle (§7.2) differ only
+//! in *where translation runs and what crosses the link*: all four are one
+//! [`FlashSystem`](crate::FlashSystem) at four placements. Everything
 //! around a placement's data path — fault and observability wiring, the
 //! causal trace scope on system + link + device, the exact stage
 //! partition, the per-op counters / `host.*` series / request span /
@@ -13,16 +13,17 @@
 //! one trace scope: it resolves the request, moves the data, charges the
 //! clocks and returns its outcome and [`Stages`]. [`Store`] is the seam to
 //! what translation runs over: the baseline's FTL behind a linear LBA space
-//! ([`Lbas`]), or the NDS placements' STL.
+//! ([`Lbas`]; the oracle's `Tiles` wraps it), or the NDS placements' STL.
 
 use nds_core::{ElementType, Shape, SpaceId, Stl};
-use nds_flash::{FlashDevice, Ftl, FtlConfig};
+use nds_flash::{FlashDevice, Ftl, FtlConfig, PageAddr};
 use nds_interconnect::Link;
 use nds_sim::{
     record_command_partition, CommandTracer, ComponentId, Observability, SimDuration, SimTime,
     Stats, TraceContext, TraceStage,
 };
 
+use crate::baseline::Extent;
 use crate::config::SystemConfig;
 use crate::error::SystemError;
 use crate::flash_backend::FlashBackend;
@@ -49,11 +50,11 @@ pub(crate) fn partition<const N: usize>(parts: [(TraceStage, SimDuration); N]) -
 
 /// What a flash-backed system translates onto: the flash device, the
 /// dataset records it keeps, and their creation, deletion and counters.
-/// Reachable only inside this crate; its two stores are [`Lbas`] and the
-/// STL.
+/// Reachable only inside this crate; its stores are [`Lbas`], the oracle's
+/// `Tiles` over it, and the STL.
 pub trait Store: std::fmt::Debug {
     /// What the dataset table keeps per dataset.
-    type Dataset: Copy + std::fmt::Debug;
+    type Dataset: Clone + std::fmt::Debug;
 
     /// The store over a fresh device built from `config`.
     fn new(config: &SystemConfig) -> Self;
@@ -82,12 +83,20 @@ pub trait Store: std::fmt::Debug {
     fn merge_stats(&self, stats: &mut Stats);
 }
 
-/// The baseline's store: the FTL, and a bump allocator over the linear LBA
-/// space it exports.
+/// The store of the placements over a linear LBA space: the FTL, a bump
+/// allocator over the LBA space it exports, and the command machinery's
+/// request-scoped lists (`baseline.rs`), kept between requests so
+/// marshalling one does not allocate in steady state.
 #[derive(Debug)]
 pub struct Lbas {
     pub(crate) ftl: Ftl,
     next_lba: u64,
+    /// The request's byte extents in the dataset's run.
+    pub(crate) extents: Vec<Extent>,
+    /// `(first_page, page_count, wire_bytes)` per I/O command.
+    pub(crate) commands: Vec<(u64, u64, u64)>,
+    /// Physical pages of the command being scheduled.
+    pub(crate) addrs: Vec<PageAddr>,
 }
 
 /// A baseline dataset: its run of LBAs, holding the row-major
@@ -108,6 +117,9 @@ impl Store for Lbas {
         Lbas {
             ftl: Ftl::new(device, FtlConfig),
             next_lba: 0,
+            extents: Vec::new(),
+            commands: Vec::new(),
+            addrs: Vec::new(),
         }
     }
 

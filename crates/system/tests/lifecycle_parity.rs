@@ -1,5 +1,5 @@
 //! What the shared command lifecycle and dataset table must keep identical
-//! across the three flash-backed front-ends — one trace rule and one call
+//! across the four flash-backed front-ends — one trace rule and one call
 //! order on every placement (DESIGN.md "Command lifecycle") — and the one
 //! place they differ: only the controller's deletes are commands.
 
@@ -9,12 +9,13 @@
 use nds_core::{ElementType, NdsError, Shape};
 use nds_sim::{EventKind, ObsConfig, TraceExport};
 use nds_system::{
-    BaselineSystem, DatasetId, HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig, SystemError,
+    BaselineSystem, DatasetId, HardwareNds, OracleSystem, SoftwareNds, StorageFrontEnd,
+    SystemConfig, SystemError,
 };
 
 const N: u64 = 128;
 
-/// The three architectures, fully instrumented, behind one table.
+/// The four architectures, fully instrumented, behind one table.
 fn architectures() -> Vec<Box<dyn StorageFrontEnd>> {
     let config =
         || SystemConfig::small_test().with_observability(ObsConfig::traced().with_metrics());
@@ -22,6 +23,7 @@ fn architectures() -> Vec<Box<dyn StorageFrontEnd>> {
         Box::new(BaselineSystem::new(config())),
         Box::new(SoftwareNds::new(config())),
         Box::new(HardwareNds::new(config())),
+        Box::new(OracleSystem::with_tile(config(), vec![32, 32])),
     ]
 }
 
@@ -228,7 +230,7 @@ fn unknown_dataset_is_rejected_before_a_trace_id_is_allocated() {
 
 #[test]
 fn one_dataset_table_serves_every_architecture() {
-    let names = ["baseline", "software-nds", "hardware-nds"];
+    let names = ["baseline", "software-nds", "hardware-nds", "oracle"];
     for (mut sys, name) in architectures().into_iter().zip(names) {
         assert_eq!(sys.name(), name);
         let shape = Shape::new([32, 32]);
