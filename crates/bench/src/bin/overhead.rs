@@ -1,6 +1,6 @@
 //! Regenerates the **§7.3 overhead table**: the worst-case latency NDS adds
-//! on single-page requests with no dimensional transformation, and the
-//! space the STL's lookup structures occupy.
+//! on single-page requests with no assembly, and the space the STL's lookup
+//! structures occupy.
 //!
 //! Paper reference points: +41 µs (software NDS) and +17 µs (hardware NDS)
 //! over the baseline; lookup structures ≤0.1% of storage capacity; both
@@ -16,7 +16,7 @@ use nds_core::{ElementType, Shape};
 use nds_system::{BaselineSystem, HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig};
 
 fn main() {
-    println!("# §7.3 — NDS overhead (worst case: single-page reads, no transformation)\n");
+    println!("# §7.3 — NDS overhead (worst case: single-page reads, no assembly)\n");
     let config = SystemConfig::paper_scale();
     let page = config.flash.geometry.page_size as u64;
     // A one-page-wide dataset: each row is exactly one page, and a one-row

@@ -1,13 +1,12 @@
 //! Placement assembly of a read into the caller's buffer.
 //!
 //! Every read path produces its output as a sequence of *pieces* in
-//! ascending buffer order: stored bytes, a transforming backend's
-//! short-lived image, or a run of zeros where nothing is stored (a
-//! never-written block, an unallocated or zero-elided unit, an unmapped
-//! page). [`Assembler`] sizes the buffer once and puts each piece at its own
-//! offset, so every output byte is written once — twice only where the
-//! buffer grows and is zero-extended first. Zero runs are written too: the
-//! buffer may hold a previous read's bytes.
+//! ascending buffer order: stored bytes, or a run of zeros where nothing is
+//! stored (a never-written block, an unallocated or zero-elided unit, an
+//! unmapped page). [`Assembler`] sizes the buffer once and puts each piece
+//! at its own offset, so every output byte is written once — twice only
+//! where the buffer grows and is zero-extended first. Zero runs are written
+//! too: the buffer may hold a previous read's bytes.
 //!
 //! A large read is copied in `k` contiguous parts at once: the stored
 //! pieces are gathered first, then each part of the buffer — a disjoint
@@ -85,13 +84,6 @@ impl<'b, 's> Assembler<'b, 's> {
         } else {
             self.pending.push((self.at, bytes));
         }
-        self.at = self.at.saturating_add(bytes.len());
-    }
-
-    /// The next piece is `bytes`, placed now (a transforming backend's
-    /// short-lived image).
-    pub fn copied(&mut self, bytes: &[u8]) {
-        place(self.out, 0, self.at, bytes);
         self.at = self.at.saturating_add(bytes.len());
     }
 
@@ -203,8 +195,6 @@ fn place(out: &mut [u8], lo: usize, at: usize, bytes: &[u8]) {
 pub enum Piece {
     /// Passed to [`Assembler::stored`].
     Stored(Vec<u8>),
-    /// Passed to [`Assembler::copied`].
-    Copied(Vec<u8>),
     /// Passed to [`Assembler::zeros`].
     Zeros(usize),
 }
@@ -227,7 +217,6 @@ pub fn assemble_in_parts(
     for piece in pieces {
         match piece {
             Piece::Stored(bytes) => assembler.stored(bytes),
-            Piece::Copied(bytes) => assembler.copied(bytes),
             Piece::Zeros(len) => assembler.zeros(*len),
         }
     }
@@ -255,7 +244,7 @@ mod tests {
             &mut buf,
             8,
             1,
-            &[Piece::Zeros(4), Piece::Copied(vec![1; 5])],
+            &[Piece::Zeros(4), Piece::Stored(vec![1; 5])],
         );
         assert!(matches!(short, Err(NdsError::Inconsistent(_))));
         assert!(matches!(long, Err(NdsError::Inconsistent(_))));

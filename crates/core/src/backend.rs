@@ -15,7 +15,6 @@
 //! relocation does not invalidate the STL's building-block unit lists.
 
 use core::fmt;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -117,21 +116,21 @@ pub trait NvmBackend {
     /// spans of the unit the request then copies.
     fn resolve_unit(&self, loc: UnitLocation) -> Option<Self::UnitRef>;
 
-    /// The contents of a resolved unit; `None` if the reference has gone
-    /// stale. Called once per copied span, so it must be cheap for plain
-    /// backends, which return a borrowed slice; transforming backends
-    /// (encryption, compression — §5.3.3/§5.3.4) return an owned buffer.
-    fn unit_image(&self, unit: Self::UnitRef) -> Option<Cow<'_, [u8]>>;
+    /// The contents of a resolved unit, borrowed from the backend's own
+    /// storage; `None` if the reference has gone stale. The STL's read
+    /// assembly calls it once for each run of spans of one unit, so it must
+    /// be cheap.
+    fn unit_image(&self, unit: Self::UnitRef) -> Option<&[u8]>;
 
     /// Reads a unit's contents: [`resolve_unit`](Self::resolve_unit) then
     /// [`unit_image`](Self::unit_image).
-    fn read_unit(&self, loc: UnitLocation) -> Option<Cow<'_, [u8]>> {
+    fn read_unit(&self, loc: UnitLocation) -> Option<&[u8]> {
         self.unit_image(self.resolve_unit(loc)?)
     }
 
     /// Writes a unit's contents (exactly `unit_bytes` bytes). Takes a
     /// borrowed slice so callers can reuse one staging buffer across units;
-    /// implementations copy (or transform) into their own storage.
+    /// implementations copy it into their own storage.
     ///
     /// # Errors
     ///
@@ -263,8 +262,8 @@ impl NvmBackend for MemBackend {
         self.slots.get(&loc).copied()
     }
 
-    fn unit_image(&self, slot: usize) -> Option<Cow<'_, [u8]>> {
-        self.images.get(slot).map(|v| Cow::Borrowed(v.as_slice()))
+    fn unit_image(&self, slot: usize) -> Option<&[u8]> {
+        self.images.get(slot).map(Vec::as_slice)
     }
 
     fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError> {

@@ -4,7 +4,6 @@ use core::fmt;
 
 use crate::backend::UnitLocation;
 use crate::space::SpaceId;
-use crate::views::ViewId;
 
 /// Errors raised by the space translation layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,9 +11,6 @@ use crate::views::ViewId;
 pub enum NdsError {
     /// No space is registered under the given identifier.
     UnknownSpace(SpaceId),
-    /// No open view with the given dynamic identifier (it was never opened
-    /// or `close_space` already reclaimed it, §5.3.1).
-    UnknownView(ViewId),
     /// A view's total volume differs from the space's total volume; the
     /// paper permits any dimensionality "as long as the volumes of these two
     /// dimensionalities match" (§3).
@@ -83,7 +79,6 @@ impl fmt::Display for NdsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NdsError::UnknownSpace(id) => write!(f, "no space with identifier {id}"),
-            NdsError::UnknownView(id) => write!(f, "no open view with identifier {id}"),
             NdsError::ViewVolumeMismatch { space, view } => write!(
                 f,
                 "view volume of {view} elements does not match space volume of {space}"

@@ -92,9 +92,7 @@ mod space;
 mod stl;
 #[cfg(feature = "testing")]
 pub mod testing;
-pub mod transform;
 pub mod translator;
-pub mod views;
 
 pub use alloc::{AllocationPolicy, BlockAllocator};
 pub use assembly::Assembler;
@@ -107,4 +105,3 @@ pub use plan_cache::{GeometryClass, PlanCache};
 pub use shape::{Region, Shape};
 pub use space::{Space, SpaceId};
 pub use stl::{AccessReport, BlockAccess, Stl, StlConfig, WriteReport};
-pub use views::{ViewId, ViewRegistry};

@@ -17,7 +17,6 @@
 //! architectures (`nds-system`) can charge channels, banks, the
 //! interconnect, and the assembling CPU without re-deriving the translation.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,7 +32,6 @@ use crate::plan_cache::PlanCache;
 use crate::shape::{Region, Shape};
 use crate::space::{Space, SpaceId};
 use crate::translator::{self, BlockCover, Segment, Translation};
-use crate::views::{ViewId, ViewRegistry};
 
 /// Configuration of an STL instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -152,7 +150,6 @@ pub struct Stl<B: NvmBackend> {
     allocator: BlockAllocator,
     config: StlConfig,
     spaces: BTreeMap<SpaceId, Space>,
-    views: ViewRegistry,
     next_id: u64,
     plan_cache: PlanCache,
     scratch: Scratch<B::UnitRef>,
@@ -227,7 +224,6 @@ impl<B: NvmBackend> Stl<B> {
             backend,
             config,
             spaces: BTreeMap::new(),
-            views: ViewRegistry::new(),
             next_id: 1,
             plan_cache: PlanCache::new(config.plan_cache_capacity),
             scratch: Scratch {
@@ -297,9 +293,8 @@ impl<B: NvmBackend> Stl<B> {
         self.spaces.values()
     }
 
-    /// Permanently deletes a space: every allocated unit is released, the
-    /// translation structures are dropped, and all open views of the space
-    /// are closed (the paper's `delete_space`).
+    /// Permanently deletes a space: every allocated unit is released and
+    /// the translation structures are dropped (the paper's `delete_space`).
     ///
     /// # Errors
     ///
@@ -309,70 +304,7 @@ impl<B: NvmBackend> Stl<B> {
         for unit in space.tree_mut().drain_units() {
             self.backend.release_unit(unit);
         }
-        self.views.close_all_of(id);
         Ok(())
-    }
-
-    /// Opens an application view of `space` (the paper's `open_space` on an
-    /// existing identifier): any dimensionality whose volume matches the
-    /// space's. Returns the dynamic view ID used to address subsequent
-    /// requests via [`read_view`](Self::read_view)/
-    /// [`write_view`](Self::write_view).
-    ///
-    /// # Errors
-    ///
-    /// [`NdsError::UnknownSpace`] or [`NdsError::ViewVolumeMismatch`].
-    pub fn open_view(&mut self, space: SpaceId, shape: Shape) -> Result<ViewId, NdsError> {
-        let volume = self.space(space)?.shape().volume();
-        self.views.open(space, shape, volume)
-    }
-
-    /// Closes a view, reclaiming its dynamic ID (the paper's `close_space`).
-    ///
-    /// # Errors
-    ///
-    /// [`NdsError::UnknownView`] if `view` is not open.
-    pub fn close_view(&mut self, view: ViewId) -> Result<(), NdsError> {
-        self.views.close(view)
-    }
-
-    /// Reads a partition addressed through an open view.
-    ///
-    /// # Errors
-    ///
-    /// [`NdsError::UnknownView`] plus the usual translation errors.
-    pub fn read_view(
-        &mut self,
-        view: ViewId,
-        coord: &[u64],
-        sub_dims: &[u64],
-    ) -> Result<(Vec<u8>, AccessReport), NdsError> {
-        let space = self.views.space_of(view)?;
-        let shape = self.views.shape(view)?.clone();
-        self.read(space, &shape, coord, sub_dims)
-    }
-
-    /// Writes a partition addressed through an open view.
-    ///
-    /// # Errors
-    ///
-    /// [`NdsError::UnknownView`] plus the usual translation/allocation
-    /// errors.
-    pub fn write_view(
-        &mut self,
-        view: ViewId,
-        coord: &[u64],
-        sub_dims: &[u64],
-        data: &[u8],
-    ) -> Result<WriteReport, NdsError> {
-        let space = self.views.space_of(view)?;
-        let shape = self.views.shape(view)?.clone();
-        self.write(space, &shape, coord, sub_dims, data)
-    }
-
-    /// Number of views currently open across all spaces.
-    pub fn open_views(&self) -> usize {
-        self.views.open_count()
     }
 
     /// Translates a request without performing it (used by planners and the
@@ -574,14 +506,10 @@ impl<B: NvmBackend> Stl<B> {
                 slot = wanted;
             }
             let range = span.unit_offset as usize..(span.unit_offset + span.len) as usize;
-            match &image {
+            match image {
                 None => assembler.zeros(range.len()),
-                Some((loc, Cow::Borrowed(bytes))) => {
-                    let bytes: &[u8] = bytes;
-                    assembler.stored(bytes.get(range).ok_or(NdsError::MissingUnit(*loc))?);
-                }
-                Some((loc, Cow::Owned(bytes))) => {
-                    assembler.copied(bytes.get(range).ok_or(NdsError::MissingUnit(*loc))?);
+                Some((loc, stored)) => {
+                    assembler.stored(stored.get(range).ok_or(NdsError::MissingUnit(loc))?);
                 }
             }
             Ok(())
@@ -673,12 +601,12 @@ impl<B: NvmBackend> Stl<B> {
                     // buffer is reused across units and requests.
                     self.scratch.image.clear();
                     if let (true, Some(old_loc)) = (covered != unit_bytes, old) {
-                        if let Some(existing) = self.backend.read_unit(old_loc) {
-                            if existing.len() != unit_bytes {
-                                return Err(NdsError::MissingUnit(old_loc));
-                            }
-                            self.scratch.image.extend_from_slice(&existing);
-                        }
+                        let existing = self
+                            .backend
+                            .read_unit(old_loc)
+                            .filter(|existing| existing.len() == unit_bytes)
+                            .ok_or(NdsError::MissingUnit(old_loc))?;
+                        self.scratch.image.extend_from_slice(existing);
                         report.rmw_units += 1;
                     }
                     self.scratch.image.resize(unit_bytes, 0);

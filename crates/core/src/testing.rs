@@ -11,7 +11,6 @@
 //! nds-core = { workspace = true, features = ["testing"] }
 //! ```
 
-use std::borrow::Cow;
 use std::cell::Cell;
 
 use crate::backend::{DeviceSpec, MemBackend, NvmBackend, UnitLocation};
@@ -123,7 +122,7 @@ impl NvmBackend for FlakyBackend {
         self.inner.resolve_unit(loc)
     }
 
-    fn unit_image(&self, unit: Self::UnitRef) -> Option<Cow<'_, [u8]>> {
+    fn unit_image(&self, unit: Self::UnitRef) -> Option<&[u8]> {
         self.inner.unit_image(unit)
     }
 
@@ -164,6 +163,6 @@ mod tests {
         b.fail_next_reads(2);
         assert!(b.read_unit(loc).is_none());
         assert!(b.read_unit(loc).is_none());
-        assert_eq!(b.read_unit(loc).unwrap().as_ref(), &[3u8; 64][..]);
+        assert_eq!(b.read_unit(loc).unwrap(), &[3u8; 64][..]);
     }
 }

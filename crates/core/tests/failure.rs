@@ -106,6 +106,28 @@ fn a_refused_unit_write_is_typed_and_the_block_keeps_what_it_had() {
     assert_eq!(free(&stl), free_before);
 }
 
+#[test]
+fn a_partial_write_over_an_unreadable_unit_is_typed_and_changes_nothing() {
+    let spec = DeviceSpec::new(4, 2, 512);
+    let mut stl = Stl::new(FlakyBackend::new(spec, 1024), StlConfig::default());
+    let shape = Shape::new([64, 64]);
+    let id = stl.create_space(shape.clone(), ElementType::U8).unwrap();
+    let old: Vec<u8> = (0..64 * 64).map(|i| 1 + (i % 251) as u8).collect();
+    stl.write(id, &shape, &[0, 0], &[64, 64], &old)
+        .expect("first write");
+
+    // One element of a 512-byte unit: the write must read the unit's other
+    // 511 bytes, and the backend cannot produce them.
+    stl.backend_mut().fail_next_reads(1);
+    let err = stl
+        .write(id, &shape, &[0, 0], &[1, 1], &[0xEE])
+        .expect_err("the unit to merge into is unreadable");
+    assert!(matches!(err, NdsError::MissingUnit(_)), "{err}");
+
+    let (out, _) = stl.read(id, &shape, &[0, 0], &[64, 64]).unwrap();
+    assert_eq!(out, old);
+}
+
 fn stl_space<B: NvmBackend>(stl: &mut Stl<B>, shape: &Shape) -> nds_core::SpaceId {
     stl.create_space(shape.clone(), ElementType::F32)
         .expect("space creation is metadata-only")

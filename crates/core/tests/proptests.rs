@@ -200,61 +200,6 @@ fn tiled_writes_compose_to_full_matrix() {
     }
 }
 
-/// §5.3.1 view lifecycle: views address the same bytes as direct requests,
-/// close_space reclaims IDs, and delete_space closes everything.
-#[test]
-fn view_lifecycle_matches_direct_requests() {
-    use nds_core::NdsError;
-    let backend = MemBackend::new(spec(), 65536);
-    let mut stl = Stl::new(backend, StlConfig::default());
-    let producer = Shape::new([64, 64]);
-    let id = stl
-        .create_space(producer.clone(), ElementType::F32)
-        .unwrap();
-    let data: Vec<u8> = (0..64u32 * 64 * 4).map(|i| (i % 251) as u8).collect();
-    stl.write(id, &producer, &[0, 0], &[64, 64], &data).unwrap();
-
-    // Open two views with different dimensionalities.
-    let flat = stl.open_view(id, Shape::new([4096])).unwrap();
-    let wide = stl.open_view(id, Shape::new([128, 32])).unwrap();
-    assert_eq!(stl.open_views(), 2);
-
-    // View-addressed reads equal the equivalent direct reads.
-    let (via_view, _) = stl.read_view(flat, &[1], &[1024]).unwrap();
-    let (direct, _) = stl.read(id, &Shape::new([4096]), &[1], &[1024]).unwrap();
-    assert_eq!(via_view, direct);
-    let (via_wide, _) = stl.read_view(wide, &[0, 1], &[128, 16]).unwrap();
-    assert_eq!(via_wide.len(), 128 * 16 * 4);
-
-    // Volume mismatches are rejected at open time.
-    assert!(matches!(
-        stl.open_view(id, Shape::new([100, 41])),
-        Err(NdsError::ViewVolumeMismatch { .. })
-    ));
-
-    // Closing reclaims the dynamic ID.
-    stl.close_view(flat).unwrap();
-    assert!(matches!(
-        stl.read_view(flat, &[0], &[16]),
-        Err(NdsError::UnknownView(_))
-    ));
-    assert_eq!(stl.open_views(), 1);
-
-    // Writes through views land in the space.
-    stl.write_view(wide, &[0, 0], &[128, 1], &vec![7u8; 128 * 4])
-        .unwrap();
-    let (head, _) = stl.read(id, &producer, &[0, 0], &[64, 1]).unwrap();
-    assert!(head.iter().all(|&b| b == 7));
-
-    // delete_space closes the remaining views.
-    stl.delete_space(id).unwrap();
-    assert_eq!(stl.open_views(), 0);
-    assert!(matches!(
-        stl.read_view(wide, &[0, 0], &[1, 1]),
-        Err(NdsError::UnknownView(_))
-    ));
-}
-
 /// §8 sparse-content optimization: all-zero units are never allocated, and
 /// overwriting data with zeros releases the storage — while reads remain
 /// exact.

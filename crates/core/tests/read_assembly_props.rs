@@ -21,27 +21,27 @@ fn serial(pieces: &[Piece]) -> Vec<u8> {
     let mut out = Vec::new();
     for piece in pieces {
         match piece {
-            Piece::Stored(bytes) | Piece::Copied(bytes) => out.extend_from_slice(bytes),
+            Piece::Stored(bytes) => out.extend_from_slice(bytes),
             Piece::Zeros(len) => out.resize(out.len() + len, 0),
         }
     }
     out
 }
 
-/// Up to 24 pieces of up to 24 bytes: stored, copied or a zero run, the
-/// stored and copied bytes in `1..STALE`.
+/// Up to 24 pieces of up to 24 bytes: stored or a zero run, the stored
+/// bytes in `1..STALE`.
 fn pieces_strategy() -> impl Strategy<Value = Vec<Piece>> {
-    prop::collection::vec((0u8..3, 0usize..=24, any::<u8>()), 0..=24).prop_map(|specs| {
+    prop::collection::vec((any::<bool>(), 0usize..=24, any::<u8>()), 0..=24).prop_map(|specs| {
         specs
             .into_iter()
-            .map(|(kind, len, seed)| {
-                let bytes = (0..len)
-                    .map(|i| 1 + (usize::from(seed) + i) as u8 % (STALE - 1))
-                    .collect();
-                match kind {
-                    0 => Piece::Stored(bytes),
-                    1 => Piece::Copied(bytes),
-                    _ => Piece::Zeros(len),
+            .map(|(stored, len, seed)| {
+                if stored {
+                    let bytes = (0..len)
+                        .map(|i| 1 + (usize::from(seed) + i) as u8 % (STALE - 1))
+                        .collect();
+                    Piece::Stored(bytes)
+                } else {
+                    Piece::Zeros(len)
                 }
             })
             .collect()
@@ -61,7 +61,7 @@ proptest! {
         dirty_reads::check(&mut dirty_reads::StlSpace(&mut stl, id), &case)?;
     }
 
-    /// Parts of at most a few dozen bytes cut through pieces of every kind
+    /// Parts of at most a few dozen bytes cut through pieces of both kinds
     /// at random; the buffer starts longer or shorter than the read and
     /// full of `STALE`, so a hole left unwritten shows.
     #[test]
@@ -77,17 +77,17 @@ proptest! {
     }
 }
 
-/// 24 bytes whose zero runs and copied pieces start on, end on or cross
+/// 24 bytes whose zero runs and stored pieces start on, end on or cross
 /// the part boundaries of every part count: 12 (two parts), 8 and 16
 /// (three), 6, 12 and 18 (four).
 #[test]
-fn zero_runs_and_copied_pieces_on_and_across_part_boundaries() {
+fn zero_runs_and_stored_pieces_on_and_across_part_boundaries() {
     let pieces = [
         Piece::Zeros(4),           // 0..4
-        Piece::Copied(vec![1; 4]), // 4..8: crosses 6, ends on 8
+        Piece::Stored(vec![1; 4]), // 4..8: crosses 6, ends on 8
         Piece::Stored(vec![2; 2]), // 8..10: starts on 8
         Piece::Zeros(4),           // 10..14: crosses 12
-        Piece::Copied(vec![3; 4]), // 14..18: crosses 16, ends on 18
+        Piece::Stored(vec![3; 4]), // 14..18: crosses 16, ends on 18
         Piece::Zeros(4),           // 18..22: starts on 18
         Piece::Stored(vec![4; 2]), // 22..24
     ];
@@ -104,11 +104,7 @@ fn zero_runs_and_copied_pieces_on_and_across_part_boundaries() {
 
 #[test]
 fn a_zero_length_read_empties_the_buffer_at_every_part_count() {
-    let empty = [
-        Piece::Stored(Vec::new()),
-        Piece::Zeros(0),
-        Piece::Copied(Vec::new()),
-    ];
+    let empty = [Piece::Stored(Vec::new()), Piece::Zeros(0)];
     for parts in 1..=4 {
         for pieces in [&empty[..], &[]] {
             let mut buf = vec![STALE; 9];

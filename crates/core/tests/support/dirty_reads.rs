@@ -10,12 +10,12 @@ use proptest::prelude::*;
 use nds_core::{AccessReport, ElementType, NvmBackend, Region, Shape, SpaceId, Stl};
 
 /// One `(coord, sub_dims)` partition of a view.
-pub type Request = (Vec<u64>, Vec<u64>);
+pub(crate) type Request = (Vec<u64>, Vec<u64>);
 
 /// A space, what is written to it through the producer's view (the space's
 /// own shape), and what is then read back through a consumer view.
 #[derive(Debug, Clone)]
-pub struct Case {
+pub(crate) struct Case {
     pub dims: Vec<u64>,
     pub element: ElementType,
     /// Partial writes: the partition and a fill byte (0 writes zeros, which
@@ -31,7 +31,7 @@ pub struct Case {
 
 /// Spaces of 1–3 dimensions of f32 or f64, up to six partial writes, up to
 /// eight reads.
-pub fn case_strategy(max_side: u64) -> impl Strategy<Value = Case> {
+pub(crate) fn case_strategy(max_side: u64) -> impl Strategy<Value = Case> {
     let selectors = || prop::collection::vec((0u64..1 << 16, 0u64..1 << 16), 3);
     (
         prop::collection::vec(1u64..=max_side, 1..=3),
@@ -62,7 +62,7 @@ pub fn case_strategy(max_side: u64) -> impl Strategy<Value = Case> {
 
 /// Picks a partition of `view` from one `(extent, position)` selector pair
 /// per dimension.
-pub fn request_in(view: &Shape, selectors: &[(u64, u64)]) -> Request {
+pub(crate) fn request_in(view: &Shape, selectors: &[(u64, u64)]) -> Request {
     view.dims()
         .iter()
         .zip(selectors)
@@ -74,7 +74,7 @@ pub fn request_in(view: &Shape, selectors: &[(u64, u64)]) -> Request {
 }
 
 /// The consumer's view of a space of `dims`: same volume, other shape.
-pub fn consumer_view(dims: &[u64], fold: u8) -> Shape {
+pub(crate) fn consumer_view(dims: &[u64], fold: u8) -> Shape {
     match (dims, fold) {
         ([a, b, c], 1) => Shape::new([a * b, *c]),
         ([a, b, c], 2) => Shape::new([*a, b * c]),
@@ -83,7 +83,7 @@ pub fn consumer_view(dims: &[u64], fold: u8) -> Shape {
 }
 
 /// Something that stores one space and reads partitions of it back.
-pub trait Subject {
+pub(crate) trait Subject {
     /// What a read reports besides the bytes.
     type Report: PartialEq + std::fmt::Debug;
     fn write(&mut self, view: &Shape, coord: &[u64], sub: &[u64], data: &[u8]);
@@ -98,7 +98,7 @@ pub trait Subject {
 }
 
 /// One space of an STL.
-pub struct StlSpace<'a, B: NvmBackend>(pub &'a mut Stl<B>, pub SpaceId);
+pub(crate) struct StlSpace<'a, B: NvmBackend>(pub &'a mut Stl<B>, pub SpaceId);
 
 impl<B: NvmBackend> Subject for StlSpace<'_, B> {
     type Report = AccessReport;
@@ -126,7 +126,7 @@ impl<B: NvmBackend> Subject for StlSpace<'_, B> {
 /// `case.element`: every read goes once into a fresh buffer and once into
 /// one dirty buffer shared by all of them, and both must equal the same
 /// bytes of `model`, a dense copy of the space in canonical order.
-pub fn check(subject: &mut impl Subject, case: &Case) -> Result<(), TestCaseError> {
+pub(crate) fn check(subject: &mut impl Subject, case: &Case) -> Result<(), TestCaseError> {
     let producer = Shape::new(case.dims.clone());
     let elem = case.element.size();
     let mut model = vec![0u8; producer.volume() as usize * elem];

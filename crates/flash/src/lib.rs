@@ -76,7 +76,7 @@ mod geometry;
 mod mapper;
 mod timing;
 
-pub use device::{FlashDevice, PageState};
+pub use device::{FlashDevice, LaneBusy, PageState};
 pub use error::FlashError;
 pub use ftl::{Ftl, FtlConfig};
 pub use geometry::{BlockAddr, FlashGeometry, PageAddr};

@@ -18,8 +18,6 @@
 //! under a fault plan installed on the [device](FlashBackend::device_mut),
 //! to inject and recover from media faults.
 
-use std::borrow::Cow;
-
 use nds_core::{DeviceSpec, NdsError, NvmBackend, UnitLocation};
 use nds_flash::{
     FlashConfig, FlashDevice, FlashError, MapperLabels, PageAddr, PageMapper, SparseIndex,
@@ -221,8 +219,8 @@ impl NvmBackend for FlashBackend {
         self.physical_of(loc)
     }
 
-    fn unit_image(&self, page: PageAddr) -> Option<Cow<'_, [u8]>> {
-        self.device().peek(page).map(Cow::Borrowed)
+    fn unit_image(&self, page: PageAddr) -> Option<&[u8]> {
+        self.device().peek(page)
     }
 
     fn write_unit(&mut self, loc: UnitLocation, data: &[u8]) -> Result<(), NdsError> {
@@ -273,7 +271,7 @@ mod tests {
         let n = unit_bytes(&b);
         let loc = b.alloc_unit(1, 1).unwrap();
         b.write_unit(loc, &vec![0xCD; n]).unwrap();
-        assert_eq!(b.read_unit(loc).unwrap().as_ref(), vec![0xCD; n].as_slice());
+        assert_eq!(b.read_unit(loc).unwrap(), vec![0xCD; n].as_slice());
     }
 
     #[test]
@@ -390,9 +388,8 @@ mod tests {
         assert!(b.alloc_unit(0, 0).is_none(), "lane is still full");
         assert_eq!(b.stats().get("backend.gc_relocated"), 0);
         for (i, loc) in units.iter().enumerate().skip(1) {
-            let data = b.read_unit(*loc);
             assert_eq!(
-                data.as_deref(),
+                b.read_unit(*loc),
                 Some(vec![i as u8; n].as_slice()),
                 "handle {i} was stranded by the failed collection"
             );

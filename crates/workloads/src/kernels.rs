@@ -310,36 +310,6 @@ pub fn pagerank_tile(
     }
 }
 
-/// Assigns each point of a row panel (`rows × d`) to its nearest centroid
-/// (`k × d`), accumulating per-cluster sums and counts for the update step.
-pub fn kmeans_assign(
-    panel: &[f32],
-    d: usize,
-    centroids: &[f32],
-    sums: &mut [f64],
-    counts: &mut [u64],
-) {
-    for point in panel.chunks_exact(d) {
-        let mut best = 0usize;
-        let mut best_dist = f32::INFINITY;
-        for (c, centroid) in centroids.chunks_exact(d).enumerate() {
-            let dist: f32 = point
-                .iter()
-                .zip(centroid)
-                .map(|(p, q)| (p - q) * (p - q))
-                .sum();
-            if dist < best_dist {
-                best_dist = dist;
-                best = c;
-            }
-        }
-        counts[best] += 1;
-        for (s, p) in sums[best * d..best * d + d].iter_mut().zip(point) {
-            *s += *p as f64;
-        }
-    }
-}
-
 /// Finalizes centroids from accumulated sums/counts.
 pub fn kmeans_update(sums: &[f64], counts: &[u64], d: usize, centroids: &mut [f32]) {
     for (c, centroid) in centroids.chunks_exact_mut(d).enumerate() {
@@ -348,37 +318,6 @@ pub fn kmeans_update(sums: &[f64], counts: &[u64], d: usize, centroids: &mut [f3
         }
         for (j, v) in centroid.iter_mut().enumerate() {
             *v = (sums[c * d + j] / counts[c] as f64) as f32;
-        }
-    }
-}
-
-/// Scans a row panel of points for the k nearest to `query`, merging into a
-/// running best list of `(distance, index)` sorted ascending.
-pub fn knn_scan(
-    panel: &[f32],
-    d: usize,
-    base_index: u64,
-    query: &[f32],
-    k: usize,
-    best: &mut Vec<(f32, u64)>,
-) {
-    for (r, point) in panel.chunks_exact(d).enumerate() {
-        let dist: f32 = point
-            .iter()
-            .zip(query)
-            .map(|(p, q)| (p - q) * (p - q))
-            .sum();
-        let idx = base_index + r as u64;
-        if best.len() < k {
-            best.push((dist, idx));
-            best.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        } else if dist < {
-            #[allow(clippy::expect_used)] // the branch above guarantees best is non-empty
-            best.last().expect("non-empty").0
-        } {
-            best.pop();
-            best.push((dist, idx));
-            best.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         }
     }
 }
@@ -554,30 +493,16 @@ mod tests {
     }
 
     #[test]
-    fn kmeans_assign_and_update() {
+    fn kmeans_update_averages_each_cluster_and_keeps_an_empty_one() {
         let d = 2;
-        // Two obvious clusters around (0,0) and (10,10).
-        let panel = [0.0, 0.1, 0.1, 0.0, 10.0, 9.9, 9.9, 10.1];
-        let centroids = vec![1.0, 1.0, 9.0, 9.0];
-        let mut sums = vec![0.0f64; 4];
-        let mut counts = vec![0u64; 2];
-        kmeans_assign(&panel, d, &centroids, &mut sums, &mut counts);
-        assert_eq!(counts, [2, 2]);
-        let mut updated = centroids.clone();
-        kmeans_update(&sums, &counts, d, &mut updated);
-        assert!((updated[0] - 0.05).abs() < 1e-6);
-        assert!((updated[2] - 9.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn knn_keeps_k_nearest() {
-        let d = 1;
-        let panel = [5.0f32, 1.0, 3.0, 9.0];
-        let query = [0.0f32];
-        let mut best = Vec::new();
-        knn_scan(&panel, d, 100, &query, 2, &mut best);
-        let ids: Vec<u64> = best.iter().map(|&(_, i)| i).collect();
-        assert_eq!(ids, vec![101, 102]);
+        // Cluster 0 took (0, 0.1) and (0.1, 0); cluster 1 took no point.
+        let sums = [0.1, 0.1, 0.0, 0.0];
+        let counts = [2, 0];
+        let mut centroids = [1.0, 1.0, 9.0, 9.0];
+        kmeans_update(&sums, &counts, d, &mut centroids);
+        assert!((centroids[0] - 0.05).abs() < 1e-6);
+        assert!((centroids[1] - 0.05).abs() < 1e-6);
+        assert_eq!(&centroids[2..], [9.0, 9.0]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod params;
 pub mod tenants;
 mod workloads;
 
-pub use driver::{stream_phase, PhaseOutcome, WorkloadRun};
+pub use driver::{stream_phase, BlockReads, PhaseOutcome, WorkloadRun};
 pub use params::WorkloadParams;
 pub use workloads::{
     all_workloads, Bfs, Conv2d, Gemm, Hotspot, KMeans, Knn, PageRank, Sssp, Tc, Ttv, Workload,

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod reference {
-    pub fn gemm_tile(t: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    pub(crate) fn gemm_tile(t: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         for i in 0..t {
             for k in 0..t {
                 let aik = a[k + t * i];
@@ -31,7 +31,7 @@ mod reference {
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub fn hotspot_tile(
+    pub(crate) fn hotspot_tile(
         t: usize,
         temp: &[f32],
         power: &[f32],
@@ -84,7 +84,7 @@ mod reference {
         }
     }
 
-    pub fn conv2d_tile(t: usize, r: usize, tile: &[f32], out: &mut [f32]) {
+    pub(crate) fn conv2d_tile(t: usize, r: usize, tile: &[f32], out: &mut [f32]) {
         let norm = 1.0 / (2 * r + 1) as f32;
         let mut tmp = vec![0.0f32; t * t];
         for y in 0..t {
