@@ -11,8 +11,7 @@
 //! to Fig. 3's qualitative shape: small tiles underutilize the engine
 //! (launch/occupancy overheads dominate), the rate peaks at the engine's
 //! optimum, and very large tiles decay gently (cache/occupancy pressure).
-//! [`DeviceMemory`] models the capacity limit that forces blocked execution,
-//! and [`h2d_link`] builds the host-to-device copy link.
+//! [`h2d_link`] builds the host-to-device copy link.
 //!
 //! # Example
 //!
@@ -169,35 +168,6 @@ impl ComputeEngine {
     }
 }
 
-/// The accelerator's device-memory capacity, which forces blocked execution
-/// when datasets exceed it (§6.2: every workload's data is larger than the
-/// GPU buffer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeviceMemory {
-    /// Usable capacity in bytes.
-    pub capacity: u64,
-}
-
-impl DeviceMemory {
-    /// An RTX 2080's 8 GB (§6.1).
-    pub fn rtx_2080() -> Self {
-        DeviceMemory {
-            capacity: 8 * 1024 * 1024 * 1024,
-        }
-    }
-
-    /// A scaled-down capacity for fast simulations: the *ratio* of dataset
-    /// to device memory is what drives blocking, so scaled runs shrink both.
-    pub fn scaled(capacity: u64) -> Self {
-        DeviceMemory { capacity }
-    }
-
-    /// True if a working set of `bytes` needs blocked streaming.
-    pub fn needs_blocking(&self, bytes: u64) -> bool {
-        bytes > self.capacity
-    }
-}
-
 /// The host→device copy path (PCIe 3.0 ×16 on the paper's platform).
 pub fn h2d_link() -> Link {
     Link::new(LinkConfig::pcie3_x16())
@@ -253,14 +223,6 @@ mod tests {
         // Nanosecond rounding may differ by one.
         assert!(two.as_nanos().abs_diff(one.as_nanos() * 2) <= 1);
         assert_eq!(tc.kernel_time(0, 512), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn device_memory_blocking() {
-        let mem = DeviceMemory::scaled(1 << 20);
-        assert!(mem.needs_blocking(2 << 20));
-        assert!(!mem.needs_blocking(1 << 19));
-        assert_eq!(DeviceMemory::rtx_2080().capacity, 8 << 30);
     }
 
     #[test]

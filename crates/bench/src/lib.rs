@@ -273,7 +273,7 @@ mod tests {
         let (art, rest) = artifacts(&["c"]);
         assert!(art.report_path.is_none() && !art.wants_report());
         assert_eq!(rest, ["c"]);
-        assert!(!art.obs().any_enabled());
+        assert_eq!(art.obs(), ObsConfig::disabled());
     }
 
     #[test]

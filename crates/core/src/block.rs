@@ -26,7 +26,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::backend::DeviceSpec;
 use crate::element::ElementType;
-use crate::error::NdsError;
 use crate::shape::Shape;
 
 /// Which block dimensionality the STL should use for a space.
@@ -200,25 +199,6 @@ impl BlockShape {
                 .collect::<Vec<_>>(),
         )
     }
-
-    /// The block coordinate containing element coordinate `coord`.
-    ///
-    /// # Errors
-    ///
-    /// [`NdsError::ArityMismatch`] if arities differ.
-    pub fn block_of(&self, coord: &[u64]) -> Result<Vec<u64>, NdsError> {
-        if coord.len() != self.dims.len() {
-            return Err(NdsError::ArityMismatch {
-                view: self.dims.len(),
-                request: coord.len(),
-            });
-        }
-        Ok(coord
-            .iter()
-            .zip(&self.dims)
-            .map(|(&x, &bb)| x / bb)
-            .collect())
-    }
 }
 
 impl fmt::Display for BlockShape {
@@ -372,28 +352,6 @@ mod tests {
         // 128×128 blocks tile a 200×300 space as 2×3.
         let grid = bb.grid_for(&Shape::new([200, 300]));
         assert_eq!(grid.dims(), &[2, 3]);
-    }
-
-    #[test]
-    fn block_of_coordinates() {
-        let spec = DeviceSpec::new(8, 8, 4096);
-        let bb = BlockShape::for_space(
-            &Shape::new([1024, 1024]),
-            ElementType::F32,
-            spec,
-            BlockDimensionality::TwoD,
-            1,
-        );
-        assert_eq!(bb.block_of(&[0, 0]), Ok(vec![0, 0]));
-        assert_eq!(bb.block_of(&[127, 128]), Ok(vec![0, 1]));
-        assert_eq!(bb.block_of(&[500, 500]), Ok(vec![3, 3]));
-        assert_eq!(
-            bb.block_of(&[1, 2, 3]),
-            Err(NdsError::ArityMismatch {
-                view: 2,
-                request: 3
-            })
-        );
     }
 
     #[test]

@@ -153,14 +153,6 @@ impl Shape {
         }
         Some(coord)
     }
-
-    /// The whole shape as a region at the origin.
-    pub fn full_region(&self) -> Region {
-        Region {
-            origin: vec![0; self.ndims()],
-            extent: self.dims.clone(),
-        }
-    }
 }
 
 impl fmt::Display for Shape {
@@ -489,15 +481,5 @@ mod tests {
             .for_each_run(&shape, |off, start, len| runs.push((off, start, len)))
             .unwrap();
         assert_eq!(runs, vec![(0, 16, 32)]);
-    }
-
-    #[test]
-    fn full_region_covers_everything() {
-        let s = Shape::new([6, 5]);
-        let r = s.full_region();
-        assert_eq!(r.volume(), s.volume());
-        let mut covered = 0;
-        r.for_each_run(&s, |_, _, len| covered += len).unwrap();
-        assert_eq!(covered, 30);
     }
 }

@@ -88,12 +88,6 @@ impl Space {
     pub(crate) fn tree_mut(&mut self) -> &mut LocatorTree {
         &mut self.tree
     }
-
-    /// Total bytes of elements the space can hold, saturating at
-    /// `u64::MAX`.
-    pub fn byte_volume(&self) -> u64 {
-        self.shape.checked_bytes(self.element).unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +110,6 @@ mod tests {
         let space = Space::new(SpaceId(1), shape.clone(), ElementType::F32, bb, class);
         assert_eq!(space.tree().grid().dims(), &[4, 4]);
         assert_eq!(space.tree().levels(), 2);
-        assert_eq!(space.byte_volume(), 512 * 512 * 4);
         assert_eq!(space.id(), SpaceId(1));
         assert_eq!(space.shape(), &shape);
     }

@@ -872,7 +872,7 @@ mod tests {
         let data = vec![0u8; 512 * 512 * 4];
         s.write(id, &shape, &[0, 0], &[512, 512], &data).unwrap();
         let meta = s.translation_bytes();
-        let payload = s.space(id).unwrap().byte_volume();
+        let payload = data.len();
         assert!(
             (meta as f64) < 0.01 * payload as f64,
             "translation metadata {meta} B should be ≪ payload {payload} B"

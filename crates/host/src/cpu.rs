@@ -5,13 +5,11 @@ use serde::{Deserialize, Serialize};
 
 /// Costs of the host-side work a storage front-end induces.
 ///
-/// Three activities matter to the paper's evaluation:
+/// Two activities matter to the paper's evaluation:
 ///
 /// * **I/O submission** — per-request syscall + NVMe submission cost. The
 ///   baseline's thousands of row requests (Fig. 1 needs 8,192 of them) pay
 ///   this every time.
-/// * **Streaming copies** — large contiguous `memcpy`s (staging a whole
-///   object) run near memory bandwidth.
 /// * **Scattered copies** — marshalling copies small chunks to computed
 ///   destinations; each chunk pays address-calculation/loop/cache overhead
 ///   on top of the per-byte cost. Software NDS's 2 KB building-block-row
@@ -20,8 +18,6 @@ use serde::{Deserialize, Serialize};
 pub struct CpuModel {
     /// Per-I/O-request submission overhead (syscall + driver + doorbell).
     pub io_submit: SimDuration,
-    /// Peak streaming copy bandwidth.
-    pub stream_copy: Throughput,
     /// Per-chunk overhead of scattered copies (offset computation, loop,
     /// cache/TLB effects of non-streaming access).
     pub scatter_chunk_overhead: SimDuration,
@@ -38,7 +34,6 @@ impl CpuModel {
     pub fn ryzen_3700x() -> Self {
         CpuModel {
             io_submit: SimDuration::from_micros(5),
-            stream_copy: Throughput::mib_per_sec(16_000),
             scatter_chunk_overhead: SimDuration::nanos::<300>(),
             scatter_copy: Throughput::mib_per_sec(10_000),
         }
@@ -49,14 +44,6 @@ impl CpuModel {
         self.io_submit * requests
     }
 
-    /// Cost of one large streaming copy of `bytes`.
-    pub fn stream_copy_time(&self, bytes: u64) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        self.stream_copy.time_for_bytes(bytes)
-    }
-
     /// Cost of copying `bytes` in `chunks` scattered pieces.
     pub fn scatter_copy_time(&self, chunks: u64, bytes: u64) -> SimDuration {
         if bytes == 0 || chunks == 0 {
@@ -64,32 +51,22 @@ impl CpuModel {
         }
         self.scatter_chunk_overhead * chunks + self.scatter_copy.time_for_bytes(bytes)
     }
-
-    /// The effective bandwidth of scattered copying at a given chunk size —
-    /// handy for calibration tests.
-    pub fn scatter_bandwidth(&self, chunk_bytes: u64) -> Throughput {
-        Throughput::from_bytes_over(chunk_bytes, self.scatter_copy_time(1, chunk_bytes))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn scattered_is_slower_than_streamed() {
-        let cpu = CpuModel::ryzen_3700x();
-        let bytes = 8 << 20;
-        let scattered = cpu.scatter_copy_time(bytes / 2048, bytes);
-        let streamed = cpu.stream_copy_time(bytes);
-        assert!(scattered > streamed);
+    /// The effective bandwidth of scattered copying at `chunk_bytes` chunks.
+    fn scatter_bandwidth(cpu: &CpuModel, chunk_bytes: u64) -> Throughput {
+        Throughput::from_bytes_over(chunk_bytes, cpu.scatter_copy_time(1, chunk_bytes))
     }
 
     #[test]
     fn scatter_bandwidth_grows_with_chunk_size() {
         let cpu = CpuModel::ryzen_3700x();
-        let small = cpu.scatter_bandwidth(2048).bytes_per_sec_f64();
-        let large = cpu.scatter_bandwidth(32 * 1024).bytes_per_sec_f64();
+        let small = scatter_bandwidth(&cpu, 2048).bytes_per_sec_f64();
+        let large = scatter_bandwidth(&cpu, 32 * 1024).bytes_per_sec_f64();
         assert!(large > small);
     }
 
@@ -99,7 +76,7 @@ mod tests {
         // under the 4.3 GB/s-class baseline; our scatter bandwidth at 2 KB
         // must therefore sit in the 3.5–5 GiB/s window.
         let cpu = CpuModel::ryzen_3700x();
-        let bw = cpu.scatter_bandwidth(2048).as_mib_per_sec() / 1024.0;
+        let bw = scatter_bandwidth(&cpu, 2048).as_mib_per_sec() / 1024.0;
         assert!((3.5..5.0).contains(&bw), "2 KB scatter bw = {bw:.2} GiB/s");
     }
 
@@ -112,7 +89,6 @@ mod tests {
     #[test]
     fn zero_work_is_free() {
         let cpu = CpuModel::ryzen_3700x();
-        assert_eq!(cpu.stream_copy_time(0), SimDuration::ZERO);
         assert_eq!(cpu.scatter_copy_time(0, 0), SimDuration::ZERO);
         assert_eq!(cpu.submit_time(0), SimDuration::ZERO);
     }

@@ -20,11 +20,11 @@
 //! use nds_host::CpuModel;
 //!
 //! let cpu = CpuModel::ryzen_3700x();
-//! // Marshalling 1 MiB in 2 KiB scattered chunks costs much more than one
-//! // streaming copy of the same volume.
-//! let scattered = cpu.scatter_copy_time(512, 1 << 20);
-//! let streamed = cpu.stream_copy_time(1 << 20);
-//! assert!(scattered > streamed * 2);
+//! // Marshalling 1 MiB in 2 KiB scattered chunks costs much more than
+//! // copying the same volume in 64 KiB chunks.
+//! let small_chunks = cpu.scatter_copy_time(512, 1 << 20);
+//! let large_chunks = cpu.scatter_copy_time(16, 1 << 20);
+//! assert!(small_chunks > large_chunks * 2);
 //! ```
 
 #![warn(missing_docs)]

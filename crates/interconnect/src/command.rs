@@ -135,12 +135,6 @@ impl fmt::Display for CommandError {
 impl std::error::Error for CommandError {}
 
 impl NvmeCommand {
-    /// True if this command uses the NDS extension bit (§5.3.1) rather than
-    /// the conventional 1-D command format.
-    pub fn is_extended(&self) -> bool {
-        !matches!(self, NvmeCommand::Read { .. } | NvmeCommand::Write { .. })
-    }
-
     /// Bytes of command metadata crossing the link: 64 B of command words for
     /// every command, plus one 4 KB argument page for extended commands that
     /// carry coordinates or dimension lists.
@@ -216,23 +210,6 @@ impl NvmeCommand {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conventional_commands_are_not_extended() {
-        assert!(!NvmeCommand::Read { lba: 0, pages: 8 }.is_extended());
-        assert!(!NvmeCommand::Write { lba: 0, pages: 8 }.is_extended());
-        assert!(NvmeCommand::OpenSpace {
-            dims: vec![4, 4],
-            element_size: 4
-        }
-        .is_extended());
-        assert!(NvmeCommand::NdsRead {
-            space: SpaceId(1),
-            coord: vec![0, 0],
-            sub_dims: vec![4, 4],
-        }
-        .is_extended());
-    }
 
     #[test]
     fn extended_commands_carry_an_argument_page() {

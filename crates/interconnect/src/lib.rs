@@ -13,8 +13,8 @@
 //!   commands (`open_space`, `close_space`, `delete_space`), distinguished by
 //!   a reserved bit in the first command word. [`NvmeCommand`] models the
 //!   full extended command set, including the paper's limits (coordinates up
-//!   to 32 dimensions, 2²⁴ elements per dimension), and [`QueuePair`] models
-//!   the submission/completion queues commands travel through.
+//!   to 32 dimensions, 2²⁴ elements per dimension), and [`wire`] is the
+//!   codec that packs a command into the words that cross the interface.
 //!
 //! # Example
 //!
@@ -56,12 +56,10 @@
 
 mod command;
 mod link;
-mod queue;
 mod wfq;
 pub mod wire;
 
 pub use command::{CommandError, NvmeCommand, SpaceId, MAX_DIMENSIONS, MAX_ELEMENTS_PER_DIM};
 pub use link::{Link, LinkConfig, LinkError};
-pub use queue::{QueueError, QueuePair, DEFAULT_QUEUE_DEPTH};
 pub use wfq::{WfqError, WfqScheduler, COST_SCALE};
 pub use wire::WireError;

@@ -276,17 +276,6 @@ impl Link {
         Ok(self.complete(bytes, ready, at, occupancy))
     }
 
-    /// Schedules a zero-payload command (e.g. `open_space`), charging only
-    /// the per-command overhead.
-    pub fn control_command(&mut self, ready: SimTime) -> SimTime {
-        self.stats.add("link.commands", 1);
-        self.obs
-            .event(ready, LINK_COMPONENT, || EventKind::CommandIssued {
-                bytes: 0,
-            });
-        self.complete(0, ready, ready, self.config.per_command)
-    }
-
     /// The instant the wire drains all committed transfers.
     pub fn drained_at(&self) -> SimTime {
         self.wire.next_free()
@@ -372,13 +361,6 @@ mod tests {
         let t1 = link.transfer(1 << 20, SimTime::ZERO);
         let t2 = link.transfer(1 << 20, SimTime::ZERO);
         assert_eq!(t2 - t1, t1 - SimTime::ZERO);
-    }
-
-    #[test]
-    fn control_commands_charge_overhead_only() {
-        let mut link = Link::new(LinkConfig::nvmeof_40g());
-        let t = link.control_command(SimTime::ZERO);
-        assert_eq!(t, SimTime::ZERO + link.config().per_command);
     }
 
     #[test]
@@ -497,7 +479,7 @@ mod tests {
         let mut link = Link::new(LinkConfig::nvmeof_40g());
         link.configure_observability(&nds_sim::ObsConfig::full());
         let done = link.transfer(32 * 1024, SimTime::ZERO);
-        link.control_command(done);
+        link.transfer(32 * 1024, done);
         let summary = link.observability().journal().summary();
         assert_eq!(summary.by_kind.get("CommandIssued"), Some(&2));
         assert_eq!(summary.by_kind.get("CommandCompleted"), Some(&2));

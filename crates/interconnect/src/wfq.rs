@@ -1,5 +1,5 @@
 //! Deterministic virtual-time weighted fair queuing (WFQ) in front of the
-//! NVMe queue pair.
+//! device's NVMe command stream.
 //!
 //! The multi-tenant traffic engine admits work from many tenants but the
 //! device executes one command stream; [`WfqScheduler`] decides *whose*

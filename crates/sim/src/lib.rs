@@ -9,9 +9,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time.
 //! * [`Resource`] — a serially-occupied resource with a next-free time and
-//!   utilization accounting.
+//!   busy-time accounting.
 //! * [`ResourceSet`] — a bank of identical resources (e.g. 32 flash channels)
-//!   with earliest-available and indexed scheduling.
+//!   with indexed scheduling.
 //! * [`Stats`] — a lightweight named-counter registry used by devices and
 //!   systems to report request/byte/traffic counts to the benches.
 //! * [`Throughput`] — helpers to convert between byte volumes, durations, and

@@ -1103,11 +1103,6 @@ impl ObsConfig {
     pub const fn metrics(&self) -> bool {
         self.metrics
     }
-
-    /// True if any collector is enabled.
-    pub const fn any_enabled(&self) -> bool {
-        self.collecting() || self.metrics
-    }
 }
 
 /// The per-component observability bundle: one journal and one histogram
@@ -1843,7 +1838,6 @@ mod tests {
             assert_eq!(config.collecting(), collecting, "{config:?}");
             assert_eq!(config.tracing(), tracing, "{config:?}");
             assert_eq!(config.metrics(), metrics, "{config:?}");
-            assert_eq!(config.any_enabled(), collecting || metrics, "{config:?}");
 
             let mut obs = Observability::disabled();
             obs.configure(&config);

@@ -14,7 +14,7 @@ use crate::time::{SimDuration, SimTime};
 /// A serially-occupied simulated resource.
 ///
 /// A `Resource` remembers the instant it next becomes free and its cumulative
-/// busy time, which is enough to model FIFO occupancy and report utilization.
+/// busy time, which is enough to model FIFO occupancy and pace a pipeline.
 /// With [`enable_timeline`](Self::enable_timeline) it additionally samples its
 /// busy intervals into a windowed [`BusyTimeline`] for the observability
 /// layer; sampling only *observes* the computed start/end instants, so it can
@@ -37,27 +37,17 @@ pub struct Resource {
     name: String,
     next_free: SimTime,
     busy: SimDuration,
-    acquisitions: u64,
-    /// Start of the current accounting window: `utilization` divides busy
-    /// time by `now − window_start`, not by `now − t0`.
-    window_start: SimTime,
-    /// Times `utilization` observed busy > elapsed (the caller asked before
-    /// committed work drained). Surfaced instead of clamping the ratio.
-    overcommit_observations: u64,
     timeline: Option<Box<BusyTimeline>>,
 }
 
 impl Resource {
-    /// Creates an idle resource named `name` (names appear in utilization
+    /// Creates an idle resource named `name` (names label its timeline in
     /// reports).
     pub fn new(name: impl Into<String>) -> Self {
         Resource {
             name: name.into(),
             next_free: SimTime::ZERO,
             busy: SimDuration::ZERO,
-            acquisitions: 0,
-            window_start: SimTime::ZERO,
-            overcommit_observations: 0,
             timeline: None,
         }
     }
@@ -72,13 +62,7 @@ impl Resource {
         let end = start + hold;
         self.next_free = end;
         self.busy += hold;
-        self.acquisitions += 1;
         if let Some(timeline) = &mut self.timeline {
-            // Anchored on the epoch clock's origin (t = 0), not on
-            // `window_start`: `reset_window` moves the utilization window
-            // mid-epoch without re-anchoring the schedule, so
-            // window-relative recording would slide these intervals
-            // backwards on the run-long timeline.
             timeline.record(
                 start.saturating_since(SimTime::ZERO),
                 end.saturating_since(SimTime::ZERO),
@@ -92,14 +76,9 @@ impl Resource {
         self.next_free
     }
 
-    /// Total time the resource has been held in the current window.
+    /// Total time the resource has been held in the current epoch.
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Number of acquisitions performed in the current window.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
     }
 
     /// The resource's name.
@@ -107,44 +86,10 @@ impl Resource {
         &self.name
     }
 
-    /// Start of the current accounting window.
-    pub fn window_start(&self) -> SimTime {
-        self.window_start
-    }
-
-    /// Utilization over the window `[window_start, now]`: busy / elapsed.
-    /// Returns 0 for an empty window.
-    ///
-    /// The ratio is **not** clamped: a value above 1.0 means the caller
-    /// asked before the resource's committed queue drained past `now`
-    /// (busy time exceeds elapsed window time). Each such observation is
-    /// counted in [`overcommit_observations`](Self::overcommit_observations)
-    /// so reports can surface the anomaly instead of hiding it.
-    pub fn utilization(&mut self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_since(self.window_start);
-        if elapsed.is_zero() {
-            if !self.busy.is_zero() {
-                self.overcommit_observations += 1;
-            }
-            return 0.0;
-        }
-        let ratio = self.busy.as_secs_f64() / elapsed.as_secs_f64();
-        if ratio > 1.0 {
-            self.overcommit_observations += 1;
-        }
-        ratio
-    }
-
-    /// How many `utilization` queries found busy time exceeding the elapsed
-    /// window (over-commitment), instead of silently clamping to 1.0.
-    pub fn overcommit_observations(&self) -> u64 {
-        self.overcommit_observations
-    }
-
-    /// Resets the resource to idle at t = 0, clearing window accounting and
-    /// re-anchoring the window start. A timeline, if enabled, survives: the
-    /// finished window's span is folded into its epoch offset so the next
-    /// window's busy intervals continue the run-long timeline.
+    /// Resets the resource to idle at t = 0, clearing its busy time. A
+    /// timeline, if enabled, survives: the finished epoch's span is folded
+    /// into its epoch offset so the next epoch's busy intervals continue the
+    /// run-long timeline.
     pub fn reset(&mut self) {
         self.fold_epoch(SimDuration::ZERO);
     }
@@ -164,27 +109,11 @@ impl Resource {
     /// next operation's start then degenerates to a harmless zero-fold.
     pub fn fold_epoch(&mut self, span: SimDuration) {
         if let Some(timeline) = &mut self.timeline {
-            // The drain is measured from the epoch clock's origin, not from
-            // `window_start`: a mid-epoch `reset_window` must not shrink the
-            // fold and overlap the next epoch onto committed work.
             let drain = self.next_free.saturating_since(SimTime::ZERO);
             timeline.fold_epoch(span.max(drain));
         }
         self.next_free = SimTime::ZERO;
         self.busy = SimDuration::ZERO;
-        self.acquisitions = 0;
-        self.window_start = SimTime::ZERO;
-    }
-
-    /// Starts a fresh accounting window at `now` without re-anchoring the
-    /// schedule: committed work (and `next_free`) is untouched, but busy
-    /// time, acquisitions, and the utilization denominator restart here.
-    /// This is the mid-run variant of [`reset`](Self::reset) for callers
-    /// that keep absolute modeled time.
-    pub fn reset_window(&mut self, now: SimTime) {
-        self.busy = SimDuration::ZERO;
-        self.acquisitions = 0;
-        self.window_start = now;
     }
 
     /// Enables windowed busy-time sampling into a [`BusyTimeline`] with the
@@ -206,10 +135,9 @@ impl Resource {
 
 /// A bank of identical resources scheduled together.
 ///
-/// `ResourceSet` models component arrays such as parallel flash channels or a
-/// pool of controller cores. Work can be placed on a *specific* member (a page
-/// lives in one physical channel) or on the *earliest available* member (any
-/// idle core may pick up a task).
+/// `ResourceSet` models component arrays such as parallel flash channels.
+/// Work is placed on a specific member: a page lives in one physical
+/// channel.
 ///
 /// # Example
 ///
@@ -262,32 +190,6 @@ impl ResourceSet {
         self.members[index].acquire(ready, hold)
     }
 
-    /// Schedules work on the member that can start it earliest, returning
-    /// `(member index, completion time)`. Ties go to the lowest index, which
-    /// keeps scheduling deterministic.
-    pub fn acquire_earliest(&mut self, ready: SimTime, hold: SimDuration) -> (usize, SimTime) {
-        // Constructors reject empty resource sets, so min_by_key always
-        // yields a member.
-        #[allow(clippy::expect_used)]
-        let idx = self
-            .members
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| r.next_free())
-            .map(|(i, _)| i)
-            .expect("resource set is non-empty");
-        (idx, self.members[idx].acquire(ready, hold))
-    }
-
-    /// Immutable view of a member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn member(&self, index: usize) -> &Resource {
-        &self.members[index]
-    }
-
     /// Iterates over members.
     pub fn iter(&self) -> impl Iterator<Item = &Resource> {
         self.members.iter()
@@ -308,7 +210,7 @@ impl ResourceSet {
     }
 
     /// Resets every member to idle at t = 0 (timelines, if enabled, fold
-    /// their finished window and keep accumulating — see
+    /// their finished epoch and keep accumulating — see
     /// [`Resource::reset`]).
     pub fn reset(&mut self) {
         for m in &mut self.members {
@@ -354,7 +256,6 @@ mod tests {
         let b = r.acquire(SimTime::ZERO, SimDuration::from_micros(5));
         assert_eq!(a.as_nanos(), 5_000);
         assert_eq!(b.as_nanos(), 10_000);
-        assert_eq!(r.acquisitions(), 2);
         assert_eq!(r.busy_time(), SimDuration::from_micros(10));
     }
 
@@ -369,53 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_busy_over_elapsed() {
-        let mut r = Resource::new("r");
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(25));
-        let u = r.utilization(SimTime::ZERO + SimDuration::from_micros(100));
-        assert!((u - 0.25).abs() < 1e-9);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn utilization_window_follows_reset_window() {
-        let mut r = Resource::new("r");
-        let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(100));
-        // Regression (ISSUE 4): a mid-run window reset at t=100us must move
-        // the utilization denominator; the old code divided by `now − t0`
-        // and understated the second window's 50us/100us as 50us/200us.
-        r.reset_window(t(100));
-        r.acquire(t(100), SimDuration::from_micros(50));
-        let u = r.utilization(t(200));
-        assert!((u - 0.5).abs() < 1e-9, "expected 0.5, got {u}");
-        assert_eq!(r.window_start(), t(100));
-    }
-
-    #[test]
-    fn utilization_overcommit_is_counted_not_clamped() {
-        let mut r = Resource::new("r");
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(100));
-        // Querying before the committed work drains: busy (100us) exceeds
-        // the elapsed window (50us). The old code clamped this to 1.0.
-        let u = r.utilization(SimTime::ZERO + SimDuration::from_micros(50));
-        assert!((u - 2.0).abs() < 1e-9, "ratio must not be clamped, got {u}");
-        assert_eq!(r.overcommit_observations(), 1);
-        // A post-drain query is in range and does not count.
-        let u = r.utilization(SimTime::ZERO + SimDuration::from_micros(200));
-        assert!((u - 0.5).abs() < 1e-9);
-        assert_eq!(r.overcommit_observations(), 1);
-    }
-
-    #[test]
     fn reset_clears_state() {
         let mut r = Resource::new("r");
         r.acquire(SimTime::ZERO, SimDuration::from_micros(5));
         r.reset();
         assert_eq!(r.next_free(), SimTime::ZERO);
         assert_eq!(r.busy_time(), SimDuration::ZERO);
-        assert_eq!(r.acquisitions(), 0);
-        assert_eq!(r.window_start(), SimTime::ZERO);
     }
 
     #[test]
@@ -473,7 +333,6 @@ mod tests {
         // State is re-anchored like reset().
         assert_eq!(r.next_free(), SimTime::ZERO);
         assert_eq!(r.busy_time(), SimDuration::ZERO);
-        assert_eq!(r.acquisitions(), 0);
         r.acquire(SimTime::ZERO, SimDuration::from_micros(10));
         let timeline = r.timeline().expect("enabled");
         assert_eq!(
@@ -484,44 +343,6 @@ mod tests {
                 SimDuration::from_micros(10),
             ],
             "second epoch starts at the drain (20us), not at 5us"
-        );
-    }
-
-    #[test]
-    fn timeline_anchoring_survives_mid_epoch_window_reset() {
-        // Regression (ISSUE 9): the cluster layer keeps run-long steering
-        // resources per device and restarts their utilization window when a
-        // device is removed and later re-added. `reset_window` moves the
-        // accounting window WITHOUT re-anchoring the schedule, but the old
-        // code recorded timeline intervals and computed the epoch-fold
-        // drain relative to `window_start`: work scheduled after the reset
-        // slid backwards on the run clock, and the subsequent fold
-        // undercounted the drain, overlapping the next epoch onto it.
-        let mut r = Resource::new("r");
-        let w = SimDuration::from_micros(10);
-        r.enable_timeline(w, 64);
-        let t = |us| SimTime::ZERO + SimDuration::from_micros(us);
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(10));
-        // A device dies at t = 10us: restart the window mid-epoch.
-        r.reset_window(t(10));
-        // The surviving replica works [10, 20)us; it must land in bucket 1.
-        r.acquire(t(10), SimDuration::from_micros(10));
-        assert_eq!(
-            r.timeline().expect("enabled").buckets(),
-            &[SimDuration::from_micros(10), SimDuration::from_micros(10)],
-            "post-reset work must stay anchored on the epoch clock"
-        );
-        // Folding with a short span must still advance by the 20us drain.
-        r.fold_epoch(SimDuration::from_micros(5));
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(10));
-        assert_eq!(
-            r.timeline().expect("enabled").buckets(),
-            &[
-                SimDuration::from_micros(10),
-                SimDuration::from_micros(10),
-                SimDuration::from_micros(10),
-            ],
-            "the fold drain is absolute, not window-relative"
         );
     }
 
@@ -578,19 +399,6 @@ mod tests {
         set.acquire(3, SimTime::ZERO, d);
         let end = set.acquire(3, SimTime::ZERO, d);
         assert_eq!(end, SimTime::ZERO + d * 2);
-    }
-
-    #[test]
-    fn acquire_earliest_load_balances() {
-        let mut set = ResourceSet::new("core", 2);
-        let d = SimDuration::from_micros(10);
-        let (i0, _) = set.acquire_earliest(SimTime::ZERO, d);
-        let (i1, _) = set.acquire_earliest(SimTime::ZERO, d);
-        let (i2, e2) = set.acquire_earliest(SimTime::ZERO, d);
-        assert_eq!(i0, 0);
-        assert_eq!(i1, 1);
-        assert_eq!(i2, 0, "third task queues on the earliest-free member");
-        assert_eq!(e2, SimTime::ZERO + d * 2);
     }
 
     #[test]

@@ -125,9 +125,11 @@ fn aligned_len(p: u64, rem: u64) -> u64 {
 /// single-replica cluster — the pass-through configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of devices composed behind the front-end (≥ 1).
+    /// Number of devices composed behind the front-end (`NdsCluster::new`
+    /// builds at least one).
     pub devices: usize,
-    /// Replicas per shard (≥ 1, capped at the device count).
+    /// Replicas per shard (`NdsCluster::new` clamps it to between one and
+    /// the device count).
     pub replicas: usize,
     /// Last-dimension rows per shard; 0 keeps every dataset in one shard.
     pub shard_rows: u64,
@@ -146,8 +148,8 @@ impl ClusterConfig {
     /// sharding, seed 0, no faults, observability off.
     pub fn new(devices: usize, replicas: usize) -> Self {
         ClusterConfig {
-            devices: devices.max(1),
-            replicas: replicas.max(1),
+            devices,
+            replicas,
             shard_rows: 0,
             seed: 0,
             plan: ClusterFaultPlan::default(),
@@ -628,9 +630,14 @@ fn shard_index(h: usize) -> u32 {
 }
 
 impl<S: StorageFrontEnd> NdsCluster<S> {
-    /// Builds a cluster whose `i`-th device is `factory(i)`.
-    pub fn new(config: ClusterConfig, mut factory: impl FnMut(usize) -> S) -> Self {
-        let n = config.devices.max(1);
+    /// Builds a cluster whose `i`-th device is `factory(i)`. The config is
+    /// normalized here, once: at least one device, and between one replica
+    /// and the device count, so the report, placement and degraded-read
+    /// accounting all read the same values.
+    pub fn new(mut config: ClusterConfig, mut factory: impl FnMut(usize) -> S) -> Self {
+        config.devices = config.devices.max(1);
+        config.replicas = config.replicas.clamp(1, config.devices);
+        let n = config.devices;
         let mut obs = Observability::disabled();
         obs.configure(&config.obs);
         let devices = (0..n)
@@ -1002,7 +1009,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
     /// least-busy fresh replica, and reassembles — a one-sub-op plan reads
     /// straight into `buf`, a longer one appends each sub-op's payload in
     /// turn. A read is *degraded* when a shard it touches has fewer
-    /// eligible replicas than the configured `min(replicas, devices)`.
+    /// eligible replicas than the configured replica count.
     /// Parallel across devices
     /// (`io_latency` is the max of the per-device serial sums), serial
     /// within a device. `datasets`, `devices` and `scratch` are borrowed as
@@ -1033,7 +1040,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             ..
         } = &mut self.scratch;
         let direct = plan.subops.len() == 1;
-        let replicas = self.config.replicas.min(self.devices.len());
+        let replicas = self.config.replicas;
         let mut metrics = ReadMetrics {
             io_latency: SimDuration::ZERO,
             io_occupancy: SimDuration::ZERO,
@@ -1520,6 +1527,41 @@ mod tests {
         let stats = cluster.stats();
         assert_eq!(stats.get("cluster.rereplication_stranded"), 4);
         assert_eq!(stats.get("cluster.degraded_reads"), 4);
+    }
+
+    /// A config the cluster cannot honour literally is normalized once:
+    /// the report and placement both see 1 ≤ replicas ≤ devices.
+    #[test]
+    fn config_is_normalized_once_for_report_and_placement() {
+        let build =
+            |config| NdsCluster::new(config, |_| HardwareNds::new(SystemConfig::small_test()));
+        let meta = |c: &NdsCluster<HardwareNds>, key: &str| c.report().meta.get(key).cloned();
+        let shape = Shape::new([8, 8]);
+
+        // More replicas than devices: capped at the device count.
+        let mut over = build(ClusterConfig::new(2, 3));
+        assert_eq!(meta(&over, "cluster.replicas").as_deref(), Some("2"));
+        let id = over
+            .create_dataset(shape.clone(), ElementType::F32)
+            .unwrap();
+        assert_eq!(over.replica_devices(id, 0).len(), 2);
+
+        // Zero replicas: one replica, and datasets can still be created.
+        let mut none = build(ClusterConfig {
+            replicas: 0,
+            ..ClusterConfig::new(2, 1)
+        });
+        assert_eq!(meta(&none, "cluster.replicas").as_deref(), Some("1"));
+        let id = none.create_dataset(shape, ElementType::F32).unwrap();
+        assert_eq!(none.replica_devices(id, 0).len(), 1);
+
+        // Zero devices: the one device built is the one reported.
+        let empty = build(ClusterConfig {
+            devices: 0,
+            ..ClusterConfig::default()
+        });
+        assert_eq!(meta(&empty, "cluster.devices").as_deref(), Some("1"));
+        assert!(empty.is_alive(0) && !empty.is_alive(1));
     }
 
     #[test]

@@ -40,12 +40,10 @@ pub enum SystemError {
     /// The WFQ scheduler rejected an admission (finish-tag overflow of the
     /// u128 virtual clock).
     Scheduler(nds_interconnect::WfqError),
-    /// The submission queue rejected a command.
-    Queue(nds_interconnect::QueueError),
     /// The wire codec rejected a command on encode or decode.
     Wire(nds_interconnect::WireError),
-    /// The NVMe queue-pair protocol was violated: a command did not
-    /// surface where the synchronous submit/pop/decode drain expects it.
+    /// The NVMe protocol was violated: the command decoded off the wire is
+    /// of a different kind than the one issued.
     Protocol(&'static str),
     /// No alive, fresh, link-up replica can serve the shard (cluster
     /// front-end): the operation is rejected *unacknowledged* rather than
@@ -82,7 +80,6 @@ impl fmt::Display for SystemError {
                 "tenant {tenant} addressed foreign dataset {dataset:?} outside its namespace"
             ),
             SystemError::Scheduler(e) => write!(f, "scheduler: {e}"),
-            SystemError::Queue(e) => write!(f, "queue: {e}"),
             SystemError::Wire(e) => write!(f, "wire: {e}"),
             SystemError::Protocol(what) => write!(f, "nvme protocol violation: {what}"),
             SystemError::ShardUnavailable { dataset, shard } => write!(
@@ -104,7 +101,6 @@ impl std::error::Error for SystemError {
             SystemError::Command(e) => Some(e),
             SystemError::Link(e) => Some(e),
             SystemError::Scheduler(e) => Some(e),
-            SystemError::Queue(e) => Some(e),
             SystemError::Wire(e) => Some(e),
             _ => None,
         }
@@ -138,12 +134,6 @@ impl From<nds_interconnect::LinkError> for SystemError {
 impl From<nds_interconnect::WfqError> for SystemError {
     fn from(e: nds_interconnect::WfqError) -> Self {
         SystemError::Scheduler(e)
-    }
-}
-
-impl From<nds_interconnect::QueueError> for SystemError {
-    fn from(e: nds_interconnect::QueueError) -> Self {
-        SystemError::Queue(e)
     }
 }
 

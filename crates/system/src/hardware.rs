@@ -14,7 +14,7 @@
 
 use nds_core::{AccessReport, SpaceId, Stl, WriteReport};
 use nds_interconnect::wire::{self, WireCommand};
-use nds_interconnect::{Link, NvmeCommand, QueuePair};
+use nds_interconnect::{Link, NvmeCommand};
 use nds_sim::{ComponentId, EventKind, Resource, SimDuration, SimTime, Throughput, TraceStage};
 
 use crate::config::SystemConfig;
@@ -30,17 +30,17 @@ use crate::lifecycle::{partition, Lifecycle, Stages};
 pub type HardwareNds = FlashSystem<Controller>;
 
 /// The controller placement of the STL (§5.3.2): the Fig. 8 pipeline behind
-/// an NVMe queue pair, with a data assembler working out of device DRAM.
+/// the extended NVMe interface, with a data assembler working out of device
+/// DRAM.
 #[derive(Debug)]
 pub struct Controller {
     pipeline: ControllerPipeline,
     transfer_chunk: u64,
-    queue: QueuePair,
     /// The in-device assembler of the read in flight (reset per read).
     assembler: Resource,
     // Request-scoped state kept between commands so that marshalling and
     // executing one allocates nothing in steady state.
-    /// Coordinate vectors of the last reaped command, for the next one.
+    /// Coordinate vectors of the last issued command, for the next one.
     spare_args: (Vec<u64>, Vec<u64>),
     /// The command as it crosses the interface.
     wired: WireCommand,
@@ -51,7 +51,7 @@ pub struct Controller {
     write_report: WriteReport,
 }
 
-/// Journal identity of the NVMe submission/completion queue pair.
+/// Journal identity of the NVMe command interface.
 const QUEUE_COMPONENT: ComponentId = ComponentId::singleton("nvme.queue");
 
 impl Controller {
@@ -68,10 +68,9 @@ impl Controller {
 
     /// Marshals the extended read (or, with `write`, write) of
     /// `(space, coord, sub_dims)` — one NVMe command, §5.3.1 — through the
-    /// interface limits, the real wire codec and the submission queue,
-    /// exactly as the host driver would: validate, encode, submit, device
-    /// pops and decodes. Leaves the decoded command the controller executes
-    /// in `decoded`.
+    /// interface limits and the real wire codec, exactly as the host driver
+    /// would: validate, encode, and the device decodes. Leaves the decoded
+    /// command the controller executes in `decoded`.
     fn submit_command(
         &mut self,
         life: &mut Lifecycle,
@@ -103,32 +102,24 @@ impl Controller {
         wire::encode_into(&cmd, &mut self.wired)?;
         let wire_bytes = self.wired.wire_bytes();
         life.stats.add("nvme.wire_bytes", wire_bytes);
-        // The queue drains synchronously, so issue and completion share the
-        // per-operation epoch anchor rather than carrying modeled time.
+        // Each command completes before the next is issued, so issue and
+        // completion share the per-operation epoch anchor rather than
+        // carrying modeled time.
         life.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
             EventKind::CommandIssued { bytes: wire_bytes }
         });
-        self.queue.submit(cmd)?;
         if life.obs.metrics().is_enabled() {
-            let depth = self.queue.in_flight() as u64;
-            life.obs
-                .metric_sample(SimTime::ZERO, "nvme.queue_depth", depth);
+            // Exactly one command is outstanding while it is issued.
+            life.obs.metric_sample(SimTime::ZERO, "nvme.queue_depth", 1);
         }
-        let popped = self
-            .queue
-            .device_pop()
-            .ok_or(SystemError::Protocol("submitted command missing on pop"))?;
         wire::decode_into(&self.wired, &mut self.decoded)?;
-        debug_assert_eq!(self.decoded, popped, "wire format must be faithful");
-        self.queue.complete(popped);
-        if let Some(
-            NvmeCommand::NdsRead {
-                coord, sub_dims, ..
-            }
-            | NvmeCommand::NdsWrite {
-                coord, sub_dims, ..
-            },
-        ) = self.queue.reap()
+        debug_assert_eq!(self.decoded, cmd, "wire format must be faithful");
+        if let NvmeCommand::NdsRead {
+            coord, sub_dims, ..
+        }
+        | NvmeCommand::NdsWrite {
+            coord, sub_dims, ..
+        } = cmd
         {
             self.spare_args = (coord, sub_dims);
         }
@@ -174,7 +165,6 @@ impl Placed for Controller {
         Controller {
             pipeline: config.controller,
             transfer_chunk: config.nds_transfer_chunk,
-            queue: QueuePair::new(64),
             assembler: Resource::new("nds.assembler"),
             spare_args: (Vec::new(), Vec::new()),
             wired: WireCommand::default(),

@@ -391,8 +391,10 @@ fn cluster_outcomes_identical_with_metrics_on_and_off_under_fault_plan() {
     );
 }
 
-/// One instrumented-with-metrics run's windowed-series artifact.
-fn instrumented_metrics<S: StorageFrontEnd>(make: impl FnOnce(SystemConfig) -> S) -> String {
+/// One instrumented-with-metrics run's report, windowed series included.
+fn instrumented_metrics<S: StorageFrontEnd>(
+    make: impl FnOnce(SystemConfig) -> S,
+) -> nds_sim::RunReport {
     let mut sys = make(metrics_config());
     let shape = Shape::new([N, N]);
     let id = sys
@@ -404,17 +406,24 @@ fn instrumented_metrics<S: StorageFrontEnd>(make: impl FnOnce(SystemConfig) -> S
     for (coord, sub) in sweep() {
         sys.read(id, &shape, &coord, &sub).expect("read");
     }
-    sys.run_report().metrics_json()
+    sys.run_report()
 }
 
 #[test]
 fn metrics_json_is_byte_identical_across_runs() {
-    let first = instrumented_metrics(SoftwareNds::new);
-    let second = instrumented_metrics(SoftwareNds::new);
+    let first = instrumented_metrics(SoftwareNds::new).metrics_json();
+    let second = instrumented_metrics(SoftwareNds::new).metrics_json();
     assert_eq!(first, second, "repeated runs must serialize identically");
-    let hw_first = instrumented_metrics(HardwareNds::new);
+    let hw = instrumented_metrics(HardwareNds::new);
     let hw_second = instrumented_metrics(HardwareNds::new);
-    assert_eq!(hw_first, hw_second);
+    assert_eq!(hw.metrics_json(), hw_second.metrics_json());
+
+    // The controller carries each request as one NVMe command, and each
+    // completes before the next is issued.
+    let requests = 1 + sweep().len() as u64;
+    let total = |name: &str| hw.series.get(name).map(|s| s.total);
+    assert_eq!(total("nvme.commands"), Some(requests));
+    assert_eq!(total("nvme.queue_depth"), Some(1), "queue-depth high-water");
 }
 
 #[test]

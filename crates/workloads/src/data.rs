@@ -123,14 +123,8 @@ pub fn i32_bytes(values: &[i32]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
-/// Parses little-endian bytes back to i32.
-pub fn i32_from_bytes(bytes: &[u8]) -> Vec<i32> {
-    let mut out = Vec::new();
-    i32_from_bytes_into(bytes, &mut out);
-    out
-}
-
-/// [`i32_from_bytes`] into a reused buffer (cleared first).
+/// Parses little-endian bytes back to i32 into a reused buffer (cleared
+/// first).
 #[allow(clippy::expect_used)] // chunks_exact(4) yields 4-byte slices, try_into cannot fail
 pub fn i32_from_bytes_into(bytes: &[u8], out: &mut Vec<i32>) {
     out.clear();
@@ -200,7 +194,6 @@ mod tests {
         let f = vec![1.5f32, -2.25, 0.0];
         assert_eq!(f32_from_bytes(&f32_bytes(&f)), f);
         let i = vec![7i32, -9, i32::MAX];
-        assert_eq!(i32_from_bytes(&i32_bytes(&i)), i);
         // The `_into` forms replace, not append to, what the buffer held.
         let (mut fs, mut is) = (vec![9.0f32; 7], vec![9i32; 7]);
         f32_from_bytes_into(&f32_bytes(&f), &mut fs);

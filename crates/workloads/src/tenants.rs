@@ -94,23 +94,6 @@ pub fn mixed_open_closed(seed: u64, tenants: u32, ops_per_tenant: u64) -> Tenant
     set
 }
 
-/// A saturating closed tenant set with explicit per-tenant WFQ weights —
-/// the input of the achieved-vs-configured share tests.
-pub fn weighted_closed(seed: u64, weights: &[u64], ops_per_tenant: u64) -> TenantSet {
-    let mut set = TenantSet::new(seed);
-    for (t, &w) in weights.iter().enumerate() {
-        set = set.with_tenant(fig9_tenant(
-            seed,
-            t as u32,
-            w,
-            Arrival::Closed { outstanding: 4 },
-            ops_per_tenant,
-            75,
-        ));
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,12 +135,5 @@ mod tests {
             .collect();
         assert_eq!(arrivals, vec![true, false, true, false]);
         assert!(set.tenants.iter().all(|t| t.total_ops == 10));
-    }
-
-    #[test]
-    fn weighted_set_carries_weights() {
-        let set = weighted_closed(5, &[1, 2, 4], 10);
-        let w: Vec<u64> = set.tenants.iter().map(|t| t.weight).collect();
-        assert_eq!(w, vec![1, 2, 4]);
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI hygiene gate: formatting, lints and rustdoc (warnings are errors), and
-# the full workspace test suite.
+# the pub-reach gate, and the full workspace test suite.
 #
 # Usage: scripts/check.sh [--no-test]
 set -euo pipefail
@@ -27,6 +27,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 # (one left by a rename, say) fails here rather than rotting.
 echo "== cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
+
+# Every `pub fn` is reached by a run (product code, a bench bin, an example
+# or a benchmark probe), or scripts/pub_reach_allow.txt names it with a
+# reason. `unreachable_pub` cannot see an item a crate root re-exports.
+echo "== pub-reach gate (scripts/pub_reach.sh)"
+scripts/pub_reach.sh > /dev/null
 
 if [[ "${1:-}" != "--no-test" ]]; then
     echo "== cargo test --workspace"
