@@ -48,7 +48,6 @@ use serde::{Deserialize, Serialize};
 /// keeps the right side gentle.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComputeEngine {
-    name: String,
     peak: Throughput,
     n_opt: u64,
     rise: f64,
@@ -61,20 +60,13 @@ impl ComputeEngine {
     /// # Panics
     ///
     /// Panics if `n_opt` is zero or curve constants are non-positive.
-    pub fn new(
-        name: impl Into<String>,
-        peak: Throughput,
-        n_opt: u64,
-        rise: f64,
-        decline: f64,
-    ) -> Self {
+    pub fn new(peak: Throughput, n_opt: u64, rise: f64, decline: f64) -> Self {
         assert!(n_opt > 0, "optimal tile must be non-zero");
         assert!(
             rise > 0.0 && decline > 0.0,
             "curve constants must be positive"
         );
         ComputeEngine {
-            name: name.into(),
             peak,
             n_opt,
             rise,
@@ -85,42 +77,19 @@ impl ComputeEngine {
     /// RTX 2080-class CUDA cores: optimum 2048×2048 (Fig. 3), ~25 GiB/s-class
     /// peak effective data rate.
     pub fn cuda_cores() -> Self {
-        ComputeEngine::new(
-            "cuda-cores",
-            Throughput::mib_per_sec(25_000),
-            2048,
-            0.10 / 3.0,
-            0.10,
-        )
+        ComputeEngine::new(Throughput::mib_per_sec(25_000), 2048, 0.10 / 3.0, 0.10)
     }
 
     /// RTX 2080-class Tensor Cores: optimum 512×512 (Fig. 3), roughly an
     /// order of magnitude above the CUDA cores.
     pub fn tensor_cores() -> Self {
-        ComputeEngine::new(
-            "tensor-cores",
-            Throughput::mib_per_sec(250_000),
-            512,
-            0.10 / 3.0,
-            0.10,
-        )
+        ComputeEngine::new(Throughput::mib_per_sec(250_000), 512, 0.10 / 3.0, 0.10)
     }
 
     /// A CPU-core fallback engine for host-side kernels (graph traversal
     /// steps that stay on the CPU).
     pub fn host_cpu() -> Self {
-        ComputeEngine::new(
-            "host-cpu",
-            Throughput::mib_per_sec(3_000),
-            256,
-            0.04 / 3.0,
-            0.04,
-        )
-    }
-
-    /// Engine name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
+        ComputeEngine::new(Throughput::mib_per_sec(3_000), 256, 0.04 / 3.0, 0.04)
     }
 
     /// Returns the engine with its optimal tile divided by `divisor`
@@ -179,14 +148,16 @@ mod tests {
 
     #[test]
     fn curve_peaks_at_documented_optimum() {
-        for engine in [ComputeEngine::cuda_cores(), ComputeEngine::tensor_cores()] {
+        for (name, engine) in [
+            ("cuda-cores", ComputeEngine::cuda_cores()),
+            ("tensor-cores", ComputeEngine::tensor_cores()),
+        ] {
             let opt = engine.optimal_tile();
             let at_opt = engine.rate(opt).bytes_per_sec_f64();
             for n in [opt / 8, opt / 2, opt * 2, opt * 8] {
                 assert!(
                     engine.rate(n).bytes_per_sec_f64() <= at_opt,
-                    "{} rate({n}) exceeds rate at optimum {opt}",
-                    engine.name()
+                    "{name} rate({n}) exceeds rate at optimum {opt}"
                 );
             }
         }

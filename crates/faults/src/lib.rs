@@ -315,16 +315,6 @@ impl ClusterFaultPlan {
     pub fn events(&self) -> &[DeviceFault] {
         &self.events
     }
-
-    /// True if the plan schedules no events (the golden run).
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
 }
 
 #[cfg(test)]
@@ -454,13 +444,12 @@ mod tests {
                 kind: DeviceFaultKind::LinkRestore,
             },
         ]);
-        assert_eq!(plan.len(), 3);
-        assert!(!plan.is_empty());
+        assert_eq!(plan.events().len(), 3);
         assert_eq!(plan.events()[0].at_op, 3);
         // Same-op events keep author order: down before restore.
         assert_eq!(plan.events()[1].kind, DeviceFaultKind::LinkDown);
         assert_eq!(plan.events()[2].kind, DeviceFaultKind::LinkRestore);
-        assert!(ClusterFaultPlan::default().is_empty());
+        assert!(ClusterFaultPlan::default().events().is_empty());
         let kill = ClusterFaultPlan::kill_at(5, 0);
         assert_eq!(kill.events()[0].kind, DeviceFaultKind::Kill);
         assert_eq!(DeviceFaultKind::Kill.name(), "kill");

@@ -6,8 +6,8 @@ use std::slice::SliceIndex;
 
 use nds_faults::{FaultConfig, FaultPlan, MediaReadFault};
 use nds_sim::{
-    ComponentId, EventKind, ObsConfig, Observability, ResourceSet, SimDuration, SimTime, Stats,
-    TimelineSnapshot, TraceContext, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    ComponentId, EventKind, ObsConfig, Observability, ResourceSet, SeriesSnapshot, SimDuration,
+    SimTime, Stats, TraceContext,
 };
 use serde::{Deserialize, Serialize};
 
@@ -153,10 +153,8 @@ impl FlashDevice {
     pub fn configure_observability(&mut self, config: &ObsConfig) {
         self.obs.configure(config);
         if config.collecting() {
-            self.channels
-                .enable_timelines(TIMELINE_WINDOW, TIMELINE_BUCKETS);
-            self.banks
-                .enable_timelines(TIMELINE_WINDOW, TIMELINE_BUCKETS);
+            self.channels.enable_timelines();
+            self.banks.enable_timelines();
         }
     }
 
@@ -170,12 +168,10 @@ impl FlashDevice {
         &mut self.obs
     }
 
-    /// Busy-time timeline snapshots for every channel and bank resource
-    /// that has sampling enabled, named after the resource.
-    pub fn timeline_snapshots(&self) -> Vec<(String, TimelineSnapshot)> {
-        let mut out = self.channels.timeline_snapshots();
-        out.extend(self.banks.timeline_snapshots());
-        out
+    /// Busy-time timelines of every channel and bank resource that has
+    /// recording enabled, named after the resource.
+    pub fn timelines(&self) -> impl Iterator<Item = (&str, &SeriesSnapshot)> {
+        self.channels.timelines().chain(self.banks.timelines())
     }
 
     /// Tags subsequent journal events with a front-end command's trace
@@ -195,19 +191,7 @@ impl FlashDevice {
     /// This is the ground truth behind the profiler's channel/bank
     /// parallelism metrics.
     pub fn lane_busy_totals(&self) -> (LaneBusy, LaneBusy) {
-        let busy = |snaps: Vec<(String, TimelineSnapshot)>| {
-            snaps
-                .into_iter()
-                .map(|(name, snap)| {
-                    let total = snap.total_busy();
-                    (name, total)
-                })
-                .collect()
-        };
-        (
-            busy(self.channels.timeline_snapshots()),
-            busy(self.banks.timeline_snapshots()),
-        )
+        (self.channels.busy_totals(), self.banks.busy_totals())
     }
 
     /// The device geometry.
@@ -1258,7 +1242,7 @@ mod tests {
             .get("flash.read_page")
             .expect("flash.read_page histogram");
         assert_eq!(reads.count(), 2);
-        assert!(!d.timeline_snapshots().is_empty());
+        assert!(d.timelines().next().is_some());
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl MemoryBus {
     pub fn busy_time(&self) -> SimDuration {
         self.bus.busy_time()
     }
-
-    /// Resets occupancy and traffic accounting.
-    pub fn reset(&mut self) {
-        self.bus.reset();
-        self.traffic = 0;
-    }
 }
 
 #[cfg(test)]
@@ -114,14 +108,5 @@ mod tests {
         let mut bus = MemoryBus::ddr4_dual_channel();
         assert_eq!(bus.dma(0), SimDuration::ZERO);
         assert_eq!(bus.traffic_bytes(), 0);
-    }
-
-    #[test]
-    fn reset_clears_accounting() {
-        let mut bus = MemoryBus::ddr4_dual_channel();
-        bus.cpu_copy(4096);
-        bus.reset();
-        assert_eq!(bus.traffic_bytes(), 0);
-        assert_eq!(bus.busy_time(), SimDuration::ZERO);
     }
 }

@@ -251,7 +251,11 @@ mod tests {
         let mut journal = Journal::enabled(64);
         let traced = run_journaled(&blocks, &["io", "kernel"], &mut journal);
         assert_eq!(plain, traced, "journaling must not move the schedule");
-        assert_eq!(journal.len(), 3 * 2 * 2, "begin+end per stage per block");
+        assert_eq!(
+            journal.events().count(),
+            3 * 2 * 2,
+            "begin+end per stage per block"
+        );
         let events: Vec<_> = journal.events().copied().collect();
         assert!(events.iter().all(|e| e.trace >= 1 && e.trace <= 3));
         assert!(events

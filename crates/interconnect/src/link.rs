@@ -4,8 +4,8 @@ use core::fmt;
 
 use nds_faults::{FaultConfig, FaultPlan, LinkFault};
 use nds_sim::{
-    ComponentId, EventKind, ObsConfig, Observability, Resource, SimDuration, SimTime, Stats,
-    Throughput, TimelineSnapshot, TraceContext, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    ComponentId, EventKind, ObsConfig, Observability, Resource, SeriesSnapshot, SimDuration,
+    SimTime, Stats, Throughput, TraceContext,
 };
 use serde::{Deserialize, Serialize};
 
@@ -117,7 +117,7 @@ impl Link {
     pub fn configure_observability(&mut self, config: &ObsConfig) {
         self.obs.configure(config);
         if config.collecting() {
-            self.wire.enable_timeline(TIMELINE_WINDOW, TIMELINE_BUCKETS);
+            self.wire.enable_timeline();
         }
     }
 
@@ -143,9 +143,9 @@ impl Link {
         self.obs.clear_trace();
     }
 
-    /// Snapshot of the wire's busy-time timeline, if sampling was enabled.
-    pub fn wire_timeline(&self) -> Option<TimelineSnapshot> {
-        self.wire.timeline_snapshot()
+    /// The wire's busy-time timeline, if recording was enabled.
+    pub fn wire_timeline(&self) -> Option<&SeriesSnapshot> {
+        self.wire.timeline()
     }
 
     /// The link configuration.
@@ -492,8 +492,8 @@ mod tests {
         assert_eq!(h.max(), done.saturating_since(SimTime::ZERO));
         let timeline = link.wire_timeline().expect("wire timeline enabled");
         assert_eq!(
-            timeline.buckets.iter().copied().sum::<SimDuration>() + timeline.overflow,
-            link.busy_time()
+            timeline.buckets.iter().sum::<u64>() + timeline.overflow,
+            link.busy_time().as_nanos()
         );
     }
 

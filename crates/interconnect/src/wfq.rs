@@ -196,16 +196,6 @@ impl<T> WfqScheduler<T> {
         Some((pending.flow, pending.payload))
     }
 
-    /// Number of requests queued across all flows.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Number of requests queued on `flow`.
     pub fn queued(&self, flow: u32) -> usize {
         self.flows.get(&flow).map_or(0, |f| f.queued)
@@ -297,7 +287,7 @@ mod tests {
         assert_eq!(wfq.queued(7), 1);
         assert_eq!(wfq.weight(7), Some(1));
         assert_eq!(wfq.pop(), Some((7, ())));
-        assert!(wfq.is_empty());
+        assert_eq!(wfq.queued(7), 0);
         assert!(wfq.virtual_now() > 0, "zero cost still advances the clock");
     }
 
@@ -319,7 +309,7 @@ mod tests {
         assert!(!err.to_string().is_empty());
         // The failed enqueue left no residue: nothing queued, the flow's
         // tag untouched, and a small request still succeeds afterwards.
-        assert!(wfq.is_empty());
+        assert_eq!(wfq.pop(), None);
         assert_eq!(wfq.queued(9), 0);
         wfq.enqueue(9, 1, ()).unwrap();
         assert_eq!(wfq.pop(), Some((9, ())));

@@ -60,7 +60,9 @@ proptest! {
             drained += 1;
         }
         prop_assert_eq!(drained, enqueued, "requests lost or duplicated");
-        prop_assert!(wfq.is_empty());
+        for f in 0..b.weights.len() as u32 {
+            prop_assert_eq!(wfq.queued(f), 0, "flow {} still queued", f);
+        }
     }
 
     /// Determinism: the same enqueue sequence pops in the same order, and

@@ -18,8 +18,9 @@
 //!   effective bandwidths without sprinkling unit arithmetic through the code.
 //! * [`obs`] — the deterministic observability layer: a typed event
 //!   [`Journal`], fixed-log2-bucket [`LatencyHistogram`]s, windowed
-//!   [`BusyTimeline`]s, and the serializable [`RunReport`] artifact. All
-//!   hooks are zero-cost when disabled and schedule-neutral always.
+//!   [`SeriesSnapshot`]s (metric series and resource busy timelines), and
+//!   the serializable [`RunReport`] artifact. All hooks are zero-cost when
+//!   disabled and schedule-neutral always.
 //!
 //! # Example
 //!
@@ -45,10 +46,9 @@ mod stats;
 mod time;
 
 pub use obs::{
-    push_json_string, record_command_partition, ArgValue, BusyTimeline, CommandTracer, ComponentId,
-    Event, EventKind, Histograms, Journal, JournalSummary, LatencyHistogram, Mark, MetricSet,
-    ObsConfig, Observability, RunReport, SeriesKind, SeriesSnapshot, TimelineSnapshot,
-    TraceContext, TraceExport, TraceStage, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    push_json_string, record_command_partition, ArgValue, CommandTracer, ComponentId, Event,
+    EventKind, Histograms, Journal, JournalSummary, LatencyHistogram, Mark, MetricSet, ObsConfig,
+    Observability, RunReport, SeriesKind, SeriesSnapshot, TraceContext, TraceExport, TraceStage,
 };
 pub use resource::{Resource, ResourceSet};
 pub use stats::Stats;

@@ -6,9 +6,9 @@
 //! amortization shapes link time \[P2\]. This module gives every timing
 //! component a way to expose that: a structured [`Journal`] of typed
 //! events, fixed-log2-bucket [`LatencyHistogram`]s registered next to
-//! [`Stats`], windowed busy-time [`BusyTimeline`]s fed by
-//! [`Resource`](crate::Resource), and a [`RunReport`] that serializes all
-//! of it as deterministic JSON.
+//! [`Stats`], windowed [`SeriesSnapshot`]s (metric series, and the busy
+//! timeline of every [`Resource`](crate::Resource)), and a [`RunReport`]
+//! that serializes all of it as deterministic JSON.
 //!
 //! # Contract: zero-cost when disabled, schedule-neutral always
 //!
@@ -38,7 +38,9 @@ use std::fmt;
 
 use crate::{SimDuration, SimTime, Stats};
 
-pub use timeseries::{Mark, MetricSet, SeriesKind, SeriesSnapshot};
+pub use timeseries::{
+    Mark, MetricSet, SeriesKind, SeriesSnapshot, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+};
 
 /// Stable identity of a simulated component inside the journal: a static
 /// group name plus an instance index (e.g. `flash.ch[3]`).
@@ -376,12 +378,6 @@ const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 /// retain full traces of a figure-scale run.
 const TRACED_JOURNAL_CAPACITY: usize = 1 << 16;
 
-/// Bucket width of every busy-time timeline and windowed metric series.
-pub const TIMELINE_WINDOW: SimDuration = SimDuration::from_micros(100);
-
-/// Bucket cap per timeline or series (overflow is summed past it).
-pub const TIMELINE_BUCKETS: usize = 4096;
-
 impl Default for Journal {
     fn default() -> Self {
         Journal::disabled(DEFAULT_JOURNAL_CAPACITY)
@@ -489,16 +485,6 @@ impl Journal {
         self.events.iter()
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events evicted from the ring after it filled.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -508,15 +494,6 @@ impl Journal {
     /// dropped).
     pub fn recorded(&self) -> u64 {
         self.recorded
-    }
-
-    /// Clears retained events and counters (keeps enablement).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.recorded = 0;
-        self.dropped = 0;
-        self.by_kind.clear();
-        self.dropped_by_kind.clear();
     }
 
     /// The journal's aggregate view for a [`RunReport`].
@@ -584,9 +561,9 @@ pub struct TraceContext {
 ///
 /// Front-ends model each command in its own epoch anchored at
 /// [`SimTime::ZERO`]; the tracer concatenates those epochs — exactly like
-/// [`BusyTimeline::fold_epoch`] does for resource occupancy — so exported
-/// traces share one continuous clock whose final value is the run's
-/// serial makespan.
+/// [`Resource::fold_epoch`](crate::Resource::fold_epoch) does for resource
+/// occupancy — so exported traces share one continuous clock whose final
+/// value is the run's serial makespan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommandTracer {
     next_id: u64,
@@ -909,129 +886,9 @@ impl Histograms {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.histograms.is_empty()
-    }
-
     /// Drops all recorded samples (keeps enablement).
     pub fn clear(&mut self) {
         self.histograms.clear();
-    }
-}
-
-/// Windowed busy-time sampling for a [`Resource`](crate::Resource):
-/// modeled busy time accumulated per fixed-width window of modeled time.
-///
-/// Components re-anchor their resources at `SimTime::ZERO` for every
-/// operation (`reset_timing`), so a run's modeled time is a sequence of
-/// per-operation epochs. The timeline concatenates them:
-/// [`Resource::reset`](crate::Resource::reset) folds the finished epoch's
-/// span into `epoch offset`, and intervals recorded afterwards land after
-/// it — producing one continuous occupancy timeline over the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BusyTimeline {
-    window: SimDuration,
-    max_buckets: usize,
-    epoch_offset: SimDuration,
-    buckets: Vec<SimDuration>,
-    overflow: SimDuration,
-}
-
-impl BusyTimeline {
-    /// A timeline with `window`-wide buckets, keeping at most
-    /// `max_buckets` of them; busy time past the horizon accumulates into
-    /// a single overflow sum (never silently lost).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or `max_buckets` is zero.
-    pub fn new(window: SimDuration, max_buckets: usize) -> Self {
-        assert!(!window.is_zero(), "timeline window must be non-zero");
-        assert!(max_buckets > 0, "timeline needs at least one bucket");
-        BusyTimeline {
-            window,
-            max_buckets,
-            epoch_offset: SimDuration::ZERO,
-            buckets: Vec::new(),
-            overflow: SimDuration::ZERO,
-        }
-    }
-
-    /// Records a busy interval `[start, end)` relative to the current
-    /// epoch, distributing it across the windows it overlaps.
-    pub fn record(&mut self, start: SimDuration, end: SimDuration) {
-        let w = self.window.as_nanos();
-        let mut s = (self.epoch_offset + start).as_nanos();
-        let e = (self.epoch_offset + end).as_nanos();
-        while s < e {
-            let idx = (s / w) as usize;
-            if idx >= self.max_buckets {
-                self.overflow += SimDuration(e - s);
-                return;
-            }
-            if self.buckets.len() <= idx {
-                self.buckets.resize(idx + 1, SimDuration::ZERO);
-            }
-            let bucket_end = (idx as u64 + 1).saturating_mul(w);
-            let take = e.min(bucket_end) - s;
-            self.buckets[idx] += SimDuration(take);
-            s += take;
-        }
-    }
-
-    /// Advances the epoch offset by the span of a finished epoch, so the
-    /// next operation's intervals continue the timeline instead of
-    /// overwriting window 0.
-    pub fn fold_epoch(&mut self, span: SimDuration) {
-        self.epoch_offset += span;
-    }
-
-    /// The bucket width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Busy time per window, from the start of the run.
-    pub fn buckets(&self) -> &[SimDuration] {
-        &self.buckets
-    }
-
-    /// Busy time beyond the retained horizon.
-    pub fn overflow(&self) -> SimDuration {
-        self.overflow
-    }
-
-    /// Total busy time recorded (buckets + overflow).
-    pub fn total_busy(&self) -> SimDuration {
-        self.buckets.iter().copied().sum::<SimDuration>() + self.overflow
-    }
-
-    /// A copy for a [`RunReport`].
-    pub fn snapshot(&self) -> TimelineSnapshot {
-        TimelineSnapshot {
-            window: self.window,
-            buckets: self.buckets.clone(),
-            overflow: self.overflow,
-        }
-    }
-}
-
-/// A serialized utilization timeline inside a [`RunReport`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimelineSnapshot {
-    /// Bucket width.
-    pub window: SimDuration,
-    /// Busy time per window, from the start of the run.
-    pub buckets: Vec<SimDuration>,
-    /// Busy time beyond the retained horizon.
-    pub overflow: SimDuration,
-}
-
-impl TimelineSnapshot {
-    /// Total busy time in the snapshot (buckets + overflow).
-    pub fn total_busy(&self) -> SimDuration {
-        self.buckets.iter().copied().sum::<SimDuration>() + self.overflow
     }
 }
 
@@ -1086,8 +943,8 @@ impl ObsConfig {
         self
     }
 
-    /// True if journals, histograms and per-resource busy-time timelines
-    /// ([`TIMELINE_WINDOW`] × [`TIMELINE_BUCKETS`]) record.
+    /// True if journals, histograms and per-resource busy-time
+    /// timelines record.
     pub const fn collecting(&self) -> bool {
         !matches!(self.level, ObsLevel::Off)
     }
@@ -1098,8 +955,8 @@ impl ObsConfig {
         matches!(self.level, ObsLevel::Traced)
     }
 
-    /// True if the windowed [`MetricSet`] sampler (series and event marks)
-    /// runs, sharing the timeline window width and bucket cap.
+    /// True if the windowed [`MetricSet`] sampler (series and event
+    /// marks) runs.
     pub const fn metrics(&self) -> bool {
         self.metrics
     }
@@ -1136,7 +993,7 @@ impl Observability {
             self.histograms.clear();
         }
         self.metrics = if config.metrics() {
-            MetricSet::enabled(TIMELINE_WINDOW, TIMELINE_BUCKETS)
+            MetricSet::enabled()
         } else {
             MetricSet::disabled()
         };
@@ -1232,13 +1089,14 @@ pub struct RunReport {
     pub durations: BTreeMap<String, SimDuration>,
     /// Latency histograms by name.
     pub histograms: BTreeMap<String, LatencyHistogram>,
-    /// Utilization timelines by resource name.
-    pub timelines: BTreeMap<String, TimelineSnapshot>,
+    /// Busy-time timelines (counter series in nanoseconds) by resource
+    /// name.
+    pub timelines: BTreeMap<String, SeriesSnapshot>,
     /// Windowed metric series by name (window width in
     /// [`series_window`](Self::series_window)).
     pub series: BTreeMap<String, SeriesSnapshot>,
-    /// Window width shared by every absorbed series (zero until a metric
-    /// sampler is absorbed).
+    /// Window width of every series: [`TIMELINE_WINDOW`] once a metric
+    /// sampler is absorbed, zero until then.
     pub series_window: SimDuration,
     /// Event marks on the run-long folded clock, sorted by instant.
     pub marks: Vec<Mark>,
@@ -1276,8 +1134,8 @@ impl RunReport {
         *slot += value;
     }
 
-    /// Adds a utilization timeline under `name`.
-    pub fn add_timeline(&mut self, name: impl Into<String>, timeline: TimelineSnapshot) {
+    /// Adds a busy-time timeline under `name`.
+    pub fn add_timeline(&mut self, name: impl Into<String>, timeline: SeriesSnapshot) {
         self.timelines.insert(name.into(), timeline);
     }
 
@@ -1298,14 +1156,14 @@ impl RunReport {
     /// by components (like the traffic engine) that own a [`MetricSet`]
     /// outside an [`Observability`] bundle.
     pub fn absorb_metrics(&mut self, metrics: &MetricSet) {
-        if metrics.is_enabled() && self.series_window.is_zero() {
-            self.series_window = metrics.window();
+        if metrics.is_enabled() {
+            self.series_window = TIMELINE_WINDOW;
         }
         for (name, snapshot) in metrics.snapshots() {
             match self.series.get_mut(name) {
-                Some(existing) => existing.merge(&snapshot),
+                Some(existing) => existing.merge(snapshot),
                 None => {
-                    self.series.insert(name.to_owned(), snapshot);
+                    self.series.insert(name.to_owned(), snapshot.clone());
                 }
             }
         }
@@ -1473,19 +1331,12 @@ impl RunReport {
             out.push_str("    ");
             push_json_string(out, name);
             out.push_str(": { \"window_ns\": ");
-            push_u64(out, t.window.as_nanos());
+            push_u64(out, TIMELINE_WINDOW.as_nanos());
             out.push_str(", \"overflow_ns\": ");
-            push_u64(out, t.overflow.as_nanos());
-            out.push_str(", \"busy_ns\": [");
-            let mut first_bucket = true;
-            for b in &t.buckets {
-                if !first_bucket {
-                    out.push_str(", ");
-                }
-                first_bucket = false;
-                push_u64(out, b.as_nanos());
-            }
-            out.push_str("] }");
+            push_u64(out, t.overflow);
+            out.push_str(", \"busy_ns\": ");
+            write_u64_array(out, &t.buckets);
+            out.push_str(" }");
         }
         close_map(out, first);
     }
@@ -1503,16 +1354,9 @@ impl RunReport {
             push_u64(out, s.total);
             out.push_str(", \"overflow\": ");
             push_u64(out, s.overflow);
-            out.push_str(", \"values\": [");
-            let mut first_bucket = true;
-            for v in &s.buckets {
-                if !first_bucket {
-                    out.push_str(", ");
-                }
-                first_bucket = false;
-                push_u64(out, *v);
-            }
-            out.push_str("] }");
+            out.push_str(", \"values\": ");
+            write_u64_array(out, &s.buckets);
+            out.push_str(" }");
         }
         close_map(out, first);
     }
@@ -1590,6 +1434,18 @@ fn close_map(out: &mut String, still_first: bool) {
 fn push_u64(out: &mut String, value: u64) {
     use fmt::Write as _;
     let _ = write!(out, "{value}");
+}
+
+/// Writes `values` as a one-line JSON array, brackets included.
+fn write_u64_array(out: &mut String, values: &[u64]) {
+    out.push('[');
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_u64(out, *v);
+    }
+    out.push(']');
 }
 
 /// Appends `s` to `out` as a quoted, escaped JSON string literal.
@@ -1683,7 +1539,7 @@ mod tests {
             EventKind::CommandIssued { bytes: 1 }
         });
         assert!(!ran, "payload closure must not run while disabled");
-        assert!(j.is_empty());
+        assert_eq!(j.events().count(), 0);
         assert_eq!(j.recorded(), 0);
     }
 
@@ -1695,7 +1551,7 @@ mod tests {
                 EventKind::CommandIssued { bytes: i }
             });
         }
-        assert_eq!(j.len(), 2);
+        assert_eq!(j.events().count(), 2);
         assert_eq!(j.dropped(), 3);
         let s = j.summary();
         assert_eq!(s.recorded, 5);
@@ -1771,37 +1627,48 @@ mod tests {
     fn disabled_histograms_record_nothing() {
         let mut h = Histograms::disabled();
         h.record("x", us(5));
-        assert!(h.is_empty());
+        assert_eq!(h.iter().count(), 0);
         h.set_enabled(true);
         h.record("x", us(5));
         assert_eq!(h.get("x").map(LatencyHistogram::count), Some(1));
     }
 
+    /// An empty busy timeline: a counter series in nanoseconds.
+    fn busy_timeline() -> SeriesSnapshot {
+        SeriesSnapshot::new(SeriesKind::Counter)
+    }
+
     #[test]
     fn timeline_distributes_across_windows() {
-        let mut t = BusyTimeline::new(us(10), 16);
-        // [5us, 25us) spans three 10us windows: 5 + 10 + 5.
-        t.record(us(5), us(25));
-        assert_eq!(t.buckets(), &[us(5), us(10), us(5)]);
-        assert_eq!(t.total_busy(), us(20));
+        let mut t = busy_timeline();
+        // [50us, 250us) spans three 100us windows: 50 + 100 + 50.
+        t.record_interval(us(50), us(250));
+        assert_eq!(t.buckets, [50_000, 100_000, 50_000]);
+        assert_eq!(t.total, 200_000);
     }
 
     #[test]
     fn timeline_folds_epochs_into_continuous_time() {
-        let mut t = BusyTimeline::new(us(10), 16);
-        t.record(us(0), us(4)); // op 1: busy 4us of a 10us epoch
-        t.fold_epoch(us(10));
-        t.record(us(0), us(4)); // op 2 lands in the second window
-        assert_eq!(t.buckets(), &[us(4), us(4)]);
+        let mut r = crate::Resource::new("r");
+        r.enable_timeline();
+        r.acquire(SimTime::ZERO, us(40)); // op 1: busy 40us of a 100us epoch
+        r.fold_epoch(us(100));
+        r.acquire(SimTime::ZERO, us(40)); // op 2 lands in the second window
+        assert_eq!(
+            r.timeline().map(|t| &t.buckets[..]),
+            Some(&[40_000, 40_000][..])
+        );
     }
 
     #[test]
     fn timeline_overflow_catches_horizon_excess() {
-        let mut t = BusyTimeline::new(us(10), 2);
-        t.record(us(0), us(50));
-        assert_eq!(t.buckets(), &[us(10), us(10)]);
-        assert_eq!(t.overflow(), us(30));
-        assert_eq!(t.total_busy(), us(50));
+        let horizon = TIMELINE_WINDOW * TIMELINE_BUCKETS as u64;
+        let mut t = busy_timeline();
+        t.record_interval(SimDuration::ZERO, horizon + us(300));
+        assert_eq!(t.buckets.len(), TIMELINE_BUCKETS);
+        assert!(t.buckets.iter().all(|&b| b == TIMELINE_WINDOW.as_nanos()));
+        assert_eq!(t.overflow, 300_000);
+        assert_eq!(t.total, (horizon + us(300)).as_nanos());
     }
 
     #[test]
@@ -1820,7 +1687,11 @@ mod tests {
         obs.latency("x", us(1));
         obs.configure(&ObsConfig::disabled());
         assert!(!obs.is_enabled());
-        assert!(obs.journal().is_empty(), "configure resets the journal");
+        assert_eq!(
+            obs.journal().events().count(),
+            0,
+            "configure resets the journal"
+        );
     }
 
     #[test]
@@ -1978,9 +1849,9 @@ mod tests {
                 }
             });
             r.absorb(&obs);
-            let mut t = BusyTimeline::new(us(10), 4);
-            t.record(us(0), us(15));
-            r.add_timeline("flash.ch[0]", t.snapshot());
+            let mut t = busy_timeline();
+            t.record_interval(SimDuration::ZERO, us(150));
+            r.add_timeline("flash.ch[0]", t);
             r
         };
         let a = build().to_json();
@@ -1990,6 +1861,9 @@ mod tests {
         assert!(a.contains("\"run.total\": 42000"));
         assert!(a.contains("\"quote\\\"key\": \"line\\nbreak\""));
         assert!(a.contains("\"PageRead\": 1"));
+        assert!(a.contains(
+            "\"flash.ch[0]\": { \"window_ns\": 100000, \"overflow_ns\": 0, \"busy_ns\": [100000, 50000] }"
+        ));
         assert!(a.ends_with("}\n"));
     }
 

@@ -1,31 +1,50 @@
-//! Windowed time-series telemetry on modeled time (ISSUE 10).
+//! Windowed telemetry on modeled time: one windowed series for every
+//! per-window measure.
 //!
-//! [`MetricSet`] is the per-component sampler: named series of per-window
-//! values over fixed-width windows of modeled time, plus point-in-time
-//! [`Mark`]s for discrete events (faults, failovers). Like
-//! [`BusyTimeline`](super::BusyTimeline), it lives on the *epoch-folded*
-//! run clock: front-ends model every command in its own epoch anchored at
-//! [`SimTime::ZERO`] and call [`MetricSet::fold_epoch`] with the finished
-//! epoch's span, so consecutive operations land in consecutive windows
-//! instead of all piling into window 0.
+//! A [`SeriesSnapshot`] is per-window `u64` values on the run-long
+//! *epoch-folded* clock: [`TIMELINE_BUCKETS`] windows of [`TIMELINE_WINDOW`],
+//! an overflow tail past the last window, and a run total. One function maps
+//! a run-long instant to its window or to the overflow, so every series
+//! windows alike. Front-ends model every command in its own epoch anchored
+//! at [`SimTime::ZERO`] and fold the finished epoch's span into the clock,
+//! so consecutive operations land in consecutive windows instead of all
+//! piling into window 0.
 //!
 //! Two series kinds exist:
 //!
 //! * **Counter** — per-window values *sum* (ops, bytes, faults). The sum
 //!   over all windows plus the overflow tail equals the run total exactly;
-//!   `crates/sim` property tests pin this window-fold invariant.
+//!   `crates/sim` property tests pin this window-fold invariant. A
+//!   [`Resource`](crate::Resource)'s busy timeline is a counter series in
+//!   nanoseconds whose busy intervals split across the windows they cover.
 //! * **Gauge** — per-window values take the *maximum* observed sample
 //!   (queue depth, backlog, devices up). The run-level aggregate is the
 //!   high-water mark.
 //!
-//! The sampler obeys the same contract as every other collector here:
-//! one branch when disabled, observe-only (nothing in the schedule reads
-//! it back), and all-integer so snapshots serialize deterministically.
+//! [`MetricSet`] is the per-component sampler: named series plus
+//! point-in-time [`Mark`]s for discrete events (faults, failovers). It
+//! obeys the same contract as every other collector here: one branch when
+//! disabled, observe-only (nothing in the schedule reads it back), and
+//! all-integer so snapshots serialize deterministically.
 
 use std::collections::BTreeMap;
 
 use super::{ComponentId, EventKind};
 use crate::{SimDuration, SimTime};
+
+/// Width of every window of every series.
+pub const TIMELINE_WINDOW: SimDuration = SimDuration::from_micros(100);
+
+/// Windows per series; what falls past the last one goes to its overflow.
+pub const TIMELINE_BUCKETS: usize = 4096;
+
+/// The window a run-long instant falls in, or `None` past the last window.
+fn window_of(at: SimDuration) -> Option<usize> {
+    let index = at.as_nanos() / TIMELINE_WINDOW.as_nanos();
+    usize::try_from(index)
+        .ok()
+        .filter(|&index| index < TIMELINE_BUCKETS)
+}
 
 /// How a series aggregates multiple observations inside one window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -45,22 +64,34 @@ impl SeriesKind {
             SeriesKind::Gauge => "gauge",
         }
     }
+
+    /// Folds `value` into an aggregate of this kind.
+    fn fold(self, slot: &mut u64, value: u64) {
+        match self {
+            SeriesKind::Counter => *slot += value,
+            SeriesKind::Gauge => *slot = (*slot).max(value),
+        }
+    }
 }
 
-/// One named series: per-window values over the run-long folded clock.
+/// One windowed series over the run-long folded clock: a metric series, or
+/// a resource's busy timeline (a counter in nanoseconds).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Series {
-    kind: SeriesKind,
-    buckets: Vec<u64>,
-    /// Counter weight (or gauge high-water) observed past the window cap.
-    overflow: u64,
+pub struct SeriesSnapshot {
+    /// Aggregation kind of the series.
+    pub kind: SeriesKind,
+    /// Per-window values, from the start of the run.
+    pub buckets: Vec<u64>,
+    /// Counter weight (or gauge high-water) past the last window.
+    pub overflow: u64,
     /// Run total (counters) or run high-water mark (gauges).
-    total: u64,
+    pub total: u64,
 }
 
-impl Series {
-    fn new(kind: SeriesKind) -> Self {
-        Series {
+impl SeriesSnapshot {
+    /// An empty series of `kind`.
+    pub(crate) fn new(kind: SeriesKind) -> Self {
+        SeriesSnapshot {
             kind,
             buckets: Vec::new(),
             overflow: 0,
@@ -68,85 +99,51 @@ impl Series {
         }
     }
 
-    fn observe(&mut self, index: Option<usize>, value: u64) {
-        match self.kind {
-            SeriesKind::Counter => {
-                self.total += value;
-                match index {
-                    Some(idx) => {
-                        if self.buckets.len() <= idx {
-                            self.buckets.resize(idx + 1, 0);
-                        }
-                        if let Some(slot) = self.buckets.get_mut(idx) {
-                            *slot += value;
-                        }
-                    }
-                    None => self.overflow += value,
-                }
-            }
-            SeriesKind::Gauge => {
-                self.total = self.total.max(value);
-                match index {
-                    Some(idx) => {
-                        if self.buckets.len() <= idx {
-                            self.buckets.resize(idx + 1, 0);
-                        }
-                        if let Some(slot) = self.buckets.get_mut(idx) {
-                            *slot = (*slot).max(value);
-                        }
-                    }
-                    None => self.overflow = self.overflow.max(value),
-                }
-            }
+    /// Records `value` at run-long instant `at`: into its window, or into
+    /// the overflow past the last one.
+    pub(crate) fn observe(&mut self, at: SimDuration, value: u64) {
+        self.fold_into(window_of(at), value);
+    }
+
+    /// Adds the busy interval `[start, end)` of run-long time to a counter
+    /// in nanoseconds, each window taking the part it covers.
+    pub(crate) fn record_interval(&mut self, start: SimDuration, end: SimDuration) {
+        let (mut at, end) = (start.as_nanos(), end.as_nanos());
+        while at < end {
+            let window = window_of(SimDuration(at));
+            let window_end =
+                window.map_or(end, |index| (index as u64 + 1) * TIMELINE_WINDOW.as_nanos());
+            let take = end.min(window_end) - at;
+            self.fold_into(window, take);
+            at += take;
         }
     }
 
-    fn snapshot(&self) -> SeriesSnapshot {
-        SeriesSnapshot {
-            kind: self.kind,
-            buckets: self.buckets.clone(),
-            overflow: self.overflow,
-            total: self.total,
-        }
+    fn fold_into(&mut self, window: Option<usize>, value: u64) {
+        self.kind.fold(&mut self.total, value);
+        let slot = match window {
+            Some(index) => {
+                if self.buckets.len() <= index {
+                    self.buckets.resize(index + 1, 0);
+                }
+                &mut self.buckets[index]
+            }
+            None => &mut self.overflow,
+        };
+        self.kind.fold(slot, value);
     }
-}
 
-/// A serialized series inside a [`RunReport`](super::RunReport).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesSnapshot {
-    /// Aggregation kind of the series.
-    pub kind: SeriesKind,
-    /// Per-window values, from the start of the run.
-    pub buckets: Vec<u64>,
-    /// Counter weight (or gauge high-water) past the retained horizon.
-    pub overflow: u64,
-    /// Run total (counters) or run high-water mark (gauges).
-    pub total: u64,
-}
-
-impl SeriesSnapshot {
     /// Folds another snapshot of the same series into this one — counters
     /// sum element-wise, gauges take the element-wise maximum.
     pub fn merge(&mut self, other: &SeriesSnapshot) {
         if self.buckets.len() < other.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
-        match self.kind {
-            SeriesKind::Counter => {
-                for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-                    *mine += theirs;
-                }
-                self.overflow += other.overflow;
-                self.total += other.total;
-            }
-            SeriesKind::Gauge => {
-                for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-                    *mine = (*mine).max(*theirs);
-                }
-                self.overflow = self.overflow.max(other.overflow);
-                self.total = self.total.max(other.total);
-            }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            self.kind.fold(mine, *theirs);
         }
+        self.kind.fold(&mut self.overflow, other.overflow);
+        self.kind.fold(&mut self.total, other.total);
     }
 }
 
@@ -167,48 +164,27 @@ const MAX_MARKS: usize = 1024;
 
 /// The windowed sampler: named [`SeriesKind::Counter`]/[`SeriesKind::Gauge`]
 /// series plus event [`Mark`]s, all on the epoch-folded modeled clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricSet {
     enabled: bool,
-    window: SimDuration,
-    max_windows: usize,
     epoch_offset: SimDuration,
-    series: BTreeMap<String, Series>,
+    series: BTreeMap<String, SeriesSnapshot>,
     marks: Vec<Mark>,
     marks_dropped: u64,
-}
-
-impl Default for MetricSet {
-    fn default() -> Self {
-        MetricSet::disabled()
-    }
 }
 
 impl MetricSet {
     /// A disabled sampler (records nothing until configured on).
     pub fn disabled() -> Self {
-        MetricSet {
-            enabled: false,
-            window: SimDuration::from_micros(100),
-            max_windows: 4096,
-            epoch_offset: SimDuration::ZERO,
-            series: BTreeMap::new(),
-            marks: Vec::new(),
-            marks_dropped: 0,
-        }
+        MetricSet::default()
     }
 
-    /// An enabled sampler with `window`-wide buckets, keeping at most
-    /// `max_windows` of them per series (the tail accumulates into a
-    /// per-series overflow slot, never silently lost).
-    pub fn enabled(window: SimDuration, max_windows: usize) -> Self {
-        let mut m = MetricSet::disabled();
-        m.enabled = true;
-        if !window.is_zero() {
-            m.window = window;
+    /// An enabled sampler.
+    pub fn enabled() -> Self {
+        MetricSet {
+            enabled: true,
+            ..MetricSet::default()
         }
-        m.max_windows = max_windows.max(1);
-        m
     }
 
     /// Whether samples are currently recorded.
@@ -216,30 +192,19 @@ impl MetricSet {
         self.enabled
     }
 
-    /// The window width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// The run-long instant of an epoch-local `at`.
     fn folded(&self, at: SimTime) -> SimDuration {
         self.epoch_offset + at.saturating_since(SimTime::ZERO)
     }
 
-    /// The window index of a run-long instant, or `None` past the cap.
-    fn window_index(&self, folded: SimDuration) -> Option<usize> {
-        let idx = (folded.as_nanos() / self.window.as_nanos()) as usize;
-        (idx < self.max_windows).then_some(idx)
-    }
-
     fn observe_named(&mut self, at: SimTime, name: &str, kind: SeriesKind, value: u64) {
-        let index = self.window_index(self.folded(at));
+        let at = self.folded(at);
         if let Some(series) = self.series.get_mut(name) {
-            series.observe(index, value);
+            series.observe(at, value);
             return;
         }
-        let mut series = Series::new(kind);
-        series.observe(index, value);
+        let mut series = SeriesSnapshot::new(kind);
+        series.observe(at, value);
         self.series.insert(name.to_owned(), series);
     }
 
@@ -277,8 +242,7 @@ impl MetricSet {
 
     /// Advances the epoch offset by the span of a finished epoch, so the
     /// next operation's samples continue the run-long axis (the
-    /// [`BusyTimeline::fold_epoch`](super::BusyTimeline::fold_epoch)
-    /// discipline).
+    /// [`Resource::fold_epoch`](crate::Resource::fold_epoch) discipline).
     pub fn fold_epoch(&mut self, span: SimDuration) {
         if !self.enabled {
             return;
@@ -335,9 +299,9 @@ impl MetricSet {
         }
     }
 
-    /// Snapshots of every series, sorted by name.
-    pub fn snapshots(&self) -> impl Iterator<Item = (&str, SeriesSnapshot)> {
-        self.series.iter().map(|(k, v)| (k.as_str(), v.snapshot()))
+    /// Every series, sorted by name.
+    pub fn snapshots(&self) -> impl Iterator<Item = (&str, &SeriesSnapshot)> {
+        self.series.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// The run-level total of series `name` (counter sum or gauge
@@ -355,16 +319,12 @@ impl MetricSet {
     pub fn marks_dropped(&self) -> u64 {
         self.marks_dropped
     }
-
-    /// True when no series or marks were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty() && self.marks.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Resource;
 
     fn us(n: u64) -> SimDuration {
         SimDuration::from_micros(n)
@@ -373,6 +333,9 @@ mod tests {
     fn at(n: u64) -> SimTime {
         SimTime::ZERO + us(n)
     }
+
+    /// The run-long instant where the last window ends: 409.6 ms.
+    const HORIZON_US: u64 = 100 * TIMELINE_BUCKETS as u64;
 
     #[test]
     fn disabled_sampler_records_nothing_and_skips_label_closure() {
@@ -385,15 +348,16 @@ mod tests {
             "boom".to_owned()
         });
         assert!(!ran, "mark label must not build while disabled");
-        assert!(m.is_empty());
+        assert_eq!(m.snapshots().count(), 0);
+        assert!(m.marks().is_empty());
     }
 
     #[test]
     fn counter_windows_sum_to_run_total() {
-        let mut m = MetricSet::enabled(us(10), 8);
+        let mut m = MetricSet::enabled();
         m.add(at(1), "bytes", 100);
-        m.add(at(12), "bytes", 50);
-        m.add(at(12), "bytes", 25);
+        m.add(at(120), "bytes", 50);
+        m.add(at(120), "bytes", 25);
         let (name, snap) = m.snapshots().next().expect("series recorded");
         assert_eq!(name, "bytes");
         assert_eq!(snap.kind, SeriesKind::Counter);
@@ -408,11 +372,11 @@ mod tests {
 
     #[test]
     fn gauge_windows_keep_high_water() {
-        let mut m = MetricSet::enabled(us(10), 8);
+        let mut m = MetricSet::enabled();
         m.sample(at(1), "depth", 3);
-        m.sample(at(2), "depth", 9);
-        m.sample(at(3), "depth", 5);
-        m.sample(at(15), "depth", 2);
+        m.sample(at(20), "depth", 9);
+        m.sample(at(99), "depth", 5);
+        m.sample(at(150), "depth", 2);
         let (_, snap) = m.snapshots().next().expect("series recorded");
         assert_eq!(snap.kind, SeriesKind::Gauge);
         assert_eq!(snap.buckets, [9, 2]);
@@ -421,31 +385,66 @@ mod tests {
 
     #[test]
     fn fold_epoch_moves_later_ops_into_later_windows() {
-        let mut m = MetricSet::enabled(us(10), 8);
+        let mut m = MetricSet::enabled();
         m.add(at(0), "ops", 1);
-        m.fold_epoch(us(10));
+        m.fold_epoch(us(100));
         m.add(at(0), "ops", 1);
         m.mark(at(5), || "fault".to_owned());
         let (_, snap) = m.snapshots().next().expect("series recorded");
         assert_eq!(snap.buckets, [1, 1]);
         assert_eq!(m.marks().len(), 1);
-        assert_eq!(m.marks()[0].at, us(15), "marks fold like samples");
+        assert_eq!(m.marks()[0].at, us(105), "marks fold like samples");
     }
 
     #[test]
     fn overflow_keeps_totals_exact_past_the_window_cap() {
-        let mut m = MetricSet::enabled(us(10), 2);
+        let mut m = MetricSet::enabled();
         m.add(at(5), "ops", 1);
-        m.add(at(500), "ops", 41);
-        let (_, snap) = m.snapshots().next().expect("series recorded");
-        assert_eq!(snap.buckets, [1]);
-        assert_eq!(snap.overflow, 41);
-        assert_eq!(snap.total, 42);
+        m.add(at(HORIZON_US + 5_000), "ops", 41);
+        m.sample(at(5), "depth", 3);
+        m.sample(at(HORIZON_US), "depth", 7);
+        m.sample(at(HORIZON_US + 100), "depth", 4);
+        let snaps: BTreeMap<_, _> = m.snapshots().collect();
+        let ops = snaps["ops"];
+        assert_eq!(ops.buckets, [1]);
+        assert_eq!(ops.overflow, 41);
+        assert_eq!(ops.total, 42);
+        let depth = snaps["depth"];
+        assert_eq!(depth.buckets, [3]);
+        assert_eq!(depth.overflow, 7, "a gauge's overflow keeps its high water");
+        assert_eq!(depth.total, 7);
+    }
+
+    #[test]
+    fn a_busy_interval_and_a_sample_share_the_last_window_edge() {
+        // A busy interval straddling the last window's end: its head lands
+        // in window 4095, its tail in the overflow.
+        let mut r = Resource::new("r");
+        r.enable_timeline();
+        r.fold_epoch(us(HORIZON_US - 30));
+        r.acquire(SimTime::ZERO, us(80));
+        let busy = r.timeline().expect("enabled");
+        assert_eq!(busy.buckets.len(), TIMELINE_BUCKETS);
+        assert_eq!(busy.buckets[TIMELINE_BUCKETS - 1], 30_000);
+        assert!(busy.buckets[..TIMELINE_BUCKETS - 1].iter().all(|&b| b == 0));
+        assert_eq!(busy.overflow, 50_000);
+        assert_eq!(busy.total, 80_000);
+
+        // A counter sample at the instant the interval crosses the edge
+        // lands in the overflow too; one nanosecond earlier, in window 4095.
+        let mut m = MetricSet::enabled();
+        m.fold_epoch(us(HORIZON_US - 30));
+        m.add(at(30), "ops", 1);
+        m.add(at(30) - SimDuration::from_nanos(1), "ops", 2);
+        let (_, ops) = m.snapshots().next().expect("series recorded");
+        assert_eq!(ops.overflow, 1);
+        assert_eq!(ops.buckets.len(), TIMELINE_BUCKETS);
+        assert_eq!(ops.buckets[TIMELINE_BUCKETS - 1], 2);
     }
 
     #[test]
     fn derived_series_cover_the_event_taxonomy() {
-        let mut m = MetricSet::enabled(us(10), 8);
+        let mut m = MetricSet::enabled();
         let flash = ComponentId::singleton("flash");
         let queue = ComponentId::singleton("nvme.queue");
         let link = ComponentId::singleton("link");
@@ -516,7 +515,7 @@ mod tests {
 
     #[test]
     fn marks_cap_counts_drops() {
-        let mut m = MetricSet::enabled(us(10), 2);
+        let mut m = MetricSet::enabled();
         for i in 0..(MAX_MARKS as u64 + 5) {
             m.mark(at(0), || format!("m{i}"));
         }

@@ -8,17 +8,17 @@
 //! work behind whatever it is already committed to. Groups of identical
 //! components (the 32 channels of the prototype SSD) are a [`ResourceSet`].
 
-use crate::obs::{BusyTimeline, TimelineSnapshot};
+use crate::obs::{SeriesKind, SeriesSnapshot};
 use crate::time::{SimDuration, SimTime};
 
 /// A serially-occupied simulated resource.
 ///
 /// A `Resource` remembers the instant it next becomes free and its cumulative
 /// busy time, which is enough to model FIFO occupancy and pace a pipeline.
-/// With [`enable_timeline`](Self::enable_timeline) it additionally samples its
-/// busy intervals into a windowed [`BusyTimeline`] for the observability
-/// layer; sampling only *observes* the computed start/end instants, so it can
-/// never change the schedule.
+/// With [`enable_timeline`](Self::enable_timeline) it additionally records its
+/// busy intervals into a busy timeline, a counter [`SeriesSnapshot`] in
+/// nanoseconds, for the observability layer; recording only *observes* the
+/// computed start/end instants, so it can never change the schedule.
 ///
 /// # Example
 ///
@@ -37,7 +37,16 @@ pub struct Resource {
     name: String,
     next_free: SimTime,
     busy: SimDuration,
-    timeline: Option<Box<BusyTimeline>>,
+    timeline: Option<Box<Timeline>>,
+}
+
+/// A resource's busy timeline on the run-long clock.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Timeline {
+    /// Where the current epoch starts on the run-long clock.
+    epoch_start: SimDuration,
+    /// Busy nanoseconds per window.
+    busy: SeriesSnapshot,
 }
 
 impl Resource {
@@ -63,9 +72,10 @@ impl Resource {
         self.next_free = end;
         self.busy += hold;
         if let Some(timeline) = &mut self.timeline {
-            timeline.record(
-                start.saturating_since(SimTime::ZERO),
-                end.saturating_since(SimTime::ZERO),
+            let origin = timeline.epoch_start;
+            timeline.busy.record_interval(
+                origin + start.saturating_since(SimTime::ZERO),
+                origin + end.saturating_since(SimTime::ZERO),
             );
         }
         end
@@ -87,49 +97,53 @@ impl Resource {
     }
 
     /// Resets the resource to idle at t = 0, clearing its busy time. A
-    /// timeline, if enabled, survives: the finished epoch's span is folded
-    /// into its epoch offset so the next epoch's busy intervals continue the
+    /// timeline, if enabled, survives: the resource's own drain is folded
+    /// into its epoch start so the next epoch's busy intervals continue the
     /// run-long timeline.
     pub fn reset(&mut self) {
-        self.fold_epoch(SimDuration::ZERO);
+        let drain = self.next_free.saturating_since(SimTime::ZERO);
+        self.end_epoch(drain);
     }
 
     /// Ends the current per-operation epoch after `span` of modeled time and
     /// resets the resource to idle at t = 0. A timeline, if enabled, folds
-    /// the *larger* of `span` and the resource's own drain into its epoch
-    /// offset, so the next operation's busy intervals land where the
-    /// operation actually started on the run-long clock.
+    /// `span` into its epoch start, so the next operation's busy intervals
+    /// land where the operation actually started on the run-long clock.
+    /// Front-ends call `fold_epoch(latency)` at operation end.
     ///
-    /// This matters whenever the operation's end-to-end latency exceeds the
-    /// time this particular resource was committed (e.g. a flash channel
-    /// that finished early while the link kept streaming): folding by the
-    /// resource's own drain — what [`reset`](Self::reset) does — would slide
-    /// later epochs backwards relative to the run clock. Front-ends call
-    /// `fold_epoch(latency)` at operation end; a subsequent `reset` at the
-    /// next operation's start then degenerates to a harmless zero-fold.
+    /// The resource must have drained within `span` (checked in debug
+    /// builds): a lane busy past its operation's end is modeled time that
+    /// the operation's latency does not charge.
     pub fn fold_epoch(&mut self, span: SimDuration) {
+        debug_assert!(
+            self.next_free.saturating_since(SimTime::ZERO) <= span,
+            "{} drained at {:?}, past its operation's span {span:?}",
+            self.name,
+            self.next_free,
+        );
+        self.end_epoch(span);
+    }
+
+    fn end_epoch(&mut self, span: SimDuration) {
         if let Some(timeline) = &mut self.timeline {
-            let drain = self.next_free.saturating_since(SimTime::ZERO);
-            timeline.fold_epoch(span.max(drain));
+            timeline.epoch_start += span;
         }
         self.next_free = SimTime::ZERO;
         self.busy = SimDuration::ZERO;
     }
 
-    /// Enables windowed busy-time sampling into a [`BusyTimeline`] with the
-    /// given bucket width and bucket cap. Replaces any existing timeline.
-    pub fn enable_timeline(&mut self, window: SimDuration, max_buckets: usize) {
-        self.timeline = Some(Box::new(BusyTimeline::new(window, max_buckets)));
+    /// Enables busy-time recording into a timeline. Replaces any existing
+    /// timeline.
+    pub fn enable_timeline(&mut self) {
+        self.timeline = Some(Box::new(Timeline {
+            epoch_start: SimDuration::ZERO,
+            busy: SeriesSnapshot::new(SeriesKind::Counter),
+        }));
     }
 
-    /// The busy-time timeline, when sampling is enabled.
-    pub fn timeline(&self) -> Option<&BusyTimeline> {
-        self.timeline.as_deref()
-    }
-
-    /// A serializable copy of the timeline, when sampling is enabled.
-    pub fn timeline_snapshot(&self) -> Option<TimelineSnapshot> {
-        self.timeline.as_deref().map(BusyTimeline::snapshot)
+    /// The busy-time timeline, when recording is enabled.
+    pub fn timeline(&self) -> Option<&SeriesSnapshot> {
+        self.timeline.as_deref().map(|t| &t.busy)
     }
 }
 
@@ -190,11 +204,6 @@ impl ResourceSet {
         self.members[index].acquire(ready, hold)
     }
 
-    /// Iterates over members.
-    pub fn iter(&self) -> impl Iterator<Item = &Resource> {
-        self.members.iter()
-    }
-
     /// The latest next-free instant across members — when the whole set has
     /// drained all committed work.
     pub fn all_free_at(&self) -> SimTime {
@@ -228,19 +237,26 @@ impl ResourceSet {
         }
     }
 
-    /// Enables windowed busy-time sampling on every member.
-    pub fn enable_timelines(&mut self, window: SimDuration, max_buckets: usize) {
+    /// Enables busy-time recording on every member.
+    pub fn enable_timelines(&mut self) {
         for m in &mut self.members {
-            m.enable_timeline(window, max_buckets);
+            m.enable_timeline();
         }
     }
 
-    /// `(member name, timeline snapshot)` for every member with sampling
-    /// enabled, in index order.
-    pub fn timeline_snapshots(&self) -> Vec<(String, TimelineSnapshot)> {
+    /// `(member name, timeline)` for every member with recording enabled,
+    /// in index order.
+    pub fn timelines(&self) -> impl Iterator<Item = (&str, &SeriesSnapshot)> {
         self.members
             .iter()
-            .filter_map(|m| m.timeline_snapshot().map(|t| (m.name().to_owned(), t)))
+            .filter_map(|m| m.timeline().map(|t| (m.name(), t)))
+    }
+
+    /// Run-long `(member name, busy time)` of every member with recording
+    /// enabled, in index order.
+    pub fn busy_totals(&self) -> Vec<(String, SimDuration)> {
+        self.timelines()
+            .map(|(name, t)| (name.to_owned(), SimDuration(t.total)))
             .collect()
     }
 }
@@ -278,21 +294,28 @@ mod tests {
         assert_eq!(r.busy_time(), SimDuration::ZERO);
     }
 
+    fn us(n: u64) -> SimDuration {
+        SimDuration::from_micros(n)
+    }
+
+    /// A timeline's per-window busy nanoseconds.
+    fn windows(r: &Resource) -> &[u64] {
+        &r.timeline().expect("enabled").buckets
+    }
+
     #[test]
     fn timeline_survives_reset_and_concatenates_windows() {
         let mut r = Resource::new("r");
-        let w = SimDuration::from_micros(10);
-        r.enable_timeline(w, 64);
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(10));
-        r.reset(); // folds a 10us epoch
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(4));
-        let timeline = r.timeline().expect("enabled");
+        r.enable_timeline();
+        r.acquire(SimTime::ZERO, us(100));
+        r.reset(); // folds a 100us epoch: the resource's own drain
+        r.acquire(SimTime::ZERO, us(40));
         assert_eq!(
-            timeline.buckets(),
-            &[SimDuration::from_micros(10), SimDuration::from_micros(4)],
+            windows(&r),
+            [100_000, 40_000],
             "second window's work lands after the folded epoch"
         );
-        assert_eq!(timeline.total_busy(), SimDuration::from_micros(14));
+        assert_eq!(r.timeline().expect("enabled").total, 140_000);
     }
 
     #[test]
@@ -302,78 +325,48 @@ mod tests {
         // or later operations' busy time slides backwards on the run-long
         // clock relative to the command tracer.
         let mut r = Resource::new("r");
-        let w = SimDuration::from_micros(10);
-        r.enable_timeline(w, 64);
-        // Op 1: the resource is busy 10us, but the op takes 30us end to end.
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(10));
-        r.fold_epoch(SimDuration::from_micros(30));
-        // Op 2's work must land in bucket 3 (t = 30us), not bucket 1.
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(4));
-        let timeline = r.timeline().expect("enabled");
-        assert_eq!(
-            timeline.buckets(),
-            &[
-                SimDuration::from_micros(10),
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-                SimDuration::from_micros(4),
-            ],
-        );
+        r.enable_timeline();
+        // Op 1: the resource is busy 100us, but the op takes 300us end to end.
+        r.acquire(SimTime::ZERO, us(100));
+        r.fold_epoch(us(300));
+        // Op 2's work must land in window 3 (t = 300us), not window 1.
+        r.acquire(SimTime::ZERO, us(40));
+        assert_eq!(windows(&r), [100_000, 0, 0, 40_000]);
     }
 
     #[test]
-    fn fold_epoch_never_shrinks_below_drain() {
-        // A span shorter than the resource's own drain cannot fold epochs
-        // on top of each other.
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "r drained at")]
+    fn fold_epoch_short_of_drain_panics() {
+        // A lane busy past its operation's span is modeled time that the
+        // operation's latency does not charge.
         let mut r = Resource::new("r");
-        let w = SimDuration::from_micros(10);
-        r.enable_timeline(w, 64);
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(20));
-        r.fold_epoch(SimDuration::from_micros(5));
-        // State is re-anchored like reset().
-        assert_eq!(r.next_free(), SimTime::ZERO);
-        assert_eq!(r.busy_time(), SimDuration::ZERO);
-        r.acquire(SimTime::ZERO, SimDuration::from_micros(10));
-        let timeline = r.timeline().expect("enabled");
-        assert_eq!(
-            timeline.buckets(),
-            &[
-                SimDuration::from_micros(10),
-                SimDuration::from_micros(10),
-                SimDuration::from_micros(10),
-            ],
-            "second epoch starts at the drain (20us), not at 5us"
-        );
+        r.acquire(SimTime::ZERO, us(200));
+        r.fold_epoch(us(50));
     }
 
     #[test]
     fn set_fold_epoch_keeps_lanes_aligned() {
         let mut set = ResourceSet::new("ch", 2);
-        set.enable_timelines(SimDuration::from_micros(10), 8);
-        // Only lane 0 works in op 1, which spans 20us.
-        set.acquire(0, SimTime::ZERO, SimDuration::from_micros(10));
-        set.fold_epoch(SimDuration::from_micros(20));
-        // Both lanes work in op 2; both must start at t = 20us.
-        set.acquire(0, SimTime::ZERO, SimDuration::from_micros(5));
-        set.acquire(1, SimTime::ZERO, SimDuration::from_micros(5));
-        let snaps = set.timeline_snapshots();
-        let z = SimDuration::ZERO;
-        let five = SimDuration::from_micros(5);
-        assert_eq!(
-            snaps[0].1.buckets,
-            vec![SimDuration::from_micros(10), z, five]
-        );
-        assert_eq!(snaps[1].1.buckets, vec![z, z, five]);
+        set.enable_timelines();
+        // Only lane 0 works in op 1, which spans 200us.
+        set.acquire(0, SimTime::ZERO, us(100));
+        set.fold_epoch(us(200));
+        // Both lanes work in op 2; both must start at t = 200us.
+        set.acquire(0, SimTime::ZERO, us(50));
+        set.acquire(1, SimTime::ZERO, us(50));
+        let lanes: Vec<_> = set.timelines().map(|(_, t)| &t.buckets[..]).collect();
+        assert_eq!(lanes, [&[100_000, 0, 50_000][..], &[0, 0, 50_000][..]]);
     }
 
     #[test]
     fn timeline_sampling_does_not_change_schedule() {
         let mut plain = Resource::new("r");
         let mut sampled = Resource::new("r");
-        sampled.enable_timeline(SimDuration::from_micros(10), 8);
+        sampled.enable_timeline();
         for i in 0..20u64 {
-            let ready = SimTime::ZERO + SimDuration::from_micros(i * 3);
-            let hold = SimDuration::from_micros(5);
+            let ready = SimTime::ZERO + us(i * 30);
+            let hold = us(50);
             assert_eq!(plain.acquire(ready, hold), sampled.acquire(ready, hold));
         }
         assert_eq!(plain.next_free(), sampled.next_free());
@@ -404,13 +397,21 @@ mod tests {
     #[test]
     fn set_timeline_snapshots_name_members() {
         let mut set = ResourceSet::new("ch", 2);
-        set.enable_timelines(SimDuration::from_micros(10), 8);
-        set.acquire(1, SimTime::ZERO, SimDuration::from_micros(5));
-        let snaps = set.timeline_snapshots();
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].0, "ch[0]");
-        assert_eq!(snaps[1].0, "ch[1]");
-        assert_eq!(snaps[1].1.buckets, vec![SimDuration::from_micros(5)]);
+        set.enable_timelines();
+        set.acquire(1, SimTime::ZERO, us(50));
+        let names: Vec<_> = set.timelines().map(|(name, _)| name).collect();
+        assert_eq!(names, ["ch[0]", "ch[1]"]);
+        assert_eq!(
+            set.timelines().nth(1).map(|(_, t)| &t.buckets[..]),
+            Some(&[50_000][..])
+        );
+        assert_eq!(
+            set.busy_totals(),
+            [
+                ("ch[0]".to_owned(), SimDuration::ZERO),
+                ("ch[1]".to_owned(), us(50))
+            ]
+        );
     }
 
     #[test]

@@ -107,21 +107,6 @@ impl Stats {
         report.add_counters(self);
         report
     }
-
-    /// Removes all counters.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-    }
-
-    /// Number of distinct counters.
-    pub fn len(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// True if no counter has been touched.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-    }
 }
 
 impl fmt::Display for Stats {
@@ -147,7 +132,7 @@ mod tests {
         s.add("a", 4);
         assert_eq!(s.get("a"), 7);
         assert_eq!(s.get("b"), 0);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.iter().count(), 1);
     }
 
     #[test]
@@ -193,13 +178,5 @@ mod tests {
         s.add("retrie.", 100);
         assert_eq!(s.sum_prefix("retries."), 3);
         assert_eq!(s.sum_prefix(""), 303, "empty prefix sums everything");
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = Stats::new();
-        s.add("a", 1);
-        s.clear();
-        assert!(s.is_empty());
     }
 }

@@ -73,7 +73,7 @@ use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_faults::{ClusterFaultPlan, DeviceFault, DeviceFaultKind};
 use nds_sim::{
     splitmix64, ComponentId, EventKind, ObsConfig, Observability, Resource, RunReport, SimDuration,
-    SimTime, Stats, TraceExport, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    SimTime, Stats, TraceExport,
 };
 
 use crate::error::SystemError;
@@ -644,7 +644,7 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
             .map(|i| {
                 let mut busy = Resource::new(format!("cluster.device[{i}]"));
                 if config.obs.collecting() {
-                    busy.enable_timeline(TIMELINE_WINDOW, TIMELINE_BUCKETS);
+                    busy.enable_timeline();
                 }
                 DeviceSlot {
                     sys: factory(i),
@@ -724,8 +724,8 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         report.add_duration("cluster.repair_time", self.repair_time);
         report.absorb(&self.obs);
         for (i, slot) in self.devices.iter().enumerate() {
-            if let Some(snapshot) = slot.busy.timeline_snapshot() {
-                report.add_timeline(format!("cluster.device[{i}].busy"), snapshot);
+            if let Some(timeline) = slot.busy.timeline() {
+                report.add_timeline(format!("cluster.device[{i}].busy"), timeline.clone());
             }
         }
         report

@@ -39,7 +39,7 @@ use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_interconnect::WfqScheduler;
 use nds_sim::{
     splitmix64, LatencyHistogram, MetricSet, ObsConfig, RunReport, SimDuration, SimTime,
-    TraceExport, TIMELINE_BUCKETS, TIMELINE_WINDOW,
+    TraceExport,
 };
 
 use crate::error::SystemError;
@@ -414,7 +414,7 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
     /// scheduling.
     pub fn configure_metrics(&mut self, config: &ObsConfig) {
         self.metrics = if config.metrics() {
-            MetricSet::enabled(TIMELINE_WINDOW, TIMELINE_BUCKETS)
+            MetricSet::enabled()
         } else {
             MetricSet::disabled()
         };
