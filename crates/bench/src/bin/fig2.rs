@@ -47,13 +47,13 @@ fn run_pipeline(
     tracing: bool,
 ) -> (pipeline::PipelineResult, Option<TraceExport>) {
     let mut journal = if tracing {
-        Journal::enabled(4096)
+        Journal::enabled()
     } else {
-        Journal::disabled(0)
+        Journal::disabled()
     };
     let result = pipeline::run_journaled(blocks, &["marshal", "h2d", "kernel"], &mut journal);
     let export = tracing.then(|| TraceExport {
-        events: journal.events().filter(|e| e.trace != 0).copied().collect(),
+        events: journal.events().copied().collect(),
         channels: Vec::new(),
         banks: Vec::new(),
         makespan: result.total,

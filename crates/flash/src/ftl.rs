@@ -425,6 +425,11 @@ mod tests {
             .observability_mut()
             .journal_mut()
             .set_enabled(true);
+        // The journal retains only trace-tagged events.
+        f.device_mut().begin_trace(nds_sim::TraceContext {
+            id: 1,
+            origin: nds_sim::SimDuration::ZERO,
+        });
         let per_bank = f.device().geometry().pages_per_bank() as u64;
         for round in 0..per_bank * 2 {
             f.write(0, pagev(&f, (round % 251) as u8), SimTime::ZERO)

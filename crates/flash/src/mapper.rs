@@ -544,6 +544,12 @@ mod tests {
                 .observability_mut()
                 .journal_mut()
                 .set_enabled(true);
+            // The journal retains only trace-tagged events; origin zero
+            // keeps the recorded instants epoch-local.
+            m.device_mut().begin_trace(nds_sim::TraceContext {
+                id: 1,
+                origin: nds_sim::SimDuration::ZERO,
+            });
             // Stable keys interleaved with a hammered one, so victims hold
             // survivors that must move.
             let hot = (1, 0);

@@ -248,7 +248,7 @@ mod tests {
     fn run_journaled_matches_run_and_pairs_spans() {
         let blocks = uniform(3, &[50, 10]);
         let plain = run(&blocks);
-        let mut journal = Journal::enabled(64);
+        let mut journal = Journal::enabled();
         let traced = run_journaled(&blocks, &["io", "kernel"], &mut journal);
         assert_eq!(plain, traced, "journaling must not move the schedule");
         assert_eq!(

@@ -30,7 +30,7 @@
 //! `ndsSummary` object (one line per system) carries the makespan, the
 //! command count, and the per-channel/bank busy totals for the profiler.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write;
 
 use nds_sim::{ArgValue, ComponentId, Event, EventKind, TraceExport};
@@ -77,14 +77,14 @@ struct Pairing {
     /// component + label).
     span_end: BTreeMap<usize, u64>,
     /// Indices of end-side events consumed by a pair (not re-emitted).
-    consumed: BTreeMap<usize, ()>,
+    consumed: BTreeSet<usize>,
 }
 
 fn pair_events(events: &[Event]) -> Pairing {
     let mut trace_end = BTreeMap::new();
     let mut complete_at = BTreeMap::new();
     let mut span_end = BTreeMap::new();
-    let mut consumed = BTreeMap::new();
+    let mut consumed = BTreeSet::new();
     let mut open_cmds: BTreeMap<ComponentId, VecDeque<usize>> = BTreeMap::new();
     let mut open_spans: BTreeMap<(ComponentId, &str), VecDeque<usize>> = BTreeMap::new();
     for (idx, ev) in events.iter().enumerate() {
@@ -102,7 +102,7 @@ fn pair_events(events: &[Event]) -> Pairing {
                     .and_then(VecDeque::pop_front)
                 {
                     complete_at.insert(issue, at_ns);
-                    consumed.insert(idx, ());
+                    consumed.insert(idx);
                 }
             }
             EventKind::SpanBegin { label } => {
@@ -117,7 +117,7 @@ fn pair_events(events: &[Event]) -> Pairing {
                     .and_then(VecDeque::pop_front)
                 {
                     span_end.insert(begin, at_ns);
-                    consumed.insert(idx, ());
+                    consumed.insert(idx);
                 }
             }
             _ => {}
@@ -234,7 +234,7 @@ fn emit_system(lines: &mut Vec<String>, pid: usize, name: &str, export: &TraceEx
                 let extra = format!(",\"trace\":{trace},\"bytes\":{bytes}");
                 if ev.component.group == "nvme.queue" {
                     lines.push(i_line(pid, TID_QUEUE, "CommandCompleted", at_ns, &extra));
-                } else if !pairing.consumed.contains_key(&idx) {
+                } else if !pairing.consumed.contains(&idx) {
                     lines.push(i_line(pid, TID_LINK, "CommandCompleted", at_ns, &extra));
                 }
             }
@@ -248,7 +248,7 @@ fn emit_system(lines: &mut Vec<String>, pid: usize, name: &str, export: &TraceEx
                 }
             }
             EventKind::SpanEnd { label } => {
-                if !pairing.consumed.contains_key(&idx) {
+                if !pairing.consumed.contains(&idx) {
                     let extra = format!(",\"trace\":{trace},\"component\":\"{}\"", ev.component);
                     lines.push(i_line(pid, TID_SPANS, label, at_ns, &extra));
                 }

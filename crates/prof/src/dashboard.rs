@@ -141,16 +141,12 @@ svg { background: #fff; border: 1px solid #ddd; }
 
     var h = run.health || {};
     var issues = [];
-    for (k in h.journal_dropped_by_kind || {}) {
-      issues.push("journal dropped " + h.journal_dropped_by_kind[k] + " x " + k);
-    }
     for (k in h.histogram_saturated || {}) {
       issues.push("histogram saturated: " + k + " (" + h.histogram_saturated[k] + ")");
     }
     for (k in h.series_overflow || {}) {
       issues.push("series overflow: " + k + " (+" + h.series_overflow[k] + ")");
     }
-    if (h.marks_dropped) { issues.push("marks dropped: " + h.marks_dropped); }
     root.appendChild(el("div", { "class": "health" + (issues.length ? " bad" : "") },
       issues.length ? "health: " + issues.join("; ") : "health: ok"));
 

@@ -33,7 +33,7 @@
 
 pub mod timeseries;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::{SimDuration, SimTime, Stats};
@@ -338,73 +338,49 @@ pub enum ArgValue {
     Str(&'static str),
 }
 
-/// One journal entry: a typed event at a modeled instant.
+/// One retained journal entry: a typed event at a modeled instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// Modeled instant of the event. While a trace context is set this is
-    /// on the run-long trace clock; otherwise it is epoch-local.
+    /// Modeled instant of the event on the run-long trace clock.
     pub at: SimTime,
     /// Component that emitted it.
     pub component: ComponentId,
     /// What happened.
     pub kind: EventKind,
     /// Causal trace id of the front-end command in flight when the event
-    /// was recorded (0 = untraced).
+    /// was recorded (never 0: untraced events are not retained).
     pub trace: u64,
 }
 
-/// A bounded ring of typed events with per-kind counters.
+/// Typed events with per-kind counters.
 ///
-/// Unlike the ring itself, the per-kind counts and `recorded` total are
-/// *not* bounded: even after old events are evicted, the summary still
-/// reflects the whole run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// While enabled, a journal counts every event it is given (`recorded`,
+/// per-kind totals) and retains exactly the trace-tagged ones — those
+/// recorded while a [`TraceContext`] is set — all of them, in record
+/// order. Untraced events are counted, never stored: no reader reads
+/// them, and a traced export is therefore whole.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Journal {
     enabled: bool,
-    capacity: usize,
-    events: VecDeque<Event>,
+    events: Vec<Event>,
     recorded: u64,
-    dropped: u64,
     by_kind: BTreeMap<&'static str, u64>,
-    dropped_by_kind: BTreeMap<&'static str, u64>,
     trace: u64,
     origin: SimDuration,
 }
 
-/// Ring capacity per component journal (and for [`Journal::default`]).
-const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
-
-/// Ring capacity per component journal when causal tracing is on: sized to
-/// retain full traces of a figure-scale run.
-const TRACED_JOURNAL_CAPACITY: usize = 1 << 16;
-
-impl Default for Journal {
-    fn default() -> Self {
-        Journal::disabled(DEFAULT_JOURNAL_CAPACITY)
-    }
-}
-
 impl Journal {
     /// A disabled journal (records nothing until enabled).
-    pub fn disabled(capacity: usize) -> Self {
-        Journal {
-            enabled: false,
-            capacity: capacity.max(1),
-            events: VecDeque::new(),
-            recorded: 0,
-            dropped: 0,
-            by_kind: BTreeMap::new(),
-            dropped_by_kind: BTreeMap::new(),
-            trace: 0,
-            origin: SimDuration::ZERO,
-        }
+    pub fn disabled() -> Self {
+        Journal::default()
     }
 
-    /// An enabled journal retaining at most `capacity` events.
-    pub fn enabled(capacity: usize) -> Self {
-        let mut j = Journal::disabled(capacity);
-        j.enabled = true;
-        j
+    /// An enabled journal.
+    pub fn enabled() -> Self {
+        Journal {
+            enabled: true,
+            ..Journal::default()
+        }
     }
 
     /// Turns recording on or off.
@@ -433,20 +409,18 @@ impl Journal {
 
     /// Records an already-built event. One branch when disabled — used by
     /// [`Observability::event`] when another collector (the metric
-    /// sampler) forced payload construction anyway.
+    /// sampler) forced payload construction anyway. The event is counted,
+    /// and retained only while a trace context is set.
     pub fn record_built(&mut self, at: SimTime, component: ComponentId, kind: EventKind) {
         if !self.enabled {
             return;
         }
         self.recorded += 1;
         *self.by_kind.entry(kind.name()).or_insert(0) += 1;
-        if self.events.len() == self.capacity {
-            if let Some(evicted) = self.events.pop_front() {
-                *self.dropped_by_kind.entry(evicted.kind.name()).or_insert(0) += 1;
-            }
-            self.dropped += 1;
+        if self.trace == 0 {
+            return;
         }
-        self.events.push_back(Event {
+        self.events.push(Event {
             at: at + self.origin,
             component,
             kind,
@@ -457,14 +431,15 @@ impl Journal {
     /// Tags subsequent events with `ctx`'s trace id and shifts their
     /// timestamps by its run-long origin, so a command epoch's
     /// `SimTime::ZERO`-anchored instants land on the continuous trace
-    /// clock. Cleared with [`clear_trace`](Self::clear_trace).
+    /// clock; the journal retains them. Cleared with
+    /// [`clear_trace`](Self::clear_trace).
     pub fn set_trace(&mut self, ctx: TraceContext) {
         self.trace = ctx.id;
         self.origin = ctx.origin;
     }
 
-    /// Stops trace tagging: subsequent events record untraced (`trace`
-    /// 0) at epoch-local time.
+    /// Stops trace tagging: subsequent events are counted but not
+    /// retained.
     pub fn clear_trace(&mut self) {
         self.trace = 0;
         self.origin = SimDuration::ZERO;
@@ -480,18 +455,12 @@ impl Journal {
         self.record(at, component, || EventKind::SpanEnd { label });
     }
 
-    /// Retained events, oldest first.
+    /// Retained (trace-tagged) events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.events.iter()
     }
 
-    /// Events evicted from the ring after it filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total events recorded over the journal's lifetime (retained +
-    /// dropped).
+    /// Total events recorded over the journal's lifetime, traced or not.
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
@@ -501,14 +470,9 @@ impl Journal {
         JournalSummary {
             recorded: self.recorded,
             retained: self.events.len() as u64,
-            dropped: self.dropped,
+            dropped: 0,
             by_kind: self
                 .by_kind
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), *v))
-                .collect(),
-            dropped_by_kind: self
-                .dropped_by_kind
                 .iter()
                 .map(|(k, v)| ((*k).to_owned(), *v))
                 .collect(),
@@ -521,15 +485,13 @@ impl Journal {
 pub struct JournalSummary {
     /// Events recorded over the run.
     pub recorded: u64,
-    /// Events still retained in rings.
+    /// Trace-tagged events retained for the trace export.
     pub retained: u64,
-    /// Events evicted after rings filled.
+    /// Always 0: a journal discards no event it records. Kept only because
+    /// the benchmark harness still reads it into `sim.journal_dropped`.
     pub dropped: u64,
     /// Recorded events per [`EventKind::name`].
     pub by_kind: BTreeMap<String, u64>,
-    /// Evicted events per [`EventKind::name`] — which kinds the ring
-    /// silently truncated (surfaced in the report's `obs.health`).
-    pub dropped_by_kind: BTreeMap<String, u64>,
 }
 
 impl JournalSummary {
@@ -537,12 +499,8 @@ impl JournalSummary {
     pub fn merge(&mut self, other: &JournalSummary) {
         self.recorded += other.recorded;
         self.retained += other.retained;
-        self.dropped += other.dropped;
         for (kind, count) in &other.by_kind {
             *self.by_kind.entry(kind.clone()).or_insert(0) += count;
-        }
-        for (kind, count) in &other.dropped_by_kind {
-            *self.dropped_by_kind.entry(kind.clone()).or_insert(0) += count;
         }
     }
 }
@@ -919,8 +877,8 @@ impl ObsConfig {
         }
     }
 
-    /// Journal, histograms, and timelines all on, at default capacities.
-    /// Tracing stays off (it adds trace/stage events to the journal).
+    /// Journal counts, histograms, and timelines all on. Tracing stays off,
+    /// so the journal counts events but retains none.
     pub const fn full() -> Self {
         ObsConfig {
             level: ObsLevel::Full,
@@ -928,8 +886,8 @@ impl ObsConfig {
         }
     }
 
-    /// Everything on **plus** causal per-command tracing, with journal
-    /// rings sized to retain full traces of a figure-scale run.
+    /// Everything on **plus** causal per-command tracing: every journal
+    /// retains each trace-tagged event, whole.
     pub const fn traced() -> Self {
         ObsConfig {
             level: ObsLevel::Traced,
@@ -950,7 +908,8 @@ impl ObsConfig {
     }
 
     /// True if commands carry causal trace ids: `collecting`, plus a
-    /// [`CommandTracer`] per front-end and figure-scale journal rings.
+    /// [`CommandTracer`] per front-end, so journals retain the tagged
+    /// events.
     pub const fn tracing(&self) -> bool {
         matches!(self.level, ObsLevel::Traced)
     }
@@ -977,16 +936,10 @@ impl Observability {
         Observability::default()
     }
 
-    /// Applies `config`: replaces the journal (sized for full traces when
-    /// tracing is on), flips histogram recording, and replaces the metric
-    /// sampler.
+    /// Applies `config`: replaces the journal, flips histogram recording,
+    /// and replaces the metric sampler.
     pub fn configure(&mut self, config: &ObsConfig) {
-        let capacity = if config.tracing() {
-            TRACED_JOURNAL_CAPACITY
-        } else {
-            DEFAULT_JOURNAL_CAPACITY
-        };
-        self.journal = Journal::disabled(capacity);
+        self.journal = Journal::disabled();
         self.journal.set_enabled(config.collecting());
         self.histograms.set_enabled(config.collecting());
         if !config.collecting() {
@@ -1100,8 +1053,6 @@ pub struct RunReport {
     pub series_window: SimDuration,
     /// Event marks on the run-long folded clock, sorted by instant.
     pub marks: Vec<Mark>,
-    /// Marks discarded after per-component retention caps filled.
-    pub marks_dropped: u64,
     /// Aggregated journal statistics.
     pub journal: JournalSummary,
 }
@@ -1169,7 +1120,6 @@ impl RunReport {
         }
         self.marks.extend_from_slice(metrics.marks());
         self.marks.sort_by_key(|m| m.at);
-        self.marks_dropped += metrics.marks_dropped();
     }
 
     /// Merges `other` into this report with every key prefixed — how the
@@ -1216,7 +1166,6 @@ impl RunReport {
             });
         }
         self.marks.sort_by_key(|m| m.at);
-        self.marks_dropped += other.marks_dropped;
         self.journal.merge(&other.journal);
     }
 
@@ -1287,8 +1236,6 @@ impl RunReport {
         push_u64(&mut out, self.journal.recorded);
         out.push_str(", \"retained\": ");
         push_u64(&mut out, self.journal.retained);
-        out.push_str(", \"dropped\": ");
-        push_u64(&mut out, self.journal.dropped);
         out.push_str(", \"by_kind\": {");
         write_u64_map(
             &mut out,
@@ -1380,20 +1327,11 @@ impl RunReport {
         out.push_str("\n  ]");
     }
 
-    /// Writes the `health` object: which collectors silently truncated —
-    /// journal ring evictions per kind, saturated histograms (samples in
-    /// the top log2 bucket), series overflow past the window cap, and
-    /// dropped marks.
+    /// Writes the `health` object: where a collector lost resolution —
+    /// saturated histograms (samples in the top log2 bucket) and series
+    /// overflow past the window cap.
     fn write_health_object(&self, out: &mut String) {
-        out.push_str("{ \"journal_dropped_by_kind\": {");
-        write_u64_map(
-            out,
-            self.journal
-                .dropped_by_kind
-                .iter()
-                .map(|(k, v)| (k.as_str(), *v)),
-        );
-        out.push_str("}, \"histogram_saturated\": {");
+        out.push_str("{ \"histogram_saturated\": {");
         write_u64_map(
             out,
             self.histograms
@@ -1409,9 +1347,7 @@ impl RunReport {
                 .filter(|(_, s)| s.overflow > 0)
                 .map(|(k, s)| (k.as_str(), s.overflow)),
         );
-        out.push_str("}, \"marks_dropped\": ");
-        push_u64(out, self.marks_dropped);
-        out.push_str(" }");
+        out.push_str("} }");
     }
 }
 
@@ -1530,9 +1466,19 @@ mod tests {
         );
     }
 
+    /// A trace context at clock zero: events keep their epoch-local
+    /// instants and are retained.
+    fn traced() -> TraceContext {
+        TraceContext {
+            id: 1,
+            origin: SimDuration::ZERO,
+        }
+    }
+
     #[test]
     fn disabled_journal_records_nothing_and_skips_closure() {
-        let mut j = Journal::disabled(8);
+        let mut j = Journal::disabled();
+        j.set_trace(traced());
         let mut ran = false;
         j.record(SimTime::ZERO, ComponentId::singleton("x"), || {
             ran = true;
@@ -1544,24 +1490,9 @@ mod tests {
     }
 
     #[test]
-    fn journal_ring_evicts_but_summary_keeps_totals() {
-        let mut j = Journal::enabled(2);
-        for i in 0..5u64 {
-            j.record(SimTime::ZERO, ComponentId::singleton("x"), || {
-                EventKind::CommandIssued { bytes: i }
-            });
-        }
-        assert_eq!(j.events().count(), 2);
-        assert_eq!(j.dropped(), 3);
-        let s = j.summary();
-        assert_eq!(s.recorded, 5);
-        assert_eq!(s.retained, 2);
-        assert_eq!(s.by_kind.get("CommandIssued"), Some(&5));
-    }
-
-    #[test]
     fn span_pairs_record_begin_and_end() {
-        let mut j = Journal::enabled(8);
+        let mut j = Journal::enabled();
+        j.set_trace(traced());
         let c = ComponentId::singleton("system");
         j.begin_span(SimTime::ZERO, c, "read");
         j.end_span(SimTime::ZERO + us(3), c, "read");
@@ -1678,6 +1609,7 @@ mod tests {
         obs.configure(&ObsConfig::full());
         assert!(obs.journal().is_enabled());
         assert!(obs.histograms().is_enabled());
+        obs.set_trace(traced());
         obs.event(SimTime::ZERO, ComponentId::singleton("x"), || {
             EventKind::PageRead {
                 channel: 0,
@@ -1685,6 +1617,7 @@ mod tests {
             }
         });
         obs.latency("x", us(1));
+        assert_eq!(obs.journal().events().count(), 1);
         obs.configure(&ObsConfig::disabled());
         assert!(!obs.is_enabled());
         assert_eq!(
@@ -1715,8 +1648,6 @@ mod tests {
             assert_eq!(obs.journal().is_enabled(), collecting, "{config:?}");
             assert_eq!(obs.histograms().is_enabled(), collecting, "{config:?}");
             assert_eq!(obs.metrics().is_enabled(), metrics, "{config:?}");
-            let ring = if tracing { 1 << 16 } else { 4096 };
-            assert_eq!(obs.journal.capacity, ring, "{config:?}");
         }
         assert_eq!(ObsConfig::default(), ObsConfig::disabled());
     }
@@ -1747,7 +1678,7 @@ mod tests {
 
     #[test]
     fn trace_context_tags_and_shifts_events() {
-        let mut j = Journal::enabled(16);
+        let mut j = Journal::enabled();
         let c = ComponentId::singleton("x");
         j.record(SimTime::ZERO + us(1), c, || EventKind::CommandIssued {
             bytes: 1,
@@ -1766,17 +1697,23 @@ mod tests {
             bytes: 3,
         });
         let events: Vec<_> = j.events().copied().collect();
-        assert_eq!(events[0].trace, 0);
-        assert_eq!(events[0].at, SimTime::ZERO + us(1));
-        assert_eq!(events[1].trace, 1);
-        assert_eq!(events[1].at, SimTime::ZERO + us(12), "origin-shifted");
-        assert_eq!(events[2].trace, 0);
-        assert_eq!(events[2].at, SimTime::ZERO + us(3));
+        assert_eq!(events.len(), 1, "only the traced event is retained");
+        assert_eq!(events[0].trace, 1);
+        assert_eq!(events[0].at, SimTime::ZERO + us(12), "origin-shifted");
+        assert!(matches!(
+            events[0].kind,
+            EventKind::CommandIssued { bytes: 2 }
+        ));
+        let s = j.summary();
+        assert_eq!(s.recorded, 3, "untraced events are still counted");
+        assert_eq!(s.retained, 1);
+        assert_eq!(s.dropped, 0);
+        assert_eq!(s.by_kind.get("CommandIssued"), Some(&3));
     }
 
     #[test]
     fn command_partition_sums_exactly_to_latency() {
-        let mut j = Journal::enabled(16);
+        let mut j = Journal::enabled();
         let c = ComponentId::singleton("system");
         let mut tracer = CommandTracer::new();
         let ctx = tracer.begin();

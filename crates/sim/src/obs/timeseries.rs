@@ -158,10 +158,6 @@ pub struct Mark {
     pub label: String,
 }
 
-/// Upper bound on retained marks per component (excess is counted, not
-/// stored — a runaway fault plan must not grow the artifact unboundedly).
-const MAX_MARKS: usize = 1024;
-
 /// The windowed sampler: named [`SeriesKind::Counter`]/[`SeriesKind::Gauge`]
 /// series plus event [`Mark`]s, all on the epoch-folded modeled clock.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -170,7 +166,6 @@ pub struct MetricSet {
     epoch_offset: SimDuration,
     series: BTreeMap<String, SeriesSnapshot>,
     marks: Vec<Mark>,
-    marks_dropped: u64,
 }
 
 impl MetricSet {
@@ -227,13 +222,10 @@ impl MetricSet {
     }
 
     /// Records a labelled event mark at epoch-local instant `at`. The
-    /// label closure never runs while disabled.
-    pub fn mark(&mut self, at: SimTime, label: impl FnOnce() -> String) {
+    /// label closure never runs while disabled. Only device-down/up events
+    /// mark, so a run holds as many marks as its fault plan has transitions.
+    fn mark(&mut self, at: SimTime, label: impl FnOnce() -> String) {
         if !self.enabled {
-            return;
-        }
-        if self.marks.len() >= MAX_MARKS {
-            self.marks_dropped += 1;
             return;
         }
         let at = self.folded(at);
@@ -310,14 +302,9 @@ impl MetricSet {
         self.series.get(name).map(|s| s.total)
     }
 
-    /// The retained event marks, in record order.
+    /// Every event mark, in record order.
     pub fn marks(&self) -> &[Mark] {
         &self.marks
-    }
-
-    /// Marks discarded after the retention cap filled.
-    pub fn marks_dropped(&self) -> u64 {
-        self.marks_dropped
     }
 }
 
@@ -511,15 +498,5 @@ mod tests {
         });
         assert_eq!(g.buckets, [5, 7]);
         assert_eq!(g.total, 7);
-    }
-
-    #[test]
-    fn marks_cap_counts_drops() {
-        let mut m = MetricSet::enabled();
-        for i in 0..(MAX_MARKS as u64 + 5) {
-            m.mark(at(0), || format!("m{i}"));
-        }
-        assert_eq!(m.marks().len(), MAX_MARKS);
-        assert_eq!(m.marks_dropped(), 5);
     }
 }

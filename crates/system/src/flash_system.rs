@@ -259,7 +259,6 @@ impl<P: Placement> StorageFrontEnd for FlashSystem<P> {
         let mut events: Vec<Event> = life.obs.journal().events().copied().collect();
         events.extend(life.link.observability().journal().events().copied());
         events.extend(device.observability().journal().events().copied());
-        events.retain(|e| e.trace != 0);
         // Stable sort: ties keep source order (system, link, flash).
         events.sort_by_key(|e| e.at);
         let (channels, banks) = device.lane_busy_totals();

@@ -202,6 +202,56 @@ fn trace_export_present_only_when_traced() {
     assert!(sorted, "export events must be ordered by instant");
 }
 
+/// A 4 MiB write then eight whole reads: 73 728 page events on the one
+/// device journal, past 2^16, so a journal bounded at any smaller size
+/// would show here as a short export.
+fn page_heavy_run(obs: ObsConfig) -> SoftwareNds {
+    let side = 1024u64;
+    let shape = Shape::new([side, side]);
+    let bytes: Vec<u8> = (0..side * side * 4).map(|i| (i % 251) as u8).collect();
+    let mut sys = SoftwareNds::new(config(obs));
+    let id = sys
+        .create_dataset(shape.clone(), ElementType::F32)
+        .expect("create");
+    sys.write(id, &shape, &[0, 0], &[side, side], &bytes)
+        .expect("write");
+    for _ in 0..8 {
+        sys.read(id, &shape, &[0, 0], &[side, side]).expect("read");
+    }
+    sys
+}
+
+#[test]
+fn traced_export_keeps_every_event_the_journals_count() {
+    let traced = page_heavy_run(ObsConfig::traced());
+    let journal = traced.run_report().journal;
+    let export = traced.trace_export().expect("traced run must export Some");
+    for kind in ["PageProgrammed", "PageRead"] {
+        let counted = journal.by_kind.get(kind).copied().unwrap_or(0);
+        let exported = export
+            .events
+            .iter()
+            .filter(|e| e.kind.name() == kind)
+            .count() as u64;
+        assert!(counted > 0, "the run must record {kind}");
+        assert_eq!(exported, counted, "the trace lost {kind} events");
+    }
+    let page_events = journal.by_kind["PageProgrammed"] + journal.by_kind["PageRead"];
+    assert!(page_events > 1 << 16, "{page_events} page events");
+    assert_eq!(journal.retained, export.events.len() as u64);
+    assert_eq!(journal.dropped, 0);
+
+    // Untraced, the journals count the same events, less the traced run's
+    // per-command partitions, and retain none.
+    let mut untraced_kinds = journal.by_kind.clone();
+    for kind in ["TraceBegin", "TraceEnd", "StageSpan"] {
+        untraced_kinds.remove(kind);
+    }
+    let full = page_heavy_run(ObsConfig::full()).run_report().journal;
+    assert_eq!(full.by_kind, untraced_kinds);
+    assert_eq!(full.retained, 0);
+}
+
 /// One instrumented run's serialized report.
 fn instrumented_report<S: StorageFrontEnd>(make: impl FnOnce(SystemConfig) -> S) -> String {
     let mut sys = make(config(ObsConfig::full()));

@@ -46,6 +46,10 @@ run cluster_unsharded cluster --seed 7 --shard-rows 0
 # (identical-but-empty telemetry would hash just as stably).
 grep -q 'failover_events' "$out/cluster.metrics.json" \
     || { echo "artifact_digest.sh: cluster metrics JSON lost the failover series" >&2; exit 1; }
+# Likewise the 128 MiB write's page striping: its traced PageProgrammed
+# markers are what the flash lanes of fig9a's trace exist to show.
+grep -q 'PageProgrammed' "$out/fig9a.trace.json" \
+    || { echo "artifact_digest.sh: fig9a trace lost its PageProgrammed markers" >&2; exit 1; }
 
 actual="$(cd "$out" && sha256sum -- * | LC_ALL=C sort -k2)"
 
