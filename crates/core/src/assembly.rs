@@ -11,35 +11,21 @@
 //! A large read is copied in `k` contiguous parts at once: the stored
 //! pieces are gathered first, then each part of the buffer — a disjoint
 //! `&mut` range — is filled from the pieces that overlap it, part 0 on the
-//! calling thread and the others on scoped workers. `k` depends only on the
-//! read's size and the host's core count, and the bytes do not depend on
-//! `k`: it moves wall time, never an output byte.
+//! calling thread and the others on scoped workers. `k` is the shared split
+//! rule's ([`parts`]) for the read's size and the host's core count, and the
+//! bytes do not depend on `k`: it moves wall time, never an output byte.
 
-use std::num::NonZeroUsize;
-use std::sync::{LazyLock, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 use crate::error::NdsError;
+use crate::parts::parts;
 
 /// The smallest part worth a thread of its own. On a 2-core host a scoped
 /// spawn + join costs 38–46 µs and a copy of cold 4 KiB pages runs at
 /// 7–8 GB/s, so a read split in two breaks even at about 512 KiB a part;
 /// this is twice that (DESIGN.md "Read assembly").
 const MIN_PART: usize = 1 << 20;
-
-/// Cores this process may run on, asked once (on Linux the answer reads the
-/// cgroup files).
-static CORES: LazyLock<usize> =
-    LazyLock::new(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
-
-/// Parts a read of `total` bytes is copied in: one per core, each at least
-/// [`MIN_PART`] long. A read too small to split never asks for the cores.
-fn parts_for(total: usize) -> usize {
-    match total / MIN_PART {
-        0 | 1 => 1,
-        parts => parts.min(*CORES),
-    }
-}
 
 /// Assembles one read into a caller-provided buffer (see the module docs).
 ///
@@ -63,7 +49,7 @@ impl<'b, 's> Assembler<'b, 's> {
     /// is shorter. Its capacity is kept, and grown once if `total` needs
     /// more.
     pub fn new(buf: &'b mut Vec<u8>, total: usize) -> Self {
-        Self::with_parts(buf, total, parts_for(total))
+        Self::with_parts(buf, total, parts(total, MIN_PART))
     }
 
     /// [`new`](Self::new) with the part count given rather than chosen.
@@ -229,11 +215,13 @@ mod tests {
 
     #[test]
     fn small_reads_are_one_part_and_large_ones_one_per_core() {
-        assert_eq!(parts_for(0), 1);
-        assert_eq!(parts_for(2048), 1);
-        assert_eq!(parts_for(2 * MIN_PART - 1), 1);
-        assert_eq!(parts_for(2 * MIN_PART), 2.min(*CORES));
-        assert_eq!(parts_for(usize::MAX), *CORES);
+        let cores = parts(usize::MAX, 1);
+        assert!(cores >= 1);
+        assert_eq!(parts(0, MIN_PART), 1);
+        assert_eq!(parts(2048, MIN_PART), 1);
+        assert_eq!(parts(2 * MIN_PART - 1, MIN_PART), 1);
+        assert_eq!(parts(2 * MIN_PART, MIN_PART), 2.min(cores));
+        assert_eq!(parts(usize::MAX, MIN_PART), cores);
     }
 
     #[test]

@@ -86,6 +86,7 @@ mod block;
 mod btree;
 mod element;
 mod error;
+mod parts;
 mod plan_cache;
 mod shape;
 mod space;
@@ -101,6 +102,7 @@ pub use block::{BlockDimensionality, BlockShape};
 pub use btree::LocatorTree;
 pub use element::ElementType;
 pub use error::NdsError;
+pub use parts::parts;
 pub use plan_cache::{GeometryClass, PlanCache};
 pub use shape::{Region, Shape};
 pub use space::{Space, SpaceId};

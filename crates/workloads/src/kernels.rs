@@ -6,10 +6,25 @@
 //! (`nds-accel`); their outputs are what the tests validate.
 //!
 //! The contract (DESIGN.md, "Functional-kernel contract"): a kernel may be
-//! blocked, unrolled, split into interior and border or handed scratch, but
-//! every output element must see the same sequence of IEEE operations on the
-//! same operands as the plain loop it replaced. `tests/kernel_equivalence.rs`
+//! blocked, unrolled, split into interior and border, handed scratch or
+//! have whole output rows shared out across threads, but every output
+//! element must see the same sequence of IEEE operations on the same
+//! operands as the plain loop it replaced. `tests/kernel_equivalence.rs`
 //! keeps those plain loops as reference models and compares `to_bits()`.
+
+use std::sync::{Mutex, PoisonError};
+use std::thread;
+
+/// Rows of `a` and `c` a thread takes from [`gemm_tile`]'s cursor at a
+/// time. Even, so only an odd `t`'s last row runs without a partner.
+const CHUNK_ROWS: usize = 16;
+
+/// Multiply-adds (`t³` for one tile) worth a thread of their own. On a
+/// 2-core host a scoped spawn + join costs 31–47 µs and one core runs the
+/// kernel at 13–14 G multiply-adds per second, so a tile split in two
+/// breaks even at `t = 128`, 2²⁰ a part; this is twice that (DESIGN.md
+/// "Functional-kernel contract"): tiles of side ≤ 161 never spawn.
+const MIN_PART: usize = 1 << 21;
 
 /// `c += a × b` for `t × t` row-major f32 tiles (x fastest: `a[x + t*y]`).
 ///
@@ -19,16 +34,62 @@
 /// are register-blocked — two rows of `c`, four `k` per pass over them —
 /// which changes how often `b` and `c` travel, not what is computed.
 ///
+/// The rows are shared out 16 at a time from one cursor, claimed by the
+/// calling thread and by up to `parts − 1` scoped workers, where `parts` is
+/// [`nds_core::parts`] for `t³` multiply-adds. A row's result does not
+/// depend on which thread computed it, so the part count moves wall time,
+/// never a bit. A worker that cannot be spawned leaves its chunks to the
+/// others.
+///
 /// # Panics
 ///
 /// Panics if any slice is not `t²` long.
 pub fn gemm_tile(t: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let parts = nds_core::parts(t.saturating_pow(3), MIN_PART);
+    gemm_tile_in_parts(t, a, b, c, parts);
+}
+
+/// [`gemm_tile`] on up to `parts` threads, the calling one included.
+fn gemm_tile_in_parts(t: usize, a: &[f32], b: &[f32], c: &mut [f32], parts: usize) {
     assert_eq!(a.len(), t * t);
     assert_eq!(b.len(), t * t);
     assert_eq!(c.len(), t * t);
     if t == 0 {
         return;
     }
+    let chunk = CHUNK_ROWS * t;
+    let cursor = Mutex::new(a.chunks(chunk).zip(c.chunks_mut(chunk)));
+    let work = || {
+        while let Some((a, c)) = claim(&cursor) {
+            gemm_rows(t, a, b, c);
+        }
+    };
+    thread::scope(|scope| {
+        let workers: Vec<_> = (1..parts.min(t.div_ceil(CHUNK_ROWS)))
+            .filter_map(|_| thread::Builder::new().spawn_scoped(scope, work).ok())
+            .collect();
+        work();
+        // Joined here, not by the scope: a worker frees what its spawn
+        // allocated on its way out, and a join waits for that, so the heap
+        // the caller goes on with does not depend on when a worker exits.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// The next chunk from `cursor`, holding the lock only to take it.
+fn claim<T>(cursor: &Mutex<impl Iterator<Item = T>>) -> Option<T> {
+    // `next` on a slice iterator cannot panic, so a poisoned cursor is
+    // still whole.
+    cursor.lock().unwrap_or_else(PoisonError::into_inner).next()
+}
+
+/// `c += a × b` for the rows of `c` in `c` (`c.len() / t` of them), `a`
+/// holding the same rows of the left operand.
+fn gemm_rows(t: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let mut a_pairs = a.chunks_exact(2 * t);
     let mut c_pairs = c.chunks_exact_mut(2 * t);
     for (a_pair, c_pair) in a_pairs.by_ref().zip(c_pairs.by_ref()) {
@@ -36,8 +97,8 @@ pub fn gemm_tile(t: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         let (c0, c1) = c_pair.split_at_mut(t);
         gemm_row_pair(a0, a1, b, c0, c1);
     }
-    // Odd `t`: the last row has no partner (both remainders are empty
-    // otherwise).
+    // An odd row count: the last row has no partner (both remainders are
+    // empty otherwise).
     let c_last = c_pairs.into_remainder();
     for (&aik, brow) in a_pairs.remainder().iter().zip(b.chunks_exact(t)) {
         axpy_nonzero(aik, brow, c_last);
@@ -445,6 +506,58 @@ mod tests {
             for j in 0..t {
                 let expect: f32 = (0..t).map(|k| a[k + t * i] * b[j + t * k]).sum();
                 assert_eq!(c[j + t * i], expect, "C[{i}][{j}]");
+            }
+        }
+    }
+
+    /// `len` values with full mantissas, every `zero_every`-th an exact
+    /// zero, `0.0` and `-0.0` alternately (`0`: none, `1`: all).
+    fn tile_values(len: usize, salt: u32, zero_every: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                if zero_every != 0 && i.is_multiple_of(zero_every) {
+                    return if (i / zero_every).is_multiple_of(2) {
+                        0.0
+                    } else {
+                        -0.0
+                    };
+                }
+                let h = (i as u32 ^ salt)
+                    .wrapping_mul(0x9E37_79B9)
+                    .rotate_left(13)
+                    .wrapping_mul(0x85EB_CA6B);
+                f32::from_bits(h & 0x807F_FFFF | (121 + h % 13) << 23)
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn gemm_tile_bits_do_not_depend_on_the_part_count() {
+        // Odd sides, sides off the 16-row chunk grid, and one chunk (t = 7)
+        // or three (t = 33, 40) against eight parts.
+        for t in [1, 7, 16, 33, 40] {
+            let b = tile_values(t * t, 2, 5);
+            // `c` holds `-0.0` entries, which a skipped zero keeps.
+            let c = tile_values(t * t, 3, 4);
+            // Dense `a` (every group fused), sparse (some groups, or all,
+            // one `k` at a time) and all-zero.
+            for zero_every in [0, 11, 3, 1] {
+                let a = tile_values(t * t, 1, zero_every);
+                let mut want = c.clone();
+                gemm_tile_in_parts(t, &a, &b, &mut want, 1);
+                for parts in [2, 3, 8] {
+                    let mut got = c.clone();
+                    gemm_tile_in_parts(t, &a, &b, &mut got, parts);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "t = {t}, a zero every {zero_every}: {parts} parts differ from one"
+                    );
+                }
             }
         }
     }

@@ -232,10 +232,13 @@ proptest! {
     }
 }
 
-/// One case of each kernel at the bench tile side.
+/// One case of each kernel at the bench tile side, where `gemm_tile`
+/// splits across the host's cores when it has more than one; GEMM also
+/// with dense `a`, every group fused.
 #[test]
 fn kernels_match_the_plain_loops_at_t256() {
     gemm_case(256, 21, 1).unwrap();
+    gemm_case(256, 24, 0).unwrap();
     conv2d_case(256, 4, 22, &mut Vec::new()).unwrap();
     hotspot_case(256, 23).unwrap();
 }

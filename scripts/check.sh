@@ -58,16 +58,20 @@ if [[ "${1:-}" != "--no-test" ]]; then
     cargo test --quiet --profile ci -p nds-system \
         --test wfq_qos --test tenant_isolation --test tenant_differential \
         --test alloc_ceiling --test dirty_buffer_props
-    # Read assembly copies a read of megabytes in one part per core. Under a
+    # Read assembly copies a read of megabytes, and `gemm_tile` computes a
+    # tile of side ≥ 162, in one part per core (`nds_core::parts`). Under a
     # one-CPU mask `available_parallelism` is 1, so the read-assembly suites
-    # run again down the one-part path, with no knob to turn.
+    # and the t = 256 kernel suites run again down the one-part path, with
+    # no knob to turn.
     if command -v taskset > /dev/null; then
-        echo "== read-assembly suites on one CPU (taskset -c 0)"
+        echo "== one-part suites on one CPU: read assembly + tile GEMM (taskset -c 0)"
         taskset -c 0 cargo test --quiet --profile ci -p nds-core --test read_assembly_props
         taskset -c 0 cargo test --quiet --profile ci -p nds-system \
             --test dirty_buffer_props --test alloc_ceiling
+        taskset -c 0 cargo test --quiet --profile ci -p nds-workloads \
+            --test golden_checksums --test kernel_equivalence
     else
-        echo "== read-assembly suites on one CPU: skipped, no taskset"
+        echo "== one-part suites on one CPU: skipped, no taskset"
     fi
     # The functional kernels are bit-identical to their plain-loop reference
     # models (tests/kernel_equivalence.rs, golden_checksums.rs) — which has
