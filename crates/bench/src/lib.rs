@@ -51,8 +51,9 @@ pub fn take_u64_flag(flag: &str, default: u64, args: Vec<String>) -> (u64, Vec<S
 
 /// The artifact destinations a bench run was asked for, and what the run
 /// has collected for them so far — the one harness behind every binary's
-/// `--report`, `--trace`, `--metrics` and `--dashboard` flags (each also
-/// accepted as `--flag=<path>`).
+/// `--report`, `--trace` and `--dashboard` flags (each also accepted as
+/// `--flag=<path>`). The report is the one JSON artifact: the dashboard's
+/// `data.js` wraps the same JSON.
 #[derive(Debug)]
 pub struct Artifacts {
     /// `--report`: the merged [`RunReport`] as deterministic JSON.
@@ -60,14 +61,10 @@ pub struct Artifacts {
     /// `--trace`: a Chrome trace-event (Perfetto-loadable) export of the
     /// run's causal per-command traces.
     trace_path: Option<PathBuf>,
-    /// `--metrics`: the windowed-telemetry JSON
-    /// ([`RunReport::metrics_json`]).
-    metrics_path: Option<PathBuf>,
     /// `--dashboard`: the static HTML telemetry dashboard (a sibling
-    /// `<stem>.data.js` is written next to it).
+    /// `<stem>.data.js` wrapping the report's JSON is written next to it).
     dashboard_path: Option<PathBuf>,
-    /// The run's merged report: what `--report`, `--metrics` and
-    /// `--dashboard` render.
+    /// The run's merged report: what `--report` and `--dashboard` render.
     pub report: RunReport,
     /// The run's causal traces by label: what `--trace` renders. The label
     /// becomes the Chrome process name, so use `"<panel>.<architecture>"`
@@ -76,18 +73,16 @@ pub struct Artifacts {
 }
 
 impl Artifacts {
-    /// Splits the four artifact flags out of a raw argument list (as from
+    /// Splits the three artifact flags out of a raw argument list (as from
     /// `std::env::args().skip(1)`), returning the remaining arguments so
     /// each binary's own parsing is unaffected.
     pub fn from_args(args: Vec<String>) -> (Artifacts, Vec<String>) {
         let (report, args) = take_flag("--report", args);
         let (trace, args) = take_flag("--trace", args);
-        let (metrics, args) = take_flag("--metrics", args);
         let (dashboard, args) = take_flag("--dashboard", args);
         let artifacts = Artifacts {
             report_path: report.map(PathBuf::from),
             trace_path: trace.map(PathBuf::from),
-            metrics_path: metrics.map(PathBuf::from),
             dashboard_path: dashboard.map(PathBuf::from),
             report: RunReport::new(),
             traces: Vec::new(),
@@ -96,33 +91,22 @@ impl Artifacts {
     }
 
     /// True when an artifact derived from the run's [`RunReport`] was
-    /// requested (`--report`, `--metrics` or `--dashboard`).
+    /// requested (`--report` or `--dashboard`).
     pub fn wants_report(&self) -> bool {
-        self.report_path.is_some() || self.wants_metrics()
-    }
-
-    fn wants_metrics(&self) -> bool {
-        self.metrics_path.is_some() || self.dashboard_path.is_some()
+        self.report_path.is_some() || self.dashboard_path.is_some()
     }
 
     /// The observability configuration the run should build its systems
     /// with: causal tracing on top of full instrumentation when a trace was
     /// requested, full instrumentation for any report-derived artifact,
-    /// disabled (one dead branch per hook) otherwise — plus the windowed
-    /// metric sampler for `--metrics`/`--dashboard`, whose standard series
-    /// derive from journal events.
+    /// disabled (one dead branch per hook) otherwise.
     pub fn obs(&self) -> ObsConfig {
-        let base = if self.trace_path.is_some() {
+        if self.trace_path.is_some() {
             ObsConfig::traced()
         } else if self.wants_report() {
             ObsConfig::full()
         } else {
             ObsConfig::disabled()
-        };
-        if self.wants_metrics() {
-            base.with_metrics()
-        } else {
-            base
         }
     }
 
@@ -147,29 +131,31 @@ impl Artifacts {
     ///
     /// I/O errors from creating or writing any file.
     pub fn write(&self, mut announce: impl FnMut(&str, &Path)) -> std::io::Result<()> {
-        if let Some(path) = &self.report_path {
-            // Trailing newline, so repeated runs diff clean.
-            std::fs::write(path, self.report.to_json() + "\n")?;
-            announce("report", path);
+        if self.wants_report() {
+            // Rendered once for both artifacts. The trailing newline makes
+            // repeated runs diff clean; `run_data_js` trims it.
+            let mut json = self.report.to_json();
+            json.push('\n');
+            if let Some(path) = &self.report_path {
+                std::fs::write(path, &json)?;
+                announce("report", path);
+            }
+            if let Some(path) = &self.dashboard_path {
+                // The page references the verbatim-embedded report JSON in
+                // a sibling `<stem>.data.js` by relative name.
+                let stem = path
+                    .file_stem()
+                    .and_then(|s| s.to_str())
+                    .unwrap_or("dashboard");
+                let data_name = format!("{stem}.data.js");
+                std::fs::write(path, nds_prof::html_page(&data_name))?;
+                let data = nds_prof::run_data_js(&json);
+                std::fs::write(path.with_file_name(&data_name), data)?;
+            }
         }
         if let Some(path) = &self.trace_path {
             std::fs::write(path, nds_prof::render(&self.traces))?;
             announce("trace", path);
-        }
-        if let Some(path) = &self.metrics_path {
-            std::fs::write(path, self.report.metrics_json())?;
-        }
-        if let Some(path) = &self.dashboard_path {
-            // The page references the verbatim-embedded metrics JSON in a
-            // sibling `<stem>.data.js` by relative name.
-            let stem = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("dashboard");
-            let data_name = format!("{stem}.data.js");
-            std::fs::write(path, nds_prof::html_page(&data_name))?;
-            let data = nds_prof::run_data_js(&self.report.metrics_json());
-            std::fs::write(path.with_file_name(&data_name), data)?;
         }
         Ok(())
     }
@@ -263,8 +249,7 @@ mod tests {
         let (art, rest) = artifacts(&["a", "--report", "out.json", "b"]);
         assert_eq!(art.report_path.as_deref(), Some(Path::new("out.json")));
         assert_eq!(rest, ["a", "b"]);
-        let obs = art.obs();
-        assert!(obs.collecting() && !obs.tracing() && !obs.metrics());
+        assert_eq!(art.obs(), ObsConfig::full());
 
         let (art, rest) = artifacts(&["--report=r.json"]);
         assert_eq!(art.report_path.as_deref(), Some(Path::new("r.json")));
@@ -287,24 +272,51 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_dashboard_flags_enable_the_sampler() {
-        let (art, rest) = artifacts(&["--metrics", "m.json", "x"]);
-        assert_eq!(art.metrics_path.as_deref(), Some(Path::new("m.json")));
-        assert_eq!(rest, ["x"]);
-        let obs = art.obs();
-        assert!(
-            obs.metrics() && obs.collecting(),
-            "metrics ride on full obs"
-        );
-        assert!(art.wants_report());
-
-        let (art, _) = artifacts(&["--dashboard=d.html"]);
+    fn dashboard_flag_wants_the_full_report() {
+        let (art, rest) = artifacts(&["--dashboard=d.html", "x"]);
         assert_eq!(art.dashboard_path.as_deref(), Some(Path::new("d.html")));
-        assert!(art.obs().metrics());
+        assert_eq!(rest, ["x"]);
+        assert!(art.wants_report());
+        assert_eq!(art.obs(), ObsConfig::full());
+    }
 
-        let (art, _) = artifacts(&["--trace", "t.json", "--metrics", "m.json"]);
+    #[test]
+    fn report_flag_alone_records_series_and_a_cluster_kill_mark() {
+        use nds_faults::ClusterFaultPlan;
+        use nds_system::{ClusterConfig, HardwareNds, NdsCluster, SoftwareNds, SystemConfig};
+        use nds_workloads::cluster::cluster_dataset;
+        let (mut art, _) = artifacts(&["--report", "r.json"]);
         let obs = art.obs();
-        assert!(obs.metrics() && obs.tracing());
+
+        let mut sys = SoftwareNds::new(SystemConfig::small_test().with_observability(obs));
+        let id = setup_matrix_f64(&mut sys, 64).unwrap();
+        sys.read(id, &Shape::new([64, 64]), &[1, 1], &[16, 16])
+            .unwrap();
+        art.absorb("sw", &sys);
+        let series = &art.report.series;
+        assert_eq!(series.get("sw.host.ops").map(|s| s.total), Some(2));
+        assert!(series.contains_key("sw.busy.link"), "busy timeline missing");
+
+        let cfg = ClusterConfig::new(2, 2)
+            .with_observability(obs)
+            .with_plan(ClusterFaultPlan::kill_at(2, 1));
+        let mut cluster = NdsCluster::new(cfg, |_| {
+            HardwareNds::new(SystemConfig::small_test().with_observability(obs))
+        });
+        let (shape, element) = cluster_dataset();
+        let id = cluster.create_dataset(shape.clone(), element).unwrap();
+        let mut buf = Vec::new();
+        for _ in 0..3 {
+            cluster
+                .read_into(id, &shape, &[0, 0], &[8, 8], &mut buf)
+                .unwrap();
+        }
+        let report = cluster.full_report();
+        assert!(
+            report.marks.iter().any(|m| m.label.contains("down")),
+            "no device-down mark in {:?}",
+            report.marks
+        );
     }
 
     #[test]
@@ -333,28 +345,28 @@ mod tests {
     #[test]
     fn dashboard_artifacts_are_byte_identical_across_runs() {
         use nds_system::{SoftwareNds, SystemConfig};
-        // End to end: instrumented run → metrics JSON → dashboard page and
+        // End to end: instrumented run → report JSON → dashboard page and
         // data payload, twice; every byte must match.
         let run_once = || {
-            let obs = ObsConfig::full().with_metrics();
+            let obs = ObsConfig::full();
             let mut sys = SoftwareNds::new(SystemConfig::small_test().with_observability(obs));
             let id = setup_matrix_f64(&mut sys, 64).unwrap();
             let shape = Shape::new([64, 64]);
             sys.read(id, &shape, &[1, 1], &[16, 16]).unwrap();
             let report = sys.run_report();
-            let metrics = report.metrics_json();
+            let json = report.to_json();
             (
                 nds_prof::html_page("run.data.js"),
-                nds_prof::run_data_js(&metrics),
-                metrics,
+                nds_prof::run_data_js(&json),
+                json,
             )
         };
-        let (page_a, data_a, metrics_a) = run_once();
-        let (page_b, data_b, metrics_b) = run_once();
-        assert_eq!(metrics_a, metrics_b, "metrics JSON drifted between runs");
+        let (page_a, data_a, json_a) = run_once();
+        let (page_b, data_b, json_b) = run_once();
+        assert_eq!(json_a, json_b, "report JSON drifted between runs");
         assert_eq!(page_a, page_b, "dashboard HTML drifted between runs");
         assert_eq!(data_a, data_b, "dashboard data payload drifted");
         assert!(data_a.starts_with("const RUN = {"));
-        assert!(metrics_a.contains("\"host.ops\""));
+        assert!(json_a.contains("\"host.ops\""));
     }
 }

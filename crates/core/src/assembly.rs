@@ -15,11 +15,8 @@
 //! rule's ([`parts`]) for the read's size and the host's core count, and the
 //! bytes do not depend on `k`: it moves wall time, never an output byte.
 
-use std::sync::{Mutex, PoisonError};
-use std::thread;
-
 use crate::error::NdsError;
-use crate::parts::parts;
+use crate::parts::{in_parts, parts};
 
 /// The smallest part worth a thread of its own. On a 2-core host a scoped
 /// spawn + join costs 38–46 µs and a copy of cold 4 KiB pages runs at
@@ -106,53 +103,21 @@ impl<'b, 's> Assembler<'b, 's> {
         }
         let len = out.len().div_ceil(parts).max(1);
         let pieces = pending.as_slice();
-        let slots: Vec<Mutex<Option<Part<'_, '_, 's>>>> = out
-            .chunks_mut(len)
-            .enumerate()
-            .map(|(i, out)| {
-                let lo = i.saturating_mul(len);
-                let hi = lo.saturating_add(out.len());
-                let first = pieces.partition_point(|&(at, b)| at.saturating_add(b.len()) <= lo);
-                let last = pieces.partition_point(|&(at, _)| at < hi);
-                let pieces = pieces.get(first..last).unwrap_or_default();
-                Mutex::new(Some(Part { out, lo, pieces }))
-            })
-            .collect();
-        // Part 0 is the calling thread's; the sweep then takes any part
-        // whose worker has not — one that could not be spawned included.
-        thread::scope(|scope| {
-            for slot in slots.iter().skip(1) {
-                let _ =
-                    thread::Builder::new().spawn_scoped(scope, move || Part::take_and_place(slot));
-            }
-            for slot in &slots {
-                Part::take_and_place(slot);
-            }
+        // Part `i` is the `i`-th range of the buffer and the stored pieces
+        // that overlap it.
+        let ranges = out.chunks_mut(len).enumerate().map(|(i, out)| {
+            let lo = i.saturating_mul(len);
+            let hi = lo.saturating_add(out.len());
+            let first = pieces.partition_point(|&(at, b)| at.saturating_add(b.len()) <= lo);
+            let last = pieces.partition_point(|&(at, _)| at < hi);
+            (out, lo, pieces.get(first..last).unwrap_or_default())
         });
-        Ok(())
-    }
-}
-
-/// One contiguous range of the output and the stored pieces that overlap
-/// it.
-struct Part<'o, 'p, 's> {
-    out: &'o mut [u8],
-    /// Buffer offset of `out`.
-    lo: usize,
-    pieces: &'p [(usize, &'s [u8])],
-}
-
-impl Part<'_, '_, '_> {
-    /// Places the part in `slot` unless another thread has taken it.
-    fn take_and_place(slot: &Mutex<Option<Self>>) {
-        // The lock is held only for `take`, which cannot panic, so a
-        // poisoned slot is still whole.
-        let part = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-        if let Some(Part { out, lo, pieces }) = part {
+        in_parts(parts, ranges, |(out, lo, pieces)| {
             for &(at, bytes) in pieces {
                 place(out, lo, at, bytes);
             }
-        }
+        });
+        Ok(())
     }
 }
 

@@ -36,14 +36,12 @@ use crate::shape::Shape;
 /// expose exactly two levels of parallelism.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BlockDimensionality {
-    /// Choose by space rank: 1-D spaces get linear blocks, everything else
-    /// gets 2-D square blocks (the paper's default).
+    /// Square blocks per Eq. (2) — the paper's default. A 1-D space gets
+    /// linear blocks, as with [`OneD`](Self::OneD).
     #[default]
     Auto,
     /// Linear blocks of `BB_Size_min / N` elements.
     OneD,
-    /// Square blocks per Eq. (2).
-    TwoD,
     /// Cubic blocks per Eq. (4); requires a space of rank ≥ 3.
     ThreeD,
 }
@@ -116,7 +114,6 @@ impl BlockShape {
         let (min_bytes, rank) = match dimensionality {
             BlockDimensionality::Auto => (spec.min_block_bytes(), 2),
             BlockDimensionality::OneD => (spec.min_block_bytes(), 1),
-            BlockDimensionality::TwoD => (spec.min_block_bytes(), 2),
             BlockDimensionality::ThreeD => (spec.min_block_bytes_3d(), 3),
         };
         let rank = rank.min(space.ndims());
@@ -234,7 +231,7 @@ mod tests {
             &Shape::new([4096, 4096]),
             ElementType::F32,
             spec,
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             1,
         );
         assert_eq!(bb.dims(), &[128, 128]);
@@ -250,7 +247,7 @@ mod tests {
             &Shape::new([8192, 8192, 4]),
             ElementType::F32,
             spec,
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             1,
         );
         assert_eq!(bb.dims(), &[128, 128, 1]);
@@ -265,7 +262,7 @@ mod tests {
             &Shape::new([32768, 32768]),
             ElementType::F64,
             spec,
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             4,
         );
         assert_eq!(bb.dims(), &[256, 256]);
@@ -311,7 +308,7 @@ mod tests {
             &Shape::new([4096, 4096]),
             ElementType::U8,
             spec,
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             1,
         );
         assert_eq!(bb.dims(), &[256, 256]);
@@ -346,7 +343,7 @@ mod tests {
             &Shape::new([200, 300]),
             ElementType::F32,
             spec,
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             1,
         );
         // 128×128 blocks tile a 200×300 space as 2×3.
@@ -362,7 +359,7 @@ mod tests {
             &Shape::new([64, 64]),
             ElementType::F32,
             spec,
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             3,
         );
     }
@@ -378,7 +375,7 @@ mod tests {
         let flat = for_rank(vec![4096, 4096], BlockDimensionality::ThreeD);
         assert_eq!(flat.dims(), &[256, 256]);
         assert_eq!(
-            for_rank(vec![1 << 20], BlockDimensionality::TwoD),
+            for_rank(vec![1 << 20], BlockDimensionality::Auto),
             for_rank(vec![1 << 20], BlockDimensionality::OneD)
         );
     }

@@ -102,7 +102,7 @@ pub use block::{BlockDimensionality, BlockShape};
 pub use btree::LocatorTree;
 pub use element::ElementType;
 pub use error::NdsError;
-pub use parts::parts;
+pub use parts::{in_parts, parts};
 pub use plan_cache::{GeometryClass, PlanCache};
 pub use shape::{Region, Shape};
 pub use space::{Space, SpaceId};

@@ -218,7 +218,7 @@ fn check_volume(space: &Shape, view: &Shape) -> Result<(), NdsError> {
 /// let space = Shape::new([256, 256]);
 /// let bb = BlockShape::for_space(
 ///     &space, ElementType::F32, DeviceSpec::new(8, 8, 4096),
-///     BlockDimensionality::TwoD, 1);
+///     BlockDimensionality::Auto, 1);
 /// // Fetch the [1, 1] 128×128 tile: exactly one 128×128 building block.
 /// let t = translator::translate(&space, &bb, &space, &[1, 1], &[128, 128])?;
 /// assert_eq!(t.block_count(), 1);
@@ -617,7 +617,7 @@ mod tests {
             &space,
             ElementType::F32,
             DeviceSpec::new(8, 8, 4096),
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             1,
         );
         assert_eq!(bb.dims(), &[128, 128, 1]);
@@ -645,7 +645,7 @@ mod tests {
             &space,
             ElementType::F32,
             DeviceSpec::new(8, 8, 4096),
-            BlockDimensionality::TwoD,
+            BlockDimensionality::Auto,
             1,
         );
         let t = translate(&space, &bb, &space, &[0, 0], &[200, 200]).unwrap();

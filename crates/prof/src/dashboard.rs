@@ -2,26 +2,27 @@
 //!
 //! Two artifacts make a dashboard: a byte-fixed HTML page (this module's
 //! [`html_page`]) and a sibling `data.js` the page loads with a relative
-//! `<script src>`. The `data.js` wraps an existing deterministic JSON
-//! artifact **verbatim** in a `const` declaration: [`run_data_js`] wraps a
-//! run's `--metrics` JSON
-//! ([`RunReport::metrics_json`](nds_sim::RunReport::metrics_json)) as
-//! `const RUN = …;` — the page plots every windowed series over modeled
-//! time with fault/failover marks as vertical markers.
+//! `<script src>`. The `data.js` wraps the run's report JSON
+//! ([`RunReport::to_json`](nds_sim::RunReport::to_json), the `--report`
+//! artifact) **verbatim** in a `const` declaration: [`run_data_js`] makes it
+//! `const RUN = …;`, and the page plots every windowed series — metric
+//! series and `busy.*` timelines alike — over modeled time with
+//! fault/failover marks as vertical markers, under the report's
+//! `obs.health`.
 //!
 //! The page itself is a single fixed string: no network fetches, no
 //! external assets, no dependencies, and no timestamps — rendering the
 //! same artifact twice produces byte-identical HTML and `data.js`, which
 //! `scripts/check.sh` enforces with `cmp`.
 
-/// Wraps a run's metrics JSON verbatim as the dashboard's `data.js`.
+/// Wraps a run's report JSON verbatim as the dashboard's `data.js`.
 /// The input must already be valid JSON (it is embedded as a JS object
-/// literal); [`RunReport::metrics_json`](nds_sim::RunReport::metrics_json)
-/// output is used unmodified, so the wrapper stays byte-deterministic.
-pub fn run_data_js(metrics_json: &str) -> String {
-    let mut out = String::with_capacity(metrics_json.len() + 32);
+/// literal); [`RunReport::to_json`](nds_sim::RunReport::to_json) output is
+/// used unmodified, so the wrapper stays byte-deterministic.
+pub fn run_data_js(report_json: &str) -> String {
+    let mut out = String::with_capacity(report_json.len() + 32);
     out.push_str("const RUN = ");
-    out.push_str(metrics_json.trim_end());
+    out.push_str(report_json.trim_end());
     out.push_str(";\n");
     out
 }
@@ -135,11 +136,11 @@ svg { background: #fff; border: 1px solid #ddd; }
   function renderRun(run) {
     var metaLines = [];
     for (var k in run.meta) { metaLines.push(k + " = " + run.meta[k]); }
-    metaLines.push("window_ns = " + run.window_ns);
+    metaLines.push("series_window_ns = " + run.series_window_ns);
     var meta = el("div", { "class": "meta" }, metaLines.join("\n"));
     root.appendChild(meta);
 
-    var h = run.health || {};
+    var h = (run.obs || {}).health || {};
     var issues = [];
     for (k in h.histogram_saturated || {}) {
       issues.push("histogram saturated: " + k + " (" + h.histogram_saturated[k] + ")");
@@ -151,7 +152,7 @@ svg { background: #fff; border: 1px solid #ddd; }
       issues.length ? "health: " + issues.join("; ") : "health: ok"));
 
     var names = Object.keys(run.series || {}).sort();
-    var windowNs = run.window_ns || 1;
+    var windowNs = run.series_window_ns || 1;
     var maxWindows = 1;
     var i, j;
     for (i = 0; i < names.length; i++) {
@@ -178,15 +179,6 @@ svg { background: #fff; border: 1px solid #ddd; }
       var div = section(names[i], s.kind + "  total " + fmt(s.total) +
         (s.overflow ? "  overflow " + fmt(s.overflow) : ""));
       div.appendChild(chart(points, marks, s.kind === "gauge" ? "#27a" : "#283"));
-    }
-    var tnames = Object.keys(run.timelines || {}).sort();
-    for (i = 0; i < tnames.length; i++) {
-      var t = run.timelines[tnames[i]];
-      var tp = [];
-      for (j = 0; j < t.busy_ns.length; j++) { tp.push({ x: j, y: t.busy_ns[j] }); }
-      if (!tp.length) { continue; }
-      var tdiv = section("busy: " + tnames[i], "window " + fmt(t.window_ns) + "ns");
-      tdiv.appendChild(chart(tp, marks, "#862"));
     }
   }
 

@@ -856,10 +856,9 @@ impl Histograms {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     level: ObsLevel,
-    metrics: bool,
 }
 
-/// What the journals, histograms and busy-time timelines record.
+/// What the collectors record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum ObsLevel {
     #[default]
@@ -873,16 +872,15 @@ impl ObsConfig {
     pub const fn disabled() -> Self {
         ObsConfig {
             level: ObsLevel::Off,
-            metrics: false,
         }
     }
 
-    /// Journal counts, histograms, and timelines all on. Tracing stays off,
-    /// so the journal counts events but retains none.
+    /// Journal counts, histograms, busy timelines and the windowed metric
+    /// sampler all on. Tracing stays off, so the journal counts events but
+    /// retains none.
     pub const fn full() -> Self {
         ObsConfig {
             level: ObsLevel::Full,
-            metrics: false,
         }
     }
 
@@ -891,18 +889,11 @@ impl ObsConfig {
     pub const fn traced() -> Self {
         ObsConfig {
             level: ObsLevel::Traced,
-            metrics: false,
         }
     }
 
-    /// Turns on the windowed metric sampler on top of this configuration.
-    pub const fn with_metrics(mut self) -> Self {
-        self.metrics = true;
-        self
-    }
-
-    /// True if journals, histograms and per-resource busy-time
-    /// timelines record.
+    /// True if journals, histograms, per-resource busy timelines and the
+    /// windowed [`MetricSet`] sampler (series and event marks) record.
     pub const fn collecting(&self) -> bool {
         !matches!(self.level, ObsLevel::Off)
     }
@@ -913,16 +904,10 @@ impl ObsConfig {
     pub const fn tracing(&self) -> bool {
         matches!(self.level, ObsLevel::Traced)
     }
-
-    /// True if the windowed [`MetricSet`] sampler (series and event
-    /// marks) runs.
-    pub const fn metrics(&self) -> bool {
-        self.metrics
-    }
 }
 
-/// The per-component observability bundle: one journal and one histogram
-/// registry, both disabled by default.
+/// The per-component observability bundle: one journal, one histogram
+/// registry and one metric sampler, all disabled by default.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Observability {
     journal: Journal,
@@ -936,8 +921,8 @@ impl Observability {
         Observability::default()
     }
 
-    /// Applies `config`: replaces the journal, flips histogram recording,
-    /// and replaces the metric sampler.
+    /// Applies `config`: replaces the journal and the metric sampler, and
+    /// flips histogram recording.
     pub fn configure(&mut self, config: &ObsConfig) {
         self.journal = Journal::disabled();
         self.journal.set_enabled(config.collecting());
@@ -945,7 +930,7 @@ impl Observability {
         if !config.collecting() {
             self.histograms.clear();
         }
-        self.metrics = if config.metrics() {
+        self.metrics = if config.collecting() {
             MetricSet::enabled()
         } else {
             MetricSet::disabled()
@@ -1027,7 +1012,7 @@ impl Observability {
 }
 
 /// The serializable run artifact: named counters, modeled durations,
-/// latency histograms, utilization timelines, and a journal summary.
+/// latency histograms, windowed series, event marks, and a journal summary.
 ///
 /// All maps are `BTreeMap`s and all quantities are integers (nanoseconds
 /// for time), so [`to_json`](Self::to_json) is deterministic: two
@@ -1042,15 +1027,11 @@ pub struct RunReport {
     pub durations: BTreeMap<String, SimDuration>,
     /// Latency histograms by name.
     pub histograms: BTreeMap<String, LatencyHistogram>,
-    /// Busy-time timelines (counter series in nanoseconds) by resource
-    /// name.
-    pub timelines: BTreeMap<String, SeriesSnapshot>,
-    /// Windowed metric series by name (window width in
-    /// [`series_window`](Self::series_window)).
+    /// Windowed series by name, every one [`TIMELINE_WINDOW`] wide: the
+    /// metric sampler's, and each resource's busy timeline (a counter in
+    /// nanoseconds) under `busy.<resource>` (see
+    /// [`add_busy`](Self::add_busy)).
     pub series: BTreeMap<String, SeriesSnapshot>,
-    /// Window width of every series: [`TIMELINE_WINDOW`] once a metric
-    /// sampler is absorbed, zero until then.
-    pub series_window: SimDuration,
     /// Event marks on the run-long folded clock, sorted by instant.
     pub marks: Vec<Mark>,
     /// Aggregated journal statistics.
@@ -1085,9 +1066,12 @@ impl RunReport {
         *slot += value;
     }
 
-    /// Adds a busy-time timeline under `name`.
-    pub fn add_timeline(&mut self, name: impl Into<String>, timeline: SeriesSnapshot) {
-        self.timelines.insert(name.into(), timeline);
+    /// Adds `resource`'s busy timeline as the series `busy.<resource>`,
+    /// e.g. `busy.link` or `busy.flash.ch[0]`. No sampler series name
+    /// starts with `busy.`, so the two never collide.
+    pub fn add_busy(&mut self, resource: &str, timeline: &SeriesSnapshot) {
+        self.series
+            .insert(format!("busy.{resource}"), timeline.clone());
     }
 
     /// Folds a component's journal, histograms, and metric series into
@@ -1107,9 +1091,6 @@ impl RunReport {
     /// by components (like the traffic engine) that own a [`MetricSet`]
     /// outside an [`Observability`] bundle.
     pub fn absorb_metrics(&mut self, metrics: &MetricSet) {
-        if metrics.is_enabled() {
-            self.series_window = TIMELINE_WINDOW;
-        }
         for (name, snapshot) in metrics.snapshots() {
             match self.series.get_mut(name) {
                 Some(existing) => existing.merge(snapshot),
@@ -1145,9 +1126,6 @@ impl RunReport {
                 .or_default()
                 .merge(v);
         }
-        for (k, v) in &other.timelines {
-            self.timelines.insert(format!("{prefix}{k}"), v.clone());
-        }
         for (k, v) in &other.series {
             match self.series.get_mut(&format!("{prefix}{k}")) {
                 Some(existing) => existing.merge(v),
@@ -1155,9 +1133,6 @@ impl RunReport {
                     self.series.insert(format!("{prefix}{k}"), v.clone());
                 }
             }
-        }
-        if self.series_window.is_zero() {
-            self.series_window = other.series_window;
         }
         for m in &other.marks {
             self.marks.push(Mark {
@@ -1224,10 +1199,8 @@ impl RunReport {
             out.push_str("] }");
         }
         close_map(&mut out, first);
-        out.push_str(",\n  \"timelines\": {");
-        self.write_timeline_entries(&mut out);
         out.push_str(",\n  \"series_window_ns\": ");
-        push_u64(&mut out, self.series_window.as_nanos());
+        push_u64(&mut out, TIMELINE_WINDOW.as_nanos());
         out.push_str(",\n  \"series\": {");
         self.write_series_entries(&mut out);
         out.push_str(",\n  \"marks\": ");
@@ -1245,47 +1218,6 @@ impl RunReport {
         self.write_health_object(&mut out);
         out.push_str(" }\n}\n");
         out
-    }
-
-    /// Serializes just the windowed-telemetry view — meta, window width,
-    /// metric series, event marks, utilization timelines, and the health
-    /// section — as the `--metrics` artifact next to the full report.
-    /// Deterministic for the same reasons as [`to_json`](Self::to_json).
-    pub fn metrics_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"version\": 1,\n  \"meta\": {");
-        write_string_map(&mut out, &self.meta);
-        out.push_str("},\n  \"window_ns\": ");
-        push_u64(&mut out, self.series_window.as_nanos());
-        out.push_str(",\n  \"series\": {");
-        self.write_series_entries(&mut out);
-        out.push_str(",\n  \"marks\": ");
-        self.write_marks_array(&mut out);
-        out.push_str(",\n  \"timelines\": {");
-        self.write_timeline_entries(&mut out);
-        out.push_str(",\n  \"health\": ");
-        self.write_health_object(&mut out);
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Writes the timeline map entries plus the closing brace (the caller
-    /// opened the map).
-    fn write_timeline_entries(&self, out: &mut String) {
-        let mut first = true;
-        for (name, t) in &self.timelines {
-            push_sep(out, &mut first);
-            out.push_str("    ");
-            push_json_string(out, name);
-            out.push_str(": { \"window_ns\": ");
-            push_u64(out, TIMELINE_WINDOW.as_nanos());
-            out.push_str(", \"overflow_ns\": ");
-            push_u64(out, t.overflow);
-            out.push_str(", \"busy_ns\": ");
-            write_u64_array(out, &t.buckets);
-            out.push_str(" }");
-        }
-        close_map(out, first);
     }
 
     /// Writes the metric-series map entries plus the closing brace.
@@ -1603,6 +1535,24 @@ mod tests {
     }
 
     #[test]
+    fn busy_time_past_the_horizon_is_reported_as_series_overflow() {
+        let horizon = TIMELINE_WINDOW * TIMELINE_BUCKETS as u64;
+        let mut r = crate::Resource::new("flash.ch[0]");
+        r.enable_timeline();
+        r.acquire(SimTime::ZERO, horizon + us(300));
+        let mut report = RunReport::new();
+        if let Some(t) = r.timeline() {
+            report.add_busy(r.name(), t);
+        }
+        let json = report.to_json();
+        let health = &json[json.find("\"series_overflow\"").unwrap()..];
+        assert!(
+            health.contains("\"busy.flash.ch[0]\": 300000"),
+            "busy overflow missing from health: {health}"
+        );
+    }
+
+    #[test]
     fn observability_configure_flips_collectors() {
         let mut obs = Observability::disabled();
         assert!(!obs.is_enabled());
@@ -1629,25 +1579,22 @@ mod tests {
 
     #[test]
     fn obs_config_states_and_what_configure_makes_of_them() {
-        // Every reachable state: (config, collecting, tracing, metrics).
+        // Every reachable state: (config, collecting, tracing). Every
+        // collector, the metric sampler included, records when collecting.
         let table = [
-            (ObsConfig::disabled(), false, false, false),
-            (ObsConfig::full(), true, false, false),
-            (ObsConfig::traced(), true, true, false),
-            (ObsConfig::disabled().with_metrics(), false, false, true),
-            (ObsConfig::full().with_metrics(), true, false, true),
-            (ObsConfig::traced().with_metrics(), true, true, true),
+            (ObsConfig::disabled(), false, false),
+            (ObsConfig::full(), true, false),
+            (ObsConfig::traced(), true, true),
         ];
-        for (config, collecting, tracing, metrics) in table {
+        for (config, collecting, tracing) in table {
             assert_eq!(config.collecting(), collecting, "{config:?}");
             assert_eq!(config.tracing(), tracing, "{config:?}");
-            assert_eq!(config.metrics(), metrics, "{config:?}");
 
             let mut obs = Observability::disabled();
             obs.configure(&config);
             assert_eq!(obs.journal().is_enabled(), collecting, "{config:?}");
             assert_eq!(obs.histograms().is_enabled(), collecting, "{config:?}");
-            assert_eq!(obs.metrics().is_enabled(), metrics, "{config:?}");
+            assert_eq!(obs.metrics().is_enabled(), collecting, "{config:?}");
         }
         assert_eq!(ObsConfig::default(), ObsConfig::disabled());
     }
@@ -1788,7 +1735,7 @@ mod tests {
             r.absorb(&obs);
             let mut t = busy_timeline();
             t.record_interval(SimDuration::ZERO, us(150));
-            r.add_timeline("flash.ch[0]", t);
+            r.add_busy("flash.ch[0]", &t);
             r
         };
         let a = build().to_json();
@@ -1799,7 +1746,7 @@ mod tests {
         assert!(a.contains("\"quote\\\"key\": \"line\\nbreak\""));
         assert!(a.contains("\"PageRead\": 1"));
         assert!(a.contains(
-            "\"flash.ch[0]\": { \"window_ns\": 100000, \"overflow_ns\": 0, \"busy_ns\": [100000, 50000] }"
+            "\"busy.flash.ch[0]\": { \"kind\": \"counter\", \"total\": 150000, \"overflow\": 0, \"values\": [100000, 50000] }"
         ));
         assert!(a.ends_with("}\n"));
     }

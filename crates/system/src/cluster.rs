@@ -723,9 +723,9 @@ impl<S: StorageFrontEnd> NdsCluster<S> {
         report.set_meta("cluster.seed", format!("{}", self.config.seed));
         report.add_duration("cluster.repair_time", self.repair_time);
         report.absorb(&self.obs);
-        for (i, slot) in self.devices.iter().enumerate() {
+        for slot in &self.devices {
             if let Some(timeline) = slot.busy.timeline() {
-                report.add_timeline(format!("cluster.device[{i}].busy"), timeline.clone());
+                report.add_busy(slot.busy.name(), timeline);
             }
         }
         report

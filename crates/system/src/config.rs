@@ -36,7 +36,8 @@ pub struct SystemConfig {
     pub faults: Option<FaultConfig>,
     /// Observability configuration threaded into every timing component at
     /// construction (event journals, latency histograms, busy-time
-    /// timelines). Off in every preset; disabled hooks cost one branch.
+    /// timelines, windowed metric series). Off in every preset; disabled
+    /// hooks cost one branch.
     pub obs: ObsConfig,
 }
 

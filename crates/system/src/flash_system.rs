@@ -244,10 +244,10 @@ impl<P: Placement> StorageFrontEnd for FlashSystem<P> {
         report.absorb(life.link.observability());
         report.absorb(device.observability());
         if let Some(t) = life.link.wire_timeline() {
-            report.add_timeline("link", t.clone());
+            report.add_busy("link", t);
         }
         for (name, t) in device.timelines() {
-            report.add_timeline(name, t.clone());
+            report.add_busy(name, t);
         }
         report
     }

@@ -408,12 +408,11 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
         })
     }
 
-    /// Enables the engine's own windowed telemetry when `config.metrics()`
-    /// holds. The sampler runs on the engine's absolute clock — no epoch
-    /// folding — and is observe-only: it never influences admission or
-    /// scheduling.
+    /// Enables the engine's own windowed telemetry when `config` collects.
+    /// The sampler runs on the engine's absolute clock — no epoch folding —
+    /// and is observe-only: it never influences admission or scheduling.
     pub fn configure_metrics(&mut self, config: &ObsConfig) {
-        self.metrics = if config.metrics() {
+        self.metrics = if config.collecting() {
             MetricSet::enabled()
         } else {
             MetricSet::disabled()

@@ -17,8 +17,7 @@ const N: u64 = 128;
 
 /// The four architectures, fully instrumented, behind one table.
 fn architectures() -> Vec<Box<dyn StorageFrontEnd>> {
-    let config =
-        || SystemConfig::small_test().with_observability(ObsConfig::traced().with_metrics());
+    let config = || SystemConfig::small_test().with_observability(ObsConfig::traced());
     vec![
         Box::new(BaselineSystem::new(config())),
         Box::new(SoftwareNds::new(config())),

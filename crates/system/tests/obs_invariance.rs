@@ -1,7 +1,7 @@
 //! Schedule neutrality and determinism of the observability layer.
 //!
 //! The observability hooks (event journal, latency histograms, busy
-//! timelines) only *observe* completion instants the schedulers already
+//! timelines, windowed metric series) only *observe* completion instants the schedulers already
 //! computed — they never acquire a shared resource or feed state back into
 //! a timing decision. These tests prove it the strong way: every modeled
 //! quantity of a Fig. 9-style sweep must be bit-identical with full
@@ -252,8 +252,10 @@ fn traced_export_keeps_every_event_the_journals_count() {
     assert_eq!(full.retained, 0);
 }
 
-/// One instrumented run's serialized report.
-fn instrumented_report<S: StorageFrontEnd>(make: impl FnOnce(SystemConfig) -> S) -> String {
+/// One instrumented run's report.
+fn instrumented_report<S: StorageFrontEnd>(
+    make: impl FnOnce(SystemConfig) -> S,
+) -> nds_sim::RunReport {
     let mut sys = make(config(ObsConfig::full()));
     let shape = Shape::new([N, N]);
     let id = sys
@@ -265,17 +267,45 @@ fn instrumented_report<S: StorageFrontEnd>(make: impl FnOnce(SystemConfig) -> S)
     for (coord, sub) in sweep() {
         sys.read(id, &shape, &coord, &sub).expect("read");
     }
-    sys.run_report().to_json()
+    sys.run_report()
 }
 
 #[test]
 fn run_report_json_is_byte_identical_across_runs() {
-    let first = instrumented_report(SoftwareNds::new);
-    let second = instrumented_report(SoftwareNds::new);
+    let first = instrumented_report(SoftwareNds::new).to_json();
+    let second = instrumented_report(SoftwareNds::new).to_json();
     assert_eq!(first, second, "repeated runs must serialize identically");
-    let hw_first = instrumented_report(HardwareNds::new);
-    let hw_second = instrumented_report(HardwareNds::new);
+    let hw_first = instrumented_report(HardwareNds::new).to_json();
+    let hw_second = instrumented_report(HardwareNds::new).to_json();
     assert_eq!(hw_first, hw_second);
+}
+
+/// The metric part of one instrumented run's report: its windowed series
+/// and event marks, serialized on their own.
+fn metrics_json(report: &nds_sim::RunReport) -> String {
+    nds_sim::RunReport {
+        series: report.series.clone(),
+        marks: report.marks.clone(),
+        ..nds_sim::RunReport::new()
+    }
+    .to_json()
+}
+
+#[test]
+fn metrics_json_is_byte_identical_across_runs() {
+    let first = metrics_json(&instrumented_report(SoftwareNds::new));
+    let second = metrics_json(&instrumented_report(SoftwareNds::new));
+    assert_eq!(first, second, "repeated runs must serialize identically");
+    let hw = instrumented_report(HardwareNds::new);
+    let hw_second = instrumented_report(HardwareNds::new);
+    assert_eq!(metrics_json(&hw), metrics_json(&hw_second));
+
+    // The controller carries each request as one NVMe command, and each
+    // completes before the next is issued.
+    let requests = 1 + sweep().len() as u64;
+    let total = |name: &str| hw.series.get(name).map(|s| s.total);
+    assert_eq!(total("nvme.commands"), Some(requests));
+    assert_eq!(total("nvme.queue_depth"), Some(1), "queue-depth high-water");
 }
 
 #[test]
@@ -284,7 +314,7 @@ fn run_report_matches_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/obs_report_software_nds.json"
     );
-    let mut actual = instrumented_report(SoftwareNds::new);
+    let mut actual = instrumented_report(SoftwareNds::new).to_json();
     actual.push('\n');
     if std::env::var_os("NDS_BLESS_GOLDEN").is_some() {
         std::fs::write(golden_path, &actual).expect("bless golden");
@@ -303,14 +333,15 @@ fn run_report_matches_golden() {
 fn instrumented_report_actually_contains_observations() {
     // Guard against the neutrality tests passing vacuously because the
     // hooks silently stopped recording.
-    let json = instrumented_report(HardwareNds::new);
+    let json = instrumented_report(HardwareNds::new).to_json();
     for needle in [
         "\"flash.read_page\"",
         "\"link.command\"",
         "\"read.latency\"",
         "\"write.latency\"",
         "\"journal\"",
-        "\"timelines\"",
+        "\"busy.link\"",
+        "\"busy.flash.ch[0]\"",
         "CommandIssued",
     ] {
         assert!(json.contains(needle), "report lost {needle}");
@@ -318,51 +349,9 @@ fn instrumented_report_actually_contains_observations() {
 }
 
 // ---------------------------------------------------------------------------
-// Windowed time-series sampler (PR 10): the same neutrality and determinism
-// contracts, with the metric series enabled on top of full instrumentation.
+// Windowed time-series sampler: it runs whenever the layer collects, so the
+// neutrality tests above cover it; what follows pins the series themselves.
 // ---------------------------------------------------------------------------
-
-fn metrics_config() -> SystemConfig {
-    config(ObsConfig::full().with_metrics())
-}
-
-#[test]
-fn metrics_outcomes_identical_with_metrics_on_and_off() {
-    assert_neutral(
-        run(BaselineSystem::new(metrics_config())),
-        run(BaselineSystem::new(config(ObsConfig::disabled()))),
-    );
-    assert_neutral(
-        run(SoftwareNds::new(metrics_config())),
-        run(SoftwareNds::new(config(ObsConfig::disabled()))),
-    );
-    assert_neutral(
-        run(HardwareNds::new(metrics_config())),
-        run(HardwareNds::new(config(ObsConfig::disabled()))),
-    );
-    assert_neutral(
-        run(OracleSystem::with_tile(metrics_config(), vec![TILE, TILE])),
-        run(OracleSystem::with_tile(
-            config(ObsConfig::disabled()),
-            vec![TILE, TILE],
-        )),
-    );
-}
-
-#[test]
-fn metrics_outcomes_identical_under_fault_plan() {
-    // The retry paths route FaultInjected / RetryScheduled through the same
-    // choke point that feeds the series; sampling them must not move time.
-    let faulty_metrics = || faulty_config(ObsConfig::full().with_metrics());
-    assert_neutral(
-        run(SoftwareNds::new(faulty_metrics())),
-        run(SoftwareNds::new(faulty_config(ObsConfig::disabled()))),
-    );
-    assert_neutral(
-        run(HardwareNds::new(faulty_metrics())),
-        run(HardwareNds::new(faulty_config(ObsConfig::disabled()))),
-    );
-}
 
 #[test]
 fn tenant_engine_neutral_under_metrics() {
@@ -371,7 +360,7 @@ fn tenant_engine_neutral_under_metrics() {
     let set = mixed_open_closed(42, 16, 8);
     let run_engine = |metrics: bool| {
         let obs = if metrics {
-            ObsConfig::full().with_metrics()
+            ObsConfig::full()
         } else {
             ObsConfig::disabled()
         };
@@ -435,52 +424,18 @@ fn cluster_replay(obs: ObsConfig) -> Vec<(u64, u64, u64)> {
 #[test]
 fn cluster_outcomes_identical_with_metrics_on_and_off_under_fault_plan() {
     assert_eq!(
-        cluster_replay(ObsConfig::full().with_metrics()),
+        cluster_replay(ObsConfig::full()),
         cluster_replay(ObsConfig::disabled()),
         "cluster failover timing diverges with metrics on vs off"
     );
 }
 
-/// One instrumented-with-metrics run's report, windowed series included.
-fn instrumented_metrics<S: StorageFrontEnd>(
-    make: impl FnOnce(SystemConfig) -> S,
-) -> nds_sim::RunReport {
-    let mut sys = make(metrics_config());
-    let shape = Shape::new([N, N]);
-    let id = sys
-        .create_dataset(shape.clone(), ElementType::F32)
-        .expect("create");
-    let bytes: Vec<u8> = (0..N * N * 4).map(|i| (i % 251) as u8).collect();
-    sys.write(id, &shape, &[0, 0], &[N, N], &bytes)
-        .expect("write");
-    for (coord, sub) in sweep() {
-        sys.read(id, &shape, &coord, &sub).expect("read");
-    }
-    sys.run_report()
-}
-
-#[test]
-fn metrics_json_is_byte_identical_across_runs() {
-    let first = instrumented_metrics(SoftwareNds::new).metrics_json();
-    let second = instrumented_metrics(SoftwareNds::new).metrics_json();
-    assert_eq!(first, second, "repeated runs must serialize identically");
-    let hw = instrumented_metrics(HardwareNds::new);
-    let hw_second = instrumented_metrics(HardwareNds::new);
-    assert_eq!(hw.metrics_json(), hw_second.metrics_json());
-
-    // The controller carries each request as one NVMe command, and each
-    // completes before the next is issued.
-    let requests = 1 + sweep().len() as u64;
-    let total = |name: &str| hw.series.get(name).map(|s| s.total);
-    assert_eq!(total("nvme.commands"), Some(requests));
-    assert_eq!(total("nvme.queue_depth"), Some(1), "queue-depth high-water");
-}
-
 #[test]
 fn series_window_sums_match_run_totals() {
-    // The fold property: for every counter series, the retained window
-    // values plus the overflow weight account exactly for the run total.
-    let mut sys = SoftwareNds::new(metrics_config());
+    // The fold property: for every counter series, busy timelines included,
+    // the retained window values plus the overflow weight account exactly
+    // for the run total.
+    let mut sys = SoftwareNds::new(config(ObsConfig::full()));
     let shape = Shape::new([N, N]);
     let id = sys
         .create_dataset(shape.clone(), ElementType::F32)
@@ -492,10 +447,6 @@ fn series_window_sums_match_run_totals() {
         sys.read(id, &shape, &coord, &sub).expect("read");
     }
     let report = sys.run_report();
-    assert!(
-        report.series_window > nds_sim::SimDuration::ZERO,
-        "series window width missing from the report"
-    );
     let mut counters = 0usize;
     for (name, s) in &report.series {
         if matches!(s.kind, nds_sim::SeriesKind::Counter) {
@@ -511,6 +462,13 @@ fn series_window_sums_match_run_totals() {
         }
     }
     assert!(counters > 0, "no counter series recorded");
+    assert!(
+        report
+            .series
+            .keys()
+            .any(|name| name.starts_with("busy.flash.")),
+        "no busy timeline among the series"
+    );
     // Cross-check one series against ground truth: one write plus the
     // ten-read sweep, each counted once at the host front end.
     let host_ops = report.series.get("host.ops").expect("host.ops series");
@@ -529,12 +487,10 @@ fn cluster_failover_series_is_not_vacuous() {
     let cfg = ClusterConfig::new(4, 2)
         .with_shard_rows(24)
         .with_seed(7)
-        .with_observability(ObsConfig::full().with_metrics())
+        .with_observability(ObsConfig::full())
         .with_plan(ClusterFaultPlan::kill_at(ops / 2, 0));
     let mut cluster = NdsCluster::new(cfg, |_| {
-        HardwareNds::new(
-            SystemConfig::small_test().with_observability(ObsConfig::full().with_metrics()),
-        )
+        HardwareNds::new(SystemConfig::small_test().with_observability(ObsConfig::full()))
     });
     let (shape, element) = cluster_dataset();
     let id = cluster

@@ -30,17 +30,24 @@ fn setup(sys: &mut dyn StorageFrontEnd) -> DatasetId {
 }
 
 /// The nanosecond offset of the last nonzero bucket's *end* across all of
-/// the report's timelines, plus the total recorded busy nanoseconds.
+/// the report's busy timelines (its `busy.` series), plus the total recorded
+/// busy nanoseconds.
 fn timeline_extent(sys: &dyn StorageFrontEnd) -> (u64, u64) {
     let report = sys.run_report();
+    let timelines: Vec<_> = report
+        .series
+        .iter()
+        .filter(|(name, _)| name.starts_with("busy."))
+        .map(|(_, timeline)| timeline)
+        .collect();
     assert!(
-        !report.timelines.is_empty(),
+        !timelines.is_empty(),
         "full observability records timelines"
     );
     let window = TIMELINE_WINDOW.as_nanos();
     let mut extent = 0u64;
     let mut busy_total = 0u64;
-    for timeline in report.timelines.values() {
+    for timeline in timelines {
         for (i, &busy) in timeline.buckets.iter().enumerate() {
             if busy > 0 {
                 extent = extent.max((i as u64 + 1) * window);

@@ -12,9 +12,6 @@
 //! operands as the plain loop it replaced. `tests/kernel_equivalence.rs`
 //! keeps those plain loops as reference models and compares `to_bits()`.
 
-use std::sync::{Mutex, PoisonError};
-use std::thread;
-
 /// Rows of `a` and `c` a thread takes from [`gemm_tile`]'s cursor at a
 /// time. Even, so only an odd `t`'s last row runs without a partner.
 const CHUNK_ROWS: usize = 16;
@@ -34,8 +31,9 @@ const MIN_PART: usize = 1 << 21;
 /// are register-blocked — two rows of `c`, four `k` per pass over them —
 /// which changes how often `b` and `c` travel, not what is computed.
 ///
-/// The rows are shared out 16 at a time from one cursor, claimed by the
-/// calling thread and by up to `parts − 1` scoped workers, where `parts` is
+/// The rows are shared out 16 at a time from one cursor
+/// ([`nds_core::in_parts`]), claimed by the calling thread and by up to
+/// `parts − 1` scoped workers, where `parts` is
 /// [`nds_core::parts`] for `t³` multiply-adds. A row's result does not
 /// depend on which thread computed it, so the part count moves wall time,
 /// never a bit. A worker that cannot be spawned leaves its chunks to the
@@ -58,33 +56,9 @@ fn gemm_tile_in_parts(t: usize, a: &[f32], b: &[f32], c: &mut [f32], parts: usiz
         return;
     }
     let chunk = CHUNK_ROWS * t;
-    let cursor = Mutex::new(a.chunks(chunk).zip(c.chunks_mut(chunk)));
-    let work = || {
-        while let Some((a, c)) = claim(&cursor) {
-            gemm_rows(t, a, b, c);
-        }
-    };
-    thread::scope(|scope| {
-        let workers: Vec<_> = (1..parts.min(t.div_ceil(CHUNK_ROWS)))
-            .filter_map(|_| thread::Builder::new().spawn_scoped(scope, work).ok())
-            .collect();
-        work();
-        // Joined here, not by the scope: a worker frees what its spawn
-        // allocated on its way out, and a join waits for that, so the heap
-        // the caller goes on with does not depend on when a worker exits.
-        for worker in workers {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
+    nds_core::in_parts(parts, a.chunks(chunk).zip(c.chunks_mut(chunk)), |(a, c)| {
+        gemm_rows(t, a, b, c);
     });
-}
-
-/// The next chunk from `cursor`, holding the lock only to take it.
-fn claim<T>(cursor: &Mutex<impl Iterator<Item = T>>) -> Option<T> {
-    // `next` on a slice iterator cannot panic, so a poisoned cursor is
-    // still whole.
-    cursor.lock().unwrap_or_else(PoisonError::into_inner).next()
 }
 
 /// `c += a × b` for the rows of `c` in `c` (`c.len() / t` of them), `a`

@@ -86,7 +86,7 @@ if [[ "${1:-}" != "--no-test" ]]; then
     NDS_FAULT_SEEDS=17,424242,9000000001 \
         cargo test --quiet --release --test fault_differential
 
-    # Artifact identity: every report, trace, metrics and dashboard artifact
+    # Artifact identity: every report, trace and dashboard artifact
     # of the figure, fault, tenant and cluster bins must hash to the digests
     # committed in scripts/artifact_digests.txt, so a refactor proves "no
     # artifact moved" instead of claiming it. A change that moves artifacts
