@@ -30,12 +30,10 @@ fn main() {
     let (tenants, args) = take_u64_flag("--tenants", 16, args);
     let (ops, args) = take_u64_flag("--ops", 32, args);
     let (seed, _args) = take_u64_flag("--seed", 42, args);
-    let obs = artifacts.obs();
 
     let set = mixed_open_closed(seed, tenants as u32, ops);
-    let sys = HardwareNds::new(SystemConfig::small_test().with_observability(obs));
+    let sys = HardwareNds::new(SystemConfig::small_test().with_observability(artifacts.obs()));
     let mut engine = TrafficEngine::new(sys, &set).expect("tenant setup");
-    engine.configure_metrics(&obs);
     engine.run().expect("engine run");
 
     println!("# tenants — {tenants} tenants (mixed open/closed), {ops} ops each, seed {seed}\n");

@@ -133,7 +133,7 @@ impl Artifacts {
     pub fn write(&self, mut announce: impl FnMut(&str, &Path)) -> std::io::Result<()> {
         if self.wants_report() {
             // Rendered once for both artifacts. The trailing newline makes
-            // repeated runs diff clean; `run_data_js` trims it.
+            // repeated runs diff clean; `write_data_js` trims it.
             let mut json = self.report.to_json();
             json.push('\n');
             if let Some(path) = &self.report_path {
@@ -149,8 +149,8 @@ impl Artifacts {
                     .unwrap_or("dashboard");
                 let data_name = format!("{stem}.data.js");
                 std::fs::write(path, nds_prof::html_page(&data_name))?;
-                let data = nds_prof::run_data_js(&json);
-                std::fs::write(path.with_file_name(&data_name), data)?;
+                let mut data = std::fs::File::create(path.with_file_name(&data_name))?;
+                nds_prof::write_data_js(&mut data, &json)?;
             }
         }
         if let Some(path) = &self.trace_path {
@@ -355,18 +355,16 @@ mod tests {
             sys.read(id, &shape, &[1, 1], &[16, 16]).unwrap();
             let report = sys.run_report();
             let json = report.to_json();
-            (
-                nds_prof::html_page("run.data.js"),
-                nds_prof::run_data_js(&json),
-                json,
-            )
+            let mut data = Vec::new();
+            nds_prof::write_data_js(&mut data, &json).unwrap();
+            (nds_prof::html_page("run.data.js"), data, json)
         };
         let (page_a, data_a, json_a) = run_once();
         let (page_b, data_b, json_b) = run_once();
         assert_eq!(json_a, json_b, "report JSON drifted between runs");
         assert_eq!(page_a, page_b, "dashboard HTML drifted between runs");
         assert_eq!(data_a, data_b, "dashboard data payload drifted");
-        assert!(data_a.starts_with("const RUN = {"));
+        assert!(data_a.starts_with(b"const RUN = {"));
         assert!(json_a.contains("\"host.ops\""));
     }
 }

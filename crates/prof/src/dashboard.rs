@@ -4,7 +4,7 @@
 //! [`html_page`]) and a sibling `data.js` the page loads with a relative
 //! `<script src>`. The `data.js` wraps the run's report JSON
 //! ([`RunReport::to_json`](nds_sim::RunReport::to_json), the `--report`
-//! artifact) **verbatim** in a `const` declaration: [`run_data_js`] makes it
+//! artifact) **verbatim** in a `const` declaration: [`write_data_js`] makes it
 //! `const RUN = …;`, and the page plots every windowed series — metric
 //! series and `busy.*` timelines alike — over modeled time with
 //! fault/failover marks as vertical markers, under the report's
@@ -15,16 +15,20 @@
 //! same artifact twice produces byte-identical HTML and `data.js`, which
 //! `scripts/check.sh` enforces with `cmp`.
 
-/// Wraps a run's report JSON verbatim as the dashboard's `data.js`.
-/// The input must already be valid JSON (it is embedded as a JS object
-/// literal); [`RunReport::to_json`](nds_sim::RunReport::to_json) output is
-/// used unmodified, so the wrapper stays byte-deterministic.
-pub fn run_data_js(report_json: &str) -> String {
-    let mut out = String::with_capacity(report_json.len() + 32);
-    out.push_str("const RUN = ");
-    out.push_str(report_json.trim_end());
-    out.push_str(";\n");
-    out
+/// Writes a run's report JSON verbatim to `out` as the dashboard's
+/// `data.js`: `const RUN = `, the JSON less trailing whitespace, and `;`,
+/// with no copy of the JSON made. The input must already be valid JSON (it
+/// is embedded as a JS object literal);
+/// [`RunReport::to_json`](nds_sim::RunReport::to_json) output is used
+/// unmodified, so the file stays byte-deterministic.
+///
+/// # Errors
+///
+/// I/O errors from `out`.
+pub fn write_data_js(out: &mut impl std::io::Write, report_json: &str) -> std::io::Result<()> {
+    out.write_all(b"const RUN = ")?;
+    out.write_all(report_json.trim_end().as_bytes())?;
+    out.write_all(b";\n")
 }
 
 /// The self-contained dashboard page, loading its data from `data_src`
@@ -201,8 +205,12 @@ mod tests {
     #[test]
     fn data_wrappers_embed_verbatim_and_are_deterministic() {
         let json = "{\n  \"series\": {}\n}\n";
-        let a = run_data_js(json);
-        let b = run_data_js(json);
+        let data_js = || {
+            let mut out = Vec::new();
+            write_data_js(&mut out, json).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let (a, b) = (data_js(), data_js());
         assert_eq!(a, b);
         assert!(a.starts_with("const RUN = {"));
         assert!(a.ends_with("};\n"));

@@ -53,4 +53,4 @@ pub use analysis::{
     analyze, format_report, jain_milli, parse, CommandProfile, SystemAnalysis, SystemProfile,
 };
 pub use chrome::render;
-pub use dashboard::{html_page, run_data_js};
+pub use dashboard::{html_page, write_data_js};

@@ -1355,6 +1355,10 @@ impl<S: StorageFrontEnd> StorageFrontEnd for NdsCluster<S> {
     fn run_report(&self) -> RunReport {
         self.full_report()
     }
+
+    fn collecting(&self) -> bool {
+        self.config.obs.collecting()
+    }
 }
 
 #[cfg(test)]

@@ -276,4 +276,8 @@ impl<P: Placement> StorageFrontEnd for FlashSystem<P> {
         let tracer = self.life.tracer.as_ref();
         tracer.map_or(0, CommandTracer::commands)
     }
+
+    fn collecting(&self) -> bool {
+        self.life.obs.is_enabled()
+    }
 }

@@ -234,6 +234,14 @@ pub trait StorageFrontEnd {
         None
     }
 
+    /// True if the front-end was built with a collecting
+    /// [`ObsConfig`](nds_sim::ObsConfig), so a driver on top of it — the
+    /// multi-tenant engine's sampler — collects too. The default, for a
+    /// front-end with no telemetry of its own, is `false`.
+    fn collecting(&self) -> bool {
+        false
+    }
+
     /// Number of trace ids allocated so far (the command tracer's cursor);
     /// 0 when tracing is off. A flash-backed front-end allocates one id per
     /// request on a known dataset; callers attributing commands — e.g. the

@@ -38,8 +38,7 @@ use std::collections::{BTreeMap, VecDeque};
 use nds_core::{ElementType, NdsError, Region, Shape};
 use nds_interconnect::WfqScheduler;
 use nds_sim::{
-    splitmix64, LatencyHistogram, MetricSet, ObsConfig, RunReport, SimDuration, SimTime,
-    TraceExport,
+    splitmix64, LatencyHistogram, MetricSet, RunReport, SimDuration, SimTime, TraceExport,
 };
 
 use crate::error::SystemError;
@@ -309,16 +308,20 @@ pub struct TrafficEngine<S> {
     /// reused across operations.
     scratch: Vec<u8>,
     /// Engine-owned windowed telemetry on the engine's absolute clock
-    /// (per-tenant achieved bytes and backlog). Disabled by default;
-    /// surfaces only through [`full_report`](TrafficEngine::full_report),
-    /// keeping [`report`](TrafficEngine::report) obs-invariant.
+    /// (per-tenant achieved bytes and backlog). It records when the
+    /// front-end [collects](StorageFrontEnd::collecting) and surfaces only
+    /// through [`full_report`](TrafficEngine::full_report), keeping
+    /// [`report`](TrafficEngine::report) obs-invariant.
     metrics: MetricSet,
 }
 
 impl<S: StorageFrontEnd> TrafficEngine<S> {
     /// Builds the engine: creates every tenant's dataspaces on `sys`,
     /// initializes them with the tenant's byte pattern, and releases each
-    /// tenant's initial arrivals.
+    /// tenant's initial arrivals. The engine's own sampler runs when `sys`
+    /// [collects](StorageFrontEnd::collecting). It runs on the engine's
+    /// absolute clock — no epoch folding — and is observe-only: it never
+    /// influences admission or scheduling.
     ///
     /// # Errors
     ///
@@ -394,6 +397,11 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
                 response: LatencyHistogram::default(),
             });
         }
+        let metrics = if sys.collecting() {
+            MetricSet::enabled()
+        } else {
+            MetricSet::disabled()
+        };
         Ok(TrafficEngine {
             sys,
             seed: set.seed,
@@ -404,19 +412,8 @@ impl<S: StorageFrontEnd> TrafficEngine<S> {
             completions: Vec::new(),
             setup_traces,
             scratch: Vec::new(),
-            metrics: MetricSet::disabled(),
+            metrics,
         })
-    }
-
-    /// Enables the engine's own windowed telemetry when `config` collects.
-    /// The sampler runs on the engine's absolute clock — no epoch folding —
-    /// and is observe-only: it never influences admission or scheduling.
-    pub fn configure_metrics(&mut self, config: &ObsConfig) {
-        self.metrics = if config.collecting() {
-            MetricSet::enabled()
-        } else {
-            MetricSet::disabled()
-        };
     }
 
     /// The owning tenant of a dataspace, if the engine created it.
