@@ -15,6 +15,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use nds_core::{ElementType, Shape};
@@ -154,7 +155,9 @@ impl Artifacts {
             }
         }
         if let Some(path) = &self.trace_path {
-            std::fs::write(path, nds_prof::render(&self.traces))?;
+            let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+            nds_prof::write_trace(&mut out, &self.traces)?;
+            out.flush()?;
             announce("trace", path);
         }
         Ok(())

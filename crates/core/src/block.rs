@@ -37,11 +37,9 @@ use crate::shape::Shape;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BlockDimensionality {
     /// Square blocks per Eq. (2) — the paper's default. A 1-D space gets
-    /// linear blocks, as with [`OneD`](Self::OneD).
+    /// linear blocks of `BB_Size_min / N` elements.
     #[default]
     Auto,
-    /// Linear blocks of `BB_Size_min / N` elements.
-    OneD,
     /// Cubic blocks per Eq. (4); requires a space of rank ≥ 3.
     ThreeD,
 }
@@ -113,7 +111,6 @@ impl BlockShape {
         );
         let (min_bytes, rank) = match dimensionality {
             BlockDimensionality::Auto => (spec.min_block_bytes(), 2),
-            BlockDimensionality::OneD => (spec.min_block_bytes(), 1),
             BlockDimensionality::ThreeD => (spec.min_block_bytes_3d(), 3),
         };
         let rank = rank.min(space.ndims());
@@ -374,9 +371,9 @@ mod tests {
         // dimensions a matrix has.
         let flat = for_rank(vec![4096, 4096], BlockDimensionality::ThreeD);
         assert_eq!(flat.dims(), &[256, 256]);
-        assert_eq!(
-            for_rank(vec![1 << 20], BlockDimensionality::Auto),
-            for_rank(vec![1 << 20], BlockDimensionality::OneD)
-        );
+        // Eq. (2)'s square, in the one dimension a vector has: 8 channels ×
+        // 4 KiB = 8 Ki f32 elements.
+        let line = for_rank(vec![1 << 20], BlockDimensionality::Auto);
+        assert_eq!(line.dims(), &[8192]);
     }
 }

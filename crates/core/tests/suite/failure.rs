@@ -2,9 +2,6 @@
 //! panics, no corruption of previously-written data — when the device runs
 //! out of space or a backend misbehaves under it.
 
-// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use nds_core::testing::FlakyBackend;
 use nds_core::{DeviceSpec, ElementType, MemBackend, NdsError, NvmBackend, Shape, Stl, StlConfig};
 

@@ -19,9 +19,6 @@
 //! [`AccessReport`]: nds_core::AccessReport
 //! [`WriteReport`]: nds_core::WriteReport
 
-// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
@@ -33,10 +30,7 @@ use nds_core::{
     Shape, Stl, StlConfig,
 };
 
-#[path = "support/strategies.rs"]
-mod strategies;
-
-use strategies::{shape_strategy, spec};
+use crate::strategies::{shape_strategy, spec};
 
 /// An aligned partition of `shape`: per dim, a sub-extent dividing the dim
 /// and a partition coordinate inside the resulting grid.

@@ -10,9 +10,6 @@
 //! 3. A completed building block of at least `channels` units spans every
 //!    channel (the premise of the full-internal-bandwidth claim).
 
-// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use proptest::prelude::*;
 
 use nds_core::{
@@ -20,10 +17,7 @@ use nds_core::{
     NvmBackend, Shape, Stl, StlConfig,
 };
 
-#[path = "support/strategies.rs"]
-mod strategies;
-
-use strategies::{region_in, shape_strategy, spec};
+use crate::strategies::{region_in, shape_strategy, spec};
 
 fn block_for(shape: &Shape) -> BlockShape {
     BlockShape::for_space(

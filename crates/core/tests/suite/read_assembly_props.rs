@@ -2,16 +2,12 @@
 //! the in-memory backend; and the assembler's multi-part copy, driven at
 //! every part count from 1 to 4 with reads of a few hundred bytes.
 
-// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use proptest::prelude::*;
 
 use nds_core::testing::{assemble_in_parts, Piece};
 use nds_core::{DeviceSpec, MemBackend, Shape, Stl, StlConfig};
 
-#[path = "support/dirty_reads.rs"]
-mod dirty_reads;
+use crate::dirty_reads;
 
 /// What the buffer holds before a read: never a byte a read produces.
 const STALE: u8 = 0xEE;

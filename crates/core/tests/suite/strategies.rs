@@ -1,8 +1,5 @@
 //! The device and the strategies `proptests`, `plan_cache_props` and
-//! `translator_oracle` draw their spaces from, included by `#[path]` in each.
-
-// Each suite that includes this file uses only part of it.
-#![allow(dead_code)]
+//! `translator_oracle` draw their spaces from.
 
 use proptest::prelude::*;
 

@@ -2,9 +2,6 @@
 //! additionally spread over banks, forming sub-cubes whose complete fetch
 //! exercises both channel- and bank-level parallelism.
 
-// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::HashSet;
 
 use nds_core::{

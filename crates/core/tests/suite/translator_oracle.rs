@@ -3,17 +3,11 @@
 //! walks coordinates one at a time through the canonical linearization and
 //! the block decomposition independently.
 
-// Test helpers outside #[test] fns aren't covered by allow-unwrap-in-tests.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use proptest::prelude::*;
 
 use nds_core::{translator, BlockShape, ElementType, Region, Shape};
 
-#[path = "support/strategies.rs"]
-mod strategies;
-
-use strategies::{region_in, shape_strategy};
+use crate::strategies::{region_in, shape_strategy};
 
 /// Per-element reference: for each element of `region` (in view order),
 /// compute `(block coordinate, intra-block byte offset)` directly.

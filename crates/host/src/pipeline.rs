@@ -120,11 +120,11 @@ pub fn run_traced(
 }
 
 /// Like [`run`], but additionally records every scheduled stage interval
-/// into `journal` as a `SpanBegin`/`SpanEnd` pair — component
+/// into `journal` as one `Span` event — component
 /// `host.pipeline[stage]`, label from `labels` (falling back to
 /// `"stage"`), tagged with the block's 1-based trace id. This is the
 /// bridge from the pipeline recurrence to the Chrome-trace exporter:
-/// fig2 renders the interleaved schedule from these span pairs.
+/// fig2 renders the interleaved schedule from these spans.
 ///
 /// # Panics
 ///
@@ -141,8 +141,12 @@ pub fn run_journaled(
             id: block as u64 + 1,
             origin: SimDuration::ZERO,
         });
-        journal.begin_span(SimTime::ZERO + start, component, label);
-        journal.end_span(SimTime::ZERO + finish, component, label);
+        journal.span(
+            SimTime::ZERO + start,
+            component,
+            label,
+            finish.saturating_sub(start),
+        );
     });
     journal.clear_trace();
     result
@@ -251,13 +255,18 @@ mod tests {
         let mut journal = Journal::enabled();
         let traced = run_journaled(&blocks, &["io", "kernel"], &mut journal);
         assert_eq!(plain, traced, "journaling must not move the schedule");
-        assert_eq!(
-            journal.events().count(),
-            3 * 2 * 2,
-            "begin+end per stage per block"
-        );
         let events: Vec<_> = journal.events().copied().collect();
+        assert_eq!(events.len(), 3 * 2, "one span per stage per block");
         assert!(events.iter().all(|e| e.trace >= 1 && e.trace <= 3));
+        // Each span carries its interval: together they are the busy time.
+        let spanned = events.iter().map(|e| match e.kind {
+            nds_sim::EventKind::Span { dur, .. } => dur,
+            _ => SimDuration::ZERO,
+        });
+        assert_eq!(
+            spanned.sum::<SimDuration>(),
+            traced.stage_busy.iter().copied().sum()
+        );
         assert!(events
             .iter()
             .any(|e| e.component == ComponentId::new("host.pipeline", 1)));

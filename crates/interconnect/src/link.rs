@@ -183,14 +183,13 @@ impl Link {
     pub fn transfer(&mut self, bytes: u64, ready: SimTime) -> SimTime {
         self.stats.add("link.commands", 1);
         self.stats.add("link.bytes", bytes);
-        self.obs
-            .event(ready, LINK_COMPONENT, || EventKind::CommandIssued { bytes });
         self.complete(bytes, ready, ready, self.occupancy(bytes))
     }
 
-    /// The shared tail of every command: holds the wire for `occupancy`
-    /// from `start`, journals the completion, and records the latency from
-    /// `ready` (the issue instant — earlier than `start` after retries).
+    /// The shared tail of every command that completes: holds the wire for
+    /// `occupancy` from `start`, journals the command from `ready` (the
+    /// issue instant — earlier than `start` after retries) to its
+    /// completion, and records that latency.
     #[inline]
     fn complete(
         &mut self,
@@ -200,13 +199,21 @@ impl Link {
         occupancy: SimDuration,
     ) -> SimTime {
         let done = self.wire.acquire(start, occupancy);
-        self.obs
-            .event(done, LINK_COMPONENT, || EventKind::CommandCompleted {
-                bytes,
-            });
+        self.journal_command(bytes, ready, done);
         self.obs
             .latency("link.command", done.saturating_since(ready));
         done
+    }
+
+    /// Journals one command as a single interval, issued at `ready` and
+    /// ended at `end`.
+    #[inline]
+    fn journal_command(&mut self, bytes: u64, ready: SimTime, end: SimTime) {
+        self.obs
+            .event(ready, LINK_COMPONENT, || EventKind::Command {
+                bytes,
+                dur: end.saturating_since(ready),
+            });
     }
 
     /// Schedules one command under the installed fault plan.
@@ -222,12 +229,10 @@ impl Link {
     ///
     /// [`LinkError::RetriesExhausted`] when the command still fails after
     /// the configured retry budget (the spent attempts stay on the wire's
-    /// timeline).
+    /// timeline, and the journaled command spans them).
     pub fn try_transfer(&mut self, bytes: u64, ready: SimTime) -> Result<SimTime, LinkError> {
         self.stats.add("link.commands", 1);
         self.stats.add("link.bytes", bytes);
-        self.obs
-            .event(ready, LINK_COMPONENT, || EventKind::CommandIssued { bytes });
         let occupancy = self.occupancy(bytes);
         // Capture the retry parameters while the plan is borrowed: the
         // fault arms below then need no second (fallible) plan lookup.
@@ -248,32 +253,38 @@ impl Link {
         };
         self.stats.add("faults.injected", 1);
         self.stats.add(mode, 1);
-        self.obs
-            .event(ready, LINK_COMPONENT, || EventKind::FaultInjected {
-                kind: fault_kind,
-            });
         let mut backoff = initial_backoff;
         let mut at = ready;
+        let mut held = ready;
         for attempt in 0..failures.min(budget) {
             // The failed attempt holds the wire for its full occupancy —
             // the host only learns of the loss by timing out.
-            let failed_at = self.wire.acquire(at, occupancy);
+            held = self.wire.acquire(at, occupancy);
             self.stats.add("retries.link", 1);
-            at = failed_at + backoff;
+            at = held + backoff;
             backoff = backoff * 2;
             self.obs
                 .event(at, LINK_COMPONENT, || EventKind::RetryScheduled {
                     attempt: attempt + 1,
                 });
         }
-        if failures > budget {
-            return Err(LinkError::RetriesExhausted {
+        // The command is journaled once its end is known, ahead of its
+        // fault marker at the same `ready` instant; the retries fall later.
+        let outcome = if failures > budget {
+            self.journal_command(bytes, ready, held);
+            Err(LinkError::RetriesExhausted {
                 bytes,
                 attempts: budget + 1,
+            })
+        } else {
+            self.stats.add("faults.recovered", 1);
+            Ok(self.complete(bytes, ready, at, occupancy))
+        };
+        self.obs
+            .event(ready, LINK_COMPONENT, || EventKind::FaultInjected {
+                kind: fault_kind,
             });
-        }
-        self.stats.add("faults.recovered", 1);
-        Ok(self.complete(bytes, ready, at, occupancy))
+        outcome
     }
 
     /// The instant the wire drains all committed transfers.
@@ -454,6 +465,53 @@ mod tests {
     }
 
     #[test]
+    fn an_exhausted_command_is_one_event_over_the_wire_time_it_held() {
+        // Budget 1 against a fault of 2+ failures: one failed attempt holds
+        // the wire, then the retry budget runs out.
+        let cfg = FaultConfig {
+            seed: 1,
+            link_fault_rate: 1.0,
+            link_retry_budget: 1,
+            ..FaultConfig::disabled()
+        };
+        let mut probe = nds_faults::FaultPlan::new(cfg);
+        let exhausts = |fault| match fault {
+            LinkFault::Timeout { failures } | LinkFault::DroppedCompletion { failures } => {
+                failures > 1
+            }
+            LinkFault::None => false,
+        };
+        let recovered = (0..).take_while(|_| !exhausts(probe.next_link_fault()));
+        let mut link = Link::new(LinkConfig::nvmeof_40g());
+        link.install_faults(cfg);
+        for _ in recovered {
+            link.try_transfer(4096, SimTime::ZERO).unwrap();
+        }
+        let ready = link.drained_at();
+        link.configure_observability(&nds_sim::ObsConfig::traced());
+        link.begin_trace(nds_sim::TraceContext {
+            id: 1,
+            origin: SimDuration::ZERO,
+        });
+        assert!(link.try_transfer(4096, ready).is_err());
+        let occ = link.occupancy(4096);
+        let events: Vec<_> = link.observability().journal().events().copied().collect();
+        let kinds: Vec<_> = events.iter().map(|e| (e.at, e.kind.name())).collect();
+        let retry = ready + occ + cfg.link_backoff;
+        let expect = [
+            (retry, "RetryScheduled"),
+            (ready, "Command"),
+            (ready, "FaultInjected"),
+        ];
+        assert_eq!(kinds, expect, "one event per command, ahead of its fault");
+        let held = EventKind::Command {
+            bytes: 4096,
+            dur: occ,
+        };
+        assert_eq!(events[1].kind, held, "the command spans its failed attempt");
+    }
+
+    #[test]
     fn observability_hooks_are_schedule_neutral() {
         let cfg = FaultConfig {
             seed: 7,
@@ -481,8 +539,8 @@ mod tests {
         let done = link.transfer(32 * 1024, SimTime::ZERO);
         link.transfer(32 * 1024, done);
         let summary = link.observability().journal().summary();
-        assert_eq!(summary.by_kind.get("CommandIssued"), Some(&2));
-        assert_eq!(summary.by_kind.get("CommandCompleted"), Some(&2));
+        assert_eq!(summary.by_kind.get("Command"), Some(&2));
+        assert_eq!(summary.by_kind.len(), 1, "one event per command");
         let h = link
             .observability()
             .histograms()

@@ -589,9 +589,9 @@ mod tests {
                 Event {
                     at: SimTime::ZERO,
                     component: sys,
-                    kind: EventKind::TraceBegin {
-                        trace: 1,
+                    kind: EventKind::Trace {
                         op: "write",
+                        dur: SimDuration::from_nanos(100),
                     },
                     trace: 1,
                 },
@@ -599,7 +599,6 @@ mod tests {
                     at: SimTime::ZERO,
                     component: sys,
                     kind: EventKind::StageSpan {
-                        trace: 1,
                         stage: nds_sim::TraceStage::Flash,
                         dur: SimDuration::from_nanos(70),
                     },
@@ -609,16 +608,9 @@ mod tests {
                     at: SimTime::from_nanos(70),
                     component: sys,
                     kind: EventKind::StageSpan {
-                        trace: 1,
                         stage: nds_sim::TraceStage::Queue,
                         dur: SimDuration::from_nanos(30),
                     },
-                    trace: 1,
-                },
-                Event {
-                    at: SimTime::from_nanos(100),
-                    component: sys,
-                    kind: EventKind::TraceEnd { trace: 1 },
                     trace: 1,
                 },
             ],

@@ -1,11 +1,13 @@
 //! Chrome trace-event (Perfetto-loadable) JSON rendering.
 //!
-//! [`render`] turns labeled [`TraceExport`]s into one JSON document in the
-//! Chrome trace-event format, using the *modeled* clock: `ts`/`dur` are the
-//! trace-clock nanoseconds converted to microseconds with exact integer
-//! math (three decimal places), and every event's `args` carries the raw
-//! nanosecond integers so downstream tools — [`crate::analysis`] in
-//! particular — never have to parse floats.
+//! [`write_trace`] streams labeled [`TraceExport`]s as one JSON document in
+//! the Chrome trace-event format, one event per line, using the *modeled*
+//! clock: `ts`/`dur` are the trace-clock nanoseconds converted to
+//! microseconds with exact integer math (three decimal places), and every
+//! event's `args` carries the raw nanosecond integers so downstream tools —
+//! [`crate::analysis`] in particular — never have to parse floats. Each
+//! journaled interval carries its own duration, so one pass over the events
+//! renders it: no begin is matched to an end.
 //!
 //! Layout per system (one Chrome "process" each, `pid` = 1-based position):
 //!
@@ -13,10 +15,10 @@
 //! |-----|-----------------|---------|
 //! | 0   | `commands`      | one `X` slice per traced front-end command (`op#trace`) |
 //! | 1   | `stages`        | the command's exact latency partition (`StageSpan`s) |
-//! | 2   | `nvme.queue`    | instant markers for queue submissions/completions |
-//! | 3   | `link`          | paired link transfers as `X` slices |
+//! | 2   | `nvme.queue`    | a submission and a completion marker per queue command |
+//! | 3   | `link`          | one `X` slice per link command, and link fault/retry markers |
 //! | 4   | `flash`         | instant markers for page reads/programs, erases, GC, faults |
-//! | 5   | `spans`         | other paired `SpanBegin`/`SpanEnd` intervals |
+//! | 5   | `spans`         | other `Span` intervals as `X` slices |
 //! | 16+t | `tenant[t]`    | per-tenant command lanes (multi-tenant runs only) |
 //!
 //! When the export carries tenant attribution (`TraceExport::tenants`),
@@ -30,10 +32,11 @@
 //! `ndsSummary` object (one line per system) carries the makespan, the
 //! command count, and the per-channel/bank busy totals for the profiler.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write};
 
-use nds_sim::{ArgValue, ComponentId, Event, EventKind, TraceExport};
+use nds_sim::{ArgValue, ComponentId, EventKind, TraceExport};
 
 const TID_COMMANDS: u32 = 0;
 const TID_STAGES: u32 = 1;
@@ -66,103 +69,71 @@ fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-/// Begin/end matching computed in one pre-pass over a sorted event list.
-struct Pairing {
-    /// Trace id → `TraceEnd` nanosecond instant.
-    trace_end: BTreeMap<u64, u64>,
-    /// `CommandIssued` event index → matching completion instant (FIFO per
-    /// component).
-    complete_at: BTreeMap<usize, u64>,
-    /// `SpanBegin` event index → matching `SpanEnd` instant (FIFO per
-    /// component + label).
-    span_end: BTreeMap<usize, u64>,
-    /// Indices of end-side events consumed by a pair (not re-emitted).
-    consumed: BTreeSet<usize>,
+/// A `,\n`-separated run of JSON lines, written straight to `out`.
+struct Lines<'w, W> {
+    out: &'w mut W,
+    first: bool,
 }
 
-fn pair_events(events: &[Event]) -> Pairing {
-    let mut trace_end = BTreeMap::new();
-    let mut complete_at = BTreeMap::new();
-    let mut span_end = BTreeMap::new();
-    let mut consumed = BTreeSet::new();
-    let mut open_cmds: BTreeMap<ComponentId, VecDeque<usize>> = BTreeMap::new();
-    let mut open_spans: BTreeMap<(ComponentId, &str), VecDeque<usize>> = BTreeMap::new();
-    for (idx, ev) in events.iter().enumerate() {
-        let at_ns = ev.at.as_nanos();
-        match ev.kind {
-            EventKind::TraceEnd { trace } => {
-                trace_end.insert(trace, at_ns);
-            }
-            EventKind::CommandIssued { .. } if ev.component.group != "nvme.queue" => {
-                open_cmds.entry(ev.component).or_default().push_back(idx);
-            }
-            EventKind::CommandCompleted { .. } if ev.component.group != "nvme.queue" => {
-                if let Some(issue) = open_cmds
-                    .get_mut(&ev.component)
-                    .and_then(VecDeque::pop_front)
-                {
-                    complete_at.insert(issue, at_ns);
-                    consumed.insert(idx);
-                }
-            }
-            EventKind::SpanBegin { label } => {
-                open_spans
-                    .entry((ev.component, label))
-                    .or_default()
-                    .push_back(idx);
-            }
-            EventKind::SpanEnd { label } => {
-                if let Some(begin) = open_spans
-                    .get_mut(&(ev.component, label))
-                    .and_then(VecDeque::pop_front)
-                {
-                    span_end.insert(begin, at_ns);
-                    consumed.insert(idx);
-                }
-            }
-            _ => {}
+impl<W: Write> Lines<'_, W> {
+    fn line(&mut self, line: fmt::Arguments<'_>) -> io::Result<()> {
+        if !std::mem::take(&mut self.first) {
+            self.out.write_all(b",\n")?;
         }
+        self.out.write_fmt(line)
     }
-    Pairing {
-        trace_end,
-        complete_at,
-        span_end,
-        consumed,
+
+    /// One complete (`ph: "X"`) slice. `extra` is appended inside `args`.
+    fn slice(
+        &mut self,
+        (pid, tid): (usize, u32),
+        name: &str,
+        start_ns: u64,
+        dur_ns: u64,
+        extra: &str,
+    ) -> io::Result<()> {
+        self.line(format_args!(
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
+             \"args\":{{\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}{extra}}}}}",
+            quoted(name),
+            micros(start_ns),
+            micros(dur_ns),
+        ))
+    }
+
+    /// One instant (`ph: "i"`, thread scope) marker.
+    fn instant(
+        &mut self,
+        (pid, tid): (usize, u32),
+        name: &str,
+        at_ns: u64,
+        extra: &str,
+    ) -> io::Result<()> {
+        self.line(format_args!(
+            "{{\"name\":{},\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
+             \"args\":{{\"at_ns\":{at_ns}{extra}}}}}",
+            quoted(name),
+            micros(at_ns),
+        ))
     }
 }
 
-/// One complete (`ph: "X"`) slice. `extra` is appended inside `args`.
-fn x_line(pid: usize, tid: u32, name: &str, start_ns: u64, dur_ns: u64, extra: &str) -> String {
-    format!(
-        "{{\"name\":{},\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-         \"args\":{{\"start_ns\":{start_ns},\"dur_ns\":{dur_ns}{extra}}}}}",
-        quoted(name),
-        micros(start_ns),
-        micros(dur_ns),
-    )
-}
-
-/// One instant (`ph: "i"`, thread scope) marker.
-fn i_line(pid: usize, tid: u32, name: &str, at_ns: u64, extra: &str) -> String {
-    format!(
-        "{{\"name\":{},\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\
-         \"args\":{{\"at_ns\":{at_ns}{extra}}}}}",
-        quoted(name),
-        micros(at_ns),
-    )
-}
-
-fn emit_system(lines: &mut Vec<String>, pid: usize, name: &str, export: &TraceExport) {
-    lines.push(format!(
+fn emit_system(
+    lines: &mut Lines<'_, impl Write>,
+    pid: usize,
+    name: &str,
+    export: &TraceExport,
+) -> io::Result<()> {
+    lines.line(format_args!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
          \"args\":{{\"name\":{}}}}}",
         quoted(name)
-    ));
+    ))?;
     for (tid, tname) in THREADS {
-        lines.push(format!(
+        lines.line(format_args!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
              \"args\":{{\"name\":\"{tname}\"}}}}"
-        ));
+        ))?;
     }
     let tenant_of: BTreeMap<u64, u32> = export.tenants.iter().copied().collect();
     let mut tenant_lanes: Vec<u32> = tenant_of.values().copied().collect();
@@ -170,105 +141,65 @@ fn emit_system(lines: &mut Vec<String>, pid: usize, name: &str, export: &TraceEx
     tenant_lanes.dedup();
     for tenant in &tenant_lanes {
         let tid = TID_TENANT_BASE + tenant;
-        lines.push(format!(
+        lines.line(format_args!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
              \"args\":{{\"name\":\"tenant[{tenant}]\"}}}}"
-        ));
+        ))?;
     }
-    let pairing = pair_events(&export.events);
-    for (idx, ev) in export.events.iter().enumerate() {
+    for ev in &export.events {
         let at_ns = ev.at.as_nanos();
         let trace = ev.trace;
         match ev.kind {
-            EventKind::TraceBegin { trace: id, op } => {
-                if let Some(&end_ns) = pairing.trace_end.get(&id) {
-                    let dur_ns = end_ns.saturating_sub(at_ns);
-                    let slice = format!("{op}#{id}");
-                    let tenant = tenant_of.get(&id);
-                    let extra = match tenant {
-                        Some(t) => format!(",\"trace\":{id},\"tenant\":{t}"),
-                        None => format!(",\"trace\":{id}"),
-                    };
-                    lines.push(x_line(pid, TID_COMMANDS, &slice, at_ns, dur_ns, &extra));
-                    if let Some(&t) = tenant {
-                        lines.push(x_line(
-                            pid,
-                            TID_TENANT_BASE + t,
-                            &slice,
-                            at_ns,
-                            dur_ns,
-                            &extra,
-                        ));
-                    }
-                }
-            }
-            EventKind::TraceEnd { .. } => {}
-            EventKind::StageSpan {
-                trace: id,
-                stage,
-                dur,
-            } => {
+            EventKind::Trace { op, dur } => {
+                let slice = format!("{op}#{trace}");
+                let tenant = tenant_of.get(&trace);
+                let extra = match tenant {
+                    Some(t) => format!(",\"trace\":{trace},\"tenant\":{t}"),
+                    None => format!(",\"trace\":{trace}"),
+                };
                 let dur_ns = dur.as_nanos();
-                lines.push(x_line(
-                    pid,
-                    TID_STAGES,
-                    stage.name(),
-                    at_ns,
-                    dur_ns,
-                    &format!(",\"trace\":{id},\"stage\":\"{}\"", stage.name()),
-                ));
+                lines.slice((pid, TID_COMMANDS), &slice, at_ns, dur_ns, &extra)?;
+                if let Some(&t) = tenant {
+                    lines.slice((pid, TID_TENANT_BASE + t), &slice, at_ns, dur_ns, &extra)?;
+                }
             }
-            EventKind::CommandIssued { bytes } => {
+            EventKind::StageSpan { stage, dur } => {
+                let (name, dur_ns) = (stage.name(), dur.as_nanos());
+                let extra = format!(",\"trace\":{trace},\"stage\":\"{name}\"");
+                lines.slice((pid, TID_STAGES), name, at_ns, dur_ns, &extra)?;
+            }
+            EventKind::Command { bytes, dur } => {
                 let extra = format!(",\"trace\":{trace},\"bytes\":{bytes}");
                 if ev.component.group == "nvme.queue" {
-                    lines.push(i_line(pid, TID_QUEUE, "CommandIssued", at_ns, &extra));
-                } else if let Some(&end_ns) = pairing.complete_at.get(&idx) {
-                    let dur_ns = end_ns.saturating_sub(at_ns);
+                    lines.instant((pid, TID_QUEUE), "CommandIssued", at_ns, &extra)?;
+                    let done_ns = at_ns + dur.as_nanos();
+                    lines.instant((pid, TID_QUEUE), "CommandCompleted", done_ns, &extra)?;
+                } else {
                     let slice = format!("{}.cmd", ev.component.group);
-                    lines.push(x_line(pid, TID_LINK, &slice, at_ns, dur_ns, &extra));
-                } else {
-                    lines.push(i_line(pid, TID_LINK, "CommandIssued", at_ns, &extra));
+                    lines.slice((pid, TID_LINK), &slice, at_ns, dur.as_nanos(), &extra)?;
                 }
             }
-            EventKind::CommandCompleted { bytes } => {
-                let extra = format!(",\"trace\":{trace},\"bytes\":{bytes}");
-                if ev.component.group == "nvme.queue" {
-                    lines.push(i_line(pid, TID_QUEUE, "CommandCompleted", at_ns, &extra));
-                } else if !pairing.consumed.contains(&idx) {
-                    lines.push(i_line(pid, TID_LINK, "CommandCompleted", at_ns, &extra));
-                }
-            }
-            EventKind::SpanBegin { label } => {
+            EventKind::Span { label, dur } => {
                 let extra = format!(",\"trace\":{trace},\"component\":\"{}\"", ev.component);
-                if let Some(&end_ns) = pairing.span_end.get(&idx) {
-                    let dur_ns = end_ns.saturating_sub(at_ns);
-                    lines.push(x_line(pid, TID_SPANS, label, at_ns, dur_ns, &extra));
-                } else {
-                    lines.push(i_line(pid, TID_SPANS, label, at_ns, &extra));
-                }
-            }
-            EventKind::SpanEnd { label } => {
-                if !pairing.consumed.contains(&idx) {
-                    let extra = format!(",\"trace\":{trace},\"component\":\"{}\"", ev.component);
-                    lines.push(i_line(pid, TID_SPANS, label, at_ns, &extra));
-                }
+                lines.slice((pid, TID_SPANS), label, at_ns, dur.as_nanos(), &extra)?;
             }
             // Every instant kind renders generically: its name, its payload
             // fields in declaration order, on its emitter's thread.
-            ref instant => {
+            ref marker => {
                 let mut extra = format!(",\"trace\":{trace}");
                 // Writing into a `String` cannot fail.
-                instant.args(|key, value| {
+                marker.args(|key, value| {
                     let _ = match value {
                         ArgValue::U64(n) => write!(extra, ",\"{key}\":{n}"),
                         ArgValue::Str(s) => write!(extra, ",\"{key}\":{}", quoted(s)),
                     };
                 });
                 let tid = instant_tid(ev.component);
-                lines.push(i_line(pid, tid, instant.name(), at_ns, &extra));
+                lines.instant((pid, tid), marker.name(), at_ns, &extra)?;
             }
         }
     }
+    Ok(())
 }
 
 /// Instant markers land on the thread of the component that raised them:
@@ -290,7 +221,7 @@ fn summary_line(name: &str, pid: usize, export: &TraceExport) -> String {
     let commands = export
         .events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::TraceBegin { .. }))
+        .filter(|e| matches!(e.kind, EventKind::Trace { .. }))
         .count();
     let mut s = format!(
         "{{\"name\":{},\"pid\":{pid},\"makespan_ns\":{makespan_ns},\"commands\":{commands}",
@@ -314,34 +245,43 @@ fn summary_line(name: &str, pid: usize, export: &TraceExport) -> String {
     s
 }
 
-/// Renders labeled trace exports as one Chrome trace-event JSON document.
+/// Writes labeled trace exports to `out` as one Chrome trace-event JSON
+/// document, line by line, holding no copy of the document.
 ///
 /// Each `(label, export)` pair becomes one Chrome process (`pid` = 1-based
 /// position, process name = label). The output ends with an `ndsSummary`
 /// object carrying makespans, command counts, and channel/bank busy totals.
 /// Byte-identical for identical inputs.
-pub fn render(systems: &[(String, TraceExport)]) -> String {
-    let mut lines = Vec::new();
+///
+/// # Errors
+///
+/// I/O errors from `out`.
+pub fn write_trace(out: &mut impl Write, systems: &[(String, TraceExport)]) -> io::Result<()> {
+    out.write_all(b"{\n\"traceEvents\": [\n")?;
+    let mut lines = Lines { out, first: true };
     for (i, (name, export)) in systems.iter().enumerate() {
-        emit_system(&mut lines, i + 1, name, export);
+        emit_system(&mut lines, i + 1, name, export)?;
     }
-    let summaries: Vec<String> = systems
-        .iter()
-        .enumerate()
-        .map(|(i, (name, export))| summary_line(name, i + 1, export))
-        .collect();
-    let mut out = String::from("{\n\"traceEvents\": [\n");
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n],\n\"ndsSummary\": {\"systems\": [\n");
-    out.push_str(&summaries.join(",\n"));
-    out.push_str("\n]}\n}\n");
-    out
+    out.write_all(b"\n],\n\"ndsSummary\": {\"systems\": [\n")?;
+    let mut lines = Lines { out, first: true };
+    for (i, (name, export)) in systems.iter().enumerate() {
+        lines.line(format_args!("{}", summary_line(name, i + 1, export)))?;
+    }
+    out.write_all(b"\n]}\n}\n")
+}
+
+/// [`write_trace`] into a `String`.
+pub fn render(systems: &[(String, TraceExport)]) -> String {
+    let mut out = Vec::new();
+    // Writing into a `Vec` cannot fail, and every byte written is UTF-8.
+    let _ = write_trace(&mut out, systems);
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nds_sim::{SimDuration, SimTime, TraceStage};
+    use nds_sim::{Event, SimDuration, SimTime, TraceStage};
 
     fn ev(at_ns: u64, component: ComponentId, kind: EventKind, trace: u64) -> Event {
         Event {
@@ -352,24 +292,30 @@ mod tests {
         }
     }
 
+    fn ns(n: u64) -> SimDuration {
+        SimDuration::from_nanos(n)
+    }
+
     fn sample_export() -> TraceExport {
         let sys = ComponentId::singleton("system");
         let link = ComponentId::singleton("link");
         let queue = ComponentId::singleton("nvme.queue");
         let ch = ComponentId::new("flash.ch", 0);
+        let command = |bytes, dur| EventKind::Command { bytes, dur };
+        let stage = |stage, dur| EventKind::StageSpan { stage, dur };
         TraceExport {
             events: vec![
                 ev(
                     0,
                     sys,
-                    EventKind::TraceBegin {
-                        trace: 1,
+                    EventKind::Trace {
                         op: "read",
+                        dur: ns(500),
                     },
                     1,
                 ),
-                ev(0, queue, EventKind::CommandIssued { bytes: 64 }, 1),
-                ev(100, link, EventKind::CommandIssued { bytes: 4096 }, 1),
+                ev(0, queue, command(64, SimDuration::ZERO), 1),
+                ev(100, link, command(4096, ns(200)), 1),
                 ev(
                     250,
                     ch,
@@ -379,32 +325,12 @@ mod tests {
                     },
                     1,
                 ),
-                ev(300, link, EventKind::CommandCompleted { bytes: 4096 }, 1),
-                ev(
-                    0,
-                    sys,
-                    EventKind::StageSpan {
-                        trace: 1,
-                        stage: TraceStage::Flash,
-                        dur: SimDuration::from_nanos(250),
-                    },
-                    1,
-                ),
-                ev(
-                    250,
-                    sys,
-                    EventKind::StageSpan {
-                        trace: 1,
-                        stage: TraceStage::Link,
-                        dur: SimDuration::from_nanos(250),
-                    },
-                    1,
-                ),
-                ev(500, sys, EventKind::TraceEnd { trace: 1 }, 1),
+                ev(0, sys, stage(TraceStage::Flash, ns(250)), 1),
+                ev(250, sys, stage(TraceStage::Link, ns(250)), 1),
             ],
-            channels: vec![("flash.ch[0]".to_string(), SimDuration::from_nanos(250))],
-            banks: vec![("flash.bank[0]".to_string(), SimDuration::from_nanos(250))],
-            makespan: SimDuration::from_nanos(500),
+            channels: vec![("flash.ch[0]".to_string(), ns(250))],
+            banks: vec![("flash.bank[0]".to_string(), ns(250))],
+            makespan: ns(500),
             tenants: Vec::new(),
         }
     }
@@ -419,9 +345,13 @@ mod tests {
         assert!(a.contains("\"ndsSummary\""));
         assert!(a.contains("\"name\":\"read#1\""));
         assert!(a.contains("\"makespan_ns\":500"));
-        // The paired link transfer renders as a 200 ns slice at ts 0.100 µs.
+        // The link command renders as a 200 ns slice at ts 0.100 µs.
         assert!(a.contains("\"name\":\"link.cmd\""));
         assert!(a.contains("\"ts\":0.100,\"dur\":0.200"));
+        // The queue command renders as its submission and completion markers.
+        let issued = a.find("\"name\":\"CommandIssued\",\"ph\":\"i\",\"pid\":1,\"tid\":2");
+        let completed = a.find("\"name\":\"CommandCompleted\",\"ph\":\"i\",\"pid\":1,\"tid\":2");
+        assert!(matches!((issued, completed), (Some(i), Some(c)) if i < c));
     }
 
     #[test]
@@ -448,17 +378,37 @@ mod tests {
     }
 
     #[test]
-    fn unpaired_events_degrade_to_instants() {
+    fn an_exhausted_link_command_renders_as_one_slice() {
+        // What `Link::try_transfer` journals for a command that ran out of
+        // retries: the command over the wire time it held, its fault marker
+        // at the same instant, and the retry it never got to make.
         let link = ComponentId::singleton("link");
+        let command = EventKind::Command {
+            bytes: 8,
+            dur: ns(40),
+        };
+        let fault = EventKind::FaultInjected {
+            kind: "link.timeout",
+        };
+        let retry = EventKind::RetryScheduled { attempt: 1 };
         let export = TraceExport {
-            events: vec![ev(10, link, EventKind::CommandIssued { bytes: 8 }, 3)],
-            channels: vec![],
-            banks: vec![],
-            makespan: SimDuration::from_nanos(10),
-            tenants: Vec::new(),
+            events: vec![
+                ev(10, link, command, 3),
+                ev(10, link, fault, 3),
+                ev(70, link, retry, 3),
+            ],
+            makespan: ns(70),
+            ..TraceExport::default()
         };
         let out = render(&[("x".to_string(), export)]);
-        assert!(out.contains("\"ph\":\"i\""));
-        assert!(!out.contains("\"ph\":\"X\""));
+        let slices: Vec<_> = out.lines().filter(|l| l.contains("\"ph\":\"X\"")).collect();
+        assert_eq!(slices.len(), 1, "{out}");
+        assert!(slices[0].contains("\"name\":\"link.cmd\""));
+        assert!(slices[0].contains("\"start_ns\":10,\"dur_ns\":40,\"trace\":3,\"bytes\":8"));
+        let markers = out.lines().filter(|l| l.contains("\"ph\":\"i\"")).count();
+        assert_eq!(markers, 2, "only the fault and retry markers are instants");
+        let slice = out.find("link.cmd");
+        let fault = out.find("FaultInjected");
+        assert!(matches!((slice, fault), (Some(s), Some(f)) if s < f));
     }
 }

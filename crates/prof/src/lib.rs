@@ -8,7 +8,7 @@
 //! command (the [`StageSpan`](nds_sim::EventKind::StageSpan) events). This
 //! crate consumes the resulting [`TraceExport`](nds_sim::TraceExport)s:
 //!
-//! * [`chrome`] renders them as a Chrome trace-event JSON file — loadable in
+//! * [`chrome`] streams them as a Chrome trace-event JSON file — loadable in
 //!   Perfetto or `chrome://tracing` — with the modeled
 //!   [`SimTime`](nds_sim::SimTime) as the clock. The rendering is hand-rolled and
 //!   deterministic: identical runs produce byte-identical files.
@@ -52,5 +52,5 @@ pub mod dashboard;
 pub use analysis::{
     analyze, format_report, jain_milli, parse, CommandProfile, SystemAnalysis, SystemProfile,
 };
-pub use chrome::render;
+pub use chrome::{render, write_trace};
 pub use dashboard::{html_page, write_data_js};

@@ -10,6 +10,13 @@
 //! timeline of every [`Resource`](crate::Resource)), and a [`RunReport`]
 //! that serializes all of it as deterministic JSON.
 //!
+//! An event is an instant or an interval. Every emitter of an interval — a
+//! link or NVMe-queue [`Command`](EventKind::Command), a request or
+//! pipeline-stage [`Span`](EventKind::Span), a traced command's
+//! [`Trace`](EventKind::Trace) and its [`StageSpan`](EventKind::StageSpan)s
+//! — knows both ends when it records, so it records one event at the start
+//! carrying the `dur`: no reader has to match a begin with an end.
+//!
 //! # Contract: zero-cost when disabled, schedule-neutral always
 //!
 //! Every hook follows the [`Journal::record`] discipline: the disabled
@@ -76,15 +83,14 @@ impl fmt::Display for ComponentId {
 /// cheap even when enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A command crossed a host↔device interface (link or NVMe queue).
-    CommandIssued {
+    /// A command crossed a host↔device interface (link or NVMe queue):
+    /// issued at `at`, completed at `at + dur`.
+    Command {
         /// Payload bytes the command moves (0 for control commands).
         bytes: u64,
-    },
-    /// The matching completion of a [`CommandIssued`](Self::CommandIssued).
-    CommandCompleted {
-        /// Payload bytes the command moved.
-        bytes: u64,
+        /// Issue to completion (zero for an NVMe queue command, which
+        /// completes before the next is issued and carries no modeled time).
+        dur: SimDuration,
     },
     /// A flash page array-read was scheduled.
     PageRead {
@@ -133,39 +139,28 @@ pub enum EventKind {
         /// 1-based attempt number within the current recovery.
         attempt: u32,
     },
-    /// Start of a modeled-time interval (paired with
-    /// [`SpanEnd`](Self::SpanEnd) by `label` and component).
-    SpanBegin {
+    /// A modeled-time interval `[at, at + dur)`, e.g. a request or a
+    /// pipeline stage.
+    Span {
         /// Span label, e.g. `"read"`.
         label: &'static str,
+        /// Length of the interval.
+        dur: SimDuration,
     },
-    /// End of a modeled-time interval.
-    SpanEnd {
-        /// Span label matching the begin event.
-        label: &'static str,
-    },
-    /// Start of a traced front-end command (paired with
-    /// [`TraceEnd`](Self::TraceEnd) by trace id). `at` is the command's
-    /// start instant on the run-long trace clock.
-    TraceBegin {
-        /// Run-unique 1-based trace id.
-        trace: u64,
+    /// A traced front-end command: it starts at `at` (its epoch origin on
+    /// the run-long trace clock) and `dur` is its exact end-to-end modeled
+    /// latency. The trace id is the event's own [`Event::trace`].
+    Trace {
         /// Operation kind: `"read"` or `"write"`.
         op: &'static str,
-    },
-    /// End of a traced front-end command; `at − begin.at` is the exact
-    /// end-to-end modeled latency.
-    TraceEnd {
-        /// Trace id matching the begin event.
-        trace: u64,
+        /// End-to-end modeled latency.
+        dur: SimDuration,
     },
     /// One stage of a traced command's latency partition: the `dur`-long
     /// interval starting at `at` is attributed to `stage`. Per trace id
-    /// the stage durations sum *exactly* to end-to-end latency (the
-    /// attribution invariant `nds-prof` verifies).
+    /// ([`Event::trace`]) the stage durations sum *exactly* to end-to-end
+    /// latency (the attribution invariant `nds-prof` verifies).
     StageSpan {
-        /// Trace id the stage belongs to.
-        trace: u64,
         /// Pipeline stage the interval is attributed to.
         stage: TraceStage,
         /// Length of the interval.
@@ -242,18 +237,15 @@ impl EventKind {
     /// The variant's stable name, used as the journal-summary key.
     pub fn name(&self) -> &'static str {
         match self {
-            EventKind::CommandIssued { .. } => "CommandIssued",
-            EventKind::CommandCompleted { .. } => "CommandCompleted",
+            EventKind::Command { .. } => "Command",
             EventKind::PageRead { .. } => "PageRead",
             EventKind::PageProgrammed { .. } => "PageProgrammed",
             EventKind::BlockErased { .. } => "BlockErased",
             EventKind::GcVictimPicked { .. } => "GcVictimPicked",
             EventKind::FaultInjected { .. } => "FaultInjected",
             EventKind::RetryScheduled { .. } => "RetryScheduled",
-            EventKind::SpanBegin { .. } => "SpanBegin",
-            EventKind::SpanEnd { .. } => "SpanEnd",
-            EventKind::TraceBegin { .. } => "TraceBegin",
-            EventKind::TraceEnd { .. } => "TraceEnd",
+            EventKind::Span { .. } => "Span",
+            EventKind::Trace { .. } => "Trace",
             EventKind::StageSpan { .. } => "StageSpan",
             EventKind::ReplicaRead { .. } => "ReplicaRead",
             EventKind::ReplicaCopied { .. } => "ReplicaCopied",
@@ -268,8 +260,9 @@ impl EventKind {
     pub fn args(&self, mut f: impl FnMut(&'static str, ArgValue)) {
         use ArgValue::{Str, U64};
         match *self {
-            EventKind::CommandIssued { bytes } | EventKind::CommandCompleted { bytes } => {
+            EventKind::Command { bytes, dur } => {
                 f("bytes", U64(bytes));
+                f("dur", U64(dur.as_nanos()));
             }
             EventKind::PageRead { channel, bank } | EventKind::PageProgrammed { channel, bank } => {
                 f("channel", U64(channel.into()));
@@ -299,16 +292,15 @@ impl EventKind {
             }
             EventKind::FaultInjected { kind } => f("kind", Str(kind)),
             EventKind::RetryScheduled { attempt } => f("attempt", U64(attempt.into())),
-            EventKind::SpanBegin { label } | EventKind::SpanEnd { label } => {
+            EventKind::Span { label, dur } => {
                 f("label", Str(label));
+                f("dur", U64(dur.as_nanos()));
             }
-            EventKind::TraceBegin { trace, op } => {
-                f("trace", U64(trace));
+            EventKind::Trace { op, dur } => {
                 f("op", Str(op));
+                f("dur", U64(dur.as_nanos()));
             }
-            EventKind::TraceEnd { trace } => f("trace", U64(trace)),
-            EventKind::StageSpan { trace, stage, dur } => {
-                f("trace", U64(trace));
+            EventKind::StageSpan { stage, dur } => {
                 f("stage", Str(stage.name()));
                 f("dur", U64(dur.as_nanos()));
             }
@@ -445,24 +437,20 @@ impl Journal {
         self.origin = SimDuration::ZERO;
     }
 
-    /// Records a [`EventKind::SpanBegin`] for `label`.
-    pub fn begin_span(&mut self, at: SimTime, component: ComponentId, label: &'static str) {
-        self.record(at, component, || EventKind::SpanBegin { label });
-    }
-
-    /// Records a [`EventKind::SpanEnd`] for `label`.
-    pub fn end_span(&mut self, at: SimTime, component: ComponentId, label: &'static str) {
-        self.record(at, component, || EventKind::SpanEnd { label });
+    /// Records an [`EventKind::Span`]: `label` over `[at, at + dur)`.
+    pub fn span(
+        &mut self,
+        at: SimTime,
+        component: ComponentId,
+        label: &'static str,
+        dur: SimDuration,
+    ) {
+        self.record(at, component, || EventKind::Span { label, dur });
     }
 
     /// Retained (trace-tagged) events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.events.iter()
-    }
-
-    /// Total events recorded over the journal's lifetime, traced or not.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
     }
 
     /// The journal's aggregate view for a [`RunReport`].
@@ -561,27 +549,24 @@ impl CommandTracer {
 }
 
 /// Records a traced command's exact latency partition into `journal`: a
-/// [`TraceBegin`](EventKind::TraceBegin) at the epoch origin, one
-/// [`StageSpan`](EventKind::StageSpan) per non-empty stage laid end to
-/// end, and a [`TraceEnd`](EventKind::TraceEnd) at `latency`. A shortfall
-/// between the stage sum and `latency` is padded with
-/// [`TraceStage::Other`], so the attribution invariant — stages sum
-/// exactly to end-to-end latency — holds by construction.
+/// [`Trace`](EventKind::Trace) over the whole `latency` at the epoch
+/// origin, then one [`StageSpan`](EventKind::StageSpan) per non-empty
+/// stage laid end to end. A shortfall between the stage sum and `latency`
+/// is padded with [`TraceStage::Other`], so the attribution invariant —
+/// stages sum exactly to end-to-end latency — holds by construction.
 ///
-/// Must be called while `journal`'s trace context is set to `ctx`, so
-/// the events inherit the id and run-long origin.
+/// Must be called while `journal`'s trace context is set, so the events
+/// inherit the command's id and run-long origin.
 pub fn record_command_partition(
     journal: &mut Journal,
     component: ComponentId,
-    ctx: TraceContext,
     op: &'static str,
     latency: SimDuration,
     stages: &[(TraceStage, SimDuration)],
 ) {
-    let trace = ctx.id;
-    journal.record(SimTime::ZERO, component, || EventKind::TraceBegin {
-        trace,
+    journal.record(SimTime::ZERO, component, || EventKind::Trace {
         op,
+        dur: latency,
     });
     let mut offset = SimDuration::ZERO;
     for &(stage, dur) in stages {
@@ -589,7 +574,6 @@ pub fn record_command_partition(
             continue;
         }
         journal.record(SimTime::ZERO + offset, component, || EventKind::StageSpan {
-            trace,
             stage,
             dur,
         });
@@ -602,14 +586,10 @@ pub fn record_command_partition(
     let pad = latency.saturating_sub(offset);
     if !pad.is_zero() {
         journal.record(SimTime::ZERO + offset, component, || EventKind::StageSpan {
-            trace,
             stage: TraceStage::Other,
             dur: pad,
         });
     }
-    journal.record(SimTime::ZERO + latency, component, || EventKind::TraceEnd {
-        trace,
-    });
 }
 
 /// Everything a front-end exports for one run's causal trace:
@@ -1414,11 +1394,14 @@ mod tests {
         let mut ran = false;
         j.record(SimTime::ZERO, ComponentId::singleton("x"), || {
             ran = true;
-            EventKind::CommandIssued { bytes: 1 }
+            EventKind::PageRead {
+                channel: 0,
+                bank: 1,
+            }
         });
         assert!(!ran, "payload closure must not run while disabled");
         assert_eq!(j.events().count(), 0);
-        assert_eq!(j.recorded(), 0);
+        assert_eq!(j.summary().recorded, 0);
     }
 
     #[test]
@@ -1426,10 +1409,25 @@ mod tests {
         let mut j = Journal::enabled();
         j.set_trace(traced());
         let c = ComponentId::singleton("system");
-        j.begin_span(SimTime::ZERO, c, "read");
-        j.end_span(SimTime::ZERO + us(3), c, "read");
-        let kinds: Vec<_> = j.events().map(|e| e.kind.name()).collect();
-        assert_eq!(kinds, ["SpanBegin", "SpanEnd"]);
+        j.span(SimTime::ZERO + us(1), c, "read", us(3));
+        let events: Vec<_> = j.events().copied().collect();
+        assert_eq!(events.len(), 1, "one event carries both ends");
+        assert_eq!(events[0].at, SimTime::ZERO + us(1));
+        assert_eq!(
+            events[0].kind,
+            EventKind::Span {
+                label: "read",
+                dur: us(3)
+            }
+        );
+    }
+
+    #[test]
+    fn an_event_is_no_larger_than_with_two_halves_per_interval() {
+        // 8 (at) + 24 (component) + 32 (kind: a 24-byte payload and its
+        // tag) + 8 (trace) bytes: no variant repeats the event's trace id.
+        assert_eq!(std::mem::size_of::<EventKind>(), 32);
+        assert_eq!(std::mem::size_of::<Event>(), 72);
     }
 
     #[test]
@@ -1627,35 +1625,27 @@ mod tests {
     fn trace_context_tags_and_shifts_events() {
         let mut j = Journal::enabled();
         let c = ComponentId::singleton("x");
-        j.record(SimTime::ZERO + us(1), c, || EventKind::CommandIssued {
-            bytes: 1,
-        });
+        let page = |bank| EventKind::PageRead { channel: 0, bank };
+        j.record(SimTime::ZERO + us(1), c, || page(1));
         let mut tracer = CommandTracer::new();
         tracer.finish(us(10)); // pretend an earlier command took 10us
         let ctx = tracer.begin();
         assert_eq!(ctx.id, 1);
         assert_eq!(ctx.origin, us(10));
         j.set_trace(ctx);
-        j.record(SimTime::ZERO + us(2), c, || EventKind::CommandIssued {
-            bytes: 2,
-        });
+        j.record(SimTime::ZERO + us(2), c, || page(2));
         j.clear_trace();
-        j.record(SimTime::ZERO + us(3), c, || EventKind::CommandIssued {
-            bytes: 3,
-        });
+        j.record(SimTime::ZERO + us(3), c, || page(3));
         let events: Vec<_> = j.events().copied().collect();
         assert_eq!(events.len(), 1, "only the traced event is retained");
         assert_eq!(events[0].trace, 1);
         assert_eq!(events[0].at, SimTime::ZERO + us(12), "origin-shifted");
-        assert!(matches!(
-            events[0].kind,
-            EventKind::CommandIssued { bytes: 2 }
-        ));
+        assert_eq!(events[0].kind, page(2));
         let s = j.summary();
         assert_eq!(s.recorded, 3, "untraced events are still counted");
         assert_eq!(s.retained, 1);
         assert_eq!(s.dropped, 0);
-        assert_eq!(s.by_kind.get("CommandIssued"), Some(&3));
+        assert_eq!(s.by_kind.get("PageRead"), Some(&3));
     }
 
     #[test]
@@ -1668,7 +1658,6 @@ mod tests {
         record_command_partition(
             &mut j,
             c,
-            ctx,
             "read",
             us(10),
             &[
@@ -1680,28 +1669,25 @@ mod tests {
         j.clear_trace();
         tracer.finish(us(10));
         let events: Vec<_> = j.events().copied().collect();
-        // Begin, flash, link, other-pad, end — the zero stage is skipped.
-        assert_eq!(events.len(), 5);
+        // Command, flash, link, other-pad — the zero stage is skipped.
+        assert_eq!(events.len(), 4);
+        assert_eq!(
+            events[0].kind,
+            EventKind::Trace {
+                op: "read",
+                dur: us(10)
+            }
+        );
         let mut stage_sum = SimDuration::ZERO;
-        let mut begin = SimTime::ZERO;
-        let mut end = SimTime::ZERO;
         for e in &events {
             assert_eq!(e.trace, 1);
             match e.kind {
-                EventKind::TraceBegin { trace, op } => {
-                    assert_eq!((trace, op), (1, "read"));
-                    begin = e.at;
-                }
-                EventKind::TraceEnd { trace } => {
-                    assert_eq!(trace, 1);
-                    end = e.at;
-                }
+                EventKind::Trace { .. } => assert_eq!(e.at, SimTime::ZERO),
                 EventKind::StageSpan { dur, .. } => stage_sum += dur,
                 _ => panic!("unexpected event kind"),
             }
         }
         assert_eq!(stage_sum, us(10), "stages must sum exactly to latency");
-        assert_eq!(end.saturating_since(begin), us(10));
         assert_eq!(tracer.makespan(), us(10));
         assert!(matches!(
             events[3].kind,

@@ -251,7 +251,7 @@ impl MetricSet {
             return;
         }
         match *kind {
-            EventKind::CommandIssued { bytes } => {
+            EventKind::Command { bytes, .. } => {
                 if component.group == "nvme.queue" {
                     self.add(at, "nvme.commands", 1);
                     self.add(at, "nvme.bytes", bytes);
@@ -260,7 +260,6 @@ impl MetricSet {
                     self.add(at, "link.bytes", bytes);
                 }
             }
-            EventKind::CommandCompleted { .. } => {}
             EventKind::PageRead { .. } => self.add(at, "flash.page_reads", 1),
             EventKind::PageProgrammed { .. } => self.add(at, "flash.page_programs", 1),
             EventKind::BlockErased { .. } => self.add(at, "flash.block_erases", 1),
@@ -283,11 +282,7 @@ impl MetricSet {
                 self.add(at, "cluster.failover_events", 1);
                 self.mark(at, || format!("device[{device}] up"));
             }
-            EventKind::SpanBegin { .. }
-            | EventKind::SpanEnd { .. }
-            | EventKind::TraceBegin { .. }
-            | EventKind::TraceEnd { .. }
-            | EventKind::StageSpan { .. } => {}
+            EventKind::Span { .. } | EventKind::Trace { .. } | EventKind::StageSpan { .. } => {}
         }
     }
 
@@ -436,8 +431,12 @@ mod tests {
         let queue = ComponentId::singleton("nvme.queue");
         let link = ComponentId::singleton("link");
         let cluster = ComponentId::singleton("cluster");
-        m.observe_event(at(0), queue, &EventKind::CommandIssued { bytes: 64 });
-        m.observe_event(at(0), link, &EventKind::CommandIssued { bytes: 32 });
+        let command = |bytes| EventKind::Command {
+            bytes,
+            dur: SimDuration::ZERO,
+        };
+        m.observe_event(at(0), queue, &command(64));
+        m.observe_event(at(0), link, &command(32));
         m.observe_event(
             at(0),
             flash,

@@ -103,11 +103,13 @@ impl Controller {
         let wire_bytes = self.wired.wire_bytes();
         life.stats.add("nvme.wire_bytes", wire_bytes);
         // Each command completes before the next is issued, so issue and
-        // completion share the per-operation epoch anchor rather than
-        // carrying modeled time.
-        life.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
-            EventKind::CommandIssued { bytes: wire_bytes }
-        });
+        // completion share the per-operation epoch anchor: the command
+        // carries no modeled time.
+        life.obs
+            .event(SimTime::ZERO, QUEUE_COMPONENT, || EventKind::Command {
+                bytes: wire_bytes,
+                dur: SimDuration::ZERO,
+            });
         if life.obs.metrics().is_enabled() {
             // Exactly one command is outstanding while it is issued.
             life.obs.metric_sample(SimTime::ZERO, "nvme.queue_depth", 1);
@@ -123,9 +125,6 @@ impl Controller {
         {
             self.spare_args = (coord, sub_dims);
         }
-        life.obs.event(SimTime::ZERO, QUEUE_COMPONENT, || {
-            EventKind::CommandCompleted { bytes: wire_bytes }
-        });
         Ok(())
     }
 

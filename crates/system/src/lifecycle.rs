@@ -279,9 +279,9 @@ impl Lifecycle {
     fn record_request(&mut self, op: &'static str, bytes: u64, latency: SimDuration) {
         self.obs.metric_add(SimTime::ZERO, "host.ops", 1);
         self.obs.metric_add(SimTime::ZERO, "host.bytes", bytes);
-        let journal = self.obs.journal_mut();
-        journal.begin_span(SimTime::ZERO, SYSTEM_COMPONENT, op);
-        journal.end_span(SimTime::ZERO + latency, SYSTEM_COMPONENT, op);
+        self.obs
+            .journal_mut()
+            .span(SimTime::ZERO, SYSTEM_COMPONENT, op, latency);
     }
 }
 
@@ -312,8 +312,8 @@ impl<P: Placement> FlashSystem<P> {
                 (drained.saturating_since(SimTime::ZERO), partition([]))
             }
         };
-        if let Some(ctx) = scope {
-            self.close_scope(ctx, T::OP, span, &stages);
+        if scope.is_some() {
+            self.close_scope(T::OP, span, &stages);
         }
         self.end_epoch(span);
         outcome.map(|(outcome, _)| outcome)
@@ -341,14 +341,13 @@ impl<P: Placement> FlashSystem<P> {
     /// clears the trace tags, and advances the trace clock by `latency`.
     fn close_scope(
         &mut self,
-        ctx: TraceContext,
         op: &'static str,
         latency: SimDuration,
         stages: &[(TraceStage, SimDuration)],
     ) {
         let life = &mut self.life;
         let journal = life.obs.journal_mut();
-        record_command_partition(journal, SYSTEM_COMPONENT, ctx, op, latency, stages);
+        record_command_partition(journal, SYSTEM_COMPONENT, op, latency, stages);
         life.obs.clear_trace();
         self.store.device_mut().end_trace();
         life.link.end_trace();

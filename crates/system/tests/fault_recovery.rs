@@ -11,13 +11,24 @@ use nds_core::testing::FlakyBackend;
 use nds_core::{DeviceSpec, ElementType, NdsError, Shape, Stl, StlConfig};
 use nds_faults::FaultConfig;
 use nds_flash::FlashError;
-use nds_sim::{EventKind, ObsConfig, SimTime};
+use nds_sim::{EventKind, ObsConfig, SimDuration, SimTime};
 use nds_system::{
     BaselineSystem, HardwareNds, SoftwareNds, StorageFrontEnd, SystemConfig, SystemError,
 };
 
 fn checkered(n: u64) -> Vec<u8> {
     (0..n * n * 4).map(|i| (i % 251) as u8).collect()
+}
+
+/// How long an event's interval lasts (zero for an instant).
+fn interval(kind: &EventKind) -> SimDuration {
+    match *kind {
+        EventKind::Command { dur, .. }
+        | EventKind::Span { dur, .. }
+        | EventKind::Trace { dur, .. }
+        | EventKind::StageSpan { dur, .. } => dur,
+        _ => SimDuration::ZERO,
+    }
 }
 
 fn write_full(sys: &mut dyn StorageFrontEnd, n: u64, data: &[u8]) -> nds_system::DatasetId {
@@ -119,19 +130,17 @@ fn a_failed_command_closes_its_trace_scope_and_advances_the_trace_clock() {
         assert_eq!(sys.trace_cursor(), 3, "{arch}");
 
         let export = sys.trace_export().expect("tracing is configured");
-        let bound = |trace: u64, end: bool| {
+        let partition = |trace: u64| {
             export
                 .events
                 .iter()
-                .find(|e| match e.kind {
-                    EventKind::TraceBegin { trace: t, .. } => !end && t == trace,
-                    EventKind::TraceEnd { trace: t } => end && t == trace,
-                    _ => false,
+                .find_map(|e| match e.kind {
+                    EventKind::Trace { dur, .. } if e.trace == trace => Some((e.at, e.at + dur)),
+                    _ => None,
                 })
-                .unwrap_or_else(|| panic!("{arch}: trace {trace} has no closed partition"))
-                .at
+                .unwrap_or_else(|| panic!("{arch}: trace {trace} has no partition"))
         };
-        let (failed_begin, failed_end) = (bound(2, false), bound(2, true));
+        let (failed_begin, failed_end) = partition(2);
         assert!(
             failed_end > failed_begin,
             "{arch}: the failed read spent device time before giving up"
@@ -141,12 +150,13 @@ fn a_failed_command_closes_its_trace_scope_and_advances_the_trace_clock() {
         // command's partition starts after it on the run-long clock.
         for e in export.events.iter().filter(|e| e.trace == 2) {
             assert!(
-                (failed_begin..=failed_end).contains(&e.at),
+                (failed_begin..=failed_end).contains(&e.at)
+                    && e.at + interval(&e.kind) <= failed_end,
                 "{arch}: {:?} recorded under the failed command's id outside its partition",
                 e.kind
             );
         }
-        let (next_begin, next_end) = (bound(3, false), bound(3, true));
+        let (next_begin, next_end) = partition(3);
         assert!(
             next_begin > failed_begin,
             "{arch}: same origin as the failed command"
@@ -154,7 +164,7 @@ fn a_failed_command_closes_its_trace_scope_and_advances_the_trace_clock() {
         assert_eq!(next_begin, failed_end, "{arch}");
         for e in export.events.iter().filter(|e| e.trace == 3) {
             assert!(
-                (next_begin..=next_end).contains(&e.at),
+                (next_begin..=next_end).contains(&e.at) && e.at + interval(&e.kind) <= next_end,
                 "{arch}: {:?}",
                 e.kind
             );

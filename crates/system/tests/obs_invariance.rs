@@ -211,7 +211,7 @@ fn traced_export_keeps_every_event_the_journals_count() {
     // Untraced, the journals count the same events, less the traced run's
     // per-command partitions, and retain none.
     let mut untraced_kinds = journal.by_kind.clone();
-    for kind in ["TraceBegin", "TraceEnd", "StageSpan"] {
+    for kind in ["Trace", "StageSpan"] {
         untraced_kinds.remove(kind);
     }
     let full = page_heavy_run(ObsConfig::full()).run_report().journal;
@@ -300,7 +300,7 @@ fn instrumented_report_actually_contains_observations() {
         "\"journal\"",
         "\"busy.link\"",
         "\"busy.flash.ch[0]\"",
-        "CommandIssued",
+        "\"Command\"",
     ] {
         assert!(json.contains(needle), "report lost {needle}");
     }

@@ -4,7 +4,7 @@
 //! place they differ: only the controller's deletes are commands.
 
 use nds_core::{ElementType, NdsError, Shape};
-use nds_sim::{EventKind, ObsConfig, TraceExport};
+use nds_sim::{EventKind, ObsConfig, SimDuration, TraceExport};
 use nds_system::{
     BaselineSystem, DatasetId, HardwareNds, OracleSystem, SoftwareNds, StorageFrontEnd,
     SystemConfig, SystemError,
@@ -72,6 +72,17 @@ fn system_level_names_are_the_same_set_on_every_architecture() {
     }
 }
 
+/// How long an event's interval lasts (zero for an instant).
+fn interval(kind: &EventKind) -> SimDuration {
+    match *kind {
+        EventKind::Command { dur, .. }
+        | EventKind::Span { dur, .. }
+        | EventKind::Trace { dur, .. }
+        | EventKind::StageSpan { dur, .. } => dur,
+        _ => SimDuration::ZERO,
+    }
+}
+
 /// The number of `kind` events in `export`.
 fn exported(export: &TraceExport, kind: fn(&EventKind) -> bool) -> usize {
     export.events.iter().filter(|e| kind(&e.kind)).count()
@@ -83,10 +94,9 @@ fn every_placement_exports_trace_tagged_request_spans() {
         write_then_strided_read(sys.as_mut());
         let export = sys.trace_export().expect("tracing is configured");
         // Every placement records the request span inside the trace scope:
-        // a begin/end pair per op.
-        let span =
-            |k: &EventKind| matches!(k, EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. });
-        assert_eq!(exported(&export, span), 4, "{}", sys.name());
+        // one event per op.
+        let span = |k: &EventKind| matches!(k, EventKind::Span { .. });
+        assert_eq!(exported(&export, span), 2, "{}", sys.name());
     }
 }
 
@@ -183,26 +193,20 @@ fn a_refused_request_is_one_closed_traced_command_that_changes_nothing() {
         }
 
         let export = sys.trace_export().expect("tracing is configured");
-        let bound = |trace: u64, end: bool| {
-            let event = export.events.iter().find(|e| match e.kind {
-                EventKind::TraceBegin { trace: t, .. } => !end && t == trace,
-                EventKind::TraceEnd { trace: t } => end && t == trace,
-                _ => false,
-            });
-            event.map(|e| e.at)
+        let partition = |trace: u64| {
+            export.events.iter().find_map(|e| match e.kind {
+                EventKind::Trace { dur, .. } if e.trace == trace => Some((e.at, e.at + dur)),
+                _ => None,
+            })
         };
         for (what, trace) in refused {
-            let begin = bound(trace, false).expect("refused command opened");
-            let end = bound(trace, true);
-            let end = end.unwrap_or_else(|| panic!("{arch}: {what}: trace {trace} left open"));
+            let (begin, end) = partition(trace)
+                .unwrap_or_else(|| panic!("{arch}: {what}: trace {trace} has no partition"));
             for e in export.events.iter().filter(|e| e.trace == trace) {
-                assert!(
-                    (begin..=end).contains(&e.at),
-                    "{arch}: {what}: {:?} outside its partition",
-                    e.kind
-                );
+                let within = (begin..=end).contains(&e.at) && e.at + interval(&e.kind) <= end;
+                assert!(within, "{arch}: {what}: {:?} outside its partition", e.kind);
             }
-            let next = bound(trace + 1, false);
+            let next = partition(trace + 1).map(|(begin, _)| begin);
             assert_eq!(next, Some(end), "{arch}: {what}: next command's origin");
         }
     }

@@ -53,6 +53,12 @@ grep -qF 'busy.flash.ch[' "$out/fig9a.report.json" \
 # markers are what the flash lanes of fig9a's trace exist to show.
 grep -q 'PageProgrammed' "$out/fig9a.trace.json" \
     || { echo "artifact_digest.sh: fig9a trace lost its PageProgrammed markers" >&2; exit 1; }
+# Likewise the intervals the journal records as single events: the link's
+# commands and the front-end's request spans each render as one slice.
+grep -qF '"name":"link.cmd","ph":"X"' "$out/fig9a.trace.json" \
+    || { echo "artifact_digest.sh: fig9a trace lost its link.cmd slices" >&2; exit 1; }
+grep -qF '"name":"read","ph":"X"' "$out/fig9a.trace.json" \
+    || { echo "artifact_digest.sh: fig9a trace lost its read request spans" >&2; exit 1; }
 
 actual="$(cd "$out" && sha256sum -- * | LC_ALL=C sort -k2)"
 

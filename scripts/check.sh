@@ -25,12 +25,6 @@ layout_ok=(
     # Not folded yet: a fold renames every test of the suite it moves, so
     # suites move a few at a time (ROADMAP item 20). Delete a line when its
     # file becomes a module; never add one.
-    crates/core/tests/failure.rs
-    crates/core/tests/plan_cache_props.rs
-    crates/core/tests/proptests.rs
-    crates/core/tests/read_assembly_props.rs
-    crates/core/tests/three_d_blocks.rs
-    crates/core/tests/translator_oracle.rs
     crates/flash/tests/no_unwind.rs
     crates/flash/tests/proptests.rs
     crates/interconnect/tests/wfq_props.rs
@@ -95,8 +89,8 @@ if [[ "${1:-}" != "--no-test" ]]; then
     echo "== cargo test --profile ci (WFQ + tenant + allocation-ceiling + page-mapper + read-assembly + plan-cache + workload-kernel suites, overflow checks on)"
     cargo test --quiet --profile ci -p nds-interconnect
     cargo test --quiet --profile ci -p nds-flash --test proptests
-    cargo test --quiet --profile ci -p nds-core \
-        --test translator_oracle --test read_assembly_props --test plan_cache_props
+    cargo test --quiet --profile ci -p nds-core --test suite -- \
+        translator_oracle:: read_assembly_props:: plan_cache_props::
     # A name filter applies to every `--test` target of its command line,
     # so the unfiltered allocation-ceiling binary runs on its own.
     cargo test --quiet --profile ci -p nds-system --test suite -- \
@@ -109,7 +103,7 @@ if [[ "${1:-}" != "--no-test" ]]; then
     # no knob to turn.
     if command -v taskset > /dev/null; then
         echo "== one-part suites on one CPU: read assembly + tile GEMM (taskset -c 0)"
-        taskset -c 0 cargo test --quiet --profile ci -p nds-core --test read_assembly_props
+        taskset -c 0 cargo test --quiet --profile ci -p nds-core --test suite read_assembly_props::
         taskset -c 0 cargo test --quiet --profile ci -p nds-system --test suite dirty_buffer_props::
         taskset -c 0 cargo test --quiet --profile ci -p nds-system --test alloc_ceiling
         taskset -c 0 cargo test --quiet --profile ci -p nds-workloads \
